@@ -49,13 +49,12 @@ from .gateway import (
     ModelRequest,
     ModelResponse,
     SamplingConfig,
-    TokenGrid,
     oracle_mock,
     query_batch,
     random_mock,
-    spatiotemporal_pool,
 )
 from .meteor import score_meteor
+from .pooling import TokenGrid, spatiotemporal_pool
 from .prompts import (
     DEFAULT_TEMPLATES,
     ParsedResponse,

@@ -13,13 +13,17 @@ Three external inputs are understood:
 Malformed annotation rows are skipped and tallied, never fatal.
 """
 
+from __future__ import annotations
+
 import json
 from collections import Counter
 from dataclasses import dataclass, field
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .coords import BBox, CodecError, ImageDims
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -162,8 +166,9 @@ def load_caption_records(path) -> list[CaptionRecord]:
 
 def load_label_grid(path) -> np.ndarray:
     """Read a panoptic label grid: whitespace-separated ids, one row per line."""
-    grid = np.loadtxt(path, dtype=np.int64, ndmin=2)
-    return grid
+    import numpy as np
+
+    return np.loadtxt(path, dtype=np.int64, ndmin=2)
 
 
 def load_instance_categories(path) -> dict[int, str]:

@@ -6,14 +6,15 @@ derived per sample, so reruns and parallel runs produce identical bytes.
 Each filter tallies what it drops into a build report.
 """
 
+from __future__ import annotations
+
 import math
 import random
 from collections import Counter
 from collections.abc import Iterable, Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .annotations import AnnotatedImage, MediaCategories
 from .coords import BBox, LocationText, ReprScheme, encode_bbox, encode_point
@@ -33,6 +34,9 @@ from .prompts import (
     spatial_icl_example,
 )
 from .seeding import derive_seed
+
+if TYPE_CHECKING:
+    import numpy as np
 
 IFT_OBJECTIVES = (LOCPRED, NEGPRED, REVLOC)
 
@@ -522,6 +526,8 @@ def panoptic_to_bboxes(
     xmax, ymax). Instances under min_pixels yield no box but still mark
     their category present.
     """
+    import numpy as np
+
     mask = np.asarray(mask)
     if mask.ndim != 2:
         raise ValueError(f"label grid must be 2-D, got shape {mask.shape}")
@@ -567,6 +573,8 @@ def build_video_static_objects(
     sits within STATIC_CENTER_RANGE_PX of the mean center. The averaged box
     is the coordinate-wise mean over frames where the object appears.
     """
+    import numpy as np
+
     tallies: Counter = Counter()
     by_category: dict[str, dict[int, BBox]] = {}
     ambiguous: set[str] = set()

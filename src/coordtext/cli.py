@@ -54,7 +54,7 @@ from .gateway import (
     random_mock,
 )
 from .prompts import CAPTION_REQUEST, DEFAULT_TEMPLATES, load_template_overrides, render_caption_request
-from .records import config_digest, read_records, verify_records, write_json, write_records
+from .records import SchemaError, config_digest, read_records, verify_records, write_json, write_records
 from .seeding import derive_seed
 
 EXIT_OK = 0
@@ -64,10 +64,6 @@ EXIT_SCHEMA = 3
 EXIT_ALIGNMENT = 4
 
 DEFAULT_PHRASES = "left,right,the left,the right,left side,right side,to the left,to the right"
-
-
-class SchemaError(ValueError):
-    pass
 
 
 def _parse_dims(text: str) -> ImageDims:

@@ -9,7 +9,9 @@ gets exactly one response, in request order.
 Two mock models support offline pipelines: an oracle that answers from
 ground truth in canonical phrasing, and a seeded uniform-random baseline.
 The sampling configuration is transmitted with every request but never
-applied locally; generation happens inside the external model.
+applied locally; generation happens inside the external model. Only
+``HttpTransport`` imports ``requests``, so the mock and file-batch paths
+never load it.
 """
 
 import json
@@ -19,9 +21,6 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-
-import numpy as np
-import requests
 
 from .builders import ConversationSample
 from .coords import BBox, ImageDims, PointLoc, ReprScheme, encode_bbox, encode_point
@@ -74,12 +73,16 @@ def _error(request: ModelRequest, detail: str) -> ModelResponse:
 class HttpTransport:
     """POST each request as JSON to a single endpoint; one reply per request."""
 
-    def __init__(self, endpoint: str, timeout: float = 30.0, session=None):
+    def __init__(self, endpoint: str, timeout: float = 30.0):
+        import requests
+
         self.endpoint = endpoint
         self.timeout = timeout
-        self.session = session or requests.Session()
+        self.session = requests.Session()
 
     def send(self, request: ModelRequest, cfg: SamplingConfig) -> ModelResponse:
+        import requests
+
         payload = {
             "request_id": request.request_id,
             "media_ref": request.media_ref,
@@ -125,7 +128,9 @@ class FileBatchTransport:
         req_path = self.directory / f"{stem}.req.jsonl"
         resp_path = self.directory / f"{stem}.resp.jsonl"
         done_path = self.directory / f"{stem}.done"
-        with open(req_path, "w", encoding="utf-8") as fh:
+        # written aside and renamed, so that a runner never reads half a request file
+        tmp_path = self.directory / f"{stem}.req.jsonl.tmp"
+        with open(tmp_path, "w", encoding="utf-8") as fh:
             for r in requests_:
                 fh.write(
                     json.dumps(
@@ -139,6 +144,7 @@ class FileBatchTransport:
                     )
                     + "\n"
                 )
+        tmp_path.replace(req_path)
         deadline = time.monotonic() + self.timeout
         while not done_path.exists():
             if time.monotonic() > deadline:
@@ -320,61 +326,3 @@ def answer_space_for_record(record: dict) -> str:
     if objective == "hallucination":
         return "yes_no"
     return "lr"
-
-
-# ---------------- video token pooling ---------------- #
-
-
-@dataclass(frozen=True)
-class TokenGrid:
-    """Per-frame visual tokens: shape (n_frames, spatial_positions, feature_dim)."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.values)
-        if v.ndim != 3 or min(v.shape) < 1:
-            raise ValueError(f"token grid must be (frames, positions, dim) with positive sizes, got {v.shape}")
-        if not np.all(np.isfinite(v)):
-            raise ValueError("token grid holds non-finite values")
-        object.__setattr__(self, "values", v)
-
-    @property
-    def n_frames(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def n_spatial(self) -> int:
-        return self.values.shape[1]
-
-
-def _balanced_mean(a: np.ndarray) -> np.ndarray:
-    """Mean over axis 0 via a balanced pairwise sum in float64, divided once.
-
-    The balanced tree keeps sums of identical addends exact for power-of-two
-    counts, so constant grids pool to the constant.
-    """
-    n = a.shape[0]
-    acc = a.astype(np.float64, copy=True)
-    while acc.shape[0] > 1:
-        m = acc.shape[0]
-        even = (m // 2) * 2
-        paired = acc[0:even:2] + acc[1:even:2]
-        if m % 2:
-            paired = np.concatenate([paired, acc[-1:]], axis=0)
-        acc = paired
-    return acc[0] / n
-
-
-def spatiotemporal_pool(grid: TokenGrid | np.ndarray) -> np.ndarray:
-    """Reduce (frames, positions, dim) tokens to (positions + frames, dim).
-
-    Row s < positions is the temporal mean of spatial token s; the remaining
-    rows are per-frame spatial means, in frame order.
-    """
-    if not isinstance(grid, TokenGrid):
-        grid = TokenGrid(grid)
-    v = grid.values
-    spatial = _balanced_mean(v)  # (S, d): mean over frames
-    temporal = _balanced_mean(np.swapaxes(v, 0, 1))  # (n_f, d): mean over positions
-    return np.concatenate([spatial, temporal], axis=0)

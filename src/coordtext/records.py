@@ -11,6 +11,10 @@ import json
 from pathlib import Path
 
 
+class SchemaError(ValueError):
+    """Input that does not have the documented shape (CLI exit code 3)."""
+
+
 def canonical_json(value) -> str:
     return json.dumps(value, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
 
@@ -50,19 +54,28 @@ def write_records(path, records: list[dict], config: dict, kind: str) -> str:
 
 def read_records(path) -> tuple[dict, list[dict]]:
     """Read a record file; returns (meta, records). Files without a meta line
-    get an empty meta dict."""
+    get an empty meta dict. A line that is not a JSON object, as left by a
+    truncated or corrupt file, raises SchemaError naming the file and line."""
     meta: dict = {}
     records: list[dict] = []
-    with open(path, encoding="utf-8") as fh:
-        for i, line in enumerate(fh):
-            line = line.strip()
-            if not line:
-                continue
-            row = json.loads(line)
-            if i == 0 and row.get("record_type") == "meta":
-                meta = row
-                continue
-            records.append(row)
+    line_no = 0
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for line_no, line in enumerate(fh, 1):
+                line = line.strip()
+                if not line:
+                    continue
+                row = json.loads(line)
+                if not isinstance(row, dict):
+                    raise SchemaError(f"{path}: line {line_no}: not a JSON object")
+                if line_no == 1 and row.get("record_type") == "meta":
+                    meta = row
+                    continue
+                records.append(row)
+    except json.JSONDecodeError as exc:
+        raise SchemaError(f"{path}: line {line_no}: not valid JSON: {exc.msg} at column {exc.colno}") from exc
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"{path}: after line {line_no}: not valid UTF-8: {exc}") from exc
     return meta, records
 
 

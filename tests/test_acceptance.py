@@ -46,8 +46,9 @@ from coordtext.fixtures import (
     panoptic_fixture,
     spatial_fixture,
 )
-from coordtext.gateway import ModelRequest, random_mock, spatiotemporal_pool
+from coordtext.gateway import ModelRequest, random_mock
 from coordtext.meteor import score_meteor
+from coordtext.pooling import spatiotemporal_pool
 from coordtext.records import read_records
 from test_builders import bruteforce_bench_keys, _item_key
 from test_meteor import HAND_PAIRS, oracle_meteor

@@ -290,6 +290,98 @@ def test_verify_detects_tamper(fx, tmp_path, capsys):
     assert code == 3 and "digest mismatch" in err
 
 
+@pytest.fixture(scope="module")
+def spatial_run(fx, tmp_path_factory):
+    out = tmp_path_factory.mktemp("spatial_run")
+    bench, resp = out / "bench.jsonl", out / "resp.jsonl"
+    assert main(["build", "spatial-bench", "--annotations", str(fx / "coco_50.json"), "--seed", "1", "--out", str(bench)]) == 0
+    assert main(["query", "--records", str(bench), "--mock", "oracle", "--out", str(resp)]) == 0
+    return bench, resp
+
+
+def truncate_mid_line(src, dst):
+    """Copy ``src`` cut 10 bytes short, as ``head -c`` leaves an interrupted copy."""
+    data = src.read_bytes()
+    dst.write_bytes(data[:-10])
+    return data[:-10].count(b"\n") + 1  # the line left unterminated
+
+
+@pytest.mark.parametrize("command", ["verify", "query", "evaluate"])
+def test_truncated_record_file_is_schema_error(spatial_run, tmp_path, capsys, command):
+    bench, resp = spatial_run
+    if command == "evaluate":
+        cut = tmp_path / "resp.jsonl"
+        line = truncate_mid_line(resp, cut)
+        args = ["evaluate", "--records", str(bench), "--responses", str(cut)]
+    else:
+        cut = tmp_path / "bench.jsonl"
+        line = truncate_mid_line(bench, cut)
+        args = ["verify", str(cut)] if command == "verify" else [
+            "query", "--records", str(cut), "--mock", "oracle", "--out", str(tmp_path / "out.jsonl")]
+    code, _, err = run(args, capsys)
+    assert code == 3
+    assert f"{cut}: line {line}: not valid JSON" in err
+
+
+@pytest.mark.parametrize(
+    "corrupt, message",
+    [(b'[1, 2]\n', "line 2: not a JSON object"), (b'{"text": "\xff"}\n', "not valid UTF-8")],
+)
+def test_verify_rejects_corrupt_lines(spatial_run, tmp_path, capsys, corrupt, message):
+    bench, _ = spatial_run
+    lines = bench.read_bytes().splitlines(keepends=True)
+    bad = tmp_path / "bad.jsonl"
+    bad.write_bytes(lines[0] + corrupt + b"".join(lines[1:]))
+    code, _, err = run(["verify", str(bench), str(bad)], capsys)
+    assert code == 3 and f"{bad}: " in err and message in err and f"{bench}:" not in err
+
+
+LAZY_IMPORT_CHILD = """
+import sys
+
+from coordtext.cli import main
+
+fx, out = sys.argv[1], sys.argv[2]
+heavy = {"numpy", "requests"}
+assert not heavy & set(sys.modules), "import coordtext.cli"
+for args in (
+    ["build", "spatial-bench", "--annotations", fx + "/coco_50.json", "--out", out + "/bench.jsonl"],
+    ["query", "--records", out + "/bench.jsonl", "--mock", "oracle", "--out", out + "/resp.jsonl"],
+    ["evaluate", "--records", out + "/bench.jsonl", "--responses", out + "/resp.jsonl"],
+    ["verify", out + "/bench.jsonl", out + "/resp.jsonl"],
+):
+    assert main(args) == 0, args
+    assert not heavy & set(sys.modules), args
+
+from coordtext.gateway import HttpTransport
+
+HttpTransport("http://127.0.0.1:9/")
+assert "requests" in sys.modules and "numpy" not in sys.modules, "HttpTransport"
+
+assert main(["build", "video-static", "--videos", fx + "/videos.jsonl", "--out", out + "/tracks.jsonl"]) == 0
+assert "numpy" in sys.modules
+
+from coordtext.annotations import load_instance_categories, load_label_grid
+from coordtext.builders import panoptic_to_bboxes
+from coordtext.pooling import spatiotemporal_pool
+
+boxes = panoptic_to_bboxes(load_label_grid(fx + "/panoptic.grid.txt"), load_instance_categories(fx + "/panoptic.categories.json"))
+assert boxes.instances
+assert spatiotemporal_pool([[[1.0]], [[3.0]]]).tolist() == [[2.0], [1.0], [3.0]]
+"""
+
+
+def test_pipeline_stages_load_neither_numpy_nor_requests(fx, tmp_path):
+    """build, query --mock, evaluate and verify stay clear of the heavy imports;
+    the paths that need numpy or requests still load them on first use."""
+    proc = subprocess.run(
+        [sys.executable, "-c", LAZY_IMPORT_CHILD, str(fx), str(tmp_path)],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_config_file_defaults_and_flag_override(fx, tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"seed": 9, "mix": "locpred=1"}))

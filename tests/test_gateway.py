@@ -18,14 +18,13 @@ from coordtext.gateway import (
     ModelRequest,
     ModelResponse,
     SamplingConfig,
-    TokenGrid,
     TransientTransportError,
     oracle_answer,
     oracle_mock,
     query_batch,
     random_mock,
-    spatiotemporal_pool,
 )
+from coordtext.pooling import TokenGrid, spatiotemporal_pool
 from coordtext.prompts import parse_response
 
 REQS = [ModelRequest(f"r{i}", f"im{i}.jpg", f"prompt {i}") for i in range(3)]

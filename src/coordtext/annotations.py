@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from .coords import BBox, CodecError, ImageDims
+from .records import SchemaError, line_error
 
 if TYPE_CHECKING:
     import numpy as np
@@ -146,21 +147,27 @@ def load_caption_records(path) -> list[CaptionRecord]:
     """Read pseudo-caption JSONL; also accepts query-response lines whose
     item_id embeds ``{image_id}:cap:{instance_id}``."""
     records = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            row = json.loads(line)
-            if row.get("record_type") == "meta":
-                continue
-            if "caption" in row:
-                records.append(CaptionRecord(str(row["image_id"]), str(row["instance_id"]), row["caption"]))
-                continue
-            item_id = row.get("item_id", "")
-            if ":cap:" in item_id and row.get("text"):
-                image_id, _, instance_id = item_id.partition(":cap:")
-                records.append(CaptionRecord(image_id, instance_id, row["text"]))
+    line_no = 0
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for line_no, line in enumerate(fh, 1):
+                line = line.strip()
+                if not line:
+                    continue
+                row = json.loads(line)
+                if not isinstance(row, dict):
+                    raise SchemaError(f"{path}: line {line_no}: not a JSON object")
+                if row.get("record_type") == "meta":
+                    continue
+                if "caption" in row:
+                    records.append(CaptionRecord(str(row["image_id"]), str(row["instance_id"]), row["caption"]))
+                    continue
+                item_id = row.get("item_id", "")
+                if ":cap:" in item_id and row.get("text"):
+                    image_id, _, instance_id = item_id.partition(":cap:")
+                    records.append(CaptionRecord(image_id, instance_id, row["text"]))
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise line_error(path, line_no, exc) from exc
     return records
 
 
@@ -183,16 +190,22 @@ def load_video_detections(path) -> dict[str, dict[int, list[tuple[str, BBox]]]]:
     Boxes are xyxy in pixel space.
     """
     videos: dict[str, dict[int, list[tuple[str, BBox]]]] = {}
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            row = json.loads(line)
-            if row.get("record_type") == "meta":
-                continue
-            frames = {}
-            for idx, dets in row["frames"].items():
-                frames[int(idx)] = [(d["category"], BBox(*d["bbox"])) for d in dets]
-            videos[str(row["video_id"])] = frames
+    line_no = 0
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for line_no, line in enumerate(fh, 1):
+                line = line.strip()
+                if not line:
+                    continue
+                row = json.loads(line)
+                if not isinstance(row, dict):
+                    raise SchemaError(f"{path}: line {line_no}: not a JSON object")
+                if row.get("record_type") == "meta":
+                    continue
+                frames = {}
+                for idx, dets in row["frames"].items():
+                    frames[int(idx)] = [(d["category"], BBox(*d["bbox"])) for d in dets]
+                videos[str(row["video_id"])] = frames
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise line_error(path, line_no, exc) from exc
     return videos

@@ -54,7 +54,15 @@ from .gateway import (
     random_mock,
 )
 from .prompts import CAPTION_REQUEST, DEFAULT_TEMPLATES, load_template_overrides, render_caption_request
-from .records import SchemaError, config_digest, read_records, verify_records, write_json, write_records
+from .records import (
+    SchemaError,
+    config_digest,
+    read_records,
+    stored_records_digest,
+    verify_records,
+    write_json,
+    write_records,
+)
 from .seeding import derive_seed
 
 EXIT_OK = 0
@@ -311,6 +319,10 @@ def cmd_query(args) -> int:
     meta, rows = read_records(args.records)
     if not rows:
         raise SchemaError(f"{args.records}: no records")
+    for n, row in enumerate(rows, 1):
+        if "sample_id" not in row or "prompt" not in row:
+            missing = " and ".join(f for f in ("sample_id", "prompt") if f not in row)
+            raise SchemaError(f"{args.records}: record {n}: missing {missing}")
     by_id = {row["sample_id"]: row for row in rows}
     requests = [ModelRequest(row["sample_id"], str(row.get("image_id", "")), row["prompt"]) for row in rows]
     cfg = SamplingConfig(temperature=args.temperature, max_new_tokens=args.max_new_tokens)
@@ -385,6 +397,8 @@ def _infer_task(rows) -> str:
 
 def cmd_evaluate(args) -> int:
     record_meta, rows = read_records(args.records)
+    if record_meta and stored_records_digest(args.records) != record_meta.get("records_digest"):
+        raise SchemaError(f"{args.records}: records digest mismatch")
     _, response_rows = read_records(args.responses)
     responses = {row["item_id"]: row["text"] for row in response_rows if "item_id" in row}
     if not rows:

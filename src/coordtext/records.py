@@ -1,13 +1,17 @@
 """Line-delimited record files with embedded provenance.
 
 Every output file starts with one meta line carrying the effective config,
-its digest, and a digest over the record lines, so any file can be verified
-and any run reproduced from its own header. Serialization is canonical
-(sorted keys, fixed separators): identical inputs give identical bytes.
+its digest, and a digest over the bytes of the record lines, so any file can
+be verified and any run reproduced from its own header. Serialization is
+canonical (sorted keys, fixed separators): identical inputs give identical
+bytes. Files are written aside and renamed into place, so a failed write
+leaves the previous file as it was.
 """
 
 import hashlib
 import json
+import os
+from contextlib import contextmanager
 from pathlib import Path
 
 
@@ -15,8 +19,8 @@ class SchemaError(ValueError):
     """Input that does not have the documented shape (CLI exit code 3)."""
 
 
-def canonical_json(value) -> str:
-    return json.dumps(value, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
+# One shared encoder: json.dumps with these settings would build a new one per call.
+canonical_json = json.JSONEncoder(sort_keys=True, separators=(",", ":"), ensure_ascii=False).encode
 
 
 def config_digest(config: dict) -> str:
@@ -31,6 +35,30 @@ def _records_digest(lines: list[str]) -> str:
     return h.hexdigest()
 
 
+def stored_records_digest(path) -> str:
+    """SHA-256 of a record file's bytes after its first (meta) line, as stored."""
+    h = hashlib.sha256()
+    with open(path, "rb") as fh:
+        fh.readline()
+        while chunk := fh.read(1 << 16):
+            h.update(chunk)
+    return h.hexdigest()
+
+
+@contextmanager
+def _replacing(path):
+    """Open a text file to write that replaces ``path`` only once it is complete."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            yield fh
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
 def write_records(path, records: list[dict], config: dict, kind: str) -> str:
     """Write records with a leading meta line; returns the config digest."""
     lines = [canonical_json(rec) for rec in records]
@@ -43,13 +71,19 @@ def write_records(path, records: list[dict], config: dict, kind: str) -> str:
         "config_digest": digest,
         "records_digest": _records_digest(lines),
     }
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
+    with _replacing(path) as fh:
         fh.write(canonical_json(meta) + "\n")
         for line in lines:
             fh.write(line + "\n")
     return digest
+
+
+def line_error(path, line_no: int, exc: ValueError) -> SchemaError:
+    """The SchemaError for a line of a JSON-lines file that is not valid JSON,
+    or for the undecodable bytes after it."""
+    if isinstance(exc, UnicodeDecodeError):
+        return SchemaError(f"{path}: after line {line_no}: not valid UTF-8: {exc}")
+    return SchemaError(f"{path}: line {line_no}: not valid JSON: {exc.msg} at column {exc.colno}")
 
 
 def read_records(path) -> tuple[dict, list[dict]]:
@@ -72,23 +106,22 @@ def read_records(path) -> tuple[dict, list[dict]]:
                     meta = row
                     continue
                 records.append(row)
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"{path}: line {line_no}: not valid JSON: {exc.msg} at column {exc.colno}") from exc
-    except UnicodeDecodeError as exc:
-        raise SchemaError(f"{path}: after line {line_no}: not valid UTF-8: {exc}") from exc
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise line_error(path, line_no, exc) from exc
     return meta, records
 
 
 def verify_records(path) -> list[str]:
-    """Recompute embedded digests; returns a list of problems (empty = ok)."""
+    """Check a record file against its meta line: the record count, the config
+    digest, and the records digest over the stored bytes after the meta line,
+    so that any re-serialisation fails. Returns a list of problems (empty = ok)."""
     problems = []
     meta, records = read_records(path)
     if not meta:
         return [f"{path}: no meta line"]
-    lines = [canonical_json(rec) for rec in records]
     if meta.get("count") != len(records):
         problems.append(f"{path}: meta count {meta.get('count')} != {len(records)} records")
-    if _records_digest(lines) != meta.get("records_digest"):
+    if stored_records_digest(path) != meta.get("records_digest"):
         problems.append(f"{path}: records digest mismatch")
     if config_digest(meta.get("config", {})) != meta.get("config_digest"):
         problems.append(f"{path}: config digest mismatch")
@@ -96,7 +129,5 @@ def verify_records(path) -> list[str]:
 
 
 def write_json(path, value: dict) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
+    with _replacing(path) as fh:
         fh.write(json.dumps(value, sort_keys=True, indent=2, ensure_ascii=False) + "\n")

@@ -1,5 +1,6 @@
 """CLI tests: exit codes, end-to-end pipelines, and byte-level reproducibility."""
 
+import builtins
 import hashlib
 import json
 import math
@@ -9,8 +10,9 @@ from collections import Counter
 
 import pytest
 
+from coordtext import records
 from coordtext.cli import main
-from coordtext.records import read_records
+from coordtext.records import read_records, write_json, write_records
 
 
 @pytest.fixture(scope="module")
@@ -290,6 +292,130 @@ def test_verify_detects_tamper(fx, tmp_path, capsys):
     assert code == 3 and "digest mismatch" in err
 
 
+REDUMPS = {
+    "json.dumps defaults": lambda line: json.dumps(json.loads(line)),
+    "blank line inserted": lambda line: line + "\n",
+    "ascii-escaped": lambda line: json.dumps(json.loads(line), sort_keys=True, separators=(",", ":")),
+}
+
+
+@pytest.mark.parametrize("variant", [*REDUMPS, "final newline stripped"])
+def test_verify_is_byte_exact(tmp_path, capsys, variant):
+    """A body that parses to the same records but is not the bytes written fails."""
+    path = tmp_path / "demo.jsonl"
+    rows = [{"sample_id": "a", "text": "café à gauche"}, {"sample_id": "b", "text": "x"}]
+    write_records(path, rows, {"seed": 0}, "demo")
+    assert run(["verify", str(path)], capsys)[0] == 0
+    text = path.read_text(encoding="utf-8")
+    if variant == "final newline stripped":
+        text = text[:-1]
+    else:
+        lines = text.splitlines()
+        lines[1] = REDUMPS[variant](lines[1])
+        text = "\n".join(lines) + "\n"
+    path.write_text(text, encoding="utf-8")
+    assert read_records(path)[1] == rows
+    code, _, err = run(["verify", str(path)], capsys)
+    assert code == 3 and f"{path}: records digest mismatch" in err
+
+
+def test_evaluate_checks_records_digest(fx, tmp_path, capsys):
+    bench, resp = tmp_path / "bench.jsonl", tmp_path / "resp.jsonl"
+    run(["build", "hallucination", "--annotations", str(fx / "coco_50.json"), "--seed", "2", "--out", str(bench)], capsys)
+    run(["query", "--records", str(bench), "--mock", "oracle", "--out", str(resp)], capsys)
+    lines = bench.read_text().splitlines()
+    lines[1] = lines[1].replace('"gt":"yes"', '"gt":"no"', 1) if '"gt":"yes"' in lines[1] else lines[1].replace('"gt":"no"', '"gt":"yes"', 1)
+    bench.write_text("\n".join(lines) + "\n")
+    code, out, err = run(["evaluate", "--records", str(bench), "--responses", str(resp), "--report", str(tmp_path / "r.json")], capsys)
+    assert code == 3 and f"{bench}: records digest mismatch" in err
+    assert not (tmp_path / "r.json").exists() and not out
+
+
+@pytest.mark.parametrize("row", ['{"prompt":"x"}', '{"sample_id":"a"}'])
+def test_query_record_without_id_or_prompt_exits_3(tmp_path, capsys, row):
+    path = tmp_path / "bad.jsonl"
+    path.write_text('{"record_type":"meta"}\n' + row + "\n")
+    code, _, err = run(["query", "--records", str(path), "--mock", "oracle", "--out", str(tmp_path / "out.jsonl")], capsys)
+    assert code == 3 and f"{path}: record 1: missing" in err
+    assert not (tmp_path / "out.jsonl").exists()
+
+
+class _DiskFull:
+    """A file whose first write stores half its text, then fails as a full disk does."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, text):
+        self.fh.write(text[: len(text) // 2])
+        raise OSError(28, "No space left on device")
+
+
+@pytest.mark.parametrize("writer", ["write_records", "write_json"])
+def test_failed_write_keeps_previous_file(tmp_path, monkeypatch, writer):
+    path = tmp_path / "out.jsonl"
+
+    def write(value):
+        if writer == "write_records":
+            write_records(path, [value], {"seed": 0}, "demo")
+        else:
+            write_json(path, value)
+
+    write({"sample_id": "old"})
+    before = path.read_bytes()
+    assert sorted(tmp_path.iterdir()) == [path]
+    monkeypatch.setattr(records, "open", lambda *a, **kw: _DiskFull(builtins.open(*a, **kw)), raising=False)
+    with pytest.raises(OSError, match="No space left"):
+        write({"sample_id": "new"})
+    assert path.read_bytes() == before
+    assert sorted(tmp_path.iterdir()) == [path]
+
+
+# SHA-256 of every file the fixture pipeline below writes; a change that alters
+# any output byte must update these on purpose.
+GOLDEN_DIGESTS = {
+    "capreq.jsonl": "241284240a002e47f8aae1060445a005b4bdd7ad2c3de977f5c7f7b07758bcf2",
+    "capreq.report.json": "6b52f5d08214930d4d994372f978080b45771fe0fd6870e29df5ba801f955c22",
+    "dump.jsonl": "adcc5e3176e7d52e87b085e25193a669833148448d6fed047f785aef88e1c774",
+    "eval.json": "66291b59e261de45c3e26d7bc1dca87cb06e026f7c641e641f91a52f9a1e0da9",
+    "ift.jsonl": "6505e21fc570f7dbee911ad418d2327616b4df1e26ce26969112186ca49c2b18",
+    "ift.report.json": "1c7c30365e5bb4f47600492a206fb25dd8d474d54b788af66003961d8afbf3a7",
+    "presence.jsonl": "f06754a83bbc00fe77ef65e5d379482dd9e3178f8cc8bd95f93b25fbc354a704",
+    "presence.report.json": "efe92f9fe89ca68c3de90fdef185334a3ab607a2393a1db3b8db58a75383776f",
+    "responses.jsonl": "27b240874bc9a9038ba5536a03a280859fceac7e2bcadb257a57b75d5f029b58",
+    "spatial.jsonl": "0fd6bf77aa50b0b1e4dd6c68b072ef993c6c2b8681a7c05aaf7a20d89ff94407",
+    "spatial.report.json": "e7fd9acdd7a1251dfaefadb1b992dc352fd97dff501b1be36242c4c31f39a6e7",
+    "tracks.jsonl": "e46fa6c9cf9a539e2b07d831463c4d05c0b039c1704d566aed42ff0a68a3c93a",
+    "tracks.report.json": "77b039fb93505b92cdf1c20f3c4101ac48e9c2321a53113c24694ee874eb429d",
+}
+
+
+def test_fixture_pipeline_golden_digests(tmp_path, monkeypatch, capsys):
+    """Every build kind, an oracle query and a dumped evaluation, run on relative
+    paths (configs embed them) so that the bytes do not depend on tmp_path."""
+    monkeypatch.chdir(tmp_path)
+    assert main(["fixtures", "--out", "fx", "--seed", "0"]) == 0
+    for args in (
+        ["build", "ift", "--annotations", "fx/coco_50.json", "--seed", "3", "--out", "ift.jsonl"],
+        ["build", "spatial-bench", "--annotations", "fx/coco_200.json", "--seed", "1", "--out", "spatial.jsonl"],
+        ["build", "hallucination", "--annotations", "fx/coco_50.json", "--seed", "2", "--out", "presence.jsonl"],
+        ["build", "pseudo-captions", "--annotations", "fx/coco_50.json", "--out", "capreq.jsonl"],
+        ["build", "video-static", "--videos", "fx/videos.jsonl", "--out", "tracks.jsonl"],
+        ["query", "--records", "spatial.jsonl", "--mock", "oracle", "--out", "responses.jsonl"],
+        ["evaluate", "--records", "spatial.jsonl", "--responses", "responses.jsonl",
+         "--report", "eval.json", "--dump", "dump.jsonl"],
+    ):
+        assert main(args) == 0, args
+    written = {p.name: sha(p) for p in tmp_path.iterdir() if p.is_file()}
+    assert written == GOLDEN_DIGESTS
+
+
 @pytest.fixture(scope="module")
 def spatial_run(fx, tmp_path_factory):
     out = tmp_path_factory.mktemp("spatial_run")
@@ -321,6 +447,27 @@ def test_truncated_record_file_is_schema_error(spatial_run, tmp_path, capsys, co
     code, _, err = run(args, capsys)
     assert code == 3
     assert f"{cut}: line {line}: not valid JSON" in err
+
+
+@pytest.mark.parametrize(
+    "flag, name, args",
+    [
+        ("--captions", "captions_50.jsonl", ["build", "ift", "--annotations", "{fx}/coco_50.json"]),
+        ("--videos", "videos.jsonl", ["build", "video-static"]),
+    ],
+)
+@pytest.mark.parametrize("corruption", ["truncated", "not an object"])
+def test_corrupt_input_jsonl_is_schema_error(fx, tmp_path, capsys, flag, name, args, corruption):
+    bad = tmp_path / name
+    if corruption == "truncated":
+        line = truncate_mid_line(fx / name, bad)
+        message = f"{bad}: line {line}: not valid JSON"
+    else:
+        bad.write_bytes(b"[1, 2]\n" + (fx / name).read_bytes())
+        message = f"{bad}: line 1: not a JSON object"
+    argv = [a.format(fx=fx) for a in args] + [flag, str(bad), "--out", str(tmp_path / "out.jsonl")]
+    code, _, err = run(argv, capsys)
+    assert code == 3 and message in err
 
 
 @pytest.mark.parametrize(

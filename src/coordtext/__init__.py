@@ -13,7 +13,6 @@ from .builders import (
     build_video_static_objects,
     corpus_keyword_stats,
     discover_negative_categories,
-    filter_unique_instances,
     ingest_pseudo_captions,
     panoptic_to_bboxes,
 )
@@ -48,8 +47,9 @@ from .gateway import (
     HttpTransport,
     ModelRequest,
     ModelResponse,
+    OracleTransport,
+    RandomTransport,
     SamplingConfig,
-    oracle_mock,
     query_batch,
     random_mock,
 )

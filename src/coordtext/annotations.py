@@ -166,7 +166,7 @@ def load_caption_records(path) -> list[CaptionRecord]:
                 if ":cap:" in item_id and row.get("text"):
                     image_id, _, instance_id = item_id.partition(":cap:")
                     records.append(CaptionRecord(image_id, instance_id, row["text"]))
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, KeyError) as exc:
         raise line_error(path, line_no, exc) from exc
     return records
 
@@ -206,6 +206,6 @@ def load_video_detections(path) -> dict[str, dict[int, list[tuple[str, BBox]]]]:
                 for idx, dets in row["frames"].items():
                     frames[int(idx)] = [(d["category"], BBox(*d["bbox"])) for d in dets]
                 videos[str(row["video_id"])] = frames
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, KeyError) as exc:
         raise line_error(path, line_no, exc) from exc
     return videos

@@ -2,8 +2,9 @@
 
 Every builder is deterministic under a fixed seed: outputs are emitted in a
 canonical order (image id, then sample ordinal) and all sampling uses seeds
-derived per sample, so reruns and parallel runs produce identical bytes.
-Each filter tallies what it drops into a build report.
+derived per sample, so reruns produce identical bytes whatever the input
+order. Every dataset record is built by ``dataset_record``. Each filter
+tallies what it drops into a build report.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ import math
 import random
 from collections import Counter
 from collections.abc import Iterable, Sequence
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -68,24 +68,27 @@ class BuildReport:
         }
 
 
-def _map_ordered(fn, items, jobs: int = 1):
-    """Apply fn over items preserving order; jobs > 1 fans out to threads."""
-    if jobs <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, items))
+def dataset_record(
+    sample_id: str, image_id: str, objective: str, prompt: str, target: str, descriptor: str, seed: int,
+    *, location_text: str | None = None, scheme: dict | None = None, form: str | None = None, **extra,
+) -> dict:
+    """One dataset record: the fields every record carries, plus a task's own in ``extra``."""
+    return {
+        "sample_id": sample_id,
+        "image_id": image_id,
+        "objective": objective,
+        "prompt": prompt,
+        "target": target,
+        "location_text": location_text,
+        "scheme": scheme,
+        "form": form,
+        "descriptor": descriptor,
+        "seed": seed,
+        **extra,
+    }
 
 
 # ---------------- instance filters ---------------- #
-
-
-def filter_unique_instances(images: Iterable[AnnotatedImage]):
-    """Yield (image, category) for every category with exactly one instance in the image."""
-    for image in images:
-        counts = image.category_counts()
-        for obj in sorted(image.objects, key=lambda o: o.instance_id):
-            if counts[obj.category] == 1:
-                yield image, obj.category
 
 
 def unique_instance_objects(image: AnnotatedImage):
@@ -126,18 +129,10 @@ class ConversationSample:
             raise ValueError("negative samples carry no location")
 
     def to_record(self, scheme: ReprScheme) -> dict:
-        return {
-            "sample_id": self.sample_id,
-            "image_id": self.image_id,
-            "objective": self.objective,
-            "prompt": self.prompt,
-            "target": self.target,
-            "location_text": self.location.text if self.location else None,
-            "scheme": scheme.to_dict(),
-            "form": self.form,
-            "descriptor": self.descriptor,
-            "seed": self.seed,
-        }
+        return dataset_record(
+            self.sample_id, self.image_id, self.objective, self.prompt, self.target, self.descriptor, self.seed,
+            location_text=self.location.text if self.location else None, scheme=scheme.to_dict(), form=self.form,
+        )
 
 
 def _encode_location(obj_bbox: BBox, image: AnnotatedImage, scheme: ReprScheme, form: str) -> LocationText:
@@ -154,7 +149,6 @@ def build_ift_dataset(
     seed: int,
     vocabulary: Sequence[str] | None = None,
     templates: TemplateSet = DEFAULT_TEMPLATES,
-    jobs: int = 1,
 ) -> tuple[list[ConversationSample], BuildReport]:
     """Location/negative/reverse conversation samples from unique-instance objects.
 
@@ -223,7 +217,7 @@ def build_ift_dataset(
         count = int(math.floor(total * ratio + 0.5))
         tasks.extend((objective, i) for i in range(count))
 
-    samples = [s for s in _map_ordered(make_sample, tasks, jobs) if s is not None]
+    samples = [s for s in map(make_sample, tasks) if s is not None]
     dropped = sum(1 for o, _ in tasks if o == NEGPRED) - sum(1 for s in samples if s.objective == NEGPRED)
     if dropped:
         report.exclusions["negatives_without_candidates"] += dropped
@@ -256,21 +250,13 @@ class SpatialBenchItem:
         )
 
     def to_record(self, templates: TemplateSet = DEFAULT_TEMPLATES) -> dict:
-        return {
-            "sample_id": self.item_id,
-            "image_id": self.image_id,
-            "objective": self.objective,
-            "prompt": self.prompt(templates),
-            "target": self.gt_keyword,
-            "location_text": None,
-            "scheme": None,
-            "form": None,
-            "descriptor": self.obj_query[0],
-            "seed": self.seed,
-            "axis": self.axis,
-            "gt_keyword": self.gt_keyword,
-            "icl_context": [list(pair) for pair in self.icl_context] if self.icl_context else None,
-        }
+        return dataset_record(
+            self.item_id, self.image_id, self.objective, self.prompt(templates), self.gt_keyword,
+            self.obj_query[0], self.seed,
+            axis=self.axis,
+            gt_keyword=self.gt_keyword,
+            icl_context=[list(pair) for pair in self.icl_context] if self.icl_context else None,
+        )
 
 
 def _axis_accessors(axis: str):
@@ -287,7 +273,6 @@ def build_spatial_bench(
     images: Iterable[AnnotatedImage],
     seed: int,
     templates: TemplateSet = DEFAULT_TEMPLATES,
-    jobs: int = 1,
 ) -> tuple[list[SpatialBenchItem], BuildReport]:
     """Side-question items from images holding a distinct-category object triplet.
 
@@ -300,24 +285,22 @@ def build_spatial_bench(
     """
     images = sorted(images, key=lambda im: im.image_id)
     report = BuildReport(input_count=len(images))
-
-    def per_image(image: AnnotatedImage):
-        items: list[SpatialBenchItem] = []
-        tallies: Counter = Counter()
+    items: list[SpatialBenchItem] = []
+    for image in images:
         objs = sorted(image.objects, key=lambda o: o.instance_id)
         if len(objs) != 3 or len({o.category for o in objs}) != 3:
-            tallies["not_triplet"] += 1
-            return items, tallies
+            report.exclusions["not_triplet"] += 1
+            continue
         for axis in ("lr", "ab"):
             center_of, dim_of, keywords = _axis_accessors(axis)
             dim = dim_of(image.dims)
             centers = [center_of(o.bbox) for o in objs]
             if any(CENTER_BAND[0] * dim <= c <= CENTER_BAND[1] * dim for c in centers):
-                tallies[f"{axis}_center_band"] += 1
+                report.exclusions[f"{axis}_center_band"] += 1
                 continue
             sides = [_side_keyword(c, dim, keywords) for c in centers]
             if len(set(sides)) < 2:
-                tallies[f"{axis}_same_side"] += 1
+                report.exclusions[f"{axis}_same_side"] += 1
                 continue
             ordinal = 0
             for i, ref in enumerate(objs):
@@ -364,15 +347,9 @@ def build_spatial_bench(
                         )
                     )
                     ordinal += 1
-        return items, tallies
-
-    all_items: list[SpatialBenchItem] = []
-    for items, tallies in _map_ordered(per_image, images, jobs):
-        all_items.extend(items)
-        report.exclusions.update(tallies)
-    all_items.sort(key=lambda it: it.item_id)
-    report.emitted_count = len(all_items)
-    return all_items, report
+    items.sort(key=lambda it: it.item_id)
+    report.emitted_count = len(items)
+    return items, report
 
 
 # ---------------- hallucination benchmark ---------------- #
@@ -388,20 +365,11 @@ class HallucinationItem:
     seed: int = 0
 
     def to_record(self, templates: TemplateSet = DEFAULT_TEMPLATES) -> dict:
-        return {
-            "sample_id": self.item_id,
-            "image_id": self.media_id,
-            "objective": "hallucination",
-            "prompt": render_hallucination_query(self.obj, self.medium, templates),
-            "target": "Yes" if self.gt == "yes" else "No",
-            "location_text": None,
-            "scheme": None,
-            "form": None,
-            "descriptor": self.obj,
-            "seed": self.seed,
-            "medium": self.medium,
-            "gt": self.gt,
-        }
+        return dataset_record(
+            self.item_id, self.media_id, "hallucination", render_hallucination_query(self.obj, self.medium, templates),
+            "Yes" if self.gt == "yes" else "No", self.obj, self.seed,
+            medium=self.medium, gt=self.gt,
+        )
 
 
 def _as_media(unit) -> MediaCategories:

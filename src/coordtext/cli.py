@@ -18,11 +18,13 @@ from pathlib import Path
 from . import annotations as ann_io
 from . import fixtures
 from .builders import (
+    BuildReport,
     build_hallucination_set,
     build_ift_dataset,
     build_spatial_bench,
     build_video_static_objects,
     corpus_keyword_stats,
+    dataset_record,
     ingest_pseudo_captions,
 )
 from .coords import (
@@ -47,11 +49,10 @@ from .gateway import (
     FileBatchTransport,
     HttpTransport,
     ModelRequest,
+    OracleTransport,
+    RandomTransport,
     SamplingConfig,
-    answer_space_for_record,
-    oracle_answer,
     query_batch,
-    random_mock,
 )
 from .prompts import CAPTION_REQUEST, DEFAULT_TEMPLATES, load_template_overrides, render_caption_request
 from .records import (
@@ -192,7 +193,7 @@ def cmd_build_ift(args) -> int:
     mix = _parse_mix(args.mix)
     samples, report = build_ift_dataset(
         images, scheme, args.form, mix, args.seed,
-        vocabulary=load.vocabulary, templates=templates, jobs=args.jobs,
+        vocabulary=load.vocabulary, templates=templates,
     )
     if args.captions:
         report = ingest_report.merge(report)
@@ -205,7 +206,7 @@ def cmd_build_ift(args) -> int:
 def cmd_build_spatial(args) -> int:
     load = _load_annotations(args.annotations)
     templates = _load_templates(args)
-    items, report = build_spatial_bench(load.images, args.seed, templates=templates, jobs=args.jobs)
+    items, report = build_spatial_bench(load.images, args.seed, templates=templates)
     report.exclusions.update(load.skipped)
     config = _effective_config(args, ["annotations", "seed"])
     return _write_build_outputs(args, [it.to_record(templates) for it in items], report, config, "spatial")
@@ -248,19 +249,10 @@ def cmd_build_pseudo_captions(args) -> int:
     for image in images:
         for obj in sorted(image.objects, key=lambda o: o.instance_id):
             sample_id = f"{image.image_id}:cap:{obj.instance_id}"
+            prompt = render_caption_request(obj.category, templates)
             records.append(
-                {
-                    "sample_id": sample_id,
-                    "image_id": image.image_id,
-                    "objective": CAPTION_REQUEST,
-                    "prompt": render_caption_request(obj.category, templates),
-                    "target": "",
-                    "location_text": None,
-                    "scheme": None,
-                    "form": None,
-                    "descriptor": obj.category,
-                    "seed": derive_seed(args.seed, sample_id),
-                }
+                dataset_record(sample_id, image.image_id, CAPTION_REQUEST, prompt, "", obj.category,
+                               derive_seed(args.seed, sample_id))
             )
     report.emitted_count = len(records)
     report.exclusions.update(load.skipped)
@@ -271,8 +263,6 @@ def cmd_build_pseudo_captions(args) -> int:
 def cmd_build_video_static(args) -> int:
     detections = ann_io.load_video_detections(args.videos)
     records = []
-    from .builders import BuildReport
-
     report = BuildReport(input_count=len(detections))
     for video_id in sorted(detections):
         tracks, tallies = build_video_static_objects(detections[video_id], n_f=args.frames, video_id=video_id)
@@ -315,55 +305,58 @@ def cmd_stats(args) -> int:
 # ---------------- query ---------------- #
 
 
+def _records_by_id(path, rows: list[dict], *fields: str) -> dict[str, dict]:
+    """Dataset records by sample_id. A record without a sample_id or one of
+    ``fields``, or one that repeats a sample_id, is a SchemaError naming the
+    file and the record number."""
+    required = ("sample_id", *fields)
+    by_id: dict[str, dict] = {}
+    for n, row in enumerate(rows, 1):
+        for field in required:
+            if field not in row:
+                raise SchemaError(f"{path}: record {n}: missing {field}")
+        sample_id = row["sample_id"]
+        if sample_id in by_id:
+            raise SchemaError(f"{path}: record {n}: duplicate sample_id {sample_id!r}")
+        by_id[sample_id] = row
+    return by_id
+
+
 def cmd_query(args) -> int:
-    meta, rows = read_records(args.records)
+    _, rows = read_records(args.records)
     if not rows:
         raise SchemaError(f"{args.records}: no records")
-    for n, row in enumerate(rows, 1):
-        if "sample_id" not in row or "prompt" not in row:
-            missing = " and ".join(f for f in ("sample_id", "prompt") if f not in row)
-            raise SchemaError(f"{args.records}: record {n}: missing {missing}")
-    by_id = {row["sample_id"]: row for row in rows}
+    by_id = _records_by_id(args.records, rows, "prompt")
     requests = [ModelRequest(row["sample_id"], str(row.get("image_id", "")), row["prompt"]) for row in rows]
     cfg = SamplingConfig(temperature=args.temperature, max_new_tokens=args.max_new_tokens)
-
     if args.mock == "oracle":
-        responses = []
-        for req in requests:
-            responses.append({"item_id": req.request_id, "text": oracle_answer(by_id[req.request_id])})
+        transport = OracleTransport(by_id)
     elif args.mock == "random":
-        responses = []
-        for req in requests:
-            space = answer_space_for_record(by_id[req.request_id])
-            resp = random_mock(req, args.seed, space)
-            responses.append({"item_id": req.request_id, "text": resp.text})
+        transport = RandomTransport(by_id, args.seed)
+    elif args.endpoint:
+        transport = HttpTransport(args.endpoint)
+    elif args.batch_dir:
+        transport = FileBatchTransport(args.batch_dir)
     else:
-        if args.endpoint:
-            transport = HttpTransport(args.endpoint)
-        elif args.batch_dir:
-            transport = FileBatchTransport(args.batch_dir)
-        else:
-            raise ValueError("need --mock, --endpoint, or --batch-dir (or GATEWAY_ENDPOINT / GATEWAY_BATCH_DIR)")
-        results = query_batch(
-            requests, transport, cfg,
-            max_inflight=args.max_inflight, attempts=args.attempts, backoff=args.backoff,
-        )
-        errors = [r for r in results if r.status == "error"]
-        for r in errors:
-            print(f"error for {r.request_id}: {r.error_detail}", file=sys.stderr)
-        responses = [
-            {"item_id": r.request_id, "text": r.text, **({"status": "error"} if r.status == "error" else {})}
-            for r in results
-        ]
-        if len(errors) == len(results):
-            return EXIT_IO
+        raise ValueError("need --mock, --endpoint, or --batch-dir (or GATEWAY_ENDPOINT / GATEWAY_BATCH_DIR)")
+    results = query_batch(
+        requests, transport, cfg,
+        max_inflight=args.max_inflight, attempts=args.attempts, backoff=args.backoff,
+    )
+    errors = [r for r in results if r.status == "error"]
+    for r in errors:
+        print(f"error for {r.request_id}: {r.error_detail}", file=sys.stderr)
+    responses = [
+        {"item_id": r.request_id, "text": r.text, **({"status": "error"} if r.status == "error" else {})}
+        for r in results
+    ]
     config = _effective_config(
         args,
         ["records", "mock", "seed", "endpoint", "batch_dir", "max_inflight", "attempts", "backoff", "temperature", "max_new_tokens"],
     )
     write_records(args.out, responses, config, "responses")
     print(f"wrote {len(responses)} responses to {args.out}")
-    return EXIT_OK
+    return EXIT_IO if len(errors) == len(results) else EXIT_OK
 
 
 # ---------------- evaluate ---------------- #
@@ -400,9 +393,15 @@ def cmd_evaluate(args) -> int:
     if record_meta and stored_records_digest(args.records) != record_meta.get("records_digest"):
         raise SchemaError(f"{args.records}: records digest mismatch")
     _, response_rows = read_records(args.responses)
-    responses = {row["item_id"]: row["text"] for row in response_rows if "item_id" in row}
+    responses = {}
+    for n, row in enumerate(response_rows, 1):
+        if "item_id" in row:
+            if "text" not in row:
+                raise SchemaError(f"{args.responses}: record {n}: missing text")
+            responses[row["item_id"]] = row["text"]
     if not rows:
         raise SchemaError(f"{args.records}: no records")
+    _records_by_id(args.records, rows)
     if not responses:
         print("no responses to evaluate", file=sys.stderr)
         return EXIT_ALIGNMENT
@@ -506,7 +505,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--form", choices=["point", "bbox"], default="bbox")
     p.add_argument("--mix", default="locpred=1,negpred=1,revloc=1")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--templates", help="template override file")
     p.add_argument("--out", required=True)
     _add_scheme_flags(p)
@@ -515,7 +513,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = build.add_parser("spatial-bench", help="side-question benchmark")
     p.add_argument("--annotations", required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--templates")
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_build_spatial)

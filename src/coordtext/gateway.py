@@ -8,10 +8,11 @@ gets exactly one response, in request order.
 
 Two mock models support offline pipelines: an oracle that answers from
 ground truth in canonical phrasing, and a seeded uniform-random baseline.
-The sampling configuration is transmitted with every request but never
-applied locally; generation happens inside the external model. Only
-``HttpTransport`` imports ``requests``, so the mock and file-batch paths
-never load it.
+They are in-process transports on the same ``query_batch`` path as real
+models, answering each request from its dataset record. The sampling
+configuration is transmitted with every request but never applied locally;
+generation happens inside the external model. Only ``HttpTransport``
+imports ``requests``, so the mock and file-batch paths never load it.
 """
 
 import json
@@ -22,7 +23,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
-from .builders import ConversationSample
 from .coords import BBox, ImageDims, PointLoc, ReprScheme, encode_bbox, encode_point
 from .prompts import CAPTION_REQUEST, LOCPRED, NEGPRED, REVLOC
 from .seeding import derive_seed
@@ -258,28 +258,6 @@ def oracle_answer(record: dict) -> str:
     raise ValueError(f"no oracle answer for objective {objective!r}")
 
 
-def oracle_mock(request: ModelRequest, gt) -> ModelResponse:
-    """Ground-truth-perfect model: answers from the matching dataset item."""
-    if isinstance(gt, ConversationSample):
-        record = {
-            "sample_id": gt.sample_id,
-            "objective": gt.objective,
-            "location_text": gt.location.text if gt.location else None,
-            "descriptor": gt.descriptor,
-        }
-    elif hasattr(gt, "to_record"):
-        record = gt.to_record()
-    else:
-        record = gt
-    expected_id = record.get("sample_id")
-    if expected_id is not None and expected_id != request.request_id:
-        return _error(request, f"ground truth {expected_id!r} does not match request {request.request_id!r}")
-    try:
-        return ModelResponse(request.request_id, oracle_answer(record))
-    except (KeyError, ValueError) as exc:
-        return _error(request, f"mismatched ground truth: {exc}")
-
-
 RANDOM_SPACES = {
     "lr": ("left", "right"),
     "ab": ("above", "below"),
@@ -326,3 +304,45 @@ def answer_space_for_record(record: dict) -> str:
     if objective == "hallucination":
         return "yes_no"
     return "lr"
+
+
+class _MockTransport:
+    """In-process model: ``answer(request, record)`` from each request's dataset
+    record, sequentially through ``send_batch``. A request with no record, or
+    one its record cannot answer, gets an error response."""
+
+    def __init__(self, records_by_id: dict[str, dict]):
+        self.records_by_id = records_by_id
+
+    def send_batch(self, requests_: list[ModelRequest], cfg: SamplingConfig) -> list[ModelResponse]:
+        out = []
+        for request in requests_:
+            record = self.records_by_id.get(request.request_id)
+            if record is None:
+                out.append(_error(request, "no dataset record with this id"))
+                continue
+            try:
+                out.append(self.answer(request, record))
+            except KeyError as exc:
+                out.append(_error(request, f"record lacks {exc}"))
+            except ValueError as exc:
+                out.append(_error(request, str(exc)))
+        return out
+
+
+class OracleTransport(_MockTransport):
+    """Ground-truth-perfect model: the canonical correct answer for each record."""
+
+    def answer(self, request: ModelRequest, record: dict) -> ModelResponse:
+        return ModelResponse(request.request_id, oracle_answer(record))
+
+
+class RandomTransport(_MockTransport):
+    """Chance-level baseline: a seeded uniform draw over each record's answer space."""
+
+    def __init__(self, records_by_id: dict[str, dict], seed: int):
+        super().__init__(records_by_id)
+        self.seed = seed
+
+    def answer(self, request: ModelRequest, record: dict) -> ModelResponse:
+        return random_mock(request, self.seed, answer_space_for_record(record))

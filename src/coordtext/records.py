@@ -78,9 +78,11 @@ def write_records(path, records: list[dict], config: dict, kind: str) -> str:
     return digest
 
 
-def line_error(path, line_no: int, exc: ValueError) -> SchemaError:
-    """The SchemaError for a line of a JSON-lines file that is not valid JSON,
-    or for the undecodable bytes after it."""
+def line_error(path, line_no: int, exc: ValueError | KeyError) -> SchemaError:
+    """The SchemaError for a line of a JSON-lines file that is not valid JSON
+    or lacks a required field, or for the undecodable bytes after it."""
+    if isinstance(exc, KeyError):
+        return SchemaError(f"{path}: line {line_no}: missing field {exc}")
     if isinstance(exc, UnicodeDecodeError):
         return SchemaError(f"{path}: after line {line_no}: not valid UTF-8: {exc}")
     return SchemaError(f"{path}: line {line_no}: not valid JSON: {exc.msg} at column {exc.colno}")

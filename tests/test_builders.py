@@ -17,9 +17,9 @@ from coordtext.builders import (
     build_video_static_objects,
     corpus_keyword_stats,
     discover_negative_categories,
-    filter_unique_instances,
     ingest_pseudo_captions,
     panoptic_to_bboxes,
+    unique_instance_objects,
 )
 from coordtext.coords import BBox, ImageDims, ReprScheme
 from coordtext.fixtures import (
@@ -52,14 +52,14 @@ def _image(image_id, cats, dims=(512, 512), centers=None):
 
 def test_filter_unique_instances_rule():
     img = _image("a", ["lamp", "chair", "chair"])
-    assert [(i.image_id, c) for i, c in filter_unique_instances([img])] == [("a", "lamp")]
+    assert [o.category for o in unique_instance_objects(img)] == ["lamp"]
     img2 = _image("b", ["lamp", "chair", "mug"])
-    assert sorted(c for _, c in filter_unique_instances([img2])) == ["chair", "lamp", "mug"]
+    assert sorted(o.category for o in unique_instance_objects(img2)) == ["chair", "lamp", "mug"]
 
 
 def test_filter_unique_instances_matches_bruteforce():
     images = annotation_fixture(50, seed=1)
-    got = {(im.image_id, cat) for im, cat in filter_unique_instances(images)}
+    got = {(im.image_id, o.category) for im in images for o in unique_instance_objects(im)}
     expected = set()
     for im in images:
         counts = Counter(o.category for o in im.objects)
@@ -144,12 +144,12 @@ def test_ift_samples_rerender_from_metadata():
         assert (pair.prompt, pair.target) == (s.prompt, s.target)
 
 
-def test_ift_deterministic_and_jobs_invariant():
+def test_ift_deterministic_and_order_invariant():
     images = annotation_fixture(40, seed=5)
     args = (IVB, "bbox", {"locpred": 1, "negpred": 1, "revloc": 1})
     a, _ = build_ift_dataset(images, *args, seed=11)
     b, _ = build_ift_dataset(list(reversed(images)), *args, seed=11)
-    c, _ = build_ift_dataset(images, *args, seed=11, jobs=4)
+    c, _ = build_ift_dataset(images, *args, seed=11)
     assert a == b == c
 
 
@@ -279,7 +279,7 @@ def test_spatial_icl_prompt_layout():
 def test_spatial_bench_deterministic():
     images = spatial_fixture(80, seed=2)
     a, _ = build_spatial_bench(images, seed=7)
-    b, _ = build_spatial_bench(list(reversed(images)), seed=7, jobs=3)
+    b, _ = build_spatial_bench(list(reversed(images)), seed=7)
     assert a == b
 
 

@@ -340,6 +340,52 @@ def test_query_record_without_id_or_prompt_exits_3(tmp_path, capsys, row):
     assert not (tmp_path / "out.jsonl").exists()
 
 
+@pytest.mark.parametrize("command", ["query --mock oracle", "query --mock random", "evaluate"])
+def test_duplicate_sample_id_exits_3(spatial_run, tmp_path, capsys, command):
+    bench, resp = spatial_run
+    meta, rows = read_records(bench)
+    dup = tmp_path / "dup.jsonl"
+    write_records(dup, rows + rows[1:2], meta["config"], meta["kind"])
+    out = tmp_path / "out"
+    if command == "evaluate":
+        args = ["evaluate", "--records", str(dup), "--responses", str(resp), "--report", str(out)]
+    else:
+        args = command.split() + ["--records", str(dup), "--out", str(out)]
+    code, _, err = run(args, capsys)
+    assert code == 3
+    assert f"{dup}: record {len(rows) + 1}: duplicate sample_id {rows[1]['sample_id']!r}" in err
+    assert not out.exists()
+
+
+def test_query_oracle_unanswerable_record_is_per_item_error(tmp_path, capsys):
+    path = tmp_path / "locpred.jsonl"
+    path.write_text('{"record_type":"meta"}\n{"sample_id":"a","prompt":"x","objective":"locpred"}\n')
+    out = tmp_path / "out.jsonl"
+    code, _, err = run(["query", "--records", str(path), "--mock", "oracle", "--out", str(out)], capsys)
+    assert code == 1  # every request failed
+    assert "error for a: record lacks 'location_text'" in err
+    _, rows = read_records(out)
+    assert rows == [{"item_id": "a", "status": "error", "text": ""}]
+
+
+def _drop_field(path, index, field):
+    """Rewrite ``path`` with ``field`` removed from record ``index`` (0 = first after the meta line)."""
+    meta, rows = read_records(path)
+    del rows[index][field]
+    write_records(path, rows, meta["config"], meta["kind"])
+
+
+@pytest.mark.parametrize("target, field", [("responses", "text"), ("records", "sample_id")])
+def test_evaluate_record_without_field_exits_3(spatial_run, tmp_path, capsys, target, field):
+    bench, resp = spatial_run
+    files = {"records": tmp_path / "bench.jsonl", "responses": tmp_path / "resp.jsonl"}
+    files["records"].write_bytes(bench.read_bytes())
+    files["responses"].write_bytes(resp.read_bytes())
+    _drop_field(files[target], 2, field)
+    code, _, err = run(["evaluate", "--records", str(files["records"]), "--responses", str(files["responses"])], capsys)
+    assert code == 3 and f"{files[target]}: record 3: missing {field}" in err
+
+
 class _DiskFull:
     """A file whose first write stores half its text, then fails as a full disk does."""
 
@@ -449,25 +495,45 @@ def test_truncated_record_file_is_schema_error(spatial_run, tmp_path, capsys, co
     assert f"{cut}: line {line}: not valid JSON" in err
 
 
+# first lines that each lack a field the loader needs, and the field named
+MISSING_FIELD_LINES = {
+    "captions_50.jsonl": [
+        ('{"caption": "a cup", "instance_id": "1"}', "image_id"),
+        ('{"caption": "a cup", "image_id": "1"}', "instance_id"),
+    ],
+    "videos.jsonl": [
+        ('{"video_id": "v1"}', "frames"),
+        ('{"frames": {}}', "video_id"),
+        ('{"video_id": "v1", "frames": {"0": [{"bbox": [0, 0, 9, 9]}]}}', "category"),
+        ('{"video_id": "v1", "frames": {"0": [{"category": "cup"}]}}', "bbox"),
+    ],
+}
+
+
 @pytest.mark.parametrize(
     "flag, name, args",
     [
         ("--captions", "captions_50.jsonl", ["build", "ift", "--annotations", "{fx}/coco_50.json"]),
         ("--videos", "videos.jsonl", ["build", "video-static"]),
+        ("--videos", "videos.jsonl", ["build", "hallucination", "--annotations", "{fx}/coco_50.json"]),
     ],
 )
-@pytest.mark.parametrize("corruption", ["truncated", "not an object"])
+@pytest.mark.parametrize("corruption", ["truncated", "not an object", "missing field"])
 def test_corrupt_input_jsonl_is_schema_error(fx, tmp_path, capsys, flag, name, args, corruption):
     bad = tmp_path / name
     if corruption == "truncated":
         line = truncate_mid_line(fx / name, bad)
-        message = f"{bad}: line {line}: not valid JSON"
+        cases = [(None, f"{bad}: line {line}: not valid JSON")]
+    elif corruption == "not an object":
+        cases = [("[1, 2]", f"{bad}: line 1: not a JSON object")]
     else:
-        bad.write_bytes(b"[1, 2]\n" + (fx / name).read_bytes())
-        message = f"{bad}: line 1: not a JSON object"
+        cases = [(first, f"{bad}: line 1: missing field {field!r}") for first, field in MISSING_FIELD_LINES[name]]
     argv = [a.format(fx=fx) for a in args] + [flag, str(bad), "--out", str(tmp_path / "out.jsonl")]
-    code, _, err = run(argv, capsys)
-    assert code == 3 and message in err
+    for first, message in cases:
+        if first is not None:
+            bad.write_bytes(first.encode() + b"\n" + (fx / name).read_bytes())
+        code, _, err = run(argv, capsys)
+        assert code == 3 and message in err
 
 
 @pytest.mark.parametrize(

@@ -17,10 +17,11 @@ from coordtext.gateway import (
     HttpTransport,
     ModelRequest,
     ModelResponse,
+    OracleTransport,
+    RandomTransport,
     SamplingConfig,
     TransientTransportError,
     oracle_answer,
-    oracle_mock,
     query_batch,
     random_mock,
 )
@@ -215,9 +216,10 @@ def test_file_batch_timeout(tmp_path):
 def test_oracle_mock_spatial_keywords():
     items, _ = build_spatial_bench(spatial_fixture(40, seed=0), seed=1)
     assert items
-    for item in items[:20]:
-        req = ModelRequest(item.item_id, item.image_id, item.prompt())
-        resp = oracle_mock(req, item)
+    items = items[:20]
+    transport = OracleTransport({item.item_id: item.to_record() for item in items})
+    reqs = [ModelRequest(item.item_id, item.image_id, item.prompt()) for item in items]
+    for item, resp in zip(items, query_batch(reqs, transport)):
         assert resp.status == "ok"
         assert item.gt_keyword in resp.text
         opposite = {"left": "right", "right": "left", "above": "below", "below": "above"}[item.gt_keyword]
@@ -234,9 +236,10 @@ def test_oracle_mock_location_roundtrip():
     by_id = {im.image_id: im for im in images}
     samples, _ = build_ift_dataset(images, scheme, "bbox", {"locpred": 1}, seed=2)
     assert samples
-    for sample in samples[:25]:
-        req = ModelRequest(sample.sample_id, sample.image_id, sample.prompt)
-        resp = oracle_mock(req, sample)
+    samples = samples[:25]
+    transport = OracleTransport({s.sample_id: s.to_record(scheme) for s in samples})
+    reqs = [ModelRequest(s.sample_id, s.image_id, s.prompt) for s in samples]
+    for sample, resp in zip(samples, query_batch(reqs, transport)):
         parsed = parse_response(resp.text, "locpred", scheme, "bbox")
         assert parsed.kind == "location"
         image = by_id[sample.image_id]
@@ -251,10 +254,20 @@ def test_oracle_mock_hallucination_and_mismatch():
     from coordtext.builders import HallucinationItem
 
     item = HallucinationItem("m1:hal:00", "m1", "image", "lamp", "no")
-    resp = oracle_mock(ModelRequest("m1:hal:00", "m1", "q"), item)
+    transport = OracleTransport({item.item_id: item.to_record()})
+    resp, bad = query_batch([ModelRequest("m1:hal:00", "m1", "q"), ModelRequest("other", "m1", "q")], transport)
     assert resp.text == "No"
-    bad = oracle_mock(ModelRequest("other", "m1", "q"), item)
     assert bad.status == "error"
+
+
+def test_random_transport_draws_from_each_record_space():
+    items, _ = build_spatial_bench(spatial_fixture(40, seed=0), seed=1)
+    records = {item.item_id: item.to_record() for item in items}
+    reqs = [ModelRequest(item_id, "m", "p") for item_id in records]
+    out = query_batch(reqs, RandomTransport(records, seed=7))
+    assert [r.text for r in out] == [random_mock(q, 7, records[q.request_id]["axis"]).text for q in reqs]
+    bad = query_batch(reqs[:1], RandomTransport({reqs[0].request_id: {"objective": "spatial_direct", "axis": "xy"}}, 7))
+    assert bad[0].status == "error" and "unknown answer space" in bad[0].error_detail
 
 
 def test_oracle_answer_unknown_objective():

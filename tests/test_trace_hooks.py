@@ -1,0 +1,56 @@
+"""The benchmark tracer (perfbench/trace_stage.py) wraps coordtext functions by
+module and attribute name. A rename would break ``run.py --trace 1`` without
+failing anything else, so these tests hold the names and the call paths."""
+
+import importlib.util
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import coordtext
+from coordtext.records import write_records
+
+TRACE_STAGE = Path(__file__).resolve().parents[1] / "perfbench" / "trace_stage.py"
+
+
+def _load_trace_stage():
+    spec = importlib.util.spec_from_file_location("trace_stage", TRACE_STAGE)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_traced_names_resolve():
+    trace_stage = _load_trace_stage()
+    unresolved = []
+    for _, module_name, attr in trace_stage.SPANS + trace_stage.COUNTERS:
+        owner = sys.modules.get(f"coordtext.{module_name}")
+        for part in attr.split("."):
+            owner = getattr(owner, part, None)
+        if not callable(owner):
+            unresolved.append(f"coordtext.{module_name}.{attr}")
+    assert unresolved == []
+    assert callable(coordtext.meteor.porter_stem) and callable(coordtext.gateway.HttpTransport.send)
+
+
+def test_traced_oracle_query_counts_mock_calls(tmp_path):
+    """The mock transports look the answer functions up as module globals, so
+    the tracer's wrappers see every call, inside the query_batch span."""
+    records = tmp_path / "presence.jsonl"
+    rows = [{"sample_id": f"m:{i}", "prompt": "p", "objective": "hallucination", "gt": "yes"} for i in range(3)]
+    write_records(records, rows, {"seed": 0}, "hallucination")
+    trace = tmp_path / "trace.json"
+    src = str(Path(coordtext.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    for mock, counted in (("oracle", 3), ("random", 6)):
+        subprocess.run(
+            [sys.executable, str(TRACE_STAGE), str(trace), "run", "--", "query", "--records", str(records),
+             "--mock", mock, "--out", str(tmp_path / "responses.jsonl")],
+            check=True, env=env, capture_output=True,
+        )
+        payload = json.loads(trace.read_text())
+        assert payload["exit_code"] == 0
+        assert payload["counters"]["gateway.mock"][0] == counted  # random: answer space and draw per item
+        assert "gateway.query_batch" in {span["name"] for span in payload["spans"]}

@@ -184,6 +184,24 @@ def load_instance_categories(path) -> dict[int, str]:
     return {int(k): v for k, v in raw.items()}
 
 
+def _require(ok: bool, path, line_no: int, problem: str) -> None:
+    if not ok:
+        raise SchemaError(f"{path}: line {line_no}: {problem}")
+
+
+def _detection(path, line_no: int, det) -> tuple[str, BBox]:
+    """One ``{category, bbox: [x1, y1, x2, y2]}`` of a video-detections line, type-checked."""
+    _require(isinstance(det, dict), path, line_no, "detection is not a JSON object")
+    category, bbox = det["category"], det["bbox"]
+    _require(isinstance(category, str), path, line_no, "category is not a string")
+    _require(
+        isinstance(bbox, list) and len(bbox) == 4
+        and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in bbox),
+        path, line_no, "bbox is not an array of 4 numbers",
+    )
+    return category, BBox(*bbox)
+
+
 def load_video_detections(path) -> dict[str, dict[int, list[tuple[str, BBox]]]]:
     """Read per-video detections: one {video_id, frames: {idx: [{category, bbox}]}} per line.
 
@@ -202,9 +220,12 @@ def load_video_detections(path) -> dict[str, dict[int, list[tuple[str, BBox]]]]:
                     raise SchemaError(f"{path}: line {line_no}: not a JSON object")
                 if row.get("record_type") == "meta":
                     continue
+                _require(isinstance(row["frames"], dict), path, line_no, "frames is not a JSON object")
                 frames = {}
                 for idx, dets in row["frames"].items():
-                    frames[int(idx)] = [(d["category"], BBox(*d["bbox"])) for d in dets]
+                    _require(idx.isascii() and idx.isdigit(), path, line_no, f"frame index {idx!r} is not a number")
+                    _require(isinstance(dets, list), path, line_no, f"frame {idx} is not a JSON array")
+                    frames[int(idx)] = [_detection(path, line_no, d) for d in dets]
                 videos[str(row["video_id"])] = frames
     except (json.JSONDecodeError, UnicodeDecodeError, KeyError) as exc:
         raise line_error(path, line_no, exc) from exc

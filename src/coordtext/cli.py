@@ -398,6 +398,8 @@ def cmd_evaluate(args) -> int:
         if "item_id" in row:
             if "text" not in row:
                 raise SchemaError(f"{args.responses}: record {n}: missing text")
+            if row["item_id"] in responses:
+                raise SchemaError(f"{args.responses}: record {n}: duplicate item_id {row['item_id']!r}")
             responses[row["item_id"]] = row["text"]
     if not rows:
         raise SchemaError(f"{args.records}: no records")
@@ -430,7 +432,7 @@ def cmd_evaluate(args) -> int:
     if args.report:
         write_json(args.report, report.to_dict())
     if args.dump:
-        write_records(args.dump, [r.to_dict() for r in items], config, "eval_dump")
+        write_records(args.dump, (r.to_dict() for r in items), config, "eval_dump")
     return EXIT_OK
 
 

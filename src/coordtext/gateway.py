@@ -15,6 +15,7 @@ generation happens inside the external model. Only ``HttpTransport``
 imports ``requests``, so the mock and file-batch paths never load it.
 """
 
+import hashlib
 import json
 import random as random_module
 import re
@@ -114,7 +115,11 @@ class FileBatchTransport:
     """Write a request file into a shared directory and poll for the response file.
 
     The external runner consumes ``<stem>.req.jsonl`` and must write
-    ``<stem>.resp.jsonl`` followed by ``<stem>.done``.
+    ``<stem>.resp.jsonl`` followed by ``<stem>.done``. The stem is a hash of
+    the request file's bytes, so a reply left by a batch with other prompts
+    or sampling is never taken for this one's. A response line that is not a
+    JSON object is skipped; the requests it leaves unanswered become errors
+    that name it.
     """
 
     def __init__(self, directory, poll_interval: float = 0.05, timeout: float = 60.0):
@@ -124,26 +129,21 @@ class FileBatchTransport:
 
     def send_batch(self, requests_: list[ModelRequest], cfg: SamplingConfig) -> list[ModelResponse]:
         self.directory.mkdir(parents=True, exist_ok=True)
-        stem = "batch-" + format(derive_seed(*(r.request_id for r in requests_)), "016x")
+        payload = "".join(
+            json.dumps(
+                {"request_id": r.request_id, "media_ref": r.media_ref, "prompt": r.prompt, "sampling": cfg.to_dict()},
+                sort_keys=True,
+            )
+            + "\n"
+            for r in requests_
+        )
+        stem = "batch-" + hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
         req_path = self.directory / f"{stem}.req.jsonl"
         resp_path = self.directory / f"{stem}.resp.jsonl"
         done_path = self.directory / f"{stem}.done"
         # written aside and renamed, so that a runner never reads half a request file
         tmp_path = self.directory / f"{stem}.req.jsonl.tmp"
-        with open(tmp_path, "w", encoding="utf-8") as fh:
-            for r in requests_:
-                fh.write(
-                    json.dumps(
-                        {
-                            "request_id": r.request_id,
-                            "media_ref": r.media_ref,
-                            "prompt": r.prompt,
-                            "sampling": cfg.to_dict(),
-                        },
-                        sort_keys=True,
-                    )
-                    + "\n"
-                )
+        tmp_path.write_text(payload, encoding="utf-8")
         tmp_path.replace(req_path)
         deadline = time.monotonic() + self.timeout
         while not done_path.exists():
@@ -151,17 +151,26 @@ class FileBatchTransport:
                 return [_error(r, f"no response file within {self.timeout}s") for r in requests_]
             time.sleep(self.poll_interval)
         by_id = {}
-        with open(resp_path, encoding="utf-8") as fh:
-            for line in fh:
-                if not line.strip():
-                    continue
+        first_bad = None
+        for line_no, line in enumerate(resp_path.read_bytes().splitlines(), 1):
+            if not line.strip():
+                continue
+            try:
                 row = json.loads(line)
+            except ValueError:  # not JSON, or not UTF-8
+                row = None
+            if isinstance(row, dict):
                 by_id[row.get("request_id")] = row
+            elif first_bad is None:
+                first_bad = line_no
+        missing = "missing from response file"
+        if first_bad is not None:
+            missing += f", whose line {first_bad} is not a JSON object"
         out = []
         for r in requests_:
             row = by_id.get(r.request_id)
             if row is None:
-                out.append(_error(r, "missing from response file"))
+                out.append(_error(r, missing))
             elif "error" in row:
                 out.append(_error(r, str(row["error"])))
             else:

@@ -10,9 +10,11 @@ score is Fmean * (1 - penalty), in [0, 1].
 Alignment tie-break: tokens are matched left to right, each hypothesis
 token taking the leftmost unmatched reference candidate. The stemmer is the
 classic suffix-stripping algorithm with its rule table embedded; no synonym
-or paraphrase resources are used.
+or paraphrase resources are used. Stems are cached for the life of the
+process, so the cache holds one entry per distinct word seen.
 """
 
+import functools
 import re
 
 _VOWELS = "aeiou"
@@ -77,6 +79,7 @@ _STEP4_SUFFIXES = (
 )
 
 
+@functools.cache
 def porter_stem(word: str) -> str:
     """Suffix-strip one lowercase word; words shorter than 3 letters pass through."""
     if len(word) <= 2:

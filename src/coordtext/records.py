@@ -11,6 +11,7 @@ leaves the previous file as it was.
 import hashlib
 import json
 import os
+from collections.abc import Iterable
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -59,14 +60,17 @@ def _replacing(path):
         tmp.unlink(missing_ok=True)
 
 
-def write_records(path, records: list[dict], config: dict, kind: str) -> str:
-    """Write records with a leading meta line; returns the config digest."""
+def write_records(path, records: Iterable[dict], config: dict, kind: str) -> str:
+    """Write records with a leading meta line; returns the config digest.
+
+    ``records`` may be any iterable, such as a generator, so that a caller
+    need not hold every record dict at once."""
     lines = [canonical_json(rec) for rec in records]
     digest = config_digest(config)
     meta = {
         "record_type": "meta",
         "kind": kind,
-        "count": len(records),
+        "count": len(lines),
         "config": config,
         "config_digest": digest,
         "records_digest": _records_digest(lines),

@@ -357,6 +357,19 @@ def test_duplicate_sample_id_exits_3(spatial_run, tmp_path, capsys, command):
     assert not out.exists()
 
 
+def test_evaluate_duplicate_item_id_exits_3(spatial_run, tmp_path, capsys):
+    """A repeated item_id in a responses file is rejected, not resolved by keeping the last row."""
+    bench, resp = spatial_run
+    meta, rows = read_records(resp)
+    dup = tmp_path / "dup.jsonl"
+    write_records(dup, rows + [{"item_id": rows[0]["item_id"], "text": "no idea"}], meta["config"], meta["kind"])
+    report = tmp_path / "report.json"
+    code, out, err = run(["evaluate", "--records", str(bench), "--responses", str(dup), "--report", str(report)], capsys)
+    assert code == 3
+    assert f"{dup}: record {len(rows) + 1}: duplicate item_id {rows[0]['item_id']!r}" in err
+    assert "All" not in out and not report.exists()
+
+
 def test_query_oracle_unanswerable_record_is_per_item_error(tmp_path, capsys):
     path = tmp_path / "locpred.jsonl"
     path.write_text('{"record_type":"meta"}\n{"sample_id":"a","prompt":"x","objective":"locpred"}\n')
@@ -462,6 +475,34 @@ def test_fixture_pipeline_golden_digests(tmp_path, monkeypatch, capsys):
     assert written == GOLDEN_DIGESTS
 
 
+# SHA-256 of the report and dump of the region pipeline below.
+REGION_GOLDEN_DIGESTS = {
+    "region_dump.jsonl": "aa49b3d635ea66002849aada69d5c9ffe7d5b355836079cdd1b95900c8852a3a",
+    "region_eval.json": "dc16f51b55e6c0ae4d5da880fa07e1ccc6239fb8c1d19f0dcea982dba3094b44",
+}
+
+
+def test_region_pipeline_golden_digests(tmp_path, monkeypatch, capsys):
+    """Region descriptions scored against responses that re-inflect the
+    descriptor's words, so that alignment runs its stem stage."""
+    monkeypatch.chdir(tmp_path)
+    assert main(["fixtures", "--out", "fx", "--seed", "0"]) == 0
+    assert main(["build", "ift", "--annotations", "fx/coco_50.json", "--mix", "revloc=1", "--out", "region.jsonl"]) == 0
+    _, rows = read_records(tmp_path / "region.jsonl")
+    suffixes = ("", "s", "ing", "ed", "ers", "ness")
+    responses = []
+    for i, row in enumerate(rows):
+        words = [w + suffixes[(i + j) % len(suffixes)] for j, w in enumerate(row["descriptor"].split())]
+        text = " ".join(words) if i % 3 else f"a {' '.join(reversed(words))} on the left"
+        responses.append({"item_id": row["sample_id"], "text": text})
+    write_records(tmp_path / "region_responses.jsonl", responses, {"kind": "region_golden"}, "responses")
+    capsys.readouterr()
+    assert main(["evaluate", "--records", "region.jsonl", "--responses", "region_responses.jsonl",
+                 "--report", "region_eval.json", "--dump", "region_dump.jsonl"]) == 0
+    assert capsys.readouterr().out.startswith("meteor_mean ")
+    assert {name: sha(tmp_path / name) for name in REGION_GOLDEN_DIGESTS} == REGION_GOLDEN_DIGESTS
+
+
 @pytest.fixture(scope="module")
 def spatial_run(fx, tmp_path_factory):
     out = tmp_path_factory.mktemp("spatial_run")
@@ -534,6 +575,29 @@ def test_corrupt_input_jsonl_is_schema_error(fx, tmp_path, capsys, flag, name, a
             bad.write_bytes(first.encode() + b"\n" + (fx / name).read_bytes())
         code, _, err = run(argv, capsys)
         assert code == 3 and message in err
+
+
+# first lines of a video-detections file whose fields have the wrong type, and the message
+WRONG_TYPE_VIDEO_LINES = [
+    ('{"video_id": "v1", "frames": []}', "frames is not a JSON object"),
+    ('{"video_id": "v1", "frames": {"first": []}}', "frame index 'first' is not a number"),
+    ('{"video_id": "v1", "frames": {"0": {}}}', "frame 0 is not a JSON array"),
+    ('{"video_id": "v1", "frames": {"0": ["cup"]}}', "detection is not a JSON object"),
+    ('{"video_id": "v1", "frames": {"0": [{"category": 3, "bbox": [0, 0, 9, 9]}]}}', "category is not a string"),
+    ('{"video_id": "v1", "frames": {"0": [{"category": "cup", "bbox": "0 0 9 9"}]}}', "bbox is not an array of 4 numbers"),
+    ('{"video_id": "v1", "frames": {"0": [{"category": "cup", "bbox": [0, 0, 9]}]}}', "bbox is not an array of 4 numbers"),
+    ('{"video_id": "v1", "frames": {"0": [{"category": "cup", "bbox": [0, 0, "9", 9]}]}}', "bbox is not an array of 4 numbers"),
+]
+
+
+@pytest.mark.parametrize("args", [["build", "video-static"], ["build", "hallucination", "--annotations", "{fx}/coco_50.json"]])
+def test_video_detections_wrong_type_is_schema_error(fx, tmp_path, capsys, args):
+    bad = tmp_path / "videos.jsonl"
+    argv = [a.format(fx=fx) for a in args] + ["--videos", str(bad), "--out", str(tmp_path / "out.jsonl")]
+    for first, message in WRONG_TYPE_VIDEO_LINES:
+        bad.write_bytes(first.encode() + b"\n" + (fx / "videos.jsonl").read_bytes())
+        code, _, err = run(argv, capsys)
+        assert code == 3 and f"{bad}: line 1: {message}" in err, first
 
 
 @pytest.mark.parametrize(

@@ -3,6 +3,7 @@
 import json
 import math
 import threading
+from contextlib import contextmanager
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import numpy as np
@@ -156,6 +157,7 @@ def test_http_transport_unreachable_endpoint():
 
 
 def _respond_to_batches(directory, answer, stop):
+    """Answer each request file; ``answer`` returns a reply dict, or a string written as the raw line."""
     while not stop.is_set():
         for req_file in directory.glob("*.req.jsonl"):
             stem = req_file.name[: -len(".req.jsonl")]
@@ -165,44 +167,68 @@ def _respond_to_batches(directory, answer, stop):
             rows = [json.loads(line) for line in req_file.read_text().splitlines() if line.strip()]
             with open(directory / f"{stem}.resp.jsonl", "w") as fh:
                 for row in rows:
-                    fh.write(json.dumps(answer(row)) + "\n")
+                    reply = answer(row)
+                    fh.write((reply if isinstance(reply, str) else json.dumps(reply)) + "\n")
             done.touch()
         stop.wait(0.01)
 
 
-def test_file_batch_transport(tmp_path):
+@contextmanager
+def batch_runner(directory, answer):
+    """A file-batch runner thread answering with ``answer`` while the block runs."""
     stop = threading.Event()
-    responder = threading.Thread(
-        target=_respond_to_batches,
-        args=(tmp_path, lambda row: {"request_id": row["request_id"], "text": "file:" + row["prompt"]}, stop),
-        daemon=True,
-    )
+    responder = threading.Thread(target=_respond_to_batches, args=(directory, answer, stop), daemon=True)
     responder.start()
     try:
-        out = query_batch(REQS, FileBatchTransport(tmp_path, timeout=10))
-        assert [r.text for r in out] == ["file:prompt 0", "file:prompt 1", "file:prompt 2"]
+        yield
     finally:
         stop.set()
-        responder.join()
+        responder.join(timeout=10)
+    assert not responder.is_alive()
+
+
+def test_file_batch_transport(tmp_path):
+    with batch_runner(tmp_path, lambda row: {"request_id": row["request_id"], "text": "file:" + row["prompt"]}):
+        out = query_batch(REQS, FileBatchTransport(tmp_path, timeout=10))
+    assert [r.text for r in out] == ["file:prompt 0", "file:prompt 1", "file:prompt 2"]
 
 
 def test_file_batch_missing_response_ids(tmp_path):
-    stop = threading.Event()
-
     def drop_last(row):
         if row["request_id"] == "r2":
             return {"request_id": "ignored-extra", "text": "stray"}
         return {"request_id": row["request_id"], "text": "ok"}
 
-    responder = threading.Thread(target=_respond_to_batches, args=(tmp_path, drop_last, stop), daemon=True)
-    responder.start()
-    try:
+    with batch_runner(tmp_path, drop_last):
         out = query_batch(REQS, FileBatchTransport(tmp_path, timeout=10))
-        assert [r.status for r in out] == ["ok", "ok", "error"]
-        assert "missing from response file" in out[2].error_detail
-    finally:
-        stop.set()
-        responder.join()
+    assert [r.status for r in out] == ["ok", "ok", "error"]
+    assert "missing from response file" in out[2].error_detail
+
+
+def test_file_batch_ignores_reply_to_other_payload(tmp_path):
+    """A reply left by a batch with the same ids but other prompts or sampling is not reused."""
+    def answer(tag):
+        return lambda row: {"request_id": row["request_id"], "text": f"{tag}:{row['prompt']}:{row['sampling']['temperature']}"}
+
+    with batch_runner(tmp_path, answer("old")):
+        query_batch(REQS, FileBatchTransport(tmp_path, timeout=10))
+    reworded = [ModelRequest(r.request_id, r.media_ref, r.prompt + "?") for r in REQS]
+    with batch_runner(tmp_path, answer("new")):
+        out = query_batch(reworded, FileBatchTransport(tmp_path, timeout=10))
+        assert [r.text for r in out] == [f"new:prompt {i}?:0.2" for i in range(3)]
+        out = query_batch(REQS, FileBatchTransport(tmp_path, timeout=10), SamplingConfig(temperature=0.5))
+        assert [r.text for r in out] == [f"new:prompt {i}:0.5" for i in range(3)]
+
+
+@pytest.mark.parametrize("bad_line", ['{"request_id": "r1", "te', "[1, 2]"])
+def test_file_batch_malformed_response_line_is_per_request_error(tmp_path, bad_line):
+    def answer(row):
+        return bad_line if row["request_id"] == "r1" else {"request_id": row["request_id"], "text": "ok"}
+
+    with batch_runner(tmp_path, answer):
+        out = query_batch(REQS, FileBatchTransport(tmp_path, timeout=10))
+    assert [r.status for r in out] == ["ok", "error", "ok"]
+    assert out[1].error_detail == "missing from response file, whose line 2 is not a JSON object"
 
 
 def test_file_batch_timeout(tmp_path):

@@ -3,6 +3,8 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coordtext.meteor import align, count_chunks, porter_stem, score_meteor, tokenize
 
@@ -84,6 +86,14 @@ STEM_VECTORS = {
 def test_porter_stem_vectors():
     for word, expected in STEM_VECTORS.items():
         assert porter_stem(word) == expected, f"{word} -> {porter_stem(word)} != {expected}"
+
+
+@given(st.text(alphabet="abcdefghijklmnopqrstuvwxyz", max_size=14))
+@settings(max_examples=300, deadline=None)
+def test_cached_porter_stem_matches_uncached(word):
+    first = porter_stem(word)
+    assert porter_stem(word) == first
+    assert first == porter_stem.__wrapped__(word)
 
 
 # ---------------- independent alignment oracle ---------------- #

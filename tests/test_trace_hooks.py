@@ -35,22 +35,56 @@ def test_traced_names_resolve():
     assert callable(coordtext.meteor.porter_stem) and callable(coordtext.gateway.HttpTransport.send)
 
 
+def _traced(tmp_path, *cli_args) -> dict:
+    """Run one CLI command under trace_stage.py; returns the trace it writes."""
+    trace = tmp_path / "trace.json"
+    src = str(Path(coordtext.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    subprocess.run(
+        [sys.executable, str(TRACE_STAGE), str(trace), "run", "--", *map(str, cli_args)],
+        check=True, env=env, capture_output=True,
+    )
+    payload = json.loads(trace.read_text())
+    assert payload["exit_code"] == 0
+    return payload
+
+
 def test_traced_oracle_query_counts_mock_calls(tmp_path):
     """The mock transports look the answer functions up as module globals, so
     the tracer's wrappers see every call, inside the query_batch span."""
     records = tmp_path / "presence.jsonl"
     rows = [{"sample_id": f"m:{i}", "prompt": "p", "objective": "hallucination", "gt": "yes"} for i in range(3)]
     write_records(records, rows, {"seed": 0}, "hallucination")
-    trace = tmp_path / "trace.json"
-    src = str(Path(coordtext.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     for mock, counted in (("oracle", 3), ("random", 6)):
-        subprocess.run(
-            [sys.executable, str(TRACE_STAGE), str(trace), "run", "--", "query", "--records", str(records),
-             "--mock", mock, "--out", str(tmp_path / "responses.jsonl")],
-            check=True, env=env, capture_output=True,
-        )
-        payload = json.loads(trace.read_text())
-        assert payload["exit_code"] == 0
+        payload = _traced(tmp_path, "query", "--records", records, "--mock", mock, "--out", tmp_path / "responses.jsonl")
         assert payload["counters"]["gateway.mock"][0] == counted  # random: answer space and draw per item
         assert "gateway.query_batch" in {span["name"] for span in payload["spans"]}
+
+
+def test_traced_region_evaluate_counts_every_stem_lookup(tmp_path, monkeypatch):
+    """The stem cache sits inside porter_stem, so the tracer's wrapper counts
+    every lookup that align makes, cache hits included, and sees fewer
+    distinct words than lookups."""
+    from coordtext import meteor
+
+    descriptors = ["red chair", "chairs", "wooden table", "tables near chairs"]
+    rows = [
+        {"sample_id": f"r:{i}", "prompt": "p", "objective": "revloc", "descriptor": descriptors[i % 4]}
+        for i in range(12)
+    ]
+    texts = ["reds chairing", "chair", "woodens tabled", "tabling nearing chair"]
+    responses = [{"item_id": row["sample_id"], "text": texts[i % 4]} for i, row in enumerate(rows)]
+    write_records(tmp_path / "region.jsonl", rows, {"seed": 0}, "ift")
+    write_records(tmp_path / "responses.jsonl", responses, {"seed": 0}, "responses")
+
+    calls = []
+    stem = meteor.porter_stem
+    monkeypatch.setattr(meteor, "porter_stem", lambda word: calls.append(word) or stem(word))
+    for row, response in zip(rows, responses):
+        meteor.score_meteor(row["descriptor"], response["text"])
+    monkeypatch.undo()
+
+    payload = _traced(tmp_path, "evaluate", "--task", "region",
+                      "--records", tmp_path / "region.jsonl", "--responses", tmp_path / "responses.jsonl")
+    assert payload["counters"]["meteor.stem"][0] == len(calls) > 0
+    assert payload["stem_distinct"] == len(set(calls)) < len(calls)

@@ -16,6 +16,7 @@ Malformed annotation rows are skipped and tallied, never fatal.
 from __future__ import annotations
 
 import json
+import math
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
@@ -196,10 +197,13 @@ def _detection(path, line_no: int, det) -> tuple[str, BBox]:
     _require(isinstance(category, str), path, line_no, "category is not a string")
     _require(
         isinstance(bbox, list) and len(bbox) == 4
-        and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in bbox),
+        and all(type(v) is int or (type(v) is float and math.isfinite(v)) for v in bbox),  # json gives NaN as a float
         path, line_no, "bbox is not an array of 4 numbers",
     )
-    return category, BBox(*bbox)
+    try:
+        return category, BBox(*bbox)
+    except CodecError as exc:  # negative or inverted corners
+        raise SchemaError(f"{path}: line {line_no}: bad bbox: {exc}") from exc
 
 
 def load_video_detections(path) -> dict[str, dict[int, list[tuple[str, BBox]]]]:

@@ -11,18 +11,21 @@ ground truth in canonical phrasing, and a seeded uniform-random baseline.
 They are in-process transports on the same ``query_batch`` path as real
 models, answering each request from its dataset record. The sampling
 configuration is transmitted with every request but never applied locally;
-generation happens inside the external model. Only ``HttpTransport``
-imports ``requests``, so the mock and file-batch paths never load it.
+generation happens inside the external model. ``HttpTransport`` speaks
+HTTP through the standard library's ``http.client``, which it imports on
+construction, so the mock and file-batch paths never load it.
 """
 
 import hashlib
 import json
 import random as random_module
 import re
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
+from urllib.parse import urlsplit
 
 from .coords import BBox, ImageDims, PointLoc, ReprScheme, encode_bbox, encode_point
 from .prompts import CAPTION_REQUEST, LOCPRED, NEGPRED, REVLOC
@@ -72,17 +75,43 @@ def _error(request: ModelRequest, detail: str) -> ModelResponse:
 
 
 class HttpTransport:
-    """POST each request as JSON to a single endpoint; one reply per request."""
+    """POST each request as JSON to a single endpoint; one reply per request.
+
+    Speaks HTTP/1.1 through the standard library's ``http.client``. Idle
+    keep-alive connections wait in a lock-guarded list: ``send`` takes one,
+    or opens one, and puts it back after a complete reply unless the server
+    said it will close it, so each request in flight holds one connection.
+    Proxy settings in the environment are not read, redirects are not
+    followed and the URL may hold no credentials; ``https`` endpoints are
+    verified by ``ssl``'s default context.
+    """
 
     def __init__(self, endpoint: str, timeout: float = 30.0):
-        import requests
+        import http.client
 
+        parts = urlsplit(endpoint)
+        connection_classes = {"http": http.client.HTTPConnection, "https": http.client.HTTPSConnection}
+        if parts.scheme not in connection_classes or not parts.hostname:
+            raise ValueError(f"endpoint {endpoint!r} is not an http:// or https:// URL")
+        if parts.username is not None:
+            raise ValueError("credentials in the endpoint URL are not supported")
         self.endpoint = endpoint
         self.timeout = timeout
-        self.session = requests.Session()
+        self._connection_class = connection_classes[parts.scheme]
+        self._host, self._port = parts.hostname, parts.port
+        self._target = (parts.path or "/") + (f"?{parts.query}" if parts.query else "")
+        self._idle = []
+        self._lock = threading.Lock()
+
+    def close(self) -> None:
+        """Close every idle connection; a later ``send`` opens new ones."""
+        with self._lock:
+            idle, self._idle = self._idle, []
+        for conn in idle:
+            conn.close()
 
     def send(self, request: ModelRequest, cfg: SamplingConfig) -> ModelResponse:
-        import requests
+        import http.client
 
         payload = {
             "request_id": request.request_id,
@@ -90,25 +119,50 @@ class HttpTransport:
             "prompt": request.prompt,
             "sampling": cfg.to_dict(),
         }
+        body = json.dumps(payload).encode("utf-8")
+        with self._lock:
+            conn = self._idle.pop() if self._idle else None
+        reused = conn is not None
+        while True:
+            if conn is None:
+                conn = self._connection_class(self._host, self._port, timeout=self.timeout)
+            reply = None
+            try:
+                conn.request("POST", self._target, body, {"Content-Type": "application/json"})
+                reply = conn.getresponse()
+                data = reply.read()
+                break
+            except (OSError, http.client.HTTPException) as exc:
+                conn.close()
+                # A reused connection that fails before any status line
+                # (RemoteDisconnected is a ConnectionResetError) was closed by
+                # the server while idle: try once more on a new connection.
+                if reused and reply is None and isinstance(exc, (ConnectionResetError, BrokenPipeError)):
+                    conn, reused = None, False
+                    continue
+                raise TransientTransportError(f"{type(exc).__name__}: {exc}") from exc
+        if reply.will_close:
+            conn.close()
+        else:
+            with self._lock:
+                self._idle.append(conn)
+        if reply.status >= 500:
+            raise TransientTransportError(f"server error {reply.status}")
+        if reply.status != 200:
+            raise ValueError(f"request rejected with status {reply.status}")
         try:
-            reply = self.session.post(self.endpoint, json=payload, timeout=self.timeout)
-        except requests.RequestException as exc:
-            raise TransientTransportError(str(exc)) from exc
-        if reply.status_code >= 500:
-            raise TransientTransportError(f"server error {reply.status_code}")
-        if reply.status_code != 200:
-            raise ValueError(f"request rejected with status {reply.status_code}")
-        try:
-            body = reply.json()
-        except ValueError as exc:
+            answer = json.loads(data)
+        except ValueError as exc:  # not JSON, or not UTF-8
             raise ValueError(f"malformed server reply: {exc}") from exc
-        if body.get("request_id") != request.request_id:
-            raise ValueError(f"reply id {body.get('request_id')!r} does not match request")
-        if "error" in body:
-            return _error(request, str(body["error"]))
-        if "text" not in body:
+        if not isinstance(answer, dict):
+            raise ValueError("malformed server reply: not a JSON object")
+        if answer.get("request_id") != request.request_id:
+            raise ValueError(f"reply id {answer.get('request_id')!r} does not match request")
+        if "error" in answer:
+            return _error(request, str(answer["error"]))
+        if "text" not in answer:
             raise ValueError("reply carries neither text nor error")
-        return ModelResponse(request.request_id, body["text"])
+        return ModelResponse(request.request_id, answer["text"])
 
 
 class FileBatchTransport:
@@ -119,7 +173,8 @@ class FileBatchTransport:
     the request file's bytes, so a reply left by a batch with other prompts
     or sampling is never taken for this one's. A response line that is not a
     JSON object is skipped; the requests it leaves unanswered become errors
-    that name it.
+    that name it. A ``.done`` without its response file makes every request
+    an error that names the missing file.
     """
 
     def __init__(self, directory, poll_interval: float = 0.05, timeout: float = 60.0):
@@ -150,9 +205,13 @@ class FileBatchTransport:
             if time.monotonic() > deadline:
                 return [_error(r, f"no response file within {self.timeout}s") for r in requests_]
             time.sleep(self.poll_interval)
+        try:
+            lines = resp_path.read_bytes().splitlines()
+        except FileNotFoundError:
+            return [_error(r, f"{done_path.name} is present but {resp_path} is missing") for r in requests_]
         by_id = {}
         first_bad = None
-        for line_no, line in enumerate(resp_path.read_bytes().splitlines(), 1):
+        for line_no, line in enumerate(lines, 1):
             if not line.strip():
                 continue
             try:
@@ -231,8 +290,12 @@ def query_batch(
                 return _error(request, str(exc))
         return _error(request, f"gave up after {attempts} attempts: {last}")
 
-    with ThreadPoolExecutor(max_workers=max(1, max_inflight)) as pool:
-        return list(pool.map(send_one, requests_))
+    try:
+        with ThreadPoolExecutor(max_workers=max(1, max_inflight)) as pool:
+            return list(pool.map(send_one, requests_))
+    finally:
+        if hasattr(transport, "close"):
+            transport.close()
 
 
 # ---------------- mock models ---------------- #

@@ -512,6 +512,13 @@ def spatial_run(fx, tmp_path_factory):
     return bench, resp
 
 
+def test_query_endpoint_other_scheme_exits_2(spatial_run, tmp_path, capsys):
+    bench, _ = spatial_run
+    code, _, err = run(["query", "--records", str(bench), "--endpoint", "ftp://x/", "--out", str(tmp_path / "r.jsonl")], capsys)
+    assert code == 2 and "'ftp://x/' is not an http:// or https:// URL" in err
+    assert not (tmp_path / "r.jsonl").exists()
+
+
 def truncate_mid_line(src, dst):
     """Copy ``src`` cut 10 bytes short, as ``head -c`` leaves an interrupted copy."""
     data = src.read_bytes()
@@ -577,8 +584,8 @@ def test_corrupt_input_jsonl_is_schema_error(fx, tmp_path, capsys, flag, name, a
         assert code == 3 and message in err
 
 
-# first lines of a video-detections file whose fields have the wrong type, and the message
-WRONG_TYPE_VIDEO_LINES = [
+# first lines of a video-detections file whose fields have the wrong type or value, and the message
+BAD_VIDEO_LINES = [
     ('{"video_id": "v1", "frames": []}', "frames is not a JSON object"),
     ('{"video_id": "v1", "frames": {"first": []}}', "frame index 'first' is not a number"),
     ('{"video_id": "v1", "frames": {"0": {}}}', "frame 0 is not a JSON array"),
@@ -587,6 +594,9 @@ WRONG_TYPE_VIDEO_LINES = [
     ('{"video_id": "v1", "frames": {"0": [{"category": "cup", "bbox": "0 0 9 9"}]}}', "bbox is not an array of 4 numbers"),
     ('{"video_id": "v1", "frames": {"0": [{"category": "cup", "bbox": [0, 0, 9]}]}}', "bbox is not an array of 4 numbers"),
     ('{"video_id": "v1", "frames": {"0": [{"category": "cup", "bbox": [0, 0, "9", 9]}]}}', "bbox is not an array of 4 numbers"),
+    ('{"video_id": "v1", "frames": {"0": [{"category": "cup", "bbox": [NaN, 0, 9, 9]}]}}', "bbox is not an array of 4 numbers"),
+    ('{"video_id": "v1", "frames": {"0": [{"category": "cup", "bbox": [-1, 0, 9, 9]}]}}', "bad bbox: negative coordinate in (-1, 0, 9, 9)"),
+    ('{"video_id": "v1", "frames": {"0": [{"category": "cup", "bbox": [5, 0, 1, 9]}]}}', "bad bbox: x1 > x2 in (5, 0, 1, 9)"),
 ]
 
 
@@ -594,7 +604,7 @@ WRONG_TYPE_VIDEO_LINES = [
 def test_video_detections_wrong_type_is_schema_error(fx, tmp_path, capsys, args):
     bad = tmp_path / "videos.jsonl"
     argv = [a.format(fx=fx) for a in args] + ["--videos", str(bad), "--out", str(tmp_path / "out.jsonl")]
-    for first, message in WRONG_TYPE_VIDEO_LINES:
+    for first, message in BAD_VIDEO_LINES:
         bad.write_bytes(first.encode() + b"\n" + (fx / "videos.jsonl").read_bytes())
         code, _, err = run(argv, capsys)
         assert code == 3 and f"{bad}: line 1: {message}" in err, first
@@ -619,7 +629,7 @@ import sys
 from coordtext.cli import main
 
 fx, out = sys.argv[1], sys.argv[2]
-heavy = {"numpy", "requests"}
+heavy = {"numpy", "requests", "http.client"}
 assert not heavy & set(sys.modules), "import coordtext.cli"
 for args in (
     ["build", "spatial-bench", "--annotations", fx + "/coco_50.json", "--out", out + "/bench.jsonl"],
@@ -633,7 +643,7 @@ for args in (
 from coordtext.gateway import HttpTransport
 
 HttpTransport("http://127.0.0.1:9/")
-assert "requests" in sys.modules and "numpy" not in sys.modules, "HttpTransport"
+assert "http.client" in sys.modules and not {"numpy", "requests"} & set(sys.modules), "HttpTransport"
 
 assert main(["build", "video-static", "--videos", fx + "/videos.jsonl", "--out", out + "/tracks.jsonl"]) == 0
 assert "numpy" in sys.modules
@@ -645,12 +655,14 @@ from coordtext.pooling import spatiotemporal_pool
 boxes = panoptic_to_bboxes(load_label_grid(fx + "/panoptic.grid.txt"), load_instance_categories(fx + "/panoptic.categories.json"))
 assert boxes.instances
 assert spatiotemporal_pool([[[1.0]], [[3.0]]]).tolist() == [[2.0], [1.0], [3.0]]
+assert "requests" not in sys.modules
 """
 
 
 def test_pipeline_stages_load_neither_numpy_nor_requests(fx, tmp_path):
-    """build, query --mock, evaluate and verify stay clear of the heavy imports;
-    the paths that need numpy or requests still load them on first use."""
+    """build, query --mock, evaluate and verify load neither numpy nor
+    http.client; the paths that need them load them on first use, and no
+    path loads requests."""
     proc = subprocess.run(
         [sys.executable, "-c", LAZY_IMPORT_CHILD, str(fx), str(tmp_path)],
         capture_output=True,

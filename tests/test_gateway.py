@@ -3,6 +3,7 @@
 import json
 import math
 import threading
+import time
 from contextlib import contextmanager
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
@@ -112,32 +113,69 @@ def test_retries_exhausted_become_error():
 
 
 class _Handler(BaseHTTPRequestHandler):
+    """HTTP/1.1 keep-alive handler: ``server.answer(body)`` gives (status, reply),
+    where a bytes reply is sent as the raw body. The server counts the TCP
+    connections it accepted and those still open."""
+
+    protocol_version = "HTTP/1.1"
+    disable_nagle_algorithm = True  # else delayed ACKs stall each reply's separately written body
+
+    def setup(self):
+        super().setup()
+        with self.server.lock:
+            self.server.connections += 1
+            self.server.open += 1
+
+    def finish(self):
+        super().finish()
+        with self.server.lock:
+            self.server.open -= 1
+
     def do_POST(self):
         body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
         assert body["sampling"]["temperature"] == pytest.approx(0.2)
-        rid = body["request_id"]
-        if rid == "r1":
-            reply = {"request_id": rid, "error": "model refused"}
-        else:
-            reply = {"request_id": rid, "text": f"http:{body['prompt']}"}
-        payload = json.dumps(reply).encode()
-        self.send_response(200)
+        status, reply = self.server.answer(body)
+        payload = reply if isinstance(reply, bytes) else json.dumps(reply).encode()
+        self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(payload)))
         self.end_headers()
         self.wfile.write(payload)
+        # closing without a "Connection: close" header, as a server may drop an idle client
+        self.close_connection = self.server.close_after_reply
 
     def log_message(self, *args):
         pass
 
 
+@contextmanager
+def http_server(answer, close_after_reply=False):
+    """A threaded HTTP server on 127.0.0.1 answering POSTs with ``answer``; yields (endpoint, server)."""
+    server = ThreadingHTTPServer(("127.0.0.1", 0), _Handler)
+    server.answer, server.close_after_reply = answer, close_after_reply
+    server.lock, server.connections, server.open = threading.Lock(), 0, 0
+    thread = threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.01}, daemon=True)
+    thread.start()
+    try:
+        yield f"http://127.0.0.1:{server.server_address[1]}/", server
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+
+
+def echo_or_refuse(body):
+    rid = body["request_id"]
+    if rid == "r1":
+        return 200, {"request_id": rid, "error": "model refused"}
+    return 200, {"request_id": rid, "text": f"http:{body['prompt']}"}
+
+
 @pytest.fixture()
 def http_endpoint():
-    server = ThreadingHTTPServer(("127.0.0.1", 0), _Handler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    yield f"http://127.0.0.1:{server.server_address[1]}/"
-    server.shutdown()
+    with http_server(echo_or_refuse) as (endpoint, _):
+        yield endpoint
 
 
 def test_http_transport_roundtrip(http_endpoint):
@@ -153,22 +191,81 @@ def test_http_transport_unreachable_endpoint():
     assert out[0].status == "error"
 
 
+def test_http_retry_after_503_reuses_pooled_connection():
+    attempts = {}
+
+    def answer(body):
+        rid = body["request_id"]
+        attempts[rid] = attempts.get(rid, 0) + 1
+        if rid == "r0" and attempts[rid] == 1:
+            return 503, {"request_id": rid, "error": "busy"}
+        return 200, {"request_id": rid, "text": "ok"}
+
+    with http_server(answer) as (endpoint, server):
+        out = query_batch(REQS, HttpTransport(endpoint), max_inflight=1, sleep=lambda s: None)
+    assert [r.status for r in out] == ["ok", "ok", "ok"]
+    assert attempts == {"r0": 2, "r1": 1, "r2": 1}
+    assert server.connections == 1
+
+
+def test_http_server_closing_idle_connections_costs_no_attempt():
+    """A pooled connection the server closed while idle is replaced inside one send."""
+    def answer(body):
+        return 200, {"request_id": body["request_id"], "text": "ok"}
+
+    with http_server(answer, close_after_reply=True) as (endpoint, server):
+        out = query_batch(REQS, HttpTransport(endpoint), max_inflight=1, attempts=1)
+    assert [r.status for r in out] == ["ok", "ok", "ok"]
+    assert server.connections == 3
+
+
+@pytest.mark.parametrize(
+    "reply, message",
+    [(b"[1]", "malformed server reply: not a JSON object"), (b"not json", "malformed server reply: Expecting value")],
+)
+def test_http_malformed_reply_is_per_request_error(reply, message):
+    with http_server(lambda body: (200, reply)) as (endpoint, _):
+        out = query_batch(REQS, HttpTransport(endpoint), max_inflight=1)
+    assert all(r.status == "error" and r.error_detail.startswith(message) for r in out)
+
+
+@pytest.mark.parametrize(
+    "endpoint, message",
+    [("ftp://x/", "not an http:// or https:// URL"), ("http://user:pw@x/", "credentials in the endpoint URL")],
+)
+def test_http_transport_rejects_unsupported_endpoints(endpoint, message):
+    with pytest.raises(ValueError, match=message):
+        HttpTransport(endpoint)
+
+
+def test_query_batch_closes_http_connections():
+    with http_server(echo_or_refuse) as (endpoint, server):
+        transport = HttpTransport(endpoint)  # kept alive, so that only query_batch can close its connections
+        query_batch(REQS, transport, max_inflight=2)
+        deadline = time.monotonic() + 5  # the server sees the close when its handler reads EOF
+        while server.open and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert server.open == 0 and server.connections >= 1
+
+
 # ---------------- file-batch transport ---------------- #
 
 
 def _respond_to_batches(directory, answer, stop):
-    """Answer each request file; ``answer`` returns a reply dict, or a string written as the raw line."""
+    """Answer each request file; ``answer`` returns a reply dict, or a string written as the raw line.
+    With ``answer`` None, only the ``.done`` marker is written."""
     while not stop.is_set():
         for req_file in directory.glob("*.req.jsonl"):
             stem = req_file.name[: -len(".req.jsonl")]
             done = directory / f"{stem}.done"
             if done.exists():
                 continue
-            rows = [json.loads(line) for line in req_file.read_text().splitlines() if line.strip()]
-            with open(directory / f"{stem}.resp.jsonl", "w") as fh:
-                for row in rows:
-                    reply = answer(row)
-                    fh.write((reply if isinstance(reply, str) else json.dumps(reply)) + "\n")
+            if answer is not None:
+                rows = [json.loads(line) for line in req_file.read_text().splitlines() if line.strip()]
+                with open(directory / f"{stem}.resp.jsonl", "w") as fh:
+                    for row in rows:
+                        reply = answer(row)
+                        fh.write((reply if isinstance(reply, str) else json.dumps(reply)) + "\n")
             done.touch()
         stop.wait(0.01)
 
@@ -229,6 +326,15 @@ def test_file_batch_malformed_response_line_is_per_request_error(tmp_path, bad_l
         out = query_batch(REQS, FileBatchTransport(tmp_path, timeout=10))
     assert [r.status for r in out] == ["ok", "error", "ok"]
     assert out[1].error_detail == "missing from response file, whose line 2 is not a JSON object"
+
+
+def test_file_batch_done_without_response_file_is_per_request_error(tmp_path):
+    with batch_runner(tmp_path, None):
+        out = query_batch(REQS, FileBatchTransport(tmp_path, timeout=10))
+    assert all(r.status == "error" for r in out)
+    (req_file,) = tmp_path.glob("*.req.jsonl")
+    missing = tmp_path / req_file.name.replace(".req.jsonl", ".resp.jsonl")
+    assert out[0].error_detail == f"{req_file.name[: -len('.req.jsonl')]}.done is present but {missing} is missing"
 
 
 def test_file_batch_timeout(tmp_path):

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from .coords import BBox, CodecError, ImageDims
-from .records import SchemaError, line_error
+from .records import SchemaError, iter_rows, line_error
 
 if TYPE_CHECKING:
     import numpy as np
@@ -70,6 +70,11 @@ class MediaCategories:
     categories: tuple[str, ...]
 
 
+def _is_number(value) -> bool:
+    """A finite JSON number. json gives NaN and Infinity as floats; a bool is not a number here."""
+    return type(value) is int or (type(value) is float and math.isfinite(value))
+
+
 def xywh_to_xyxy(box: list[float]) -> tuple[float, float, float, float]:
     """COCO-style [x, y, w, h] to corner coordinates."""
     x, y, w, h = box
@@ -86,8 +91,9 @@ class CocoLoad:
 def load_coco_annotations(path) -> CocoLoad:
     """Parse a COCO-style annotation file into AnnotatedImage values.
 
-    Annotations referencing unknown images or categories, with non-positive
-    extents, or landing outside their image are skipped and tallied.
+    Annotations referencing unknown images or categories, with a ``bbox``
+    that is not four finite numbers, with non-positive extents, or landing
+    outside their image are skipped and tallied.
     """
     with open(path, encoding="utf-8") as fh:
         data = json.load(fh)
@@ -108,7 +114,7 @@ def load_coco_annotations(path) -> CocoLoad:
             skipped["unknown_category"] += 1
             continue
         bbox = ann.get("bbox")
-        if not isinstance(bbox, (list, tuple)) or len(bbox) != 4:
+        if not isinstance(bbox, list) or len(bbox) != 4 or not all(map(_is_number, bbox)):
             skipped["invalid_bbox"] += 1
             continue
         x1, y1, x2, y2 = xywh_to_xyxy(bbox)
@@ -148,27 +154,19 @@ def load_caption_records(path) -> list[CaptionRecord]:
     """Read pseudo-caption JSONL; also accepts query-response lines whose
     item_id embeds ``{image_id}:cap:{instance_id}``."""
     records = []
-    line_no = 0
-    try:
-        with open(path, encoding="utf-8") as fh:
-            for line_no, line in enumerate(fh, 1):
-                line = line.strip()
-                if not line:
-                    continue
-                row = json.loads(line)
-                if not isinstance(row, dict):
-                    raise SchemaError(f"{path}: line {line_no}: not a JSON object")
-                if row.get("record_type") == "meta":
-                    continue
-                if "caption" in row:
-                    records.append(CaptionRecord(str(row["image_id"]), str(row["instance_id"]), row["caption"]))
-                    continue
-                item_id = row.get("item_id", "")
-                if ":cap:" in item_id and row.get("text"):
-                    image_id, _, instance_id = item_id.partition(":cap:")
-                    records.append(CaptionRecord(image_id, instance_id, row["text"]))
-    except (json.JSONDecodeError, UnicodeDecodeError, KeyError) as exc:
-        raise line_error(path, line_no, exc) from exc
+    for line_no, row in iter_rows(path):
+        if row.get("record_type") == "meta":
+            continue
+        if "caption" in row:
+            try:
+                records.append(CaptionRecord(str(row["image_id"]), str(row["instance_id"]), row["caption"]))
+            except KeyError as exc:
+                raise line_error(path, line_no, exc) from exc
+            continue
+        item_id = row.get("item_id", "")
+        if ":cap:" in item_id and row.get("text"):
+            image_id, _, instance_id = item_id.partition(":cap:")
+            records.append(CaptionRecord(image_id, instance_id, row["text"]))
     return records
 
 
@@ -196,8 +194,7 @@ def _detection(path, line_no: int, det) -> tuple[str, BBox]:
     category, bbox = det["category"], det["bbox"]
     _require(isinstance(category, str), path, line_no, "category is not a string")
     _require(
-        isinstance(bbox, list) and len(bbox) == 4
-        and all(type(v) is int or (type(v) is float and math.isfinite(v)) for v in bbox),  # json gives NaN as a float
+        isinstance(bbox, list) and len(bbox) == 4 and all(map(_is_number, bbox)),
         path, line_no, "bbox is not an array of 4 numbers",
     )
     try:
@@ -212,25 +209,17 @@ def load_video_detections(path) -> dict[str, dict[int, list[tuple[str, BBox]]]]:
     Boxes are xyxy in pixel space.
     """
     videos: dict[str, dict[int, list[tuple[str, BBox]]]] = {}
-    line_no = 0
-    try:
-        with open(path, encoding="utf-8") as fh:
-            for line_no, line in enumerate(fh, 1):
-                line = line.strip()
-                if not line:
-                    continue
-                row = json.loads(line)
-                if not isinstance(row, dict):
-                    raise SchemaError(f"{path}: line {line_no}: not a JSON object")
-                if row.get("record_type") == "meta":
-                    continue
-                _require(isinstance(row["frames"], dict), path, line_no, "frames is not a JSON object")
-                frames = {}
-                for idx, dets in row["frames"].items():
-                    _require(idx.isascii() and idx.isdigit(), path, line_no, f"frame index {idx!r} is not a number")
-                    _require(isinstance(dets, list), path, line_no, f"frame {idx} is not a JSON array")
-                    frames[int(idx)] = [_detection(path, line_no, d) for d in dets]
-                videos[str(row["video_id"])] = frames
-    except (json.JSONDecodeError, UnicodeDecodeError, KeyError) as exc:
-        raise line_error(path, line_no, exc) from exc
+    for line_no, row in iter_rows(path):
+        if row.get("record_type") == "meta":
+            continue
+        try:
+            _require(isinstance(row["frames"], dict), path, line_no, "frames is not a JSON object")
+            frames = {}
+            for idx, dets in row["frames"].items():
+                _require(idx.isascii() and idx.isdigit(), path, line_no, f"frame index {idx!r} is not a number")
+                _require(isinstance(dets, list), path, line_no, f"frame {idx} is not a JSON array")
+                frames[int(idx)] = [_detection(path, line_no, d) for d in dets]
+            videos[str(row["video_id"])] = frames
+        except KeyError as exc:
+            raise line_error(path, line_no, exc) from exc
     return videos

@@ -388,19 +388,42 @@ def _infer_task(rows) -> str:
     return tasks.pop()
 
 
-def cmd_evaluate(args) -> int:
-    record_meta, rows = read_records(args.records)
-    if record_meta and stored_records_digest(args.records) != record_meta.get("records_digest"):
-        raise SchemaError(f"{args.records}: records digest mismatch")
-    _, response_rows = read_records(args.responses)
+def _read_checked(path) -> tuple[dict, list[dict]]:
+    """``read_records``, refusing a file whose records do not match its meta line's digest."""
+    meta, rows = read_records(path)
+    if meta and stored_records_digest(path) != meta.get("records_digest"):
+        raise SchemaError(f"{path}: records digest mismatch")
+    return meta, rows
+
+
+def _read_responses(path) -> dict[str, str]:
+    """Response text by item_id, from a responses file whose digest checks out.
+
+    A row that query marked ``status: error`` carries no answer of the model:
+    it is left out, so that its item is tallied as missing, not scored. The
+    rows are dropped on return, so that scoring runs without them."""
+    _, rows = _read_checked(path)
     responses = {}
-    for n, row in enumerate(response_rows, 1):
+    errored = set()
+    for n, row in enumerate(rows, 1):
         if "item_id" in row:
             if "text" not in row:
-                raise SchemaError(f"{args.responses}: record {n}: missing text")
-            if row["item_id"] in responses:
-                raise SchemaError(f"{args.responses}: record {n}: duplicate item_id {row['item_id']!r}")
-            responses[row["item_id"]] = row["text"]
+                raise SchemaError(f"{path}: record {n}: missing text")
+            item_id = row["item_id"]
+            if item_id in responses or item_id in errored:
+                raise SchemaError(f"{path}: record {n}: duplicate item_id {item_id!r}")
+            if row.get("status") == "error":
+                errored.add(item_id)
+            else:
+                responses[item_id] = row["text"]
+    if errored:
+        print(f"{len(errored)} response(s) marked status: error, counted as missing", file=sys.stderr)
+    return responses
+
+
+def cmd_evaluate(args) -> int:
+    record_meta, rows = _read_checked(args.records)
+    responses = _read_responses(args.responses)
     if not rows:
         raise SchemaError(f"{args.records}: no records")
     _records_by_id(args.records, rows)

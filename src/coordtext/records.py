@@ -11,7 +11,7 @@ leaves the previous file as it was.
 import hashlib
 import json
 import os
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -92,12 +92,28 @@ def line_error(path, line_no: int, exc: ValueError | KeyError) -> SchemaError:
     return SchemaError(f"{path}: line {line_no}: not valid JSON: {exc.msg} at column {exc.colno}")
 
 
-def read_records(path) -> tuple[dict, list[dict]]:
-    """Read a record file; returns (meta, records). Files without a meta line
-    get an empty meta dict. A line that is not a JSON object, as left by a
-    truncated or corrupt file, raises SchemaError naming the file and line."""
-    meta: dict = {}
-    records: list[dict] = []
+# json.loads runs this scanner behind a BOM test, two whitespace matches and
+# two calls of Python code; parse_line goes to it directly.
+_scan_once = json.JSONDecoder().scan_once
+
+
+def parse_line(line: str):
+    """``json.loads(line)``, by way of the C scanner: the same value, or the
+    same exception with the same message, since any line the scanner does not
+    consume whole is parsed again by ``json.loads``."""
+    try:
+        value, end = _scan_once(line, 0)
+    except (StopIteration, json.JSONDecodeError):
+        return json.loads(line)
+    if end != len(line):
+        return json.loads(line)
+    return value
+
+
+def iter_rows(path) -> Iterator[tuple[int, dict]]:
+    """Yield ``(line_no, row)`` for each non-blank line of a JSON-lines file,
+    one at a time. A line that is not a JSON object, as left by a truncated
+    or corrupt file, raises SchemaError naming the file and line."""
     line_no = 0
     try:
         with open(path, encoding="utf-8") as fh:
@@ -105,28 +121,48 @@ def read_records(path) -> tuple[dict, list[dict]]:
                 line = line.strip()
                 if not line:
                     continue
-                row = json.loads(line)
+                row = parse_line(line)
                 if not isinstance(row, dict):
                     raise SchemaError(f"{path}: line {line_no}: not a JSON object")
-                if line_no == 1 and row.get("record_type") == "meta":
-                    meta = row
-                    continue
-                records.append(row)
+                yield line_no, row
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise line_error(path, line_no, exc) from exc
+
+
+def _is_meta(line_no: int, row: dict) -> bool:
+    return line_no == 1 and row.get("record_type") == "meta"
+
+
+def read_records(path) -> tuple[dict, list[dict]]:
+    """Read a record file; returns (meta, records). Files without a meta line
+    get an empty meta dict. Corrupt lines raise SchemaError as in ``iter_rows``."""
+    meta: dict = {}
+    records: list[dict] = []
+    for line_no, row in iter_rows(path):
+        if _is_meta(line_no, row):
+            meta = row
+        else:
+            records.append(row)
     return meta, records
 
 
 def verify_records(path) -> list[str]:
     """Check a record file against its meta line: the record count, the config
     digest, and the records digest over the stored bytes after the meta line,
-    so that any re-serialisation fails. Returns a list of problems (empty = ok)."""
-    problems = []
-    meta, records = read_records(path)
+    so that any re-serialisation fails. Records are counted as they are parsed
+    and none is kept. Returns a list of problems (empty = ok)."""
+    meta: dict = {}
+    count = 0
+    for line_no, row in iter_rows(path):
+        if _is_meta(line_no, row):
+            meta = row
+        else:
+            count += 1
     if not meta:
         return [f"{path}: no meta line"]
-    if meta.get("count") != len(records):
-        problems.append(f"{path}: meta count {meta.get('count')} != {len(records)} records")
+    problems = []
+    if meta.get("count") != count:
+        problems.append(f"{path}: meta count {meta.get('count')} != {count} records")
     if stored_records_digest(path) != meta.get("records_digest"):
         problems.append(f"{path}: records digest mismatch")
     if config_digest(meta.get("config", {})) != meta.get("config_digest"):

@@ -111,6 +111,20 @@ def test_build_invalid_json_exits_3(tmp_path, capsys):
     assert code == 3 and "schema error" in err
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, "10", True])
+def test_build_skips_coco_box_that_is_not_finite_numbers(fx, tmp_path, capsys, value):
+    """A COCO box coordinate that json reads as NaN or Infinity, or that is not
+    a number, skips that annotation as invalid_bbox rather than failing the build."""
+    data = json.loads((fx / "coco_50.json").read_text())
+    data["annotations"][0]["bbox"] = [value, 10, 20, 20]
+    bad = tmp_path / "coco.json"
+    bad.write_text(json.dumps(data))
+    out = tmp_path / "ift.jsonl"
+    code, _, err = run(["build", "ift", "--annotations", str(bad), "--out", str(out)], capsys)
+    assert code == 0, err
+    assert json.loads(out.with_suffix(".report.json").read_text())["exclusions"]["invalid_bbox"] >= 1
+
+
 def test_build_record_field_sets(fx, tmp_path, capsys):
     bench = tmp_path / "bench.jsonl"
     run(["build", "spatial-bench", "--annotations", str(fx / "coco_200.json"), "--seed", "1", "--out", str(bench)], capsys)
@@ -242,11 +256,63 @@ def test_evaluate_majority_missing_exits_4(fx, tmp_path, capsys):
     run(["build", "hallucination", "--annotations", str(fx / "coco_50.json"), "--seed", "2", "--out", str(bench)], capsys)
     responses = tmp_path / "resp.jsonl"
     run(["query", "--records", str(bench), "--mock", "oracle", "--out", str(responses)], capsys)
-    lines = responses.read_text().splitlines()
-    kept = lines[:1] + lines[1 : 1 + len(lines) // 4]  # meta + a quarter of the responses
-    responses.write_text("\n".join(kept) + "\n")
+    meta, rows = read_records(responses)
+    write_records(responses, rows[: len(rows) // 4], meta["config"], meta["kind"])  # a quarter of the responses
     code, _, err = run(["evaluate", "--records", str(bench), "--responses", str(responses)], capsys)
     assert code == 4 and "lack responses" in err
+
+
+def _mark_errored(responses, count):
+    """Rewrite ``responses`` (re-digested) with its first ``count`` rows made
+    into ``status: error`` rows, as a transport failure leaves them."""
+    meta, rows = read_records(responses)
+    for row in rows[:count]:
+        row.update(status="error", text="")
+    write_records(responses, rows, meta["config"], meta["kind"])
+    return [row["item_id"] for row in rows[:count]]
+
+
+def test_evaluate_majority_errored_exits_4(fx, tmp_path, capsys):
+    """Rows marked status: error are transport failures, not wrong answers:
+    with 108 of 180 errored, evaluate aborts as it does on missing responses."""
+    bench, responses = tmp_path / "bench.jsonl", tmp_path / "resp.jsonl"
+    run(["build", "hallucination", "--annotations", str(fx / "coco_50.json"), "--seed", "2", "--out", str(bench)], capsys)
+    run(["query", "--records", str(bench), "--mock", "oracle", "--out", str(responses)], capsys)
+    assert len(read_records(responses)[1]) == 180
+    _mark_errored(responses, 108)
+    report = tmp_path / "report.json"
+    code, out, err = run(["evaluate", "--records", str(bench), "--responses", str(responses), "--report", str(report)], capsys)
+    assert code == 4 and "108/180 records lack responses" in err
+    assert "108 response(s) marked status: error" in err
+    assert "All" not in out and not report.exists()
+
+
+def test_evaluate_minority_errored_tallied_as_missing(fx, tmp_path, capsys):
+    bench, responses = tmp_path / "bench.jsonl", tmp_path / "resp.jsonl"
+    report, dump = tmp_path / "report.json", tmp_path / "dump.jsonl"
+    run(["build", "hallucination", "--annotations", str(fx / "coco_50.json"), "--seed", "2", "--out", str(bench)], capsys)
+    run(["query", "--records", str(bench), "--mock", "oracle", "--out", str(responses)], capsys)
+    errored = set(_mark_errored(responses, 30))
+    code, _, err = run(
+        ["evaluate", "--records", str(bench), "--responses", str(responses), "--report", str(report), "--dump", str(dump)],
+        capsys,
+    )
+    assert code == 0 and "30 response(s) marked status: error" in err
+    payload = json.loads(report.read_text())
+    assert payload["missing"] == 30 and payload["accuracy"] == 150 / 180
+    assert {r["item_id"] for r in read_records(dump)[1] if r["missing"]} == errored
+
+
+def test_evaluate_checks_responses_digest(fx, tmp_path, capsys):
+    bench, resp = tmp_path / "bench.jsonl", tmp_path / "resp.jsonl"
+    run(["build", "hallucination", "--annotations", str(fx / "coco_50.json"), "--seed", "2", "--out", str(bench)], capsys)
+    run(["query", "--records", str(bench), "--mock", "oracle", "--out", str(resp)], capsys)
+    lines = resp.read_text().splitlines()
+    lines[1] = lines[1].replace('"text":"', '"text":"Not so. ', 1)  # the answer edited after the fact
+    resp.write_text("\n".join(lines) + "\n")
+    code, out, err = run(["evaluate", "--records", str(bench), "--responses", str(resp), "--report", str(tmp_path / "r.json")], capsys)
+    assert code == 3 and f"{resp}: records digest mismatch" in err
+    assert not (tmp_path / "r.json").exists() and not out
 
 
 def test_evaluate_dump_recount(fx, tmp_path, capsys):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coordtext.coords import ImageDims, LocationText, ReprScheme, decode_bbox
+from coordtext.coords import BBox, ImageDims, LocationText, PointLoc, ReprScheme, decode_bbox, encode_bbox, encode_point
 from coordtext.prompts import (
     DEFAULT_TEMPLATES,
     HALLUCINATION,
@@ -213,12 +213,50 @@ def test_parse_free_text_fallback():
     assert parsed.kind == "free_text" and parsed.raw == "I am not sure."
 
 
-@given(st.text(max_size=200), st.sampled_from([LOCPRED, NEGPRED, SPATIAL_DIRECT, HALLUCINATION, REVLOC]))
-@settings(max_examples=300, deadline=None)
-def test_parse_response_total(raw, expect):
-    parsed = parse_response(raw, expect, IVB, "bbox")
+SCHEMES = (ReprScheme.nfp(), IVB, ReprScheme.diga(16))
+# coordinate-like tokens of every scheme, in and out of range, and junk
+coordinate_tokens = st.one_of(
+    st.integers(-5, 300).map(str),
+    st.floats(0, 1.2).map(lambda f: f"{f:.3f}"),
+    st.sampled_from(["", "x", "1.5", "0.1234", " 7 "]),
+)
+coordinate_like = st.builds(
+    lambda before, tokens, sep, parens, after: before + ("({})" if parens else "{}").format(sep.join(tokens)) + after,
+    st.text(max_size=20), st.lists(coordinate_tokens, min_size=1, max_size=7), st.sampled_from([", ", ",", " , "]),
+    st.booleans(), st.text(max_size=20),
+)
+
+
+def located_text(scheme, form):
+    """Text around a well-formed location of ``scheme`` and ``form`` on a 512x512 image."""
+    dims = ImageDims(512, 512)
+
+    def render(before, x, y, w, h, after):
+        if form == "point":
+            loc = encode_point(PointLoc(x, y), dims, scheme)
+        else:
+            loc = encode_bbox(BBox(x, y, x + w, y + h), dims, scheme)
+        return before + loc.text + after
+
+    corner, extent = st.integers(0, 255), st.integers(1, 256)
+    return st.builds(render, st.text(max_size=20), corner, corner, extent, extent, st.text(max_size=20))
+
+
+@given(
+    st.data(),
+    st.sampled_from([LOCPRED, NEGPRED, SPATIAL_DIRECT, HALLUCINATION, REVLOC]),
+    st.sampled_from(SCHEMES),
+    st.sampled_from(["point", "bbox"]),
+)
+@settings(max_examples=600, deadline=None)
+def test_parse_response_total(data, expect, scheme, form):
+    raw = data.draw(st.text(max_size=200) | coordinate_like | located_text(scheme, form), label="raw")
+    parsed = parse_response(raw, expect, scheme, form)
     assert parsed.raw == raw
     assert parsed.kind in ("location", "negative", "side_answer", "yes_no", "free_text")
+    if parsed.kind == "location":
+        assert (parsed.location.scheme, parsed.location.form) == (scheme, form)
+        assert extract_location(parsed.location.text, scheme, form) == parsed.location
 
 
 def test_extract_location_rejects_out_of_range_bins():

@@ -1,0 +1,80 @@
+"""The shared JSON-lines reader: its line parser against json.loads, and the
+memory that verify_records holds."""
+
+import json
+import tracemalloc
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from coordtext.records import iter_rows, parse_line, read_records, verify_records, write_records
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda children: st.lists(children, max_size=4) | st.dictionaries(st.text(max_size=6), children, max_size=4),
+    max_leaves=12,
+)
+dumped = st.builds(lambda value, ascii: json.dumps(value, ensure_ascii=ascii), json_values, st.booleans())
+# Lines the scanner alone would get wrong: a BOM, lone or paired surrogate
+# escapes, an integer over the digit limit, bare constants, truncation.
+EDGE_LINES = [
+    "\ufeff{}", '"\\ud800"', '"\\udc00\\ud800"', '"\\ud83d\\ude00"', "1" * 5000, "-" + "9" * 4400,
+    "NaN", "-Infinity", "Infinity", "nan", "{", '{"a": 1', "[1,]", "", " ", "\x1c{}", "{}\u3000",
+]
+
+
+def outcome(parse, line):
+    """What a parser makes of a line: the value's repr (so that NaN equals
+    NaN and key order counts), or the exception's type and message."""
+    try:
+        return "value", repr(parse(line))
+    except Exception as exc:  # any exception json.loads raises must be raised alike
+        return type(exc), str(exc)
+
+
+@given(
+    st.one_of(
+        st.text(),
+        dumped,
+        st.tuples(st.sampled_from(["", " ", "\t", "\ufeff"]), dumped,
+                  st.sampled_from(["", " \n", "x", "{}", "1", ",", "]", "\ufeff"]) | st.text(max_size=3)).map("".join),
+        st.sampled_from(EDGE_LINES),
+    )
+)
+@settings(max_examples=500, deadline=None)
+def test_parse_line_matches_json_loads(line):
+    assert outcome(parse_line, line) == outcome(json.loads, line)
+
+
+def test_iter_rows_numbers_lines_and_skips_blanks(tmp_path):
+    path = tmp_path / "rows.jsonl"
+    path.write_text('{"record_type": "meta"}\n\n  {"a": NaN}  \n{"b": [1, 2]}\n', encoding="utf-8")
+    rows = list(iter_rows(path))
+    assert [n for n, _ in rows] == [1, 3, 4]
+    assert repr(rows[1][1]) == "{'a': nan}" and rows[2][1] == {"b": [1, 2]}
+
+
+def _peak_bytes(fn, path) -> int:
+    tracemalloc.start()
+    try:
+        fn(path)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_verify_holds_no_records(tmp_path):
+    """verify_records counts rows as they stream past: its peak stays far below
+    that of read_records, which holds every row of the same file."""
+    path = tmp_path / "big.jsonl"
+    write_records(
+        path,
+        ({"sample_id": f"s{i:05d}", "prompt": "Is the cup left of the plate?", "gt": "yes" if i % 3 else "no"}
+         for i in range(20_000)),
+        {"seed": 0},
+        "demo",
+    )
+    assert verify_records(path) == []
+    verify_peak = _peak_bytes(verify_records, path)
+    read_peak = _peak_bytes(read_records, path)
+    assert verify_peak * 20 < read_peak, (verify_peak, read_peak)

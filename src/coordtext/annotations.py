@@ -152,11 +152,14 @@ class CaptionRecord:
 
 def load_caption_records(path) -> list[CaptionRecord]:
     """Read pseudo-caption JSONL; also accepts query-response lines whose
-    item_id embeds ``{image_id}:cap:{instance_id}``."""
+    item_id embeds ``{image_id}:cap:{instance_id}``. A ``caption``,
+    ``item_id`` or ``text`` that is present but not a string is a SchemaError."""
     records = []
     for line_no, row in iter_rows(path):
         if row.get("record_type") == "meta":
             continue
+        for field in ("caption", "item_id", "text"):
+            _require(isinstance(row.get(field, ""), str), path, line_no, f"{field} is not a string")
         if "caption" in row:
             try:
                 records.append(CaptionRecord(str(row["image_id"]), str(row["instance_id"]), row["caption"]))

@@ -487,7 +487,10 @@ def cmd_fixtures(args) -> int:
 def cmd_verify(args) -> int:
     problems = []
     for path in args.files:
-        problems.extend(verify_records(path))
+        try:
+            problems.extend(verify_records(path))
+        except SchemaError as exc:
+            problems.append(f"schema error: {exc}")
     for problem in problems:
         print(problem, file=sys.stderr)
     if problems:

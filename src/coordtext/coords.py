@@ -335,6 +335,13 @@ def split_coordinate_text(text: str, scheme: ReprScheme, form: str, lenient: boo
     return tokens
 
 
+def _to_int(tok: str) -> int:
+    try:
+        return int(tok)
+    except ValueError as exc:  # more digits than int() converts
+        raise CodecError(f"coordinate token of {len(tok)} characters is too long") from exc
+
+
 def _decode_values(tokens: list[str], scheme: ReprScheme, dims: ImageDims, form: str) -> list[float]:
     """Map validated tokens back to pixel coordinates (x-axis first, alternating)."""
     if scheme.kind == "nfp":
@@ -342,7 +349,7 @@ def _decode_values(tokens: list[str], scheme: ReprScheme, dims: ImageDims, form:
         out = []
         for i, tok in enumerate(tokens):
             whole, part = tok.split(".")
-            scaled = int(whole) * scale + int(part)
+            scaled = int(whole) * scale + _to_int(part)
             if scaled > scale:
                 raise CodecError(f"normalized coordinate {tok!r} exceeds 1")
             dim = dims.width if i % 2 == 0 else dims.height
@@ -351,20 +358,20 @@ def _decode_values(tokens: list[str], scheme: ReprScheme, dims: ImageDims, form:
     if scheme.kind == "ivb":
         out = []
         for i, tok in enumerate(tokens):
-            k = int(tok)
+            k = _to_int(tok)
             if not 0 <= k < scheme.n_bins:
                 raise CodecError(f"bin index {tok!r} outside [0, {scheme.n_bins - 1}]")
             dim = dims.width if i % 2 == 0 else dims.height
             out.append((2 * k + 1) * dim / (2 * scheme.n_bins))
         return out
     # diga: anchor indices then deviations; work with doubled ordinates to stay integral
-    pi, qi = int(tokens[0]), int(tokens[1])
+    pi, qi = _to_int(tokens[0]), _to_int(tokens[1])
     for name, idx in (("column", pi), ("row", qi)):
         if not 0 <= idx < scheme.grid:
             raise CodecError(f"anchor {name} index {idx} outside [0, {scheme.grid - 1}]")
     acx2 = (2 * pi + 1) * scheme.patch
     acy2 = (2 * qi + 1) * scheme.patch
-    devs = [2 * int(t) for t in tokens[2:]]
+    devs = [2 * _to_int(t) for t in tokens[2:]]
     side = scheme.square_side
     if form == "point":
         doubled = [acx2 + devs[0], acy2 + devs[1]]
@@ -373,7 +380,10 @@ def _decode_values(tokens: list[str], scheme: ReprScheme, dims: ImageDims, form:
     out = []
     for i, v in enumerate(doubled):
         dim = dims.width if i % 2 == 0 else dims.height
-        out.append(v * dim / (2 * side))
+        try:
+            out.append(v * dim / (2 * side))
+        except OverflowError as exc:
+            raise CodecError("diga deviation too large to decode") from exc
     return out
 
 

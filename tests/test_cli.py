@@ -676,6 +676,26 @@ def test_video_detections_wrong_type_is_schema_error(fx, tmp_path, capsys, args)
         assert code == 3 and f"{bad}: line 1: {message}" in err, first
 
 
+# first lines of a captions file whose fields have the wrong type, and the message
+BAD_CAPTION_LINES = [
+    ('{"item_id": 5, "text": "a cup"}', "item_id is not a string"),
+    ('{"item_id": "1:cap:2", "text": 5}', "text is not a string"),
+    ('{"image_id": "1", "instance_id": "2", "caption": 5}', "caption is not a string"),
+]
+
+
+def test_caption_field_wrong_type_is_schema_error(fx, tmp_path, capsys):
+    bad = tmp_path / "captions.jsonl"
+    rest = (fx / "captions_50.jsonl").read_bytes().split(b"\n", 1)[1]
+    argv = ["build", "ift", "--annotations", str(fx / "coco_50.json"), "--captions", str(bad),
+            "--out", str(tmp_path / "out.jsonl")]
+    for first, message in BAD_CAPTION_LINES:
+        bad.write_bytes(first.encode() + b"\n" + rest)
+        code, _, err = run(argv, capsys)
+        assert code == 3 and f"{bad}: line 1: {message}" in err, first
+    assert not (tmp_path / "out.jsonl").exists()
+
+
 @pytest.mark.parametrize(
     "corrupt, message",
     [(b'[1, 2]\n', "line 2: not a JSON object"), (b'{"text": "\xff"}\n', "not valid UTF-8")],
@@ -687,6 +707,22 @@ def test_verify_rejects_corrupt_lines(spatial_run, tmp_path, capsys, corrupt, me
     bad.write_bytes(lines[0] + corrupt + b"".join(lines[1:]))
     code, _, err = run(["verify", str(bench), str(bad)], capsys)
     assert code == 3 and f"{bad}: " in err and message in err and f"{bench}:" not in err
+
+
+@pytest.mark.parametrize("order", ["mismatch first", "corrupt first"])
+def test_verify_reports_every_file(tmp_path, capsys, order):
+    """A corrupt line is its file's problem: the files around it are still checked."""
+    tampered, corrupt, good = tmp_path / "a.jsonl", tmp_path / "b.jsonl", tmp_path / "c.jsonl"
+    for path in (tampered, corrupt, good):
+        write_records(path, [{"sample_id": "s", "text": "x"}], {"seed": 0}, "demo")
+    tampered.write_text(tampered.read_text().replace('"text":"x"', '"text":"y"'))
+    with corrupt.open("a") as fh:
+        fh.write("[1]\n")
+    files = [tampered, corrupt] if order == "mismatch first" else [corrupt, tampered]
+    code, out, err = run(["verify", *map(str, files), str(good)], capsys)
+    problems = {tampered: f"{tampered}: records digest mismatch", corrupt: f"schema error: {corrupt}: line 3: not a JSON object"}
+    assert code == 3 and not out
+    assert err.splitlines() == [problems[path] for path in files]
 
 
 LAZY_IMPORT_CHILD = """

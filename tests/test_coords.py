@@ -6,6 +6,8 @@ from decimal import ROUND_HALF_UP, Decimal
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coordtext.coords import (
     BBox,
@@ -192,6 +194,81 @@ def test_lenient_decode_accepts_bare_tuples():
     got = decode_point(t, DIMS_512, lenient=True)
     strict = decode_point(LocationText("(4, 52)", ReprScheme.ivb(224), "point"), DIMS_512)
     assert got == strict
+
+
+# integer strings beyond what int() converts or a float holds
+HUGE_NUMBERS = ["9" * 400, "-" + "9" * 400, "1" * 5000]
+any_scheme = st.one_of(
+    st.builds(ReprScheme.nfp, st.integers(1, 6)),
+    st.builds(ReprScheme.ivb, st.integers(2, 1000)),
+    st.sampled_from([ReprScheme.diga(16), ReprScheme.diga(24)]),
+)
+any_dims = st.builds(ImageDims, st.integers(1, 8192), st.integers(1, 8192))
+junk_token = st.one_of(
+    st.sampled_from(["", "x", "1.5", "0.1234", " 7 ", "-0", "\u0663"]),
+    st.text(max_size=6),
+)
+
+
+def number_token(scheme):
+    """A token with the scheme's syntax, in range or not, huge integers included."""
+    if scheme.kind == "nfp":
+        return st.floats(0, 1.2).map(lambda f: f"{f:.{scheme.decimals}f}")
+    return st.one_of(st.integers(0, 24).map(str), st.integers(-20, 400).map(str), st.sampled_from(HUGE_NUMBERS))
+
+
+def coordinate_like(scheme, form):
+    """Tuple-like text, often with as many tokens as the scheme and form need."""
+    arity = (2 if form == "point" else 4) + (2 if scheme.kind == "diga" else 0)
+    token = st.one_of(number_token(scheme), number_token(scheme), junk_token)
+    tokens = st.one_of(st.lists(token, min_size=arity, max_size=arity), st.lists(token, max_size=7))
+    return st.builds(
+        lambda opening, values, sep, closing: opening + sep.join(values) + closing,
+        st.sampled_from(["(", "", " ( ", "(("]), tokens,
+        st.sampled_from([", ", ",", " , ", " ,\n"]), st.sampled_from([")", "", ") ", "))"]),
+    )
+
+
+def encoded_text(scheme, form):
+    """Canonical text of a random location, with or without its parentheses."""
+
+    def render(dims, fx, fy, fw, fh, bare):
+        x, y = fx * dims.width, fy * dims.height
+        if form == "point":
+            text = encode_point(PointLoc(x, y), dims, scheme).text
+        else:
+            box = BBox(x, y, min(dims.width, x + fw * dims.width), min(dims.height, y + fh * dims.height))
+            text = encode_bbox(box, dims, scheme).text
+        return text[1:-1] if bare else text
+
+    unit = st.floats(0, 1)
+    return st.builds(render, any_dims, unit, unit, unit, unit, st.booleans())
+
+
+@given(st.data(), any_scheme, st.sampled_from(["point", "bbox"]), any_dims)
+@settings(max_examples=400, deadline=None)
+def test_lenient_decode_returns_location_or_codec_error(data, scheme, form, dims):
+    text = data.draw(st.one_of(st.text(max_size=40), coordinate_like(scheme, form), encoded_text(scheme, form)))
+    decode, kind = (decode_point, PointLoc) if form == "point" else (decode_bbox, BBox)
+    try:
+        loc = decode(LocationText(text, scheme, form), dims, lenient=True)
+    except CodecError:
+        return
+    assert isinstance(loc, kind)
+
+
+@pytest.mark.parametrize(
+    "scheme, text",
+    [
+        (ReprScheme.ivb(224), "(" + "1" * 5000 + ", 2)"),
+        (ReprScheme.diga(16), "(0, 0, " + "9" * 400 + ", 0)"),
+        (ReprScheme.diga(16), "(0, 0, -" + "9" * 400 + ", 0)"),
+    ],
+    ids=["ivb 5000 digits", "diga deviation 1e400", "diga deviation -1e400"],
+)
+def test_decode_rejects_unconvertible_numbers(scheme, text):
+    with pytest.raises(CodecError, match="too long|too large"):
+        decode_point(LocationText(text, scheme, "point"), DIMS_512)
 
 
 # ---------------- invariants ---------------- #

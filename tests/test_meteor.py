@@ -3,10 +3,19 @@
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from coordtext.meteor import align, count_chunks, porter_stem, score_meteor, tokenize
+from coordtext.meteor import (
+    _STEP2_RULES,
+    _STEP3_RULES,
+    _STEP4_SUFFIXES,
+    align,
+    count_chunks,
+    porter_stem,
+    score_meteor,
+    tokenize,
+)
 
 # classic suffix-stripping vectors
 STEM_VECTORS = {
@@ -94,6 +103,163 @@ def test_cached_porter_stem_matches_uncached(word):
     first = porter_stem(word)
     assert porter_stem(word) == first
     assert first == porter_stem.__wrapped__(word)
+
+
+# ---------------- reference kernel ---------------- #
+# The letter-at-a-time stemmer and the quadratic aligner, kept as written
+# before the consonant/vowel pattern and the position lists replaced them.
+
+
+def _ref_is_consonant(word: str, i: int) -> bool:
+    ch = word[i]
+    if ch in "aeiou":
+        return False
+    if ch == "y":
+        return i == 0 or not _ref_is_consonant(word, i - 1)
+    return True
+
+
+def _ref_measure(stem: str) -> int:
+    m = 0
+    prev_consonant = None
+    for i in range(len(stem)):
+        consonant = _ref_is_consonant(stem, i)
+        if prev_consonant is False and consonant:
+            m += 1
+        prev_consonant = consonant
+    return m
+
+
+def _ref_has_vowel(stem: str) -> bool:
+    return any(not _ref_is_consonant(stem, i) for i in range(len(stem)))
+
+
+def _ref_ends_double_consonant(word: str) -> bool:
+    return len(word) >= 2 and word[-1] == word[-2] and _ref_is_consonant(word, len(word) - 1)
+
+
+def _ref_ends_cvc(word: str) -> bool:
+    if len(word) < 3:
+        return False
+    return (
+        _ref_is_consonant(word, len(word) - 3)
+        and not _ref_is_consonant(word, len(word) - 2)
+        and _ref_is_consonant(word, len(word) - 1)
+        and word[-1] not in "wxy"
+    )
+
+
+def reference_porter_stem(word: str) -> str:
+    if len(word) <= 2:
+        return word
+    w = word
+    if w.endswith("sses"):
+        w = w[:-2]
+    elif w.endswith("ies"):
+        w = w[:-2]
+    elif not w.endswith("ss") and w.endswith("s"):
+        w = w[:-1]
+    if w.endswith("eed"):
+        if _ref_measure(w[:-3]) > 0:
+            w = w[:-1]
+    else:
+        stripped = None
+        if w.endswith("ed") and _ref_has_vowel(w[:-2]):
+            stripped = w[:-2]
+        elif w.endswith("ing") and _ref_has_vowel(w[:-3]):
+            stripped = w[:-3]
+        if stripped is not None:
+            w = stripped
+            if w.endswith(("at", "bl", "iz")):
+                w += "e"
+            elif _ref_ends_double_consonant(w) and w[-1] not in "lsz":
+                w = w[:-1]
+            elif _ref_measure(w) == 1 and _ref_ends_cvc(w):
+                w += "e"
+    if w.endswith("y") and _ref_has_vowel(w[:-1]):
+        w = w[:-1] + "i"
+    for suffix, replacement in _STEP2_RULES:
+        if w.endswith(suffix):
+            if _ref_measure(w[: -len(suffix)]) > 0:
+                w = w[: -len(suffix)] + replacement
+            break
+    for suffix, replacement in _STEP3_RULES:
+        if w.endswith(suffix):
+            if _ref_measure(w[: -len(suffix)]) > 0:
+                w = w[: -len(suffix)] + replacement
+            break
+    for suffix in _STEP4_SUFFIXES:
+        if w.endswith(suffix):
+            if _ref_measure(w[: -len(suffix)]) > 1:
+                w = w[: -len(suffix)]
+            break
+    else:
+        if w.endswith("ion") and len(w) > 3 and w[-4] in "st" and _ref_measure(w[:-3]) > 1:
+            w = w[:-3]
+    if w.endswith("e"):
+        m = _ref_measure(w[:-1])
+        if m > 1 or (m == 1 and not _ref_ends_cvc(w[:-1])):
+            w = w[:-1]
+    if _ref_ends_double_consonant(w) and w[-1] == "l" and _ref_measure(w) > 1:
+        w = w[:-1]
+    return w
+
+
+def reference_align(reference_tokens: list[str], hypothesis_tokens: list[str]) -> list[tuple[int, int]]:
+    matched_ref: set[int] = set()
+    pairs: dict[int, int] = {}
+
+    def run_stage(key):
+        ref_keys = [key(t) for t in reference_tokens]
+        for hi, token in enumerate(hypothesis_tokens):
+            if hi in pairs:
+                continue
+            needle = key(token)
+            for ri, ref_key in enumerate(ref_keys):
+                if ri not in matched_ref and ref_key == needle:
+                    pairs[hi] = ri
+                    matched_ref.add(ri)
+                    break
+
+    run_stage(lambda t: t)
+    run_stage(reference_porter_stem)
+    return sorted(pairs.items())
+
+
+SUFFIXES = sorted(
+    {suffix for suffix, _ in _STEP2_RULES + _STEP3_RULES}
+    | set(_STEP4_SUFFIXES)
+    | {"s", "ed", "ing", "eed", "y", "ll", "ion", "sion", "tion", "sses", "ies"}
+)
+plain_word = st.text(alphabet="abcdefghijklmnopqrstuvwxyz", max_size=14)
+suffixed_word = st.builds(
+    lambda stem, suffixes, ys: stem + ys + "".join(suffixes),
+    st.text(alphabet="aeiouybcdlmnrst", max_size=8),
+    st.lists(st.sampled_from(SUFFIXES), min_size=1, max_size=3),
+    st.sampled_from(["", "y", "yy"]),
+)
+
+
+@given(st.one_of(plain_word, suffixed_word))
+@settings(max_examples=1000, deadline=None)
+def test_porter_stem_matches_reference(word):
+    assert porter_stem.__wrapped__(word) == reference_porter_stem(word)
+
+
+# inflected forms share stems, so the stem stage has several candidates to choose from
+VOCABULARY = [
+    "cat", "cats", "run", "runs", "running", "ran", "happy", "happiness", "happily",
+    "relate", "related", "relational", "sky", "skies", "connect", "connected",
+    "connection", "a", "the", "red", "reds",
+]
+token_list = st.lists(st.sampled_from(VOCABULARY), max_size=10)
+
+
+@given(token_list, token_list)
+@example(["cat", "cats", "cat", "run", "runs"], ["cats", "cat", "cat", "running", "runs", "run"])
+@settings(max_examples=600, deadline=None)
+def test_align_matches_reference(reference, hypothesis):
+    assert align(reference, hypothesis) == reference_align(reference, hypothesis)
 
 
 # ---------------- independent alignment oracle ---------------- #

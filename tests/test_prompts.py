@@ -263,6 +263,17 @@ def test_extract_location_rejects_out_of_range_bins():
     assert extract_location("at (999, 999)", IVB, "point") is None
 
 
+@pytest.mark.parametrize(
+    "scheme, huge, valid",
+    [(IVB, "(" + "1" * 5000 + ", 2)", "(4, 5)"), (ReprScheme.diga(16), "(0, 0, " + "9" * 400 + ", 0)", "(4, 5, 1, 2)")],
+    ids=["5000-digit bin", "1e400 deviation"],
+)
+def test_parse_response_skips_unconvertible_tuple(scheme, huge, valid):
+    """A tuple whose numbers int() or a float cannot hold is skipped like any invalid one."""
+    parsed = parse_response(f"first {huge}, then {valid}", LOCPRED, scheme, "point")
+    assert parsed.kind == "location" and parsed.location.text == valid
+
+
 def test_render_parse_closed_loop():
     dims = ImageDims(512, 512)
     from coordtext.coords import BBox, decode_point, encode_bbox, encode_point, PointLoc

@@ -486,13 +486,19 @@ def cmd_fixtures(args) -> int:
 
 def cmd_verify(args) -> int:
     problems = []
+    unreadable = False
     for path in args.files:
         try:
             problems.extend(verify_records(path))
         except SchemaError as exc:
             problems.append(f"schema error: {exc}")
+        except OSError as exc:
+            unreadable = True
+            problems.append(_os_error_text(exc))
     for problem in problems:
         print(problem, file=sys.stderr)
+    if unreadable:
+        return EXIT_IO
     if problems:
         return EXIT_SCHEMA
     print(f"verified {len(args.files)} file(s)")
@@ -622,6 +628,12 @@ def _iter_parsers(parser):
                     yield from _iter_parsers(child)
 
 
+def _os_error_text(exc: OSError) -> str:
+    if isinstance(exc, FileNotFoundError):
+        return f"cannot read {exc.filename}: {exc.strerror}"
+    return f"i/o error: {exc}"
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     argv = list(sys.argv[1:] if argv is None else argv)
@@ -649,11 +661,8 @@ def main(argv=None) -> int:
     except (CodecError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ARGS
-    except FileNotFoundError as exc:
-        print(f"cannot read {exc.filename}: {exc.strerror}", file=sys.stderr)
-        return EXIT_IO
     except OSError as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
+        print(_os_error_text(exc), file=sys.stderr)
         return EXIT_IO
 
 

@@ -379,11 +379,12 @@ def _decode_values(tokens: list[str], scheme: ReprScheme, dims: ImageDims, form:
         doubled = [acx2 - devs[0], acy2 - devs[1], acx2 + devs[2], acy2 + devs[3]]
     out = []
     for i, v in enumerate(doubled):
+        # The encoder rounds each deviation to a whole pixel of the square, so an
+        # ordinate it wrote lies at most half a pixel (1 doubled) outside [0, side].
+        if not -1 <= v <= 2 * side + 1:
+            raise CodecError(f"diga deviation too large: an ordinate falls outside the {side}-pixel square")
         dim = dims.width if i % 2 == 0 else dims.height
-        try:
-            out.append(v * dim / (2 * side))
-        except OverflowError as exc:
-            raise CodecError("diga deviation too large to decode") from exc
+        out.append(min(max(v, 0), 2 * side) * dim / (2 * side))
     return out
 
 

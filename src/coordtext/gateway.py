@@ -12,8 +12,9 @@ They are in-process transports on the same ``query_batch`` path as real
 models, answering each request from its dataset record. The sampling
 configuration is transmitted with every request but never applied locally;
 generation happens inside the external model. ``HttpTransport`` speaks
-HTTP through the standard library's ``http.client``, which it imports on
-construction, so the mock and file-batch paths never load it.
+HTTP/1.1 itself over pooled ``socket`` connections, importing ``socket`` (and
+``ssl`` for ``https``) on construction, so the mock and file-batch paths
+never load them.
 """
 
 import hashlib
@@ -22,7 +23,6 @@ import random as random_module
 import re
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from urllib.parse import urlsplit
@@ -74,32 +74,156 @@ def _error(request: ModelRequest, detail: str) -> ModelResponse:
     return ModelResponse(request.request_id, "", status="error", error_detail=detail)
 
 
+# http.client's limits on a reply's header: bytes per line, and lines
+_MAX_LINE = 65536
+_MAX_HEADERS = 100
+_STATUS_RE = re.compile(rb"HTTP/1\.(\d) +(\d{3})(?: [^\r\n]*)?\r?\n")
+_CHUNK_SIZE_RE = re.compile(rb"[0-9A-Fa-f]+")
+_READ_PIECE = 1 << 20  # a huge Content-Length is read piece by piece, never preallocated
+
+
+class _WireError(Exception):
+    """A reply that breaks HTTP/1.1 framing: bad status line or header, or cut short."""
+
+
+class _NoReply(Exception):
+    """The connection was reset, or closed, before any byte of a reply."""
+
+
+def _read_line(reader, what: str) -> bytes:
+    line = reader.readline(_MAX_LINE + 1)
+    if len(line) > _MAX_LINE:
+        raise _WireError(f"{what} longer than {_MAX_LINE} bytes")
+    if not line.endswith(b"\n"):
+        raise _WireError(f"reply cut short in its {what}")
+    return line
+
+
+def _read_headers(reader) -> dict[str, str]:
+    """Header (or chunked trailer) lines up to the blank line; returns the
+    lower-cased names of the ones framing depends on, repeats joined by ", "."""
+    headers: dict[str, str] = {}
+    name = None
+    for _ in range(_MAX_HEADERS + 1):
+        line = _read_line(reader, "header line")
+        if line in (b"\r\n", b"\n"):
+            return headers
+        if line[:1] in (b" ", b"\t"):  # obsolete folding continues the previous header
+            if name in headers:
+                headers[name] = f"{headers[name]} {line.strip().decode('latin-1')}".strip()
+            continue
+        raw_name, sep, value = line.partition(b":")
+        if not sep or not raw_name.strip():
+            raise _WireError(f"malformed header line {line[:80]!r}")
+        name = raw_name.strip().decode("latin-1").lower()
+        if name in ("connection", "content-length", "transfer-encoding"):
+            value_text = value.strip().decode("latin-1")
+            headers[name] = f"{headers[name]}, {value_text}" if name in headers else value_text
+    raise _WireError(f"more than {_MAX_HEADERS} header lines")
+
+
+def _read_exact(reader, size: int) -> bytes:
+    pieces = []
+    while size > 0:
+        piece = reader.read(min(size, _READ_PIECE))
+        if not piece:
+            raise _WireError(f"reply body cut short, {size} bytes missing")
+        pieces.append(piece)
+        size -= len(piece)
+    return b"".join(pieces)
+
+
+def _read_chunked(reader) -> bytes:
+    pieces = []
+    while True:
+        size_text = _read_line(reader, "chunk size line").split(b";", 1)[0].strip()
+        if not _CHUNK_SIZE_RE.fullmatch(size_text):
+            raise _WireError(f"malformed chunk size {size_text[:80]!r}")
+        size = int(size_text, 16)
+        if size == 0:
+            _read_headers(reader)  # trailers, ignored
+            return b"".join(pieces)
+        pieces.append(_read_exact(reader, size))
+        if _read_line(reader, "chunk ending") not in (b"\r\n", b"\n"):
+            raise _WireError("chunk data longer than its size")
+
+
+def _read_reply(reader, status_line: bytes) -> tuple[int, bytes, bool]:
+    """Read one reply whose first line has been read; returns (status, body,
+    whether the connection may carry another request)."""
+    while True:
+        match = _STATUS_RE.fullmatch(status_line) if len(status_line) <= _MAX_LINE else None
+        status = int(match[2]) if match else 0
+        if status < 100:
+            raise _WireError(f"malformed status line {status_line[:80]!r}")
+        headers = _read_headers(reader)
+        if status >= 200:
+            break
+        status_line = _read_line(reader, "status line")  # after an interim 1xx reply
+    connection = headers.get("connection", "").lower()
+    keep = "close" not in connection and (match[1] != b"0" or "keep-alive" in connection)
+    if "transfer-encoding" in headers:
+        if headers["transfer-encoding"].lower() != "chunked":
+            raise _WireError(f"unsupported transfer-encoding {headers['transfer-encoding']!r}")
+        body = _read_chunked(reader)
+    elif status in (204, 304):
+        body = b""
+    elif "content-length" in headers:
+        length = headers["content-length"]
+        if not length.isdigit() or not length.isascii():
+            raise _WireError(f"malformed content-length {length!r}")
+        body = _read_exact(reader, int(length))
+    else:
+        body, keep = reader.read(), False
+    return status, body, keep
+
+
+def _close(connection) -> None:
+    sock, reader = connection
+    reader.close()
+    sock.close()
+
+
 class HttpTransport:
     """POST each request as JSON to a single endpoint; one reply per request.
 
-    Speaks HTTP/1.1 through the standard library's ``http.client``. Idle
-    keep-alive connections wait in a lock-guarded list: ``send`` takes one,
-    or opens one, and puts it back after a complete reply unless the server
-    said it will close it, so each request in flight holds one connection.
-    Proxy settings in the environment are not read, redirects are not
-    followed and the URL may hold no credentials; ``https`` endpoints are
-    verified by ``ssl``'s default context.
+    Speaks HTTP/1.1 over ``socket`` connections, wrapped by ``ssl`` for
+    ``https`` endpoints, whose certificates are verified by ``ssl``'s default
+    context. Each request is one write; each reply is framed by chunked
+    transfer coding, then by Content-Length, and otherwise runs to the end of
+    the connection (a 204 or 304 has no body). Idle keep-alive connections
+    wait in a lock-guarded list: ``send`` takes one, or opens one, and puts it
+    back after a complete reply unless the server said it will close it, so
+    each request in flight holds one connection. Proxy settings in the
+    environment are not read, redirects are not followed and the URL may
+    hold no credentials.
     """
 
     def __init__(self, endpoint: str, timeout: float = 30.0):
-        import http.client
+        import socket
 
         parts = urlsplit(endpoint)
-        connection_classes = {"http": http.client.HTTPConnection, "https": http.client.HTTPSConnection}
-        if parts.scheme not in connection_classes or not parts.hostname:
+        if parts.scheme not in ("http", "https") or not parts.hostname:
             raise ValueError(f"endpoint {endpoint!r} is not an http:// or https:// URL")
         if parts.username is not None:
             raise ValueError("credentials in the endpoint URL are not supported")
+        target = (parts.path or "/") + (f"?{parts.query}" if parts.query else "")
+        if re.search(r"[^\x21-\x7e]", parts.netloc + target):  # not printable ASCII
+            raise ValueError(f"endpoint {endpoint!r} holds characters a request line cannot carry")
         self.endpoint = endpoint
         self.timeout = timeout
-        self._connection_class = connection_classes[parts.scheme]
-        self._host, self._port = parts.hostname, parts.port
-        self._target = (parts.path or "/") + (f"?{parts.query}" if parts.query else "")
+        self._socket = socket
+        self._ssl_context = None
+        if parts.scheme == "https":
+            import ssl
+
+            self._ssl_context = ssl.create_default_context()
+        self._host = parts.hostname
+        self._address = (parts.hostname, parts.port or (443 if parts.scheme == "https" else 80))
+        self._head = (
+            f"POST {target} HTTP/1.1\r\nHost: {parts.netloc}\r\nAccept-Encoding: identity\r\n"
+            "Content-Type: application/json\r\nContent-Length: "
+        ).encode("ascii")
         self._idle = []
         self._lock = threading.Lock()
 
@@ -107,12 +231,32 @@ class HttpTransport:
         """Close every idle connection; a later ``send`` opens new ones."""
         with self._lock:
             idle, self._idle = self._idle, []
-        for conn in idle:
-            conn.close()
+        for connection in idle:
+            _close(connection)
+
+    def _connect(self):
+        sock = self._socket.create_connection(self._address, self.timeout)
+        try:
+            sock.setsockopt(self._socket.IPPROTO_TCP, self._socket.TCP_NODELAY, 1)
+            if self._ssl_context is not None:
+                sock = self._ssl_context.wrap_socket(sock, server_hostname=self._host)
+        except OSError:
+            sock.close()
+            raise
+        return sock, sock.makefile("rb")
+
+    def _exchange(self, connection, message: bytes) -> tuple[int, bytes, bool]:
+        sock, reader = connection
+        try:
+            sock.sendall(message)
+            status_line = reader.readline(_MAX_LINE + 1)
+        except (ConnectionResetError, BrokenPipeError) as exc:
+            raise _NoReply(f"{type(exc).__name__}: {exc}") from exc
+        if not status_line:
+            raise _NoReply("server closed the connection without a reply")
+        return _read_reply(reader, status_line)
 
     def send(self, request: ModelRequest, cfg: SamplingConfig) -> ModelResponse:
-        import http.client
-
         payload = {
             "request_id": request.request_id,
             "media_ref": request.media_ref,
@@ -120,36 +264,37 @@ class HttpTransport:
             "sampling": cfg.to_dict(),
         }
         body = json.dumps(payload).encode("utf-8")
+        message = b"%s%d\r\n\r\n%s" % (self._head, len(body), body)
         with self._lock:
-            conn = self._idle.pop() if self._idle else None
-        reused = conn is not None
+            connection = self._idle.pop() if self._idle else None
+        reused = connection is not None
         while True:
-            if conn is None:
-                conn = self._connection_class(self._host, self._port, timeout=self.timeout)
-            reply = None
             try:
-                conn.request("POST", self._target, body, {"Content-Type": "application/json"})
-                reply = conn.getresponse()
-                data = reply.read()
+                if connection is None:
+                    connection = self._connect()
+                status, data, keep = self._exchange(connection, message)
                 break
-            except (OSError, http.client.HTTPException) as exc:
-                conn.close()
-                # A reused connection that fails before any status line
-                # (RemoteDisconnected is a ConnectionResetError) was closed by
-                # the server while idle: try once more on a new connection.
-                if reused and reply is None and isinstance(exc, (ConnectionResetError, BrokenPipeError)):
-                    conn, reused = None, False
+            except _NoReply as exc:
+                _close(connection)
+                # A reused connection that fails before any byte of a reply was
+                # closed by the server while idle: try once more on a new one.
+                if reused:
+                    connection, reused = None, False
                     continue
+                raise TransientTransportError(str(exc)) from exc
+            except (OSError, _WireError) as exc:
+                if connection is not None:
+                    _close(connection)
                 raise TransientTransportError(f"{type(exc).__name__}: {exc}") from exc
-        if reply.will_close:
-            conn.close()
-        else:
+        if keep:
             with self._lock:
-                self._idle.append(conn)
-        if reply.status >= 500:
-            raise TransientTransportError(f"server error {reply.status}")
-        if reply.status != 200:
-            raise ValueError(f"request rejected with status {reply.status}")
+                self._idle.append(connection)
+        else:
+            _close(connection)
+        if status >= 500:
+            raise TransientTransportError(f"server error {status}")
+        if status != 200:
+            raise ValueError(f"request rejected with status {status}")
         try:
             answer = json.loads(data)
         except ValueError as exc:  # not JSON, or not UTF-8
@@ -258,9 +403,11 @@ def query_batch(
 ) -> list[ModelResponse]:
     """One response per request, order-aligned, retrying transient failures.
 
-    Each request is attempted up to ``attempts`` times with exponential
-    backoff; failures become per-request error responses, never exceptions,
-    so a batch always completes.
+    A transport with ``send_batch`` answers the whole batch itself. Otherwise
+    ``min(max_inflight, len(requests_))`` worker threads each send one request
+    at a time, and each request is attempted up to ``attempts`` times with
+    exponential backoff; failures become per-request error responses, never
+    exceptions, so a batch always completes.
     """
     if not requests_:
         raise ValueError("empty batch")
@@ -290,12 +437,36 @@ def query_batch(
                 return _error(request, str(exc))
         return _error(request, f"gave up after {attempts} attempts: {last}")
 
+    # Workers take the next request from one shared iterator until none is left,
+    # so a batch costs a thread per slot in flight, not a future per request.
+    results: list[ModelResponse | None] = [None] * len(requests_)
+    pending = enumerate(requests_)
+    pending_lock = threading.Lock()
+    failures = []
+
+    def worker() -> None:
+        try:
+            while True:
+                with pending_lock:
+                    index, request = next(pending, (None, None))
+                if request is None:
+                    return
+                results[index] = send_one(request)
+        except BaseException as exc:  # re-raised by the caller's thread below
+            failures.append(exc)
+
+    workers = [threading.Thread(target=worker, daemon=True) for _ in range(min(max(1, max_inflight), len(requests_)))]
     try:
-        with ThreadPoolExecutor(max_workers=max(1, max_inflight)) as pool:
-            return list(pool.map(send_one, requests_))
+        for thread in workers:
+            thread.start()
+        for thread in workers:
+            thread.join()
     finally:
         if hasattr(transport, "close"):
             transport.close()
+    if failures:
+        raise failures[0]
+    return results
 
 
 # ---------------- mock models ---------------- #

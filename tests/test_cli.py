@@ -64,6 +64,11 @@ def test_decode_malformed_text_exits_2(capsys):
     assert code == 2 and "cat" in err
 
 
+def test_decode_diga_deviation_outside_square_exits_2(capsys):
+    code, out, err = run(["decode", "--scheme", "diga", "--form", "point", "--dims", "10x10", "--text", "(0, 0, 99999, 0)"], capsys)
+    assert code == 2 and not out and "diga deviation too large" in err
+
+
 # ---------------- build ---------------- #
 
 
@@ -725,13 +730,23 @@ def test_verify_reports_every_file(tmp_path, capsys, order):
     assert err.splitlines() == [problems[path] for path in files]
 
 
+def test_verify_checks_files_after_one_it_cannot_read(tmp_path, capsys):
+    good, missing, tampered = tmp_path / "a.jsonl", tmp_path / "missing.jsonl", tmp_path / "c.jsonl"
+    for path in (good, tampered):
+        write_records(path, [{"sample_id": "s", "text": "x"}], {"seed": 0}, "demo")
+    tampered.write_text(tampered.read_text().replace('"text":"x"', '"text":"y"'))
+    code, out, err = run(["verify", str(good), str(missing), str(tampered)], capsys)
+    assert code == 1 and not out
+    assert err.splitlines() == [f"cannot read {missing}: No such file or directory", f"{tampered}: records digest mismatch"]
+
+
 LAZY_IMPORT_CHILD = """
 import sys
 
 from coordtext.cli import main
 
 fx, out = sys.argv[1], sys.argv[2]
-heavy = {"numpy", "requests", "http.client"}
+heavy = {"numpy", "requests", "http.client", "socket"}
 assert not heavy & set(sys.modules), "import coordtext.cli"
 for args in (
     ["build", "spatial-bench", "--annotations", fx + "/coco_50.json", "--out", out + "/bench.jsonl"],
@@ -745,7 +760,7 @@ for args in (
 from coordtext.gateway import HttpTransport
 
 HttpTransport("http://127.0.0.1:9/")
-assert "http.client" in sys.modules and not {"numpy", "requests"} & set(sys.modules), "HttpTransport"
+assert "socket" in sys.modules and not {"numpy", "requests", "http.client"} & set(sys.modules), "HttpTransport"
 
 assert main(["build", "video-static", "--videos", fx + "/videos.jsonl", "--out", out + "/tracks.jsonl"]) == 0
 assert "numpy" in sys.modules
@@ -757,14 +772,14 @@ from coordtext.pooling import spatiotemporal_pool
 boxes = panoptic_to_bboxes(load_label_grid(fx + "/panoptic.grid.txt"), load_instance_categories(fx + "/panoptic.categories.json"))
 assert boxes.instances
 assert spatiotemporal_pool([[[1.0]], [[3.0]]]).tolist() == [[2.0], [1.0], [3.0]]
-assert "requests" not in sys.modules
+assert not {"requests", "http.client"} & set(sys.modules)
 """
 
 
 def test_pipeline_stages_load_neither_numpy_nor_requests(fx, tmp_path):
     """build, query --mock, evaluate and verify load neither numpy nor
-    http.client; the paths that need them load them on first use, and no
-    path loads requests."""
+    socket; the paths that need them load them on first use, and no path
+    loads requests or http.client."""
     proc = subprocess.run(
         [sys.executable, "-c", LAZY_IMPORT_CHILD, str(fx), str(tmp_path)],
         capture_output=True,

@@ -32,7 +32,7 @@ GOLDEN_BOX = BBox(10, 120, 30, 145)
 GOLDEN_POINT = PointLoc(20, 132.5)
 
 SWEEP_DIMS = [ImageDims(224, 224), ImageDims(336, 336), ImageDims(512, 512), ImageDims(640, 480)]
-SCHEMES = [ReprScheme.nfp(), ReprScheme.ivb(224), ReprScheme.diga(16)]
+SCHEMES = [ReprScheme.nfp(), ReprScheme.ivb(224), ReprScheme.diga(16), ReprScheme.diga(16, 21)]
 
 
 # ---------------- independent oracles ---------------- #

@@ -2,6 +2,8 @@
 
 import json
 import math
+import socketserver
+import sys
 import threading
 import time
 from contextlib import contextmanager
@@ -231,7 +233,11 @@ def test_http_malformed_reply_is_per_request_error(reply, message):
 
 @pytest.mark.parametrize(
     "endpoint, message",
-    [("ftp://x/", "not an http:// or https:// URL"), ("http://user:pw@x/", "credentials in the endpoint URL")],
+    [
+        ("ftp://x/", "not an http:// or https:// URL"),
+        ("http://user:pw@x/", "credentials in the endpoint URL"),
+        ("http://x/a b", "characters a request line cannot carry"),
+    ],
 )
 def test_http_transport_rejects_unsupported_endpoints(endpoint, message):
     with pytest.raises(ValueError, match=message):
@@ -246,6 +252,148 @@ def test_query_batch_closes_http_connections():
         while server.open and time.monotonic() < deadline:
             time.sleep(0.01)
         assert server.open == 0 and server.connections >= 1
+
+
+# ---------------- HTTP wire edge cases ---------------- #
+
+
+class _RawHandler(socketserver.StreamRequestHandler):
+    """Reads POSTs off one connection and writes ``server.reply(body)``'s bytes
+    verbatim; bytes that do not open a POST (a TLS handshake, say) get a bare
+    400 and a close."""
+
+    def handle(self):
+        with self.server.lock:
+            self.server.connections += 1
+        while (start := self.rfile.read(5)) == b"POST ":
+            length = 0
+            while (line := self.rfile.readline(65537)) not in (b"\r\n", b"\n", b""):
+                name, _, value = line.partition(b":")
+                if name.strip().lower() == b"content-length":
+                    length = int(value)
+            body = json.loads(self.rfile.read(length))
+            with self.server.lock:
+                self.server.attempts.append(body["request_id"])
+            reply, close = self.server.reply(body)
+            self.wfile.write(reply)
+            if close:
+                return
+        if start:
+            self.wfile.write(b"HTTP/1.1 400 Bad Request\r\nContent-Length: 0\r\nConnection: close\r\n\r\n")
+
+
+@contextmanager
+def raw_http_server(reply):
+    """A server on 127.0.0.1 answering each POST with ``reply(body)``: (raw
+    reply bytes, whether to close the connection after them). Yields
+    (endpoint, server); the server counts connections and lists the request
+    id of every attempt."""
+    server = socketserver.ThreadingTCPServer(("127.0.0.1", 0), _RawHandler)
+    server.daemon_threads = True
+    server.reply, server.lock, server.connections, server.attempts = reply, threading.Lock(), 0, []
+    thread = threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.01}, daemon=True)
+    thread.start()
+    try:
+        yield f"http://127.0.0.1:{server.server_address[1]}/", server
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+
+
+def _answer(body) -> bytes:
+    return json.dumps({"request_id": body["request_id"], "text": "wire:" + body["prompt"]}).encode()
+
+
+def _chunked(body):
+    data = _answer(body)
+    chunks = b"".join(b"%x;ext=1\r\n%s\r\n" % (len(part), part) for part in (data[:7], data[7:]))
+    return b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\nContent-Length: 3\r\n\r\n" + chunks + b"0\r\nX-Trailer: 1\r\n\r\n"
+
+
+def _continue_first(body):
+    data = _answer(body)
+    return b"HTTP/1.1 100 Continue\r\n\r\nHTTP/1.1 200 OK\r\nContent-Length: %d\r\n\r\n%s" % (len(data), data)
+
+
+def _connection_close(body):
+    data = _answer(body)
+    return b"HTTP/1.1 200 OK\r\nConnection: close\r\nContent-Length: %d\r\n\r\n%s" % (len(data), data)
+
+
+def _http10_to_close(body):
+    return b"HTTP/1.0 200 OK\r\nContent-Type: application/json\r\n\r\n" + _answer(body)
+
+
+@pytest.mark.parametrize(
+    "reply, close, connections",
+    [(_chunked, False, 1), (_continue_first, False, 1), (_connection_close, True, 3), (_http10_to_close, True, 3)],
+    ids=["chunked, Content-Length ignored", "100 Continue first", "Connection: close", "HTTP/1.0 read to close"],
+)
+def test_http_wire_framings(reply, close, connections):
+    """Each framing yields the reply; a connection is reused unless the reply ends it."""
+    with raw_http_server(lambda body: (reply(body), close)) as (endpoint, server):
+        out = query_batch(REQS, HttpTransport(endpoint, timeout=5), max_inflight=1, attempts=1)
+    assert [r.text for r in out] == [f"wire:prompt {i}" for i in range(3)]
+    assert server.connections == connections and server.attempts == ["r0", "r1", "r2"]
+
+
+def test_http_204_reply_is_per_request_error():
+    """A 204 carries no body, so the client does not wait for one."""
+    with raw_http_server(lambda body: (b"HTTP/1.1 204 No Content\r\n\r\n", False)) as (endpoint, server):
+        out = query_batch(REQS, HttpTransport(endpoint, timeout=5), max_inflight=1)
+    assert all(r.status == "error" and r.error_detail == "request rejected with status 204" for r in out)
+    assert server.connections == 1 and server.attempts == ["r0", "r1", "r2"]
+
+
+@pytest.mark.parametrize(
+    "reply, close",
+    [
+        (b'HTTP/1.1 200 OK\r\nContent-Length: 100\r\n\r\n{"request_id"', True),
+        (b"HTCPCP/1.0 418 I'm a teapot\r\nContent-Length: 0\r\n\r\n", False),
+        (b"HTTP/1.1 200 OK\r\nX-Pad: " + b"a" * 70_000 + b"\r\nContent-Length: 2\r\n\r\n{}", False),
+    ],
+    ids=["body cut short", "garbage status line", "oversized header line"],
+)
+def test_http_broken_reply_is_transient(reply, close):
+    with raw_http_server(lambda body: (reply, close)) as (endpoint, server):
+        out = query_batch(REQS, HttpTransport(endpoint, timeout=5), max_inflight=1, attempts=2, sleep=lambda s: None)
+    assert all(r.status == "error" and r.error_detail.startswith("gave up after 2 attempts") for r in out)
+    assert sorted(server.attempts) == ["r0", "r0", "r1", "r1", "r2", "r2"]
+
+
+def test_https_against_plain_http_port_is_per_request_error():
+    with raw_http_server(lambda body: (_connection_close(body), True)) as (endpoint, server):
+        tls = endpoint.replace("http://", "https://")
+        out = query_batch(REQS, HttpTransport(tls, timeout=5), max_inflight=2, attempts=2, sleep=lambda s: None)
+    assert all(r.status == "error" and r.error_detail.startswith("gave up after 2 attempts") for r in out)
+    assert server.attempts == [] and server.connections == 6
+
+
+def test_query_batch_workers_send_each_request_once_in_order():
+    """Eight workers share one iterator of 2,000 requests under a tiny switch
+    interval: each request is sent once and its response lands in its slot."""
+    sent = []
+
+    def answer(request, cfg):
+        sent.append(request.request_id)  # list.append is atomic
+        return ModelResponse(request.request_id, "echo:" + request.prompt)
+
+    requests = [ModelRequest(f"q{i}", "m", f"p{i}") for i in range(2000)]
+    result = []
+    old_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        runner = threading.Thread(target=lambda: result.append(query_batch(requests, CallableTransport(answer), max_inflight=8)))
+        runner.start()
+        runner.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old_interval)
+    assert not runner.is_alive()
+    (out,) = result
+    assert [(r.request_id, r.text) for r in out] == [(q.request_id, "echo:" + q.prompt) for q in requests]
+    assert sorted(sent) == sorted(q.request_id for q in requests)
 
 
 # ---------------- file-batch transport ---------------- #

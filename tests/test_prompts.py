@@ -263,6 +263,11 @@ def test_extract_location_rejects_out_of_range_bins():
     assert extract_location("at (999, 999)", IVB, "point") is None
 
 
+def test_parse_response_rejects_diga_deviation_outside_square():
+    parsed = parse_response("It is at (0, 0, 99999, 0)", LOCPRED, ReprScheme.diga(16), "point")
+    assert parsed.kind != "location"
+
+
 @pytest.mark.parametrize(
     "scheme, huge, valid",
     [(IVB, "(" + "1" * 5000 + ", 2)", "(4, 5)"), (ReprScheme.diga(16), "(0, 0, " + "9" * 400 + ", 0)", "(4, 5, 1, 2)")],

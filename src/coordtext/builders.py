@@ -529,6 +529,14 @@ class VideoObjectTrack:
     is_static: bool
 
 
+def _mean(values) -> float:
+    """Left to right, as numpy reduces a column; ``sum`` compensates floats from Python 3.12."""
+    total = 0.0
+    for value in values:
+        total += value
+    return total / len(values)
+
+
 def build_video_static_objects(
     per_frame_detections: dict[int, list[tuple[str, BBox]]],
     n_f: int = 8,
@@ -541,8 +549,6 @@ def build_video_static_objects(
     sits within STATIC_CENTER_RANGE_PX of the mean center. The averaged box
     is the coordinate-wise mean over frames where the object appears.
     """
-    import numpy as np
-
     tallies: Counter = Counter()
     by_category: dict[str, dict[int, BBox]] = {}
     ambiguous: set[str] = set()
@@ -563,21 +569,20 @@ def build_video_static_objects(
             continue
         frames = by_category[category]
         boxes = [frames[f] for f in sorted(frames)]
-        coords = np.array([b.as_tuple() for b in boxes], dtype=float)
-        avg = coords.mean(axis=0)
-        centers = np.stack([(coords[:, 0] + coords[:, 2]) / 2, (coords[:, 1] + coords[:, 3]) / 2], axis=1)
-        mean_center = centers.mean(axis=0)
-        if len(boxes) == 1:
-            is_static = True
-        else:
-            dists = np.linalg.norm(centers - mean_center, axis=1)
-            is_static = bool(np.all(dists <= STATIC_CENTER_RANGE_PX))
+        coords = [b.as_tuple() for b in boxes]
+        avg = [_mean(column) for column in zip(*coords)]
+        centers = [((x1 + x2) / 2, (y1 + y2) / 2) for x1, y1, x2, y2 in coords]
+        cx, cy = (_mean(column) for column in zip(*centers))
+        # sqrt(dx*dx + dy*dy), not math.hypot, rounds as the numpy norm the pinned digests came from
+        is_static = len(boxes) == 1 or all(
+            math.sqrt((x - cx) * (x - cx) + (y - cy) * (y - cy)) <= STATIC_CENTER_RANGE_PX for x, y in centers
+        )
         tracks.append(
             VideoObjectTrack(
                 video_id=video_id,
                 category=category,
                 per_frame_boxes=dict(sorted(frames.items())),
-                averaged_box=BBox(*avg.tolist()),
+                averaged_box=BBox(*avg),
                 is_static=is_static,
             )
         )

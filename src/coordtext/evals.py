@@ -1,9 +1,12 @@
-"""Scoring of model responses against ground truth, one scorer per task family.
+"""Scoring of model responses against ground truth, one pipeline for every task.
 
-All scorers share the same shape: a list of dataset records, a mapping of
-item id to response text, and a MetricsReport out, plus per-item records for
-exact recounting. Missing responses score as incorrect and are tallied, never
-dropped. Aggregation is order-independent.
+Scoring is pair → judge → aggregate. One loop pairs each dataset record with
+its response in sample_id order. A missing response scores incorrect (0.0 for
+a region description) and is tallied, never dropped; every other response goes
+to the task's judgement. One aggregation, ``aggregate_report``, builds each
+MetricsReport from the per-item records. It sums in item-id order, so it does
+not depend on the order of its input, and recounting a scorer's items gives
+that scorer's report bit for bit.
 """
 
 import string
@@ -13,11 +16,13 @@ from dataclasses import dataclass, field
 from .meteor import score_meteor
 from .prompts import HALLUCINATION, OPPOSITE_KEYWORD, parse_response
 
-BOOLEAN_TASKS = ("spatial", "vqa", "hallucination")
-
 
 @dataclass(frozen=True)
 class EvalRecord:
+    """One judged item. ``prediction`` is the parsed presence answer ("yes",
+    "no" or None) of a hallucination item; it is kept in memory for the
+    aggregation and is not part of ``to_dict``."""
+
     item_id: str
     task: str
     gt: str
@@ -25,6 +30,7 @@ class EvalRecord:
     correct: bool | None = None
     score: float | None = None
     missing: bool = False
+    prediction: str | None = None
 
     def __post_init__(self):
         if (self.correct is None) == (self.score is None):
@@ -78,9 +84,19 @@ def _normalize(text: str) -> str:
     return text.lower().strip().rstrip(string.punctuation + " ")
 
 
-def _sorted_records(records, responses) -> list[tuple[dict, str | None]]:
-    paired = [(rec, responses.get(rec["sample_id"])) for rec in records]
-    return sorted(paired, key=lambda pair: pair[0]["sample_id"])
+def _score(task, records, responses, gt_field, judge, flags) -> tuple[MetricsReport, list[EvalRecord]]:
+    """Pair, judge and aggregate. ``judge(gt, response)`` returns the outcome
+    fields of one answered item's EvalRecord."""
+    unanswered = {"score": 0.0} if task == "region_description" else {"correct": False}
+    items = []
+    for rec in sorted(records, key=lambda rec: rec["sample_id"]):
+        gt, response = rec[gt_field], responses.get(rec["sample_id"])
+        if response is None:
+            items.append(EvalRecord(rec["sample_id"], task, gt, "", missing=True, **unanswered))
+        else:
+            items.append(EvalRecord(rec["sample_id"], task, gt, response, **judge(gt, response)))
+    report = aggregate_report(items, flags) if items else MetricsReport(task, 0, flags=flags)
+    return report, items
 
 
 def score_spatial(records, responses: dict, strict: bool = True) -> tuple[MetricsReport, list[EvalRecord]]:
@@ -90,62 +106,23 @@ def score_spatial(records, responses: dict, strict: bool = True) -> tuple[Metric
     strict=False bare containment decides, matching the original protocol.
     Reports overall accuracy plus one split per ground-truth keyword.
     """
-    items: list[EvalRecord] = []
-    split_total: Counter = Counter()
-    split_hit: Counter = Counter()
-    missing = 0
-    for rec, response in _sorted_records(records, responses):
-        gt = rec["gt_keyword"]
-        if response is None:
-            missing += 1
-            correct = False
-            response_text = ""
-        else:
-            response_text = response
-            lowered = response.lower()
-            correct = gt in lowered
-            if strict and OPPOSITE_KEYWORD[gt] in lowered:
-                correct = False
-        split_total[gt] += 1
-        split_hit[gt] += correct
-        items.append(
-            EvalRecord(rec["sample_id"], "spatial", gt, response_text, correct=correct, missing=response is None)
-        )
-    report = MetricsReport(
-        task="spatial",
-        n=len(items),
-        accuracy=(sum(split_hit.values()) / len(items)) if items else None,
-        per_split={kw: split_hit[kw] / total for kw, total in split_total.items()},
-        missing=missing,
-        flags={"mode": "strict" if strict else "containment"},
-    )
-    return report, items
+
+    def judge(gt, response):
+        lowered = response.lower()
+        return {"correct": gt in lowered and not (strict and OPPOSITE_KEYWORD[gt] in lowered)}
+
+    flags = {"mode": "strict" if strict else "containment"}
+    return _score("spatial", records, responses, "gt_keyword", judge, flags)
 
 
 def score_keyword_vqa(records, responses: dict) -> tuple[MetricsReport, list[EvalRecord]]:
     """Top-1 accuracy by containment of the normalized answer in the response."""
-    items: list[EvalRecord] = []
-    missing = 0
-    for rec, response in _sorted_records(records, responses):
-        gt = rec["target"]
-        if response is None:
-            missing += 1
-            correct = False
-            response_text = ""
-        else:
-            response_text = response
-            correct = _normalize(gt) in _normalize(response)
-        items.append(
-            EvalRecord(rec["sample_id"], "vqa", gt, response_text, correct=correct, missing=response is None)
-        )
-    report = MetricsReport(
-        task="vqa",
-        n=len(items),
-        accuracy=(sum(r.correct for r in items) / len(items)) if items else None,
-        missing=missing,
-        flags={"normalization": "lowercase, strip terminal punctuation"},
-    )
-    return report, items
+
+    def judge(gt, response):
+        return {"correct": _normalize(gt) in _normalize(response)}
+
+    flags = {"normalization": "lowercase, strip terminal punctuation"}
+    return _score("vqa", records, responses, "target", judge, flags)
 
 
 def score_hallucination(records, responses: dict) -> tuple[MetricsReport, list[EvalRecord]]:
@@ -154,85 +131,33 @@ def score_hallucination(records, responses: dict) -> tuple[MetricsReport, list[E
     Unparseable or missing responses score incorrect; they stay in the
     yes-ratio denominator without contributing a yes.
     """
-    items: list[EvalRecord] = []
-    tp = fp = tn = fn = 0
-    yes_predictions = 0
-    missing = 0
-    for rec, response in _sorted_records(records, responses):
-        gt = rec["gt"]
-        if response is None:
-            missing += 1
-            prediction = None
-            response_text = ""
-        else:
-            response_text = response
-            parsed = parse_response(response, HALLUCINATION)
-            prediction = parsed.polarity if parsed.kind == "yes_no" else None
-        correct = prediction == gt
-        if prediction == "yes":
-            yes_predictions += 1
-            if gt == "yes":
-                tp += 1
-            else:
-                fp += 1
-        elif prediction == "no":
-            if gt == "no":
-                tn += 1
-            else:
-                fn += 1
-        elif gt == "yes":
-            fn += 1  # unparseable counts against recall of the positive class
-        items.append(
-            EvalRecord(rec["sample_id"], "hallucination", gt, response_text, correct=correct, missing=response is None)
-        )
-    n = len(items)
-    precision = tp / (tp + fp) if (tp + fp) else None
-    recall = tp / (tp + fn) if (tp + fn) else None
-    f1 = None
-    if precision is not None and recall is not None and (precision + recall) > 0:
-        f1 = 2 * precision * recall / (precision + recall)
-    report = MetricsReport(
-        task="hallucination",
-        n=n,
-        accuracy=(sum(r.correct for r in items) / n) if n else None,
-        precision=precision,
-        recall=recall,
-        f1=f1,
-        yes_ratio=(yes_predictions / n) if n else None,
-        missing=missing,
-        flags={"positive_class": "yes"},
-    )
-    return report, items
+
+    def judge(gt, response):
+        parsed = parse_response(response, HALLUCINATION)
+        prediction = parsed.polarity if parsed.kind == "yes_no" else None
+        return {"correct": prediction == gt, "prediction": prediction}
+
+    return _score("hallucination", records, responses, "gt", judge, {"positive_class": "yes"})
 
 
 def score_region_description(records, responses: dict) -> tuple[MetricsReport, list[EvalRecord]]:
     """Per-item text similarity of the response against the stored description."""
-    items: list[EvalRecord] = []
-    missing = 0
-    for rec, response in _sorted_records(records, responses):
-        reference = rec["descriptor"]
-        if response is None:
-            missing += 1
-            value = 0.0
-            response_text = ""
-        else:
-            response_text = response
-            value = score_meteor(reference, response)
-        items.append(
-            EvalRecord(rec["sample_id"], "region_description", reference, response_text, score=value, missing=response is None)
-        )
-    report = MetricsReport(
-        task="region_description",
-        n=len(items),
-        meteor_mean=(sum(r.score for r in items) / len(items)) if items else None,
-        missing=missing,
-        flags={"metric": "meteor exact+stem, fmean weight 9, penalty 0.5*(ch/m)^3"},
-    )
-    return report, items
+
+    def judge(gt, response):
+        return {"score": score_meteor(gt, response)}
+
+    flags = {"metric": "meteor exact+stem, fmean weight 9, penalty 0.5*(ch/m)^3"}
+    return _score("region_description", records, responses, "descriptor", judge, flags)
 
 
-def aggregate_report(eval_records: list[EvalRecord]) -> MetricsReport:
-    """Order-independent re-aggregation of per-item records from a single task."""
+def aggregate_report(eval_records: list[EvalRecord], flags: dict) -> MetricsReport:
+    """The MetricsReport of one task's per-item records, whatever their order.
+
+    Accuracy and its per-keyword splits for spatial; precision, recall, F1
+    and yes-ratio over the parsed predictions for hallucination, an
+    unparseable answer counting against recall; mean METEOR for region
+    descriptions.
+    """
     if not eval_records:
         raise ValueError("empty evaluation")
     tasks = {r.task for r in eval_records}
@@ -241,15 +166,24 @@ def aggregate_report(eval_records: list[EvalRecord]) -> MetricsReport:
     task = tasks.pop()
     records = sorted(eval_records, key=lambda r: r.item_id)
     n = len(records)
-    report = MetricsReport(task=task, n=n, missing=sum(r.missing for r in records))
+    report = MetricsReport(task=task, n=n, missing=sum(r.missing for r in records), flags=dict(flags))
     if task == "region_description":
         report.meteor_mean = sum(r.score for r in records) / n
-    else:
-        report.accuracy = sum(r.correct for r in records) / n
-        split_total: Counter = Counter(r.gt for r in records)
-        if task == "spatial":
-            split_hit: Counter = Counter()
-            for r in records:
-                split_hit[r.gt] += r.correct
-            report.per_split = {kw: split_hit[kw] / total for kw, total in split_total.items()}
+        return report
+    report.accuracy = sum(r.correct for r in records) / n
+    if task == "spatial":
+        split_total, split_hit = Counter(), Counter()
+        for r in records:
+            split_total[r.gt] += 1
+            split_hit[r.gt] += r.correct
+        report.per_split = {kw: split_hit[kw] / total for kw, total in split_total.items()}
+    elif task == "hallucination":
+        positives = [r.correct for r in records if r.gt == "yes"]
+        tp = sum(positives)
+        fp = sum(r.gt == "no" and r.prediction == "yes" for r in records)
+        report.precision = tp / (tp + fp) if tp + fp else None
+        report.recall = tp / len(positives) if positives else None
+        if tp:  # precision and recall are then both set and positive
+            report.f1 = 2 * report.precision * report.recall / (report.precision + report.recall)
+        report.yes_ratio = (tp + fp) / n
     return report

@@ -407,8 +407,15 @@ def query_batch(
     ``min(max_inflight, len(requests_))`` worker threads each send one request
     at a time, and each request is attempted up to ``attempts`` times with
     exponential backoff; failures become per-request error responses, never
-    exceptions, so a batch always completes.
+    exceptions, so a batch always completes. Settings that could send nothing
+    or sleep a negative time raise ValueError before anything is sent.
     """
+    if attempts < 1:
+        raise ValueError(f"attempts must be at least 1, got {attempts}")
+    if backoff < 0:
+        raise ValueError(f"backoff must be non-negative, got {backoff}")
+    if max_inflight < 1:
+        raise ValueError(f"max_inflight must be at least 1, got {max_inflight}")
     if not requests_:
         raise ValueError("empty batch")
     ids = [r.request_id for r in requests_]
@@ -455,7 +462,7 @@ def query_batch(
         except BaseException as exc:  # re-raised by the caller's thread below
             failures.append(exc)
 
-    workers = [threading.Thread(target=worker, daemon=True) for _ in range(min(max(1, max_inflight), len(requests_)))]
+    workers = [threading.Thread(target=worker, daemon=True) for _ in range(min(max_inflight, len(requests_)))]
     try:
         for thread in workers:
             thread.start()

@@ -486,6 +486,32 @@ def test_averaged_box_is_coordinate_mean():
     assert tracks[0].averaged_box == BBox(11, 12, 31, 22)
 
 
+def test_video_track_maths_equals_numpy_reference():
+    """The averaged box and static flag equal numpy's mean and norm bit for
+    bit, on tracks of 1-8 float or integer boxes, and on pairs of centers
+    about 5 px from their mean, where ``math.hypot`` would flip the rule."""
+    rng = random.Random(11)
+    for k in range(3000):
+        w, h = rng.uniform(0, 40), rng.uniform(0, 40)
+        if k % 2:
+            dx = rng.uniform(0, 5)
+            dy = math.sqrt(25 - dx * dx)
+            cx, cy = 100 + rng.uniform(0, 1), 50 + rng.uniform(0, 1)
+            centers = [(cx - dx, cy - dy), (cx + dx, cy + dy)]
+        else:
+            spread = rng.uniform(0, 12)
+            centers = [(100 + rng.uniform(0, spread), 50 + rng.uniform(0, spread)) for _ in range(rng.randint(1, 8))]
+        boxes = [(x - w / 2, y - h / 2, x + w / 2, y + h / 2) for x, y in centers]
+        if k % 4 == 0:
+            boxes = [tuple(round(v) for v in box) for box in boxes]
+        (track,), _ = build_video_static_objects({f: [("lamp", BBox(*box))] for f, box in enumerate(boxes)})
+        coords = np.array(boxes, dtype=float)
+        centers = np.stack([(coords[:, 0] + coords[:, 2]) / 2, (coords[:, 1] + coords[:, 3]) / 2], axis=1)
+        dists = np.linalg.norm(centers - centers.mean(axis=0), axis=1)
+        assert track.averaged_box.as_tuple() == tuple(coords.mean(axis=0).tolist())
+        assert track.is_static == (len(boxes) == 1 or bool(np.all(dists <= 5.0)))
+
+
 def test_duplicate_category_in_frame_excluded():
     frames = {0: [("lamp", BBox(0, 0, 10, 10)), ("lamp", BBox(50, 50, 60, 60))]}
     tracks, tallies = build_video_static_objects(frames)

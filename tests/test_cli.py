@@ -590,6 +590,24 @@ def test_query_endpoint_other_scheme_exits_2(spatial_run, tmp_path, capsys):
     assert not (tmp_path / "r.jsonl").exists()
 
 
+@pytest.mark.parametrize(
+    "settings, message",
+    [
+        (["--attempts", "0"], "attempts must be at least 1, got 0"),
+        (["--attempts", "2", "--backoff", "-1"], "backoff must be non-negative, got -1.0"),
+        (["--max-inflight", "0"], "max_inflight must be at least 1, got 0"),
+    ],
+)
+def test_query_invalid_retry_settings_exit_2(spatial_run, tmp_path, capsys, settings, message):
+    """Settings that would send nothing or sleep a negative time are refused
+    before any request; the port-9 endpoint is never contacted."""
+    bench, _ = spatial_run
+    out = tmp_path / "r.jsonl"
+    code, _, err = run(["query", "--records", str(bench), "--endpoint", "http://127.0.0.1:9/", *settings, "--out", str(out)], capsys)
+    assert code == 2 and f"error: {message}" in err
+    assert not out.exists()
+
+
 def truncate_mid_line(src, dst):
     """Copy ``src`` cut 10 bytes short, as ``head -c`` leaves an interrupted copy."""
     data = src.read_bytes()
@@ -763,7 +781,7 @@ HttpTransport("http://127.0.0.1:9/")
 assert "socket" in sys.modules and not {"numpy", "requests", "http.client"} & set(sys.modules), "HttpTransport"
 
 assert main(["build", "video-static", "--videos", fx + "/videos.jsonl", "--out", out + "/tracks.jsonl"]) == 0
-assert "numpy" in sys.modules
+assert "numpy" not in sys.modules, "build video-static"
 
 from coordtext.annotations import load_instance_categories, load_label_grid
 from coordtext.builders import panoptic_to_bboxes

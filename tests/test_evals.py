@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coordtext.evals import (
     EvalRecord,
@@ -156,37 +158,73 @@ def test_region_description_missing_scores_zero():
 
 
 def test_aggregate_recount_matches_scorer():
-    records = [spatial_record(f"i{k}", "left" if k % 2 else "right") for k in range(20)]
-    responses = {r["sample_id"]: ("left here" if k % 3 else "right side") for k, r in enumerate(records)}
-    report, items = score_spatial(records, responses)
-    recount = aggregate_report(items)
-    assert recount.accuracy == report.accuracy
-    assert recount.per_split == report.per_split
-    assert recount.n == report.n and recount.missing == report.missing
+    """The full report of every task, with wrong, unparseable and missing answers."""
+    spatial = [spatial_record(f"i{k}", "left" if k % 2 else "right") for k in range(20)]
+    hal = [hal_record(f"i{k}", "yes" if k % 3 else "no") for k in range(20)]
+    vqa = [vqa_record(f"i{k}", ["2", "red", "Red."][k % 3]) for k in range(20)]
+    region = [region_record(f"i{k}", "a tall lamp near the window") for k in range(20)]
+
+    def responses(records, answers):
+        return {r["sample_id"]: answers[k % len(answers)] for k, r in enumerate(records) if k % 7}
+
+    scored = [
+        score_spatial(spatial, responses(spatial, ["left here", "right side", "left or right"])),
+        score_spatial(spatial, responses(spatial, ["left here", "left or right"]), strict=False),
+        score_hallucination(hal, responses(hal, ["Yes", "No", "hard to say", "Yes, there is."])),
+        score_keyword_vqa(vqa, responses(vqa, ["There are 2 dogs.", "it looks RED!", "blue"])),
+        score_region_description(region, responses(region, ["a tall lamp", "lamps near windows", "a mug"])),
+    ]
+    for report, items in scored:
+        assert report.missing == 3
+        assert aggregate_report(items, report.flags).to_dict() == report.to_dict()
 
 
-def test_aggregate_permutation_invariance():
-    rng = random.Random(3)
-    records = [hal_record(f"i{k}", rng.choice(["yes", "no"])) for k in range(50)]
-    responses = {r["sample_id"]: rng.choice(["Yes", "No"]) for r in records}
-    _, items = score_hallucination(records, responses)
-    base = aggregate_report(items)
-    for _ in range(5):
-        shuffled = items[:]
-        rng.shuffle(shuffled)
-        again = aggregate_report(shuffled)
-        assert again.to_dict() == base.to_dict()
+# scorer, record maker, ground truths, canned answers
+_SCORER_CASES = {
+    "spatial": (score_spatial, spatial_record, ["left", "right", "above", "below"], ["to the left", "above or below"]),
+    "spatial-containment": (
+        lambda records, responses: score_spatial(records, responses, strict=False),
+        spatial_record, ["left", "right", "above", "below"], ["to the left", "above or below"],
+    ),
+    "vqa": (score_keyword_vqa, vqa_record, ["2", "red", "Red.", "a dog"], ["There are 2 dogs.", "RED!", "a dog."]),
+    "hallucination": (score_hallucination, hal_record, ["yes", "no"], ["Yes", "No, there is none.", "maybe?"]),
+    "region": (score_region_description, region_record, ["a tall lamp", "a red mug on the table"], ["red mugs", "a lamp"]),
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    task=st.sampled_from(sorted(_SCORER_CASES)),
+    picks=st.lists(
+        st.tuples(st.integers(0, 9), st.none() | st.integers(0, 9) | st.text(max_size=20)), min_size=1, max_size=30
+    ),
+    order=st.randoms(use_true_random=False),
+)
+def test_aggregate_recount_equals_report_in_any_order(task, picks, order):
+    """Recounting a scorer's items, shuffled, gives the scorer's full report.
+    An answer is missing (None), canned (an index) or random text."""
+    scorer, make, gts, answers = _SCORER_CASES[task]
+    records = [make(f"i{k}", gts[g % len(gts)]) for k, (g, _) in enumerate(picks)]
+    responses = {
+        f"i{k}": answers[a % len(answers)] if isinstance(a, int) else a
+        for k, (_, a) in enumerate(picks)
+        if a is not None
+    }
+    report, items = scorer(records, responses)
+    shuffled = items[:]
+    order.shuffle(shuffled)
+    assert aggregate_report(shuffled, report.flags).to_dict() == report.to_dict()
 
 
 def test_aggregate_rejects_empty_and_mixed():
     with pytest.raises(ValueError, match="empty evaluation"):
-        aggregate_report([])
+        aggregate_report([], {})
     mixed = [
         EvalRecord("a", "spatial", "left", "left", correct=True),
         EvalRecord("b", "vqa", "2", "2", correct=True),
     ]
     with pytest.raises(ValueError, match="mixed task families"):
-        aggregate_report(mixed)
+        aggregate_report(mixed, {})
 
 
 def test_eval_record_exactly_one_outcome():

@@ -111,6 +111,17 @@ def test_retries_exhausted_become_error():
     assert len(sleeps) == 2 * len(REQS)
 
 
+@pytest.mark.parametrize(
+    "settings, message",
+    [({"attempts": 0}, "attempts"), ({"backoff": -1.0}, "backoff"), ({"max_inflight": 0}, "max_inflight")],
+)
+def test_invalid_retry_settings_raise_before_sending(settings, message):
+    sent = []
+    with pytest.raises(ValueError, match=message):
+        query_batch(REQS, CallableTransport(lambda request, cfg: sent.append(request)), **settings)
+    assert sent == []
+
+
 # ---------------- HTTP transport ---------------- #
 
 

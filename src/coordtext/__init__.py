@@ -54,7 +54,6 @@ from .gateway import (
     random_mock,
 )
 from .meteor import score_meteor
-from .pooling import TokenGrid, spatiotemporal_pool
 from .prompts import (
     DEFAULT_TEMPLATES,
     ParsedResponse,

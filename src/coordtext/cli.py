@@ -10,13 +10,14 @@ GATEWAY_MAX_INFLIGHT.
 """
 
 import argparse
+import gc
 import json
+import math
 import os
 import sys
 from pathlib import Path
 
 from . import annotations as ann_io
-from . import fixtures
 from .builders import (
     BuildReport,
     build_hallucination_set,
@@ -97,7 +98,10 @@ def _parse_mix(text: str) -> dict[str, float]:
         name, _, value = part.partition("=")
         if not value:
             raise ValueError(f"bad --mix entry {part!r}, expected name=ratio")
-        mix[name.strip()] = float(value)
+        ratio = float(value)
+        if not math.isfinite(ratio):
+            raise ValueError(f"bad --mix entry {part!r}, ratio must be finite")
+        mix[name.strip()] = ratio
     return mix
 
 
@@ -388,6 +392,14 @@ def _infer_task(rows) -> str:
     return tasks.pop()
 
 
+def _check_task(path, rows, task) -> None:
+    """Refuse a ``--task`` that does not score every record's objective."""
+    for n, row in enumerate(rows, 1):
+        objective = row.get("objective", "")
+        if _TASK_BY_OBJECTIVE.get(objective) != task:
+            raise SchemaError(f"{path}: record {n}: objective {objective!r} is not a {task} objective")
+
+
 def _read_checked(path) -> tuple[dict, list[dict]]:
     """``read_records``, refusing a file whose records do not match its meta line's digest."""
     meta, rows = read_records(path)
@@ -430,7 +442,11 @@ def cmd_evaluate(args) -> int:
     if not responses:
         print("no responses to evaluate", file=sys.stderr)
         return EXIT_ALIGNMENT
-    task = args.task or _infer_task(rows)
+    if args.task:
+        task = args.task
+        _check_task(args.records, rows, task)
+    else:
+        task = _infer_task(rows)
     missing = [row["sample_id"] for row in rows if row["sample_id"] not in responses]
     for sample_id in missing[:10]:
         print(f"missing response for {sample_id}", file=sys.stderr)
@@ -463,6 +479,8 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_fixtures(args) -> int:
+    from . import fixtures
+
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     images_50 = fixtures.annotation_fixture(50, seed=args.seed + 1)
@@ -653,6 +671,10 @@ def main(argv=None) -> int:
         for p in _iter_parsers(parser):
             p.set_defaults(**file_defaults)
     args = parser.parse_args(rest)
+    # Records are trees of dicts, lists and scalars, freed by reference
+    # counting; the cyclic collector would only rescan every live record.
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
     try:
         return args.fn(args)
     except SchemaError as exc:
@@ -664,6 +686,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(_os_error_text(exc), file=sys.stderr)
         return EXIT_IO
+    finally:
+        if gc_was_enabled:
+            gc.enable()
 
 
 def entrypoint() -> None:

@@ -19,6 +19,7 @@ never load them.
 
 import hashlib
 import json
+import math
 import random as random_module
 import re
 import threading
@@ -57,8 +58,8 @@ class SamplingConfig:
     max_new_tokens: int = 128
 
     def __post_init__(self):
-        if self.temperature <= 0:
-            raise ValueError("temperature must be positive")
+        if not (self.temperature > 0 and math.isfinite(self.temperature)):
+            raise ValueError(f"temperature must be a finite number above 0, got {self.temperature}")
         if self.max_new_tokens <= 0:
             raise ValueError("max_new_tokens must be positive")
 
@@ -408,10 +409,13 @@ def query_batch(
     at a time, and each request is attempted up to ``attempts`` times with
     exponential backoff; failures become per-request error responses, never
     exceptions, so a batch always completes. Settings that could send nothing
-    or sleep a negative time raise ValueError before anything is sent.
+    or sleep a negative, infinite or NaN time raise ValueError before
+    anything is sent.
     """
     if attempts < 1:
         raise ValueError(f"attempts must be at least 1, got {attempts}")
+    if not math.isfinite(backoff):
+        raise ValueError(f"backoff must be finite, got {backoff}")
     if backoff < 0:
         raise ValueError(f"backoff must be non-negative, got {backoff}")
     if max_inflight < 1:

@@ -20,8 +20,20 @@ class SchemaError(ValueError):
     """Input that does not have the documented shape (CLI exit code 3)."""
 
 
-# One shared encoder: json.dumps with these settings would build a new one per call.
-canonical_json = json.JSONEncoder(sort_keys=True, separators=(",", ":"), ensure_ascii=False).encode
+# json's C encoder, built once: JSONEncoder.encode builds a new one, with a
+# markers dict and a float closure, on every call. Its arguments are markers
+# (None: records are trees, so no cycle check), default, string encoder,
+# indent, key and item separators, sort_keys, skipkeys and allow_nan.
+# allow_nan=False keeps NaN and Infinity, which are not JSON, out of every file.
+_encode = json.encoder.c_make_encoder(
+    None, json.JSONEncoder().default, json.encoder.encode_basestring, None, ":", ",", True, False, False
+)
+
+
+def canonical_json(value) -> str:
+    """``json.dumps(value, sort_keys=True, separators=(",", ":"), ensure_ascii=False)``
+    for a value without NaN or infinite floats, which raise ValueError."""
+    return "".join(_encode(value, 0))
 
 
 def config_digest(config: dict) -> str:

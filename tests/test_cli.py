@@ -1,6 +1,7 @@
 """CLI tests: exit codes, end-to-end pipelines, and byte-level reproducibility."""
 
 import builtins
+import gc
 import hashlib
 import json
 import math
@@ -10,7 +11,7 @@ from collections import Counter
 
 import pytest
 
-from coordtext import records
+from coordtext import cli, records
 from coordtext.cli import main
 from coordtext.records import read_records, write_json, write_records
 
@@ -596,6 +597,8 @@ def test_query_endpoint_other_scheme_exits_2(spatial_run, tmp_path, capsys):
         (["--attempts", "0"], "attempts must be at least 1, got 0"),
         (["--attempts", "2", "--backoff", "-1"], "backoff must be non-negative, got -1.0"),
         (["--max-inflight", "0"], "max_inflight must be at least 1, got 0"),
+        (["--attempts", "2", "--backoff", "nan"], "backoff must be finite, got nan"),
+        (["--attempts", "2", "--backoff", "inf"], "backoff must be finite, got inf"),
     ],
 )
 def test_query_invalid_retry_settings_exit_2(spatial_run, tmp_path, capsys, settings, message):
@@ -606,6 +609,69 @@ def test_query_invalid_retry_settings_exit_2(spatial_run, tmp_path, capsys, sett
     code, _, err = run(["query", "--records", str(bench), "--endpoint", "http://127.0.0.1:9/", *settings, "--out", str(out)], capsys)
     assert code == 2 and f"error: {message}" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_query_non_finite_temperature_exits_2(spatial_run, tmp_path, capsys, value):
+    """A NaN temperature used to reach the meta line as a bare ``NaN``, which
+    is not JSON, and verify passed it."""
+    bench, _ = spatial_run
+    out = tmp_path / "r.jsonl"
+    code, _, err = run(["query", "--records", str(bench), "--mock", "oracle", "--temperature", value, "--out", str(out)], capsys)
+    assert code == 2 and f"error: temperature must be a finite number above 0, got {value}" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("mix", ["locpred=nan", "locpred=inf,negpred=1"])
+def test_build_ift_non_finite_mix_exits_2(fx, tmp_path, capsys, mix):
+    """NaN or infinite ratios used to get past the ratio check and fail later,
+    as a bare int conversion error or an OverflowError traceback."""
+    out = tmp_path / "ift.jsonl"
+    code, _, err = run(["build", "ift", "--annotations", str(fx / "coco_50.json"), "--mix", mix, "--out", str(out)], capsys)
+    assert code == 2 and "error: bad --mix entry 'locpred=" in err and "ratio must be finite" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("task", ["hallucination", "region"])
+def test_evaluate_task_that_does_not_fit_the_records_exits_3(spatial_run, tmp_path, capsys, task):
+    """A spatial bench scored as hallucination used to end in a bare
+    KeyError, and as region it printed a METEOR score of side answers
+    against object names; now the first objective that does not fit is named."""
+    bench, resp = spatial_run
+    report = tmp_path / "report.json"
+    _, rows = read_records(bench)
+    code, out, err = run(
+        ["evaluate", "--records", str(bench), "--responses", str(resp), "--task", task, "--report", str(report)], capsys
+    )
+    assert code == 3 and out == "" and not report.exists()
+    assert f"schema error: {bench}: record 1: objective {rows[0]['objective']!r} is not a {task} objective" in err
+    assert run(["evaluate", "--records", str(bench), "--responses", str(resp), "--task", "spatial"], capsys)[0] == 0
+
+
+def test_main_turns_the_collector_off_for_the_command_only(spatial_run, tmp_path, capsys, monkeypatch):
+    """Records hold no reference cycles, so a command runs with the cyclic GC
+    off; main gives it back on every exit path, as the caller had it."""
+    bench, resp = spatial_run
+    during = []
+    encode = cli.encode_bbox
+    monkeypatch.setattr(cli, "encode_bbox", lambda *a: during.append(gc.isenabled()) or encode(*a))
+    assert gc.isenabled()
+    assert run(["encode", "--bbox", "10,120,30,145", "--dims", "512x512"], capsys)[0] == 0
+    assert during == [False] and gc.isenabled()
+    assert run(["encode", "--bbox", "30,120,10,145", "--dims", "512x512"], capsys)[0] == 2
+    assert gc.isenabled()
+    assert run(["evaluate", "--records", str(bench), "--responses", str(resp), "--task", "region"], capsys)[0] == 3
+    assert gc.isenabled()
+    monkeypatch.setattr(cli, "encode_bbox", lambda *a: 1 / 0)
+    with pytest.raises(ZeroDivisionError):
+        main(["encode", "--bbox", "10,120,30,145", "--dims", "512x512"])
+    assert gc.isenabled()
+    gc.disable()
+    try:
+        assert run(["encode", "--point", "1,2", "--dims", "512x512"], capsys)[0] == 0
+        assert not gc.isenabled()
+    finally:
+        gc.enable()
 
 
 def truncate_mid_line(src, dst):
@@ -765,7 +831,8 @@ from coordtext.cli import main
 
 fx, out = sys.argv[1], sys.argv[2]
 heavy = {"numpy", "requests", "http.client", "socket"}
-assert not heavy & set(sys.modules), "import coordtext.cli"
+deferred = {"coordtext.fixtures", "coordtext.pooling"}
+assert not (heavy | deferred) & set(sys.modules), "import coordtext.cli"
 for args in (
     ["build", "spatial-bench", "--annotations", fx + "/coco_50.json", "--out", out + "/bench.jsonl"],
     ["query", "--records", out + "/bench.jsonl", "--mock", "oracle", "--out", out + "/resp.jsonl"],
@@ -773,7 +840,7 @@ for args in (
     ["verify", out + "/bench.jsonl", out + "/resp.jsonl"],
 ):
     assert main(args) == 0, args
-    assert not heavy & set(sys.modules), args
+    assert not (heavy | deferred) & set(sys.modules), args
 
 from coordtext.gateway import HttpTransport
 
@@ -796,8 +863,8 @@ assert not {"requests", "http.client"} & set(sys.modules)
 
 def test_pipeline_stages_load_neither_numpy_nor_requests(fx, tmp_path):
     """build, query --mock, evaluate and verify load neither numpy nor
-    socket; the paths that need them load them on first use, and no path
-    loads requests or http.client."""
+    socket, nor the fixtures and pooling modules; the paths that need them
+    load them on first use, and no path loads requests or http.client."""
     proc = subprocess.run(
         [sys.executable, "-c", LAZY_IMPORT_CHILD, str(fx), str(tmp_path)],
         capture_output=True,

@@ -46,6 +46,9 @@ def test_sampling_config_validation():
     assert SamplingConfig().temperature == 0.2
     with pytest.raises(ValueError, match="temperature"):
         SamplingConfig(temperature=0)
+    for value in (math.nan, math.inf):  # NaN would reach the meta line as a bare NaN
+        with pytest.raises(ValueError, match="temperature must be a finite number above 0"):
+            SamplingConfig(temperature=value)
     with pytest.raises(ValueError, match="max_new_tokens"):
         SamplingConfig(max_new_tokens=0)
 
@@ -113,7 +116,13 @@ def test_retries_exhausted_become_error():
 
 @pytest.mark.parametrize(
     "settings, message",
-    [({"attempts": 0}, "attempts"), ({"backoff": -1.0}, "backoff"), ({"max_inflight": 0}, "max_inflight")],
+    [
+        ({"attempts": 0}, "attempts"),
+        ({"backoff": -1.0}, "backoff"),
+        ({"max_inflight": 0}, "max_inflight"),
+        ({"backoff": math.nan}, "backoff must be finite"),
+        ({"backoff": math.inf}, "backoff must be finite"),
+    ],
 )
 def test_invalid_retry_settings_raise_before_sending(settings, message):
     sent = []

@@ -1,13 +1,16 @@
-"""The shared JSON-lines reader: its line parser against json.loads, and the
-memory that verify_records holds."""
+"""The shared JSON-lines reader and writer: the line parser against
+json.loads, the canonical encoder against json.dumps, and the memory that
+verify_records holds."""
 
 import json
+import math
 import tracemalloc
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coordtext.records import iter_rows, parse_line, read_records, verify_records, write_records
+from coordtext.records import canonical_json, iter_rows, parse_line, read_records, verify_records, write_records
 
 json_values = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
@@ -44,6 +47,42 @@ def outcome(parse, line):
 @settings(max_examples=500, deadline=None)
 def test_parse_line_matches_json_loads(line):
     assert outcome(parse_line, line) == outcome(json.loads, line)
+
+
+finite_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(min_value=-(2**256), max_value=2**256)
+    | st.floats(allow_nan=False, allow_infinity=False) | st.text(),
+    lambda children: st.lists(children, max_size=4) | st.dictionaries(st.text(max_size=6), children, max_size=4),
+    max_leaves=12,
+)
+
+
+@given(finite_json_values)
+@settings(max_examples=500, deadline=None)
+def test_canonical_json_matches_sorted_compact_json_dumps(value):
+    """The prebuilt encoder writes what json.dumps writes with sorted keys,
+    compact separators and unescaped non-ASCII text."""
+    assert canonical_json(value) == json.dumps(value, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_canonical_json_refuses_non_finite_floats(tmp_path, value):
+    """NaN and Infinity are not JSON (RFC 8259), so no record or meta line
+    may hold them: the write fails and leaves no file."""
+    with pytest.raises(ValueError, match="Out of range float values are not JSON compliant"):
+        canonical_json({"config": {"temperature": value}})
+    path = tmp_path / "out.jsonl"
+    with pytest.raises(ValueError):
+        write_records(path, [{"sample_id": "a", "score": value}], {"seed": 0}, "demo")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_canonical_json_unserialisable_value_message():
+    with pytest.raises(TypeError) as expected:
+        json.dumps({"a": {1}})
+    with pytest.raises(TypeError) as raised:
+        canonical_json({"a": {1}})
+    assert str(raised.value) == str(expected.value) == "Object of type set is not JSON serializable"
 
 
 def test_iter_rows_numbers_lines_and_skips_blanks(tmp_path):

@@ -35,14 +35,31 @@ def test_traced_names_resolve():
     assert callable(coordtext.meteor.porter_stem) and callable(coordtext.gateway.HttpTransport.send)
 
 
+def _child_env() -> dict:
+    src = str(Path(coordtext.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
+def test_cli_import_loads_every_traced_module():
+    """trace_stage.install looks every wrapped module up in sys.modules right
+    after ``import coordtext.cli``, so in a fresh interpreter that import
+    alone must load them all. (In this process, other tests have imported
+    everything already, so test_traced_names_resolve cannot see a gap.)"""
+    trace_stage = _load_trace_stage()
+    proc = subprocess.run(
+        [sys.executable, "-c", "import json, sys; import coordtext.cli; print(json.dumps(sorted(sys.modules)))"],
+        check=True, env=_child_env(), capture_output=True, text=True,
+    )
+    wanted = {f"coordtext.{module_name}" for _, module_name, _ in trace_stage.SPANS + trace_stage.COUNTERS}
+    assert sorted(wanted - set(json.loads(proc.stdout))) == []
+
+
 def _traced(tmp_path, *cli_args) -> dict:
     """Run one CLI command under trace_stage.py; returns the trace it writes."""
     trace = tmp_path / "trace.json"
-    src = str(Path(coordtext.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     subprocess.run(
         [sys.executable, str(TRACE_STAGE), str(trace), "run", "--", *map(str, cli_args)],
-        check=True, env=env, capture_output=True,
+        check=True, env=_child_env(), capture_output=True,
     )
     payload = json.loads(trace.read_text())
     assert payload["exit_code"] == 0

@@ -18,8 +18,7 @@ from __future__ import annotations
 import json
 import math
 from collections import Counter
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .coords import BBox, CodecError, ImageDims
 from .records import SchemaError, iter_rows, line_error
@@ -28,26 +27,31 @@ if TYPE_CHECKING:
     import numpy as np
 
 
-@dataclass(frozen=True)
-class ObjectAnn:
+class ObjectAnn(NamedTuple):
     instance_id: str
     category: str
     bbox: BBox
 
 
-@dataclass(frozen=True)
-class AnnotatedImage:
+class _AnnotatedImage(NamedTuple):
     image_id: str
     dims: ImageDims
     objects: tuple[ObjectAnn, ...]
-    captions: dict[str, str] | None = None
+    captions: dict[str, str] | None
 
-    def __post_init__(self):
-        ids = [o.instance_id for o in self.objects]
+
+class AnnotatedImage(_AnnotatedImage):
+    __slots__ = ()
+
+    def __new__(
+        cls, image_id: str, dims: ImageDims, objects: tuple[ObjectAnn, ...], captions: dict[str, str] | None = None
+    ):
+        ids = [o.instance_id for o in objects]
         if len(set(ids)) != len(ids):
-            raise ValueError(f"duplicate instance ids in image {self.image_id}")
-        for obj in self.objects:
-            obj.bbox.validate_within(self.dims)
+            raise ValueError(f"duplicate instance ids in image {image_id}")
+        for obj in objects:
+            obj.bbox.validate_within(dims)
+        return tuple.__new__(cls, (image_id, dims, objects, captions))
 
     def category_counts(self) -> Counter:
         return Counter(o.category for o in self.objects)
@@ -61,8 +65,7 @@ class AnnotatedImage:
         return self.captions.get(instance_id)
 
 
-@dataclass(frozen=True)
-class MediaCategories:
+class MediaCategories(NamedTuple):
     """Category-presence view of one media unit (video or image)."""
 
     media_id: str
@@ -81,11 +84,17 @@ def xywh_to_xyxy(box: list[float]) -> tuple[float, float, float, float]:
     return (x, y, x + w, y + h)
 
 
-@dataclass
-class CocoLoad:
+class _CocoLoad(NamedTuple):
     images: list[AnnotatedImage]
     vocabulary: list[str]  # category names in file order
-    skipped: Counter = field(default_factory=Counter)
+    skipped: Counter
+
+
+class CocoLoad(_CocoLoad):
+    __slots__ = ()
+
+    def __new__(cls, images: list[AnnotatedImage], vocabulary: list[str], skipped: Counter | None = None):
+        return tuple.__new__(cls, (images, vocabulary, Counter() if skipped is None else skipped))
 
 
 def load_coco_annotations(path) -> CocoLoad:
@@ -143,8 +152,7 @@ def load_coco_annotations(path) -> CocoLoad:
     return CocoLoad(images=images, vocabulary=vocabulary, skipped=skipped)
 
 
-@dataclass(frozen=True)
-class CaptionRecord:
+class CaptionRecord(NamedTuple):
     image_id: str
     instance_id: str
     caption: str

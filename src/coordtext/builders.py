@@ -13,8 +13,7 @@ import math
 import random
 from collections import Counter
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .annotations import AnnotatedImage, MediaCategories
 from .coords import BBox, LocationText, ReprScheme, encode_bbox, encode_point
@@ -39,19 +38,27 @@ if TYPE_CHECKING:
     import numpy as np
 
 IFT_OBJECTIVES = (LOCPRED, NEGPRED, REVLOC)
+# largest mix ratio: an objective cycles over the eligible pairs at most this many times
+MAX_MIX_RATIO = 100.0
 
 # fraction of each axis treated as the central exclusion band
 CENTER_BAND = (0.4, 0.6)
 STATIC_CENTER_RANGE_PX = 5.0
 
 
-@dataclass
-class BuildReport:
+class _BuildReport(NamedTuple):
+    input_count: int
+    emitted_count: int
+    exclusions: Counter
+
+
+class BuildReport(_BuildReport):
     """Counts of what went in, what came out, and what each filter dropped."""
 
-    input_count: int = 0
-    emitted_count: int = 0
-    exclusions: Counter = field(default_factory=Counter)
+    __slots__ = ()
+
+    def __new__(cls, input_count: int = 0, emitted_count: int = 0, exclusions: Counter | None = None):
+        return tuple.__new__(cls, (input_count, emitted_count, Counter() if exclusions is None else exclusions))
 
     def merge(self, other: "BuildReport") -> "BuildReport":
         return BuildReport(
@@ -108,8 +115,7 @@ def discover_negative_categories(image: AnnotatedImage, vocabulary: Sequence[str
 # ---------------- conversation dataset ---------------- #
 
 
-@dataclass(frozen=True)
-class ConversationSample:
+class _ConversationSample(NamedTuple):
     sample_id: str
     image_id: str
     objective: str
@@ -120,13 +126,21 @@ class ConversationSample:
     form: str
     seed: int
 
-    def __post_init__(self):
-        if not self.descriptor:
+
+class ConversationSample(_ConversationSample):
+    __slots__ = ()
+
+    def __new__(
+        cls, sample_id: str, image_id: str, objective: str, prompt: str, target: str,
+        location: LocationText | None, descriptor: str, form: str, seed: int,
+    ):
+        if not descriptor:
             raise ValueError("descriptor must be non-empty")
-        if self.objective in (LOCPRED, REVLOC) and self.location is None:
-            raise ValueError(f"{self.objective} sample needs a location")
-        if self.objective == NEGPRED and self.location is not None:
+        if objective in (LOCPRED, REVLOC) and location is None:
+            raise ValueError(f"{objective} sample needs a location")
+        if objective == NEGPRED and location is not None:
             raise ValueError("negative samples carry no location")
+        return tuple.__new__(cls, (sample_id, image_id, objective, prompt, target, location, descriptor, form, seed))
 
     def to_record(self, scheme: ReprScheme) -> dict:
         return dataset_record(
@@ -153,26 +167,27 @@ def build_ift_dataset(
     """Location/negative/reverse conversation samples from unique-instance objects.
 
     ``mix`` maps objective name to a ratio of the eligible (image, object)
-    pair count; ratio 1.0 visits every pair once, larger ratios cycle. The
-    descriptor is the instance's pseudo-caption when present, else its
-    category; negatives draw a seeded-uniform absent category.
+    pair count; ratio 1.0 visits every pair once, larger ratios cycle, up to
+    ``MAX_MIX_RATIO``. The descriptor is the instance's pseudo-caption when
+    present, else its category; negatives draw a seeded-uniform absent
+    category.
     """
     bad = set(mix) - set(IFT_OBJECTIVES)
     if bad:
         raise ValueError(f"unknown objectives in mix: {sorted(bad)}")
-    if any(r < 0 for r in mix.values()) or sum(mix.values()) <= 0:
-        raise ValueError("mix ratios must be non-negative with a positive sum")
+    if not all(0 <= r <= MAX_MIX_RATIO for r in mix.values()) or sum(mix.values()) <= 0:
+        raise ValueError(f"mix ratios must lie in [0, {MAX_MIX_RATIO:g}] with a positive sum")
 
     images = sorted(images, key=lambda im: im.image_id)
-    report = BuildReport(input_count=len(images))
+    exclusions = Counter()
     eligible: list[tuple[AnnotatedImage, object]] = []
     for image in images:
         objs = unique_instance_objects(image)
         if not objs:
-            report.exclusions["images_without_eligible_objects"] += 1
+            exclusions["images_without_eligible_objects"] += 1
         eligible.extend((image, obj) for obj in objs)
     if not eligible:
-        return [], report
+        return [], BuildReport(len(images), 0, exclusions)
 
     if vocabulary is None:
         vocabulary = sorted({c for image in images for c in image.present_categories()})
@@ -220,17 +235,15 @@ def build_ift_dataset(
     samples = [s for s in map(make_sample, tasks) if s is not None]
     dropped = sum(1 for o, _ in tasks if o == NEGPRED) - sum(1 for s in samples if s.objective == NEGPRED)
     if dropped:
-        report.exclusions["negatives_without_candidates"] += dropped
+        exclusions["negatives_without_candidates"] += dropped
     samples.sort(key=lambda s: (s.image_id, s.sample_id))
-    report.emitted_count = len(samples)
-    return samples, report
+    return samples, BuildReport(len(images), len(samples), exclusions)
 
 
 # ---------------- spatial reasoning benchmark ---------------- #
 
 
-@dataclass(frozen=True)
-class SpatialBenchItem:
+class SpatialBenchItem(NamedTuple):
     item_id: str
     image_id: str
     axis: str  # "lr" | "ab"
@@ -284,23 +297,23 @@ def build_spatial_bench(
     in-context item whose two worked examples use the remaining object.
     """
     images = sorted(images, key=lambda im: im.image_id)
-    report = BuildReport(input_count=len(images))
+    exclusions = Counter()
     items: list[SpatialBenchItem] = []
     for image in images:
         objs = sorted(image.objects, key=lambda o: o.instance_id)
         if len(objs) != 3 or len({o.category for o in objs}) != 3:
-            report.exclusions["not_triplet"] += 1
+            exclusions["not_triplet"] += 1
             continue
         for axis in ("lr", "ab"):
             center_of, dim_of, keywords = _axis_accessors(axis)
             dim = dim_of(image.dims)
             centers = [center_of(o.bbox) for o in objs]
             if any(CENTER_BAND[0] * dim <= c <= CENTER_BAND[1] * dim for c in centers):
-                report.exclusions[f"{axis}_center_band"] += 1
+                exclusions[f"{axis}_center_band"] += 1
                 continue
             sides = [_side_keyword(c, dim, keywords) for c in centers]
             if len(set(sides)) < 2:
-                report.exclusions[f"{axis}_same_side"] += 1
+                exclusions[f"{axis}_same_side"] += 1
                 continue
             ordinal = 0
             for i, ref in enumerate(objs):
@@ -348,15 +361,13 @@ def build_spatial_bench(
                     )
                     ordinal += 1
     items.sort(key=lambda it: it.item_id)
-    report.emitted_count = len(items)
-    return items, report
+    return items, BuildReport(len(images), len(items), exclusions)
 
 
 # ---------------- hallucination benchmark ---------------- #
 
 
-@dataclass(frozen=True)
-class HallucinationItem:
+class HallucinationItem(NamedTuple):
     item_id: str
     media_id: str
     medium: str  # "image" | "video"
@@ -399,14 +410,14 @@ def build_hallucination_set(
             raise ValueError(f"novel vocabulary overlaps base classes: {overlap}")
 
     units = sorted((_as_media(u) for u in media), key=lambda u: u.media_id)
-    report = BuildReport(input_count=len(units))
+    exclusions = Counter()
     items: list[HallucinationItem] = []
     vocab_set = set(vocabulary)
     for unit in units:
         present = sorted(set(unit.categories) & vocab_set)
         absent = [c for c in vocabulary if c not in set(unit.categories)]
         if not present:
-            report.exclusions["media_without_present_categories"] += 1
+            exclusions["media_without_present_categories"] += 1
         rng = random.Random(derive_seed(seed, unit.media_id))
         chosen_present = sorted(rng.sample(present, min(n_present, len(present))))
         chosen_absent = sorted(rng.sample(absent, min(n_absent, len(absent))))
@@ -425,8 +436,7 @@ def build_hallucination_set(
             )
             ordinal += 1
     items.sort(key=lambda it: it.item_id)
-    report.emitted_count = len(items)
-    return items, report
+    return items, BuildReport(len(units), len(items), exclusions)
 
 
 # ---------------- pseudo-caption ingestion ---------------- #
@@ -441,12 +451,12 @@ def ingest_pseudo_captions(
     surviving (image, instance) pair are tallied as dangling.
     """
     images = sorted(images, key=lambda im: im.image_id)
-    report = BuildReport(input_count=len(images))
+    exclusions = Counter()
     kept: dict[str, AnnotatedImage] = {}
     for image in images:
         counts = image.category_counts()
         if counts and max(counts.values()) > 1:
-            report.exclusions["images_with_duplicate_category"] += 1
+            exclusions["images_with_duplicate_category"] += 1
             continue
         kept[image.image_id] = image
 
@@ -454,14 +464,14 @@ def ingest_pseudo_captions(
     for rec in caption_records:
         image = kept.get(rec.image_id)
         if image is None or all(o.instance_id != rec.instance_id for o in image.objects):
-            report.exclusions["captions_dangling"] += 1
+            exclusions["captions_dangling"] += 1
             continue
         per_image = captions.setdefault(rec.image_id, {})
         if rec.instance_id in per_image:
-            report.exclusions["captions_duplicate"] += 1
+            exclusions["captions_duplicate"] += 1
             continue
         per_image[rec.instance_id] = rec.caption
-        report.exclusions["captions_attached"] += 1
+        exclusions["captions_attached"] += 1
 
     out = []
     for image_id, image in kept.items():
@@ -471,15 +481,13 @@ def ingest_pseudo_captions(
             merged.update(attached)
             image = AnnotatedImage(image.image_id, image.dims, image.objects, captions=merged)
         out.append(image)
-    report.emitted_count = len(out)
-    return out, report
+    return out, BuildReport(len(images), len(out), exclusions)
 
 
 # ---------------- panoptic masks ---------------- #
 
 
-@dataclass
-class PanopticBoxes:
+class PanopticBoxes(NamedTuple):
     instances: list[tuple[str, BBox]]
     present_categories: set[str]
     dropped_small: int = 0
@@ -499,7 +507,7 @@ def panoptic_to_bboxes(
     mask = np.asarray(mask)
     if mask.ndim != 2:
         raise ValueError(f"label grid must be 2-D, got shape {mask.shape}")
-    result = PanopticBoxes(instances=[], present_categories=set())
+    instances, present, dropped_small = [], set(), 0
     ids, counts = np.unique(mask, return_counts=True)
     for instance_id, count in zip(ids.tolist(), counts.tolist()):
         if instance_id == 0:
@@ -507,21 +515,20 @@ def panoptic_to_bboxes(
         if instance_id not in category_map:
             raise ValueError(f"instance id {instance_id} missing from category map")
         category = category_map[instance_id]
-        result.present_categories.add(category)
+        present.add(category)
         if count < min_pixels:
-            result.dropped_small += 1
+            dropped_small += 1
             continue
         ys, xs = np.nonzero(mask == instance_id)
         box = BBox(float(xs.min()), float(ys.min()), float(xs.max()), float(ys.max()))
-        result.instances.append((category, box))
-    return result
+        instances.append((category, box))
+    return PanopticBoxes(instances, present, dropped_small)
 
 
 # ---------------- video static objects ---------------- #
 
 
-@dataclass(frozen=True)
-class VideoObjectTrack:
+class VideoObjectTrack(NamedTuple):
     video_id: str
     category: str
     per_frame_boxes: dict[int, BBox]

@@ -15,10 +15,12 @@ import json
 import math
 import os
 import sys
+from collections import Counter
 from pathlib import Path
 
 from . import annotations as ann_io
 from .builders import (
+    MAX_MIX_RATIO,
     BuildReport,
     build_hallucination_set,
     build_ift_dataset,
@@ -47,6 +49,7 @@ from .evals import (
     score_spatial,
 )
 from .gateway import (
+    MAX_RETRY_DELAY_S,
     FileBatchTransport,
     HttpTransport,
     ModelRequest,
@@ -101,12 +104,20 @@ def _parse_mix(text: str) -> dict[str, float]:
         ratio = float(value)
         if not math.isfinite(ratio):
             raise ValueError(f"bad --mix entry {part!r}, ratio must be finite")
+        if ratio > MAX_MIX_RATIO:
+            raise ValueError(f"bad --mix entry {part!r}, ratio must be at most {MAX_MIX_RATIO:g}")
         mix[name.strip()] = ratio
     return mix
 
 
-def _parse_floats(text: str) -> list[float]:
-    return [float(v) for v in text.split(",")]
+def _parse_coordinates(flag: str, text: str, count: int) -> list[float]:
+    """``count`` comma-separated finite numbers, the value of ``flag``."""
+    values = [float(v) for v in text.split(",")]
+    if len(values) != count:
+        raise ValueError(f"{flag} needs {count} values, got {len(values)}")
+    if not all(map(math.isfinite, values)):
+        raise ValueError(f"{flag} values must be finite, got {text!r}")
+    return values
 
 
 def _add_scheme_flags(parser):
@@ -148,15 +159,9 @@ def cmd_encode(args) -> int:
     if (args.bbox is None) == (args.point is None):
         raise ValueError("exactly one of --bbox or --point is required")
     if args.bbox is not None:
-        values = _parse_floats(args.bbox)
-        if len(values) != 4:
-            raise ValueError(f"--bbox needs 4 values, got {len(values)}")
-        loc = encode_bbox(BBox(*values), dims, scheme)
+        loc = encode_bbox(BBox(*_parse_coordinates("--bbox", args.bbox, 4)), dims, scheme)
     else:
-        values = _parse_floats(args.point)
-        if len(values) != 2:
-            raise ValueError(f"--point needs 2 values, got {len(values)}")
-        loc = encode_point(PointLoc(*values), dims, scheme)
+        loc = encode_point(PointLoc(*_parse_coordinates("--point", args.point, 2)), dims, scheme)
     print(loc.text)
     return EXIT_OK
 
@@ -258,7 +263,7 @@ def cmd_build_pseudo_captions(args) -> int:
                 dataset_record(sample_id, image.image_id, CAPTION_REQUEST, prompt, "", obj.category,
                                derive_seed(args.seed, sample_id))
             )
-    report.emitted_count = len(records)
+    report = report._replace(emitted_count=len(records))
     report.exclusions.update(load.skipped)
     config = _effective_config(args, ["annotations", "seed"])
     return _write_build_outputs(args, records, report, config, "caption_requests")
@@ -267,10 +272,10 @@ def cmd_build_pseudo_captions(args) -> int:
 def cmd_build_video_static(args) -> int:
     detections = ann_io.load_video_detections(args.videos)
     records = []
-    report = BuildReport(input_count=len(detections))
+    exclusions = Counter()
     for video_id in sorted(detections):
         tracks, tallies = build_video_static_objects(detections[video_id], n_f=args.frames, video_id=video_id)
-        report.exclusions.update(tallies)
+        exclusions.update(tallies)
         for track in tracks:
             records.append(
                 {
@@ -282,7 +287,7 @@ def cmd_build_video_static(args) -> int:
                     "is_static": track.is_static,
                 }
             )
-    report.emitted_count = len(records)
+    report = BuildReport(len(detections), len(records), exclusions)
     config = _effective_config(args, ["videos", "frames"])
     return _write_build_outputs(args, records, report, config, "video_tracks")
 
@@ -459,8 +464,7 @@ def cmd_evaluate(args) -> int:
     else:
         report, items = scorer(rows, responses)
     config = _effective_config(args, ["records", "responses", "task", "containment_only"])
-    report.config_digest = config_digest(config)
-    report.dataset_digest = record_meta.get("records_digest")
+    report = report._replace(config_digest=config_digest(config), dataset_digest=record_meta.get("records_digest"))
     if task == "region":
         print(f"meteor_mean {100 * report.meteor_mean:.2f}")
     else:
@@ -555,7 +559,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--annotations", required=True)
     p.add_argument("--captions", help="pseudo-caption JSONL to attach first")
     p.add_argument("--form", choices=["point", "bbox"], default="bbox")
-    p.add_argument("--mix", default="locpred=1,negpred=1,revloc=1")
+    p.add_argument("--mix", default="locpred=1,negpred=1,revloc=1",
+                   help=f"objective=ratio of the eligible objects, each ratio at most {MAX_MIX_RATIO:g}")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--templates", help="template override file")
     p.add_argument("--out", required=True)
@@ -607,7 +612,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--batch-dir", dest="batch_dir", default=os.environ.get("GATEWAY_BATCH_DIR"))
     p.add_argument("--max-inflight", dest="max_inflight", type=int, default=int(os.environ.get("GATEWAY_MAX_INFLIGHT", "4")))
     p.add_argument("--attempts", type=int, default=3, help="tries per request before giving up")
-    p.add_argument("--backoff", type=float, default=0.1, help="initial retry delay, doubled per attempt")
+    p.add_argument("--backoff", type=float, default=0.1,
+                   help=f"initial retry delay, doubled per attempt; the last at most {MAX_RETRY_DELAY_S:g} s")
     p.add_argument("--temperature", type=float, default=0.2)
     p.add_argument("--max-new-tokens", dest="max_new_tokens", type=int, default=128)
     p.add_argument("--out", required=True)

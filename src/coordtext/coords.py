@@ -19,41 +19,54 @@ platform float behaviour.
 """
 
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
 class CodecError(ValueError):
     """Raised for invalid locations, schemes, or coordinate text."""
 
 
-@dataclass(frozen=True)
-class ImageDims:
-    """Pixel dimensions of a source image."""
+# Each value type is an immutable named tuple. A type with invariants
+# subclasses its bare field tuple, and its ``__new__`` checks the arguments
+# before it builds the tuple; ``_replace`` and ``_make`` skip the checks.
 
+
+class _ImageDims(NamedTuple):
     width: int
     height: int
 
-    def __post_init__(self):
-        if self.width <= 0 or self.height <= 0:
-            raise CodecError(f"image dims must be positive, got {self.width}x{self.height}")
+
+class ImageDims(_ImageDims):
+    """Pixel dimensions of a source image."""
+
+    __slots__ = ()
+
+    def __new__(cls, width: int, height: int):
+        if width <= 0 or height <= 0:
+            raise CodecError(f"image dims must be positive, got {width}x{height}")
+        return tuple.__new__(cls, (width, height))
 
 
-@dataclass(frozen=True)
-class BBox:
-    """Axis-aligned box in absolute pixels, (x1, y1) top-left, (x2, y2) bottom-right."""
-
+class _BBox(NamedTuple):
     x1: float
     y1: float
     x2: float
     y2: float
 
-    def __post_init__(self):
-        if min(self.x1, self.y1, self.x2, self.y2) < 0:
-            raise CodecError(f"negative coordinate in {self.as_tuple()}")
-        if self.x1 > self.x2:
-            raise CodecError(f"x1 > x2 in {self.as_tuple()}")
-        if self.y1 > self.y2:
-            raise CodecError(f"y1 > y2 in {self.as_tuple()}")
+
+class BBox(_BBox):
+    """Axis-aligned box in absolute pixels, (x1, y1) top-left, (x2, y2) bottom-right."""
+
+    __slots__ = ()
+
+    def __new__(cls, x1: float, y1: float, x2: float, y2: float):
+        if min(x1, y1, x2, y2) < 0:
+            raise CodecError(f"negative coordinate in {(x1, y1, x2, y2)}")
+        if x1 > x2:
+            raise CodecError(f"x1 > x2 in {(x1, y1, x2, y2)}")
+        if y1 > y2:
+            raise CodecError(f"y1 > y2 in {(x1, y1, x2, y2)}")
+        return tuple.__new__(cls, (x1, y1, x2, y2))
 
     def as_tuple(self) -> tuple[float, float, float, float]:
         return (self.x1, self.y1, self.x2, self.y2)
@@ -66,16 +79,20 @@ class BBox:
             raise CodecError(f"box {self.as_tuple()} exceeds image {dims.width}x{dims.height}")
 
 
-@dataclass(frozen=True)
-class PointLoc:
-    """A single location in absolute pixels, usually an object center."""
-
+class _PointLoc(NamedTuple):
     cx: float
     cy: float
 
-    def __post_init__(self):
-        if self.cx < 0 or self.cy < 0:
-            raise CodecError(f"negative coordinate in ({self.cx}, {self.cy})")
+
+class PointLoc(_PointLoc):
+    """A single location in absolute pixels, usually an object center."""
+
+    __slots__ = ()
+
+    def __new__(cls, cx: float, cy: float):
+        if cx < 0 or cy < 0:
+            raise CodecError(f"negative coordinate in ({cx}, {cy})")
+        return tuple.__new__(cls, (cx, cy))
 
     def as_tuple(self) -> tuple[float, float]:
         return (self.cx, self.cy)
@@ -88,8 +105,15 @@ class PointLoc:
 VALID_KINDS = ("nfp", "ivb", "diga")
 
 
-@dataclass(frozen=True)
-class ReprScheme:
+class _ReprScheme(NamedTuple):
+    kind: str
+    decimals: int
+    n_bins: int
+    grid: int
+    patch: int
+
+
+class ReprScheme(_ReprScheme):
     """Parameters of one textual coordinate representation.
 
     Only the fields matching ``kind`` are meaningful: ``decimals`` for nfp,
@@ -97,21 +121,18 @@ class ReprScheme:
     ``grid * patch`` must be 224 or 336.
     """
 
-    kind: str
-    decimals: int = 4
-    n_bins: int = 224
-    grid: int = 16
-    patch: int = 14
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.kind not in VALID_KINDS:
-            raise CodecError(f"unknown scheme kind {self.kind!r}")
-        if self.kind == "nfp" and self.decimals < 1:
+    def __new__(cls, kind: str, decimals: int = 4, n_bins: int = 224, grid: int = 16, patch: int = 14):
+        if kind not in VALID_KINDS:
+            raise CodecError(f"unknown scheme kind {kind!r}")
+        if kind == "nfp" and decimals < 1:
             raise CodecError("nfp needs at least 1 decimal place")
-        if self.kind == "ivb" and self.n_bins < 2:
+        if kind == "ivb" and n_bins < 2:
             raise CodecError("ivb needs at least 2 bins")
-        if self.kind == "diga" and self.grid * self.patch not in (224, 336):
-            raise CodecError(f"diga square side must be 224 or 336, got {self.grid * self.patch}")
+        if kind == "diga" and grid * patch not in (224, 336):
+            raise CodecError(f"diga square side must be 224 or 336, got {grid * patch}")
+        return tuple.__new__(cls, (kind, decimals, n_bins, grid, patch))
 
     @classmethod
     def nfp(cls, decimals: int = 4) -> "ReprScheme":
@@ -141,17 +162,21 @@ class ReprScheme:
         return cls(kind=d["kind"], **{k: v for k, v in d.items() if k != "kind"})
 
 
-@dataclass(frozen=True)
-class LocationText:
-    """A location serialized under one scheme, plus enough context to parse it back."""
-
+class _LocationText(NamedTuple):
     text: str
     scheme: ReprScheme
     form: str  # "point" | "bbox"
 
-    def __post_init__(self):
-        if self.form not in ("point", "bbox"):
-            raise CodecError(f"unknown location form {self.form!r}")
+
+class LocationText(_LocationText):
+    """A location serialized under one scheme, plus enough context to parse it back."""
+
+    __slots__ = ()
+
+    def __new__(cls, text: str, scheme: ReprScheme, form: str):
+        if form not in ("point", "bbox"):
+            raise CodecError(f"unknown location form {form!r}")
+        return tuple.__new__(cls, (text, scheme, form))
 
 
 # Quantization works on exact (numerator, denominator) views of the input
@@ -427,8 +452,7 @@ def quantization_error_bound(scheme: ReprScheme, dims: ImageDims) -> tuple[float
     return (per_dim(dims.width), per_dim(dims.height))
 
 
-@dataclass(frozen=True)
-class TokenCost:
+class TokenCost(NamedTuple):
     """Token count of a location string under the character-level numeric rule."""
 
     coordinates: int

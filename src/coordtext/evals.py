@@ -11,30 +11,37 @@ that scorer's report bit for bit.
 
 import string
 from collections import Counter
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .meteor import score_meteor
 from .prompts import HALLUCINATION, OPPOSITE_KEYWORD, parse_response
 
 
-@dataclass(frozen=True)
-class EvalRecord:
-    """One judged item. ``prediction`` is the parsed presence answer ("yes",
-    "no" or None) of a hallucination item; it is kept in memory for the
-    aggregation and is not part of ``to_dict``."""
-
+class _EvalRecord(NamedTuple):
     item_id: str
     task: str
     gt: str
     response: str
-    correct: bool | None = None
-    score: float | None = None
-    missing: bool = False
-    prediction: str | None = None
+    correct: bool | None
+    score: float | None
+    missing: bool
+    prediction: str | None
 
-    def __post_init__(self):
-        if (self.correct is None) == (self.score is None):
+
+class EvalRecord(_EvalRecord):
+    """One judged item. ``prediction`` is the parsed presence answer ("yes",
+    "no" or None) of a hallucination item; it is kept in memory for the
+    aggregation and is not part of ``to_dict``."""
+
+    __slots__ = ()
+
+    def __new__(
+        cls, item_id: str, task: str, gt: str, response: str, correct: bool | None = None,
+        score: float | None = None, missing: bool = False, prediction: str | None = None,
+    ):
+        if (correct is None) == (score is None):
             raise ValueError("exactly one of correct/score must be set")
+        return tuple.__new__(cls, (item_id, task, gt, response, correct, score, missing, prediction))
 
     def to_dict(self) -> dict:
         return {
@@ -48,21 +55,37 @@ class EvalRecord:
         }
 
 
-@dataclass
-class MetricsReport:
+class _MetricsReport(NamedTuple):
     task: str
     n: int
-    accuracy: float | None = None
-    per_split: dict = field(default_factory=dict)
-    precision: float | None = None
-    recall: float | None = None
-    f1: float | None = None
-    yes_ratio: float | None = None
-    meteor_mean: float | None = None
-    missing: int = 0
-    flags: dict = field(default_factory=dict)
-    config_digest: str | None = None
-    dataset_digest: str | None = None
+    accuracy: float | None
+    per_split: dict
+    precision: float | None
+    recall: float | None
+    f1: float | None
+    yes_ratio: float | None
+    meteor_mean: float | None
+    missing: int
+    flags: dict
+    config_digest: str | None
+    dataset_digest: str | None
+
+
+class MetricsReport(_MetricsReport):
+    """One task's scores; ``per_split`` and ``flags`` default to a new empty dict."""
+
+    __slots__ = ()
+
+    def __new__(
+        cls, task: str, n: int, accuracy: float | None = None, per_split: dict | None = None,
+        precision: float | None = None, recall: float | None = None, f1: float | None = None,
+        yes_ratio: float | None = None, meteor_mean: float | None = None, missing: int = 0,
+        flags: dict | None = None, config_digest: str | None = None, dataset_digest: str | None = None,
+    ):
+        return tuple.__new__(cls, (
+            task, n, accuracy, {} if per_split is None else per_split, precision, recall, f1, yes_ratio,
+            meteor_mean, missing, {} if flags is None else flags, config_digest, dataset_digest,
+        ))
 
     def to_dict(self) -> dict:
         out = {
@@ -166,24 +189,26 @@ def aggregate_report(eval_records: list[EvalRecord], flags: dict) -> MetricsRepo
     task = tasks.pop()
     records = sorted(eval_records, key=lambda r: r.item_id)
     n = len(records)
-    report = MetricsReport(task=task, n=n, missing=sum(r.missing for r in records), flags=dict(flags))
+    common = {"task": task, "n": n, "missing": sum(r.missing for r in records), "flags": dict(flags)}
     if task == "region_description":
-        report.meteor_mean = sum(r.score for r in records) / n
-        return report
-    report.accuracy = sum(r.correct for r in records) / n
+        return MetricsReport(meteor_mean=sum(r.score for r in records) / n, **common)
+    accuracy = sum(r.correct for r in records) / n
     if task == "spatial":
         split_total, split_hit = Counter(), Counter()
         for r in records:
             split_total[r.gt] += 1
             split_hit[r.gt] += r.correct
-        report.per_split = {kw: split_hit[kw] / total for kw, total in split_total.items()}
-    elif task == "hallucination":
+        per_split = {kw: split_hit[kw] / total for kw, total in split_total.items()}
+        return MetricsReport(accuracy=accuracy, per_split=per_split, **common)
+    if task == "hallucination":
         positives = [r.correct for r in records if r.gt == "yes"]
         tp = sum(positives)
         fp = sum(r.gt == "no" and r.prediction == "yes" for r in records)
-        report.precision = tp / (tp + fp) if tp + fp else None
-        report.recall = tp / len(positives) if positives else None
-        if tp:  # precision and recall are then both set and positive
-            report.f1 = 2 * report.precision * report.recall / (report.precision + report.recall)
-        report.yes_ratio = (tp + fp) / n
-    return report
+        precision = tp / (tp + fp) if tp + fp else None
+        recall = tp / len(positives) if positives else None
+        # precision and recall are both set and positive when tp is
+        f1 = 2 * precision * recall / (precision + recall) if tp else None
+        return MetricsReport(
+            accuracy=accuracy, precision=precision, recall=recall, f1=f1, yes_ratio=(tp + fp) / n, **common
+        )
+    return MetricsReport(accuracy=accuracy, **common)

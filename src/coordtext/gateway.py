@@ -24,8 +24,8 @@ import random as random_module
 import re
 import threading
 import time
-from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 from urllib.parse import urlsplit
 
 from .coords import BBox, ImageDims, PointLoc, ReprScheme, encode_bbox, encode_point
@@ -33,38 +33,49 @@ from .prompts import CAPTION_REQUEST, LOCPRED, NEGPRED, REVLOC
 from .seeding import derive_seed
 
 
-@dataclass(frozen=True)
-class ModelRequest:
+class ModelRequest(NamedTuple):
     request_id: str
     media_ref: str
     prompt: str
 
 
-@dataclass(frozen=True)
-class ModelResponse:
+class _ModelResponse(NamedTuple):
     request_id: str
     text: str
-    status: str = "ok"  # "ok" | "error"
-    error_detail: str | None = None
+    status: str  # "ok" | "error"
+    error_detail: str | None
 
-    def __post_init__(self):
-        if self.status == "error" and not self.error_detail:
+
+class ModelResponse(_ModelResponse):
+    __slots__ = ()
+
+    def __new__(cls, request_id: str, text: str, status: str = "ok", error_detail: str | None = None):
+        if status == "error" and not error_detail:
             raise ValueError("error responses need error_detail")
+        return tuple.__new__(cls, (request_id, text, status, error_detail))
 
 
-@dataclass(frozen=True)
-class SamplingConfig:
-    temperature: float = 0.2
-    max_new_tokens: int = 128
+class _SamplingConfig(NamedTuple):
+    temperature: float
+    max_new_tokens: int
 
-    def __post_init__(self):
-        if not (self.temperature > 0 and math.isfinite(self.temperature)):
-            raise ValueError(f"temperature must be a finite number above 0, got {self.temperature}")
-        if self.max_new_tokens <= 0:
+
+class SamplingConfig(_SamplingConfig):
+    __slots__ = ()
+
+    def __new__(cls, temperature: float = 0.2, max_new_tokens: int = 128):
+        if not (temperature > 0 and math.isfinite(temperature)):
+            raise ValueError(f"temperature must be a finite number above 0, got {temperature}")
+        if max_new_tokens <= 0:
             raise ValueError("max_new_tokens must be positive")
+        return tuple.__new__(cls, (temperature, max_new_tokens))
 
     def to_dict(self) -> dict:
         return {"temperature": self.temperature, "max_new_tokens": self.max_new_tokens}
+
+
+# longest sleep between two attempts of one request that query_batch accepts
+MAX_RETRY_DELAY_S = 3600.0
 
 
 class TransientTransportError(RuntimeError):
@@ -408,9 +419,10 @@ def query_batch(
     ``min(max_inflight, len(requests_))`` worker threads each send one request
     at a time, and each request is attempted up to ``attempts`` times with
     exponential backoff; failures become per-request error responses, never
-    exceptions, so a batch always completes. Settings that could send nothing
-    or sleep a negative, infinite or NaN time raise ValueError before
-    anything is sent.
+    exceptions, so a batch always completes. Settings that could send nothing,
+    or sleep a negative, infinite or NaN time, or a last delay
+    ``backoff * 2**(attempts - 2)`` above ``MAX_RETRY_DELAY_S``, raise
+    ValueError before anything is sent.
     """
     if attempts < 1:
         raise ValueError(f"attempts must be at least 1, got {attempts}")
@@ -418,6 +430,16 @@ def query_batch(
         raise ValueError(f"backoff must be finite, got {backoff}")
     if backoff < 0:
         raise ValueError(f"backoff must be non-negative, got {backoff}")
+    if attempts > 1:
+        try:  # ldexp scales by a power of two exactly, whatever the size of attempts
+            last_delay = math.ldexp(backoff, attempts - 2)
+        except OverflowError:
+            last_delay = math.inf
+        if last_delay > MAX_RETRY_DELAY_S:
+            raise ValueError(
+                f"backoff {backoff} with {attempts} attempts makes a retry delay"
+                f" above the {MAX_RETRY_DELAY_S:g} s maximum"
+            )
     if max_inflight < 1:
         raise ValueError(f"max_inflight must be at least 1, got {max_inflight}")
     if not requests_:

@@ -6,28 +6,30 @@ CLI command that pools nothing) does not pay for it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 if TYPE_CHECKING:
     import numpy as np
 
 
-@dataclass(frozen=True)
-class TokenGrid:
-    """Per-frame visual tokens: shape (n_frames, spatial_positions, feature_dim)."""
-
+class _TokenGrid(NamedTuple):
     values: np.ndarray
 
-    def __post_init__(self):
+
+class TokenGrid(_TokenGrid):
+    """Per-frame visual tokens: shape (n_frames, spatial_positions, feature_dim)."""
+
+    __slots__ = ()
+
+    def __new__(cls, values):
         import numpy as np
 
-        v = np.asarray(self.values)
+        v = np.asarray(values)
         if v.ndim != 3 or min(v.shape) < 1:
             raise ValueError(f"token grid must be (frames, positions, dim) with positive sizes, got {v.shape}")
         if not np.all(np.isfinite(v)):
             raise ValueError("token grid holds non-finite values")
-        object.__setattr__(self, "values", v)
+        return tuple.__new__(cls, (v,))
 
     @property
     def n_frames(self) -> int:

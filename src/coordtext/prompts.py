@@ -7,7 +7,7 @@ pool so nothing in the input distinguishes the two objectives.
 """
 
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .coords import (
     CodecError,
@@ -63,25 +63,45 @@ OPPOSITE_KEYWORD = {"left": "right", "right": "left", "above": "below", "below":
 NEGATION_PHRASES = ("no such object", "there is no", "not present", "does not appear")
 
 
-@dataclass(frozen=True)
-class TemplateSet:
+class _TemplateSet(NamedTuple):
+    locpred_prompts: tuple[str, ...]
+    negpred_prompts: tuple[str, ...]
+    revloc_prompts: tuple[str, ...]
+    locpred_target: str
+    negpred_target: str
+    revloc_target: str
+    spatial_direct: str
+    spatial_icl_answer: str
+    hallucination: str
+    caption_request: str
+    source: str
+
+
+class TemplateSet(_TemplateSet):
     """The full template pool; location and negative prompts are the same tuple."""
 
-    locpred_prompts: tuple[str, ...] = LOCATION_PROMPTS
-    negpred_prompts: tuple[str, ...] = LOCATION_PROMPTS
-    revloc_prompts: tuple[str, ...] = REVLOC_PROMPTS
-    locpred_target: str = LOCPRED_TARGET
-    negpred_target: str = NEGPRED_TARGET
-    revloc_target: str = REVLOC_TARGET
-    spatial_direct: str = SPATIAL_QUESTION
-    spatial_icl_answer: str = SPATIAL_ICL_ANSWER
-    hallucination: str = HALLUCINATION_QUESTION
-    caption_request: str = CAPTION_PROMPT
-    source: str = "builtin"
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.locpred_prompts != self.negpred_prompts:
+    def __new__(
+        cls,
+        locpred_prompts: tuple[str, ...] = LOCATION_PROMPTS,
+        negpred_prompts: tuple[str, ...] = LOCATION_PROMPTS,
+        revloc_prompts: tuple[str, ...] = REVLOC_PROMPTS,
+        locpred_target: str = LOCPRED_TARGET,
+        negpred_target: str = NEGPRED_TARGET,
+        revloc_target: str = REVLOC_TARGET,
+        spatial_direct: str = SPATIAL_QUESTION,
+        spatial_icl_answer: str = SPATIAL_ICL_ANSWER,
+        hallucination: str = HALLUCINATION_QUESTION,
+        caption_request: str = CAPTION_PROMPT,
+        source: str = "builtin",
+    ):
+        if locpred_prompts != negpred_prompts:
             raise ValueError("location and negative prompt pools must be identical")
+        return tuple.__new__(cls, (
+            locpred_prompts, negpred_prompts, revloc_prompts, locpred_target, negpred_target, revloc_target,
+            spatial_direct, spatial_icl_answer, hallucination, caption_request, source,
+        ))
 
 
 DEFAULT_TEMPLATES = TemplateSet()
@@ -132,8 +152,7 @@ def load_template_overrides(path) -> TemplateSet:
     return TemplateSet(source=str(path), **fields)
 
 
-@dataclass(frozen=True)
-class RenderedPair:
+class RenderedPair(NamedTuple):
     prompt: str
     target: str
     objective: str
@@ -141,8 +160,7 @@ class RenderedPair:
     seed: int
 
 
-@dataclass(frozen=True)
-class ParsedResponse:
+class ParsedResponse(NamedTuple):
     """Structured view of free-form model text; raw is always preserved."""
 
     kind: str  # location | negative | side_answer | yes_no | free_text

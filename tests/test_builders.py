@@ -10,6 +10,7 @@ import pytest
 
 from coordtext.annotations import AnnotatedImage, CaptionRecord, MediaCategories, ObjectAnn
 from coordtext.builders import (
+    MAX_MIX_RATIO,
     BuildReport,
     build_hallucination_set,
     build_ift_dataset,
@@ -161,6 +162,11 @@ def test_ift_mix_validation():
         build_ift_dataset([img], IVB, "bbox", {"locpred": -1.0}, seed=0)
     with pytest.raises(ValueError, match="unknown objectives"):
         build_ift_dataset([img], IVB, "bbox", {"mystery": 1.0}, seed=0)
+    for ratio in (MAX_MIX_RATIO + 1, math.inf, math.nan):
+        with pytest.raises(ValueError, match=r"mix ratios must lie in \[0, 100\] with a positive sum"):
+            build_ift_dataset([img], IVB, "bbox", {"locpred": ratio}, seed=0)
+    samples, _ = build_ift_dataset([img], IVB, "bbox", {"locpred": MAX_MIX_RATIO}, seed=0)
+    assert len(samples) == 100
 
 
 # ---------------- spatial bench ---------------- #

@@ -51,6 +51,17 @@ def test_encode_invariant_violation_exits_2(capsys):
     assert code == 2 and "x1 > x2" in err
 
 
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--bbox", "nan,120,30,145"), ("--bbox", "10,120,inf,145"), ("--point", "nan,5"), ("--point", "5,-inf")],
+)
+def test_encode_non_finite_location_exits_2(capsys, flag, value):
+    """NaN and infinity used to fail deep in the codec, as "cannot convert
+    NaN to integer ratio" or "x1 > x2 in (inf, ...)"."""
+    code, out, err = run(["encode", flag, value, "--dims", "512x512", "--scheme", "ivb"], capsys)
+    assert code == 2 and out == "" and err == f"error: {flag} values must be finite, got {value!r}\n"
+
+
 def test_encode_requires_exactly_one_location(capsys):
     code, _, err = run(["encode", "--dims", "512x512", "--scheme", "ivb"], capsys)
     assert code == 2
@@ -599,11 +610,15 @@ def test_query_endpoint_other_scheme_exits_2(spatial_run, tmp_path, capsys):
         (["--max-inflight", "0"], "max_inflight must be at least 1, got 0"),
         (["--attempts", "2", "--backoff", "nan"], "backoff must be finite, got nan"),
         (["--attempts", "2", "--backoff", "inf"], "backoff must be finite, got inf"),
+        (["--attempts", "2", "--backoff", "1e300"], "backoff 1e+300 with 2 attempts makes a retry delay above the 3600 s maximum"),
+        (["--attempts", str(10**30), "--backoff", "1e-300"], f"backoff 1e-300 with {10**30} attempts makes a retry delay"),
     ],
 )
 def test_query_invalid_retry_settings_exit_2(spatial_run, tmp_path, capsys, settings, message):
-    """Settings that would send nothing or sleep a negative time are refused
-    before any request; the port-9 endpoint is never contacted."""
+    """Settings that would send nothing, or sleep a negative time or longer
+    than the maximum delay, are refused before any request; the port-9
+    endpoint is never contacted. A backoff of 1e300 used to end in an
+    OverflowError traceback from ``sleep`` with exit 1."""
     bench, _ = spatial_run
     out = tmp_path / "r.jsonl"
     code, _, err = run(["query", "--records", str(bench), "--endpoint", "http://127.0.0.1:9/", *settings, "--out", str(out)], capsys)
@@ -630,6 +645,26 @@ def test_build_ift_non_finite_mix_exits_2(fx, tmp_path, capsys, mix):
     code, _, err = run(["build", "ift", "--annotations", str(fx / "coco_50.json"), "--mix", mix, "--out", str(out)], capsys)
     assert code == 2 and "error: bad --mix entry 'locpred=" in err and "ratio must be finite" in err
     assert not out.exists()
+
+
+def test_build_ift_mix_ratio_above_the_maximum_exits_2(fx, tmp_path, capsys, monkeypatch):
+    """A huge finite ratio used to build total * ratio task tuples before
+    anything else; it is refused while the flags are parsed, so the builder
+    never runs."""
+    monkeypatch.setattr(cli, "build_ift_dataset", lambda *a, **k: pytest.fail("builder ran"))
+    out = tmp_path / "ift.jsonl"
+    code, _, err = run(["build", "ift", "--annotations", str(fx / "coco_50.json"), "--mix", "locpred=1e9", "--out", str(out)], capsys)
+    assert code == 2 and "error: bad --mix entry 'locpred=1e9', ratio must be at most 100" in err
+    assert not out.exists()
+
+
+def test_build_ift_mix_ratio_at_the_maximum_builds(fx, tmp_path, capsys):
+    out = tmp_path / "ift.jsonl"
+    args = ["build", "ift", "--annotations", str(fx / "coco_50.json"), "--out", str(out)]
+    assert run([*args, "--mix", "locpred=1"], capsys)[0] == 0
+    once = len(read_records(out)[1])
+    assert run([*args, "--mix", "locpred=100"], capsys)[0] == 0
+    assert len(read_records(out)[1]) == 100 * once
 
 
 @pytest.mark.parametrize("task", ["hallucination", "region"])
@@ -832,7 +867,9 @@ from coordtext.cli import main
 fx, out = sys.argv[1], sys.argv[2]
 heavy = {"numpy", "requests", "http.client", "socket"}
 deferred = {"coordtext.fixtures", "coordtext.pooling"}
-assert not (heavy | deferred) & set(sys.modules), "import coordtext.cli"
+class_machinery = {"dataclasses", "inspect"}
+unloaded = heavy | deferred | class_machinery
+assert not unloaded & set(sys.modules), "import coordtext.cli"
 for args in (
     ["build", "spatial-bench", "--annotations", fx + "/coco_50.json", "--out", out + "/bench.jsonl"],
     ["query", "--records", out + "/bench.jsonl", "--mock", "oracle", "--out", out + "/resp.jsonl"],
@@ -840,7 +877,7 @@ for args in (
     ["verify", out + "/bench.jsonl", out + "/resp.jsonl"],
 ):
     assert main(args) == 0, args
-    assert not (heavy | deferred) & set(sys.modules), args
+    assert not unloaded & set(sys.modules), args
 
 from coordtext.gateway import HttpTransport
 
@@ -864,7 +901,8 @@ assert not {"requests", "http.client"} & set(sys.modules)
 def test_pipeline_stages_load_neither_numpy_nor_requests(fx, tmp_path):
     """build, query --mock, evaluate and verify load neither numpy nor
     socket, nor the fixtures and pooling modules; the paths that need them
-    load them on first use, and no path loads requests or http.client."""
+    load them on first use, and no path loads requests or http.client. The
+    value types are named tuples, so no stage loads dataclasses or inspect."""
     proc = subprocess.run(
         [sys.executable, "-c", LAZY_IMPORT_CHILD, str(fx), str(tmp_path)],
         capture_output=True,

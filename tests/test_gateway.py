@@ -16,6 +16,7 @@ from coordtext.builders import build_spatial_bench
 from coordtext.coords import BBox, ImageDims, LocationText, ReprScheme, decode_bbox
 from coordtext.fixtures import spatial_fixture
 from coordtext.gateway import (
+    MAX_RETRY_DELAY_S,
     CallableTransport,
     FileBatchTransport,
     HttpTransport,
@@ -122,6 +123,10 @@ def test_retries_exhausted_become_error():
         ({"max_inflight": 0}, "max_inflight"),
         ({"backoff": math.nan}, "backoff must be finite"),
         ({"backoff": math.inf}, "backoff must be finite"),
+        ({"attempts": 2, "backoff": 1e300}, "above the 3600 s maximum"),
+        ({"attempts": 14, "backoff": 1.0}, "above the 3600 s maximum"),
+        ({"attempts": 1100, "backoff": 5e-324}, "above the 3600 s maximum"),
+        ({"attempts": 10**100, "backoff": 1e-300}, "above the 3600 s maximum"),
     ],
 )
 def test_invalid_retry_settings_raise_before_sending(settings, message):
@@ -129,6 +134,24 @@ def test_invalid_retry_settings_raise_before_sending(settings, message):
     with pytest.raises(ValueError, match=message):
         query_batch(REQS, CallableTransport(lambda request, cfg: sent.append(request)), **settings)
     assert sent == []
+
+
+def test_largest_retry_delay_up_to_the_maximum_is_accepted():
+    """The last of attempts - 1 sleeps is backoff * 2**(attempts - 2); at the
+    maximum, or with no backoff however many attempts, the batch runs."""
+    assert MAX_RETRY_DELAY_S == 3600.0
+
+    def always_down(request, cfg):
+        raise TransientTransportError("refused")
+
+    for attempts, backoff in ((2, MAX_RETRY_DELAY_S), (13, MAX_RETRY_DELAY_S / 2**11), (1, 1e300)):
+        sleeps = []
+        out = query_batch(REQS[:1], CallableTransport(always_down), attempts=attempts, backoff=backoff, sleep=sleeps.append)
+        assert out[0].status == "error" and len(sleeps) == attempts - 1
+        assert sleeps[-1:] in ([], [MAX_RETRY_DELAY_S])
+    # any number of attempts with no backoff: the sends end on a permanent error
+    out = query_batch(REQS[:1], CallableTransport(lambda request, cfg: 1 / 0), attempts=10**100, backoff=0.0)
+    assert out[0].status == "error"
 
 
 # ---------------- HTTP transport ---------------- #

@@ -19,6 +19,7 @@ from .annotations import AnnotatedImage, MediaCategories
 from .coords import BBox, LocationText, ReprScheme, encode_bbox, encode_point
 from .prompts import (
     DEFAULT_TEMPLATES,
+    HALLUCINATION,
     LOCPRED,
     NEGPRED,
     REVLOC,
@@ -377,7 +378,7 @@ class HallucinationItem(NamedTuple):
 
     def to_record(self, templates: TemplateSet = DEFAULT_TEMPLATES) -> dict:
         return dataset_record(
-            self.item_id, self.media_id, "hallucination", render_hallucination_query(self.obj, self.medium, templates),
+            self.item_id, self.media_id, HALLUCINATION, render_hallucination_query(self.obj, self.medium, templates),
             "Yes" if self.gt == "yes" else "No", self.obj, self.seed,
             medium=self.medium, gt=self.gt,
         )

@@ -43,6 +43,7 @@ from .coords import (
     encode_point,
 )
 from .evals import (
+    TRUTH_VALUES,
     score_hallucination,
     score_keyword_vqa,
     score_region_description,
@@ -58,7 +59,7 @@ from .gateway import (
     SamplingConfig,
     query_batch,
 )
-from .prompts import CAPTION_REQUEST, DEFAULT_TEMPLATES, load_template_overrides, render_caption_request
+from .prompts import CAPTION_REQUEST, DEFAULT_TEMPLATES, OBJECTIVES, load_template_overrides, render_caption_request
 from .records import (
     SchemaError,
     config_digest,
@@ -314,28 +315,36 @@ def cmd_stats(args) -> int:
 # ---------------- query ---------------- #
 
 
-def _records_by_id(path, rows: list[dict], *fields: str) -> dict[str, dict]:
-    """Dataset records by sample_id. A record without a sample_id or one of
-    ``fields``, or one that repeats a sample_id, is a SchemaError naming the
-    file and the record number."""
-    required = ("sample_id", *fields)
-    by_id: dict[str, dict] = {}
+def _text_field(path, n: int, row: dict, field: str) -> str:
+    """``row[field]``, a string; else a SchemaError naming the file, the record number and the field."""
+    value = row.get(field)
+    if isinstance(value, str):
+        return value
+    if field not in row:
+        raise SchemaError(f"{path}: record {n}: missing {field}")
+    raise SchemaError(f"{path}: record {n}: {field} is not a string")
+
+
+def _numbered_records(path, rows: list[dict], *fields: str):
+    """Yield ``(n, row)`` for each dataset record, numbered from 1. A record
+    without a string sample_id or string ``fields``, or one that repeats a
+    sample_id, is a SchemaError naming the file and the record number."""
+    seen = {}  # not a set: for 21k ids a set takes 2.1 MB, a dict 0.6 MB
     for n, row in enumerate(rows, 1):
-        for field in required:
-            if field not in row:
-                raise SchemaError(f"{path}: record {n}: missing {field}")
-        sample_id = row["sample_id"]
-        if sample_id in by_id:
+        sample_id = _text_field(path, n, row, "sample_id")
+        for field in fields:
+            _text_field(path, n, row, field)
+        if sample_id in seen:
             raise SchemaError(f"{path}: record {n}: duplicate sample_id {sample_id!r}")
-        by_id[sample_id] = row
-    return by_id
+        seen[sample_id] = n
+        yield n, row
 
 
 def cmd_query(args) -> int:
     _, rows = read_records(args.records)
     if not rows:
         raise SchemaError(f"{args.records}: no records")
-    by_id = _records_by_id(args.records, rows, "prompt")
+    by_id = {row["sample_id"]: row for _, row in _numbered_records(args.records, rows, "prompt")}
     requests = [ModelRequest(row["sample_id"], str(row.get("image_id", "")), row["prompt"]) for row in rows]
     cfg = SamplingConfig(temperature=args.temperature, max_new_tokens=args.max_new_tokens)
     if args.mock == "oracle":
@@ -377,32 +386,30 @@ _SCORERS = {
     "region": score_region_description,
 }
 
-_TASK_BY_OBJECTIVE = {
-    "spatial_direct": "spatial",
-    "spatial_icl": "spatial",
-    "hallucination": "hallucination",
-    "vqa": "vqa",
-    "revloc": "region",
-    "region_description": "region",
-}
 
-
-def _infer_task(rows) -> str:
-    objectives = {row.get("objective", "") for row in rows}
-    tasks = {_TASK_BY_OBJECTIVE.get(obj) for obj in objectives}
-    if None in tasks or len(tasks) != 1:
-        raise ValueError(
-            f"cannot infer a single task from objectives {sorted(objectives)}; pass --task"
-        )
-    return tasks.pop()
-
-
-def _check_task(path, rows, task) -> None:
-    """Refuse a ``--task`` that does not score every record's objective."""
-    for n, row in enumerate(rows, 1):
-        objective = row.get("objective", "")
-        if _TASK_BY_OBJECTIVE.get(objective) != task:
-            raise SchemaError(f"{path}: record {n}: objective {objective!r} is not a {task} objective")
+def _check_records(path, rows, task: str | None) -> str:
+    """Check evaluate's records in one pass; returns ``task``, or else the one
+    task that scores every record's objective. A record whose objective has a
+    task needs the ground truth that its row of ``OBJECTIVES`` names."""
+    objectives, tasks = set(), set()
+    for n, row in _numbered_records(path, rows):
+        name = _text_field(path, n, row, "objective") if "objective" in row else ""
+        objective = OBJECTIVES.get(name)
+        row_task = objective.task if objective else None
+        if task is not None and row_task != task:
+            raise SchemaError(f"{path}: record {n}: objective {name!r} is not a {task} objective")
+        objectives.add(name)
+        tasks.add(row_task)
+        if row_task is not None:
+            truth = _text_field(path, n, row, objective.truth)
+            allowed = TRUTH_VALUES.get(row_task)
+            if allowed and truth not in allowed:
+                raise SchemaError(f"{path}: record {n}: {objective.truth} {truth!r} is not one of {', '.join(allowed)}")
+    if task is None:
+        if None in tasks or len(tasks) != 1:
+            raise ValueError(f"cannot infer a single task from objectives {sorted(objectives)}; pass --task")
+        task = tasks.pop()
+    return task
 
 
 def _read_checked(path) -> tuple[dict, list[dict]]:
@@ -424,15 +431,14 @@ def _read_responses(path) -> dict[str, str]:
     errored = set()
     for n, row in enumerate(rows, 1):
         if "item_id" in row:
-            if "text" not in row:
-                raise SchemaError(f"{path}: record {n}: missing text")
-            item_id = row["item_id"]
+            text = _text_field(path, n, row, "text")
+            item_id = _text_field(path, n, row, "item_id")
             if item_id in responses or item_id in errored:
                 raise SchemaError(f"{path}: record {n}: duplicate item_id {item_id!r}")
             if row.get("status") == "error":
                 errored.add(item_id)
             else:
-                responses[item_id] = row["text"]
+                responses[item_id] = text
     if errored:
         print(f"{len(errored)} response(s) marked status: error, counted as missing", file=sys.stderr)
     return responses
@@ -443,26 +449,18 @@ def cmd_evaluate(args) -> int:
     responses = _read_responses(args.responses)
     if not rows:
         raise SchemaError(f"{args.records}: no records")
-    _records_by_id(args.records, rows)
+    task = _check_records(args.records, rows, args.task or None)
     if not responses:
         print("no responses to evaluate", file=sys.stderr)
         return EXIT_ALIGNMENT
-    if args.task:
-        task = args.task
-        _check_task(args.records, rows, task)
-    else:
-        task = _infer_task(rows)
     missing = [row["sample_id"] for row in rows if row["sample_id"] not in responses]
     for sample_id in missing[:10]:
         print(f"missing response for {sample_id}", file=sys.stderr)
     if len(missing) * 2 > len(rows):
         print(f"{len(missing)}/{len(rows)} records lack responses", file=sys.stderr)
         return EXIT_ALIGNMENT
-    scorer = _SCORERS[task]
-    if task == "spatial":
-        report, items = scorer(rows, responses, strict=not args.containment_only)
-    else:
-        report, items = scorer(rows, responses)
+    options = {"strict": not args.containment_only} if task == "spatial" else {}
+    report, items = _SCORERS[task](rows, responses, **options)
     config = _effective_config(args, ["records", "responses", "task", "containment_only"])
     report = report._replace(config_digest=config_digest(config), dataset_digest=record_meta.get("records_digest"))
     if task == "region":
@@ -610,7 +608,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--endpoint", default=os.environ.get("GATEWAY_ENDPOINT"))
     p.add_argument("--batch-dir", dest="batch_dir", default=os.environ.get("GATEWAY_BATCH_DIR"))
-    p.add_argument("--max-inflight", dest="max_inflight", type=int, default=int(os.environ.get("GATEWAY_MAX_INFLIGHT", "4")))
+    # a string default, so that argparse converts it only when query runs
+    p.add_argument("--max-inflight", dest="max_inflight", type=int, default=os.environ.get("GATEWAY_MAX_INFLIGHT", "4"))
     p.add_argument("--attempts", type=int, default=3, help="tries per request before giving up")
     p.add_argument("--backoff", type=float, default=0.1,
                    help=f"initial retry delay, doubled per attempt; the last at most {MAX_RETRY_DELAY_S:g} s")
@@ -622,7 +621,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("evaluate", help="score responses against dataset records")
     p.add_argument("--records", required=True)
     p.add_argument("--responses", required=True)
-    p.add_argument("--task", choices=sorted(_SCORERS))
+    p.add_argument("--task", choices=sorted({objective.task for objective in OBJECTIVES.values()} - {None}))
     p.add_argument("--containment-only", dest="containment_only", action="store_true",
                    help="spatial: bare keyword containment, opposing keyword allowed")
     p.add_argument("--report")
@@ -668,11 +667,14 @@ def main(argv=None) -> int:
         try:
             with open(known.config, encoding="utf-8") as fh:
                 file_defaults = json.load(fh)
-        except FileNotFoundError as exc:
-            print(f"cannot read {exc.filename}: {exc.strerror}", file=sys.stderr)
+        except OSError as exc:
+            print(_os_error_text(exc), file=sys.stderr)
             return EXIT_IO
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # not JSON, or not UTF-8
             print(f"schema error: {known.config}: {exc}", file=sys.stderr)
+            return EXIT_SCHEMA
+        if not isinstance(file_defaults, dict):
+            print(f"schema error: {known.config}: not a JSON object", file=sys.stderr)
             return EXIT_SCHEMA
         for p in _iter_parsers(parser):
             p.set_defaults(**file_defaults)

@@ -14,7 +14,12 @@ from collections import Counter
 from typing import NamedTuple
 
 from .meteor import score_meteor
-from .prompts import HALLUCINATION, OPPOSITE_KEYWORD, parse_response
+from .prompts import HALLUCINATION, OBJECTIVES, OPPOSITE_KEYWORD, parse_response
+
+# the record field that holds each evaluate task's ground truth, and the
+# values it may take where the task's judgement knows only those
+_TRUTH = {objective.task: objective.truth for objective in OBJECTIVES.values() if objective.task}
+TRUTH_VALUES = {"spatial": tuple(OPPOSITE_KEYWORD), "hallucination": ("yes", "no")}
 
 
 class _EvalRecord(NamedTuple):
@@ -135,7 +140,7 @@ def score_spatial(records, responses: dict, strict: bool = True) -> tuple[Metric
         return {"correct": gt in lowered and not (strict and OPPOSITE_KEYWORD[gt] in lowered)}
 
     flags = {"mode": "strict" if strict else "containment"}
-    return _score("spatial", records, responses, "gt_keyword", judge, flags)
+    return _score("spatial", records, responses, _TRUTH["spatial"], judge, flags)
 
 
 def score_keyword_vqa(records, responses: dict) -> tuple[MetricsReport, list[EvalRecord]]:
@@ -145,7 +150,7 @@ def score_keyword_vqa(records, responses: dict) -> tuple[MetricsReport, list[Eva
         return {"correct": _normalize(gt) in _normalize(response)}
 
     flags = {"normalization": "lowercase, strip terminal punctuation"}
-    return _score("vqa", records, responses, "target", judge, flags)
+    return _score("vqa", records, responses, _TRUTH["vqa"], judge, flags)
 
 
 def score_hallucination(records, responses: dict) -> tuple[MetricsReport, list[EvalRecord]]:
@@ -160,7 +165,7 @@ def score_hallucination(records, responses: dict) -> tuple[MetricsReport, list[E
         prediction = parsed.polarity if parsed.kind == "yes_no" else None
         return {"correct": prediction == gt, "prediction": prediction}
 
-    return _score("hallucination", records, responses, "gt", judge, {"positive_class": "yes"})
+    return _score("hallucination", records, responses, _TRUTH["hallucination"], judge, {"positive_class": "yes"})
 
 
 def score_region_description(records, responses: dict) -> tuple[MetricsReport, list[EvalRecord]]:
@@ -170,7 +175,7 @@ def score_region_description(records, responses: dict) -> tuple[MetricsReport, l
         return {"score": score_meteor(gt, response)}
 
     flags = {"metric": "meteor exact+stem, fmean weight 9, penalty 0.5*(ch/m)^3"}
-    return _score("region_description", records, responses, "descriptor", judge, flags)
+    return _score("region_description", records, responses, _TRUTH["region"], judge, flags)
 
 
 def aggregate_report(eval_records: list[EvalRecord], flags: dict) -> MetricsReport:

@@ -11,6 +11,7 @@ import random
 
 from .annotations import AnnotatedImage, MediaCategories, ObjectAnn
 from .coords import BBox, ImageDims
+from .prompts import VQA
 
 CATEGORIES = (
     "lamp",
@@ -137,7 +138,7 @@ def vqa_fixture(n: int = 60, seed: int = 4) -> list[dict]:
             {
                 "sample_id": f"vqa{i:04d}",
                 "image_id": f"im{i:04d}",
-                "objective": "vqa",
+                "objective": VQA,
                 "prompt": rng.choice(questions).format(a=answer),
                 "target": answer,
                 "location_text": None,

@@ -28,8 +28,8 @@ from pathlib import Path
 from typing import NamedTuple
 from urllib.parse import urlsplit
 
+from . import prompts
 from .coords import BBox, ImageDims, PointLoc, ReprScheme, encode_bbox, encode_point
-from .prompts import CAPTION_REQUEST, LOCPRED, NEGPRED, REVLOC
 from .seeding import derive_seed
 
 
@@ -394,16 +394,6 @@ class FileBatchTransport:
         return out
 
 
-class CallableTransport:
-    """Adapter for in-process models and tests: fn(request, cfg) -> ModelResponse."""
-
-    def __init__(self, fn):
-        self.fn = fn
-
-    def send(self, request: ModelRequest, cfg: SamplingConfig) -> ModelResponse:
-        return self.fn(request, cfg)
-
-
 def query_batch(
     requests_: list[ModelRequest],
     transport,
@@ -514,22 +504,22 @@ def spatial_answer(query_name: str, keyword: str, ref_name: str) -> str:
 def oracle_answer(record: dict) -> str:
     """Canonical correct answer for one dataset record."""
     objective = record["objective"]
-    if objective == LOCPRED:
+    if objective == prompts.LOCPRED:
         return f"It is located at {record['location_text']}."
-    if objective == NEGPRED:
+    if objective == prompts.NEGPRED:
         return "There is no such object in the image"
-    if objective in (REVLOC, "region_description"):
+    if objective in (prompts.REVLOC, prompts.REGION_DESCRIPTION):
         return record["descriptor"]
-    if objective in ("spatial_direct", "spatial_icl"):
+    if objective in (prompts.SPATIAL_DIRECT, prompts.SPATIAL_ICL):
         final_question = record["prompt"].rsplit("Q: ", 1)[-1].strip()
         match = _SPATIAL_QUESTION_RE.fullmatch(final_question)
         ref = match.group(1) if match else "it"
         return spatial_answer(record["descriptor"], record["gt_keyword"], ref)
-    if objective == "hallucination":
+    if objective == prompts.HALLUCINATION:
         return "Yes" if record["gt"] == "yes" else "No"
-    if objective == "vqa":
+    if objective == prompts.VQA:
         return f"The answer is {record['target']}."
-    if objective == CAPTION_REQUEST:
+    if objective == prompts.CAPTION_REQUEST:
         return f"a {record['descriptor']} placed near the other objects in the image"
     raise ValueError(f"no oracle answer for objective {objective!r}")
 
@@ -575,11 +565,9 @@ def random_mock(
 
 def answer_space_for_record(record: dict) -> str:
     objective = record.get("objective")
-    if objective in ("spatial_direct", "spatial_icl"):
-        return record.get("axis", "lr")
-    if objective == "hallucination":
-        return "yes_no"
-    return "lr"
+    row = prompts.OBJECTIVES.get(objective) if isinstance(objective, str) else None
+    space = row.answers if row else "lr"
+    return record.get("axis", "lr") if space == "axis" else space
 
 
 class _MockTransport:

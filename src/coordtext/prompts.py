@@ -30,6 +30,27 @@ CAPTION_REQUEST = "caption_request"
 VQA = "vqa"
 REGION_DESCRIPTION = "region_description"
 
+
+class Objective(NamedTuple):
+    """What an objective tag means past the builders."""
+
+    task: str | None  # the evaluate --task that scores it; None: no task does
+    truth: str | None  # the record field that holds its ground truth
+    answers: str  # the random mock's answer space; "axis": the record's own axis field
+
+
+OBJECTIVES = {
+    LOCPRED: Objective(None, "location_text", "lr"),
+    NEGPRED: Objective(None, None, "lr"),
+    REVLOC: Objective("region", "descriptor", "lr"),
+    SPATIAL_DIRECT: Objective("spatial", "gt_keyword", "axis"),
+    SPATIAL_ICL: Objective("spatial", "gt_keyword", "axis"),
+    HALLUCINATION: Objective("hallucination", "gt", "yes_no"),
+    CAPTION_REQUEST: Objective(None, None, "lr"),
+    VQA: Objective("vqa", "target", "lr"),
+    REGION_DESCRIPTION: Objective("region", "descriptor", "lr"),
+}
+
 LOCATION_PROMPTS = (
     "Where is the object described {category} located in image in terms of {repr}?",
     "What is the location of object described {category} in terms of {repr}?",

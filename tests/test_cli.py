@@ -13,6 +13,8 @@ import pytest
 
 from coordtext import cli, records
 from coordtext.cli import main
+from coordtext.gateway import answer_space_for_record
+from coordtext.prompts import OBJECTIVES, REGION_DESCRIPTION
 from coordtext.records import read_records, write_json, write_records
 
 
@@ -940,3 +942,242 @@ def test_console_script_smoke():
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "(0, 4, 3, 11, 6, 0)"
+
+
+# ---------------- the objective table and evaluate's boundary ---------------- #
+
+
+def _evaluate_task_choices():
+    parser = cli.build_parser()
+    commands = next(a for a in parser._actions if a.dest == "command").choices
+    return set(next(a for a in commands["evaluate"]._actions if a.dest == "task").choices)
+
+
+def test_objective_table_covers_every_emitted_objective(fx, tmp_path, capsys):
+    """Every objective a builder or fixture emits has a row; --task offers
+    exactly the tasks of the table, each with a scorer and one truth field;
+    and the rows keep each objective's task, truth field and mock answers."""
+    builds = [
+        ["build", "ift", "--annotations", str(fx / "coco_50.json"), "--mix", "locpred=1,negpred=1,revloc=1"],
+        ["build", "spatial-bench", "--annotations", str(fx / "coco_200.json"), "--seed", "1"],
+        ["build", "hallucination", "--annotations", str(fx / "coco_50.json"), "--seed", "2"],
+        ["build", "pseudo-captions", "--annotations", str(fx / "coco_50.json")],
+    ]
+    emitted = {row["objective"] for row in read_records(fx / "vqa.jsonl")[1]}
+    for k, args in enumerate(builds):
+        out = tmp_path / f"{k}.jsonl"
+        assert run([*args, "--out", str(out)], capsys)[0] == 0
+        emitted |= {row["objective"] for row in read_records(out)[1]}
+    assert emitted == set(OBJECTIVES) - {REGION_DESCRIPTION}
+    rows = {name: tuple(row) for name, row in OBJECTIVES.items()}
+    assert rows == {
+        "locpred": (None, "location_text", "lr"),
+        "negpred": (None, None, "lr"),
+        "revloc": ("region", "descriptor", "lr"),
+        "region_description": ("region", "descriptor", "lr"),
+        "spatial_direct": ("spatial", "gt_keyword", "axis"),
+        "spatial_icl": ("spatial", "gt_keyword", "axis"),
+        "hallucination": ("hallucination", "gt", "yes_no"),
+        "vqa": ("vqa", "target", "lr"),
+        "caption_request": (None, None, "lr"),
+    }
+    tasks = {row.task for row in OBJECTIVES.values()} - {None}
+    assert _evaluate_task_choices() == set(cli._SCORERS) == tasks
+    for task in tasks:
+        assert len({row.truth for row in OBJECTIVES.values() if row.task == task}) == 1, task
+
+
+@pytest.mark.parametrize(
+    "record, space",
+    [
+        ({"objective": "spatial_direct", "axis": "ab"}, "ab"),
+        ({"objective": "spatial_icl", "axis": "lr"}, "lr"),
+        ({"objective": "spatial_direct"}, "lr"),
+        ({"objective": "hallucination", "axis": "ab"}, "yes_no"),
+        ({"objective": "locpred"}, "lr"),
+        ({"objective": "vqa"}, "lr"),
+        ({"objective": "no such objective"}, "lr"),
+        ({"objective": ["spatial_direct"], "axis": "ab"}, "lr"),
+        ({}, "lr"),
+    ],
+)
+def test_random_mock_answer_space_comes_from_the_table(record, space):
+    assert answer_space_for_record(record) == space
+
+
+# a records file for each task, as (build command, record field of the ground truth)
+SCORED_BUILDS = {
+    "spatial": (["build", "spatial-bench", "--annotations", "{fx}/coco_50.json", "--seed", "1"], "gt_keyword"),
+    "hallucination": (["build", "hallucination", "--annotations", "{fx}/coco_50.json", "--seed", "2"], "gt"),
+    "region": (["build", "ift", "--annotations", "{fx}/coco_50.json", "--mix", "revloc=1"], "descriptor"),
+    "vqa": (None, "target"),
+}
+
+
+@pytest.fixture(scope="module")
+def scored_runs(fx, tmp_path_factory):
+    """Records and oracle responses for each task, by task."""
+    out = tmp_path_factory.mktemp("scored_runs")
+    runs = {}
+    for task, (args, _) in SCORED_BUILDS.items():
+        records, responses = out / f"{task}.jsonl", out / f"{task}.resp.jsonl"
+        if args is None:
+            records.write_bytes((fx / "vqa.jsonl").read_bytes())
+        else:
+            assert main([a.format(fx=fx) for a in args] + ["--out", str(records)]) == 0
+        assert main(["query", "--records", str(records), "--mock", "oracle", "--out", str(responses)]) == 0
+        runs[task] = records, responses
+    return runs
+
+
+def _set_field(path, index, field, value):
+    """Rewrite ``path`` with ``field`` of record ``index`` set to ``value`` (0 = first after the meta line)."""
+    meta, rows = read_records(path)
+    rows[index][field] = value
+    write_records(path, rows, meta["config"], meta["kind"])
+
+
+def _evaluate_copies(scored_runs, task, tmp_path):
+    records, responses = scored_runs[task]
+    copies = tmp_path / "records.jsonl", tmp_path / "responses.jsonl"
+    copies[0].write_bytes(records.read_bytes())
+    copies[1].write_bytes(responses.read_bytes())
+    return copies
+
+
+def _evaluate(copies, tmp_path, capsys, *flags):
+    report = tmp_path / "report.json"
+    args = ["evaluate", "--records", str(copies[0]), "--responses", str(copies[1]), "--report", str(report), *flags]
+    code, out, err = run(args, capsys)
+    assert not report.exists() and out == ""
+    return code, err
+
+
+@pytest.mark.parametrize("task", sorted(SCORED_BUILDS))
+@pytest.mark.parametrize("given", [False, True], ids=["inferred", "given"])
+def test_evaluate_record_without_its_ground_truth_exits_3(scored_runs, tmp_path, capsys, task, given):
+    """A record without the field that holds its ground truth used to end in
+    a KeyError traceback (exit 1); now the record and the field are named."""
+    copies = _evaluate_copies(scored_runs, task, tmp_path)
+    field = SCORED_BUILDS[task][1]
+    _drop_field(copies[0], 2, field)
+    code, err = _evaluate(copies, tmp_path, capsys, *(["--task", task] if given else []))
+    assert code == 3 and f"schema error: {copies[0]}: record 3: missing {field}" in err
+
+
+@pytest.mark.parametrize("task", sorted(SCORED_BUILDS))
+@pytest.mark.parametrize("value", [5, None, ["left"]])
+def test_evaluate_ground_truth_that_is_not_a_string_exits_3(scored_runs, tmp_path, capsys, task, value):
+    """A number as a hallucination gt used to be scored as a wrong answer
+    (exit 0); as any other truth it ended in a traceback."""
+    copies = _evaluate_copies(scored_runs, task, tmp_path)
+    field = SCORED_BUILDS[task][1]
+    _set_field(copies[0], 2, field, value)
+    code, err = _evaluate(copies, tmp_path, capsys)
+    assert code == 3 and f"schema error: {copies[0]}: record 3: {field} is not a string" in err
+
+
+@pytest.mark.parametrize(
+    "task, value, message",
+    [
+        ("spatial", "front", "gt_keyword 'front' is not one of left, right, above, below"),
+        ("spatial", "Left", "gt_keyword 'Left' is not one of left, right, above, below"),
+        ("hallucination", "maybe", "gt 'maybe' is not one of yes, no"),
+        ("hallucination", "Yes", "gt 'Yes' is not one of yes, no"),
+    ],
+)
+def test_evaluate_ground_truth_outside_the_scorers_values_exits_3(scored_runs, tmp_path, capsys, task, value, message):
+    """A side keyword such as "front" used to end in ``KeyError: 'front'``,
+    and a presence gt of "maybe" was scored as a wrong answer, with a report
+    written and exit 0."""
+    copies = _evaluate_copies(scored_runs, task, tmp_path)
+    _set_field(copies[0], 2, SCORED_BUILDS[task][1], value)
+    code, err = _evaluate(copies, tmp_path, capsys)
+    assert code == 3 and f"schema error: {copies[0]}: record 3: {message}" in err
+
+
+@pytest.mark.parametrize(
+    "target, field, value",
+    [
+        ("records", "sample_id", ["a"]),
+        ("records", "sample_id", 7),
+        ("records", "objective", ["spatial_direct"]),
+        ("responses", "item_id", ["a"]),
+        ("responses", "text", 5),
+        ("responses", "text", None),
+    ],
+)
+def test_evaluate_id_or_text_that_is_not_a_string_exits_3(scored_runs, tmp_path, capsys, target, field, value):
+    """A list sample_id or item_id used to end in ``TypeError: unhashable
+    type``, and a number as text in an AttributeError from the scorer."""
+    copies = _evaluate_copies(scored_runs, "spatial", tmp_path)
+    path = copies[0] if target == "records" else copies[1]
+    _set_field(path, 2, field, value)
+    code, err = _evaluate(copies, tmp_path, capsys)
+    assert code == 3 and f"schema error: {path}: record 3: {field} is not a string" in err
+
+
+@pytest.mark.parametrize("mock", ["oracle", "random"])
+@pytest.mark.parametrize(
+    "row, field",
+    [
+        ('{"sample_id":["b"],"prompt":"y"}', "sample_id"),
+        ('{"sample_id":"b","prompt":5,"objective":"spatial_direct","descriptor":"cup","gt_keyword":"left"}', "prompt"),
+    ],
+)
+def test_query_id_or_prompt_that_is_not_a_string_exits_3(tmp_path, capsys, mock, row, field):
+    """A list sample_id used to end in ``TypeError: unhashable type``, and a
+    number as a side question's prompt in an AttributeError from the oracle."""
+    path = tmp_path / "bad.jsonl"
+    path.write_text('{"record_type":"meta"}\n{"sample_id":"a","prompt":"x"}\n' + row + "\n")
+    out = tmp_path / "out.jsonl"
+    code, _, err = run(["query", "--records", str(path), "--mock", mock, "--out", str(out)], capsys)
+    assert code == 3 and f"schema error: {path}: record 2: {field} is not a string" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        (b"[1]\n", "not a JSON object"),
+        (b'"seed"\n', "not a JSON object"),
+        (b'{"seed": "\xff"}\n', "'utf-8' codec can't decode byte 0xff"),
+        (b'{"seed": \n', "Expecting value"),
+    ],
+)
+def test_config_file_that_is_not_a_json_object_exits_3(tmp_path, capsys, content, message):
+    """A JSON value other than an object used to end in ``TypeError: ...
+    must be a mapping``, and bytes that are not UTF-8 in a UnicodeDecodeError."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_bytes(content)
+    code, out, err = run(["--config", str(cfg), "encode", "--bbox", "10,120,30,145", "--dims", "512x512"], capsys)
+    assert code == 3 and out == ""
+    assert err.startswith(f"schema error: {cfg}: ") and message in err
+
+
+def test_config_file_that_cannot_be_read_exits_1(tmp_path, capsys):
+    """A directory given as --config used to end in an IsADirectoryError traceback."""
+    code, out, err = run(["--config", str(tmp_path), "encode", "--bbox", "10,120,30,145", "--dims", "512x512"], capsys)
+    assert code == 1 and out == "" and err.startswith("i/o error: ") and str(tmp_path) in err
+    missing = tmp_path / "missing.json"
+    code, _, err = run(["--config", str(missing), "encode", "--bbox", "10,120,30,145", "--dims", "512x512"], capsys)
+    assert code == 1 and f"cannot read {missing}: No such file or directory" in err
+
+
+def test_gateway_max_inflight_is_read_by_query_only(spatial_run, tmp_path, capsys, monkeypatch):
+    """GATEWAY_MAX_INFLIGHT=abc used to stop every command, verify included,
+    with a ValueError traceback while the parser was built. Now only query
+    converts it, and a bad value is a usage error."""
+    bench, resp = spatial_run
+    out = tmp_path / "r.jsonl"
+    query = ["query", "--records", str(bench), "--mock", "oracle", "--out", str(out)]
+    monkeypatch.setenv("GATEWAY_MAX_INFLIGHT", "abc")
+    assert run(["verify", str(bench), str(resp)], capsys)[0] == 0
+    with pytest.raises(SystemExit) as exit_info:
+        main(query)
+    assert exit_info.value.code == 2
+    assert "argument --max-inflight: invalid int value: 'abc'" in capsys.readouterr().err
+    assert not out.exists()
+    monkeypatch.setenv("GATEWAY_MAX_INFLIGHT", "3")
+    assert run(query, capsys)[0] == 0
+    assert read_records(out)[0]["config"]["max_inflight"] == 3

@@ -17,7 +17,6 @@ from coordtext.coords import BBox, ImageDims, LocationText, ReprScheme, decode_b
 from coordtext.fixtures import spatial_fixture
 from coordtext.gateway import (
     MAX_RETRY_DELAY_S,
-    CallableTransport,
     FileBatchTransport,
     HttpTransport,
     ModelRequest,
@@ -34,6 +33,16 @@ from coordtext.pooling import TokenGrid, spatiotemporal_pool
 from coordtext.prompts import parse_response
 
 REQS = [ModelRequest(f"r{i}", f"im{i}.jpg", f"prompt {i}") for i in range(3)]
+
+
+class CallableTransport:
+    """An in-process transport: ``fn(request, cfg)`` answers each request."""
+
+    def __init__(self, fn):
+        self.fn = fn
+
+    def send(self, request: ModelRequest, cfg: SamplingConfig) -> ModelResponse:
+        return self.fn(request, cfg)
 
 
 def echo_transport(request, cfg):

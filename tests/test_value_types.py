@@ -33,6 +33,7 @@ from coordtext.prompts import (
     REVLOC_TARGET,
     SPATIAL_ICL_ANSWER,
     SPATIAL_QUESTION,
+    Objective,
     ParsedResponse,
     RenderedPair,
     TemplateSet,
@@ -93,6 +94,7 @@ SAMPLES = [
         {"video_id": "v1", "category": "cat", "per_frame_boxes": {0: BOX}, "averaged_box": BOX, "is_static": True},
     ),
     (TemplateSet, {**TEMPLATE_FIELDS, "source": "overrides.txt"}),
+    (Objective, {"task": "spatial", "truth": "gt_keyword", "answers": "axis"}),
     (RenderedPair, {"prompt": "Where?", "target": "There", "objective": "locpred", "template_index": 1, "seed": 9}),
     (ParsedResponse, {"kind": "location", "raw": "at (1, 2)", "location": LOC, "side": None, "polarity": None}),
     (ModelRequest, {"request_id": "r1", "media_ref": "img", "prompt": "Where?"}),
@@ -127,7 +129,7 @@ def _samples(*excluded):
 
 
 def test_every_value_type_is_covered():
-    """SAMPLES holds every public tuple type the package defines, 26 in all."""
+    """SAMPLES holds every public tuple type the package defines, 27 in all."""
     defined = set()
     for name in MODULES:
         module = importlib.import_module(f"coordtext.{name}")
@@ -136,7 +138,7 @@ def test_every_value_type_is_covered():
             if isinstance(obj, type) and issubclass(obj, tuple) and obj.__module__ == module.__name__
             and not obj.__name__.startswith("_")
         )
-    assert defined == {cls for cls, _ in SAMPLES} and len(SAMPLES) == 26
+    assert defined == {cls for cls, _ in SAMPLES} and len(SAMPLES) == 27
 
 
 @pytest.mark.parametrize("cls, fields", _samples())

@@ -18,13 +18,10 @@ from __future__ import annotations
 import json
 import math
 from collections import Counter
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
 from .coords import BBox, CodecError, ImageDims
 from .records import SchemaError, iter_rows, line_error
-
-if TYPE_CHECKING:
-    import numpy as np
 
 
 class ObjectAnn(NamedTuple):
@@ -181,11 +178,32 @@ def load_caption_records(path) -> list[CaptionRecord]:
     return records
 
 
-def load_label_grid(path) -> np.ndarray:
-    """Read a panoptic label grid: whitespace-separated ids, one row per line."""
-    import numpy as np
+def load_label_grid(path) -> list[list[int]]:
+    """Read a panoptic label grid: whitespace-separated integer ids, one row per line.
 
-    return np.loadtxt(path, dtype=np.int64, ndmin=2)
+    ``#`` starts a comment. Blank lines are skipped, so an empty file is an
+    empty grid. A token that is not an integer, a row wider or narrower than
+    the first, or bytes that are not UTF-8 are a SchemaError.
+    """
+    rows: list[list[int]] = []
+    line_no = 0
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for line_no, line in enumerate(fh, 1):
+                tokens = line.partition("#")[0].split()
+                if not tokens:
+                    continue
+                try:
+                    row = [int(token) for token in tokens]
+                except ValueError as exc:  # int() quotes the token
+                    _require(False, path, line_no, f"id is not an integer: {exc}")
+                if rows:
+                    width = len(rows[0])
+                    _require(len(row) == width, path, line_no, f"{len(row)} ids where the first row has {width}")
+                rows.append(row)
+    except UnicodeDecodeError as exc:
+        raise line_error(path, line_no, exc) from exc
+    return rows
 
 
 def load_instance_categories(path) -> dict[int, str]:

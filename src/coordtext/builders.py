@@ -13,7 +13,7 @@ import math
 import random
 from collections import Counter
 from collections.abc import Iterable, Sequence
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
 from .annotations import AnnotatedImage, MediaCategories
 from .coords import BBox, LocationText, ReprScheme, encode_bbox, encode_point
@@ -34,9 +34,6 @@ from .prompts import (
     spatial_icl_example,
 )
 from .seeding import derive_seed
-
-if TYPE_CHECKING:
-    import numpy as np
 
 IFT_OBJECTIVES = (LOCPRED, NEGPRED, REVLOC)
 # largest mix ratio: an objective cycles over the eligible pairs at most this many times
@@ -495,34 +492,44 @@ class PanopticBoxes(NamedTuple):
 
 
 def panoptic_to_bboxes(
-    mask: np.ndarray, category_map: dict[int, str], min_pixels: int = 10
+    mask: Sequence[Sequence[int]], category_map: dict[int, str], min_pixels: int = 10
 ) -> PanopticBoxes:
     """Tight boxes per mask instance plus the exhaustive present-category set.
 
-    Label 0 is background. Boxes use inclusive pixel extents (xmin, ymin,
-    xmax, ymax). Instances under min_pixels yield no box but still mark
-    their category present.
+    ``mask`` is any 2-D sequence of integer ids, an ndarray included. Label 0
+    is background. Boxes use inclusive pixel extents (xmin, ymin, xmax, ymax).
+    Instances under min_pixels yield no box but still mark their category
+    present. Ids are visited in ascending order.
     """
-    import numpy as np
-
-    mask = np.asarray(mask)
-    if mask.ndim != 2:
-        raise ValueError(f"label grid must be 2-D, got shape {mask.shape}")
+    extents: dict[int, list[int]] = {}  # id -> [pixels, xmin, ymin, xmax, ymax]
+    try:
+        for y, row in enumerate(mask):
+            for x, instance_id in enumerate(row):
+                extent = extents.get(instance_id)
+                if extent is None:
+                    extents[instance_id] = [1, x, y, x, y]
+                    continue
+                extent[0] += 1
+                if x < extent[1]:
+                    extent[1] = x
+                elif x > extent[3]:
+                    extent[3] = x
+                extent[4] = y  # rows come in order, so the last row seen is the lowest
+    except TypeError as exc:  # a row that is not a sequence, or an id that is one
+        raise ValueError(f"label grid must be 2-D integer ids: {exc}") from None
     instances, present, dropped_small = [], set(), 0
-    ids, counts = np.unique(mask, return_counts=True)
-    for instance_id, count in zip(ids.tolist(), counts.tolist()):
+    for instance_id in sorted(extents):
         if instance_id == 0:
             continue
         if instance_id not in category_map:
             raise ValueError(f"instance id {instance_id} missing from category map")
         category = category_map[instance_id]
         present.add(category)
+        count, x1, y1, x2, y2 = extents[instance_id]
         if count < min_pixels:
             dropped_small += 1
             continue
-        ys, xs = np.nonzero(mask == instance_id)
-        box = BBox(float(xs.min()), float(ys.min()), float(xs.max()), float(ys.max()))
-        instances.append((category, box))
+        instances.append((category, BBox(float(x1), float(y1), float(x2), float(y2))))
     return PanopticBoxes(instances, present, dropped_small)
 
 

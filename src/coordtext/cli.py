@@ -640,15 +640,59 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _iter_parsers(parser):
+def _iter_parsers(parser, args=None):
+    """``parser`` and its subparsers; only those of the command in ``args`` when it is given."""
     yield parser
     for action in parser._actions:
         if isinstance(action, argparse._SubParsersAction):
-            seen = set()
-            for child in action.choices.values():
-                if id(child) not in seen:
-                    seen.add(id(child))
-                    yield from _iter_parsers(child)
+            children = action.choices.values() if args is None else [action.choices[getattr(args, action.dest)]]
+            for child in dict.fromkeys(children):
+                yield from _iter_parsers(child, args)
+
+
+def _flags(parsers) -> dict:
+    """dest -> action of every flag of ``parsers``, --help aside."""
+    return {
+        a.dest: a for p in parsers for a in p._actions
+        if a.option_strings and not isinstance(a, argparse._HelpAction)
+    }
+
+
+# by a flag's kind: what a --config value for it must be, and the JSON types it may have
+_CONFIG_VALUES = {
+    "switch": ("true or false", (bool,)),
+    None: ("a string", (str,)),
+    int: ("an integer", (str, int)),
+    float: ("a number", (str, int, float)),
+}
+
+
+def _config_problem(parser, args, defaults: dict) -> str | None:
+    """Why a --config value would not pass as its flag of the command in ``args``, or None.
+
+    Every key must be some command's flag. A value for a flag of the running
+    command must have a JSON type its flag's kind allows (a ``store_true``
+    flag takes only a boolean), and its flag's type and choices must accept it.
+    """
+    known, running = _flags(_iter_parsers(parser)), _flags(_iter_parsers(parser, args))
+    for key, value in defaults.items():
+        if key not in known:
+            return f"{key!r} is not a flag of any command"
+        action = running.get(key)
+        if action is None:
+            continue
+        flag = action.option_strings[-1]
+        wanted, json_types = _CONFIG_VALUES["switch" if isinstance(action, argparse._StoreTrueAction) else action.type]
+        refusal = f"{key!r} must be {wanted} for {flag}, got {value!r}"
+        if type(value) not in json_types:
+            return refusal
+        try:
+            converted = action.type(value) if action.type else value
+        except ValueError:
+            return refusal
+        if action.choices is not None and converted not in action.choices:
+            return f"{key!r} must be one of {', '.join(action.choices)} for {flag}, got {value!r}"
+    return None
 
 
 def _os_error_text(exc: OSError) -> str:
@@ -676,6 +720,10 @@ def main(argv=None) -> int:
         if not isinstance(file_defaults, dict):
             print(f"schema error: {known.config}: not a JSON object", file=sys.stderr)
             return EXIT_SCHEMA
+        problem = _config_problem(parser, parser.parse_args(rest), file_defaults)
+        if problem:
+            print(f"error: {known.config}: {problem}", file=sys.stderr)
+            return EXIT_ARGS
         for p in _iter_parsers(parser):
             p.set_defaults(**file_defaults)
     args = parser.parse_args(rest)

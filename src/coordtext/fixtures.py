@@ -9,7 +9,7 @@ keywords that the scorers look for.
 import json
 import random
 
-from .annotations import AnnotatedImage, MediaCategories, ObjectAnn
+from .annotations import AnnotatedImage, ObjectAnn
 from .coords import BBox, ImageDims
 from .prompts import VQA
 
@@ -112,16 +112,6 @@ def caption_fixture(images: list[AnnotatedImage], seed: int = 2) -> list[dict]:
     return records
 
 
-def media_fixture(n: int = 40, seed: int = 3, medium: str = "video", n_categories: int = 6) -> list[MediaCategories]:
-    """Category-presence media units with a fixed present-category count per unit."""
-    rng = random.Random(seed)
-    units = []
-    for i in range(n):
-        cats = tuple(sorted(rng.sample(CATEGORIES, n_categories)))
-        units.append(MediaCategories(f"vid{i:05d}", medium, cats))
-    return units
-
-
 def vqa_fixture(n: int = 60, seed: int = 4) -> list[dict]:
     """Keyword-VQA records: short questions with one-word ground-truth answers."""
     rng = random.Random(seed)
@@ -153,17 +143,16 @@ def vqa_fixture(n: int = 60, seed: int = 4) -> list[dict]:
 
 def panoptic_fixture(seed: int = 5, height: int = 60, width: int = 80):
     """A label grid painted with overlapping rectangles plus its category sidecar."""
-    import numpy as np
-
     rng = random.Random(seed)
-    mask = np.zeros((height, width), dtype=np.int64)
+    mask = [[0] * width for _ in range(height)]
     category_map = {}
     for instance_id in range(1, rng.randint(3, 9)):
         y0 = rng.randrange(0, height - 2)
         x0 = rng.randrange(0, width - 2)
         y1 = min(height, y0 + rng.randint(1, height // 2))
         x1 = min(width, x0 + rng.randint(1, width // 2))
-        mask[y0:y1, x0:x1] = instance_id
+        for row in mask[y0:y1]:
+            row[x0:x1] = [instance_id] * (x1 - x0)
         category_map[instance_id] = rng.choice(CATEGORIES)
     return mask, category_map
 

@@ -1,76 +1,82 @@
-"""Spatio-temporal pooling of per-frame visual tokens for video inputs.
+"""Spatio-temporal pooling of per-frame visual tokens for video inputs."""
 
-numpy is imported on first use, so that importing the package (and every
-CLI command that pools nothing) does not pay for it.
-"""
+import math
+from operator import add, is_
+from typing import NamedTuple
 
-from __future__ import annotations
 
-from typing import TYPE_CHECKING, NamedTuple
+def _kept(seq, items: list) -> list:
+    """``seq`` itself when it is a list whose items were all kept, else the new list ``items``."""
+    return seq if type(seq) is list and all(map(is_, seq, items)) else items
 
-if TYPE_CHECKING:
-    import numpy as np
+
+def _row(row) -> list[float]:
+    # math.isfinite raises TypeError for anything that is not a real number
+    if not all(map(math.isfinite, row)):
+        raise ValueError("token grid holds non-finite values")
+    return _kept(row, list(map(float, row)))  # float() returns a float itself
 
 
 class _TokenGrid(NamedTuple):
-    values: np.ndarray
+    values: list[list[list[float]]]
 
 
 class TokenGrid(_TokenGrid):
-    """Per-frame visual tokens: shape (n_frames, spatial_positions, feature_dim)."""
+    """Per-frame visual tokens: (n_frames, spatial_positions, feature_dim) nested lists of floats.
+
+    Any nested sequence of real numbers is accepted, an ndarray included; a
+    list of lists of float lists is kept as given, as value types keep their
+    fields.
+    """
 
     __slots__ = ()
 
     def __new__(cls, values):
-        import numpy as np
-
-        v = np.asarray(values)
-        if v.ndim != 3 or min(v.shape) < 1:
-            raise ValueError(f"token grid must be (frames, positions, dim) with positive sizes, got {v.shape}")
-        if not np.all(np.isfinite(v)):
-            raise ValueError("token grid holds non-finite values")
-        return tuple.__new__(cls, (v,))
+        try:
+            grid = _kept(values, [_kept(frame, [_row(row) for row in frame]) for frame in values])
+        except (TypeError, OverflowError) as exc:
+            raise ValueError(f"token grid must be (frames, positions, dim) real numbers: {exc}") from None
+        shape = (len(grid), len(grid[0]) if grid else 0, len(grid[0][0]) if grid and grid[0] else 0)
+        if min(shape) < 1:
+            raise ValueError(f"token grid must be (frames, positions, dim) with positive sizes, got {shape}")
+        if any(len(frame) != shape[1] or any(len(row) != shape[2] for row in frame) for frame in grid):
+            raise ValueError("token grid must be (frames, positions, dim) with equal sizes, got a ragged grid")
+        return tuple.__new__(cls, (grid,))
 
     @property
     def n_frames(self) -> int:
-        return self.values.shape[0]
+        return len(self.values)
 
     @property
     def n_spatial(self) -> int:
-        return self.values.shape[1]
+        return len(self.values[0])
 
 
-def _balanced_mean(a: np.ndarray) -> np.ndarray:
-    """Mean over axis 0 via a balanced pairwise sum in float64, divided once.
+def _balanced_mean(vectors: list[list[float]]) -> list[float]:
+    """Elementwise mean of equal-length vectors via a balanced pairwise sum, divided once.
 
     The balanced tree keeps sums of identical addends exact for power-of-two
     counts, so constant grids pool to the constant.
     """
-    import numpy as np
-
-    n = a.shape[0]
-    acc = a.astype(np.float64, copy=True)
-    while acc.shape[0] > 1:
-        m = acc.shape[0]
-        even = (m // 2) * 2
-        paired = acc[0:even:2] + acc[1:even:2]
-        if m % 2:
-            paired = np.concatenate([paired, acc[-1:]], axis=0)
+    n = len(vectors)
+    acc = vectors
+    while len(acc) > 1:
+        paired = [list(map(add, acc[i], acc[i + 1])) for i in range(0, len(acc) - 1, 2)]
+        if len(acc) % 2:
+            paired.append(acc[-1])
         acc = paired
-    return acc[0] / n
+    return [x / n for x in acc[0]]
 
 
-def spatiotemporal_pool(grid: TokenGrid | np.ndarray) -> np.ndarray:
+def spatiotemporal_pool(grid) -> list[list[float]]:
     """Reduce (frames, positions, dim) tokens to (positions + frames, dim).
 
     Row s < positions is the temporal mean of spatial token s; the remaining
     rows are per-frame spatial means, in frame order.
     """
-    import numpy as np
-
     if not isinstance(grid, TokenGrid):
         grid = TokenGrid(grid)
-    v = grid.values
-    spatial = _balanced_mean(v)  # (S, d): mean over frames
-    temporal = _balanced_mean(np.swapaxes(v, 0, 1))  # (n_f, d): mean over positions
-    return np.concatenate([spatial, temporal], axis=0)
+    frames = grid.values
+    spatial = [_balanced_mean([frame[s] for frame in frames]) for s in range(grid.n_spatial)]
+    temporal = [_balanced_mean(frame) for frame in frames]
+    return spatial + temporal

@@ -1,4 +1,4 @@
-"""Input parsing tests: COCO-style files, caption records, video detections."""
+"""Input parsing tests: COCO-style files, caption records, video detections, panoptic label grids."""
 
 import json
 
@@ -9,10 +9,13 @@ from coordtext.annotations import (
     ObjectAnn,
     load_caption_records,
     load_coco_annotations,
+    load_label_grid,
     load_video_detections,
     xywh_to_xyxy,
 )
+from coordtext.builders import PanopticBoxes, panoptic_to_bboxes
 from coordtext.coords import BBox, ImageDims
+from coordtext.records import SchemaError
 from coordtext.fixtures import annotation_fixture, write_coco_json
 
 
@@ -100,3 +103,42 @@ def test_load_video_detections(tmp_path):
     assert set(videos) == {"v1"}
     assert videos["v1"][0] == [("lamp", BBox(1, 2, 3, 4))]
     assert videos["v1"][7] == []
+
+
+def test_label_grid_reads_rows_of_ints(tmp_path):
+    path = tmp_path / "grid.txt"
+    path.write_text("# ids\n0 3 3\n\n-1 0 +2  # last row\n")
+    assert load_label_grid(path) == [[0, 3, 3], [-1, 0, 2]]
+
+
+@pytest.mark.parametrize(
+    "text, problem",
+    [
+        ("1 2 3\n4 5\n", "line 2: 2 ids where the first row has 3"),
+        ("1 2\n\n3 4 5\n", "line 3: 3 ids where the first row has 2"),
+        ("1 2\n3 x\n", "line 2: id is not an integer: invalid literal for int() with base 10: 'x'"),
+        ("1 2.5\n", "line 1: id is not an integer: invalid literal for int() with base 10: '2.5'"),
+    ],
+)
+def test_label_grid_ragged_row_or_non_integer_id_is_a_schema_error(tmp_path, text, problem):
+    """numpy's loadtxt raised a ValueError that named no file."""
+    path = tmp_path / "grid.txt"
+    path.write_text(text)
+    with pytest.raises(SchemaError) as info:
+        load_label_grid(path)
+    assert str(info.value) == f"{path}: {problem}"
+
+
+def test_label_grid_that_is_not_utf8_is_a_schema_error(tmp_path):
+    path = tmp_path / "grid.txt"
+    path.write_bytes(b"1 2\n3 \xff\n")  # decoded a buffer at a time, so no line of it is read
+    with pytest.raises(SchemaError, match=r"grid.txt: after line 0: not valid UTF-8"):
+        load_label_grid(path)
+
+
+@pytest.mark.parametrize("text", ["", "\n \n", "# no rows\n"])
+def test_empty_label_grid_has_no_instances(tmp_path, text):
+    path = tmp_path / "grid.txt"
+    path.write_text(text)
+    assert load_label_grid(path) == []
+    assert panoptic_to_bboxes(load_label_grid(path), {}) == PanopticBoxes([], set(), 0)

@@ -7,11 +7,14 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coordtext.annotations import AnnotatedImage, CaptionRecord, MediaCategories, ObjectAnn
 from coordtext.builders import (
     MAX_MIX_RATIO,
     BuildReport,
+    PanopticBoxes,
     build_hallucination_set,
     build_ift_dataset,
     build_spatial_bench,
@@ -28,13 +31,22 @@ from coordtext.fixtures import (
     annotation_fixture,
     caption_fixture,
     keyword_corpus,
-    media_fixture,
     panoptic_fixture,
     spatial_fixture,
 )
 from coordtext.prompts import LOCPRED, NEGPRED, REVLOC, render_locpred, render_negpred, render_revloc
 
 IVB = ReprScheme.ivb(224)
+
+
+def media_fixture(n: int = 40, seed: int = 3, medium: str = "video", n_categories: int = 6) -> list[MediaCategories]:
+    """Category-presence media units with a fixed present-category count per unit."""
+    rng = random.Random(seed)
+    units = []
+    for i in range(n):
+        cats = tuple(sorted(rng.sample(CATEGORIES, n_categories)))
+        units.append(MediaCategories(f"vid{i:05d}", medium, cats))
+    return units
 
 
 def _image(image_id, cats, dims=(512, 512), centers=None):
@@ -422,7 +434,7 @@ def test_panoptic_file_roundtrip(tmp_path):
     write_panoptic_files(mask, category_map, grid_path, sidecar_path)
     loaded_mask = load_label_grid(grid_path)
     loaded_map = load_instance_categories(sidecar_path)
-    assert (loaded_mask == mask).all()
+    assert loaded_mask == mask
     assert loaded_map == category_map
     direct = panoptic_to_bboxes(mask, category_map)
     via_files = panoptic_to_bboxes(loaded_mask, loaded_map)
@@ -435,10 +447,10 @@ def test_panoptic_matches_pixel_scan_on_fuzzed_masks():
         mask, category_map = panoptic_fixture(seed=seed)
         result = panoptic_to_bboxes(mask, category_map, min_pixels=1)
         expected = {}
-        h, w = mask.shape
+        h, w = len(mask), len(mask[0])
         for y in range(h):
             for x in range(w):
-                v = int(mask[y, x])
+                v = int(mask[y][x])
                 if v == 0:
                     continue
                 x1, y1, x2, y2 = expected.get(v, (w, h, -1, -1))
@@ -450,6 +462,63 @@ def test_panoptic_matches_pixel_scan_on_fuzzed_masks():
             assert tuple(map(float, extent)) in got[category_map[v]]
         assert sum(len(b) for b in got.values()) == len(expected)
         assert result.present_categories == {category_map[v] for v in expected}
+
+
+def reference_panoptic_to_bboxes(mask, category_map: dict[int, str], min_pixels: int = 10) -> PanopticBoxes:
+    """numpy's version: np.unique, then one whole-mask compare per id."""
+    mask = np.asarray(mask)
+    if mask.ndim != 2:
+        raise ValueError(f"label grid must be 2-D, got shape {mask.shape}")
+    instances, present, dropped_small = [], set(), 0
+    ids, counts = np.unique(mask, return_counts=True)
+    for instance_id, count in zip(ids.tolist(), counts.tolist()):
+        if instance_id == 0:
+            continue
+        if instance_id not in category_map:
+            raise ValueError(f"instance id {instance_id} missing from category map")
+        category = category_map[instance_id]
+        present.add(category)
+        if count < min_pixels:
+            dropped_small += 1
+            continue
+        ys, xs = np.nonzero(mask == instance_id)
+        box = BBox(float(xs.min()), float(ys.min()), float(xs.max()), float(ys.max()))
+        instances.append((category, box))
+    return PanopticBoxes(instances, present, dropped_small)
+
+
+@st.composite
+def masks_and_category_maps(draw):
+    """A random mask over a few ids, negative ones included, and a category map that may miss some."""
+    height, width = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    ids = draw(st.lists(st.integers(-3, 6), min_size=1, max_size=5))
+    mask = draw(st.lists(st.lists(st.sampled_from(ids), min_size=width, max_size=width), min_size=height, max_size=height))
+    known = draw(st.sets(st.sampled_from(ids)))
+    category_map = {i: draw(st.sampled_from(CATEGORIES[:4])) for i in sorted(known)}
+    return mask, category_map
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+@given(masks_and_category_maps(), st.integers(1, 12))
+@settings(max_examples=400, deadline=None)
+def test_panoptic_equals_the_numpy_reference(mask_and_map, min_pixels):
+    """The same boxes, present set and small-instance tally, or the same first unknown id refused."""
+    mask, category_map = mask_and_map
+    expected = _outcome(reference_panoptic_to_bboxes, mask, category_map, min_pixels)
+    assert _outcome(panoptic_to_bboxes, mask, category_map, min_pixels) == expected
+    assert _outcome(panoptic_to_bboxes, np.array(mask), category_map, min_pixels) == expected
+
+
+def test_panoptic_refuses_a_mask_that_is_not_2d():
+    for mask in ([1, 2], [[[1]]], 5, np.ones((2, 2, 2), dtype=int)):
+        with pytest.raises(ValueError, match="2-D"):
+            panoptic_to_bboxes(mask, {1: "mug"})
 
 
 # ---------------- video static objects ---------------- #

@@ -1,5 +1,6 @@
 """CLI tests: exit codes, end-to-end pipelines, and byte-level reproducibility."""
 
+import ast
 import builtins
 import gc
 import hashlib
@@ -8,6 +9,7 @@ import math
 import subprocess
 import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -895,22 +897,68 @@ from coordtext.pooling import spatiotemporal_pool
 
 boxes = panoptic_to_bboxes(load_label_grid(fx + "/panoptic.grid.txt"), load_instance_categories(fx + "/panoptic.categories.json"))
 assert boxes.instances
-assert spatiotemporal_pool([[[1.0]], [[3.0]]]).tolist() == [[2.0], [1.0], [3.0]]
-assert not {"requests", "http.client"} & set(sys.modules)
+assert spatiotemporal_pool([[[1.0]], [[3.0]]]) == [[2.0], [1.0], [3.0]]
+assert not {"numpy", "requests", "http.client"} & set(sys.modules), "panoptic boxes and pooling"
 """
 
 
 def test_pipeline_stages_load_neither_numpy_nor_requests(fx, tmp_path):
-    """build, query --mock, evaluate and verify load neither numpy nor
-    socket, nor the fixtures and pooling modules; the paths that need them
-    load them on first use, and no path loads requests or http.client. The
-    value types are named tuples, so no stage loads dataclasses or inspect."""
+    """build, query --mock, evaluate and verify load neither socket nor the
+    fixtures and pooling modules, which the paths that need them load on
+    first use. No path loads numpy, requests or http.client. The value
+    types are named tuples, so no stage loads dataclasses or inspect."""
     proc = subprocess.run(
         [sys.executable, "-c", LAZY_IMPORT_CHILD, str(fx), str(tmp_path)],
         capture_output=True,
         text=True,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+NUMPY_BLOCKED_CHILD = """
+import sys
+
+sys.modules["numpy"] = None  # every import of numpy now raises ImportError
+
+from coordtext.annotations import load_instance_categories, load_label_grid
+from coordtext.builders import panoptic_to_bboxes
+from coordtext.cli import main
+from coordtext.pooling import TokenGrid, spatiotemporal_pool
+
+out = sys.argv[1]
+assert main(["fixtures", "--out", out]) == 0
+boxes = panoptic_to_bboxes(load_label_grid(out + "/panoptic.grid.txt"), load_instance_categories(out + "/panoptic.categories.json"))
+assert boxes.instances and boxes.present_categories
+grid = TokenGrid([[[1.0, 2.0]], [[3.0, 4.0]]])
+assert grid.n_frames == 2 and spatiotemporal_pool(grid) == [[2.0, 3.0], [1.0, 2.0], [3.0, 4.0]]
+"""
+
+
+def test_fixtures_panoptic_boxes_and_pooling_run_without_numpy(tmp_path):
+    proc = subprocess.run(
+        [sys.executable, "-c", NUMPY_BLOCKED_CHILD, str(tmp_path / "fx")], capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_src_imports_only_the_standard_library():
+    """coordtext has no runtime dependencies: every module imports only the
+    standard library and coordtext itself."""
+    src = Path(cli.__file__).parent
+    imported = {}
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                imported.setdefault(name.partition(".")[0], path.name)
+    assert {"argparse", "json"} <= set(imported)
+    outside = {name: where for name, where in imported.items() if name not in sys.stdlib_module_names}
+    assert set(outside) <= {"coordtext"}, outside
 
 
 def test_config_file_defaults_and_flag_override(fx, tmp_path, capsys):
@@ -932,6 +980,65 @@ def test_config_file_defaults_and_flag_override(fx, tmp_path, capsys):
     assert code == 0
     meta2, _ = read_records(out2)
     assert meta2["config"]["seed"] == 4  # explicit flag wins
+
+
+@pytest.mark.parametrize("config, key", [({"fn": 1}, "fn"), ({"command": "verify"}, "command"), ({"sede": 4}, "sede")])
+def test_config_key_that_is_no_flag_exits_2(fx, tmp_path, capsys, config, key):
+    """{"fn": 1} used to end in a TypeError traceback, as the key replaced the command's function."""
+    cfg, out = tmp_path / "cfg.json", tmp_path / "x.jsonl"
+    cfg.write_text(json.dumps(config))
+    code, stdout, err = run(["--config", str(cfg), "build", "ift", "--annotations", str(fx / "coco_50.json"), "--out", str(out)], capsys)
+    assert code == 2 and stdout == "" and not out.exists()
+    assert err == f"error: {cfg}: {key!r} is not a flag of any command\n"
+
+
+@pytest.mark.parametrize(
+    "config, problem",
+    [
+        ({"scheme": "zzz"}, "'scheme' must be one of nfp, ivb, diga for --scheme, got 'zzz'"),
+        ({"form": "box"}, "'form' must be one of point, bbox for --form, got 'box'"),
+        ({"seed": 1.5}, "'seed' must be an integer for --seed, got 1.5"),
+        ({"seed": True}, "'seed' must be an integer for --seed, got True"),
+        ({"seed": "abc"}, "'seed' must be an integer for --seed, got 'abc'"),
+        ({"seed": None}, "'seed' must be an integer for --seed, got None"),
+        ({"nb": [224]}, "'nb' must be an integer for --nb, got [224]"),
+        ({"mix": 1}, "'mix' must be a string for --mix, got 1"),
+        ({"captions": False}, "'captions' must be a string for --captions, got False"),
+    ],
+)
+def test_config_value_its_flag_would_refuse_exits_2(fx, tmp_path, capsys, config, problem):
+    """{"scheme": "zzz"} used to build a diga dataset whose meta said "zzz",
+    and {"seed": 1.5} or {"seed": true} to write that seed."""
+    cfg, out = tmp_path / "cfg.json", tmp_path / "x.jsonl"
+    cfg.write_text(json.dumps(config))
+    code, stdout, err = run(["--config", str(cfg), "build", "ift", "--annotations", str(fx / "coco_50.json"), "--out", str(out)], capsys)
+    assert code == 2 and stdout == "" and not out.exists()
+    assert err == f"error: {cfg}: {problem}\n"
+
+
+def test_config_store_true_flag_takes_only_a_json_boolean(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    decode = ["--config", str(cfg), "decode", "--text", "(1,2,3,4)", "--form", "bbox", "--scheme", "ivb", "--dims", "224x224"]
+    for value in (1, "true", None):
+        cfg.write_text(json.dumps({"lenient": value}))
+        code, out, err = run(decode, capsys)
+        assert code == 2 and out == ""
+        assert err == f"error: {cfg}: 'lenient' must be true or false for --lenient, got {value!r}\n"
+    cfg.write_text(json.dumps({"lenient": True}))
+    assert run(decode, capsys)[:2] == (0, "1.5 2.5 3.5 4.5\n")  # the strict parser refuses missing spaces
+    cfg.write_text(json.dumps({"lenient": False}))
+    assert run(decode, capsys)[0] == 2
+
+
+def test_config_values_that_pass_as_flags_are_accepted(fx, tmp_path, capsys):
+    """A number string, an int for a float flag and a key of another
+    command's flag (ignored, as before) all pass."""
+    cfg, out = tmp_path / "cfg.json", tmp_path / "x.jsonl"
+    cfg.write_text(json.dumps({"seed": "7", "scheme": "nfp", "temperature": 1, "lenient": "ignored"}))
+    code, _, err = run(["--config", str(cfg), "build", "ift", "--annotations", str(fx / "coco_50.json"), "--out", str(out)], capsys)
+    assert code == 0, err
+    meta, _ = read_records(out)
+    assert meta["config"]["seed"] == 7 and meta["config"]["scheme"] == "nfp"
 
 
 def test_console_script_smoke():

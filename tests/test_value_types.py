@@ -115,7 +115,7 @@ SAMPLES = [
             "flags": {"mode": "strict"}, "config_digest": "c" * 64, "dataset_digest": None,
         },
     ),
-    (TokenGrid, {"values": np.ones((1, 2, 3))}),
+    (TokenGrid, {"values": [[[1.0, 1.0, 1.0], [1.0, 1.0, 1.0]]]}),
 ]
 
 # Types holding a list, set, dict, Counter or array: equal, never hashable.
@@ -170,10 +170,15 @@ def test_equal_fields_give_equal_objects_with_the_same_hash(cls, fields):
     assert differing
 
 
-def test_token_grid_keeps_its_values_as_an_array():
-    grid = TokenGrid([[[1.0, 2.0]]])
-    assert isinstance(grid.values, np.ndarray) and grid.values.tolist() == [[[1.0, 2.0]]]
-    assert grid.n_frames == 1 and grid.n_spatial == 1
+def test_token_grid_keeps_its_values_as_float_lists():
+    values = [[[1.0, 2.0]]]
+    grid = TokenGrid(values)
+    assert grid.values is values and grid.n_frames == 1 and grid.n_spatial == 1
+    from_array = TokenGrid(np.array(values))
+    assert from_array == grid and type(from_array.values[0][0][0]) is float
+    converted = TokenGrid([[(True, np.float32(2.0))]])
+    assert converted == grid and all(type(x) is float for x in converted.values[0][0])
+    assert TokenGrid([[(1, 2)]]) == grid and TokenGrid([[[1.0, 3.0]]]) != grid
 
 
 @pytest.mark.parametrize("cls, fields", _samples())
@@ -187,7 +192,7 @@ def test_assigning_a_field_raises_attribute_error(cls, fields):
         obj.not_a_field = 1
 
 
-@pytest.mark.parametrize("cls, fields", _samples(TokenGrid))
+@pytest.mark.parametrize("cls, fields", _samples())
 def test_repr_names_every_field_in_order(cls, fields):
     inner = ", ".join(f"{name}={value!r}" for name, value in fields.items())
     assert repr(cls(**fields)) == f"{cls.__name__}({inner})"
@@ -200,7 +205,7 @@ def test_repr_text():
         "form='bbox')"
     )
     assert repr(BuildReport()) == "BuildReport(input_count=0, emitted_count=0, exclusions=Counter())"
-    assert repr(TokenGrid([[[1.0]]])) == "TokenGrid(values=array([[[1.]]]))"
+    assert repr(TokenGrid([[[1.0]]])) == "TokenGrid(values=[[[1.0]]])"
 
 
 DEFAULTS = [
@@ -295,8 +300,16 @@ CHECKS = [
         ValueError, "exactly one of correct/score must be set",
     ),
     (
-        lambda: TokenGrid(np.ones((2, 2))),
-        ValueError, "token grid must be (frames, positions, dim) with positive sizes, got (2, 2)",
+        lambda: TokenGrid([[1.0, 1.0], [1.0, 1.0]]),
+        ValueError, "token grid must be (frames, positions, dim) real numbers: 'float' object is not iterable",
+    ),
+    (
+        lambda: TokenGrid([[[]]]),
+        ValueError, "token grid must be (frames, positions, dim) with positive sizes, got (1, 1, 0)",
+    ),
+    (
+        lambda: TokenGrid([[[1.0]], [[1.0, 2.0]]]),
+        ValueError, "token grid must be (frames, positions, dim) with equal sizes, got a ragged grid",
     ),
     (lambda: TokenGrid([[[math.inf]]]), ValueError, "token grid holds non-finite values"),
 ]

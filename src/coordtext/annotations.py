@@ -10,18 +10,18 @@ Three external inputs are understood:
 * Panoptic label grids: a text file of whitespace-separated integer instance
   ids, one grid row per line, plus a JSON sidecar mapping id -> category.
 
-Malformed annotation rows are skipped and tallied, never fatal.
+Malformed annotation rows are skipped and tallied, never fatal; a malformed
+image, category or file is a SchemaError naming the file.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from collections import Counter
 from typing import NamedTuple
 
 from .coords import BBox, CodecError, ImageDims
-from .records import SchemaError, iter_rows, line_error
+from .records import SchemaError, iter_lines, iter_rows, line_error, read_json
 
 
 class ObjectAnn(NamedTuple):
@@ -94,29 +94,75 @@ class CocoLoad(_CocoLoad):
         return tuple.__new__(cls, (images, vocabulary, Counter() if skipped is None else skipped))
 
 
+def _is_id(value) -> bool:
+    """A COCO image or category id: a JSON string or integer (a bool is neither)."""
+    return type(value) is str or type(value) is int
+
+
+def _coco_array(path, data: dict, key: str) -> list:
+    """``data[key]``: a JSON array, empty when absent."""
+    entries = data.get(key, [])
+    if not isinstance(entries, list):
+        raise SchemaError(f"{path}: {key} is not a JSON array")
+    return entries
+
+
+def _check_coco_entry(path, key: str, n: int, entry) -> None:
+    """Entry ``n`` of the ``key`` array, an image or category, must be an object with an id."""
+    if not isinstance(entry, dict):
+        raise SchemaError(f"{path}: {key}[{n}] is not a JSON object")
+    if not _is_id(entry["id"]):
+        raise SchemaError(f"{path}: {key}[{n}]: id is not a string or an integer")
+
+
 def load_coco_annotations(path) -> CocoLoad:
     """Parse a COCO-style annotation file into AnnotatedImage values.
 
-    Annotations referencing unknown images or categories, with a ``bbox``
-    that is not four finite numbers, with non-positive extents, or landing
-    outside their image are skipped and tallied.
+    A file that is not a JSON object, an image or category that is not an
+    object or lacks a field, an id that is neither a string nor an integer, a
+    category name that is not a string, or an image width or height that is
+    not a positive integer is a SchemaError naming the file. Annotations that
+    are not objects, that reference unknown images or categories, with a
+    ``bbox`` that is not four finite numbers, with non-positive extents, or
+    landing outside their image are skipped and tallied.
     """
-    with open(path, encoding="utf-8") as fh:
-        data = json.load(fh)
-    categories = {c["id"]: c["name"] for c in data.get("categories", [])}
-    vocabulary = [c["name"] for c in data.get("categories", [])]
+    data = read_json(path)
+    if not isinstance(data, dict):
+        raise SchemaError(f"{path}: not a JSON object")
+    try:
+        return _parse_coco(path, data)
+    except KeyError as exc:
+        raise SchemaError(f"{path}: missing required field {exc}") from exc
+
+
+def _parse_coco(path, data: dict) -> CocoLoad:
+    categories, vocabulary = {}, []
+    for n, cat in enumerate(_coco_array(path, data, "categories")):
+        _check_coco_entry(path, "categories", n, cat)
+        if not isinstance(cat["name"], str):
+            raise SchemaError(f"{path}: categories[{n}]: name is not a string")
+        categories[cat["id"]] = cat["name"]
+        vocabulary.append(cat["name"])
     dims_by_image = {}
-    for img in data.get("images", []):
-        dims_by_image[img["id"]] = ImageDims(int(img["width"]), int(img["height"]))
+    for n, img in enumerate(_coco_array(path, data, "images")):
+        _check_coco_entry(path, "images", n, img)
+        for side in ("width", "height"):
+            if type(img[side]) is not int or img[side] < 1:
+                raise SchemaError(f"{path}: images[{n}]: {side} is not a positive integer")
+        dims_by_image[img["id"]] = ImageDims(img["width"], img["height"])
 
     skipped: Counter = Counter()
     objects_by_image: dict = {img_id: [] for img_id in dims_by_image}
-    for ann in data.get("annotations", []):
+    for ann in _coco_array(path, data, "annotations"):
+        if not isinstance(ann, dict):
+            skipped["not_an_object"] += 1
+            continue
         image_id = ann.get("image_id")
-        if image_id not in dims_by_image:
+        if not _is_id(image_id) or image_id not in dims_by_image:
             skipped["unknown_image"] += 1
             continue
-        if ann.get("category_id") not in categories:
+        category_id = ann.get("category_id")
+        if not _is_id(category_id) or category_id not in categories:
             skipped["unknown_category"] += 1
             continue
         bbox = ann.get("bbox")
@@ -131,7 +177,7 @@ def load_coco_annotations(path) -> CocoLoad:
             skipped["invalid_bbox"] += 1
             continue
         objects_by_image[image_id].append(
-            ObjectAnn(instance_id=str(ann["id"]), category=categories[ann["category_id"]], bbox=box)
+            ObjectAnn(instance_id=str(ann["id"]), category=categories[category_id], bbox=box)
         )
 
     images = []
@@ -183,33 +229,40 @@ def load_label_grid(path) -> list[list[int]]:
 
     ``#`` starts a comment. Blank lines are skipped, so an empty file is an
     empty grid. A token that is not an integer, a row wider or narrower than
-    the first, or bytes that are not UTF-8 are a SchemaError.
+    the first, or a line that is not UTF-8 is a SchemaError.
     """
     rows: list[list[int]] = []
-    line_no = 0
-    try:
-        with open(path, encoding="utf-8") as fh:
-            for line_no, line in enumerate(fh, 1):
-                tokens = line.partition("#")[0].split()
-                if not tokens:
-                    continue
-                try:
-                    row = [int(token) for token in tokens]
-                except ValueError as exc:  # int() quotes the token
-                    _require(False, path, line_no, f"id is not an integer: {exc}")
-                if rows:
-                    width = len(rows[0])
-                    _require(len(row) == width, path, line_no, f"{len(row)} ids where the first row has {width}")
-                rows.append(row)
-    except UnicodeDecodeError as exc:
-        raise line_error(path, line_no, exc) from exc
+    for line_no, line in iter_lines(path):
+        tokens = line.partition("#")[0].split()
+        if not tokens:
+            continue
+        try:
+            row = [int(token) for token in tokens]
+        except ValueError as exc:  # int() quotes the token
+            _require(False, path, line_no, f"id is not an integer: {exc}")
+        if rows:
+            width = len(rows[0])
+            _require(len(row) == width, path, line_no, f"{len(row)} ids where the first row has {width}")
+        rows.append(row)
     return rows
 
 
 def load_instance_categories(path) -> dict[int, str]:
-    with open(path, encoding="utf-8") as fh:
-        raw = json.load(fh)
-    return {int(k): v for k, v in raw.items()}
+    """Read a panoptic sidecar: a JSON object mapping each integer instance id
+    to its category name. Any other shape is a SchemaError naming the file."""
+    raw = read_json(path)
+    if not isinstance(raw, dict):
+        raise SchemaError(f"{path}: not a JSON object")
+    categories = {}
+    for key, name in raw.items():
+        try:
+            instance_id = int(key)
+        except ValueError as exc:
+            raise SchemaError(f"{path}: key {key!r} is not an integer") from exc
+        if not isinstance(name, str):
+            raise SchemaError(f"{path}: category of {key!r} is not a string")
+        categories[instance_id] = name
+    return categories
 
 
 def _require(ok: bool, path, line_no: int, problem: str) -> None:

@@ -63,6 +63,8 @@ from .prompts import CAPTION_REQUEST, DEFAULT_TEMPLATES, OBJECTIVES, load_templa
 from .records import (
     SchemaError,
     config_digest,
+    iter_lines,
+    read_json,
     read_records,
     stored_records_digest,
     verify_records,
@@ -142,15 +144,6 @@ def _effective_config(args, names: list[str]) -> dict:
     return cfg
 
 
-def _load_annotations(path):
-    try:
-        return ann_io.load_coco_annotations(path)
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"{path}: not valid JSON: {exc}") from exc
-    except KeyError as exc:
-        raise SchemaError(f"{path}: missing required field {exc}") from exc
-
-
 # ---------------- codec commands ---------------- #
 
 
@@ -193,7 +186,7 @@ def _write_build_outputs(args, records, report, config, kind) -> int:
 
 
 def cmd_build_ift(args) -> int:
-    load = _load_annotations(args.annotations)
+    load = ann_io.load_coco_annotations(args.annotations)
     images = load.images
     templates = _load_templates(args)
     if args.captions:
@@ -214,7 +207,7 @@ def cmd_build_ift(args) -> int:
 
 
 def cmd_build_spatial(args) -> int:
-    load = _load_annotations(args.annotations)
+    load = ann_io.load_coco_annotations(args.annotations)
     templates = _load_templates(args)
     items, report = build_spatial_bench(load.images, args.seed, templates=templates)
     report.exclusions.update(load.skipped)
@@ -226,7 +219,7 @@ def cmd_build_hallucination(args) -> int:
     media = []
     vocabulary = None
     if args.annotations:
-        load = _load_annotations(args.annotations)
+        load = ann_io.load_coco_annotations(args.annotations)
         media.extend(load.images)
         vocabulary = load.vocabulary
     if args.videos:
@@ -237,12 +230,12 @@ def cmd_build_hallucination(args) -> int:
     if not media:
         raise ValueError("need --annotations and/or --videos")
     if args.vocab_file:
-        vocabulary = [line.strip() for line in Path(args.vocab_file).read_text(encoding="utf-8").splitlines() if line.strip()]
+        vocabulary = [line.strip() for _, line in iter_lines(args.vocab_file) if line.strip()]
     if vocabulary is None:
         raise ValueError("need --vocab-file when building from videos only")
     disjoint = None
     if args.disjoint_from:
-        disjoint = _load_annotations(args.disjoint_from).vocabulary
+        disjoint = ann_io.load_coco_annotations(args.disjoint_from).vocabulary
     items, report = build_hallucination_set(
         media, vocabulary, args.seed, n_present=args.per_media, n_absent=args.per_media, disjoint_from=disjoint
     )
@@ -252,7 +245,7 @@ def cmd_build_hallucination(args) -> int:
 
 
 def cmd_build_pseudo_captions(args) -> int:
-    load = _load_annotations(args.annotations)
+    load = ann_io.load_coco_annotations(args.annotations)
     images, report = ingest_pseudo_captions(load.images, [])
     templates = _load_templates(args)
     records = []
@@ -295,8 +288,7 @@ def cmd_build_video_static(args) -> int:
 
 def cmd_stats(args) -> int:
     corpus_path = Path(args.corpus)
-    with open(corpus_path, encoding="utf-8") as fh:
-        conversations = [line.rstrip("\n") for line in fh]
+    conversations = [line.rstrip("\r\n") for _, line in iter_lines(corpus_path)]
     phrases = [p.strip() for p in args.phrases.split(",") if p.strip()]
     stats = corpus_keyword_stats(conversations, phrases)
     payload = {
@@ -701,37 +693,32 @@ def _os_error_text(exc: OSError) -> str:
     return f"i/o error: {exc}"
 
 
-def main(argv=None) -> int:
-    parser = build_parser()
-    argv = list(sys.argv[1:] if argv is None else argv)
+def _parse_args(parser, argv: list[str]):
+    """``parser.parse_args(argv)``, with the flag defaults of a ``--config`` file put in first."""
     pre = argparse.ArgumentParser(add_help=False)
     pre.add_argument("--config")
     known, rest = pre.parse_known_args(argv)
     if known.config:
-        try:
-            with open(known.config, encoding="utf-8") as fh:
-                file_defaults = json.load(fh)
-        except OSError as exc:
-            print(_os_error_text(exc), file=sys.stderr)
-            return EXIT_IO
-        except ValueError as exc:  # not JSON, or not UTF-8
-            print(f"schema error: {known.config}: {exc}", file=sys.stderr)
-            return EXIT_SCHEMA
+        file_defaults = read_json(known.config)
         if not isinstance(file_defaults, dict):
-            print(f"schema error: {known.config}: not a JSON object", file=sys.stderr)
-            return EXIT_SCHEMA
+            raise SchemaError(f"{known.config}: not a JSON object")
         problem = _config_problem(parser, parser.parse_args(rest), file_defaults)
         if problem:
-            print(f"error: {known.config}: {problem}", file=sys.stderr)
-            return EXIT_ARGS
+            raise ValueError(f"{known.config}: {problem}")
         for p in _iter_parsers(parser):
             p.set_defaults(**file_defaults)
-    args = parser.parse_args(rest)
+    return parser.parse_args(rest)
+
+
+def main(argv=None) -> int:
+    parser = build_parser()
+    argv = list(sys.argv[1:] if argv is None else argv)
     # Records are trees of dicts, lists and scalars, freed by reference
     # counting; the cyclic collector would only rescan every live record.
     gc_was_enabled = gc.isenabled()
     gc.disable()
     try:
+        args = _parse_args(parser, argv)
         return args.fn(args)
     except SchemaError as exc:
         print(f"schema error: {exc}", file=sys.stderr)

@@ -10,6 +10,7 @@ import json
 import random
 
 from .annotations import AnnotatedImage, ObjectAnn
+from .builders import dataset_record
 from .coords import BBox, ImageDims
 from .prompts import VQA
 
@@ -124,20 +125,8 @@ def vqa_fixture(n: int = 60, seed: int = 4) -> list[dict]:
     records = []
     for i in range(n):
         answer = rng.choice(answers)
-        records.append(
-            {
-                "sample_id": f"vqa{i:04d}",
-                "image_id": f"im{i:04d}",
-                "objective": VQA,
-                "prompt": rng.choice(questions).format(a=answer),
-                "target": answer,
-                "location_text": None,
-                "scheme": None,
-                "form": None,
-                "descriptor": answer,
-                "seed": seed,
-            }
-        )
+        prompt = rng.choice(questions).format(a=answer)
+        records.append(dataset_record(f"vqa{i:04d}", f"im{i:04d}", VQA, prompt, answer, answer, seed))
     return records
 
 

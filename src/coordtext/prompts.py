@@ -18,6 +18,7 @@ from .coords import (
     decode_point,
     split_coordinate_text,
 )
+from .records import iter_lines
 
 # objective tags used across records and reports
 LOCPRED = "locpred"
@@ -145,21 +146,20 @@ def load_template_overrides(path) -> TemplateSet:
     """Read a section-headed template file: ``[name]`` lines followed by one template per line."""
     sections: dict[str, list[str]] = {}
     current = None
-    with open(path, encoding="utf-8") as fh:
-        for raw in fh:
-            line = raw.rstrip("\n")
-            if not line.strip():
-                continue
-            header = re.fullmatch(r"\[(\w+)\]", line.strip())
-            if header:
-                current = header.group(1)
-                if current not in _OVERRIDE_SECTIONS:
-                    raise ValueError(f"unknown template section {current!r}")
-                sections[current] = []
-                continue
-            if current is None:
-                raise ValueError(f"template line before any section header: {line!r}")
-            sections[current].append(line)
+    for _, raw in iter_lines(path):
+        line = raw.rstrip("\r\n")
+        if not line.strip():
+            continue
+        header = re.fullmatch(r"\[(\w+)\]", line.strip())
+        if header:
+            current = header.group(1)
+            if current not in _OVERRIDE_SECTIONS:
+                raise ValueError(f"unknown template section {current!r}")
+            sections[current] = []
+            continue
+        if current is None:
+            raise ValueError(f"template line before any section header: {line!r}")
+        sections[current].append(line)
     fields = {}
     for name, lines in sections.items():
         if _OVERRIDE_SECTIONS[name] is tuple:

@@ -6,6 +6,10 @@ be verified and any run reproduced from its own header. Serialization is
 canonical (sorted keys, fixed separators): identical inputs give identical
 bytes. Files are written aside and renamed into place, so a failed write
 leaves the previous file as it was.
+
+Every text or JSON input file is decoded here too, by ``iter_lines``,
+``iter_rows`` or ``read_json``: a line that is not UTF-8, or text that is not
+JSON, is a SchemaError naming the file, and the line where there is one.
 """
 
 import hashlib
@@ -94,14 +98,46 @@ def write_records(path, records: Iterable[dict], config: dict, kind: str) -> str
     return digest
 
 
-def line_error(path, line_no: int, exc: ValueError | KeyError) -> SchemaError:
+def line_error(path, line_no: int, exc: json.JSONDecodeError | KeyError) -> SchemaError:
     """The SchemaError for a line of a JSON-lines file that is not valid JSON
-    or lacks a required field, or for the undecodable bytes after it."""
+    or lacks a required field."""
     if isinstance(exc, KeyError):
         return SchemaError(f"{path}: line {line_no}: missing field {exc}")
-    if isinstance(exc, UnicodeDecodeError):
-        return SchemaError(f"{path}: after line {line_no}: not valid UTF-8: {exc}")
     return SchemaError(f"{path}: line {line_no}: not valid JSON: {exc.msg} at column {exc.colno}")
+
+
+def _undecodable(path, exc: UnicodeDecodeError) -> SchemaError:
+    """The SchemaError for a text file that is not UTF-8, naming its first line
+    that is not. The text layer decodes a buffer at a time, so ``exc`` places
+    the bad byte in a buffer: the file is decoded again line by line."""
+    with open(path, "rb") as fh:
+        for line_no, raw in enumerate(fh, 1):
+            try:
+                raw.decode("utf-8")
+            except UnicodeDecodeError as line_exc:
+                return SchemaError(f"{path}: line {line_no}: not valid UTF-8: {line_exc}")
+    return SchemaError(f"{path}: not valid UTF-8: {exc}")  # the file changed since
+
+
+def iter_lines(path) -> Iterator[tuple[int, str]]:
+    """Yield ``(line_no, line)`` for each line of a UTF-8 text file, numbered
+    from 1, with its ending kept. Lines end at ``\\n`` only. A line that is not
+    UTF-8 raises SchemaError naming the file and that line."""
+    try:
+        with open(path, encoding="utf-8", newline="\n") as fh:
+            yield from enumerate(fh, 1)
+    except UnicodeDecodeError as exc:
+        raise _undecodable(path, exc) from exc
+
+
+def read_json(path):
+    """The value of a whole-document JSON file, read as by ``iter_lines``. Text
+    that is not JSON raises SchemaError naming the file."""
+    text = "".join(line for _, line in iter_lines(path))
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise SchemaError(f"{path}: not valid JSON: {exc}") from exc
 
 
 # json.loads runs this scanner behind a BOM test, two whitespace matches and
@@ -124,21 +160,26 @@ def parse_line(line: str):
 
 def iter_rows(path) -> Iterator[tuple[int, dict]]:
     """Yield ``(line_no, row)`` for each non-blank line of a JSON-lines file,
-    one at a time. A line that is not a JSON object, as left by a truncated
-    or corrupt file, raises SchemaError naming the file and line."""
-    line_no = 0
+    one at a time, with lines as ``iter_lines`` gives them. A line that is not
+    a JSON object, as left by a truncated or corrupt file, raises SchemaError
+    naming the file and line."""
+    # iter_lines' loop, written out: reading through iter_lines made query
+    # and evaluate about 3% slower on the spatial-oracle benchmark.
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8", newline="\n") as fh:
             for line_no, line in enumerate(fh, 1):
                 line = line.strip()
                 if not line:
                     continue
-                row = parse_line(line)
+                try:
+                    row = parse_line(line)
+                except json.JSONDecodeError as exc:
+                    raise line_error(path, line_no, exc) from exc
                 if not isinstance(row, dict):
                     raise SchemaError(f"{path}: line {line_no}: not a JSON object")
                 yield line_no, row
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise line_error(path, line_no, exc) from exc
+    except UnicodeDecodeError as exc:
+        raise _undecodable(path, exc) from exc
 
 
 def _is_meta(line_no: int, row: dict) -> bool:

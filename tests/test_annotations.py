@@ -9,6 +9,7 @@ from coordtext.annotations import (
     ObjectAnn,
     load_caption_records,
     load_coco_annotations,
+    load_instance_categories,
     load_label_grid,
     load_video_detections,
     xywh_to_xyxy,
@@ -65,6 +66,33 @@ def test_coco_loader_skips_and_tallies(tmp_path):
     assert load.skipped["unknown_image"] == 1
     assert load.skipped["unknown_category"] == 1
     assert load.skipped["invalid_bbox"] == 3
+
+
+@pytest.mark.parametrize(
+    "ann, tally",
+    [
+        ([1, 1, 1], "not_an_object"),
+        ("ann", "not_an_object"),
+        ({"id": "x", "image_id": [1], "category_id": 1, "bbox": [0, 0, 5, 5]}, "unknown_image"),
+        ({"id": "x", "image_id": {"a": 1}, "category_id": 1, "bbox": [0, 0, 5, 5]}, "unknown_image"),
+        ({"id": "x", "image_id": 1.0, "category_id": 1, "bbox": [0, 0, 5, 5]}, "unknown_image"),
+        ({"id": "x", "image_id": 1, "category_id": [1], "bbox": [0, 0, 5, 5]}, "unknown_category"),
+        ({"id": "x", "image_id": 1, "category_id": True, "bbox": [0, 0, 5, 5]}, "unknown_category"),
+    ],
+)
+def test_coco_loader_skips_annotation_that_is_not_an_object_or_has_a_bad_id(tmp_path, ann, tally):
+    """Each used to end in a traceback (``unhashable type``, or a list that has
+    no ``get``), or to match image or category 1 by equality with 1.0 or true."""
+    data = {
+        "images": [{"id": 1, "width": 100, "height": 100}],
+        "categories": [{"id": 1, "name": "lamp"}],
+        "annotations": [ann, {"id": "ok", "image_id": 1, "category_id": 1, "bbox": [10, 10, 20, 20]}],
+    }
+    path = tmp_path / "coco.json"
+    path.write_text(json.dumps(data))
+    load = load_coco_annotations(path)
+    assert [o.instance_id for o in load.images[0].objects] == ["ok"]
+    assert load.skipped == {tally: 1}
 
 
 def test_annotated_image_rejects_duplicate_instance_ids():
@@ -131,9 +159,27 @@ def test_label_grid_ragged_row_or_non_integer_id_is_a_schema_error(tmp_path, tex
 
 def test_label_grid_that_is_not_utf8_is_a_schema_error(tmp_path):
     path = tmp_path / "grid.txt"
-    path.write_bytes(b"1 2\n3 \xff\n")  # decoded a buffer at a time, so no line of it is read
-    with pytest.raises(SchemaError, match=r"grid.txt: after line 0: not valid UTF-8"):
+    path.write_bytes(b"1 2\n3 \xff\n")
+    with pytest.raises(SchemaError, match=r"grid.txt: line 2: not valid UTF-8: .* position 2"):
         load_label_grid(path)
+
+
+@pytest.mark.parametrize(
+    "text, problem",
+    [
+        ('[1, "lamp"]', "not a JSON object"),
+        ('{"1": "lamp", "two": "mug"}', "key 'two' is not an integer"),
+        ('{"1": "lamp", "2": 7}', "category of '2' is not a string"),
+        ('{"1": "lamp",', "not valid JSON: Expecting property name enclosed in double quotes"),
+    ],
+)
+def test_panoptic_sidecar_of_the_wrong_shape_is_a_schema_error(tmp_path, text, problem):
+    """A key that is not an integer used to be int()'s bare ValueError, naming no file."""
+    path = tmp_path / "categories.json"
+    path.write_text(text)
+    with pytest.raises(SchemaError) as info:
+        load_instance_categories(path)
+    assert str(info.value).startswith(f"{path}: {problem}")
 
 
 @pytest.mark.parametrize("text", ["", "\n \n", "# no rows\n"])

@@ -1288,3 +1288,194 @@ def test_gateway_max_inflight_is_read_by_query_only(spatial_run, tmp_path, capsy
     monkeypatch.setenv("GATEWAY_MAX_INFLIGHT", "3")
     assert run(query, capsys)[0] == 0
     assert read_records(out)[0]["config"]["max_inflight"] == 3
+
+
+# ---------------- input files: one reader ---------------- #
+
+
+@pytest.mark.parametrize("n_lines", [3, 5001])
+def test_verify_names_the_line_that_is_not_utf8(tmp_path, capsys, n_lines):
+    """A text layer that decoded a buffer at a time named the last line handed
+    out before that buffer: ``after line 0`` for 3 lines, ``after line 4734``
+    for 5,001, with a position inside the buffer."""
+    bad = tmp_path / "bad.jsonl"
+    write_records(bad, [{"n": n} for n in range(n_lines - 2)], {"seed": 0}, "demo")
+    with bad.open("ab") as fh:
+        fh.write(b'{"text": "\xff"}\n')
+    code, _, err = run(["verify", str(bad)], capsys)
+    assert code == 3
+    assert err.startswith(f"schema error: {bad}: line {n_lines}: not valid UTF-8: ")
+    assert "can't decode byte 0xff in position 10" in err
+
+
+# (argv with {bad} for the input, that input's bytes, the line the message names)
+NOT_UTF8_INPUTS = {
+    "templates": (
+        ["build", "spatial-bench", "--annotations", "{fx}/coco_50.json", "--templates", "{bad}", "--out", "{out}"],
+        b"[hallucination]\nIs there a \xff {obj}?\n", "line 2: ",
+    ),
+    "corpus": (["stats", "--corpus", "{bad}"], b"to the left\nthe \xff right\n", "line 2: "),
+    "vocab-file": (
+        ["build", "hallucination", "--annotations", "{fx}/coco_50.json", "--vocab-file", "{bad}", "--out", "{out}"],
+        b"kettle\n\xffpan\n", "line 2: ",
+    ),
+    "captions": (
+        ["build", "ift", "--annotations", "{fx}/coco_50.json", "--captions", "{bad}", "--out", "{out}"],
+        b'{"image_id": "1", "instance_id": "1", "caption": "a"}\n{"caption": "\xff"}\n', "line 2: ",
+    ),
+    "annotations": (["build", "spatial-bench", "--annotations", "{bad}", "--out", "{out}"], b'{"images": "\xff"}', "line 1: "),
+    "disjoint-from": (
+        ["build", "hallucination", "--annotations", "{fx}/coco_50.json", "--disjoint-from", "{bad}", "--out", "{out}"],
+        b'{"categories": [{"id": 1, "name": "\xff"}]}', "line 1: ",
+    ),
+    "config": (["--config", "{bad}", "stats", "--corpus", "{fx}/corpus_80k.txt"], b'{\n  "phrases": "\xff"\n}\n', "line 2: "),
+}
+
+
+@pytest.mark.parametrize("name", NOT_UTF8_INPUTS)
+def test_input_that_is_not_utf8_exits_3_naming_the_file(fx, tmp_path, capsys, name):
+    """Templates, a corpus, a vocabulary and annotations that are not UTF-8
+    used to exit 2 with the codec's message alone, naming no file; a config
+    file named no line."""
+    args, content, line = NOT_UTF8_INPUTS[name]
+    bad, out = tmp_path / "input.bad", tmp_path / "out.jsonl"
+    bad.write_bytes(content)
+    code, printed, err = run([a.format(fx=fx, bad=bad, out=out) for a in args], capsys)
+    assert code == 3 and printed == ""
+    assert err.startswith(f"schema error: {bad}: {line}not valid UTF-8: 'utf-8' codec can't decode byte 0xff")
+    assert not out.exists()
+
+
+def test_text_inputs_end_lines_at_newline(fx, tmp_path, capsys):
+    """Each line-based reader strips ``\\r\\n`` where it stripped ``\\n``, so a
+    CRLF file gives the values of its LF twin."""
+    texts = {
+        "corpus": "to the left\nthe right side\n\nleft\n",
+        "vocab": "kettle\n  pan \n\nladle\n",
+        "templates": "[hallucination]\nIs a {obj} in this {medium}?\n",
+    }
+    outputs = {}
+    for ending in ("\n", "\r\n"):
+        paths = {}
+        for name, text in texts.items():
+            paths[name] = tmp_path / f"{name}{len(ending)}.txt"
+            paths[name].write_bytes(text.replace("\n", ending).encode())
+        _, printed, _ = run(["stats", "--corpus", str(paths["corpus"]), "--out", str(tmp_path / "stats.json")], capsys)
+        total = json.loads((tmp_path / "stats.json").read_text())["total"]
+        bench = tmp_path / f"presence{len(ending)}.jsonl"
+        code, _, err = run(["build", "hallucination", "--annotations", str(fx / "coco_50.json"), "--vocab-file",
+                            str(paths["vocab"]), "--templates", str(paths["templates"]), "--out", str(bench)], capsys)
+        assert code == 0, err
+        outputs[ending] = (printed, total, read_records(bench)[1])
+    assert outputs["\r\n"] == outputs["\n"]
+    printed, total, rows = outputs["\n"]
+    assert total == 4 and "'left': 2 (50.00%)" in printed
+    assert {row["descriptor"] for row in rows} >= {"kettle", "pan", "ladle"}
+    assert all(row["prompt"].startswith("Is a ") for row in rows)
+
+
+def _coco_case(edit):
+    """A valid COCO document changed in place by ``edit``."""
+    def make():
+        data = {
+            "images": [{"id": 1, "width": 64, "height": 48, "file_name": "1.jpg"}],
+            "annotations": [{"id": 1, "image_id": 1, "category_id": 1, "bbox": [4, 4, 8, 8]}],
+            "categories": [{"id": 1, "name": "lamp"}],
+        }
+        edit(data)
+        return data
+    return make
+
+
+# malformed COCO documents and the problem each is refused for
+BAD_COCO_FILES = [
+    (lambda: [1], "not a JSON object"),
+    (_coco_case(lambda d: d.update(images={"id": 1})), "images is not a JSON array"),
+    (_coco_case(lambda d: d.update(categories="lamp")), "categories is not a JSON array"),
+    (_coco_case(lambda d: d.update(annotations=None)), "annotations is not a JSON array"),
+    (_coco_case(lambda d: d["images"].append(7)), "images[1] is not a JSON object"),
+    (_coco_case(lambda d: d["categories"].insert(0, "lamp")), "categories[0] is not a JSON object"),
+    (_coco_case(lambda d: d["images"][0].update(id=[1])), "images[0]: id is not a string or an integer"),
+    (_coco_case(lambda d: d["images"][0].update(id=1.0)), "images[0]: id is not a string or an integer"),
+    (_coco_case(lambda d: d["categories"][0].update(id=True)), "categories[0]: id is not a string or an integer"),
+    (_coco_case(lambda d: d["categories"][0].update(id={"a": 1})), "categories[0]: id is not a string or an integer"),
+    (_coco_case(lambda d: d["categories"][0].update(name=5)), "categories[0]: name is not a string"),
+    (_coco_case(lambda d: d["images"][0].update(width="abc")), "images[0]: width is not a positive integer"),
+    (_coco_case(lambda d: d["images"][0].update(width=0)), "images[0]: width is not a positive integer"),
+    (_coco_case(lambda d: d["images"][0].update(width=5.7)), "images[0]: width is not a positive integer"),
+    (_coco_case(lambda d: d["images"][0].update(height=-3)), "images[0]: height is not a positive integer"),
+    (_coco_case(lambda d: d["images"][0].update(height=None)), "images[0]: height is not a positive integer"),
+    (_coco_case(lambda d: d["images"][0].pop("width")), "missing required field 'width'"),
+    (_coco_case(lambda d: d["categories"][0].pop("name")), "missing required field 'name'"),
+]
+
+
+@pytest.mark.parametrize("make, problem", BAD_COCO_FILES, ids=[problem for _, problem in BAD_COCO_FILES])
+def test_coco_file_of_the_wrong_shape_exits_3(tmp_path, capsys, make, problem):
+    """``[1]`` used to end in an AttributeError traceback, an id of ``[1]`` in
+    ``unhashable type``, a width of ``"abc"`` or ``0`` in exit 2 naming no
+    file, and a width of 5.7 was cut to 5 and built."""
+    bad, out = tmp_path / "coco.json", tmp_path / "out.jsonl"
+    bad.write_text(json.dumps(make()))
+    code, printed, err = run(["build", "spatial-bench", "--annotations", str(bad), "--out", str(out)], capsys)
+    assert (code, printed, err) == (3, "", f"schema error: {bad}: {problem}\n")
+    assert not out.exists()
+
+
+# SHA-256 of every file that ``coordtext fixtures --seed 0`` writes
+FIXTURE_DIGESTS = {
+    "captions_50.jsonl": "5afe5581949784702c4032731fb197c8de53298c6734fa162b97f8c7dceb016a",
+    "coco_200.json": "418fdb74a934ef4efd9c85e4fe0129313a6c4d27b43e0555bff254461624f37d",
+    "coco_50.json": "d0808f0d98c56ecebdcda87108aca0047f983620b036c0a4141cbd17461c5133",
+    "corpus_80k.txt": "9b4bdca06d6ed143dc278ba1c1d66cdb69aa20750ed3473e26a9facad8e7c83f",
+    "panoptic.categories.json": "f99b077c19e955dd3c82a95caa2ec91f28598221b934080076acd5610adf49c4",
+    "panoptic.grid.txt": "eb412fdeaa5f7d2a8148d0bdba9de7d937a01991393798f5fcb2fbbd2cd85fd9",
+    "videos.jsonl": "f85f3fad7909f15b583621c76678e90bb9d4e1c38b9a79d670e57bee7e0311fa",
+    "vqa.jsonl": "a9d5c6c4c6da4032d53d30ae4b6937b493e14354a28e684ed14188abf2342cd3",
+}
+
+
+def test_fixtures_golden_digests(fx):
+    assert {p.name: sha(p) for p in fx.iterdir()} == FIXTURE_DIGESTS
+
+
+def _calls(node, scope=()):
+    """Yield ``(scope, call)`` for each call under ``node``; ``scope`` names its enclosing classes and functions."""
+    for child in ast.iter_child_nodes(node):
+        inner = scope
+        if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            inner = scope + (child.name,)
+        if isinstance(child, ast.Call):
+            yield ".".join(inner), child
+        yield from _calls(child, inner)
+
+
+def _open_mode(call: ast.Call):
+    """The mode of an ``open(path, mode)`` or ``path.open(mode)`` call, if it is a literal."""
+    index = 1 if isinstance(call.func, ast.Name) else 0
+    mode = call.args[index] if len(call.args) > index else next((k.value for k in call.keywords if k.arg == "mode"), None)
+    return mode.value if isinstance(mode, ast.Constant) else "r"
+
+
+def test_every_input_file_is_read_through_records():
+    """Outside records.py every ``open`` writes, and no module reads a file or
+    splits its text itself: records' iter_lines, iter_rows and read_json name
+    the file and line of a bad byte. The one exemption is FileBatchTransport's
+    read of a runner's reply, whose policy skips a bad line."""
+    src = Path(cli.__file__).parent
+    reads = []
+    for path in sorted(src.glob("*.py")):
+        for scope, call in _calls(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            func = call.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name == "open" and path.name != "records.py":
+                if not set(_open_mode(call)) & set("wax"):
+                    reads.append((path.name, scope, "open"))
+            elif name in ("read_text", "read_bytes", "splitlines"):
+                reads.append((path.name, scope, name))
+            elif name == "load" and isinstance(func.value, ast.Name) and func.value.id == "json":
+                reads.append((path.name, scope, "json.load"))
+    assert sorted(reads) == [
+        ("gateway.py", "FileBatchTransport.send_batch", "read_bytes"),
+        ("gateway.py", "FileBatchTransport.send_batch", "splitlines"),
+    ]

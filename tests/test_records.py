@@ -10,7 +10,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coordtext.records import canonical_json, iter_rows, parse_line, read_records, verify_records, write_records
+from coordtext.records import (
+    SchemaError,
+    canonical_json,
+    iter_lines,
+    iter_rows,
+    parse_line,
+    read_records,
+    verify_records,
+    write_records,
+)
 
 json_values = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
@@ -91,6 +100,16 @@ def test_iter_rows_numbers_lines_and_skips_blanks(tmp_path):
     rows = list(iter_rows(path))
     assert [n for n, _ in rows] == [1, 3, 4]
     assert repr(rows[1][1]) == "{'a': nan}" and rows[2][1] == {"b": [1, 2]}
+
+
+def test_iter_lines_ends_lines_at_newline_and_names_the_line_that_is_not_utf8(tmp_path):
+    path = tmp_path / "lines.txt"
+    path.write_bytes(b"a\r\nb\rc\n\xc3\xa9\nlast")
+    assert list(iter_lines(path)) == [(1, "a\r\n"), (2, "b\rc\n"), (3, "\u00e9\n"), (4, "last")]
+    for tail in (b"\xc3\n", b"\xc3"):  # a character cut short at the end of its line, and of the file
+        path.write_bytes(b"ok\n" * 3 + tail)
+        with pytest.raises(SchemaError, match=r"lines.txt: line 4: not valid UTF-8: .* position 0"):
+            list(iter_lines(path))
 
 
 def _peak_bytes(fn, path) -> int:

@@ -21,7 +21,7 @@ from collections import Counter
 from typing import NamedTuple
 
 from .coords import BBox, CodecError, ImageDims
-from .records import SchemaError, iter_lines, iter_rows, line_error, read_json
+from .records import SchemaError, iter_lines, iter_records, line_error, read_json
 
 
 class ObjectAnn(NamedTuple):
@@ -107,24 +107,30 @@ def _coco_array(path, data: dict, key: str) -> list:
     return entries
 
 
-def _check_coco_entry(path, key: str, n: int, entry) -> None:
-    """Entry ``n`` of the ``key`` array, an image or category, must be an object with an id."""
-    if not isinstance(entry, dict):
-        raise SchemaError(f"{path}: {key}[{n}] is not a JSON object")
-    if not _is_id(entry["id"]):
-        raise SchemaError(f"{path}: {key}[{n}]: id is not a string or an integer")
+def _coco_entries(path, data: dict, key: str):
+    """Yield ``(n, entry)`` for each image or category of the ``key`` array, refusing a repeated id."""
+    first_index = {}
+    for n, entry in enumerate(_coco_array(path, data, key)):
+        if not isinstance(entry, dict):
+            raise SchemaError(f"{path}: {key}[{n}] is not a JSON object")
+        if not _is_id(entry["id"]):
+            raise SchemaError(f"{path}: {key}[{n}]: id is not a string or an integer")
+        first = first_index.setdefault(str(entry["id"]), n)
+        if first != n:
+            raise SchemaError(f"{path}: {key}[{n}]: id {entry['id']!r} repeats the id of {key}[{first}]")
+        yield n, entry
 
 
 def load_coco_annotations(path) -> CocoLoad:
     """Parse a COCO-style annotation file into AnnotatedImage values.
 
     A file that is not a JSON object, an image or category that is not an
-    object or lacks a field, an id that is neither a string nor an integer, a
-    category name that is not a string, or an image width or height that is
-    not a positive integer is a SchemaError naming the file. Annotations that
-    are not objects, that reference unknown images or categories, with a
-    ``bbox`` that is not four finite numbers, with non-positive extents, or
-    landing outside their image are skipped and tallied.
+    object or lacks a field, an id that is neither a string nor an integer or
+    that repeats an earlier one's after ``str()``, a category name that is not
+    a string, or an image width or height that is not a positive integer is a
+    SchemaError naming the file. Annotations that are not objects, that name
+    unknown images or categories, with a ``bbox`` that is not four finite
+    numbers, with non-positive extents, or outside their image are skipped and tallied.
     """
     data = read_json(path)
     if not isinstance(data, dict):
@@ -137,15 +143,13 @@ def load_coco_annotations(path) -> CocoLoad:
 
 def _parse_coco(path, data: dict) -> CocoLoad:
     categories, vocabulary = {}, []
-    for n, cat in enumerate(_coco_array(path, data, "categories")):
-        _check_coco_entry(path, "categories", n, cat)
+    for n, cat in _coco_entries(path, data, "categories"):
         if not isinstance(cat["name"], str):
             raise SchemaError(f"{path}: categories[{n}]: name is not a string")
         categories[cat["id"]] = cat["name"]
         vocabulary.append(cat["name"])
     dims_by_image = {}
-    for n, img in enumerate(_coco_array(path, data, "images")):
-        _check_coco_entry(path, "images", n, img)
+    for n, img in _coco_entries(path, data, "images"):
         for side in ("width", "height"):
             if type(img[side]) is not int or img[side] < 1:
                 raise SchemaError(f"{path}: images[{n}]: {side} is not a positive integer")
@@ -206,9 +210,7 @@ def load_caption_records(path) -> list[CaptionRecord]:
     item_id embeds ``{image_id}:cap:{instance_id}``. A ``caption``,
     ``item_id`` or ``text`` that is present but not a string is a SchemaError."""
     records = []
-    for line_no, row in iter_rows(path):
-        if row.get("record_type") == "meta":
-            continue
+    for line_no, row in iter_records(path):
         for field in ("caption", "item_id", "text"):
             _require(isinstance(row.get(field, ""), str), path, line_no, f"{field} is not a string")
         if "caption" in row:
@@ -291,9 +293,7 @@ def load_video_detections(path) -> dict[str, dict[int, list[tuple[str, BBox]]]]:
     Boxes are xyxy in pixel space.
     """
     videos: dict[str, dict[int, list[tuple[str, BBox]]]] = {}
-    for line_no, row in iter_rows(path):
-        if row.get("record_type") == "meta":
-            continue
+    for line_no, row in iter_records(path):
         try:
             _require(isinstance(row["frames"], dict), path, line_no, "frames is not a JSON object")
             frames = {}

@@ -66,7 +66,6 @@ from .records import (
     iter_lines,
     read_json,
     read_records,
-    stored_records_digest,
     verify_records,
     write_json,
     write_records,
@@ -404,21 +403,13 @@ def _check_records(path, rows, task: str | None) -> str:
     return task
 
 
-def _read_checked(path) -> tuple[dict, list[dict]]:
-    """``read_records``, refusing a file whose records do not match its meta line's digest."""
-    meta, rows = read_records(path)
-    if meta and stored_records_digest(path) != meta.get("records_digest"):
-        raise SchemaError(f"{path}: records digest mismatch")
-    return meta, rows
-
-
 def _read_responses(path) -> dict[str, str]:
-    """Response text by item_id, from a responses file whose digest checks out.
+    """Response text by item_id, from a responses file that matches its meta line.
 
     A row that query marked ``status: error`` carries no answer of the model:
     it is left out, so that its item is tallied as missing, not scored. The
     rows are dropped on return, so that scoring runs without them."""
-    _, rows = _read_checked(path)
+    _, rows = read_records(path)
     responses = {}
     errored = set()
     for n, row in enumerate(rows, 1):
@@ -437,7 +428,7 @@ def _read_responses(path) -> dict[str, str]:
 
 
 def cmd_evaluate(args) -> int:
-    record_meta, rows = _read_checked(args.records)
+    record_meta, rows = read_records(args.records)
     responses = _read_responses(args.responses)
     if not rows:
         raise SchemaError(f"{args.records}: no records")

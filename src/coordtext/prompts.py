@@ -7,6 +7,7 @@ pool so nothing in the input distinguishes the two objectives.
 """
 
 import re
+import string
 from typing import NamedTuple
 
 from .coords import (
@@ -18,7 +19,7 @@ from .coords import (
     decode_point,
     split_coordinate_text,
 )
-from .records import iter_lines
+from .records import SchemaError, iter_lines
 
 # objective tags used across records and reports
 LOCPRED = "locpred"
@@ -128,46 +129,87 @@ class TemplateSet(_TemplateSet):
 
 DEFAULT_TEMPLATES = TemplateSet()
 
+# Each override section: a pool of templates (tuple) or one (str), and the
+# fields that its render call formats it with; None: it is used as written.
 _OVERRIDE_SECTIONS = {
-    "locpred_prompts": tuple,
-    "negpred_prompts": tuple,
-    "revloc_prompts": tuple,
-    "locpred_target": str,
-    "negpred_target": str,
-    "revloc_target": str,
-    "spatial_direct": str,
-    "spatial_icl_answer": str,
-    "hallucination": str,
-    "caption_request": str,
+    "locpred_prompts": (tuple, ("category", "repr")),
+    "negpred_prompts": (tuple, ("category", "repr")),
+    "revloc_prompts": (tuple, ("loc",)),
+    "locpred_target": (str, ("loc",)),
+    "negpred_target": (str, None),
+    "revloc_target": (str, ("category",)),
+    "spatial_direct": (str, ("obj1", "obj2")),
+    "spatial_icl_answer": (str, ("obj1", "keyword", "obj2")),
+    "hallucination": (str, ("obj", "medium")),
+    "caption_request": (str, ("category",)),
 }
+
+_FORMATTER = string.Formatter()
+
+
+def _replacement_fields(template: str):
+    """Each replacement field of a format string, those nested in a format spec too."""
+    for _, field, spec, _ in _FORMATTER.parse(template):
+        if field is not None:
+            yield field
+            yield from _replacement_fields(spec)
+
+
+def _placeholder_problem(template: str, names: tuple[str, ...]) -> str | None:
+    """Why ``template`` would not format with ``names`` passed by keyword, each a
+    string, or None. A field that reads an attribute or an index is refused too."""
+    try:
+        for field in _replacement_fields(template):
+            name = re.match(r"[^.\[]*", field).group()
+            if not name or name.isdigit():
+                return f"placeholder {{{field}}} is positional"
+            if name != field:
+                return f"placeholder {{{field}}} reads an attribute or an index"
+            if name not in names:
+                return f"placeholder {{{field}}} is not one of {', '.join('{' + n + '}' for n in names)}"
+        template.format(**dict.fromkeys(names, "x"))
+    except ValueError as exc:
+        return f"not a format string: {exc}"
+    return None
 
 
 def load_template_overrides(path) -> TemplateSet:
-    """Read a section-headed template file: ``[name]`` lines followed by one template per line."""
+    """Read a section-headed template file: ``[name]`` lines followed by one template per line.
+
+    An unknown section, a template before any header, a section without a
+    template, a second template in a one-template section and a template that
+    its render call could not format are SchemaErrors naming the file and line.
+    """
     sections: dict[str, list[str]] = {}
+    header_lines: dict[str, int] = {}
     current = None
-    for _, raw in iter_lines(path):
+    for line_no, raw in iter_lines(path):
         line = raw.rstrip("\r\n")
         if not line.strip():
             continue
+        problem = None
         header = re.fullmatch(r"\[(\w+)\]", line.strip())
         if header:
             current = header.group(1)
             if current not in _OVERRIDE_SECTIONS:
-                raise ValueError(f"unknown template section {current!r}")
-            sections[current] = []
-            continue
-        if current is None:
-            raise ValueError(f"template line before any section header: {line!r}")
-        sections[current].append(line)
+                problem = f"unknown template section {current!r}"
+            sections[current], header_lines[current] = [], line_no
+        elif current is None:
+            problem = f"template line before any section header: {line!r}"
+        else:
+            kind, names = _OVERRIDE_SECTIONS[current]
+            if kind is str and sections[current]:
+                problem = f"section {current!r} must hold exactly one template"
+            elif names is not None:
+                problem = _placeholder_problem(line, names)
+            sections[current].append(line)
+        if problem:
+            raise SchemaError(f"{path}: line {line_no}: {problem}")
     fields = {}
     for name, lines in sections.items():
-        if _OVERRIDE_SECTIONS[name] is tuple:
-            fields[name] = tuple(lines)
-        else:
-            if len(lines) != 1:
-                raise ValueError(f"section {name!r} must hold exactly one template")
-            fields[name] = lines[0]
+        if not lines:
+            raise SchemaError(f"{path}: line {header_lines[name]}: section {name!r} holds no template")
+        fields[name] = tuple(lines) if _OVERRIDE_SECTIONS[name][0] is tuple else lines[0]
     if "locpred_prompts" in fields and "negpred_prompts" not in fields:
         fields["negpred_prompts"] = fields["locpred_prompts"]
     return TemplateSet(source=str(path), **fields)

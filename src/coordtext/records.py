@@ -9,7 +9,9 @@ leaves the previous file as it was.
 
 Every text or JSON input file is decoded here too, by ``iter_lines``,
 ``iter_rows`` or ``read_json``: a line that is not UTF-8, or text that is not
-JSON, is a SchemaError naming the file, and the line where there is one.
+JSON, is a SchemaError naming the file, and the line where there is one. Each
+reader checks a file whose line 1 is a meta line against it: ``iter_rows``, which
+the others call, raises the first problem, and ``verify_records`` lists them all.
 """
 
 import hashlib
@@ -106,28 +108,16 @@ def line_error(path, line_no: int, exc: json.JSONDecodeError | KeyError) -> Sche
     return SchemaError(f"{path}: line {line_no}: not valid JSON: {exc.msg} at column {exc.colno}")
 
 
-def _undecodable(path, exc: UnicodeDecodeError) -> SchemaError:
-    """The SchemaError for a text file that is not UTF-8, naming its first line
-    that is not. The text layer decodes a buffer at a time, so ``exc`` places
-    the bad byte in a buffer: the file is decoded again line by line."""
-    with open(path, "rb") as fh:
-        for line_no, raw in enumerate(fh, 1):
-            try:
-                raw.decode("utf-8")
-            except UnicodeDecodeError as line_exc:
-                return SchemaError(f"{path}: line {line_no}: not valid UTF-8: {line_exc}")
-    return SchemaError(f"{path}: not valid UTF-8: {exc}")  # the file changed since
-
-
 def iter_lines(path) -> Iterator[tuple[int, str]]:
     """Yield ``(line_no, line)`` for each line of a UTF-8 text file, numbered
     from 1, with its ending kept. Lines end at ``\\n`` only. A line that is not
     UTF-8 raises SchemaError naming the file and that line."""
-    try:
-        with open(path, encoding="utf-8", newline="\n") as fh:
-            yield from enumerate(fh, 1)
-    except UnicodeDecodeError as exc:
-        raise _undecodable(path, exc) from exc
+    with open(path, "rb") as fh:
+        for line_no, raw in enumerate(fh, 1):
+            try:
+                yield line_no, raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise SchemaError(f"{path}: line {line_no}: not valid UTF-8: {exc}") from exc
 
 
 def read_json(path):
@@ -158,37 +148,65 @@ def parse_line(line: str):
     return value
 
 
+class _MetaMismatch(SchemaError):
+    """A record file that does not match its meta line: one argument per problem, shown as the first."""
+
+    def __str__(self):
+        return self.args[0]
+
+
 def iter_rows(path) -> Iterator[tuple[int, dict]]:
     """Yield ``(line_no, row)`` for each non-blank line of a JSON-lines file,
     one at a time, with lines as ``iter_lines`` gives them. A line that is not
     a JSON object, as left by a truncated or corrupt file, raises SchemaError
-    naming the file and line."""
+    naming the file and line; after the last row, so does the first claim of a meta line that fails."""
     # iter_lines' loop, written out: reading through iter_lines made query
     # and evaluate about 3% slower on the spatial-oracle benchmark.
-    try:
-        with open(path, encoding="utf-8", newline="\n") as fh:
-            for line_no, line in enumerate(fh, 1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    row = parse_line(line)
-                except json.JSONDecodeError as exc:
-                    raise line_error(path, line_no, exc) from exc
-                if not isinstance(row, dict):
-                    raise SchemaError(f"{path}: line {line_no}: not a JSON object")
-                yield line_no, row
-    except UnicodeDecodeError as exc:
-        raise _undecodable(path, exc) from exc
+    meta, count = None, 0
+    with open(path, "rb") as fh:
+        for line_no, raw in enumerate(fh, 1):
+            try:
+                line = raw.decode("utf-8").strip()
+            except UnicodeDecodeError as exc:
+                raise SchemaError(f"{path}: line {line_no}: not valid UTF-8: {exc}") from exc
+            if not line:
+                continue
+            try:
+                row = parse_line(line)
+            except json.JSONDecodeError as exc:
+                raise line_error(path, line_no, exc) from exc
+            if not isinstance(row, dict):
+                raise SchemaError(f"{path}: line {line_no}: not a JSON object")
+            if _is_meta(line_no, row):
+                meta = row
+            else:
+                count += 1
+            yield line_no, row
+    if meta is None:
+        return
+    problems = []
+    if meta.get("count") != count:
+        problems.append(f"{path}: meta count {meta.get('count')} != {count} records")
+    if stored_records_digest(path) != meta.get("records_digest"):
+        problems.append(f"{path}: records digest mismatch")
+    if config_digest(meta.get("config", {})) != meta.get("config_digest"):
+        problems.append(f"{path}: config digest mismatch")
+    if problems:
+        raise _MetaMismatch(*problems)
 
 
 def _is_meta(line_no: int, row: dict) -> bool:
     return line_no == 1 and row.get("record_type") == "meta"
 
 
+def iter_records(path) -> Iterator[tuple[int, dict]]:
+    """``iter_rows`` without the meta line."""
+    return ((line_no, row) for line_no, row in iter_rows(path) if not _is_meta(line_no, row))
+
+
 def read_records(path) -> tuple[dict, list[dict]]:
     """Read a record file; returns (meta, records). Files without a meta line
-    get an empty meta dict. Corrupt lines raise SchemaError as in ``iter_rows``."""
+    get an empty meta dict. Raises SchemaError as ``iter_rows`` does."""
     meta: dict = {}
     records: list[dict] = []
     for line_no, row in iter_rows(path):
@@ -204,23 +222,13 @@ def verify_records(path) -> list[str]:
     digest, and the records digest over the stored bytes after the meta line,
     so that any re-serialisation fails. Records are counted as they are parsed
     and none is kept. Returns a list of problems (empty = ok)."""
-    meta: dict = {}
-    count = 0
-    for line_no, row in iter_rows(path):
-        if _is_meta(line_no, row):
-            meta = row
-        else:
-            count += 1
-    if not meta:
-        return [f"{path}: no meta line"]
-    problems = []
-    if meta.get("count") != count:
-        problems.append(f"{path}: meta count {meta.get('count')} != {count} records")
-    if stored_records_digest(path) != meta.get("records_digest"):
-        problems.append(f"{path}: records digest mismatch")
-    if config_digest(meta.get("config", {})) != meta.get("config_digest"):
-        problems.append(f"{path}: config digest mismatch")
-    return problems
+    has_meta = False
+    try:
+        for line_no, row in iter_rows(path):
+            has_meta = has_meta or _is_meta(line_no, row)
+    except _MetaMismatch as exc:
+        return list(exc.args)
+    return [] if has_meta else [f"{path}: no meta line"]
 
 
 def write_json(path, value: dict) -> None:

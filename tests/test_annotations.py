@@ -16,7 +16,7 @@ from coordtext.annotations import (
 )
 from coordtext.builders import PanopticBoxes, panoptic_to_bboxes
 from coordtext.coords import BBox, ImageDims
-from coordtext.records import SchemaError
+from coordtext.records import SchemaError, write_records
 from coordtext.fixtures import annotation_fixture, write_coco_json
 
 
@@ -103,16 +103,15 @@ def test_annotated_image_rejects_duplicate_instance_ids():
 
 def test_load_caption_records_both_formats(tmp_path):
     path = tmp_path / "caps.jsonl"
-    path.write_text(
-        "\n".join(
-            [
-                json.dumps({"record_type": "meta", "kind": "responses"}),
-                json.dumps({"image_id": "a", "instance_id": "a.o0", "caption": "a tall lamp"}),
-                json.dumps({"item_id": "b:cap:b.o1", "text": "a striped mug"}),
-                json.dumps({"item_id": "weird", "text": "ignored, no marker"}),
-            ]
-        )
-        + "\n"
+    write_records(
+        path,
+        [
+            {"image_id": "a", "instance_id": "a.o0", "caption": "a tall lamp"},
+            {"item_id": "b:cap:b.o1", "text": "a striped mug"},
+            {"item_id": "weird", "text": "ignored, no marker"},
+        ],
+        {"seed": 0},
+        "responses",
     )
     records = load_caption_records(path)
     assert [(r.image_id, r.instance_id, r.caption) for r in records] == [
@@ -131,6 +130,20 @@ def test_load_video_detections(tmp_path):
     assert set(videos) == {"v1"}
     assert videos["v1"][0] == [("lamp", BBox(1, 2, 3, 4))]
     assert videos["v1"][7] == []
+
+
+def test_video_detections_meta_line_is_checked_and_skipped(tmp_path):
+    """A detections file written with a meta line reads as its body does, and
+    one edited after it was written is refused, as a record file is."""
+    row = {"video_id": "v1", "frames": {"0": [{"category": "lamp", "bbox": [1, 2, 3, 4]}]}}
+    bare, with_meta = tmp_path / "bare.jsonl", tmp_path / "meta.jsonl"
+    bare.write_text(json.dumps(row) + "\n")
+    write_records(with_meta, [row], {"seed": 0}, "videos")
+    assert load_video_detections(with_meta) == load_video_detections(bare)
+    with_meta.write_text(with_meta.read_text().replace("lamp", "lump"))
+    with pytest.raises(SchemaError) as info:
+        load_video_detections(with_meta)
+    assert str(info.value) == f"{with_meta}: records digest mismatch"
 
 
 def test_label_grid_reads_rows_of_ints(tmp_path):

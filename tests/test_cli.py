@@ -401,7 +401,7 @@ def test_verify_is_byte_exact(tmp_path, capsys, variant):
         lines[1] = REDUMPS[variant](lines[1])
         text = "\n".join(lines) + "\n"
     path.write_text(text, encoding="utf-8")
-    assert read_records(path)[1] == rows
+    assert [json.loads(line) for line in text.splitlines()[1:] if line] == rows
     code, _, err = run(["verify", str(path)], capsys)
     assert code == 3 and f"{path}: records digest mismatch" in err
 
@@ -421,7 +421,7 @@ def test_evaluate_checks_records_digest(fx, tmp_path, capsys):
 @pytest.mark.parametrize("row", ['{"prompt":"x"}', '{"sample_id":"a"}'])
 def test_query_record_without_id_or_prompt_exits_3(tmp_path, capsys, row):
     path = tmp_path / "bad.jsonl"
-    path.write_text('{"record_type":"meta"}\n' + row + "\n")
+    write_records(path, [json.loads(row)], {"seed": 0}, "demo")
     code, _, err = run(["query", "--records", str(path), "--mock", "oracle", "--out", str(tmp_path / "out.jsonl")], capsys)
     assert code == 3 and f"{path}: record 1: missing" in err
     assert not (tmp_path / "out.jsonl").exists()
@@ -459,7 +459,7 @@ def test_evaluate_duplicate_item_id_exits_3(spatial_run, tmp_path, capsys):
 
 def test_query_oracle_unanswerable_record_is_per_item_error(tmp_path, capsys):
     path = tmp_path / "locpred.jsonl"
-    path.write_text('{"record_type":"meta"}\n{"sample_id":"a","prompt":"x","objective":"locpred"}\n')
+    write_records(path, [{"sample_id": "a", "prompt": "x", "objective": "locpred"}], {"seed": 0}, "demo")
     out = tmp_path / "out.jsonl"
     code, _, err = run(["query", "--records", str(path), "--mock", "oracle", "--out", str(out)], capsys)
     assert code == 1  # every request failed
@@ -1236,7 +1236,7 @@ def test_query_id_or_prompt_that_is_not_a_string_exits_3(tmp_path, capsys, mock,
     """A list sample_id used to end in ``TypeError: unhashable type``, and a
     number as a side question's prompt in an AttributeError from the oracle."""
     path = tmp_path / "bad.jsonl"
-    path.write_text('{"record_type":"meta"}\n{"sample_id":"a","prompt":"x"}\n' + row + "\n")
+    write_records(path, [{"sample_id": "a", "prompt": "x"}, json.loads(row)], {"seed": 0}, "demo")
     out = tmp_path / "out.jsonl"
     code, _, err = run(["query", "--records", str(path), "--mock", mock, "--out", str(out)], capsys)
     assert code == 3 and f"schema error: {path}: record 2: {field} is not a string" in err
@@ -1288,6 +1288,58 @@ def test_gateway_max_inflight_is_read_by_query_only(spatial_run, tmp_path, capsy
     monkeypatch.setenv("GATEWAY_MAX_INFLIGHT", "3")
     assert run(query, capsys)[0] == 0
     assert read_records(out)[0]["config"]["max_inflight"] == 3
+
+
+# ---------------- record files: one check ---------------- #
+
+
+def _edit_line(src, dst, index, edit):
+    """Copy ``src`` to ``dst`` with line ``index`` (0: the meta line) changed by ``edit``, every other byte kept."""
+    lines = src.read_text(encoding="utf-8").split("\n")
+    lines[index] = edit(lines[index])
+    dst.write_text("\n".join(lines), encoding="utf-8")
+
+
+def _refused_as_verify_words(path, argv, outputs, capsys):
+    """``argv`` exits 3 with verify's first problem for ``path``, printing and writing nothing."""
+    _, _, verify_err = run(["verify", str(path)], capsys)
+    code, printed, err = run(argv, capsys)
+    assert (code, printed, err) == (3, "", f"schema error: {verify_err.splitlines()[0]}\n")
+    assert not any(out.exists() for out in outputs)
+    return verify_err
+
+
+def test_query_refuses_records_edited_after_they_were_written(spatial_run, tmp_path, capsys):
+    """query used to answer from a side question whose truth had been flipped."""
+    bench, _ = spatial_run
+    bad, out = tmp_path / "bench.jsonl", tmp_path / "resp.jsonl"
+    opposite = {"left": "right", "right": "left", "above": "below", "below": "above"}
+    keyword = json.loads(bench.read_text(encoding="utf-8").split("\n")[1])["gt_keyword"]
+    _edit_line(bench, bad, 1, lambda line: line.replace(f'"gt_keyword":"{keyword}"', f'"gt_keyword":"{opposite[keyword]}"'))
+    argv = ["query", "--records", str(bad), "--mock", "oracle", "--out", str(out)]
+    assert _refused_as_verify_words(bad, argv, [out], capsys) == f"{bad}: records digest mismatch\n"
+
+
+def test_evaluate_refuses_records_whose_meta_line_was_edited(spatial_run, tmp_path, capsys):
+    """evaluate checked the records digest alone, so an edited count and seed scored ``All 100.0``."""
+    bench, resp = spatial_run
+    bad, report, dump = tmp_path / "bench.jsonl", tmp_path / "report.json", tmp_path / "dump.jsonl"
+    meta, rows = read_records(bench)
+    _edit_line(bench, bad, 0, lambda line: line.replace(f'"count":{len(rows)}', '"count":9').replace('"seed":1', '"seed":2'))
+    argv = ["evaluate", "--records", str(bad), "--responses", str(resp), "--report", str(report), "--dump", str(dump)]
+    err = _refused_as_verify_words(bad, argv, [report, dump], capsys)
+    assert err == f"{bad}: meta count 9 != {len(rows)} records\n{bad}: config digest mismatch\n"
+
+
+def test_build_ift_refuses_captions_edited_after_they_were_written(fx, tmp_path, capsys):
+    """build ift --captions used to write an edited caption into the dataset."""
+    requests, caps, bad, ift = (tmp_path / name for name in ("capreq.jsonl", "caps.jsonl", "bad.jsonl", "ift.jsonl"))
+    run(["build", "pseudo-captions", "--annotations", str(fx / "coco_50.json"), "--out", str(requests)], capsys)
+    run(["query", "--records", str(requests), "--mock", "oracle", "--out", str(caps)], capsys)
+    _edit_line(caps, bad, 1, lambda line: line.replace('"text":"', '"text":"a forged ', 1))
+    argv = ["build", "ift", "--annotations", str(fx / "coco_50.json"), "--captions", str(bad), "--out", str(ift)]
+    err = _refused_as_verify_words(bad, argv, [ift, ift.with_suffix(".report.json")], capsys)
+    assert err == f"{bad}: records digest mismatch\n"
 
 
 # ---------------- input files: one reader ---------------- #
@@ -1407,6 +1459,12 @@ BAD_COCO_FILES = [
     (_coco_case(lambda d: d["images"][0].update(height=None)), "images[0]: height is not a positive integer"),
     (_coco_case(lambda d: d["images"][0].pop("width")), "missing required field 'width'"),
     (_coco_case(lambda d: d["categories"][0].pop("name")), "missing required field 'name'"),
+    (_coco_case(lambda d: d["images"].append(dict(d["images"][0], width=10, height=10))),
+     "images[1]: id 1 repeats the id of images[0]"),
+    (_coco_case(lambda d: d["images"].append(dict(d["images"][0], id="1"))),
+     "images[1]: id '1' repeats the id of images[0]"),
+    (_coco_case(lambda d: d["categories"].append({"id": 1, "name": "bird"})),
+     "categories[1]: id 1 repeats the id of categories[0]"),
 ]
 
 
@@ -1419,6 +1477,37 @@ def test_coco_file_of_the_wrong_shape_exits_3(tmp_path, capsys, make, problem):
     bad.write_text(json.dumps(make()))
     code, printed, err = run(["build", "spatial-bench", "--annotations", str(bad), "--out", str(out)], capsys)
     assert (code, printed, err) == (3, "", f"schema error: {bad}: {problem}\n")
+    assert not out.exists()
+
+
+# template files that are refused, and the line and problem each is refused for
+BAD_TEMPLATE_FILES = [
+    ("[hallucination]\nIs a {category} here?\n", "line 2: placeholder {category} is not one of {obj}, {medium}"),
+    ("[hallucination]\nIs a {} here?\n", "line 2: placeholder {} is positional"),
+    ("[hallucination]\nIs a {obj} in {0}?\n", "line 2: placeholder {0} is positional"),
+    ("[hallucination]\nIs a {obj.__class__} here?\n", "line 2: placeholder {obj.__class__} reads an attribute or an index"),
+    ("[revloc_prompts]\nWhat is at {loc[0]}?\n", "line 2: placeholder {loc[0]} reads an attribute or an index"),
+    ("[spatial_direct]\nIs {obj1:{width}} left of {obj2}?\n", "line 2: placeholder {width} is not one of {obj1}, {obj2}"),
+    ("[hallucination]\nIs a {obj here?\n", "line 2: not a format string: expected '}' before end of string"),
+    ("[hallucination]\nIs a {obj!z} here?\n", "line 2: not a format string: Unknown conversion specifier z"),
+    ("[hallucination]\nIs a {obj:d} here?\n", "line 2: not a format string: Unknown format code 'd' for object of type 'str'"),
+    ("[mystery]\nIs a {obj} here?\n", "line 1: unknown template section 'mystery'"),
+    ("\nIs a {obj} here?\n[hallucination]\n", "line 2: template line before any section header: 'Is a {obj} here?'"),
+    ("[hallucination]\nIs a {obj} here?\nIs the {obj} in the {medium}?\n",
+     "line 3: section 'hallucination' must hold exactly one template"),
+    ("[revloc_prompts]\n[hallucination]\nIs a {obj} here?\n", "line 1: section 'revloc_prompts' holds no template"),
+]
+
+
+@pytest.mark.parametrize("text, problem", BAD_TEMPLATE_FILES, ids=[problem for _, problem in BAD_TEMPLATE_FILES])
+def test_template_file_that_would_not_render_exits_3(fx, tmp_path, capsys, text, problem):
+    """An unknown placeholder used to end in a KeyError traceback mid-build,
+    ``{0}`` in an IndexError, ``{obj.__class__}`` put Python internals into
+    prompts, and a malformed file exited 2 naming neither file nor line."""
+    bad, out = tmp_path / "templates.txt", tmp_path / "out.jsonl"
+    bad.write_text(text, encoding="utf-8")
+    argv = ["build", "hallucination", "--annotations", str(fx / "coco_50.json"), "--templates", str(bad), "--out", str(out)]
+    assert run(argv, capsys) == (3, "", f"schema error: {bad}: {problem}\n")
     assert not out.exists()
 
 
@@ -1461,14 +1550,21 @@ def test_every_input_file_is_read_through_records():
     """Outside records.py every ``open`` writes, and no module reads a file or
     splits its text itself: records' iter_lines, iter_rows and read_json name
     the file and line of a bad byte. The one exemption is FileBatchTransport's
-    read of a runner's reply, whose policy skips a bad line."""
+    read of a runner's reply, whose policy skips a bad line. Nor does another
+    module look at a meta line or its digest: records checks a record file
+    against its meta line for every reader."""
     src = Path(cli.__file__).parent
     reads = []
     for path in sorted(src.glob("*.py")):
-        for scope, call in _calls(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+        text = path.read_text(encoding="utf-8")
+        if "record_type" in text and path.name != "records.py":
+            reads.append((path.name, "", "record_type"))
+        for scope, call in _calls(ast.parse(text, str(path))):
             func = call.func
             name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-            if name == "open" and path.name != "records.py":
+            if name == "stored_records_digest" and path.name != "records.py":
+                reads.append((path.name, scope, name))
+            elif name == "open" and path.name != "records.py":
                 if not set(_open_mode(call)) & set("wax"):
                     reads.append((path.name, scope, "open"))
             elif name in ("read_text", "read_bytes", "splitlines"):

@@ -2,6 +2,7 @@
 json.loads, the canonical encoder against json.dumps, and the memory that
 verify_records holds."""
 
+import hashlib
 import json
 import math
 import tracemalloc
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 from coordtext.records import (
     SchemaError,
     canonical_json,
+    config_digest,
     iter_lines,
     iter_rows,
     parse_line,
@@ -96,7 +98,10 @@ def test_canonical_json_unserialisable_value_message():
 
 def test_iter_rows_numbers_lines_and_skips_blanks(tmp_path):
     path = tmp_path / "rows.jsonl"
-    path.write_text('{"record_type": "meta"}\n\n  {"a": NaN}  \n{"b": [1, 2]}\n', encoding="utf-8")
+    body = b'\n  {"a": NaN}  \n{"b": [1, 2]}\n'
+    meta = {"record_type": "meta", "count": 2, "config": {}, "config_digest": config_digest({}),
+            "records_digest": hashlib.sha256(body).hexdigest()}
+    path.write_bytes(json.dumps(meta).encode() + b"\n" + body)
     rows = list(iter_rows(path))
     assert [n for n, _ in rows] == [1, 3, 4]
     assert repr(rows[1][1]) == "{'a': nan}" and rows[2][1] == {"b": [1, 2]}

@@ -43,6 +43,7 @@ from .coords import (
     encode_point,
 )
 from .evals import (
+    TRUTH_FIELDS,
     TRUTH_VALUES,
     score_hallucination,
     score_keyword_vqa,
@@ -57,15 +58,18 @@ from .gateway import (
     OracleTransport,
     RandomTransport,
     SamplingConfig,
+    answer_space_for_record,
+    oracle_response,
     query_batch,
 )
 from .prompts import CAPTION_REQUEST, DEFAULT_TEMPLATES, OBJECTIVES, load_template_overrides, render_caption_request
 from .records import (
     SchemaError,
     config_digest,
+    is_meta_row,
     iter_lines,
+    iter_rows,
     read_json,
-    read_records,
     verify_records,
     write_json,
     write_records,
@@ -176,11 +180,11 @@ def cmd_decode(args) -> int:
 
 def _write_build_outputs(args, records, report, config, kind) -> int:
     out = Path(args.out)
-    write_records(out, records, config, kind)
+    count = write_records(out, records, config, kind)
     report_dict = report.to_dict()
     report_dict["config_digest"] = config_digest(config)
     write_json(out.with_suffix(".report.json"), report_dict)
-    print(f"{kind}: wrote {len(records)} records to {out}")
+    print(f"{kind}: wrote {count} records to {out}")
     return EXIT_OK
 
 
@@ -202,7 +206,7 @@ def cmd_build_ift(args) -> int:
     report.exclusions.update(load.skipped)
     config = _effective_config(args, ["annotations", "captions", "scheme", "form", "mix", "seed"])
     config["scheme_params"] = scheme.to_dict()
-    return _write_build_outputs(args, [s.to_record(scheme) for s in samples], report, config, "ift")
+    return _write_build_outputs(args, (s.to_record(scheme) for s in samples), report, config, "ift")
 
 
 def cmd_build_spatial(args) -> int:
@@ -211,7 +215,7 @@ def cmd_build_spatial(args) -> int:
     items, report = build_spatial_bench(load.images, args.seed, templates=templates)
     report.exclusions.update(load.skipped)
     config = _effective_config(args, ["annotations", "seed"])
-    return _write_build_outputs(args, [it.to_record(templates) for it in items], report, config, "spatial")
+    return _write_build_outputs(args, (it.to_record(templates) for it in items), report, config, "spatial")
 
 
 def cmd_build_hallucination(args) -> int:
@@ -240,47 +244,48 @@ def cmd_build_hallucination(args) -> int:
     )
     templates = _load_templates(args)
     config = _effective_config(args, ["annotations", "videos", "vocab_file", "disjoint_from", "seed", "per_media"])
-    return _write_build_outputs(args, [it.to_record(templates) for it in items], report, config, "hallucination")
+    return _write_build_outputs(args, (it.to_record(templates) for it in items), report, config, "hallucination")
 
 
 def cmd_build_pseudo_captions(args) -> int:
     load = ann_io.load_coco_annotations(args.annotations)
     images, report = ingest_pseudo_captions(load.images, [])
     templates = _load_templates(args)
-    records = []
-    for image in images:
-        for obj in sorted(image.objects, key=lambda o: o.instance_id):
-            sample_id = f"{image.image_id}:cap:{obj.instance_id}"
-            prompt = render_caption_request(obj.category, templates)
-            records.append(
-                dataset_record(sample_id, image.image_id, CAPTION_REQUEST, prompt, "", obj.category,
-                               derive_seed(args.seed, sample_id))
-            )
-    report = report._replace(emitted_count=len(records))
+
+    def records():
+        for image in images:
+            for obj in sorted(image.objects, key=lambda o: o.instance_id):
+                sample_id = f"{image.image_id}:cap:{obj.instance_id}"
+                prompt = render_caption_request(obj.category, templates)
+                yield dataset_record(sample_id, image.image_id, CAPTION_REQUEST, prompt, "", obj.category,
+                                     derive_seed(args.seed, sample_id))
+
+    report = report._replace(emitted_count=sum(len(image.objects) for image in images))
     report.exclusions.update(load.skipped)
     config = _effective_config(args, ["annotations", "seed"])
-    return _write_build_outputs(args, records, report, config, "caption_requests")
+    return _write_build_outputs(args, records(), report, config, "caption_requests")
 
 
 def cmd_build_video_static(args) -> int:
     detections = ann_io.load_video_detections(args.videos)
-    records = []
+    tracks = []
     exclusions = Counter()
     for video_id in sorted(detections):
-        tracks, tallies = build_video_static_objects(detections[video_id], n_f=args.frames, video_id=video_id)
+        video_tracks, tallies = build_video_static_objects(detections[video_id], n_f=args.frames, video_id=video_id)
         exclusions.update(tallies)
-        for track in tracks:
-            records.append(
-                {
-                    "sample_id": f"{video_id}:track:{track.category}",
-                    "video_id": video_id,
-                    "category": track.category,
-                    "frames": {str(f): list(b.as_tuple()) for f, b in track.per_frame_boxes.items()},
-                    "averaged_box": list(track.averaged_box.as_tuple()),
-                    "is_static": track.is_static,
-                }
-            )
-    report = BuildReport(len(detections), len(records), exclusions)
+        tracks.extend((video_id, track) for track in video_tracks)
+    records = (
+        {
+            "sample_id": f"{video_id}:track:{track.category}",
+            "video_id": video_id,
+            "category": track.category,
+            "frames": {str(f): list(b.as_tuple()) for f, b in track.per_frame_boxes.items()},
+            "averaged_box": list(track.averaged_box.as_tuple()),
+            "is_static": track.is_static,
+        }
+        for video_id, track in tracks
+    )
+    report = BuildReport(len(detections), len(tracks), exclusions)
     config = _effective_config(args, ["videos", "frames"])
     return _write_build_outputs(args, records, report, config, "video_tracks")
 
@@ -316,32 +321,70 @@ def _text_field(path, n: int, row: dict, field: str) -> str:
     raise SchemaError(f"{path}: record {n}: {field} is not a string")
 
 
-def _numbered_records(path, rows: list[dict], *fields: str):
-    """Yield ``(n, row)`` for each dataset record, numbered from 1. A record
+def _stream_records(path, keep) -> tuple[dict, int, SchemaError | None]:
+    """Pass each record of a record file to ``keep(n, row)``, numbered from 1,
+    until ``keep`` raises SchemaError; returns the meta line (empty without
+    one), the number of records, and that error or None.
+
+    The error is returned, not raised, after every line has been read: a
+    problem of the whole file, which ``iter_rows`` raises after its last row,
+    is the one to report first."""
+    meta, count, problem = {}, 0, None
+    for line_no, row in iter_rows(path):
+        if is_meta_row(line_no, row):
+            meta = row
+            continue
+        count += 1
+        if problem is None:
+            try:
+                keep(count, row)
+            except SchemaError as exc:
+                problem = exc
+    return meta, count, problem
+
+
+def _sample_ids(path, *fields: str):
+    """``sample_id(n, row)``: the sample_id of dataset record ``n``. A record
     without a string sample_id or string ``fields``, or one that repeats a
     sample_id, is a SchemaError naming the file and the record number."""
     seen = {}  # not a set: for 21k ids a set takes 2.1 MB, a dict 0.6 MB
-    for n, row in enumerate(rows, 1):
-        sample_id = _text_field(path, n, row, "sample_id")
+
+    def sample_id(n: int, row: dict) -> str:
+        value = _text_field(path, n, row, "sample_id")
         for field in fields:
             _text_field(path, n, row, field)
-        if sample_id in seen:
-            raise SchemaError(f"{path}: record {n}: duplicate sample_id {sample_id!r}")
-        seen[sample_id] = n
-        yield n, row
+        if value in seen:
+            raise SchemaError(f"{path}: record {n}: duplicate sample_id {value!r}")
+        seen[value] = n
+        return value
+
+    return sample_id
 
 
 def cmd_query(args) -> int:
-    _, rows = read_records(args.records)
-    if not rows:
+    """Each record is kept as its request and the mock's answer to it: the
+    oracle's response, or the random mock's answer space."""
+    requests, answers = [], {}
+    sample_id_of = _sample_ids(args.records, "prompt")
+
+    def keep(n: int, row: dict) -> None:
+        sample_id = sample_id_of(n, row)
+        requests.append(ModelRequest(sample_id, str(row.get("image_id", "")), row["prompt"]))
+        if args.mock == "oracle":
+            answers[sample_id] = oracle_response(sample_id, row)
+        elif args.mock == "random":
+            answers[sample_id] = answer_space_for_record(row)
+
+    _, count, problem = _stream_records(args.records, keep)
+    if not count:
         raise SchemaError(f"{args.records}: no records")
-    by_id = {row["sample_id"]: row for _, row in _numbered_records(args.records, rows, "prompt")}
-    requests = [ModelRequest(row["sample_id"], str(row.get("image_id", "")), row["prompt"]) for row in rows]
+    if problem:
+        raise problem
     cfg = SamplingConfig(temperature=args.temperature, max_new_tokens=args.max_new_tokens)
     if args.mock == "oracle":
-        transport = OracleTransport(by_id)
+        transport = OracleTransport(answers)
     elif args.mock == "random":
-        transport = RandomTransport(by_id, args.seed)
+        transport = RandomTransport(answers, args.seed)
     elif args.endpoint:
         transport = HttpTransport(args.endpoint)
     elif args.batch_dir:
@@ -355,16 +398,16 @@ def cmd_query(args) -> int:
     errors = [r for r in results if r.status == "error"]
     for r in errors:
         print(f"error for {r.request_id}: {r.error_detail}", file=sys.stderr)
-    responses = [
+    responses = (
         {"item_id": r.request_id, "text": r.text, **({"status": "error"} if r.status == "error" else {})}
         for r in results
-    ]
+    )
     config = _effective_config(
         args,
         ["records", "mock", "seed", "endpoint", "batch_dir", "max_inflight", "attempts", "backoff", "temperature", "max_new_tokens"],
     )
-    write_records(args.out, responses, config, "responses")
-    print(f"wrote {len(responses)} responses to {args.out}")
+    written = write_records(args.out, responses, config, "responses")
+    print(f"wrote {written} responses to {args.out}")
     return EXIT_IO if len(errors) == len(results) else EXIT_OK
 
 
@@ -378,12 +421,44 @@ _SCORERS = {
 }
 
 
-def _check_records(path, rows, task: str | None) -> str:
-    """Check evaluate's records in one pass; returns ``task``, or else the one
-    task that scores every record's objective. A record whose objective has a
-    task needs the ground truth that its row of ``OBJECTIVES`` names."""
-    objectives, tasks = set(), set()
-    for n, row in _numbered_records(path, rows):
+def _read_responses(path) -> dict[str, str]:
+    """Response text by item_id, from a responses file that matches its meta line.
+
+    A row that query marked ``status: error`` carries no answer of the model:
+    it is left out, so that its item is tallied as missing, not scored."""
+    responses = {}
+    errored = set()
+
+    def keep(n: int, row: dict) -> None:
+        if "item_id" in row:
+            text = _text_field(path, n, row, "text")
+            item_id = _text_field(path, n, row, "item_id")
+            if item_id in responses or item_id in errored:
+                raise SchemaError(f"{path}: record {n}: duplicate item_id {item_id!r}")
+            if row.get("status") == "error":
+                errored.add(item_id)
+            else:
+                responses[item_id] = text
+
+    _, _, problem = _stream_records(path, keep)
+    if problem:
+        raise problem
+    if errored:
+        print(f"{len(errored)} response(s) marked status: error, counted as missing", file=sys.stderr)
+    return responses
+
+
+def cmd_evaluate(args) -> int:
+    """Each record is kept as its sample_id and ground truth, each response as
+    its text. A record whose objective has a task needs the ground truth that
+    its row of ``OBJECTIVES`` names, with a value the task's judgement knows;
+    without --task, every record's objective must name the same task."""
+    path, task = args.records, args.task or None
+    sample_id_of = _sample_ids(path)
+    truths, objectives, tasks = [], set(), set()
+
+    def keep(n: int, row: dict) -> None:
+        sample_id = sample_id_of(n, row)
         name = _text_field(path, n, row, "objective") if "objective" in row else ""
         objective = OBJECTIVES.get(name)
         row_task = objective.task if objective else None
@@ -396,54 +471,31 @@ def _check_records(path, rows, task: str | None) -> str:
             allowed = TRUTH_VALUES.get(row_task)
             if allowed and truth not in allowed:
                 raise SchemaError(f"{path}: record {n}: {objective.truth} {truth!r} is not one of {', '.join(allowed)}")
+            truths.append((sample_id, truth))
+
+    record_meta, count, problem = _stream_records(path, keep)
+    responses = _read_responses(args.responses)
+    if not count:
+        raise SchemaError(f"{path}: no records")
+    if problem:
+        raise problem
     if task is None:
         if None in tasks or len(tasks) != 1:
             raise ValueError(f"cannot infer a single task from objectives {sorted(objectives)}; pass --task")
         task = tasks.pop()
-    return task
-
-
-def _read_responses(path) -> dict[str, str]:
-    """Response text by item_id, from a responses file that matches its meta line.
-
-    A row that query marked ``status: error`` carries no answer of the model:
-    it is left out, so that its item is tallied as missing, not scored. The
-    rows are dropped on return, so that scoring runs without them."""
-    _, rows = read_records(path)
-    responses = {}
-    errored = set()
-    for n, row in enumerate(rows, 1):
-        if "item_id" in row:
-            text = _text_field(path, n, row, "text")
-            item_id = _text_field(path, n, row, "item_id")
-            if item_id in responses or item_id in errored:
-                raise SchemaError(f"{path}: record {n}: duplicate item_id {item_id!r}")
-            if row.get("status") == "error":
-                errored.add(item_id)
-            else:
-                responses[item_id] = text
-    if errored:
-        print(f"{len(errored)} response(s) marked status: error, counted as missing", file=sys.stderr)
-    return responses
-
-
-def cmd_evaluate(args) -> int:
-    record_meta, rows = read_records(args.records)
-    responses = _read_responses(args.responses)
-    if not rows:
-        raise SchemaError(f"{args.records}: no records")
-    task = _check_records(args.records, rows, args.task or None)
     if not responses:
         print("no responses to evaluate", file=sys.stderr)
         return EXIT_ALIGNMENT
-    missing = [row["sample_id"] for row in rows if row["sample_id"] not in responses]
+    missing = [sample_id for sample_id, _ in truths if sample_id not in responses]
     for sample_id in missing[:10]:
         print(f"missing response for {sample_id}", file=sys.stderr)
-    if len(missing) * 2 > len(rows):
-        print(f"{len(missing)}/{len(rows)} records lack responses", file=sys.stderr)
+    if len(missing) * 2 > count:
+        print(f"{len(missing)}/{count} records lack responses", file=sys.stderr)
         return EXIT_ALIGNMENT
     options = {"strict": not args.containment_only} if task == "spatial" else {}
-    report, items = _SCORERS[task](rows, responses, **options)
+    field = TRUTH_FIELDS[task]
+    records = ({"sample_id": sample_id, field: truth} for sample_id, truth in truths)
+    report, items = _SCORERS[task](records, responses, **options)
     config = _effective_config(args, ["records", "responses", "task", "containment_only"])
     report = report._replace(config_digest=config_digest(config), dataset_digest=record_meta.get("records_digest"))
     if task == "region":

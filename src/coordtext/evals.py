@@ -11,6 +11,7 @@ that scorer's report bit for bit.
 
 import string
 from collections import Counter
+from operator import itemgetter
 from typing import NamedTuple
 
 from .meteor import score_meteor
@@ -18,7 +19,7 @@ from .prompts import HALLUCINATION, OBJECTIVES, OPPOSITE_KEYWORD, parse_response
 
 # the record field that holds each evaluate task's ground truth, and the
 # values it may take where the task's judgement knows only those
-_TRUTH = {objective.task: objective.truth for objective in OBJECTIVES.values() if objective.task}
+TRUTH_FIELDS = {objective.task: objective.truth for objective in OBJECTIVES.values() if objective.task}
 TRUTH_VALUES = {"spatial": tuple(OPPOSITE_KEYWORD), "hallucination": ("yes", "no")}
 
 
@@ -113,16 +114,18 @@ def _normalize(text: str) -> str:
 
 
 def _score(task, records, responses, gt_field, judge, flags) -> tuple[MetricsReport, list[EvalRecord]]:
-    """Pair, judge and aggregate. ``judge(gt, response)`` returns the outcome
-    fields of one answered item's EvalRecord."""
+    """Pair, judge and aggregate. Of each record only its sample_id and
+    ``gt_field`` are kept, so ``records`` may be a generator of small dicts.
+    ``judge(gt, response)`` returns the outcome fields of one answered item's
+    EvalRecord."""
     unanswered = {"score": 0.0} if task == "region_description" else {"correct": False}
     items = []
-    for rec in sorted(records, key=lambda rec: rec["sample_id"]):
-        gt, response = rec[gt_field], responses.get(rec["sample_id"])
+    for sample_id, gt in sorted(((rec["sample_id"], rec[gt_field]) for rec in records), key=itemgetter(0)):
+        response = responses.get(sample_id)
         if response is None:
-            items.append(EvalRecord(rec["sample_id"], task, gt, "", missing=True, **unanswered))
+            items.append(EvalRecord(sample_id, task, gt, "", missing=True, **unanswered))
         else:
-            items.append(EvalRecord(rec["sample_id"], task, gt, response, **judge(gt, response)))
+            items.append(EvalRecord(sample_id, task, gt, response, **judge(gt, response)))
     report = aggregate_report(items, flags) if items else MetricsReport(task, 0, flags=flags)
     return report, items
 
@@ -140,7 +143,7 @@ def score_spatial(records, responses: dict, strict: bool = True) -> tuple[Metric
         return {"correct": gt in lowered and not (strict and OPPOSITE_KEYWORD[gt] in lowered)}
 
     flags = {"mode": "strict" if strict else "containment"}
-    return _score("spatial", records, responses, _TRUTH["spatial"], judge, flags)
+    return _score("spatial", records, responses, TRUTH_FIELDS["spatial"], judge, flags)
 
 
 def score_keyword_vqa(records, responses: dict) -> tuple[MetricsReport, list[EvalRecord]]:
@@ -150,7 +153,7 @@ def score_keyword_vqa(records, responses: dict) -> tuple[MetricsReport, list[Eva
         return {"correct": _normalize(gt) in _normalize(response)}
 
     flags = {"normalization": "lowercase, strip terminal punctuation"}
-    return _score("vqa", records, responses, _TRUTH["vqa"], judge, flags)
+    return _score("vqa", records, responses, TRUTH_FIELDS["vqa"], judge, flags)
 
 
 def score_hallucination(records, responses: dict) -> tuple[MetricsReport, list[EvalRecord]]:
@@ -165,7 +168,7 @@ def score_hallucination(records, responses: dict) -> tuple[MetricsReport, list[E
         prediction = parsed.polarity if parsed.kind == "yes_no" else None
         return {"correct": prediction == gt, "prediction": prediction}
 
-    return _score("hallucination", records, responses, _TRUTH["hallucination"], judge, {"positive_class": "yes"})
+    return _score("hallucination", records, responses, TRUTH_FIELDS["hallucination"], judge, {"positive_class": "yes"})
 
 
 def score_region_description(records, responses: dict) -> tuple[MetricsReport, list[EvalRecord]]:
@@ -175,7 +178,7 @@ def score_region_description(records, responses: dict) -> tuple[MetricsReport, l
         return {"score": score_meteor(gt, response)}
 
     flags = {"metric": "meteor exact+stem, fmean weight 9, penalty 0.5*(ch/m)^3"}
-    return _score("region_description", records, responses, _TRUTH["region"], judge, flags)
+    return _score("region_description", records, responses, TRUTH_FIELDS["region"], judge, flags)
 
 
 def aggregate_report(eval_records: list[EvalRecord], flags: dict) -> MetricsReport:

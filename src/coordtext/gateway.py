@@ -9,12 +9,12 @@ gets exactly one response, in request order.
 Two mock models support offline pipelines: an oracle that answers from
 ground truth in canonical phrasing, and a seeded uniform-random baseline.
 They are in-process transports on the same ``query_batch`` path as real
-models, answering each request from its dataset record. The sampling
-configuration is transmitted with every request but never applied locally;
-generation happens inside the external model. ``HttpTransport`` speaks
-HTTP/1.1 itself over pooled ``socket`` connections, importing ``socket`` (and
-``ssl`` for ``https``) on construction, so the mock and file-batch paths
-never load them.
+models, answering each request from what was taken of its dataset record
+when the records were read. The sampling configuration is transmitted with
+every request but never applied locally; generation happens inside the
+external model. ``HttpTransport`` speaks HTTP/1.1 itself over pooled
+``socket`` connections, importing ``socket`` (and ``ssl`` for ``https``) on
+construction, so the mock and file-batch paths never load them.
 """
 
 import hashlib
@@ -571,42 +571,54 @@ def answer_space_for_record(record: dict) -> str:
 
 
 class _MockTransport:
-    """In-process model: ``answer(request, record)`` from each request's dataset
-    record, sequentially through ``send_batch``. A request with no record, or
-    one its record cannot answer, gets an error response."""
+    """In-process model: ``respond(request, answer)`` from each request's
+    answer, prepared from its dataset record when the records were read,
+    sequentially through ``send_batch``. A request with no answer, or one
+    that ``respond`` cannot make a response of, gets an error response."""
 
-    def __init__(self, records_by_id: dict[str, dict]):
-        self.records_by_id = records_by_id
+    def __init__(self, answers: dict):
+        self.answers = answers
 
     def send_batch(self, requests_: list[ModelRequest], cfg: SamplingConfig) -> list[ModelResponse]:
         out = []
         for request in requests_:
-            record = self.records_by_id.get(request.request_id)
-            if record is None:
+            answer = self.answers.get(request.request_id)
+            if answer is None:
                 out.append(_error(request, "no dataset record with this id"))
                 continue
             try:
-                out.append(self.answer(request, record))
-            except KeyError as exc:
-                out.append(_error(request, f"record lacks {exc}"))
+                out.append(self.respond(request, answer))
             except ValueError as exc:
                 out.append(_error(request, str(exc)))
         return out
 
 
-class OracleTransport(_MockTransport):
-    """Ground-truth-perfect model: the canonical correct answer for each record."""
+def oracle_response(request_id: str, record: dict) -> ModelResponse:
+    """The oracle's response to ``request_id`` from its dataset record:
+    ``oracle_answer(record)``, or an error response when it has none."""
+    try:
+        return ModelResponse(request_id, oracle_answer(record))
+    except KeyError as exc:
+        return ModelResponse(request_id, "", status="error", error_detail=f"record lacks {exc}")
+    except ValueError as exc:
+        return ModelResponse(request_id, "", status="error", error_detail=str(exc))
 
-    def answer(self, request: ModelRequest, record: dict) -> ModelResponse:
-        return ModelResponse(request.request_id, oracle_answer(record))
+
+class OracleTransport(_MockTransport):
+    """Ground-truth-perfect model: ``answers`` maps each request id to its
+    ``oracle_response``, which is sent as it is."""
+
+    def respond(self, request: ModelRequest, answer: ModelResponse) -> ModelResponse:
+        return answer
 
 
 class RandomTransport(_MockTransport):
-    """Chance-level baseline: a seeded uniform draw over each record's answer space."""
+    """Chance-level baseline: ``answers`` maps each request id to its record's
+    ``answer_space_for_record``, from which a seeded uniform draw is made."""
 
-    def __init__(self, records_by_id: dict[str, dict], seed: int):
-        super().__init__(records_by_id)
+    def __init__(self, answers: dict[str, str], seed: int):
+        super().__init__(answers)
         self.seed = seed
 
-    def answer(self, request: ModelRequest, record: dict) -> ModelResponse:
-        return random_mock(request, self.seed, answer_space_for_record(record))
+    def respond(self, request: ModelRequest, answer: str) -> ModelResponse:
+        return random_mock(request, self.seed, answer)

@@ -177,8 +177,9 @@ def load_template_overrides(path) -> TemplateSet:
     """Read a section-headed template file: ``[name]`` lines followed by one template per line.
 
     An unknown section, a template before any header, a section without a
-    template, a second template in a one-template section and a template that
-    its render call could not format are SchemaErrors naming the file and line.
+    template, a second template in a one-template section, a template that
+    its render call could not format, and negative prompts other than the
+    location prompts are SchemaErrors naming the file and line.
     """
     sections: dict[str, list[str]] = {}
     header_lines: dict[str, int] = {}
@@ -210,8 +211,13 @@ def load_template_overrides(path) -> TemplateSet:
         if not lines:
             raise SchemaError(f"{path}: line {header_lines[name]}: section {name!r} holds no template")
         fields[name] = tuple(lines) if _OVERRIDE_SECTIONS[name][0] is tuple else lines[0]
-    if "locpred_prompts" in fields and "negpred_prompts" not in fields:
-        fields["negpred_prompts"] = fields["locpred_prompts"]
+    locpred = fields.get("locpred_prompts", LOCATION_PROMPTS)
+    if fields.setdefault("negpred_prompts", locpred) != locpred:
+        other = "section 'locpred_prompts'" if "locpred_prompts" in fields else "the built-in location prompts"
+        raise SchemaError(
+            f"{path}: line {header_lines['negpred_prompts']}: section 'negpred_prompts' differs from {other}:"
+            " location and negative prompts must come from one pool"
+        )
     return TemplateSet(source=str(path), **fields)
 
 

@@ -17,8 +17,11 @@ the others call, raises the first problem, and ``verify_records`` lists them all
 import hashlib
 import json
 import os
+import shutil
+import tempfile
 from collections.abc import Iterable, Iterator
 from contextlib import contextmanager
+from itertools import islice
 from pathlib import Path
 
 
@@ -46,14 +49,6 @@ def config_digest(config: dict) -> str:
     return hashlib.sha256(canonical_json(config).encode("utf-8")).hexdigest()
 
 
-def _records_digest(lines: list[str]) -> str:
-    h = hashlib.sha256()
-    for line in lines:
-        h.update(line.encode("utf-8"))
-        h.update(b"\n")
-    return h.hexdigest()
-
-
 def stored_records_digest(path) -> str:
     """SHA-256 of a record file's bytes after its first (meta) line, as stored."""
     h = hashlib.sha256()
@@ -66,38 +61,50 @@ def stored_records_digest(path) -> str:
 
 @contextmanager
 def _replacing(path):
-    """Open a text file to write that replaces ``path`` only once it is complete."""
+    """Open a binary file to write that replaces ``path`` only once it is complete."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
     try:
-        with open(tmp, "w", encoding="utf-8") as fh:
+        with open(tmp, "wb") as fh:
             yield fh
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)
 
 
-def write_records(path, records: Iterable[dict], config: dict, kind: str) -> str:
-    """Write records with a leading meta line; returns the config digest.
+def write_records(path, records: Iterable[dict], config: dict, kind: str) -> int:
+    """Write records with a leading meta line; returns the number of records.
 
-    ``records`` may be any iterable, such as a generator, so that a caller
-    need not hold every record dict at once."""
-    lines = [canonical_json(rec) for rec in records]
-    digest = config_digest(config)
-    meta = {
-        "record_type": "meta",
-        "kind": kind,
-        "count": len(lines),
-        "config": config,
-        "config_digest": digest,
-        "records_digest": _records_digest(lines),
-    }
-    with _replacing(path) as fh:
-        fh.write(canonical_json(meta) + "\n")
-        for line in lines:
-            fh.write(line + "\n")
-    return digest
+    ``records`` may be any iterable, such as a generator: records are
+    encoded, hashed and written as they come, into a nameless body file
+    beside ``path``, so that a caller need not hold them all at once. The
+    meta line, which holds their count and digest, is then written, followed
+    by a copy of the body. If ``records`` raises, nothing is left of either
+    file."""
+    records = iter(records)
+    with _replacing(path) as fh, tempfile.TemporaryFile(dir=Path(path).parent) as body:
+        body_digest, count = hashlib.sha256(), 0
+        # a thousand lines at a time: one encode, hash update and write per
+        # line took 84 ms for the 20,766 lines of the spatial-oracle
+        # benchmark's bench, against 73 ms in batches
+        while lines := [canonical_json(rec) for rec in islice(records, 1024)]:
+            data = ("\n".join(lines) + "\n").encode("utf-8")
+            body_digest.update(data)
+            body.write(data)
+            count += len(lines)
+        meta = {
+            "record_type": "meta",
+            "kind": kind,
+            "count": count,
+            "config": config,
+            "config_digest": config_digest(config),
+            "records_digest": body_digest.hexdigest(),
+        }
+        fh.write((canonical_json(meta) + "\n").encode("utf-8"))
+        body.seek(0)
+        shutil.copyfileobj(body, fh)
+    return count
 
 
 def line_error(path, line_no: int, exc: json.JSONDecodeError | KeyError) -> SchemaError:
@@ -177,7 +184,7 @@ def iter_rows(path) -> Iterator[tuple[int, dict]]:
                 raise line_error(path, line_no, exc) from exc
             if not isinstance(row, dict):
                 raise SchemaError(f"{path}: line {line_no}: not a JSON object")
-            if _is_meta(line_no, row):
+            if is_meta_row(line_no, row):
                 meta = row
             else:
                 count += 1
@@ -189,19 +196,23 @@ def iter_rows(path) -> Iterator[tuple[int, dict]]:
         problems.append(f"{path}: meta count {meta.get('count')} != {count} records")
     if stored_records_digest(path) != meta.get("records_digest"):
         problems.append(f"{path}: records digest mismatch")
-    if config_digest(meta.get("config", {})) != meta.get("config_digest"):
-        problems.append(f"{path}: config digest mismatch")
+    try:
+        if config_digest(meta.get("config", {})) != meta.get("config_digest"):
+            problems.append(f"{path}: config digest mismatch")
+    except ValueError as exc:  # NaN or Infinity, which parse_line accepts and no digest covers
+        problems.append(f"{path}: meta config is not JSON: {exc}")
     if problems:
         raise _MetaMismatch(*problems)
 
 
-def _is_meta(line_no: int, row: dict) -> bool:
+def is_meta_row(line_no: int, row: dict) -> bool:
+    """Whether a row that ``iter_rows`` yields is the file's meta line."""
     return line_no == 1 and row.get("record_type") == "meta"
 
 
 def iter_records(path) -> Iterator[tuple[int, dict]]:
     """``iter_rows`` without the meta line."""
-    return ((line_no, row) for line_no, row in iter_rows(path) if not _is_meta(line_no, row))
+    return ((line_no, row) for line_no, row in iter_rows(path) if not is_meta_row(line_no, row))
 
 
 def read_records(path) -> tuple[dict, list[dict]]:
@@ -210,7 +221,7 @@ def read_records(path) -> tuple[dict, list[dict]]:
     meta: dict = {}
     records: list[dict] = []
     for line_no, row in iter_rows(path):
-        if _is_meta(line_no, row):
+        if is_meta_row(line_no, row):
             meta = row
         else:
             records.append(row)
@@ -225,7 +236,7 @@ def verify_records(path) -> list[str]:
     has_meta = False
     try:
         for line_no, row in iter_rows(path):
-            has_meta = has_meta or _is_meta(line_no, row)
+            has_meta = has_meta or is_meta_row(line_no, row)
     except _MetaMismatch as exc:
         return list(exc.args)
     return [] if has_meta else [f"{path}: no meta line"]
@@ -233,4 +244,4 @@ def verify_records(path) -> list[str]:
 
 def write_json(path, value: dict) -> None:
     with _replacing(path) as fh:
-        fh.write(json.dumps(value, sort_keys=True, indent=2, ensure_ascii=False) + "\n")
+        fh.write((json.dumps(value, sort_keys=True, indent=2, ensure_ascii=False) + "\n").encode("utf-8"))

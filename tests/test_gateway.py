@@ -27,7 +27,9 @@ from coordtext.gateway import (
     RandomTransport,
     SamplingConfig,
     TransientTransportError,
+    answer_space_for_record,
     oracle_answer,
+    oracle_response,
     query_batch,
     random_mock,
 )
@@ -551,7 +553,7 @@ def test_oracle_mock_spatial_keywords():
     items, _ = build_spatial_bench(spatial_fixture(40, seed=0), seed=1)
     assert items
     items = items[:20]
-    transport = OracleTransport({item.item_id: item.to_record() for item in items})
+    transport = OracleTransport({item.item_id: oracle_response(item.item_id, item.to_record()) for item in items})
     reqs = [ModelRequest(item.item_id, item.image_id, item.prompt()) for item in items]
     for item, resp in zip(items, query_batch(reqs, transport)):
         assert resp.status == "ok"
@@ -571,7 +573,7 @@ def test_oracle_mock_location_roundtrip():
     samples, _ = build_ift_dataset(images, scheme, "bbox", {"locpred": 1}, seed=2)
     assert samples
     samples = samples[:25]
-    transport = OracleTransport({s.sample_id: s.to_record(scheme) for s in samples})
+    transport = OracleTransport({s.sample_id: oracle_response(s.sample_id, s.to_record(scheme)) for s in samples})
     reqs = [ModelRequest(s.sample_id, s.image_id, s.prompt) for s in samples]
     for sample, resp in zip(samples, query_batch(reqs, transport)):
         parsed = parse_response(resp.text, "locpred", scheme, "bbox")
@@ -588,7 +590,7 @@ def test_oracle_mock_hallucination_and_mismatch():
     from coordtext.builders import HallucinationItem
 
     item = HallucinationItem("m1:hal:00", "m1", "image", "lamp", "no")
-    transport = OracleTransport({item.item_id: item.to_record()})
+    transport = OracleTransport({item.item_id: oracle_response(item.item_id, item.to_record())})
     resp, bad = query_batch([ModelRequest("m1:hal:00", "m1", "q"), ModelRequest("other", "m1", "q")], transport)
     assert resp.text == "No"
     assert bad.status == "error"
@@ -598,9 +600,9 @@ def test_random_transport_draws_from_each_record_space():
     items, _ = build_spatial_bench(spatial_fixture(40, seed=0), seed=1)
     records = {item.item_id: item.to_record() for item in items}
     reqs = [ModelRequest(item_id, "m", "p") for item_id in records]
-    out = query_batch(reqs, RandomTransport(records, seed=7))
+    out = query_batch(reqs, RandomTransport({i: answer_space_for_record(r) for i, r in records.items()}, seed=7))
     assert [r.text for r in out] == [random_mock(q, 7, records[q.request_id]["axis"]).text for q in reqs]
-    bad = query_batch(reqs[:1], RandomTransport({reqs[0].request_id: {"objective": "spatial_direct", "axis": "xy"}}, 7))
+    bad = query_batch(reqs[:1], RandomTransport({reqs[0].request_id: answer_space_for_record({"objective": "spatial_direct", "axis": "xy"})}, 7))
     assert bad[0].status == "error" and "unknown answer space" in bad[0].error_detail
 
 

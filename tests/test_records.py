@@ -1,6 +1,6 @@
 """The shared JSON-lines reader and writer: the line parser against
-json.loads, the canonical encoder against json.dumps, and the memory that
-verify_records holds."""
+json.loads, the canonical encoder against json.dumps, the streaming writer's
+bytes and failures, and the memory that verify_records holds."""
 
 import hashlib
 import json
@@ -141,3 +141,44 @@ def test_verify_holds_no_records(tmp_path):
     verify_peak = _peak_bytes(verify_records, path)
     read_peak = _peak_bytes(read_records, path)
     assert verify_peak * 20 < read_peak, (verify_peak, read_peak)
+
+
+record_lists = st.lists(st.dictionaries(st.text(max_size=6), finite_json_values, max_size=4), max_size=20)
+
+
+@given(record_lists, st.integers(min_value=1, max_value=200))
+@settings(max_examples=60, deadline=None)
+def test_write_records_writes_the_same_bytes_from_a_list_and_a_generator(tmp_path_factory, rows, repeat):
+    """Records repeated up to 200 times, so that a write can span several of
+    write_records' thousand-line batches. It returns the number of records,
+    and the body is one line of sorted, compact json.dumps text per record."""
+    rows = rows * repeat
+    out = tmp_path_factory.mktemp("write")
+    assert write_records(out / "list.jsonl", rows, {"seed": 0}, "demo") == len(rows)
+    assert write_records(out / "gen.jsonl", (row for row in rows), {"seed": 0}, "demo") == len(rows)
+    written = (out / "gen.jsonl").read_bytes()
+    assert (out / "list.jsonl").read_bytes() == written
+    meta_line, body = written.split(b"\n", 1)
+    assert body == "".join(
+        json.dumps(row, sort_keys=True, separators=(",", ":"), ensure_ascii=False) + "\n" for row in rows
+    ).encode("utf-8")
+    meta = json.loads(meta_line)
+    assert (meta["count"], meta["records_digest"]) == (len(rows), hashlib.sha256(body).hexdigest())
+
+
+def test_generator_that_raises_keeps_previous_file(tmp_path):
+    """write_records writes each batch as the generator yields it: a generator
+    that fails after several batches leaves the previous file, and no other."""
+    path = tmp_path / "out.jsonl"
+    write_records(path, [{"sample_id": "old"}], {"seed": 0}, "demo")
+    before = path.read_bytes()
+
+    def rows():
+        for i in range(5000):
+            yield {"sample_id": f"s{i}"}
+        raise RuntimeError("builder failed")
+
+    with pytest.raises(RuntimeError, match="builder failed"):
+        write_records(path, rows(), {"seed": 0}, "demo")
+    assert path.read_bytes() == before
+    assert sorted(tmp_path.iterdir()) == [path]

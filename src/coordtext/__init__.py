@@ -45,10 +45,9 @@ from .evals import (
 from .gateway import (
     FileBatchTransport,
     HttpTransport,
+    MockTransport,
     ModelRequest,
     ModelResponse,
-    OracleTransport,
-    RandomTransport,
     SamplingConfig,
     query_batch,
     random_mock,

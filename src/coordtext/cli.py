@@ -52,14 +52,12 @@ from .evals import (
 )
 from .gateway import (
     MAX_RETRY_DELAY_S,
+    MOCKS,
     FileBatchTransport,
     HttpTransport,
+    MockTransport,
     ModelRequest,
-    OracleTransport,
-    RandomTransport,
     SamplingConfig,
-    answer_space_for_record,
-    oracle_response,
     query_batch,
 )
 from .prompts import CAPTION_REQUEST, DEFAULT_TEMPLATES, OBJECTIVES, load_template_overrides, render_caption_request
@@ -362,18 +360,16 @@ def _sample_ids(path, *fields: str):
 
 
 def cmd_query(args) -> int:
-    """Each record is kept as its request and the mock's answer to it: the
-    oracle's response, or the random mock's answer space."""
+    """Each record is kept as its request and, under ``--mock``, the mock's response to it."""
+    mock = MOCKS.get(args.mock)
     requests, answers = [], {}
     sample_id_of = _sample_ids(args.records, "prompt")
 
     def keep(n: int, row: dict) -> None:
         sample_id = sample_id_of(n, row)
         requests.append(ModelRequest(sample_id, str(row.get("image_id", "")), row["prompt"]))
-        if args.mock == "oracle":
-            answers[sample_id] = oracle_response(sample_id, row)
-        elif args.mock == "random":
-            answers[sample_id] = answer_space_for_record(row)
+        if mock:
+            answers[sample_id] = mock(sample_id, row, args.seed)
 
     _, count, problem = _stream_records(args.records, keep)
     if not count:
@@ -381,10 +377,8 @@ def cmd_query(args) -> int:
     if problem:
         raise problem
     cfg = SamplingConfig(temperature=args.temperature, max_new_tokens=args.max_new_tokens)
-    if args.mock == "oracle":
-        transport = OracleTransport(answers)
-    elif args.mock == "random":
-        transport = RandomTransport(answers, args.seed)
+    if mock:
+        transport = MockTransport(answers)
     elif args.endpoint:
         transport = HttpTransport(args.endpoint)
     elif args.batch_dir:
@@ -639,7 +633,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("query", help="answer dataset prompts via a model or mock")
     p.add_argument("--records", required=True)
-    p.add_argument("--mock", choices=["oracle", "random"])
+    p.add_argument("--mock", choices=list(MOCKS))
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--endpoint", default=os.environ.get("GATEWAY_ENDPOINT"))
     p.add_argument("--batch-dir", dest="batch_dir", default=os.environ.get("GATEWAY_BATCH_DIR"))

@@ -6,11 +6,16 @@ for ``*.resp.jsonl`` plus a ``.done`` marker) that keeps GPU-side runners
 fully external. Batches never abort on individual failures; every request
 gets exactly one response, in request order.
 
+Both wires send the same request object, and check each reply object the
+same way: an ``error`` makes an error response, and otherwise its ``text``
+must be a string.
+
 Two mock models support offline pipelines: an oracle that answers from
 ground truth in canonical phrasing, and a seeded uniform-random baseline.
-They are in-process transports on the same ``query_batch`` path as real
-models, answering each request from what was taken of its dataset record
-when the records were read. The sampling configuration is transmitted with
+Each is one function in ``MOCKS`` from a request's dataset record and the
+run's seed to its response, made when the records are read, and
+``MockTransport`` hands those responses out on the same ``query_batch``
+path as real models. The sampling configuration is transmitted with
 every request but never applied locally; generation happens inside the
 external model. ``HttpTransport`` speaks HTTP/1.1 itself over pooled
 ``socket`` connections, importing ``socket`` (and ``ssl`` for ``https``) on
@@ -24,6 +29,7 @@ import random as random_module
 import re
 import threading
 import time
+from collections import Counter
 from pathlib import Path
 from typing import NamedTuple
 from urllib.parse import urlsplit
@@ -84,6 +90,29 @@ class TransientTransportError(RuntimeError):
 
 def _error(request: ModelRequest, detail: str) -> ModelResponse:
     return ModelResponse(request.request_id, "", status="error", error_detail=detail)
+
+
+def _payload(request: ModelRequest, cfg: SamplingConfig) -> dict:
+    """What both wires send for one request."""
+    return {
+        "request_id": request.request_id,
+        "media_ref": request.media_ref,
+        "prompt": request.prompt,
+        "sampling": cfg.to_dict(),
+    }
+
+
+def _reply_response(request: ModelRequest, reply: dict) -> ModelResponse:
+    """The response a reply object makes on either wire: its ``error``, or
+    its ``text``, which must be a string; anything else is an error response."""
+    if "error" in reply:
+        return _error(request, str(reply["error"]) or "reply carries an empty error")
+    text = reply.get("text")
+    if text is None:
+        return _error(request, "reply carries neither text nor error")
+    if not isinstance(text, str):
+        return _error(request, f"reply text is not a string: {text!r:.80}")
+    return ModelResponse(request.request_id, text)
 
 
 # http.client's limits on a reply's header: bytes per line, and lines
@@ -269,13 +298,7 @@ class HttpTransport:
         return _read_reply(reader, status_line)
 
     def send(self, request: ModelRequest, cfg: SamplingConfig) -> ModelResponse:
-        payload = {
-            "request_id": request.request_id,
-            "media_ref": request.media_ref,
-            "prompt": request.prompt,
-            "sampling": cfg.to_dict(),
-        }
-        body = json.dumps(payload).encode("utf-8")
+        body = json.dumps(_payload(request, cfg)).encode("utf-8")
         message = b"%s%d\r\n\r\n%s" % (self._head, len(body), body)
         with self._lock:
             connection = self._idle.pop() if self._idle else None
@@ -315,11 +338,7 @@ class HttpTransport:
             raise ValueError("malformed server reply: not a JSON object")
         if answer.get("request_id") != request.request_id:
             raise ValueError(f"reply id {answer.get('request_id')!r} does not match request")
-        if "error" in answer:
-            return _error(request, str(answer["error"]))
-        if "text" not in answer:
-            raise ValueError("reply carries neither text nor error")
-        return ModelResponse(request.request_id, answer["text"])
+        return _reply_response(request, answer)
 
 
 class FileBatchTransport:
@@ -341,14 +360,7 @@ class FileBatchTransport:
 
     def send_batch(self, requests_: list[ModelRequest], cfg: SamplingConfig) -> list[ModelResponse]:
         self.directory.mkdir(parents=True, exist_ok=True)
-        payload = "".join(
-            json.dumps(
-                {"request_id": r.request_id, "media_ref": r.media_ref, "prompt": r.prompt, "sampling": cfg.to_dict()},
-                sort_keys=True,
-            )
-            + "\n"
-            for r in requests_
-        )
+        payload = "".join(json.dumps(_payload(r, cfg), sort_keys=True) + "\n" for r in requests_)
         stem = "batch-" + hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
         req_path = self.directory / f"{stem}.req.jsonl"
         resp_path = self.directory / f"{stem}.resp.jsonl"
@@ -376,22 +388,17 @@ class FileBatchTransport:
             except ValueError:  # not JSON, or not UTF-8
                 row = None
             if isinstance(row, dict):
-                by_id[row.get("request_id")] = row
+                request_id = row.get("request_id")
+                if isinstance(request_id, str):  # a list or object id would not hash, and answers no request
+                    by_id[request_id] = row
             elif first_bad is None:
                 first_bad = line_no
         missing = "missing from response file"
         if first_bad is not None:
             missing += f", whose line {first_bad} is not a JSON object"
-        out = []
-        for r in requests_:
-            row = by_id.get(r.request_id)
-            if row is None:
-                out.append(_error(r, missing))
-            elif "error" in row:
-                out.append(_error(r, str(row["error"])))
-            else:
-                out.append(ModelResponse(r.request_id, row.get("text", "")))
-        return out
+        return [
+            _reply_response(r, by_id[r.request_id]) if r.request_id in by_id else _error(r, missing) for r in requests_
+        ]
 
 
 def query_batch(
@@ -436,7 +443,7 @@ def query_batch(
         raise ValueError("empty batch")
     ids = [r.request_id for r in requests_]
     if len(set(ids)) != len(ids):
-        dupes = sorted({i for i in ids if ids.count(i) > 1})
+        dupes = sorted(i for i, n in Counter(ids).items() if n > 1)
         raise ValueError(f"duplicate request ids in batch: {dupes}")
 
     if hasattr(transport, "send_batch"):
@@ -570,55 +577,41 @@ def answer_space_for_record(record: dict) -> str:
     return record.get("axis", "lr") if space == "axis" else space
 
 
-class _MockTransport:
-    """In-process model: ``respond(request, answer)`` from each request's
-    answer, prepared from its dataset record when the records were read,
-    sequentially through ``send_batch``. A request with no answer, or one
-    that ``respond`` cannot make a response of, gets an error response."""
+def oracle_response(sample_id: str, record: dict, seed: int) -> ModelResponse:
+    """The oracle's response to ``sample_id`` from its dataset record:
+    ``oracle_answer(record)``, or an error response when it has none. The
+    oracle draws nothing, so ``seed`` is not used."""
+    try:
+        return ModelResponse(sample_id, oracle_answer(record))
+    except KeyError as exc:
+        return ModelResponse(sample_id, "", status="error", error_detail=f"record lacks {exc}")
+    except ValueError as exc:
+        return ModelResponse(sample_id, "", status="error", error_detail=str(exc))
 
-    def __init__(self, answers: dict):
-        self.answers = answers
+
+def random_response(sample_id: str, record: dict, seed: int) -> ModelResponse:
+    """The random mock's response to ``sample_id``: a seeded draw from its
+    record's ``answer_space_for_record``, or an error response for a space
+    ``random_mock`` cannot draw from."""
+    try:
+        return random_mock(ModelRequest(sample_id, "", ""), seed, answer_space_for_record(record))
+    except ValueError as exc:
+        return ModelResponse(sample_id, "", status="error", error_detail=str(exc))
+
+
+# Each mock model: its response to a request from the request's dataset
+# record and the run's seed. ``query --mock`` offers these names.
+MOCKS = {"oracle": oracle_response, "random": random_response}
+
+
+class MockTransport:
+    """In-process model on the ``query_batch`` path: ``responses`` maps each
+    request id to a mock's response, made from its dataset record when the
+    records were read, and ``send_batch`` hands them out in request order. A
+    request with no response gets an error response."""
+
+    def __init__(self, responses: dict[str, ModelResponse]):
+        self.responses = responses
 
     def send_batch(self, requests_: list[ModelRequest], cfg: SamplingConfig) -> list[ModelResponse]:
-        out = []
-        for request in requests_:
-            answer = self.answers.get(request.request_id)
-            if answer is None:
-                out.append(_error(request, "no dataset record with this id"))
-                continue
-            try:
-                out.append(self.respond(request, answer))
-            except ValueError as exc:
-                out.append(_error(request, str(exc)))
-        return out
-
-
-def oracle_response(request_id: str, record: dict) -> ModelResponse:
-    """The oracle's response to ``request_id`` from its dataset record:
-    ``oracle_answer(record)``, or an error response when it has none."""
-    try:
-        return ModelResponse(request_id, oracle_answer(record))
-    except KeyError as exc:
-        return ModelResponse(request_id, "", status="error", error_detail=f"record lacks {exc}")
-    except ValueError as exc:
-        return ModelResponse(request_id, "", status="error", error_detail=str(exc))
-
-
-class OracleTransport(_MockTransport):
-    """Ground-truth-perfect model: ``answers`` maps each request id to its
-    ``oracle_response``, which is sent as it is."""
-
-    def respond(self, request: ModelRequest, answer: ModelResponse) -> ModelResponse:
-        return answer
-
-
-class RandomTransport(_MockTransport):
-    """Chance-level baseline: ``answers`` maps each request id to its record's
-    ``answer_space_for_record``, from which a seeded uniform draw is made."""
-
-    def __init__(self, answers: dict[str, str], seed: int):
-        super().__init__(answers)
-        self.seed = seed
-
-    def respond(self, request: ModelRequest, answer: str) -> ModelResponse:
-        return random_mock(request, self.seed, answer)
+        return [self.responses.get(r.request_id) or _error(r, "no dataset record with this id") for r in requests_]

@@ -129,19 +129,21 @@ class TemplateSet(_TemplateSet):
 
 DEFAULT_TEMPLATES = TemplateSet()
 
-# Each override section: a pool of templates (tuple) or one (str), and the
-# fields that its render call formats it with; None: it is used as written.
+# Each override section: a pool of templates (tuple) or one (str), the
+# fields that its render call formats it with (None: it is used as written),
+# and those of them each template must contain, since they name its item:
+# a hallucination question without {obj} asks the same of "yes" and "no" items.
 _OVERRIDE_SECTIONS = {
-    "locpred_prompts": (tuple, ("category", "repr")),
-    "negpred_prompts": (tuple, ("category", "repr")),
-    "revloc_prompts": (tuple, ("loc",)),
-    "locpred_target": (str, ("loc",)),
-    "negpred_target": (str, None),
-    "revloc_target": (str, ("category",)),
-    "spatial_direct": (str, ("obj1", "obj2")),
-    "spatial_icl_answer": (str, ("obj1", "keyword", "obj2")),
-    "hallucination": (str, ("obj", "medium")),
-    "caption_request": (str, ("category",)),
+    "locpred_prompts": (tuple, ("category", "repr"), ("category",)),
+    "negpred_prompts": (tuple, ("category", "repr"), ("category",)),
+    "revloc_prompts": (tuple, ("loc",), ("loc",)),
+    "locpred_target": (str, ("loc",), ("loc",)),
+    "negpred_target": (str, None, ()),
+    "revloc_target": (str, ("category",), ("category",)),
+    "spatial_direct": (str, ("obj1", "obj2"), ("obj1", "obj2")),
+    "spatial_icl_answer": (str, ("obj1", "keyword", "obj2"), ("keyword",)),
+    "hallucination": (str, ("obj", "medium"), ("obj",)),
+    "caption_request": (str, ("category",), ("category",)),
 }
 
 _FORMATTER = string.Formatter()
@@ -155,11 +157,13 @@ def _replacement_fields(template: str):
             yield from _replacement_fields(spec)
 
 
-def _placeholder_problem(template: str, names: tuple[str, ...]) -> str | None:
+def _placeholder_problem(template: str, names: tuple[str, ...], required: tuple[str, ...]) -> str | None:
     """Why ``template`` would not format with ``names`` passed by keyword, each a
-    string, or None. A field that reads an attribute or an index is refused too."""
+    string, or lacks one of ``required``, or None. A field that reads an
+    attribute or an index is refused too."""
     try:
-        for field in _replacement_fields(template):
+        fields = list(_replacement_fields(template))
+        for field in fields:
             name = re.match(r"[^.\[]*", field).group()
             if not name or name.isdigit():
                 return f"placeholder {{{field}}} is positional"
@@ -170,6 +174,9 @@ def _placeholder_problem(template: str, names: tuple[str, ...]) -> str | None:
         template.format(**dict.fromkeys(names, "x"))
     except ValueError as exc:
         return f"not a format string: {exc}"
+    missing = [name for name in required if name not in fields]
+    if missing:
+        return f"template lacks {', '.join('{' + n + '}' for n in missing)}"
     return None
 
 
@@ -178,8 +185,9 @@ def load_template_overrides(path) -> TemplateSet:
 
     An unknown section, a template before any header, a section without a
     template, a second template in a one-template section, a template that
-    its render call could not format, and negative prompts other than the
-    location prompts are SchemaErrors naming the file and line.
+    its render call could not format or that lacks a placeholder naming its
+    item, and negative prompts other than the location prompts are
+    SchemaErrors naming the file and line.
     """
     sections: dict[str, list[str]] = {}
     header_lines: dict[str, int] = {}
@@ -198,11 +206,11 @@ def load_template_overrides(path) -> TemplateSet:
         elif current is None:
             problem = f"template line before any section header: {line!r}"
         else:
-            kind, names = _OVERRIDE_SECTIONS[current]
+            kind, names, required = _OVERRIDE_SECTIONS[current]
             if kind is str and sections[current]:
                 problem = f"section {current!r} must hold exactly one template"
             elif names is not None:
-                problem = _placeholder_problem(line, names)
+                problem = _placeholder_problem(line, names, required)
             sections[current].append(line)
         if problem:
             raise SchemaError(f"{path}: line {line_no}: {problem}")

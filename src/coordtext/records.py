@@ -107,12 +107,15 @@ def write_records(path, records: Iterable[dict], config: dict, kind: str) -> int
     return count
 
 
-def line_error(path, line_no: int, exc: json.JSONDecodeError | KeyError) -> SchemaError:
+def line_error(path, line_no: int, exc: ValueError | KeyError) -> SchemaError:
     """The SchemaError for a line of a JSON-lines file that is not valid JSON
+    (json raises a plain ValueError for an integer over Python's digit limit)
     or lacks a required field."""
     if isinstance(exc, KeyError):
         return SchemaError(f"{path}: line {line_no}: missing field {exc}")
-    return SchemaError(f"{path}: line {line_no}: not valid JSON: {exc.msg} at column {exc.colno}")
+    if isinstance(exc, json.JSONDecodeError):
+        return SchemaError(f"{path}: line {line_no}: not valid JSON: {exc.msg} at column {exc.colno}")
+    return SchemaError(f"{path}: line {line_no}: not valid JSON: {exc}")
 
 
 def iter_lines(path) -> Iterator[tuple[int, str]]:
@@ -129,11 +132,12 @@ def iter_lines(path) -> Iterator[tuple[int, str]]:
 
 def read_json(path):
     """The value of a whole-document JSON file, read as by ``iter_lines``. Text
-    that is not JSON raises SchemaError naming the file."""
+    that is not JSON, or holds an integer over Python's digit limit, raises
+    SchemaError naming the file."""
     text = "".join(line for _, line in iter_lines(path))
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
         raise SchemaError(f"{path}: not valid JSON: {exc}") from exc
 
 
@@ -180,7 +184,7 @@ def iter_rows(path) -> Iterator[tuple[int, dict]]:
                 continue
             try:
                 row = parse_line(line)
-            except json.JSONDecodeError as exc:
+            except ValueError as exc:
                 raise line_error(path, line_no, exc) from exc
             if not isinstance(row, dict):
                 raise SchemaError(f"{path}: line {line_no}: not a JSON object")

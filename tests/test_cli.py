@@ -1395,6 +1395,32 @@ def test_meta_config_holding_nan_is_a_problem_of_its_file(tmp_path, capsys):
     assert not responses.exists()
 
 
+def test_integer_over_the_digit_limit_is_a_problem_of_its_file(tmp_path, capsys, fx):
+    """json raises a plain ValueError for an integer literal over Python's
+    4,300-digit limit. It used to end verify, query and build with that bare
+    message, exit 2, naming no file; verify checked no file after it."""
+    huge = "1" * 5000
+    big, tampered = tmp_path / "big.jsonl", tmp_path / "c.jsonl"
+    for path in (big, tampered):
+        write_records(path, [{"sample_id": "s", "prompt": "p", "objective": "vqa", "target": "x"}], {"seed": 0}, "demo")
+    big.write_text(big.read_text().replace('"target":"x"', f'"target":"x","n":{huge}'))
+    tampered.write_text(tampered.read_text().replace('"target":"x"', '"target":"y"'))
+    limit = "Exceeds the limit (4300 digits) for integer string conversion"
+    code, out, err = run(["verify", str(big), str(tampered)], capsys)
+    assert (code, out) == (3, "")
+    assert len(err.splitlines()) == 2
+    assert err.startswith(f"schema error: {big}: line 2: not valid JSON: {limit}")
+    assert err.splitlines()[1] == f"{tampered}: records digest mismatch"
+    responses = tmp_path / "resp.jsonl"
+    code, out, err = run(["query", "--records", str(big), "--mock", "oracle", "--out", str(responses)], capsys)
+    assert (code, out) == (3, "") and err.startswith(f"schema error: {big}: line 2: not valid JSON: {limit}")
+    assert not responses.exists()
+    coco = tmp_path / "big.json"
+    coco.write_text((fx / "coco_50.json").read_text().replace('"images"', f'"n": {huge}, "images"', 1))
+    code, out, err = run(["build", "spatial-bench", "--annotations", str(coco), "--out", str(tmp_path / "b.jsonl")], capsys)
+    assert (code, out) == (3, "") and err.startswith(f"schema error: {coco}: not valid JSON: {limit}")
+
+
 def test_query_and_evaluate_hold_little_more_than_each_record_needs(tmp_path):
     """query keeps of each record its request and the oracle's response, and
     evaluate its sample_id and ground truth, so that neither holds the rows as
@@ -1582,6 +1608,14 @@ BAD_TEMPLATE_FILES = [
     ("[negpred_prompts]\nFind {category} as a {repr}.\n",
      "line 1: section 'negpred_prompts' differs from the built-in location prompts:"
      " location and negative prompts must come from one pool"),
+    ("[hallucination]\nIs it in the {medium}?\n", "line 2: template lacks {obj}"),
+    ("[spatial_direct]\nWhich side is it on?\n", "line 2: template lacks {obj1}, {obj2}"),
+    ("[spatial_icl_answer]\nThe {obj1} is near {obj2}.\n", "line 2: template lacks {keyword}"),
+    ("[locpred_prompts]\nWhere is the {category}?\nGive the {repr}.\n", "line 3: template lacks {category}"),
+    ("[revloc_prompts]\nWhat is here?\n", "line 2: template lacks {loc}"),
+    ("[locpred_target]\nIt is there.\n", "line 2: template lacks {loc}"),
+    ("[revloc_target]\nIt is a thing.\n", "line 2: template lacks {category}"),
+    ("[caption_request]\nDescribe it.\n", "line 2: template lacks {category}"),
 ]
 
 
@@ -1590,7 +1624,9 @@ def test_template_file_that_would_not_render_exits_3(fx, tmp_path, capsys, text,
     """An unknown placeholder used to end in a KeyError traceback mid-build,
     ``{0}`` in an IndexError, ``{obj.__class__}`` put Python internals into
     prompts, and a malformed file, or negative prompts other than the
-    location prompts, exited 2 naming neither file nor line."""
+    location prompts, exited 2 naming neither file nor line. A template
+    without the placeholders naming its item was built: a hallucination
+    question without {obj} asked the same of its "yes" and "no" items."""
     bad, out = tmp_path / "templates.txt", tmp_path / "out.jsonl"
     bad.write_text(text, encoding="utf-8")
     argv = ["build", "hallucination", "--annotations", str(fx / "coco_50.json"), "--templates", str(bad), "--out", str(out)]

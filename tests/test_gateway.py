@@ -21,17 +21,16 @@ from coordtext.gateway import (
     MAX_RETRY_DELAY_S,
     FileBatchTransport,
     HttpTransport,
+    MockTransport,
     ModelRequest,
     ModelResponse,
-    OracleTransport,
-    RandomTransport,
     SamplingConfig,
     TransientTransportError,
-    answer_space_for_record,
     oracle_answer,
     oracle_response,
     query_batch,
     random_mock,
+    random_response,
 )
 from coordtext.pooling import TokenGrid, spatiotemporal_pool
 from coordtext.prompts import parse_response
@@ -532,6 +531,66 @@ def test_file_batch_malformed_response_line_is_per_request_error(tmp_path, bad_l
     assert out[1].error_detail == "missing from response file, whose line 2 is not a JSON object"
 
 
+# A reply object whose text is not a string, on either wire, and the error response it makes.
+BAD_REPLIES = [
+    ({"text": 5}, "reply text is not a string: 5"),
+    ({"text": None}, "reply carries neither text nor error"),
+    ({}, "reply carries neither text nor error"),
+    ({"error": ""}, "reply carries an empty error"),
+]
+
+
+@pytest.mark.parametrize("reply, detail", BAD_REPLIES)
+def test_http_reply_without_string_text_is_per_request_error(reply, detail):
+    """HTTP used to pass a non-string text through as an ok response."""
+    with http_server(lambda body: (200, {"request_id": body["request_id"], **reply})) as (endpoint, _):
+        out = query_batch(REQS, HttpTransport(endpoint), max_inflight=1)
+    assert [(r.status, r.text, r.error_detail) for r in out] == [("error", "", detail)] * 3
+
+
+@pytest.mark.parametrize("reply, detail", BAD_REPLIES)
+def test_file_batch_reply_without_string_text_is_per_request_error(tmp_path, reply, detail):
+    """The file-batch wire used to pass a non-string text through, read a
+    missing one as "", and raise out of the batch on an empty error."""
+    with batch_runner(tmp_path, lambda row: {"request_id": row["request_id"], **reply}):
+        out = query_batch(REQS, FileBatchTransport(tmp_path, timeout=10))
+    assert [(r.status, r.text, r.error_detail) for r in out] == [("error", "", detail)] * 3
+
+
+def test_file_batch_reply_with_unhashable_id_answers_no_request(tmp_path):
+    """A reply whose request_id is a list used to raise TypeError out of the batch."""
+    def answer(row):
+        return {"request_id": [row["request_id"]] if row["request_id"] == "r1" else row["request_id"], "text": "ok"}
+
+    with batch_runner(tmp_path, answer):
+        out = query_batch(REQS, FileBatchTransport(tmp_path, timeout=10))
+    assert [r.status for r in out] == ["ok", "error", "ok"]
+    assert out[1].error_detail == "missing from response file"
+
+
+def test_query_batch_dir_reply_without_string_text_is_never_scored(tmp_path, capsys):
+    """query used to write a file-batch reply's ``"text": 5`` into the
+    responses file as an answer, and evaluate then refused the whole file."""
+    from coordtext.cli import main
+    from coordtext.records import read_records, write_records
+
+    records, responses, batch_dir = tmp_path / "hal.jsonl", tmp_path / "resp.jsonl", tmp_path / "batches"
+    rows = [{"sample_id": f"h:{i}", "prompt": "Is there a lamp?", "objective": "hallucination", "gt": "yes"} for i in range(3)]
+    write_records(records, rows, {"seed": 0}, "hallucination")
+
+    def answer(row):
+        return {"request_id": row["request_id"], "text": 5 if row["request_id"] == "h:1" else "Yes"}
+
+    with batch_runner(batch_dir, answer):
+        assert main(["query", "--records", str(records), "--batch-dir", str(batch_dir), "--out", str(responses)]) == 0
+    assert "error for h:1: reply text is not a string: 5" in capsys.readouterr().err
+    assert read_records(responses)[1][1] == {"item_id": "h:1", "status": "error", "text": ""}
+    report = tmp_path / "report.json"
+    assert main(["evaluate", "--records", str(records), "--responses", str(responses), "--report", str(report)]) == 0
+    assert "missing response for h:1" in capsys.readouterr().err
+    assert json.loads(report.read_text())["missing"] == 1
+
+
 def test_file_batch_done_without_response_file_is_per_request_error(tmp_path):
     with batch_runner(tmp_path, None):
         out = query_batch(REQS, FileBatchTransport(tmp_path, timeout=10))
@@ -553,7 +612,7 @@ def test_oracle_mock_spatial_keywords():
     items, _ = build_spatial_bench(spatial_fixture(40, seed=0), seed=1)
     assert items
     items = items[:20]
-    transport = OracleTransport({item.item_id: oracle_response(item.item_id, item.to_record()) for item in items})
+    transport = MockTransport({item.item_id: oracle_response(item.item_id, item.to_record(), 0) for item in items})
     reqs = [ModelRequest(item.item_id, item.image_id, item.prompt()) for item in items]
     for item, resp in zip(items, query_batch(reqs, transport)):
         assert resp.status == "ok"
@@ -573,7 +632,7 @@ def test_oracle_mock_location_roundtrip():
     samples, _ = build_ift_dataset(images, scheme, "bbox", {"locpred": 1}, seed=2)
     assert samples
     samples = samples[:25]
-    transport = OracleTransport({s.sample_id: oracle_response(s.sample_id, s.to_record(scheme)) for s in samples})
+    transport = MockTransport({s.sample_id: oracle_response(s.sample_id, s.to_record(scheme), 0) for s in samples})
     reqs = [ModelRequest(s.sample_id, s.image_id, s.prompt) for s in samples]
     for sample, resp in zip(samples, query_batch(reqs, transport)):
         parsed = parse_response(resp.text, "locpred", scheme, "bbox")
@@ -590,7 +649,7 @@ def test_oracle_mock_hallucination_and_mismatch():
     from coordtext.builders import HallucinationItem
 
     item = HallucinationItem("m1:hal:00", "m1", "image", "lamp", "no")
-    transport = OracleTransport({item.item_id: oracle_response(item.item_id, item.to_record())})
+    transport = MockTransport({item.item_id: oracle_response(item.item_id, item.to_record(), 0)})
     resp, bad = query_batch([ModelRequest("m1:hal:00", "m1", "q"), ModelRequest("other", "m1", "q")], transport)
     assert resp.text == "No"
     assert bad.status == "error"
@@ -600,10 +659,19 @@ def test_random_transport_draws_from_each_record_space():
     items, _ = build_spatial_bench(spatial_fixture(40, seed=0), seed=1)
     records = {item.item_id: item.to_record() for item in items}
     reqs = [ModelRequest(item_id, "m", "p") for item_id in records]
-    out = query_batch(reqs, RandomTransport({i: answer_space_for_record(r) for i, r in records.items()}, seed=7))
+    out = query_batch(reqs, MockTransport({i: random_response(i, r, 7) for i, r in records.items()}))
     assert [r.text for r in out] == [random_mock(q, 7, records[q.request_id]["axis"]).text for q in reqs]
-    bad = query_batch(reqs[:1], RandomTransport({reqs[0].request_id: answer_space_for_record({"objective": "spatial_direct", "axis": "xy"})}, 7))
+    bad_record = {"objective": "spatial_direct", "axis": "xy"}
+    bad = query_batch(reqs[:1], MockTransport({reqs[0].request_id: random_response(reqs[0].request_id, bad_record, 7)}))
     assert bad[0].status == "error" and "unknown answer space" in bad[0].error_detail
+
+
+def test_mock_transport_answers_an_unknown_id_with_an_error():
+    transport = MockTransport({"r0": ModelResponse("r0", "Yes")})
+    assert query_batch(REQS[:2], transport) == [
+        ModelResponse("r0", "Yes"),
+        ModelResponse("r1", "", status="error", error_detail="no dataset record with this id"),
+    ]
 
 
 def test_oracle_answer_unknown_objective():

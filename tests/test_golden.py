@@ -110,6 +110,53 @@ ROWS = [
         "stdout": "d0b85ec2a96e7c501d28ced6c21af614e6378423d468e20f863a02b296061686",
         "stats.json": "34d4db26c91ae9eb93041040554a5a25ca273035106ac3b069abb988ca7439e1",
     }),
+    (["query", "--records", "spatial.jsonl", "--mock", "oracle", "--out", "spatial_oracle.jsonl"], {
+        "stdout": "013902fbc059a6aaf3a1669e74ac494b431e811b32bd44dee4041d78833a260d",
+        "spatial_oracle.jsonl": "fb977506917c17146ec70024d3d5c612117eb5d4d121f00f4fc8e81eeb8bdcaf",
+    }),
+    (["evaluate", "--records", "spatial.jsonl", "--responses", "spatial_oracle.jsonl",
+      "--report", "spatial_oracle_eval.json", "--dump", "spatial_oracle_dump.jsonl"], {
+        "stdout": "93ffc31de1a0b5660fc351d48bdb074e33f28d9976b1cc574f4f79fa3a91373d",
+        "spatial_oracle_dump.jsonl": "58baa203beef1a4dd8648ccf9ec31c7f834054a99ac90e43d0383ec0f27c0641",
+        "spatial_oracle_eval.json": "8d3434a48a57932a5d1e7e34301930df040680fb91e9e38eb6df27a612d4e151",
+    }),
+    (["encode", "--bbox", "10,120,30,145", "--dims", "640x480", "--scheme", "nfp"], {
+        "stdout": "cfd32b2e33b42625d4d9ccd431d3b5eaa3e8c582cdb26a3c2a33d722c26f6527",
+    }),
+    (["encode", "--point", "321.5,77", "--dims", "640x480", "--scheme", "nfp"], {
+        "stdout": "04ed15189cfe2b2911d412b92c3a808011163187b40e0a2386198cfeb586849a",
+    }),
+    (["encode", "--bbox", "10,120,30,145", "--dims", "640x480", "--scheme", "ivb"], {
+        "stdout": "4eb33c91208957609c4c27fd04f47e40cc9f3968343636de24b5b1b4c1485fc3",
+    }),
+    (["encode", "--point", "321.5,77", "--dims", "640x480", "--scheme", "ivb"], {
+        "stdout": "e2c00c7d31f76447d766da607bc7ef8b20582e5a574ced9e0fa059a455d30598",
+    }),
+    (["encode", "--bbox", "10,120,30,145", "--dims", "640x480", "--scheme", "diga"], {
+        "stdout": "2cb4a0fe954e2a0baca477a7f3a6753873744e1b061919362a04ed6a5b4b1030",
+    }),
+    (["encode", "--point", "321.5,77", "--dims", "640x480", "--scheme", "diga"], {
+        "stdout": "8cbeace0afeb733b6495d98540784ef4e623c691388185b0d5cade1789272a67",
+    }),
+    (["decode", "--text", "(0.0156, 0.2500, 0.0469, 0.3021)", "--form", "bbox", "--dims", "640x480",
+      "--scheme", "nfp"], {
+        "stdout": "4a1c6a2d76b79f58f6fd4ce4a9b9270c3e12c605101fef9eee9bdc949b0dd5f8",
+    }),
+    (["decode", "--text", "(0.5023, 0.1604)", "--form", "point", "--dims", "640x480", "--scheme", "nfp"], {
+        "stdout": "393e532e4dd2941cfc99aa9f759f7cc092227fb4c3d7ebedf254166894ff57ee",
+    }),
+    (["decode", "--text", "3,56,10,67", "--form", "bbox", "--dims", "640x480", "--scheme", "ivb", "--lenient"], {
+        "stdout": "19b35e793db032cefbdce93bb79bea834d93b4c35390a85551fe156883fbad7c",
+    }),
+    (["decode", "--text", "(112, 35)", "--form", "point", "--dims", "640x480", "--scheme", "ivb"], {
+        "stdout": "8f049ef61ebc5383e3bb6fbe1ee817c563a2f988820806a031818eb97ecacbb2",
+    }),
+    (["decode", "--text", "(0, 4, 4, 7, 4, 5)", "--form", "bbox", "--dims", "640x480", "--scheme", "diga"], {
+        "stdout": "2babde4ae379729e80ac7d8df8850849b5f73975f6e88ec1d8c92c8f4720bb16",
+    }),
+    (["decode", "--text", "(8, 2, -6, 1)", "--form", "point", "--dims", "640x480", "--scheme", "diga"], {
+        "stdout": "0477ffd7e45e0aed1f41c6c349123b5ad75e1bad7092f987e7c0bdf068173d7d",
+    }),
 ]
 
 

@@ -70,15 +70,14 @@ class MediaCategories(NamedTuple):
     categories: tuple[str, ...]
 
 
+# The types json gives an id and a number. A bool is neither, though it is an int.
+_ID_TYPES = (str, int)
+_NUMBER_TYPES = (int, float)
+
+
 def _is_number(value) -> bool:
     """A finite JSON number. json gives NaN and Infinity as floats; a bool is not a number here."""
     return type(value) is int or (type(value) is float and math.isfinite(value))
-
-
-def xywh_to_xyxy(box: list[float]) -> tuple[float, float, float, float]:
-    """COCO-style [x, y, w, h] to corner coordinates."""
-    x, y, w, h = box
-    return (x, y, x + w, y + h)
 
 
 class _CocoLoad(NamedTuple):
@@ -95,8 +94,8 @@ class CocoLoad(_CocoLoad):
 
 
 def _is_id(value) -> bool:
-    """A COCO image or category id: a JSON string or integer (a bool is neither)."""
-    return type(value) is str or type(value) is int
+    """An id: a JSON string or integer (a bool is neither)."""
+    return type(value) in _ID_TYPES
 
 
 def _coco_array(path, data: dict, key: str) -> list:
@@ -153,8 +152,11 @@ def _parse_coco(path, data: dict) -> CocoLoad:
         for side in ("width", "height"):
             if type(img[side]) is not int or img[side] < 1:
                 raise SchemaError(f"{path}: images[{n}]: {side} is not a positive integer")
-        dims_by_image[img["id"]] = ImageDims(img["width"], img["height"])
+        dims_by_image[img["id"]] = ImageDims._make((img["width"], img["height"]))
 
+    # Each check is written out here, once: the values that pass are built with
+    # _make, which skips the ImageDims, BBox and AnnotatedImage constructors'
+    # second check of the same invariants.
     skipped: Counter = Counter()
     objects_by_image: dict = {img_id: [] for img_id in dims_by_image}
     for ann in _coco_array(path, data, "annotations"):
@@ -162,40 +164,48 @@ def _parse_coco(path, data: dict) -> CocoLoad:
             skipped["not_an_object"] += 1
             continue
         image_id = ann.get("image_id")
-        if not _is_id(image_id) or image_id not in dims_by_image:
+        if type(image_id) not in _ID_TYPES or image_id not in dims_by_image:
             skipped["unknown_image"] += 1
             continue
         category_id = ann.get("category_id")
-        if not _is_id(category_id) or category_id not in categories:
+        if type(category_id) not in _ID_TYPES or category_id not in categories:
             skipped["unknown_category"] += 1
             continue
         bbox = ann.get("bbox")
-        if not isinstance(bbox, list) or len(bbox) != 4 or not all(map(_is_number, bbox)):
+        if type(bbox) is not list or len(bbox) != 4:
             skipped["invalid_bbox"] += 1
             continue
-        x1, y1, x2, y2 = xywh_to_xyxy(bbox)
+        x, y, w, h = bbox
+        if not (
+            type(x) in _NUMBER_TYPES and type(y) in _NUMBER_TYPES
+            and type(w) in _NUMBER_TYPES and type(h) in _NUMBER_TYPES
+        ):
+            skipped["invalid_bbox"] += 1
+            continue
         try:
-            box = BBox(x1, y1, x2, y2)
-            box.validate_within(dims_by_image[image_id])
-        except CodecError:
+            x2, y2 = x + w, y + h  # xywh to corners
+        except OverflowError:  # a float plus an int past a float's range, which fits no image
+            x2 = y2 = math.inf
+        width, height = dims_by_image[image_id]
+        # a chained comparison is false for NaN, and infinity fails a bound
+        if not (0 <= x <= x2 <= width and 0 <= y <= y2 <= height):
             skipped["invalid_bbox"] += 1
             continue
-        objects_by_image[image_id].append(
-            ObjectAnn(instance_id=str(ann["id"]), category=categories[category_id], bbox=box)
-        )
+        instance_id = ann["id"]
+        if type(instance_id) is not str:
+            if type(instance_id) is not int:
+                skipped["invalid_id"] += 1
+                continue
+            instance_id = str(instance_id)
+        objects_by_image[image_id].append(ObjectAnn(instance_id, categories[category_id], BBox._make((x, y, x2, y2))))
 
     images = []
     for image_id in sorted(dims_by_image, key=str):
-        try:
-            images.append(
-                AnnotatedImage(
-                    image_id=str(image_id),
-                    dims=dims_by_image[image_id],
-                    objects=tuple(objects_by_image[image_id]),
-                )
-            )
-        except ValueError:
+        objects = tuple(objects_by_image[image_id])
+        if len({obj.instance_id for obj in objects}) != len(objects):
             skipped["duplicate_instance_ids"] += 1
+            continue
+        images.append(AnnotatedImage._make((str(image_id), dims_by_image[image_id], objects, None)))
     return CocoLoad(images=images, vocabulary=vocabulary, skipped=skipped)
 
 
@@ -208,22 +218,34 @@ class CaptionRecord(NamedTuple):
 def load_caption_records(path) -> list[CaptionRecord]:
     """Read pseudo-caption JSONL; also accepts query-response lines whose
     item_id embeds ``{image_id}:cap:{instance_id}``. A ``caption``,
-    ``item_id`` or ``text`` that is present but not a string is a SchemaError."""
+    ``item_id`` or ``text`` that is present but not a string, or an
+    ``image_id`` or ``instance_id`` that is neither a string nor an integer, is
+    a SchemaError naming the file and line."""
     records = []
     for line_no, row in iter_records(path):
-        for field in ("caption", "item_id", "text"):
-            _require(isinstance(row.get(field, ""), str), path, line_no, f"{field} is not a string")
+        caption, item_id, text = row.get("caption", ""), row.get("item_id", ""), row.get("text", "")
+        if type(caption) is not str or type(item_id) is not str or type(text) is not str:
+            for field, value in (("caption", caption), ("item_id", item_id), ("text", text)):
+                _require(type(value) is str, path, line_no, f"{field} is not a string")
         if "caption" in row:
             try:
-                records.append(CaptionRecord(str(row["image_id"]), str(row["instance_id"]), row["caption"]))
+                image_id, instance_id = row["image_id"], row["instance_id"]
             except KeyError as exc:
                 raise line_error(path, line_no, exc) from exc
-            continue
-        item_id = row.get("item_id", "")
-        if ":cap:" in item_id and row.get("text"):
+            if type(image_id) is not str or type(instance_id) is not str:
+                image_id = _row_id(path, line_no, "image_id", image_id)
+                instance_id = _row_id(path, line_no, "instance_id", instance_id)
+            records.append(CaptionRecord(image_id, instance_id, caption))
+        elif ":cap:" in item_id and text:
             image_id, _, instance_id = item_id.partition(":cap:")
-            records.append(CaptionRecord(image_id, instance_id, row["text"]))
+            records.append(CaptionRecord(image_id, instance_id, text))
     return records
+
+
+def _row_id(path, line_no: int, field: str, value) -> str:
+    """An id field of a JSON-lines row, as a string: a string, or an integer's digits."""
+    _require(_is_id(value), path, line_no, f"{field} is not a string or an integer")
+    return str(value)
 
 
 def load_label_grid(path) -> list[list[int]]:

@@ -13,6 +13,7 @@ import math
 import random
 from collections import Counter
 from collections.abc import Iterable, Sequence
+from operator import attrgetter
 from typing import NamedTuple
 
 from .annotations import AnnotatedImage, MediaCategories
@@ -98,8 +99,12 @@ def dataset_record(
 
 def unique_instance_objects(image: AnnotatedImage):
     """Objects whose category occurs exactly once in the image, in instance order."""
-    counts = image.category_counts()
-    return [o for o in sorted(image.objects, key=lambda o: o.instance_id) if counts[o.category] == 1]
+    objects = sorted(image.objects, key=attrgetter("instance_id"))
+    categories = [o.category for o in objects]
+    if len(set(categories)) == len(categories):  # as after ingest_pseudo_captions: no category repeats
+        return objects
+    counts = Counter(categories)
+    return [o for o in objects if counts[o.category] == 1]
 
 
 def discover_negative_categories(image: AnnotatedImage, vocabulary: Sequence[str]) -> list[str]:
@@ -147,12 +152,6 @@ class ConversationSample(_ConversationSample):
         )
 
 
-def _encode_location(obj_bbox: BBox, image: AnnotatedImage, scheme: ReprScheme, form: str) -> LocationText:
-    if form == "point":
-        return encode_point(obj_bbox.center(), image.dims, scheme)
-    return encode_bbox(obj_bbox, image.dims, scheme)
-
-
 def build_ift_dataset(
     images: Iterable[AnnotatedImage],
     scheme: ReprScheme,
@@ -176,7 +175,7 @@ def build_ift_dataset(
     if not all(0 <= r <= MAX_MIX_RATIO for r in mix.values()) or sum(mix.values()) <= 0:
         raise ValueError(f"mix ratios must lie in [0, {MAX_MIX_RATIO:g}] with a positive sum")
 
-    images = sorted(images, key=lambda im: im.image_id)
+    images = sorted(images, key=attrgetter("image_id"))
     exclusions = Counter()
     eligible: list[tuple[AnnotatedImage, object]] = []
     for image in images:
@@ -192,12 +191,13 @@ def build_ift_dataset(
 
     total = len(eligible)
 
-    def make_sample(task) -> ConversationSample | None:
-        objective, index = task
+    def make_sample(objective: str, index: int) -> ConversationSample | None:
         image, obj = eligible[index % total]
         cycle = index // total
-        sample_seed = derive_seed(seed, image.image_id, obj.instance_id, objective, cycle)
         sample_id = f"{image.image_id}:{obj.instance_id}:{objective}:{cycle}"
+        # derive_seed joins its parts with ":", so this is the seed of
+        # (seed, image id, instance id, objective, cycle)
+        sample_seed = derive_seed(seed, sample_id)
         if objective == NEGPRED:
             negatives = discover_negative_categories(image, vocabulary)
             if not negatives:
@@ -207,34 +207,29 @@ def build_ift_dataset(
             location = None
         else:
             descriptor = image.caption_for(obj.instance_id) or obj.category
-            location = _encode_location(obj.bbox, image, scheme, form)
+            if form == "point":
+                location = encode_point(obj.bbox.center(), image.dims, scheme)
+            else:
+                location = encode_bbox(obj.bbox, image.dims, scheme)
             if objective == LOCPRED:
                 pair = render_locpred(descriptor, form, location, sample_seed, templates)
             else:
                 pair = render_revloc(location, descriptor, sample_seed, templates)
-        return ConversationSample(
-            sample_id=sample_id,
-            image_id=image.image_id,
-            objective=objective,
-            prompt=pair.prompt,
-            target=pair.target,
-            location=location,
-            descriptor=descriptor,
-            form=form,
-            seed=sample_seed,
+        # _make skips ConversationSample's checks: the renderer refused an empty
+        # descriptor, and the location is set exactly for locpred and revloc
+        return ConversationSample._make(
+            (sample_id, image.image_id, objective, pair.prompt, pair.target, location, descriptor, form, sample_seed)
         )
 
-    tasks = []
+    samples = []
     for objective in IFT_OBJECTIVES:
-        ratio = mix.get(objective, 0.0)
-        count = int(math.floor(total * ratio + 0.5))
-        tasks.extend((objective, i) for i in range(count))
-
-    samples = [s for s in map(make_sample, tasks) if s is not None]
-    dropped = sum(1 for o, _ in tasks if o == NEGPRED) - sum(1 for s in samples if s.objective == NEGPRED)
+        count = int(math.floor(total * mix.get(objective, 0.0) + 0.5))
+        samples.extend(make_sample(objective, i) for i in range(count))
+    dropped = samples.count(None)  # negatives of images whose categories cover the vocabulary
     if dropped:
         exclusions["negatives_without_candidates"] += dropped
-    samples.sort(key=lambda s: (s.image_id, s.sample_id))
+        samples = [s for s in samples if s is not None]
+    samples.sort(key=attrgetter("image_id", "sample_id"))
     return samples, BuildReport(len(images), len(samples), exclusions)
 
 
@@ -448,36 +443,37 @@ def ingest_pseudo_captions(
     Images with a repeated category are dropped first; records that match no
     surviving (image, instance) pair are tallied as dangling.
     """
-    images = sorted(images, key=lambda im: im.image_id)
+    images = sorted(images, key=attrgetter("image_id"))
     exclusions = Counter()
     kept: dict[str, AnnotatedImage] = {}
+    instance_ids: dict[str, set[str]] = {}  # of each kept image
     for image in images:
-        counts = image.category_counts()
-        if counts and max(counts.values()) > 1:
+        objects = image.objects
+        if len({o.category for o in objects}) != len(objects):
             exclusions["images_with_duplicate_category"] += 1
             continue
         kept[image.image_id] = image
+        instance_ids[image.image_id] = {o.instance_id for o in objects}
 
     captions: dict[str, dict[str, str]] = {}
-    for rec in caption_records:
-        image = kept.get(rec.image_id)
-        if image is None or all(o.instance_id != rec.instance_id for o in image.objects):
+    for image_id, instance_id, caption in caption_records:
+        if instance_id not in instance_ids.get(image_id, ()):
             exclusions["captions_dangling"] += 1
             continue
-        per_image = captions.setdefault(rec.image_id, {})
-        if rec.instance_id in per_image:
+        per_image = captions.setdefault(image_id, {})
+        if instance_id in per_image:
             exclusions["captions_duplicate"] += 1
             continue
-        per_image[rec.instance_id] = rec.caption
+        per_image[instance_id] = caption
         exclusions["captions_attached"] += 1
 
     out = []
     for image_id, image in kept.items():
-        attached = captions.get(image_id)
-        if attached:
+        if image_id in captions:
             merged = dict(image.captions or {})
-            merged.update(attached)
-            image = AnnotatedImage(image.image_id, image.dims, image.objects, captions=merged)
+            merged.update(captions[image_id])
+            # _make skips AnnotatedImage's checks, which the unchanged objects passed
+            image = AnnotatedImage._make((image.image_id, image.dims, image.objects, merged))
         out.append(image)
     return out, BuildReport(len(images), len(out), exclusions)
 

@@ -180,35 +180,11 @@ class LocationText(_LocationText):
 
 
 # Quantization works on exact (numerator, denominator) views of the input
-# floats, so bin and anchor decisions never wobble at cell boundaries.
-
-
-def _ratio(value) -> tuple[int, int]:
-    if isinstance(value, int):
-        return value, 1
-    return value.as_integer_ratio()
-
-
-def _round_half_up(num: int, den: int) -> int:
-    """Round num/den (den > 0) to the nearest integer, halves away from zero."""
-    if num >= 0:
-        return (2 * num + den) // (2 * den)
-    return -((-2 * num + den) // (2 * den))
-
-
-def _nfp_coord(value: float, dim: int, decimals: int) -> str:
-    num, den = _ratio(value)
-    scale = 10**decimals
-    scaled = _round_half_up(num * scale, den * dim)
-    whole, part = divmod(scaled, scale)
-    return f"{whole}.{part:0{decimals}d}"
-
-
-def _ivb_coord(value: float, dim: int, n_bins: int) -> int:
-    num, den = _ratio(value)
-    k = (num * n_bins) // (den * dim)
-    # a coordinate exactly on the far edge belongs to the last bin
-    return min(k, n_bins - 1)
+# numbers (``as_integer_ratio``, which ints and floats both have), so bin and
+# anchor decisions never wobble at cell boundaries. The encoders write each
+# coordinate's arithmetic out: a helper call per coordinate cost more than the
+# arithmetic itself. Every location reaching them is non-negative, as BBox and
+# PointLoc refuse negative coordinates.
 
 
 def _axis_anchor(num: int, den: int, grid: int, patch: int) -> int:
@@ -229,96 +205,99 @@ def nearest_anchor(p: PointLoc, dims: ImageDims, scheme: ReprScheme) -> tuple[in
         raise CodecError(f"nearest_anchor needs a diga scheme, got {scheme.kind}")
     p.validate_within(dims)
     side = scheme.square_side
-    xn, xd = _ratio(p.cx)
-    yn, yd = _ratio(p.cy)
+    xn, xd = p.cx.as_integer_ratio()
+    yn, yd = p.cy.as_integer_ratio()
     return (
         _axis_anchor(xn * side, xd * dims.width, scheme.grid, scheme.patch),
         _axis_anchor(yn * side, yd * dims.height, scheme.grid, scheme.patch),
     )
 
 
-def _format_tuple(values) -> str:
-    return "(" + ", ".join(str(v) for v in values) + ")"
-
-
-def _deviation(num: int, den: int, anchor_idx: int, patch: int, from_anchor: bool) -> int:
-    """Signed rounded deviation between num/den and the anchor-center ordinate.
-
-    ``from_anchor`` measures coordinate minus center; otherwise center minus
-    coordinate. The anchor center is ((2 * idx + 1) * patch) / 2.
-    """
-    center_num = (2 * anchor_idx + 1) * patch * den
-    diff = 2 * num - center_num if from_anchor else center_num - 2 * num
-    return _round_half_up(diff, 2 * den)
+def _round_half_up(num: int, den: int) -> int:
+    """Round num/den (den > 0) to the nearest integer, halves away from zero."""
+    if num >= 0:
+        return (2 * num + den) // (2 * den)
+    return -((-2 * num + den) // (2 * den))
 
 
 def encode_point(p: PointLoc, dims: ImageDims, scheme: ReprScheme) -> LocationText:
     """Serialize a point location under the given scheme."""
     p.validate_within(dims)
-    if scheme.kind == "nfp":
-        text = _format_tuple(
-            [_nfp_coord(p.cx, dims.width, scheme.decimals), _nfp_coord(p.cy, dims.height, scheme.decimals)]
-        )
-    elif scheme.kind == "ivb":
-        text = _format_tuple(
-            [_ivb_coord(p.cx, dims.width, scheme.n_bins), _ivb_coord(p.cy, dims.height, scheme.n_bins)]
-        )
+    width, height = dims
+    xn, xd = p.cx.as_integer_ratio()
+    yn, yd = p.cy.as_integer_ratio()
+    kind = scheme.kind
+    if kind == "nfp":
+        # value / dim to ``decimals`` places, halves up
+        places = scheme.decimals
+        scale = 10**places
+        xd, yd = xd * width, yd * height
+        x = (2 * scale * xn + xd) // (2 * xd)
+        y = (2 * scale * yn + yd) // (2 * yd)
+        text = f"({x // scale}.{x % scale:0{places}d}, {y // scale}.{y % scale:0{places}d})"
+    elif kind == "ivb":
+        # the bin holding value / dim; a coordinate on the far edge belongs to the last bin
+        n = scheme.n_bins
+        x, y = n * xn // (xd * width), n * yn // (yd * height)
+        text = f"({x if x < n else n - 1}, {y if y < n else n - 1})"
     else:
         side, grid, patch = scheme.square_side, scheme.grid, scheme.patch
-        xn, xd = _ratio(p.cx)
-        yn, yd = _ratio(p.cy)
-        xn, xd = xn * side, xd * dims.width
-        yn, yd = yn * side, yd * dims.height
+        xn, xd = xn * side, xd * width
+        yn, yd = yn * side, yd * height
         pi = _axis_anchor(xn, xd, grid, patch)
         qi = _axis_anchor(yn, yd, grid, patch)
-        d1 = _deviation(xn, xd, pi, patch, from_anchor=True)
-        d2 = _deviation(yn, yd, qi, patch, from_anchor=True)
-        text = _format_tuple([pi, qi, d1, d2])
-    return LocationText(text=text, scheme=scheme, form="point")
+        # deviations from the anchor center (2 * idx + 1) * patch / 2
+        d1 = _round_half_up(2 * xn - (2 * pi + 1) * patch * xd, 2 * xd)
+        d2 = _round_half_up(2 * yn - (2 * qi + 1) * patch * yd, 2 * yd)
+        text = f"({pi}, {qi}, {d1}, {d2})"
+    return LocationText._make((text, scheme, "point"))  # a known form: skip the check
 
 
 def encode_bbox(b: BBox, dims: ImageDims, scheme: ReprScheme) -> LocationText:
     """Serialize a box location under the given scheme."""
     b.validate_within(dims)
-    if scheme.kind == "nfp":
-        text = _format_tuple(
-            [
-                _nfp_coord(b.x1, dims.width, scheme.decimals),
-                _nfp_coord(b.y1, dims.height, scheme.decimals),
-                _nfp_coord(b.x2, dims.width, scheme.decimals),
-                _nfp_coord(b.y2, dims.height, scheme.decimals),
-            ]
+    width, height = dims
+    x1n, x1d = b.x1.as_integer_ratio()
+    y1n, y1d = b.y1.as_integer_ratio()
+    x2n, x2d = b.x2.as_integer_ratio()
+    y2n, y2d = b.y2.as_integer_ratio()
+    kind = scheme.kind
+    if kind == "nfp":
+        places = scheme.decimals
+        scale = 10**places
+        x1d, y1d, x2d, y2d = x1d * width, y1d * height, x2d * width, y2d * height
+        x1 = (2 * scale * x1n + x1d) // (2 * x1d)
+        y1 = (2 * scale * y1n + y1d) // (2 * y1d)
+        x2 = (2 * scale * x2n + x2d) // (2 * x2d)
+        y2 = (2 * scale * y2n + y2d) // (2 * y2d)
+        text = (
+            f"({x1 // scale}.{x1 % scale:0{places}d}, {y1 // scale}.{y1 % scale:0{places}d}, "
+            f"{x2 // scale}.{x2 % scale:0{places}d}, {y2 // scale}.{y2 % scale:0{places}d})"
         )
-    elif scheme.kind == "ivb":
-        text = _format_tuple(
-            [
-                _ivb_coord(b.x1, dims.width, scheme.n_bins),
-                _ivb_coord(b.y1, dims.height, scheme.n_bins),
-                _ivb_coord(b.x2, dims.width, scheme.n_bins),
-                _ivb_coord(b.y2, dims.height, scheme.n_bins),
-            ]
+    elif kind == "ivb":
+        n = scheme.n_bins
+        x1, y1 = n * x1n // (x1d * width), n * y1n // (y1d * height)
+        x2, y2 = n * x2n // (x2d * width), n * y2n // (y2d * height)
+        text = (
+            f"({x1 if x1 < n else n - 1}, {y1 if y1 < n else n - 1}, "
+            f"{x2 if x2 < n else n - 1}, {y2 if y2 < n else n - 1})"
         )
     else:
         side, grid, patch = scheme.square_side, scheme.grid, scheme.patch
-        x1n, x1d = _ratio(b.x1)
-        y1n, y1d = _ratio(b.y1)
-        x2n, x2d = _ratio(b.x2)
-        y2n, y2d = _ratio(b.y2)
-        x1n, x1d = x1n * side, x1d * dims.width
-        y1n, y1d = y1n * side, y1d * dims.height
-        x2n, x2d = x2n * side, x2d * dims.width
-        y2n, y2d = y2n * side, y2d * dims.height
-        cxn, cxd = x1n * x2d + x2n * x1d, 2 * x1d * x2d
-        cyn, cyd = y1n * y2d + y2n * y1d, 2 * y1d * y2d
-        pi = _axis_anchor(cxn, cxd, grid, patch)
-        qi = _axis_anchor(cyn, cyd, grid, patch)
+        x1n, x1d = x1n * side, x1d * width
+        y1n, y1d = y1n * side, y1d * height
+        x2n, x2d = x2n * side, x2d * width
+        y2n, y2d = y2n * side, y2d * height
+        pi = _axis_anchor(x1n * x2d + x2n * x1d, 2 * x1d * x2d, grid, patch)
+        qi = _axis_anchor(y1n * y2d + y2n * y1d, 2 * y1d * y2d, grid, patch)
         # deviations measured outward: anchor-to-top-left, bottom-right-to-anchor
-        d1 = _deviation(x1n, x1d, pi, patch, from_anchor=False)
-        d2 = _deviation(y1n, y1d, qi, patch, from_anchor=False)
-        d3 = _deviation(x2n, x2d, pi, patch, from_anchor=True)
-        d4 = _deviation(y2n, y2d, qi, patch, from_anchor=True)
-        text = _format_tuple([pi, qi, d1, d2, d3, d4])
-    return LocationText(text=text, scheme=scheme, form="bbox")
+        cx, cy = (2 * pi + 1) * patch, (2 * qi + 1) * patch
+        d1 = _round_half_up(cx * x1d - 2 * x1n, 2 * x1d)
+        d2 = _round_half_up(cy * y1d - 2 * y1n, 2 * y1d)
+        d3 = _round_half_up(2 * x2n - cx * x2d, 2 * x2d)
+        d4 = _round_half_up(2 * y2n - cy * y2d, 2 * y2d)
+        text = f"({pi}, {qi}, {d1}, {d2}, {d3}, {d4})"
+    return LocationText._make((text, scheme, "bbox"))  # a known form: skip the check
 
 
 _INT_RE = re.compile(r"-?\d+")

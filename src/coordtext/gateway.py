@@ -104,8 +104,10 @@ def _payload(request: ModelRequest, cfg: SamplingConfig) -> dict:
 
 def _reply_response(request: ModelRequest, reply: dict) -> ModelResponse:
     """The response a reply object makes on either wire: its ``error``, or
-    its ``text``, which must be a string; anything else is an error response."""
-    if "error" in reply:
+    its ``text``, which must be a string; anything else is an error response.
+    An ``"error": null`` is no error, as batch runners that write every field
+    send it beside the text of a success."""
+    if reply.get("error") is not None:
         return _error(request, str(reply["error"]) or "reply carries an empty error")
     text = reply.get("text")
     if text is None:

@@ -9,6 +9,6 @@ import hashlib
 
 
 def derive_seed(*parts) -> int:
-    key = ":".join(str(p) for p in parts)
+    key = ":".join(map(str, parts))
     digest = hashlib.sha256(key.encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "big")

@@ -1,29 +1,50 @@
 """Input parsing tests: COCO-style files, caption records, video detections, panoptic label grids."""
 
+import hashlib
 import json
+import tempfile
+from collections import Counter
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coordtext.annotations import (
     AnnotatedImage,
+    CaptionRecord,
+    CocoLoad,
     ObjectAnn,
+    _coco_array,
+    _coco_entries,
+    _is_id,
+    _is_number,
+    _require,
     load_caption_records,
     load_coco_annotations,
     load_instance_categories,
     load_label_grid,
     load_video_detections,
-    xywh_to_xyxy,
 )
 from coordtext.builders import PanopticBoxes, panoptic_to_bboxes
-from coordtext.coords import BBox, ImageDims
-from coordtext.records import SchemaError, write_records
+from coordtext.coords import BBox, CodecError, ImageDims
+from coordtext.records import SchemaError, config_digest, iter_records, line_error, read_json, write_records
 from coordtext.fixtures import annotation_fixture, write_coco_json
 
 
-def test_xywh_to_xyxy():
-    assert xywh_to_xyxy([10, 120, 20, 25]) == (10, 120, 30, 145)
-    assert xywh_to_xyxy([0, 0, 512, 512]) == (0, 0, 512, 512)
-    assert xywh_to_xyxy([5.5, 1.25, 2.5, 3.0]) == (5.5, 1.25, 8.0, 4.25)
+def test_coco_loader_converts_xywh_to_corners(tmp_path):
+    boxes = {"a": [10, 120, 20, 25], "b": [0, 0, 512, 512], "c": [5.5, 1.25, 2.5, 3.0]}
+    data = {
+        "images": [{"id": "im", "width": 512, "height": 512}],
+        "categories": [{"id": 1, "name": "lamp"}],
+        "annotations": [{"id": k, "image_id": "im", "category_id": 1, "bbox": box} for k, box in boxes.items()],
+    }
+    path = tmp_path / "coco.json"
+    path.write_text(json.dumps(data))
+    [image] = load_coco_annotations(path).images
+    assert {o.instance_id: tuple(o.bbox) for o in image.objects} == {
+        "a": (10, 120, 30, 145), "b": (0, 0, 512, 512), "c": (5.5, 1.25, 8.0, 4.25)
+    }
 
 
 def test_coco_roundtrip_preserves_geometry(tmp_path):
@@ -201,3 +222,297 @@ def test_empty_label_grid_has_no_instances(tmp_path, text):
     path.write_text(text)
     assert load_label_grid(path) == []
     assert panoptic_to_bboxes(load_label_grid(path), {}) == PanopticBoxes([], set(), 0)
+
+
+@pytest.mark.parametrize("bad_id", [None, [1, 2], 1.5, True, {"n": 1}])
+def test_coco_annotation_id_that_is_not_a_string_or_integer_is_skipped(tmp_path, bad_id):
+    """``null`` used to become instance id "None", and ``[1, 2]`` "[1, 2]"."""
+    data = {
+        "images": [{"id": "im1", "width": 100, "height": 100}],
+        "categories": [{"id": 1, "name": "lamp"}],
+        "annotations": [
+            {"id": bad_id, "image_id": "im1", "category_id": 1, "bbox": [10, 10, 20, 20]},
+            {"id": 7, "image_id": "im1", "category_id": 1, "bbox": [50, 50, 20, 20]},
+        ],
+    }
+    path = tmp_path / "coco.json"
+    path.write_text(json.dumps(data))
+    load = load_coco_annotations(path)
+    assert [o.instance_id for o in load.images[0].objects] == ["7"]
+    assert load.skipped == {"invalid_id": 1}
+
+
+def test_coco_box_past_a_float_s_range_is_an_invalid_bbox(tmp_path):
+    """A float plus an integer too large for a float used to raise OverflowError out of the load."""
+    data = {
+        "images": [{"id": "im1", "width": 100, "height": 100}],
+        "categories": [{"id": 1, "name": "lamp"}],
+        "annotations": [{"id": "a", "image_id": "im1", "category_id": 1, "bbox": [1.0, 0, 10**400, 1]}],
+    }
+    path = tmp_path / "coco.json"
+    path.write_text(json.dumps(data))
+    assert load_coco_annotations(path).skipped == {"invalid_bbox": 1}
+
+
+# ---------------- reference parsers ---------------- #
+# The COCO and caption parsers as they were before each check was written out
+# once in the parse loop, kept to show that the loaders accept, tally and refuse alike.
+
+
+def reference_load_coco_annotations(path) -> CocoLoad:
+    data = read_json(path)
+    if not isinstance(data, dict):
+        raise SchemaError(f"{path}: not a JSON object")
+    try:
+        return _reference_parse_coco(path, data)
+    except KeyError as exc:
+        raise SchemaError(f"{path}: missing required field {exc}") from exc
+
+
+def _reference_parse_coco(path, data: dict) -> CocoLoad:
+    categories, vocabulary = {}, []
+    for n, cat in _coco_entries(path, data, "categories"):
+        if not isinstance(cat["name"], str):
+            raise SchemaError(f"{path}: categories[{n}]: name is not a string")
+        categories[cat["id"]] = cat["name"]
+        vocabulary.append(cat["name"])
+    dims_by_image = {}
+    for n, img in _coco_entries(path, data, "images"):
+        for side in ("width", "height"):
+            if type(img[side]) is not int or img[side] < 1:
+                raise SchemaError(f"{path}: images[{n}]: {side} is not a positive integer")
+        dims_by_image[img["id"]] = ImageDims(img["width"], img["height"])
+
+    skipped: Counter = Counter()
+    objects_by_image: dict = {img_id: [] for img_id in dims_by_image}
+    for ann in _coco_array(path, data, "annotations"):
+        if not isinstance(ann, dict):
+            skipped["not_an_object"] += 1
+            continue
+        image_id = ann.get("image_id")
+        if not _is_id(image_id) or image_id not in dims_by_image:
+            skipped["unknown_image"] += 1
+            continue
+        category_id = ann.get("category_id")
+        if not _is_id(category_id) or category_id not in categories:
+            skipped["unknown_category"] += 1
+            continue
+        bbox = ann.get("bbox")
+        if not isinstance(bbox, list) or len(bbox) != 4 or not all(map(_is_number, bbox)):
+            skipped["invalid_bbox"] += 1
+            continue
+        x, y, w, h = bbox
+        try:
+            box = BBox(x, y, x + w, y + h)
+            box.validate_within(dims_by_image[image_id])
+        except CodecError:
+            skipped["invalid_bbox"] += 1
+            continue
+        objects_by_image[image_id].append(
+            ObjectAnn(instance_id=str(ann["id"]), category=categories[category_id], bbox=box)
+        )
+
+    images = []
+    for image_id in sorted(dims_by_image, key=str):
+        try:
+            images.append(
+                AnnotatedImage(
+                    image_id=str(image_id),
+                    dims=dims_by_image[image_id],
+                    objects=tuple(objects_by_image[image_id]),
+                )
+            )
+        except ValueError:
+            skipped["duplicate_instance_ids"] += 1
+    return CocoLoad(images=images, vocabulary=vocabulary, skipped=skipped)
+
+
+def reference_load_caption_records(path) -> list[CaptionRecord]:
+    records = []
+    for line_no, row in iter_records(path):
+        for field in ("caption", "item_id", "text"):
+            _require(isinstance(row.get(field, ""), str), path, line_no, f"{field} is not a string")
+        if "caption" in row:
+            try:
+                records.append(CaptionRecord(str(row["image_id"]), str(row["instance_id"]), row["caption"]))
+            except KeyError as exc:
+                raise line_error(path, line_no, exc) from exc
+            continue
+        item_id = row.get("item_id", "")
+        if ":cap:" in item_id and row.get("text"):
+            image_id, _, instance_id = item_id.partition(":cap:")
+            records.append(CaptionRecord(image_id, instance_id, row["text"]))
+    return records
+
+
+def _outcomes(text: str, *loaders) -> list[str]:
+    """What each loader makes of one file holding ``text``: the repr of its
+    value, which shows int and float coordinates apart, or its SchemaError."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "input.json"
+        path.write_text(text, encoding="utf-8")
+        outcomes = []
+        for load in loaders:
+            try:
+                outcomes.append(repr(load(path)))
+            except SchemaError as exc:
+                outcomes.append(f"SchemaError: {exc}")
+        return outcomes
+
+
+# Malformed COCO: ids, sizes and box numbers of every JSON type, weighted
+# towards values that pass, and boxes near an image's edges.
+_ids = st.one_of(st.sampled_from(["a", "b", "1"]), st.integers(0, 2), st.sampled_from([True, 1.0, None, [1]]))
+_sizes = st.one_of(st.sampled_from([1, 7, 40]), st.sampled_from([0, -3, 7.0, True, None, "7"]))
+_numbers = st.one_of(
+    st.integers(-2, 45),
+    st.floats(-1, 45),
+    st.sampled_from([0, 0.0, -0.0, 7, 40, 7.0, 40.0, 5e-324, 1e308, -1e308, 10**30]),
+    st.sampled_from([float("nan"), float("inf"), float("-inf"), True, None, "3", [1]]),
+)
+# boxes whose far corner lands on, just inside or just past a 40 x 7 or 7 x 40 image's edge
+_edge_boxes = st.builds(
+    lambda x, y, size, nudge: [x, y, size[0] - x + nudge, size[1] - y + nudge],
+    st.one_of(st.integers(0, 7), st.floats(0, 7)), st.one_of(st.integers(0, 7), st.floats(0, 7)),
+    st.sampled_from([(40, 7), (7, 40), (1, 1)]), st.sampled_from([0, 0, 0.0, 1e-9, -1e-9, 1, -1]),
+)
+# an edge box with one value that is not a finite number: a bool, which compares as an int, too
+_spoilt_edge_boxes = st.builds(
+    lambda box, i, value: box[:i] + [value] + box[i + 1:],
+    _edge_boxes, st.integers(0, 3), st.sampled_from([True, False, float("nan"), float("inf"), "1", None]),
+)
+_bboxes = st.one_of(
+    st.lists(_numbers, min_size=4, max_size=4), _edge_boxes, st.lists(_numbers, max_size=5),
+    st.sampled_from([None, "box", {}]),
+)
+_annotation = st.one_of(
+    st.fixed_dictionaries(
+        {},
+        optional={
+            "id": st.one_of(st.sampled_from(["a", "b", "a.o1"]), st.integers(0, 3)),
+            "image_id": _ids, "category_id": _ids, "bbox": _bboxes,
+        },
+    ),
+    st.sampled_from([[1, 2], "ann", 3, None]),
+)
+_image = st.one_of(
+    st.fixed_dictionaries({"id": _ids}, optional={"width": _sizes, "height": _sizes}),
+    st.sampled_from([[1], "img"]),
+)
+_category = st.one_of(
+    st.fixed_dictionaries({"id": _ids}, optional={"name": st.sampled_from(["lamp", "mug", 3, None])}),
+    st.sampled_from([["cat"], 1]),
+)
+_coco = st.one_of(
+    st.fixed_dictionaries(
+        {},
+        optional={
+            "images": st.one_of(st.lists(_image, max_size=4), st.just({})),
+            "categories": st.one_of(st.lists(_category, max_size=4), st.just("cats")),
+            "annotations": st.one_of(st.lists(_annotation, max_size=8), st.just(None)),
+        },
+    ),
+    st.sampled_from([[], "coco", 1]),
+)
+
+
+@given(_coco)
+@settings(max_examples=600, deadline=None)
+def test_coco_loader_matches_reference(data):
+    assert len(set(_outcomes(json.dumps(data), load_coco_annotations, reference_load_coco_annotations))) == 1
+
+
+# An annotation of an image and category that the file below has, most of the time.
+_annotation_of_known_ids = st.fixed_dictionaries(
+    {
+        "id": st.one_of(st.sampled_from(["a", "b", "a.o1"]), st.integers(0, 3)),
+        "image_id": st.one_of(st.sampled_from(["a", 1]), _ids),
+        "category_id": st.one_of(st.sampled_from(["b", 2]), _ids),
+        "bbox": st.one_of(_edge_boxes, _spoilt_edge_boxes, st.lists(_numbers, min_size=4, max_size=4), _bboxes),
+    }
+)
+
+
+@given(st.lists(st.one_of(_annotation_of_known_ids, _annotation), max_size=12))
+@settings(max_examples=400, deadline=None)
+def test_coco_loader_matches_reference_on_valid_images(annotations):
+    """Every image and category is valid, so each load gets through to its annotations' tallies."""
+    data = {
+        "images": [{"id": image_id, "width": 40, "height": 7} for image_id in ("a", "b", 1, 2)],
+        "categories": [{"id": category_id, "name": f"c{category_id}"} for category_id in ("a", "b", 0, 1, 2)],
+        "annotations": annotations,
+    }
+    outcomes = _outcomes(json.dumps(data), load_coco_annotations, reference_load_coco_annotations)
+    assert outcomes[0] == outcomes[1]
+
+
+def test_coco_loader_matches_reference_on_every_box_at_an_edge():
+    """Each box of a matrix that touches, nearly touches or passes a 40 x 7
+    image's edges, as given and with each value in turn spoilt, is one
+    annotation: the loaders keep and tally the same ones."""
+    corners = [(0, 0), (1, 2), (0.5, 0.25), (39, 6), (40, 7), (0, 7), (40, 0), (5e-324, 5e-324)]
+    nudges = [0, 0.0, 1e-9, -1e-9, 1, -1, 5e-324]
+    spoilers = [True, False, float("nan"), float("inf"), float("-inf"), "1", None, 10**300]
+    boxes = []
+    for x, y in corners:
+        for nudge in nudges:
+            box = [x, y, 40 - x + nudge, 7 - y + nudge]
+            boxes.append(box)
+            boxes.extend(box[:i] + [value] + box[i + 1:] for i in range(4) for value in spoilers)
+    data = {
+        "images": [{"id": "a", "width": 40, "height": 7}],
+        "categories": [{"id": 1, "name": "lamp"}],
+        "annotations": [{"id": n, "image_id": "a", "category_id": 1, "bbox": box} for n, box in enumerate(boxes)],
+    }
+    got, expected = _outcomes(json.dumps(data), load_coco_annotations, reference_load_coco_annotations)
+    assert got == expected
+    assert "invalid_bbox" in got and "ObjectAnn" in got
+
+
+_field_values = st.one_of(
+    st.sampled_from(["", "a tall lamp", "im1:cap:im1.o0", "x:cap:"]), st.integers(0, 3), st.none()
+)
+_caption_rows = st.lists(
+    st.one_of(
+        st.fixed_dictionaries(
+            {},
+            optional={
+                "caption": _field_values, "item_id": _field_values, "text": _field_values,
+                "image_id": st.one_of(st.sampled_from(["im1", ""]), st.integers(0, 3)),
+                "instance_id": st.one_of(st.sampled_from(["im1.o0", "o"]), st.integers(0, 3)),
+            },
+        ),
+        st.sampled_from([[1], "row", None]),
+    ),
+    max_size=6,
+)
+
+
+@given(_caption_rows, st.booleans())
+@settings(max_examples=400, deadline=None)
+def test_caption_loader_matches_reference(rows, meta):
+    text = "".join(json.dumps(row) + "\n" for row in rows)
+    if meta:  # a meta line that is right for the rows below it
+        meta_row = {"record_type": "meta", "count": len(rows), "config": {}, "config_digest": config_digest({}),
+                    "records_digest": hashlib.sha256(text.encode("utf-8")).hexdigest()}
+        text = json.dumps(meta_row) + "\n" + text
+    outcomes = _outcomes(text, load_caption_records, reference_load_caption_records)
+    assert outcomes[0] == outcomes[1]
+
+
+@pytest.mark.parametrize(
+    "row, problem",
+    [
+        ({"image_id": None, "instance_id": "o", "caption": "c"}, "image_id is not a string or an integer"),
+        ({"image_id": "im1", "instance_id": [1, 2], "caption": "c"}, "instance_id is not a string or an integer"),
+        ({"image_id": True, "instance_id": "o", "caption": "c"}, "image_id is not a string or an integer"),
+        ({"image_id": "im1", "instance_id": 1.5, "caption": "c"}, "instance_id is not a string or an integer"),
+    ],
+)
+def test_caption_id_that_is_not_a_string_or_integer_is_a_schema_error(tmp_path, row, problem):
+    """``str()`` used to turn a null id into "None"."""
+    path = tmp_path / "captions.jsonl"
+    path.write_text(json.dumps({"image_id": 1, "instance_id": 2, "caption": "ok"}) + "\n" + json.dumps(row) + "\n")
+    with pytest.raises(SchemaError) as info:
+        load_caption_records(path)
+    assert str(info.value) == f"{path}: line 2: {problem}"

@@ -1,5 +1,6 @@
 """Builder tests: every operation is checked against an independent brute-force oracle."""
 
+import hashlib
 import math
 import random
 import re
@@ -14,6 +15,7 @@ from coordtext.annotations import AnnotatedImage, CaptionRecord, MediaCategories
 from coordtext.builders import (
     MAX_MIX_RATIO,
     BuildReport,
+    ConversationSample,
     PanopticBoxes,
     build_hallucination_set,
     build_ift_dataset,
@@ -25,7 +27,7 @@ from coordtext.builders import (
     panoptic_to_bboxes,
     unique_instance_objects,
 )
-from coordtext.coords import BBox, ImageDims, ReprScheme
+from coordtext.coords import BBox, ImageDims, ReprScheme, encode_bbox, encode_point
 from coordtext.fixtures import (
     CATEGORIES,
     annotation_fixture,
@@ -34,7 +36,8 @@ from coordtext.fixtures import (
     panoptic_fixture,
     spatial_fixture,
 )
-from coordtext.prompts import LOCPRED, NEGPRED, REVLOC, render_locpred, render_negpred, render_revloc
+from coordtext.prompts import DEFAULT_TEMPLATES, LOCPRED, NEGPRED, REVLOC, render_locpred, render_negpred, render_revloc
+from coordtext.seeding import derive_seed
 
 IVB = ReprScheme.ivb(224)
 
@@ -179,6 +182,166 @@ def test_ift_mix_validation():
             build_ift_dataset([img], IVB, "bbox", {"locpred": ratio}, seed=0)
     samples, _ = build_ift_dataset([img], IVB, "bbox", {"locpred": MAX_MIX_RATIO}, seed=0)
     assert len(samples) == 100
+
+
+# ---------------- reference builders ---------------- #
+# derive_seed, the unique-instance filter, caption ingest and the ift builder
+# as they were before their per-object work was cut: a Counter and a linear
+# object scan per caption, a seed joined from five parts, checked constructors.
+
+
+def reference_derive_seed(*parts) -> int:
+    key = ":".join(str(p) for p in parts)
+    return int.from_bytes(hashlib.sha256(key.encode("utf-8")).digest()[:8], "big")
+
+
+def reference_unique_instance_objects(image):
+    counts = image.category_counts()
+    return [o for o in sorted(image.objects, key=lambda o: o.instance_id) if counts[o.category] == 1]
+
+
+def reference_ingest_pseudo_captions(images, caption_records):
+    images = sorted(images, key=lambda im: im.image_id)
+    exclusions = Counter()
+    kept = {}
+    for image in images:
+        counts = image.category_counts()
+        if counts and max(counts.values()) > 1:
+            exclusions["images_with_duplicate_category"] += 1
+            continue
+        kept[image.image_id] = image
+    captions = {}
+    for rec in caption_records:
+        image = kept.get(rec.image_id)
+        if image is None or all(o.instance_id != rec.instance_id for o in image.objects):
+            exclusions["captions_dangling"] += 1
+            continue
+        per_image = captions.setdefault(rec.image_id, {})
+        if rec.instance_id in per_image:
+            exclusions["captions_duplicate"] += 1
+            continue
+        per_image[rec.instance_id] = rec.caption
+        exclusions["captions_attached"] += 1
+    out = []
+    for image_id, image in kept.items():
+        attached = captions.get(image_id)
+        if attached:
+            merged = dict(image.captions or {})
+            merged.update(attached)
+            image = AnnotatedImage(image.image_id, image.dims, image.objects, captions=merged)
+        out.append(image)
+    return out, BuildReport(len(images), len(out), exclusions)
+
+
+def reference_build_ift_dataset(images, scheme, form, mix, seed, vocabulary=None, templates=DEFAULT_TEMPLATES):
+    images = sorted(images, key=lambda im: im.image_id)
+    exclusions = Counter()
+    eligible = []
+    for image in images:
+        objs = reference_unique_instance_objects(image)
+        if not objs:
+            exclusions["images_without_eligible_objects"] += 1
+        eligible.extend((image, obj) for obj in objs)
+    if not eligible:
+        return [], BuildReport(len(images), 0, exclusions)
+    if vocabulary is None:
+        vocabulary = sorted({c for image in images for c in image.present_categories()})
+    total = len(eligible)
+
+    def make_sample(task):
+        objective, index = task
+        image, obj = eligible[index % total]
+        cycle = index // total
+        sample_seed = reference_derive_seed(seed, image.image_id, obj.instance_id, objective, cycle)
+        sample_id = f"{image.image_id}:{obj.instance_id}:{objective}:{cycle}"
+        if objective == NEGPRED:
+            negatives = discover_negative_categories(image, vocabulary)
+            if not negatives:
+                return None
+            descriptor = random.Random(sample_seed).choice(negatives)
+            pair = render_negpred(descriptor, form, sample_seed, templates)
+            location = None
+        else:
+            descriptor = image.caption_for(obj.instance_id) or obj.category
+            if form == "point":
+                location = encode_point(obj.bbox.center(), image.dims, scheme)
+            else:
+                location = encode_bbox(obj.bbox, image.dims, scheme)
+            if objective == LOCPRED:
+                pair = render_locpred(descriptor, form, location, sample_seed, templates)
+            else:
+                pair = render_revloc(location, descriptor, sample_seed, templates)
+        return ConversationSample(
+            sample_id=sample_id, image_id=image.image_id, objective=objective, prompt=pair.prompt,
+            target=pair.target, location=location, descriptor=descriptor, form=form, seed=sample_seed,
+        )
+
+    tasks = []
+    for objective in (LOCPRED, NEGPRED, REVLOC):
+        count = int(math.floor(total * mix.get(objective, 0.0) + 0.5))
+        tasks.extend((objective, i) for i in range(count))
+    samples = [s for s in map(make_sample, tasks) if s is not None]
+    dropped = sum(1 for o, _ in tasks if o == NEGPRED) - sum(1 for s in samples if s.objective == NEGPRED)
+    if dropped:
+        exclusions["negatives_without_candidates"] += dropped
+    samples.sort(key=lambda s: (s.image_id, s.sample_id))
+    return samples, BuildReport(len(images), len(samples), exclusions)
+
+
+@given(st.lists(st.one_of(st.integers(-3, 10**20), st.text(max_size=6)), max_size=6))
+@settings(max_examples=300, deadline=None)
+def test_derive_seed_matches_reference(parts):
+    assert derive_seed(*parts) == reference_derive_seed(*parts)
+
+
+# Small pools, so that images share ids and categories repeat within an image;
+# an id or category holding ":" tests the joined sample ids and seeds.
+_image_ids = st.sampled_from(["a", "b", "a:b", "c", "10"])
+_instance_ids = st.sampled_from(["o0", "o1", "o:2", "o3", "x"])
+_categories = st.sampled_from(["lamp", "mug", "pan", "cup"])
+
+
+@st.composite
+def annotated_images(draw):
+    dims = ImageDims(draw(st.integers(1, 900)), draw(st.integers(1, 900)))
+    objects = []
+    for instance_id in draw(st.lists(_instance_ids, unique=True, max_size=4)):
+        x1, x2 = sorted(draw(st.floats(0, dims.width)) for _ in range(2))
+        y1, y2 = sorted(draw(st.integers(0, dims.height)) for _ in range(2))
+        objects.append(ObjectAnn(instance_id, draw(_categories), BBox(x1, y1, x2, y2)))
+    captions = draw(st.none() | st.dictionaries(_instance_ids, st.sampled_from(["old", ""]), max_size=2))
+    return AnnotatedImage(draw(_image_ids), dims, tuple(objects), captions)
+
+
+_caption_records = st.lists(
+    st.builds(CaptionRecord, _image_ids, _instance_ids, st.sampled_from(["a tall lamp", "a mug", ""])), max_size=8
+)
+
+
+@given(st.lists(annotated_images(), max_size=6), _caption_records)
+@settings(max_examples=300, deadline=None)
+def test_ingest_and_unique_instance_filter_match_reference(images, records):
+    out, report = ingest_pseudo_captions(images, records)
+    expected_out, expected_report = reference_ingest_pseudo_captions(images, records)
+    assert (repr(out), report.to_dict()) == (repr(expected_out), expected_report.to_dict())
+    for image in images:
+        assert unique_instance_objects(image) == reference_unique_instance_objects(image)
+
+
+@given(
+    st.lists(annotated_images(), max_size=5),
+    st.sampled_from([IVB, ReprScheme.nfp(), ReprScheme.diga()]),
+    st.sampled_from(["bbox", "point"]),
+    st.fixed_dictionaries({}, optional={o: st.sampled_from([0, 0.5, 1, 2.5]) for o in (LOCPRED, NEGPRED, REVLOC)})
+    .filter(lambda mix: sum(mix.values()) > 0),
+    st.integers(0, 2**70),
+    st.none() | st.lists(_categories, min_size=1, unique=True),
+)
+@settings(max_examples=300, deadline=None)
+def test_ift_builder_matches_reference(images, scheme, form, mix, seed, vocabulary):
+    samples, report = build_ift_dataset(images, scheme, form, mix, seed, vocabulary=vocabulary)
+    expected, expected_report = reference_build_ift_dataset(images, scheme, form, mix, seed, vocabulary=vocabulary)
+    assert (repr(samples), report.to_dict()) == (repr(expected), expected_report.to_dict())
 
 
 # ---------------- spatial bench ---------------- #

@@ -824,6 +824,20 @@ def test_caption_field_wrong_type_is_schema_error(fx, tmp_path, capsys):
     assert not (tmp_path / "out.jsonl").exists()
 
 
+@pytest.mark.parametrize("field", ["image_id", "instance_id"])
+def test_caption_id_that_is_not_a_string_or_integer_exits_3(fx, tmp_path, capsys, field):
+    """str() used to turn a null id into "None", and the build went on."""
+    bad = tmp_path / "captions.jsonl"
+    row = {"image_id": "im0000", "instance_id": "im0000.o0", "caption": "a cup", field: None}
+    rest = (fx / "captions_50.jsonl").read_bytes().split(b"\n", 1)[1]
+    bad.write_bytes(json.dumps(row).encode() + b"\n" + rest)
+    out = tmp_path / "out.jsonl"
+    code, _, err = run(["build", "ift", "--annotations", str(fx / "coco_50.json"), "--captions", str(bad),
+                        "--out", str(out)], capsys)
+    assert code == 3 and f"{bad}: line 1: {field} is not a string or an integer" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "corrupt, message",
     [(b'[1, 2]\n', "line 2: not a JSON object"), (b'{"text": "\xff"}\n', "not valid UTF-8")],

@@ -383,3 +383,139 @@ def test_error_bound_values():
     assert quantization_error_bound(ReprScheme.diga(16), DIMS_512)[0] == pytest.approx(0.5 * 512 / 224)
     bx, by = quantization_error_bound(ReprScheme.ivb(224), ImageDims(640, 480))
     assert bx == pytest.approx(640 / 224) and by == pytest.approx(480 / 224)
+
+
+# ---------------- reference encoders ---------------- #
+# The encoders as they were before each coordinate's arithmetic was written
+# out in encode_point and encode_bbox: one helper call per coordinate.
+
+
+def _ref_ratio(value) -> tuple[int, int]:
+    if isinstance(value, int):
+        return value, 1
+    return value.as_integer_ratio()
+
+
+def _ref_round_half_up(num: int, den: int) -> int:
+    if num >= 0:
+        return (2 * num + den) // (2 * den)
+    return -((-2 * num + den) // (2 * den))
+
+
+def _ref_nfp_coord(value, dim: int, decimals: int) -> str:
+    num, den = _ref_ratio(value)
+    scale = 10**decimals
+    scaled = _ref_round_half_up(num * scale, den * dim)
+    whole, part = divmod(scaled, scale)
+    return f"{whole}.{part:0{decimals}d}"
+
+
+def _ref_ivb_coord(value, dim: int, n_bins: int) -> int:
+    num, den = _ref_ratio(value)
+    return min((num * n_bins) // (den * dim), n_bins - 1)
+
+
+def _ref_axis_anchor(num: int, den: int, grid: int, patch: int) -> int:
+    cell = num // (den * patch)
+    if cell >= 1 and num == cell * den * patch:
+        cell -= 1
+    return min(max(cell, 0), grid - 1)
+
+
+def _ref_deviation(num: int, den: int, anchor_idx: int, patch: int, from_anchor: bool) -> int:
+    center_num = (2 * anchor_idx + 1) * patch * den
+    diff = 2 * num - center_num if from_anchor else center_num - 2 * num
+    return _ref_round_half_up(diff, 2 * den)
+
+
+def _ref_format_tuple(values) -> str:
+    return "(" + ", ".join(str(v) for v in values) + ")"
+
+
+def reference_encode_point(p: PointLoc, dims: ImageDims, scheme: ReprScheme) -> str:
+    p.validate_within(dims)
+    if scheme.kind == "nfp":
+        return _ref_format_tuple(
+            [_ref_nfp_coord(p.cx, dims.width, scheme.decimals), _ref_nfp_coord(p.cy, dims.height, scheme.decimals)]
+        )
+    if scheme.kind == "ivb":
+        return _ref_format_tuple(
+            [_ref_ivb_coord(p.cx, dims.width, scheme.n_bins), _ref_ivb_coord(p.cy, dims.height, scheme.n_bins)]
+        )
+    side, grid, patch = scheme.square_side, scheme.grid, scheme.patch
+    xn, xd = _ref_ratio(p.cx)
+    yn, yd = _ref_ratio(p.cy)
+    xn, xd = xn * side, xd * dims.width
+    yn, yd = yn * side, yd * dims.height
+    pi = _ref_axis_anchor(xn, xd, grid, patch)
+    qi = _ref_axis_anchor(yn, yd, grid, patch)
+    d1 = _ref_deviation(xn, xd, pi, patch, from_anchor=True)
+    d2 = _ref_deviation(yn, yd, qi, patch, from_anchor=True)
+    return _ref_format_tuple([pi, qi, d1, d2])
+
+
+def reference_encode_bbox(b: BBox, dims: ImageDims, scheme: ReprScheme) -> str:
+    b.validate_within(dims)
+    if scheme.kind == "nfp":
+        return _ref_format_tuple(
+            [
+                _ref_nfp_coord(b.x1, dims.width, scheme.decimals),
+                _ref_nfp_coord(b.y1, dims.height, scheme.decimals),
+                _ref_nfp_coord(b.x2, dims.width, scheme.decimals),
+                _ref_nfp_coord(b.y2, dims.height, scheme.decimals),
+            ]
+        )
+    if scheme.kind == "ivb":
+        return _ref_format_tuple(
+            [
+                _ref_ivb_coord(b.x1, dims.width, scheme.n_bins),
+                _ref_ivb_coord(b.y1, dims.height, scheme.n_bins),
+                _ref_ivb_coord(b.x2, dims.width, scheme.n_bins),
+                _ref_ivb_coord(b.y2, dims.height, scheme.n_bins),
+            ]
+        )
+    side, grid, patch = scheme.square_side, scheme.grid, scheme.patch
+    x1n, x1d = _ref_ratio(b.x1)
+    y1n, y1d = _ref_ratio(b.y1)
+    x2n, x2d = _ref_ratio(b.x2)
+    y2n, y2d = _ref_ratio(b.y2)
+    x1n, x1d = x1n * side, x1d * dims.width
+    y1n, y1d = y1n * side, y1d * dims.height
+    x2n, x2d = x2n * side, x2d * dims.width
+    y2n, y2d = y2n * side, y2d * dims.height
+    cxn, cxd = x1n * x2d + x2n * x1d, 2 * x1d * x2d
+    cyn, cyd = y1n * y2d + y2n * y1d, 2 * y1d * y2d
+    pi = _ref_axis_anchor(cxn, cxd, grid, patch)
+    qi = _ref_axis_anchor(cyn, cyd, grid, patch)
+    d1 = _ref_deviation(x1n, x1d, pi, patch, from_anchor=False)
+    d2 = _ref_deviation(y1n, y1d, qi, patch, from_anchor=False)
+    d3 = _ref_deviation(x2n, x2d, pi, patch, from_anchor=True)
+    d4 = _ref_deviation(y2n, y2d, qi, patch, from_anchor=True)
+    return _ref_format_tuple([pi, qi, d1, d2, d3, d4])
+
+
+every_scheme = st.one_of(
+    st.builds(ReprScheme.nfp, st.integers(1, 8)),
+    st.builds(ReprScheme.ivb, st.integers(2, 1000)),
+    st.sampled_from([ReprScheme.diga(16), ReprScheme.diga(24), ReprScheme.diga(16, 21), ReprScheme.diga(8, 28)]),
+)
+
+
+def ordinate(scheme, dim):
+    """A coordinate in [0, dim]: any float or integer, or one on a bin, anchor, rounding or image edge."""
+    steps = {"nfp": 2 * 10**scheme.decimals, "ivb": scheme.n_bins, "diga": 2 * scheme.square_side}[scheme.kind]
+    on_edge = st.integers(0, steps).map(lambda k: k * dim / steps)
+    exact_edge = st.integers(0, math.gcd(dim, steps)).map(lambda j: j * (dim // math.gcd(dim, steps)))
+    edges = st.sampled_from([0, 0.0, dim, float(dim)])
+    return st.one_of(st.floats(0, dim), st.integers(0, dim), on_edge, exact_edge, edges)
+
+
+@given(st.data(), every_scheme, any_dims)
+@settings(max_examples=600, deadline=None)
+def test_encoders_match_reference(data, scheme, dims):
+    x1, x2 = sorted(data.draw(ordinate(scheme, dims.width)) for _ in range(2))
+    y1, y2 = sorted(data.draw(ordinate(scheme, dims.height)) for _ in range(2))
+    box, point = BBox(x1, y1, x2, y2), PointLoc(x1, y2)
+    assert encode_bbox(box, dims, scheme) == (reference_encode_bbox(box, dims, scheme), scheme, "bbox")
+    assert encode_point(point, dims, scheme) == (reference_encode_point(point, dims, scheme), scheme, "point")
+    assert encode_point(box.center(), dims, scheme).text == reference_encode_point(box.center(), dims, scheme)

@@ -557,6 +557,29 @@ def test_file_batch_reply_without_string_text_is_per_request_error(tmp_path, rep
     assert [(r.status, r.text, r.error_detail) for r in out] == [("error", "", detail)] * 3
 
 
+# A reply with ``"error": null``, as OpenAI-style batch output writes a success, and what it makes.
+NULL_ERROR_REPLIES = [
+    ({"text": "Yes", "error": None}, ("ok", "Yes", None)),
+    ({"error": None}, ("error", "", "reply carries neither text nor error")),
+]
+
+
+@pytest.mark.parametrize("reply, made", NULL_ERROR_REPLIES)
+def test_http_reply_with_null_error_is_no_error(reply, made):
+    """A null error used to make an error response reading "None", losing the text beside it."""
+    with http_server(lambda body: (200, {"request_id": body["request_id"], **reply})) as (endpoint, _):
+        out = query_batch(REQS, HttpTransport(endpoint), max_inflight=1)
+    assert [(r.status, r.text, r.error_detail) for r in out] == [made] * 3
+
+
+@pytest.mark.parametrize("reply, made", NULL_ERROR_REPLIES)
+def test_file_batch_reply_with_null_error_is_no_error(tmp_path, reply, made):
+    """A null error used to make an error response reading "None", losing the text beside it."""
+    with batch_runner(tmp_path, lambda row: {"request_id": row["request_id"], **reply}):
+        out = query_batch(REQS, FileBatchTransport(tmp_path, timeout=10))
+    assert [(r.status, r.text, r.error_detail) for r in out] == [made] * 3
+
+
 def test_file_batch_reply_with_unhashable_id_answers_no_request(tmp_path):
     """A reply whose request_id is a list used to raise TypeError out of the batch."""
     def answer(row):

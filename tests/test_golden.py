@@ -157,6 +157,36 @@ ROWS = [
     (["decode", "--text", "(8, 2, -6, 1)", "--form", "point", "--dims", "640x480", "--scheme", "diga"], {
         "stdout": "0477ffd7e45e0aed1f41c6c349123b5ad75e1bad7092f987e7c0bdf068173d7d",
     }),
+    (["build", "ift", "--annotations", "fx/coco_50.json", "--form", "point", "--scheme", "nfp",
+      "--out", "ift_point_nfp.jsonl"], {
+        "stdout": "e4b40ae9da8ff591ab92d68cd702fa03806c48f65739b09f29a9ae8fd5af7fb6",
+        "ift_point_nfp.jsonl": "33115a9fa3a6989ce98935d50af00796ce52f02a406a29f69993b30f92804bce",
+        "ift_point_nfp.report.json": "77ef61d90b26c33ec10dd065d41a5f66b3bdda55229a6e35e85a91506a94e497",
+    }),
+    (["build", "ift", "--annotations", "fx/coco_50.json", "--form", "point", "--scheme", "diga",
+      "--out", "ift_point_diga.jsonl"], {
+        "stdout": "746ba3d3f0f5b317fe48c47fee4df507729ec7ea5360181eaacc6e5cbee9c529",
+        "ift_point_diga.jsonl": "8be5523eba8097e982d1f2fa315a8d40d7601db359d64efe22fc6017d9d095ba",
+        "ift_point_diga.report.json": "59bf961b4694662e352cc48978c384750d1be503ecc105c4510334bc6f65717f",
+    }),
+    (["build", "ift", "--annotations", "fx/coco_50.json", "--captions", "fx/captions_50.jsonl", "--mix", "revloc=1",
+      "--scheme", "nfp", "--out", "ift_revloc_nfp.jsonl"], {
+        "stdout": "ca864a9b28f6add6169c4e7aa64c8abfba6fbe909f51a5c46467a03f321f012c",
+        "ift_revloc_nfp.jsonl": "12f4bc678bc3cdab0894f8da5cb6716d3575eb63b97836e606149e2ab03065b1",
+        "ift_revloc_nfp.report.json": "8ca1338fa9723547cf3c7a81528ec7f8632aec7c62c846442ec90ef5ab964e61",
+    }),
+    (["build", "ift", "--annotations", "fx/coco_50.json", "--captions", "fx/captions_50.jsonl", "--mix", "revloc=1",
+      "--scheme", "ivb", "--out", "ift_revloc_ivb.jsonl"], {
+        "stdout": "af85cf22d9f83b84e1f03657415cd03d496c938464e1f1656c389c9f1584807f",
+        "ift_revloc_ivb.jsonl": "018b69692eb24216fe490e979c4538aed268eb64c2acadab607710b7a9f07eb7",
+        "ift_revloc_ivb.report.json": "48829d8f4aed4cddf4a3bdbb85cf4e79d75c8478cb6bdb3a1d1169af20cc9dc4",
+    }),
+    (["build", "ift", "--annotations", "fx/coco_50.json", "--captions", "fx/captions_50.jsonl", "--mix", "revloc=1",
+      "--scheme", "diga", "--out", "ift_revloc_diga.jsonl"], {
+        "stdout": "5d6ce15ea9a47b23f2ab8e66f735da83522a26315735b1fb88ab89d9a8103833",
+        "ift_revloc_diga.jsonl": "c065213af0cc87616be69324eca6c3df71463f1ba0894e5d5b59b9276f68d592",
+        "ift_revloc_diga.report.json": "213845c277012232136669388288926d60619e4b8fc40c1d0375bf957f442f27",
+    }),
 ]
 
 

@@ -105,3 +105,20 @@ def test_traced_region_evaluate_counts_every_stem_lookup(tmp_path, monkeypatch):
                       "--records", tmp_path / "region.jsonl", "--responses", tmp_path / "responses.jsonl")
     assert payload["counters"]["meteor.stem"][0] == len(calls) > 0
     assert payload["stem_distinct"] == len(set(calls)) < len(calls)
+
+
+def test_traced_ift_build_counts_every_encode_render_and_seed(tmp_path):
+    """Each ift record takes one derive_seed, one encode and one render call,
+    and builders calls them as module globals, so the tracer's wrappers count
+    every one: a fast path inside the builder cannot route around them."""
+    from coordtext.cli import main
+    from coordtext.records import read_records
+
+    assert main(["fixtures", "--out", str(tmp_path / "fx"), "--seed", "0"]) == 0
+    out = tmp_path / "ift.jsonl"
+    payload = _traced(tmp_path, "build", "ift", "--annotations", tmp_path / "fx" / "coco_50.json",
+                      "--captions", tmp_path / "fx" / "captions_50.jsonl", "--mix", "revloc=1", "--out", out)
+    count = read_records(out)[0]["count"]
+    assert count > 0
+    for name in ("coords.encode", "prompts.render", "seeding.derive_seed"):
+        assert payload["counters"][name][0] == count, name

@@ -14,7 +14,6 @@ from .builders import (
     corpus_keyword_stats,
     discover_negative_categories,
     ingest_pseudo_captions,
-    panoptic_to_bboxes,
 )
 from .coords import (
     BBox,

@@ -1,17 +1,19 @@
 """Annotation domain types and input-file parsing.
 
-Three external inputs are understood:
+Four external inputs are understood:
 
 * COCO-style JSON: top-level ``images`` [{id, width, height, file_name}],
   ``annotations`` [{id, image_id, category_id, bbox: [x, y, w, h]}], and
   ``categories`` [{id, name}]. Boxes arrive as xywh and are converted to
   xyxy on load.
 * Pseudo-caption JSONL: one {image_id, instance_id, caption} per line.
-* Panoptic label grids: a text file of whitespace-separated integer instance
-  ids, one grid row per line, plus a JSON sidecar mapping id -> category.
+* Video-detection JSONL: one {video_id, frames: {idx: [{category, bbox}]}}
+  per line, boxes as xyxy.
+* Vocabulary text: one category name per line.
 
-Malformed annotation rows are skipped and tallied, never fatal; a malformed
-image, category or file is a SchemaError naming the file.
+Malformed annotation rows are skipped and tallied; a malformed image,
+category or file, or an annotation without an ``id``, is a SchemaError naming
+the file.
 """
 
 from __future__ import annotations
@@ -106,12 +108,16 @@ def _coco_array(path, data: dict, key: str) -> list:
     return entries
 
 
-def _coco_entries(path, data: dict, key: str):
-    """Yield ``(n, entry)`` for each image or category of the ``key`` array, refusing a repeated id."""
+def _coco_entries(path, data: dict, key: str, fields: tuple[str, ...]):
+    """Yield ``(n, entry)`` for each image or category of the ``key`` array,
+    refusing one that lacks a field of ``fields`` or repeats an id."""
     first_index = {}
     for n, entry in enumerate(_coco_array(path, data, key)):
         if not isinstance(entry, dict):
             raise SchemaError(f"{path}: {key}[{n}] is not a JSON object")
+        for field in fields:
+            if field not in entry:
+                raise SchemaError(f"{path}: {key}[{n}]: missing required field {field!r}")
         if not _is_id(entry["id"]):
             raise SchemaError(f"{path}: {key}[{n}]: id is not a string or an integer")
         first = first_index.setdefault(str(entry["id"]), n)
@@ -126,29 +132,27 @@ def load_coco_annotations(path) -> CocoLoad:
     A file that is not a JSON object, an image or category that is not an
     object or lacks a field, an id that is neither a string nor an integer or
     that repeats an earlier one's after ``str()``, a category name that is not
-    a string, or an image width or height that is not a positive integer is a
-    SchemaError naming the file. Annotations that are not objects, that name
-    unknown images or categories, with a ``bbox`` that is not four finite
-    numbers, with non-positive extents, or outside their image are skipped and tallied.
+    a string or repeats an earlier one's, an image width or height that is not
+    a positive integer, or an annotation that passes its checks but has no
+    ``id`` is a SchemaError naming the file and the entry. Annotations that
+    are not objects, that name unknown images or categories, with a ``bbox``
+    that is not four finite numbers, with non-positive extents, or outside
+    their image are skipped and tallied.
     """
     data = read_json(path)
     if not isinstance(data, dict):
         raise SchemaError(f"{path}: not a JSON object")
-    try:
-        return _parse_coco(path, data)
-    except KeyError as exc:
-        raise SchemaError(f"{path}: missing required field {exc}") from exc
-
-
-def _parse_coco(path, data: dict) -> CocoLoad:
-    categories, vocabulary = {}, []
-    for n, cat in _coco_entries(path, data, "categories"):
-        if not isinstance(cat["name"], str):
+    categories, first_by_name = {}, {}
+    for n, cat in _coco_entries(path, data, "categories", ("id", "name")):
+        name = cat["name"]
+        if not isinstance(name, str):
             raise SchemaError(f"{path}: categories[{n}]: name is not a string")
-        categories[cat["id"]] = cat["name"]
-        vocabulary.append(cat["name"])
+        first = first_by_name.setdefault(name, n)
+        if first != n:  # a repeated name would ask one question twice, or draw it twice as a negative
+            raise SchemaError(f"{path}: categories[{n}]: name {name!r} repeats the name of categories[{first}]")
+        categories[cat["id"]] = name
     dims_by_image = {}
-    for n, img in _coco_entries(path, data, "images"):
+    for n, img in _coco_entries(path, data, "images", ("id", "width", "height")):
         for side in ("width", "height"):
             if type(img[side]) is not int or img[side] < 1:
                 raise SchemaError(f"{path}: images[{n}]: {side} is not a positive integer")
@@ -159,7 +163,7 @@ def _parse_coco(path, data: dict) -> CocoLoad:
     # second check of the same invariants.
     skipped: Counter = Counter()
     objects_by_image: dict = {img_id: [] for img_id in dims_by_image}
-    for ann in _coco_array(path, data, "annotations"):
+    for n, ann in enumerate(_coco_array(path, data, "annotations")):
         if not isinstance(ann, dict):
             skipped["not_an_object"] += 1
             continue
@@ -191,7 +195,10 @@ def _parse_coco(path, data: dict) -> CocoLoad:
         if not (0 <= x <= x2 <= width and 0 <= y <= y2 <= height):
             skipped["invalid_bbox"] += 1
             continue
-        instance_id = ann["id"]
+        try:
+            instance_id = ann["id"]
+        except KeyError:
+            raise SchemaError(f"{path}: annotations[{n}]: missing required field 'id'") from None
         if type(instance_id) is not str:
             if type(instance_id) is not int:
                 skipped["invalid_id"] += 1
@@ -206,7 +213,7 @@ def _parse_coco(path, data: dict) -> CocoLoad:
             skipped["duplicate_instance_ids"] += 1
             continue
         images.append(AnnotatedImage._make((str(image_id), dims_by_image[image_id], objects, None)))
-    return CocoLoad(images=images, vocabulary=vocabulary, skipped=skipped)
+    return CocoLoad(images=images, vocabulary=list(first_by_name), skipped=skipped)
 
 
 class CaptionRecord(NamedTuple):
@@ -248,45 +255,16 @@ def _row_id(path, line_no: int, field: str, value) -> str:
     return str(value)
 
 
-def load_label_grid(path) -> list[list[int]]:
-    """Read a panoptic label grid: whitespace-separated integer ids, one row per line.
-
-    ``#`` starts a comment. Blank lines are skipped, so an empty file is an
-    empty grid. A token that is not an integer, a row wider or narrower than
-    the first, or a line that is not UTF-8 is a SchemaError.
-    """
-    rows: list[list[int]] = []
+def load_vocabulary(path) -> list[str]:
+    """Read category names, one per line, stripped; blank lines are skipped. A
+    name that repeats an earlier line's is a SchemaError naming both lines."""
+    first_line = {}
     for line_no, line in iter_lines(path):
-        tokens = line.partition("#")[0].split()
-        if not tokens:
-            continue
-        try:
-            row = [int(token) for token in tokens]
-        except ValueError as exc:  # int() quotes the token
-            _require(False, path, line_no, f"id is not an integer: {exc}")
-        if rows:
-            width = len(rows[0])
-            _require(len(row) == width, path, line_no, f"{len(row)} ids where the first row has {width}")
-        rows.append(row)
-    return rows
-
-
-def load_instance_categories(path) -> dict[int, str]:
-    """Read a panoptic sidecar: a JSON object mapping each integer instance id
-    to its category name. Any other shape is a SchemaError naming the file."""
-    raw = read_json(path)
-    if not isinstance(raw, dict):
-        raise SchemaError(f"{path}: not a JSON object")
-    categories = {}
-    for key, name in raw.items():
-        try:
-            instance_id = int(key)
-        except ValueError as exc:
-            raise SchemaError(f"{path}: key {key!r} is not an integer") from exc
-        if not isinstance(name, str):
-            raise SchemaError(f"{path}: category of {key!r} is not a string")
-        categories[instance_id] = name
-    return categories
+        name = line.strip()
+        if name:
+            first = first_line.setdefault(name, line_no)
+            _require(first == line_no, path, line_no, f"{name!r} repeats line {first}")
+    return list(first_line)
 
 
 def _require(ok: bool, path, line_no: int, problem: str) -> None:
@@ -304,8 +282,10 @@ def _detection(path, line_no: int, det) -> tuple[str, BBox]:
         path, line_no, "bbox is not an array of 4 numbers",
     )
     try:
+        for value in bbox:
+            float(value)  # an int past a float's range raises OverflowError; the box keeps the int
         return category, BBox(*bbox)
-    except CodecError as exc:  # negative or inverted corners
+    except (CodecError, OverflowError) as exc:  # negative or inverted corners, or a huge int
         raise SchemaError(f"{path}: line {line_no}: bad bbox: {exc}") from exc
 
 

@@ -478,57 +478,6 @@ def ingest_pseudo_captions(
     return out, BuildReport(len(images), len(out), exclusions)
 
 
-# ---------------- panoptic masks ---------------- #
-
-
-class PanopticBoxes(NamedTuple):
-    instances: list[tuple[str, BBox]]
-    present_categories: set[str]
-    dropped_small: int = 0
-
-
-def panoptic_to_bboxes(
-    mask: Sequence[Sequence[int]], category_map: dict[int, str], min_pixels: int = 10
-) -> PanopticBoxes:
-    """Tight boxes per mask instance plus the exhaustive present-category set.
-
-    ``mask`` is any 2-D sequence of integer ids, an ndarray included. Label 0
-    is background. Boxes use inclusive pixel extents (xmin, ymin, xmax, ymax).
-    Instances under min_pixels yield no box but still mark their category
-    present. Ids are visited in ascending order.
-    """
-    extents: dict[int, list[int]] = {}  # id -> [pixels, xmin, ymin, xmax, ymax]
-    try:
-        for y, row in enumerate(mask):
-            for x, instance_id in enumerate(row):
-                extent = extents.get(instance_id)
-                if extent is None:
-                    extents[instance_id] = [1, x, y, x, y]
-                    continue
-                extent[0] += 1
-                if x < extent[1]:
-                    extent[1] = x
-                elif x > extent[3]:
-                    extent[3] = x
-                extent[4] = y  # rows come in order, so the last row seen is the lowest
-    except TypeError as exc:  # a row that is not a sequence, or an id that is one
-        raise ValueError(f"label grid must be 2-D integer ids: {exc}") from None
-    instances, present, dropped_small = [], set(), 0
-    for instance_id in sorted(extents):
-        if instance_id == 0:
-            continue
-        if instance_id not in category_map:
-            raise ValueError(f"instance id {instance_id} missing from category map")
-        category = category_map[instance_id]
-        present.add(category)
-        count, x1, y1, x2, y2 = extents[instance_id]
-        if count < min_pixels:
-            dropped_small += 1
-            continue
-        instances.append((category, BBox(float(x1), float(y1), float(x2), float(y2))))
-    return PanopticBoxes(instances, present, dropped_small)
-
-
 # ---------------- video static objects ---------------- #
 
 

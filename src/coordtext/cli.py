@@ -231,7 +231,7 @@ def cmd_build_hallucination(args) -> int:
     if not media:
         raise ValueError("need --annotations and/or --videos")
     if args.vocab_file:
-        vocabulary = [line.strip() for _, line in iter_lines(args.vocab_file) if line.strip()]
+        vocabulary = ann_io.load_vocabulary(args.vocab_file)
     if vocabulary is None:
         raise ValueError("need --vocab-file when building from videos only")
     disjoint = None
@@ -270,6 +270,10 @@ def cmd_build_video_static(args) -> int:
     exclusions = Counter()
     for video_id in sorted(detections):
         video_tracks, tallies = build_video_static_objects(detections[video_id], n_f=args.frames, video_id=video_id)
+        for track in video_tracks:
+            if not all(map(math.isfinite, track.averaged_box)):  # finite boxes whose sum overflows
+                problem = f"video {video_id!r}: category {track.category!r}: averaged box is past a float's range"
+                raise SchemaError(f"{args.videos}: {problem}")
         exclusions.update(tallies)
         tracks.extend((video_id, track) for track in video_tracks)
     records = (
@@ -524,8 +528,6 @@ def cmd_fixtures(args) -> int:
             fh.write(json.dumps(rec, sort_keys=True) + "\n")
     with open(out / "corpus_80k.txt", "w", encoding="utf-8") as fh:
         fh.write("\n".join(fixtures.keyword_corpus(seed=7)) + "\n")
-    mask, category_map = fixtures.panoptic_fixture(seed=args.seed + 3)
-    fixtures.write_panoptic_files(mask, category_map, out / "panoptic.grid.txt", out / "panoptic.categories.json")
     fixtures.write_video_detections(fixtures.video_detection_fixture(seed=args.seed + 4), out / "videos.jsonl")
     vqa = fixtures.vqa_fixture(60, seed=args.seed + 5)
     write_records(out / "vqa.jsonl", vqa, {"seed": args.seed + 5, "kind": "vqa_fixture"}, "vqa")

@@ -130,22 +130,6 @@ def vqa_fixture(n: int = 60, seed: int = 4) -> list[dict]:
     return records
 
 
-def panoptic_fixture(seed: int = 5, height: int = 60, width: int = 80):
-    """A label grid painted with overlapping rectangles plus its category sidecar."""
-    rng = random.Random(seed)
-    mask = [[0] * width for _ in range(height)]
-    category_map = {}
-    for instance_id in range(1, rng.randint(3, 9)):
-        y0 = rng.randrange(0, height - 2)
-        x0 = rng.randrange(0, width - 2)
-        y1 = min(height, y0 + rng.randint(1, height // 2))
-        x1 = min(width, x0 + rng.randint(1, width // 2))
-        for row in mask[y0:y1]:
-            row[x0:x1] = [instance_id] * (x1 - x0)
-        category_map[instance_id] = rng.choice(CATEGORIES)
-    return mask, category_map
-
-
 def video_detection_fixture(n: int = 12, seed: int = 6, n_frames: int = 8) -> dict:
     """Per-video detections with static, drifting, and single-frame objects."""
     rng = random.Random(seed)
@@ -240,14 +224,6 @@ def write_coco_json(images: list[AnnotatedImage], path, vocabulary=CATEGORIES) -
             )
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(data, fh, sort_keys=True)
-
-
-def write_panoptic_files(mask, category_map, grid_path, sidecar_path) -> None:
-    with open(grid_path, "w", encoding="utf-8") as fh:
-        for row in mask:
-            fh.write(" ".join(str(int(v)) for v in row) + "\n")
-    with open(sidecar_path, "w", encoding="utf-8") as fh:
-        json.dump({str(k): v for k, v in category_map.items()}, fh, sort_keys=True)
 
 
 def write_video_detections(videos: dict, path) -> None:

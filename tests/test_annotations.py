@@ -1,4 +1,4 @@
-"""Input parsing tests: COCO-style files, caption records, video detections, panoptic label grids."""
+"""Input parsing tests: COCO-style files, caption records, video detections."""
 
 import hashlib
 import json
@@ -22,11 +22,8 @@ from coordtext.annotations import (
     _require,
     load_caption_records,
     load_coco_annotations,
-    load_instance_categories,
-    load_label_grid,
     load_video_detections,
 )
-from coordtext.builders import PanopticBoxes, panoptic_to_bboxes
 from coordtext.coords import BBox, CodecError, ImageDims
 from coordtext.records import SchemaError, config_digest, iter_records, line_error, read_json, write_records
 from coordtext.fixtures import annotation_fixture, write_coco_json
@@ -167,63 +164,6 @@ def test_video_detections_meta_line_is_checked_and_skipped(tmp_path):
     assert str(info.value) == f"{with_meta}: records digest mismatch"
 
 
-def test_label_grid_reads_rows_of_ints(tmp_path):
-    path = tmp_path / "grid.txt"
-    path.write_text("# ids\n0 3 3\n\n-1 0 +2  # last row\n")
-    assert load_label_grid(path) == [[0, 3, 3], [-1, 0, 2]]
-
-
-@pytest.mark.parametrize(
-    "text, problem",
-    [
-        ("1 2 3\n4 5\n", "line 2: 2 ids where the first row has 3"),
-        ("1 2\n\n3 4 5\n", "line 3: 3 ids where the first row has 2"),
-        ("1 2\n3 x\n", "line 2: id is not an integer: invalid literal for int() with base 10: 'x'"),
-        ("1 2.5\n", "line 1: id is not an integer: invalid literal for int() with base 10: '2.5'"),
-    ],
-)
-def test_label_grid_ragged_row_or_non_integer_id_is_a_schema_error(tmp_path, text, problem):
-    """numpy's loadtxt raised a ValueError that named no file."""
-    path = tmp_path / "grid.txt"
-    path.write_text(text)
-    with pytest.raises(SchemaError) as info:
-        load_label_grid(path)
-    assert str(info.value) == f"{path}: {problem}"
-
-
-def test_label_grid_that_is_not_utf8_is_a_schema_error(tmp_path):
-    path = tmp_path / "grid.txt"
-    path.write_bytes(b"1 2\n3 \xff\n")
-    with pytest.raises(SchemaError, match=r"grid.txt: line 2: not valid UTF-8: .* position 2"):
-        load_label_grid(path)
-
-
-@pytest.mark.parametrize(
-    "text, problem",
-    [
-        ('[1, "lamp"]', "not a JSON object"),
-        ('{"1": "lamp", "two": "mug"}', "key 'two' is not an integer"),
-        ('{"1": "lamp", "2": 7}', "category of '2' is not a string"),
-        ('{"1": "lamp",', "not valid JSON: Expecting property name enclosed in double quotes"),
-    ],
-)
-def test_panoptic_sidecar_of_the_wrong_shape_is_a_schema_error(tmp_path, text, problem):
-    """A key that is not an integer used to be int()'s bare ValueError, naming no file."""
-    path = tmp_path / "categories.json"
-    path.write_text(text)
-    with pytest.raises(SchemaError) as info:
-        load_instance_categories(path)
-    assert str(info.value).startswith(f"{path}: {problem}")
-
-
-@pytest.mark.parametrize("text", ["", "\n \n", "# no rows\n"])
-def test_empty_label_grid_has_no_instances(tmp_path, text):
-    path = tmp_path / "grid.txt"
-    path.write_text(text)
-    assert load_label_grid(path) == []
-    assert panoptic_to_bboxes(load_label_grid(path), {}) == PanopticBoxes([], set(), 0)
-
-
 @pytest.mark.parametrize("bad_id", [None, [1, 2], 1.5, True, {"n": 1}])
 def test_coco_annotation_id_that_is_not_a_string_or_integer_is_skipped(tmp_path, bad_id):
     """``null`` used to become instance id "None", and ``[1, 2]`` "[1, 2]"."""
@@ -263,21 +203,21 @@ def reference_load_coco_annotations(path) -> CocoLoad:
     data = read_json(path)
     if not isinstance(data, dict):
         raise SchemaError(f"{path}: not a JSON object")
-    try:
-        return _reference_parse_coco(path, data)
-    except KeyError as exc:
-        raise SchemaError(f"{path}: missing required field {exc}") from exc
+    return _reference_parse_coco(path, data)
 
 
 def _reference_parse_coco(path, data: dict) -> CocoLoad:
     categories, vocabulary = {}, []
-    for n, cat in _coco_entries(path, data, "categories"):
+    for n, cat in _coco_entries(path, data, "categories", ("id", "name")):
         if not isinstance(cat["name"], str):
             raise SchemaError(f"{path}: categories[{n}]: name is not a string")
+        if cat["name"] in vocabulary:
+            first = vocabulary.index(cat["name"])
+            raise SchemaError(f"{path}: categories[{n}]: name {cat['name']!r} repeats the name of categories[{first}]")
         categories[cat["id"]] = cat["name"]
         vocabulary.append(cat["name"])
     dims_by_image = {}
-    for n, img in _coco_entries(path, data, "images"):
+    for n, img in _coco_entries(path, data, "images", ("id", "width", "height")):
         for side in ("width", "height"):
             if type(img[side]) is not int or img[side] < 1:
                 raise SchemaError(f"{path}: images[{n}]: {side} is not a positive integer")
@@ -285,7 +225,7 @@ def _reference_parse_coco(path, data: dict) -> CocoLoad:
 
     skipped: Counter = Counter()
     objects_by_image: dict = {img_id: [] for img_id in dims_by_image}
-    for ann in _coco_array(path, data, "annotations"):
+    for n, ann in enumerate(_coco_array(path, data, "annotations")):
         if not isinstance(ann, dict):
             skipped["not_an_object"] += 1
             continue
@@ -308,6 +248,8 @@ def _reference_parse_coco(path, data: dict) -> CocoLoad:
         except CodecError:
             skipped["invalid_bbox"] += 1
             continue
+        if "id" not in ann:
+            raise SchemaError(f"{path}: annotations[{n}]: missing required field 'id'")
         objects_by_image[image_id].append(
             ObjectAnn(instance_id=str(ann["id"]), category=categories[category_id], bbox=box)
         )

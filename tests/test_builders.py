@@ -16,7 +16,6 @@ from coordtext.builders import (
     MAX_MIX_RATIO,
     BuildReport,
     ConversationSample,
-    PanopticBoxes,
     build_hallucination_set,
     build_ift_dataset,
     build_spatial_bench,
@@ -24,7 +23,6 @@ from coordtext.builders import (
     corpus_keyword_stats,
     discover_negative_categories,
     ingest_pseudo_captions,
-    panoptic_to_bboxes,
     unique_instance_objects,
 )
 from coordtext.coords import BBox, ImageDims, ReprScheme, encode_bbox, encode_point
@@ -33,7 +31,6 @@ from coordtext.fixtures import (
     annotation_fixture,
     caption_fixture,
     keyword_corpus,
-    panoptic_fixture,
     spatial_fixture,
 )
 from coordtext.prompts import DEFAULT_TEMPLATES, LOCPRED, NEGPRED, REVLOC, render_locpred, render_negpred, render_revloc
@@ -555,133 +552,6 @@ def test_ingest_matches_join_oracle():
     assert report.exclusions.get("captions_attached", 0) == expected_attached
     attached = sum(len(im.captions or {}) for im in out)
     assert attached == expected_attached
-
-
-# ---------------- panoptic masks ---------------- #
-
-
-def test_panoptic_rectangle_extent():
-    mask = np.zeros((20, 30), dtype=int)
-    mask[2:6, 10:13] = 7
-    result = panoptic_to_bboxes(mask, {7: "dog"})
-    assert result.instances == [("dog", BBox(10, 2, 12, 5))]
-    assert result.present_categories == {"dog"}
-
-
-def test_panoptic_empty_mask():
-    result = panoptic_to_bboxes(np.zeros((10, 10), dtype=int), {})
-    assert result.instances == [] and result.present_categories == set()
-
-
-def test_panoptic_small_instances_dropped_but_present():
-    mask = np.zeros((20, 20), dtype=int)
-    mask[0:2, 0:2] = 3  # 4 px < default threshold
-    result = panoptic_to_bboxes(mask, {3: "mug"})
-    assert result.instances == [] and result.dropped_small == 1
-    assert result.present_categories == {"mug"}
-
-
-def test_panoptic_unknown_id_rejected():
-    mask = np.ones((5, 5), dtype=int)
-    with pytest.raises(ValueError, match="missing from category map"):
-        panoptic_to_bboxes(mask, {})
-
-
-def test_panoptic_file_roundtrip(tmp_path):
-    from coordtext.annotations import load_instance_categories, load_label_grid
-    from coordtext.fixtures import write_panoptic_files
-
-    mask, category_map = panoptic_fixture(seed=3)
-    grid_path = tmp_path / "grid.txt"
-    sidecar_path = tmp_path / "cats.json"
-    write_panoptic_files(mask, category_map, grid_path, sidecar_path)
-    loaded_mask = load_label_grid(grid_path)
-    loaded_map = load_instance_categories(sidecar_path)
-    assert loaded_mask == mask
-    assert loaded_map == category_map
-    direct = panoptic_to_bboxes(mask, category_map)
-    via_files = panoptic_to_bboxes(loaded_mask, loaded_map)
-    assert direct.instances == via_files.instances
-    assert direct.present_categories == via_files.present_categories
-
-
-def test_panoptic_matches_pixel_scan_on_fuzzed_masks():
-    for seed in range(30):
-        mask, category_map = panoptic_fixture(seed=seed)
-        result = panoptic_to_bboxes(mask, category_map, min_pixels=1)
-        expected = {}
-        h, w = len(mask), len(mask[0])
-        for y in range(h):
-            for x in range(w):
-                v = int(mask[y][x])
-                if v == 0:
-                    continue
-                x1, y1, x2, y2 = expected.get(v, (w, h, -1, -1))
-                expected[v] = (min(x1, x), min(y1, y), max(x2, x), max(y2, y))
-        got = {}
-        for cat, box in result.instances:
-            got.setdefault(cat, []).append(box.as_tuple())
-        for v, extent in expected.items():
-            assert tuple(map(float, extent)) in got[category_map[v]]
-        assert sum(len(b) for b in got.values()) == len(expected)
-        assert result.present_categories == {category_map[v] for v in expected}
-
-
-def reference_panoptic_to_bboxes(mask, category_map: dict[int, str], min_pixels: int = 10) -> PanopticBoxes:
-    """numpy's version: np.unique, then one whole-mask compare per id."""
-    mask = np.asarray(mask)
-    if mask.ndim != 2:
-        raise ValueError(f"label grid must be 2-D, got shape {mask.shape}")
-    instances, present, dropped_small = [], set(), 0
-    ids, counts = np.unique(mask, return_counts=True)
-    for instance_id, count in zip(ids.tolist(), counts.tolist()):
-        if instance_id == 0:
-            continue
-        if instance_id not in category_map:
-            raise ValueError(f"instance id {instance_id} missing from category map")
-        category = category_map[instance_id]
-        present.add(category)
-        if count < min_pixels:
-            dropped_small += 1
-            continue
-        ys, xs = np.nonzero(mask == instance_id)
-        box = BBox(float(xs.min()), float(ys.min()), float(xs.max()), float(ys.max()))
-        instances.append((category, box))
-    return PanopticBoxes(instances, present, dropped_small)
-
-
-@st.composite
-def masks_and_category_maps(draw):
-    """A random mask over a few ids, negative ones included, and a category map that may miss some."""
-    height, width = draw(st.integers(1, 12)), draw(st.integers(1, 12))
-    ids = draw(st.lists(st.integers(-3, 6), min_size=1, max_size=5))
-    mask = draw(st.lists(st.lists(st.sampled_from(ids), min_size=width, max_size=width), min_size=height, max_size=height))
-    known = draw(st.sets(st.sampled_from(ids)))
-    category_map = {i: draw(st.sampled_from(CATEGORIES[:4])) for i in sorted(known)}
-    return mask, category_map
-
-
-def _outcome(fn, *args):
-    try:
-        return fn(*args)
-    except ValueError as exc:
-        return f"ValueError: {exc}"
-
-
-@given(masks_and_category_maps(), st.integers(1, 12))
-@settings(max_examples=400, deadline=None)
-def test_panoptic_equals_the_numpy_reference(mask_and_map, min_pixels):
-    """The same boxes, present set and small-instance tally, or the same first unknown id refused."""
-    mask, category_map = mask_and_map
-    expected = _outcome(reference_panoptic_to_bboxes, mask, category_map, min_pixels)
-    assert _outcome(panoptic_to_bboxes, mask, category_map, min_pixels) == expected
-    assert _outcome(panoptic_to_bboxes, np.array(mask), category_map, min_pixels) == expected
-
-
-def test_panoptic_refuses_a_mask_that_is_not_2d():
-    for mask in ([1, 2], [[[1]]], 5, np.ones((2, 2, 2), dtype=int)):
-        with pytest.raises(ValueError, match="2-D"):
-            panoptic_to_bboxes(mask, {1: "mug"})
 
 
 # ---------------- video static objects ---------------- #

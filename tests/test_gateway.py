@@ -1,4 +1,4 @@
-"""Gateway tests: transport alignment and retries, mock models, token pooling."""
+"""Gateway tests: transport alignment and retries, mock models."""
 
 import json
 import math
@@ -9,10 +9,7 @@ import time
 from contextlib import contextmanager
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
-import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from coordtext.builders import build_spatial_bench
 from coordtext.coords import BBox, ImageDims, LocationText, ReprScheme, decode_bbox
@@ -32,7 +29,6 @@ from coordtext.gateway import (
     random_mock,
     random_response,
 )
-from coordtext.pooling import TokenGrid, spatiotemporal_pool
 from coordtext.prompts import parse_response
 
 REQS = [ModelRequest(f"r{i}", f"im{i}.jpg", f"prompt {i}") for i in range(3)]
@@ -722,123 +718,3 @@ def test_random_mock_location_space():
     parsed = parse_response(resp.text, "locpred", scheme, "bbox")
     assert parsed.kind == "location"
     decode_bbox(parsed.location, dims)
-
-
-# ---------------- pooling ---------------- #
-
-
-def test_pool_shape_and_bruteforce_means():
-    rng = np.random.default_rng(0)
-    grid = rng.normal(size=(8, 256, 16))
-    pooled = np.asarray(spatiotemporal_pool(grid))
-    assert pooled.shape == (256 + 8, 16)
-    for s in range(0, 256, 37):
-        expected = sum(grid[f, s, :] for f in range(8)) / 8
-        assert np.allclose(pooled[s], expected, rtol=1e-9, atol=0)
-    for f in range(8):
-        expected = sum(grid[f, s, :] for s in range(256)) / 256
-        assert np.allclose(pooled[256 + f], expected, rtol=1e-9, atol=1e-12)
-
-
-def test_pool_constant_grid_is_exact():
-    for c in (0.1, 0.3, 1 / 3, 7.7):
-        grid = np.full((8, 256, 4), c)
-        pooled = np.asarray(spatiotemporal_pool(grid))
-        assert np.all(pooled == c)
-
-
-def test_pool_grand_mean_identities():
-    rng = np.random.default_rng(1)
-    grid = rng.normal(size=(8, 256, 64))
-    pooled = np.asarray(spatiotemporal_pool(grid))
-    overall = float(grid.astype(np.float64).mean())
-    spatial_mean = float(pooled[:256].mean())
-    temporal_mean = float(pooled[256:].mean())
-    assert math.isclose(spatial_mean, overall, rel_tol=1e-9, abs_tol=1e-12)
-    assert math.isclose(temporal_mean, overall, rel_tol=1e-9, abs_tol=1e-12)
-
-
-def test_pool_single_frame():
-    rng = np.random.default_rng(2)
-    grid = rng.normal(size=(1, 5, 3))
-    pooled = np.asarray(spatiotemporal_pool(grid))
-    assert pooled.shape == (6, 3)
-    assert np.allclose(pooled[:5], grid[0], rtol=0, atol=0)
-    assert np.allclose(pooled[5], grid[0].mean(axis=0), rtol=1e-12, atol=0)
-
-
-def test_pool_rejects_bad_grids():
-    with pytest.raises(ValueError, match="frames, positions, dim"):
-        TokenGrid(np.zeros((4, 4)))
-    with pytest.raises(ValueError, match="non-finite"):
-        TokenGrid(np.array([[[np.nan]]]))
-
-
-@pytest.mark.parametrize(
-    "values, message",
-    [
-        ([[1.0, 2.0]], "real numbers"),  # rank 2
-        ([[[[1.0]]]], "real numbers"),  # rank 4
-        (1.0, "real numbers"),
-        ([[["1.0"]]], "real numbers"),
-        ([[[None]]], "real numbers"),
-        ([[[1j]]], "real numbers"),
-        ([[[10**400]]], "real numbers"),
-        ([], r"positive sizes, got \(0, 0, 0\)"),
-        ([[], []], r"positive sizes, got \(2, 0, 0\)"),
-        ([[[]]], r"positive sizes, got \(1, 1, 0\)"),
-        ([[[1.0]], [[1.0], [2.0]]], "ragged"),
-        ([[[1.0, 2.0], [3.0]]], "ragged"),
-        ([[[1.0]], []], "ragged"),
-        ([[[1.0, -math.inf]]], "non-finite"),
-    ],
-)
-def test_pool_refuses_every_malformed_grid_with_value_error(values, message):
-    with pytest.raises(ValueError, match=message):
-        spatiotemporal_pool(values)
-
-
-def reference_balanced_mean(a: np.ndarray) -> np.ndarray:
-    """numpy's mean over axis 0 by a balanced pairwise sum in float64, divided once."""
-    n = a.shape[0]
-    acc = a.astype(np.float64, copy=True)
-    while acc.shape[0] > 1:
-        m = acc.shape[0]
-        even = (m // 2) * 2
-        with np.errstate(over="ignore", invalid="ignore"):  # huge addends sum to inf, as in Python
-            paired = acc[0:even:2] + acc[1:even:2]
-        if m % 2:
-            paired = np.concatenate([paired, acc[-1:]], axis=0)
-        acc = paired
-    return acc[0] / n
-
-
-def reference_pool(grid: np.ndarray) -> np.ndarray:
-    return np.concatenate([reference_balanced_mean(grid), reference_balanced_mean(np.swapaxes(grid, 0, 1))], axis=0)
-
-
-grid_shapes = st.tuples(st.integers(1, 9), st.integers(1, 17), st.integers(1, 5))
-finite_floats = st.floats(allow_nan=False, allow_infinity=False, width=64)
-
-
-@given(st.data(), grid_shapes)
-@settings(max_examples=300, deadline=None)
-def test_pool_equals_the_numpy_reference_bit_for_bit(data, shape):
-    """Odd frame and position counts and axes of size 1 included; from lists and from an ndarray."""
-    n_frames, n_positions, dim = shape
-    values = data.draw(
-        st.lists(st.lists(st.lists(finite_floats, min_size=dim, max_size=dim), min_size=n_positions,
-                          max_size=n_positions), min_size=n_frames, max_size=n_frames)
-    )
-    grid = np.array(values, dtype=np.float64)
-    expected = reference_pool(grid).tobytes()
-    assert np.array(spatiotemporal_pool(values), dtype=np.float64).tobytes() == expected
-    assert np.array(spatiotemporal_pool(grid), dtype=np.float64).tobytes() == expected
-
-
-def test_pool_odd_axis_sizes():
-    rng = np.random.default_rng(3)
-    grid = rng.normal(size=(7, 13, 5))
-    pooled = np.asarray(spatiotemporal_pool(grid))
-    assert pooled.shape == (20, 5)
-    assert np.allclose(pooled[:13], grid.mean(axis=0), rtol=1e-12, atol=1e-14)

@@ -7,7 +7,6 @@ import math
 import re
 from collections import Counter
 
-import numpy as np
 import pytest
 
 from coordtext.annotations import AnnotatedImage, CaptionRecord, CocoLoad, MediaCategories, ObjectAnn
@@ -15,14 +14,12 @@ from coordtext.builders import (
     BuildReport,
     ConversationSample,
     HallucinationItem,
-    PanopticBoxes,
     SpatialBenchItem,
     VideoObjectTrack,
 )
 from coordtext.coords import BBox, CodecError, ImageDims, LocationText, PointLoc, ReprScheme, TokenCost
 from coordtext.evals import EvalRecord, MetricsReport
 from coordtext.gateway import ModelRequest, ModelResponse, SamplingConfig
-from coordtext.pooling import TokenGrid
 from coordtext.prompts import (
     CAPTION_PROMPT,
     HALLUCINATION_QUESTION,
@@ -88,7 +85,6 @@ SAMPLES = [
         },
     ),
     (HallucinationItem, {"item_id": "v1:hal:00", "media_id": "v1", "medium": "video", "obj": "cat", "gt": "yes", "seed": 3}),
-    (PanopticBoxes, {"instances": [("cat", BOX)], "present_categories": {"cat"}, "dropped_small": 1}),
     (
         VideoObjectTrack,
         {"video_id": "v1", "category": "cat", "per_frame_boxes": {0: BOX}, "averaged_box": BOX, "is_static": True},
@@ -115,21 +111,20 @@ SAMPLES = [
             "flags": {"mode": "strict"}, "config_digest": "c" * 64, "dataset_digest": None,
         },
     ),
-    (TokenGrid, {"values": [[[1.0, 1.0, 1.0], [1.0, 1.0, 1.0]]]}),
 ]
 
-# Types holding a list, set, dict, Counter or array: equal, never hashable.
-UNHASHABLE = {CocoLoad, BuildReport, PanopticBoxes, VideoObjectTrack, MetricsReport, TokenGrid}
+# Types holding a list, dict or Counter: equal, never hashable.
+UNHASHABLE = {CocoLoad, BuildReport, VideoObjectTrack, MetricsReport}
 
-MODULES = ("annotations", "builders", "coords", "evals", "gateway", "pooling", "prompts")
+MODULES = ("annotations", "builders", "coords", "evals", "gateway", "prompts")
 
 
-def _samples(*excluded):
-    return [pytest.param(cls, fields, id=cls.__name__) for cls, fields in SAMPLES if cls not in excluded]
+def _samples():
+    return [pytest.param(cls, fields, id=cls.__name__) for cls, fields in SAMPLES]
 
 
 def test_every_value_type_is_covered():
-    """SAMPLES holds every public tuple type the package defines, 27 in all."""
+    """SAMPLES holds every public tuple type the package defines, 25 in all."""
     defined = set()
     for name in MODULES:
         module = importlib.import_module(f"coordtext.{name}")
@@ -138,7 +133,7 @@ def test_every_value_type_is_covered():
             if isinstance(obj, type) and issubclass(obj, tuple) and obj.__module__ == module.__name__
             and not obj.__name__.startswith("_")
         )
-    assert defined == {cls for cls, _ in SAMPLES} and len(SAMPLES) == 27
+    assert defined == {cls for cls, _ in SAMPLES} and len(SAMPLES) == 25
 
 
 @pytest.mark.parametrize("cls, fields", _samples())
@@ -150,7 +145,7 @@ def test_positional_and_keyword_construction_agree(cls, fields):
         cls(*fields.values(), None)
 
 
-@pytest.mark.parametrize("cls, fields", _samples(TokenGrid))
+@pytest.mark.parametrize("cls, fields", _samples())
 def test_equal_fields_give_equal_objects_with_the_same_hash(cls, fields):
     a, b = cls(**fields), cls(**{name: _copy(value) for name, value in fields.items()})
     assert a == b and not a != b
@@ -168,17 +163,6 @@ def test_equal_fields_give_equal_objects_with_the_same_hash(cls, fields):
         assert a != other, name
         differing += 1
     assert differing
-
-
-def test_token_grid_keeps_its_values_as_float_lists():
-    values = [[[1.0, 2.0]]]
-    grid = TokenGrid(values)
-    assert grid.values is values and grid.n_frames == 1 and grid.n_spatial == 1
-    from_array = TokenGrid(np.array(values))
-    assert from_array == grid and type(from_array.values[0][0][0]) is float
-    converted = TokenGrid([[(True, np.float32(2.0))]])
-    assert converted == grid and all(type(x) is float for x in converted.values[0][0])
-    assert TokenGrid([[(1, 2)]]) == grid and TokenGrid([[[1.0, 3.0]]]) != grid
 
 
 @pytest.mark.parametrize("cls, fields", _samples())
@@ -205,7 +189,6 @@ def test_repr_text():
         "form='bbox')"
     )
     assert repr(BuildReport()) == "BuildReport(input_count=0, emitted_count=0, exclusions=Counter())"
-    assert repr(TokenGrid([[[1.0]]])) == "TokenGrid(values=[[[1.0]]])"
 
 
 DEFAULTS = [
@@ -219,7 +202,6 @@ DEFAULTS = [
         {"icl_context": None, "seed": 0},
     ),
     (HallucinationItem, {"item_id": "i", "media_id": "img", "medium": "image", "obj": "cat", "gt": "no"}, {"seed": 0}),
-    (PanopticBoxes, {"instances": [], "present_categories": set()}, {"dropped_small": 0}),
     (TemplateSet, {}, TEMPLATE_FIELDS),
     (ParsedResponse, {"kind": "free_text", "raw": "?"}, {"location": None, "side": None, "polarity": None}),
     (ModelResponse, {"request_id": "r", "text": "Yes"}, {"status": "ok", "error_detail": None}),
@@ -299,19 +281,6 @@ CHECKS = [
         lambda: EvalRecord("i", "spatial", "left", "left", correct=True, score=1.0),
         ValueError, "exactly one of correct/score must be set",
     ),
-    (
-        lambda: TokenGrid([[1.0, 1.0], [1.0, 1.0]]),
-        ValueError, "token grid must be (frames, positions, dim) real numbers: 'float' object is not iterable",
-    ),
-    (
-        lambda: TokenGrid([[[]]]),
-        ValueError, "token grid must be (frames, positions, dim) with positive sizes, got (1, 1, 0)",
-    ),
-    (
-        lambda: TokenGrid([[[1.0]], [[1.0, 2.0]]]),
-        ValueError, "token grid must be (frames, positions, dim) with equal sizes, got a ragged grid",
-    ),
-    (lambda: TokenGrid([[[math.inf]]]), ValueError, "token grid holds non-finite values"),
 ]
 
 

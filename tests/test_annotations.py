@@ -23,6 +23,7 @@ from coordtext.annotations import (
     load_caption_records,
     load_coco_annotations,
     load_video_detections,
+    load_vocabulary,
 )
 from coordtext.coords import BBox, CodecError, ImageDims
 from coordtext.records import SchemaError, config_digest, iter_records, line_error, read_json, write_records
@@ -182,6 +183,75 @@ def test_coco_annotation_id_that_is_not_a_string_or_integer_is_skipped(tmp_path,
     assert load.skipped == {"invalid_id": 1}
 
 
+@pytest.mark.parametrize(
+    "value, is_number, is_id",
+    [
+        (0, True, True),
+        (-2, True, True),
+        (1.5, True, False),
+        (10**400, True, True),  # an integer past a float's range is a JSON number
+        (float("nan"), False, False),
+        (float("inf"), False, False),
+        (True, False, False),
+        (False, False, False),
+        (None, False, False),
+        ("3", False, True),
+        ([1], False, False),
+        ({}, False, False),
+    ],
+)
+def test_numbers_and_ids_are_json_types_and_a_bool_is_neither(value, is_number, is_id):
+    """A bool compares equal to 0 or 1, and NaN fails every bound silently: neither may pass as a coordinate or id."""
+    assert (_is_number(value), _is_id(value)) == (is_number, is_id)
+
+
+def _coco_with_two_of_each():
+    return {
+        "images": [{"id": "a", "width": 64, "height": 48}, {"id": "b", "width": 64, "height": 48}],
+        "categories": [{"id": 1, "name": "lamp"}, {"id": 2, "name": "mug"}],
+        "annotations": [
+            {"id": "a.o0", "image_id": "a", "category_id": 1, "bbox": [4, 4, 8, 8]},
+            {"id": "b.o0", "image_id": "b", "category_id": 2, "bbox": [4, 4, 8, 8]},
+        ],
+    }
+
+
+@pytest.mark.parametrize(
+    "key, field",
+    [("images", "id"), ("images", "width"), ("images", "height"), ("categories", "id"), ("categories", "name"),
+     ("annotations", "id")],
+)
+def test_coco_entry_missing_a_field_is_named_by_its_index(tmp_path, key, field):
+    """The second entry lacks the field: the message names it, where it used to name no entry."""
+    data = _coco_with_two_of_each()
+    del data[key][1][field]
+    path = tmp_path / "coco.json"
+    path.write_text(json.dumps(data))
+    with pytest.raises(SchemaError) as info:
+        load_coco_annotations(path)
+    assert str(info.value) == f"{path}: {key}[1]: missing required field {field!r}"
+
+
+def test_coco_category_name_repeated_is_named_with_its_first_entry(tmp_path):
+    data = _coco_with_two_of_each()
+    data["categories"].append({"id": 99, "name": "lamp"})
+    path = tmp_path / "coco.json"
+    path.write_text(json.dumps(data))
+    with pytest.raises(SchemaError) as info:
+        load_coco_annotations(path)
+    assert str(info.value) == f"{path}: categories[2]: name 'lamp' repeats the name of categories[0]"
+
+
+def test_coco_category_names_that_differ_in_case_are_distinct(tmp_path):
+    data = _coco_with_two_of_each()
+    data["categories"] = [{"id": 2, "name": "mug"}, {"id": 1, "name": "lamp"}, {"id": 3, "name": "Lamp"}]
+    path = tmp_path / "coco.json"
+    path.write_text(json.dumps(data))
+    load = load_coco_annotations(path)
+    assert load.vocabulary == ["mug", "lamp", "Lamp"]
+    assert [[o.category for o in image.objects] for image in load.images] == [["lamp"], ["mug"]]
+
+
 def test_coco_box_past_a_float_s_range_is_an_invalid_bbox(tmp_path):
     """A float plus an integer too large for a float used to raise OverflowError out of the load."""
     data = {
@@ -192,6 +262,134 @@ def test_coco_box_past_a_float_s_range_is_an_invalid_bbox(tmp_path):
     path = tmp_path / "coco.json"
     path.write_text(json.dumps(data))
     assert load_coco_annotations(path).skipped == {"invalid_bbox": 1}
+
+
+# ---------------- video detections ---------------- #
+
+
+def _video_file(tmp_path, bbox_json: str) -> Path:
+    """Two lines of detections; the second holds one box written as ``bbox_json``."""
+    path = tmp_path / "videos.jsonl"
+    path.write_text(
+        json.dumps({"video_id": "v0", "frames": {"0": [{"category": "cup", "bbox": [0, 0, 9, 9]}]}}) + "\n"
+        + '{"video_id": "v1", "frames": {"0": [{"category": "cup", "bbox": %s}]}}\n' % bbox_json
+    )
+    return path
+
+
+@pytest.mark.parametrize(
+    "bbox",
+    [[0, 0, 9, 9], [0.5, 0.25, 3.0, 1.5], [3, 3, 3, 3], [0, 0, 10**300, 1], [0, 0, 1.7e308, 1]],
+)
+def test_video_detection_box_keeps_its_values_and_their_types(tmp_path, bbox):
+    """An integer coordinate stays an integer, one a float holds included, so a track's frames write back as read."""
+    videos = load_video_detections(_video_file(tmp_path, json.dumps(bbox)))
+    [(category, box)] = videos["v1"][0]
+    assert category == "cup"
+    assert list(box) == bbox and [type(v) for v in box] == [type(v) for v in bbox]
+
+
+@pytest.mark.parametrize(
+    "bbox, problem",
+    [
+        ("[true, 0, 9, 9]", "bbox is not an array of 4 numbers"),
+        ("[0, 0, 9, null]", "bbox is not an array of 4 numbers"),
+        ("[0, 0, 9, 9, 9]", "bbox is not an array of 4 numbers"),
+        ("[]", "bbox is not an array of 4 numbers"),
+        ('{"x1": 0}', "bbox is not an array of 4 numbers"),
+        ("[0, Infinity, 9, 9]", "bbox is not an array of 4 numbers"),
+        ("[0, 0, -Infinity, 9]", "bbox is not an array of 4 numbers"),
+        ("[0, 5, 9, 1]", "bad bbox: y1 > y2 in (0, 5, 9, 1)"),
+        ("[0, -0.5, 9, 9]", "bad bbox: negative coordinate in (0, -0.5, 9, 9)"),
+        ("[0.5, 0, 3, 1%s]" % ("0" * 400), "bad bbox: int too large to convert to float"),
+    ],
+)
+def test_video_detection_box_that_is_not_a_box_is_a_schema_error_naming_its_line(tmp_path, bbox, problem):
+    """An integer past a float's range used to raise OverflowError out of the averaging."""
+    path = _video_file(tmp_path, bbox)
+    with pytest.raises(SchemaError) as info:
+        load_video_detections(path)
+    assert str(info.value) == f"{path}: line 2: {problem}"
+
+
+@pytest.mark.parametrize(
+    "row, field",
+    [
+        ({"frames": {}}, "video_id"),
+        ({"video_id": "v1"}, "frames"),
+        ({"video_id": "v1", "frames": {"0": [{"bbox": [0, 0, 9, 9]}]}}, "category"),
+        ({"video_id": "v1", "frames": {"0": [{"category": "cup"}]}}, "bbox"),
+    ],
+)
+def test_video_detections_line_missing_a_field_is_a_schema_error_naming_it(tmp_path, row, field):
+    path = tmp_path / "videos.jsonl"
+    path.write_text(json.dumps({"video_id": "v0", "frames": {}}) + "\n" + json.dumps(row) + "\n")
+    with pytest.raises(SchemaError) as info:
+        load_video_detections(path)
+    assert str(info.value) == f"{path}: line 2: missing field {field!r}"
+
+
+# ---------------- vocabulary ---------------- #
+
+
+def test_vocabulary_is_stripped_names_in_file_order_without_blank_lines(tmp_path):
+    path = tmp_path / "vocab.txt"
+    path.write_bytes(b"  zebra\nlamp \n\n\t\nkettle\r\nmug")
+    assert load_vocabulary(path) == ["zebra", "lamp", "kettle", "mug"]
+
+
+@pytest.mark.parametrize(
+    "text, problem",
+    [
+        ("zebra\nzebra\n", "line 2: 'zebra' repeats line 1"),
+        ("zebra\nlamp\n\n zebra \nzebra\n", "line 4: 'zebra' repeats line 1"),
+        ("lamp\nzebra\nzebra\nlamp\n", "line 3: 'zebra' repeats line 2"),
+        ("lamp\r\nlamp\r\n", "line 2: 'lamp' repeats line 1"),
+        ("traffic light\n\ttraffic light\t\n", "line 2: 'traffic light' repeats line 1"),
+    ],
+)
+def test_vocabulary_name_repeated_is_a_schema_error_naming_both_lines(tmp_path, text, problem):
+    """A repeated name used to ask one presence question twice about an image."""
+    path = tmp_path / "vocab.txt"
+    path.write_bytes(text.encode())
+    with pytest.raises(SchemaError) as info:
+        load_vocabulary(path)
+    assert str(info.value) == f"{path}: {problem}"
+
+
+def test_vocabulary_names_that_differ_in_case_or_inner_space_are_distinct(tmp_path):
+    path = tmp_path / "vocab.txt"
+    path.write_text("Lamp\nlamp\ntraffic light\ntraffic  light\n")
+    assert load_vocabulary(path) == ["Lamp", "lamp", "traffic light", "traffic  light"]
+
+
+@pytest.mark.parametrize("text", ["", "\n\n", "  \n\t\r\n"])
+def test_vocabulary_of_blank_lines_is_empty(tmp_path, text):
+    path = tmp_path / "vocab.txt"
+    path.write_bytes(text.encode())
+    assert load_vocabulary(path) == []
+
+
+# (loader, bytes whose second line is not UTF-8, or whose only line is for a whole-document file)
+NOT_UTF8_FILES = {
+    "vocabulary": (load_vocabulary, b"kettle\n\xffpan\n", 2),
+    "captions": (
+        load_caption_records,
+        b'{"image_id": "1", "instance_id": "1", "caption": "a"}\n{"caption": "\xff"}\n', 2,
+    ),
+    "video detections": (load_video_detections, b'{"video_id": "v0", "frames": {}}\n{"video_id": "\xff"}\n', 2),
+    "coco": (load_coco_annotations, b'{"images": [],\n "categories": [{"id": 1, "name": "\xff"}]}', 2),
+}
+
+
+@pytest.mark.parametrize("name", NOT_UTF8_FILES)
+def test_input_that_is_not_utf8_is_a_schema_error_naming_its_line(tmp_path, name):
+    load, content, line = NOT_UTF8_FILES[name]
+    path = tmp_path / "input.bad"
+    path.write_bytes(content)
+    with pytest.raises(SchemaError) as info:
+        load(path)
+    assert str(info.value).startswith(f"{path}: line {line}: not valid UTF-8: 'utf-8' codec can't decode byte 0xff")
 
 
 # ---------------- reference parsers ---------------- #

@@ -67,7 +67,6 @@ from .records import (
     is_meta_row,
     iter_lines,
     iter_rows,
-    read_json,
     verify_records,
     write_json,
     write_records,
@@ -561,10 +560,6 @@ def cmd_verify(args) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="coordtext", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
-    parser.add_argument(
-        "--config",
-        help="JSON file of flag defaults (dest names as keys); explicit flags win",
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("encode", help="encode a pixel-space location as text")
@@ -671,93 +666,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _iter_parsers(parser, args=None):
-    """``parser`` and its subparsers; only those of the command in ``args`` when it is given."""
-    yield parser
-    for action in parser._actions:
-        if isinstance(action, argparse._SubParsersAction):
-            children = action.choices.values() if args is None else [action.choices[getattr(args, action.dest)]]
-            for child in dict.fromkeys(children):
-                yield from _iter_parsers(child, args)
-
-
-def _flags(parsers) -> dict:
-    """dest -> action of every flag of ``parsers``, --help aside."""
-    return {
-        a.dest: a for p in parsers for a in p._actions
-        if a.option_strings and not isinstance(a, argparse._HelpAction)
-    }
-
-
-# by a flag's kind: what a --config value for it must be, and the JSON types it may have
-_CONFIG_VALUES = {
-    "switch": ("true or false", (bool,)),
-    None: ("a string", (str,)),
-    int: ("an integer", (str, int)),
-    float: ("a number", (str, int, float)),
-}
-
-
-def _config_problem(parser, args, defaults: dict) -> str | None:
-    """Why a --config value would not pass as its flag of the command in ``args``, or None.
-
-    Every key must be some command's flag. A value for a flag of the running
-    command must have a JSON type its flag's kind allows (a ``store_true``
-    flag takes only a boolean), and its flag's type and choices must accept it.
-    """
-    known, running = _flags(_iter_parsers(parser)), _flags(_iter_parsers(parser, args))
-    for key, value in defaults.items():
-        if key not in known:
-            return f"{key!r} is not a flag of any command"
-        action = running.get(key)
-        if action is None:
-            continue
-        flag = action.option_strings[-1]
-        wanted, json_types = _CONFIG_VALUES["switch" if isinstance(action, argparse._StoreTrueAction) else action.type]
-        refusal = f"{key!r} must be {wanted} for {flag}, got {value!r}"
-        if type(value) not in json_types:
-            return refusal
-        try:
-            converted = action.type(value) if action.type else value
-        except ValueError:
-            return refusal
-        if action.choices is not None and converted not in action.choices:
-            return f"{key!r} must be one of {', '.join(action.choices)} for {flag}, got {value!r}"
-    return None
-
-
 def _os_error_text(exc: OSError) -> str:
     if isinstance(exc, FileNotFoundError):
         return f"cannot read {exc.filename}: {exc.strerror}"
     return f"i/o error: {exc}"
 
 
-def _parse_args(parser, argv: list[str]):
-    """``parser.parse_args(argv)``, with the flag defaults of a ``--config`` file put in first."""
-    pre = argparse.ArgumentParser(add_help=False)
-    pre.add_argument("--config")
-    known, rest = pre.parse_known_args(argv)
-    if known.config:
-        file_defaults = read_json(known.config)
-        if not isinstance(file_defaults, dict):
-            raise SchemaError(f"{known.config}: not a JSON object")
-        problem = _config_problem(parser, parser.parse_args(rest), file_defaults)
-        if problem:
-            raise ValueError(f"{known.config}: {problem}")
-        for p in _iter_parsers(parser):
-            p.set_defaults(**file_defaults)
-    return parser.parse_args(rest)
-
-
 def main(argv=None) -> int:
     parser = build_parser()
-    argv = list(sys.argv[1:] if argv is None else argv)
     # Records are trees of dicts, lists and scalars, freed by reference
     # counting; the cyclic collector would only rescan every live record.
     gc_was_enabled = gc.isenabled()
     gc.disable()
     try:
-        args = _parse_args(parser, argv)
+        args = parser.parse_args(argv)
         return args.fn(args)
     except SchemaError as exc:
         print(f"schema error: {exc}", file=sys.stderr)

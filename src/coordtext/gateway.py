@@ -387,7 +387,7 @@ class FileBatchTransport:
                 continue
             try:
                 row = json.loads(line)
-            except ValueError:  # not JSON, or not UTF-8
+            except (ValueError, RecursionError):  # not JSON, not UTF-8, or nested too deep
                 row = None
             if isinstance(row, dict):
                 request_id = row.get("request_id")
@@ -576,7 +576,11 @@ def answer_space_for_record(record: dict) -> str:
     objective = record.get("objective")
     row = prompts.OBJECTIVES.get(objective) if isinstance(objective, str) else None
     space = row.answers if row else "lr"
-    return record.get("axis", "lr") if space == "axis" else space
+    if space != "axis":
+        return space
+    axis = record.get("axis", "lr")
+    # only a string can name a space; anything else is named by its type, which names no space
+    return axis if isinstance(axis, str) else f"axis of type {type(axis).__name__}"
 
 
 def oracle_response(sample_id: str, record: dict, seed: int) -> ModelResponse:

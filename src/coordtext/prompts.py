@@ -86,45 +86,19 @@ OPPOSITE_KEYWORD = {"left": "right", "right": "left", "above": "below", "below":
 NEGATION_PHRASES = ("no such object", "there is no", "not present", "does not appear")
 
 
-class _TemplateSet(NamedTuple):
-    locpred_prompts: tuple[str, ...]
-    negpred_prompts: tuple[str, ...]
-    revloc_prompts: tuple[str, ...]
-    locpred_target: str
-    negpred_target: str
-    revloc_target: str
-    spatial_direct: str
-    spatial_icl_answer: str
-    hallucination: str
-    caption_request: str
-    source: str
+class TemplateSet(NamedTuple):
+    """The full template pool; location and negative queries both draw from locpred_prompts."""
 
-
-class TemplateSet(_TemplateSet):
-    """The full template pool; location and negative prompts are the same tuple."""
-
-    __slots__ = ()
-
-    def __new__(
-        cls,
-        locpred_prompts: tuple[str, ...] = LOCATION_PROMPTS,
-        negpred_prompts: tuple[str, ...] = LOCATION_PROMPTS,
-        revloc_prompts: tuple[str, ...] = REVLOC_PROMPTS,
-        locpred_target: str = LOCPRED_TARGET,
-        negpred_target: str = NEGPRED_TARGET,
-        revloc_target: str = REVLOC_TARGET,
-        spatial_direct: str = SPATIAL_QUESTION,
-        spatial_icl_answer: str = SPATIAL_ICL_ANSWER,
-        hallucination: str = HALLUCINATION_QUESTION,
-        caption_request: str = CAPTION_PROMPT,
-        source: str = "builtin",
-    ):
-        if locpred_prompts != negpred_prompts:
-            raise ValueError("location and negative prompt pools must be identical")
-        return tuple.__new__(cls, (
-            locpred_prompts, negpred_prompts, revloc_prompts, locpred_target, negpred_target, revloc_target,
-            spatial_direct, spatial_icl_answer, hallucination, caption_request, source,
-        ))
+    locpred_prompts: tuple[str, ...] = LOCATION_PROMPTS
+    revloc_prompts: tuple[str, ...] = REVLOC_PROMPTS
+    locpred_target: str = LOCPRED_TARGET
+    negpred_target: str = NEGPRED_TARGET
+    revloc_target: str = REVLOC_TARGET
+    spatial_direct: str = SPATIAL_QUESTION
+    spatial_icl_answer: str = SPATIAL_ICL_ANSWER
+    hallucination: str = HALLUCINATION_QUESTION
+    caption_request: str = CAPTION_PROMPT
+    source: str = "builtin"
 
 
 DEFAULT_TEMPLATES = TemplateSet()
@@ -135,7 +109,6 @@ DEFAULT_TEMPLATES = TemplateSet()
 # a hallucination question without {obj} asks the same of "yes" and "no" items.
 _OVERRIDE_SECTIONS = {
     "locpred_prompts": (tuple, ("category", "repr"), ("category",)),
-    "negpred_prompts": (tuple, ("category", "repr"), ("category",)),
     "revloc_prompts": (tuple, ("loc",), ("loc",)),
     "locpred_target": (str, ("loc",), ("loc",)),
     "negpred_target": (str, None, ()),
@@ -184,10 +157,9 @@ def load_template_overrides(path) -> TemplateSet:
     """Read a section-headed template file: ``[name]`` lines followed by one template per line.
 
     An unknown section, a template before any header, a section without a
-    template, a second template in a one-template section, a template that
-    its render call could not format or that lacks a placeholder naming its
-    item, and negative prompts other than the location prompts are
-    SchemaErrors naming the file and line.
+    template, a second template in a one-template section, and a template
+    that its render call could not format or that lacks a placeholder naming
+    its item are SchemaErrors naming the file and line.
     """
     sections: dict[str, list[str]] = {}
     header_lines: dict[str, int] = {}
@@ -219,13 +191,6 @@ def load_template_overrides(path) -> TemplateSet:
         if not lines:
             raise SchemaError(f"{path}: line {header_lines[name]}: section {name!r} holds no template")
         fields[name] = tuple(lines) if _OVERRIDE_SECTIONS[name][0] is tuple else lines[0]
-    locpred = fields.get("locpred_prompts", LOCATION_PROMPTS)
-    if fields.setdefault("negpred_prompts", locpred) != locpred:
-        other = "section 'locpred_prompts'" if "locpred_prompts" in fields else "the built-in location prompts"
-        raise SchemaError(
-            f"{path}: line {header_lines['negpred_prompts']}: section 'negpred_prompts' differs from {other}:"
-            " location and negative prompts must come from one pool"
-        )
     return TemplateSet(source=str(path), **fields)
 
 
@@ -275,8 +240,8 @@ def render_negpred(
 ) -> RenderedPair:
     """Same prompt pool as render_locpred; target denies the object exists."""
     _require(descriptor, "descriptor")
-    idx = template_index(seed, len(templates.negpred_prompts))
-    prompt = templates.negpred_prompts[idx].format(category=descriptor, repr=REPR_PLACEHOLDER[form])
+    idx = template_index(seed, len(templates.locpred_prompts))
+    prompt = templates.locpred_prompts[idx].format(category=descriptor, repr=REPR_PLACEHOLDER[form])
     return RenderedPair(prompt, templates.negpred_target, NEGPRED, idx, seed)
 
 

@@ -107,10 +107,11 @@ def write_records(path, records: Iterable[dict], config: dict, kind: str) -> int
     return count
 
 
-def line_error(path, line_no: int, exc: ValueError | KeyError) -> SchemaError:
+def line_error(path, line_no: int, exc: ValueError | RecursionError | KeyError) -> SchemaError:
     """The SchemaError for a line of a JSON-lines file that is not valid JSON
-    (json raises a plain ValueError for an integer over Python's digit limit)
-    or lacks a required field."""
+    (json raises a plain ValueError for an integer over Python's digit limit,
+    and RecursionError for arrays or objects nested too deep) or lacks a
+    required field."""
     if isinstance(exc, KeyError):
         return SchemaError(f"{path}: line {line_no}: missing field {exc}")
     if isinstance(exc, json.JSONDecodeError):
@@ -132,12 +133,12 @@ def iter_lines(path) -> Iterator[tuple[int, str]]:
 
 def read_json(path):
     """The value of a whole-document JSON file, read as by ``iter_lines``. Text
-    that is not JSON, or holds an integer over Python's digit limit, raises
-    SchemaError naming the file."""
+    that is not JSON, holds an integer over Python's digit limit or nests too
+    deep raises SchemaError naming the file."""
     text = "".join(line for _, line in iter_lines(path))
     try:
         return json.loads(text)
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:
         raise SchemaError(f"{path}: not valid JSON: {exc}") from exc
 
 
@@ -184,7 +185,7 @@ def iter_rows(path) -> Iterator[tuple[int, dict]]:
                 continue
             try:
                 row = parse_line(line)
-            except ValueError as exc:
+            except (ValueError, RecursionError) as exc:
                 raise line_error(path, line_no, exc) from exc
             if not isinstance(row, dict):
                 raise SchemaError(f"{path}: line {line_no}: not a JSON object")

@@ -760,7 +760,7 @@ MISSING_FIELD_LINES = {
         ("--videos", "videos.jsonl", ["build", "hallucination", "--annotations", "{fx}/coco_50.json"]),
     ],
 )
-@pytest.mark.parametrize("corruption", ["truncated", "not an object", "missing field"])
+@pytest.mark.parametrize("corruption", ["truncated", "not an object", "nested too deep", "missing field"])
 def test_corrupt_input_jsonl_is_schema_error(fx, tmp_path, capsys, flag, name, args, corruption):
     bad = tmp_path / name
     if corruption == "truncated":
@@ -768,6 +768,8 @@ def test_corrupt_input_jsonl_is_schema_error(fx, tmp_path, capsys, flag, name, a
         cases = [(None, f"{bad}: line {line}: not valid JSON")]
     elif corruption == "not an object":
         cases = [("[1, 2]", f"{bad}: line 1: not a JSON object")]
+    elif corruption == "nested too deep":
+        cases = [("[" * 100_000 + "]" * 100_000, f"{bad}: line 1: not valid JSON: maximum recursion depth exceeded")]
     else:
         cases = [(first, f"{bad}: line 1: missing field {field!r}") for first, field in MISSING_FIELD_LINES[name]]
     argv = [a.format(fx=fx) for a in args] + [flag, str(bad), "--out", str(tmp_path / "out.jsonl")]
@@ -1023,86 +1025,6 @@ def test_every_definition_in_src_is_named_elsewhere_in_src():
     assert uncalled == set(UNCALLED_DEFINITIONS)
 
 
-def test_config_file_defaults_and_flag_override(fx, tmp_path, capsys):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"seed": 9, "mix": "locpred=1"}))
-    out1 = tmp_path / "a.jsonl"
-    code, _, _ = run(
-        ["--config", str(cfg), "build", "ift", "--annotations", str(fx / "coco_50.json"), "--out", str(out1)], capsys
-    )
-    assert code == 0
-    meta, rows = read_records(out1)
-    assert meta["config"]["seed"] == 9 and meta["config"]["mix"] == "locpred=1"
-    assert {r["objective"] for r in rows} == {"locpred"}
-    out2 = tmp_path / "b.jsonl"
-    code, _, _ = run(
-        ["--config", str(cfg), "build", "ift", "--annotations", str(fx / "coco_50.json"), "--seed", "4", "--out", str(out2)],
-        capsys,
-    )
-    assert code == 0
-    meta2, _ = read_records(out2)
-    assert meta2["config"]["seed"] == 4  # explicit flag wins
-
-
-@pytest.mark.parametrize("config, key", [({"fn": 1}, "fn"), ({"command": "verify"}, "command"), ({"sede": 4}, "sede")])
-def test_config_key_that_is_no_flag_exits_2(fx, tmp_path, capsys, config, key):
-    """{"fn": 1} used to end in a TypeError traceback, as the key replaced the command's function."""
-    cfg, out = tmp_path / "cfg.json", tmp_path / "x.jsonl"
-    cfg.write_text(json.dumps(config))
-    code, stdout, err = run(["--config", str(cfg), "build", "ift", "--annotations", str(fx / "coco_50.json"), "--out", str(out)], capsys)
-    assert code == 2 and stdout == "" and not out.exists()
-    assert err == f"error: {cfg}: {key!r} is not a flag of any command\n"
-
-
-@pytest.mark.parametrize(
-    "config, problem",
-    [
-        ({"scheme": "zzz"}, "'scheme' must be one of nfp, ivb, diga for --scheme, got 'zzz'"),
-        ({"form": "box"}, "'form' must be one of point, bbox for --form, got 'box'"),
-        ({"seed": 1.5}, "'seed' must be an integer for --seed, got 1.5"),
-        ({"seed": True}, "'seed' must be an integer for --seed, got True"),
-        ({"seed": "abc"}, "'seed' must be an integer for --seed, got 'abc'"),
-        ({"seed": None}, "'seed' must be an integer for --seed, got None"),
-        ({"nb": [224]}, "'nb' must be an integer for --nb, got [224]"),
-        ({"mix": 1}, "'mix' must be a string for --mix, got 1"),
-        ({"captions": False}, "'captions' must be a string for --captions, got False"),
-    ],
-)
-def test_config_value_its_flag_would_refuse_exits_2(fx, tmp_path, capsys, config, problem):
-    """{"scheme": "zzz"} used to build a diga dataset whose meta said "zzz",
-    and {"seed": 1.5} or {"seed": true} to write that seed."""
-    cfg, out = tmp_path / "cfg.json", tmp_path / "x.jsonl"
-    cfg.write_text(json.dumps(config))
-    code, stdout, err = run(["--config", str(cfg), "build", "ift", "--annotations", str(fx / "coco_50.json"), "--out", str(out)], capsys)
-    assert code == 2 and stdout == "" and not out.exists()
-    assert err == f"error: {cfg}: {problem}\n"
-
-
-def test_config_store_true_flag_takes_only_a_json_boolean(tmp_path, capsys):
-    cfg = tmp_path / "cfg.json"
-    decode = ["--config", str(cfg), "decode", "--text", "(1,2,3,4)", "--form", "bbox", "--scheme", "ivb", "--dims", "224x224"]
-    for value in (1, "true", None):
-        cfg.write_text(json.dumps({"lenient": value}))
-        code, out, err = run(decode, capsys)
-        assert code == 2 and out == ""
-        assert err == f"error: {cfg}: 'lenient' must be true or false for --lenient, got {value!r}\n"
-    cfg.write_text(json.dumps({"lenient": True}))
-    assert run(decode, capsys)[:2] == (0, "1.5 2.5 3.5 4.5\n")  # the strict parser refuses missing spaces
-    cfg.write_text(json.dumps({"lenient": False}))
-    assert run(decode, capsys)[0] == 2
-
-
-def test_config_values_that_pass_as_flags_are_accepted(fx, tmp_path, capsys):
-    """A number string, an int for a float flag and a key of another
-    command's flag (ignored, as before) all pass."""
-    cfg, out = tmp_path / "cfg.json", tmp_path / "x.jsonl"
-    cfg.write_text(json.dumps({"seed": "7", "scheme": "nfp", "temperature": 1, "lenient": "ignored"}))
-    code, _, err = run(["--config", str(cfg), "build", "ift", "--annotations", str(fx / "coco_50.json"), "--out", str(out)], capsys)
-    assert code == 0, err
-    meta, _ = read_records(out)
-    assert meta["config"]["seed"] == 7 and meta["config"]["scheme"] == "nfp"
-
-
 def test_console_script_smoke():
     proc = subprocess.run(
         [sys.executable, "-m", "coordtext.cli", "encode", "--bbox", "10,120,30,145", "--dims", "512x512", "--scheme", "diga"],
@@ -1111,6 +1033,41 @@ def test_console_script_smoke():
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "(0, 4, 3, 11, 6, 0)"
+
+
+# a command line of each command that parses, by the command's name; {out} is the path it would write
+COMMAND_ARGVS = {
+    "encode": ["encode", "--bbox", "10,120,30,145", "--dims", "512x512"],
+    "decode": ["decode", "--text", "(4, 52, 13, 63)", "--form", "bbox", "--dims", "512x512"],
+    "build ift": ["build", "ift", "--annotations", "{fx}/coco_50.json", "--out", "{out}"],
+    "build spatial-bench": ["build", "spatial-bench", "--annotations", "{fx}/coco_50.json", "--out", "{out}"],
+    "build hallucination": ["build", "hallucination", "--annotations", "{fx}/coco_50.json", "--out", "{out}"],
+    "build pseudo-captions": ["build", "pseudo-captions", "--annotations", "{fx}/coco_50.json", "--out", "{out}"],
+    "build video-static": ["build", "video-static", "--videos", "{fx}/videos.jsonl", "--out", "{out}"],
+    "stats": ["stats", "--corpus", "{fx}/corpus_80k.txt", "--out", "{out}"],
+    "query": ["query", "--records", "{fx}/vqa.jsonl", "--mock", "oracle", "--out", "{out}"],
+    "evaluate": ["evaluate", "--records", "{fx}/vqa.jsonl", "--responses", "{fx}/vqa.jsonl", "--report", "{out}"],
+    "fixtures": ["fixtures", "--out", "{out}"],
+    "verify": ["verify", "{fx}/vqa.jsonl"],
+}
+
+
+@pytest.mark.parametrize("where", ["before", *COMMAND_ARGVS])
+def test_config_flag_is_a_usage_error(fx, tmp_path, capsys, where):
+    """Flags are set on the command line only; each output's meta line holds
+    the config it ran with. ``--config`` before the command is taken for the
+    command, and after it, no command knows it."""
+    cfg, out = tmp_path / "cfg.json", tmp_path / "x.jsonl"
+    cfg.write_text(json.dumps({"seed": 9}))
+    if where == "before":
+        argv, message = ["--config", str(cfg), *COMMAND_ARGVS["build spatial-bench"]], "argument command: invalid choice: "
+    else:
+        argv, message = [*COMMAND_ARGVS[where], "--config", str(cfg)], f"unrecognized arguments: --config {cfg}"
+    with pytest.raises(SystemExit) as exit_info:
+        main([a.format(fx=fx, out=out) for a in argv])
+    captured = capsys.readouterr()
+    assert exit_info.value.code == 2 and captured.out == "" and message in captured.err
+    assert not out.exists()
 
 
 # ---------------- the objective table and evaluate's boundary ---------------- #
@@ -1168,10 +1125,25 @@ def test_objective_table_covers_every_emitted_objective(fx, tmp_path, capsys):
         ({"objective": "no such objective"}, "lr"),
         ({"objective": ["spatial_direct"], "axis": "ab"}, "lr"),
         ({}, "lr"),
+        ({"objective": "spatial_direct", "axis": ["lr"]}, "axis of type list"),
     ],
 )
 def test_random_mock_answer_space_comes_from_the_table(record, space):
     assert answer_space_for_record(record) == space
+
+
+@pytest.mark.parametrize("axis", [["lr"], {"lr": 1}, 5], ids=["list", "object", "number"])
+def test_query_random_axis_that_is_not_a_string_is_a_per_request_error(tmp_path, capsys, axis):
+    """A list or object axis used to end in ``TypeError: unhashable type`` from the random mock."""
+    good = {"sample_id": "a", "prompt": "x", "objective": "spatial_direct", "axis": "ab"}
+    path = tmp_path / "bench.jsonl"
+    write_records(path, [good, {**good, "sample_id": "b", "axis": axis}], {"seed": 0}, "demo")
+    out = tmp_path / "out.jsonl"
+    code, _, err = run(["query", "--records", str(path), "--mock", "random", "--out", str(out)], capsys)
+    assert code == 0
+    assert f"error for b: unknown answer space 'axis of type {type(axis).__name__}'" in err
+    _, rows = read_records(out)
+    assert "status" not in rows[0] and rows[1] == {"item_id": "b", "status": "error", "text": ""}
 
 
 # a records file for each task, as (build command, record field of the ground truth)
@@ -1303,34 +1275,6 @@ def test_query_id_or_prompt_that_is_not_a_string_exits_3(tmp_path, capsys, mock,
     code, _, err = run(["query", "--records", str(path), "--mock", mock, "--out", str(out)], capsys)
     assert code == 3 and f"schema error: {path}: record 2: {field} is not a string" in err
     assert not out.exists()
-
-
-@pytest.mark.parametrize(
-    "content, message",
-    [
-        (b"[1]\n", "not a JSON object"),
-        (b'"seed"\n', "not a JSON object"),
-        (b'{"seed": "\xff"}\n', "'utf-8' codec can't decode byte 0xff"),
-        (b'{"seed": \n', "Expecting value"),
-    ],
-)
-def test_config_file_that_is_not_a_json_object_exits_3(tmp_path, capsys, content, message):
-    """A JSON value other than an object used to end in ``TypeError: ...
-    must be a mapping``, and bytes that are not UTF-8 in a UnicodeDecodeError."""
-    cfg = tmp_path / "cfg.json"
-    cfg.write_bytes(content)
-    code, out, err = run(["--config", str(cfg), "encode", "--bbox", "10,120,30,145", "--dims", "512x512"], capsys)
-    assert code == 3 and out == ""
-    assert err.startswith(f"schema error: {cfg}: ") and message in err
-
-
-def test_config_file_that_cannot_be_read_exits_1(tmp_path, capsys):
-    """A directory given as --config used to end in an IsADirectoryError traceback."""
-    code, out, err = run(["--config", str(tmp_path), "encode", "--bbox", "10,120,30,145", "--dims", "512x512"], capsys)
-    assert code == 1 and out == "" and err.startswith("i/o error: ") and str(tmp_path) in err
-    missing = tmp_path / "missing.json"
-    code, _, err = run(["--config", str(missing), "encode", "--bbox", "10,120,30,145", "--dims", "512x512"], capsys)
-    assert code == 1 and f"cannot read {missing}: No such file or directory" in err
 
 
 def test_gateway_max_inflight_is_read_by_query_only(spatial_run, tmp_path, capsys, monkeypatch):
@@ -1483,6 +1427,34 @@ def test_integer_over_the_digit_limit_is_a_problem_of_its_file(tmp_path, capsys,
     assert (code, out) == (3, "") and err.startswith(f"schema error: {coco}: not valid JSON: {limit}")
 
 
+def test_json_nested_too_deep_is_a_problem_of_its_file(tmp_path, capsys):
+    """json's C scanner raises RecursionError for arrays nested past the
+    recursion limit. It used to end verify, query and build in a traceback,
+    exit 1; verify checked no file after it. The depth is far past any
+    recursion limit, so that the outcome does not depend on it."""
+    depth = 100_000
+    deep_value = "[" * depth + "]" * depth
+    deep, tampered = tmp_path / "deep.jsonl", tmp_path / "c.jsonl"
+    for path in (deep, tampered):
+        write_records(path, [{"sample_id": "s", "prompt": "p", "objective": "vqa", "target": "x"}], {"seed": 0}, "demo")
+    deep.write_text(deep.read_text().replace('"target":"x"', f'"target":"x","a":{deep_value}'))
+    tampered.write_text(tampered.read_text().replace('"target":"x"', '"target":"y"'))
+    problem = f"schema error: {deep}: line 2: not valid JSON: maximum recursion depth exceeded"
+    code, out, err = run(["verify", str(deep), str(tampered)], capsys)
+    assert (code, out) == (3, "")
+    assert err.startswith(problem) and err.splitlines()[1:] == [f"{tampered}: records digest mismatch"]
+    responses = tmp_path / "resp.jsonl"
+    code, out, err = run(["query", "--records", str(deep), "--mock", "oracle", "--out", str(responses)], capsys)
+    assert (code, out) == (3, "") and err.startswith(problem)
+    assert not responses.exists()
+    coco, bench = tmp_path / "deep.json", tmp_path / "b.jsonl"
+    coco.write_text(f'{{"a":{deep_value}}}')
+    code, out, err = run(["build", "spatial-bench", "--annotations", str(coco), "--out", str(bench)], capsys)
+    assert (code, out) == (3, "")
+    assert err.startswith(f"schema error: {coco}: not valid JSON: maximum recursion depth exceeded")
+    assert not bench.exists()
+
+
 def test_query_and_evaluate_hold_little_more_than_each_record_needs(tmp_path):
     """query keeps of each record its request and the oracle's response, and
     evaluate its sample_id and ground truth, so that neither holds the rows as
@@ -1548,7 +1520,6 @@ NOT_UTF8_INPUTS = {
         ["build", "hallucination", "--annotations", "{fx}/coco_50.json", "--disjoint-from", "{bad}", "--out", "{out}"],
         b'{"categories": [{"id": 1, "name": "\xff"}]}', "line 1: ",
     ),
-    "config": (["--config", "{bad}", "stats", "--corpus", "{fx}/corpus_80k.txt"], b'{\n  "phrases": "\xff"\n}\n', "line 2: "),
 }
 
 
@@ -1566,8 +1537,7 @@ def test_repeated_vocabulary_name_exits_3_naming_both_lines(fx, tmp_path, capsys
 @pytest.mark.parametrize("name", NOT_UTF8_INPUTS)
 def test_input_that_is_not_utf8_exits_3_naming_the_file(fx, tmp_path, capsys, name):
     """Templates, a corpus, a vocabulary and annotations that are not UTF-8
-    used to exit 2 with the codec's message alone, naming no file; a config
-    file named no line."""
+    used to exit 2 with the codec's message alone, naming no file."""
     args, content, line = NOT_UTF8_INPUTS[name]
     bad, out = tmp_path / "input.bad", tmp_path / "out.jsonl"
     bad.write_bytes(content)
@@ -1682,11 +1652,8 @@ BAD_TEMPLATE_FILES = [
      "line 3: section 'hallucination' must hold exactly one template"),
     ("[revloc_prompts]\n[hallucination]\nIs a {obj} here?\n", "line 1: section 'revloc_prompts' holds no template"),
     ("[locpred_prompts]\nWhere is {category}, as a {repr}?\n[negpred_prompts]\nFind {category} as a {repr}.\n",
-     "line 3: section 'negpred_prompts' differs from section 'locpred_prompts':"
-     " location and negative prompts must come from one pool"),
-    ("[negpred_prompts]\nFind {category} as a {repr}.\n",
-     "line 1: section 'negpred_prompts' differs from the built-in location prompts:"
-     " location and negative prompts must come from one pool"),
+     "line 3: unknown template section 'negpred_prompts'"),
+    ("[negpred_prompts]\nFind {category} as a {repr}.\n", "line 1: unknown template section 'negpred_prompts'"),
     ("[hallucination]\nIs it in the {medium}?\n", "line 2: template lacks {obj}"),
     ("[spatial_direct]\nWhich side is it on?\n", "line 2: template lacks {obj1}, {obj2}"),
     ("[spatial_icl_answer]\nThe {obj1} is near {obj2}.\n", "line 2: template lacks {keyword}"),
@@ -1702,10 +1669,11 @@ BAD_TEMPLATE_FILES = [
 def test_template_file_that_would_not_render_exits_3(fx, tmp_path, capsys, text, problem):
     """An unknown placeholder used to end in a KeyError traceback mid-build,
     ``{0}`` in an IndexError, ``{obj.__class__}`` put Python internals into
-    prompts, and a malformed file, or negative prompts other than the
-    location prompts, exited 2 naming neither file nor line. A template
-    without the placeholders naming its item was built: a hallucination
-    question without {obj} asked the same of its "yes" and "no" items."""
+    prompts, and a malformed file exited 2 naming neither file nor line. A
+    template without the placeholders naming its item was built: a
+    hallucination question without {obj} asked the same of its "yes" and "no"
+    items. Negative queries draw from the location prompts, so a
+    [negpred_prompts] section is unknown."""
     bad, out = tmp_path / "templates.txt", tmp_path / "out.jsonl"
     bad.write_text(text, encoding="utf-8")
     argv = ["build", "hallucination", "--annotations", str(fx / "coco_50.json"), "--templates", str(bad), "--out", str(out)]

@@ -32,6 +32,8 @@ from coordtext.gateway import (
 from coordtext.prompts import parse_response
 
 REQS = [ModelRequest(f"r{i}", f"im{i}.jpg", f"prompt {i}") for i in range(3)]
+# nested past any recursion limit: json raises RecursionError, not ValueError
+DEEP_JSON = "[" * 100_000 + "]" * 100_000
 
 
 class CallableTransport:
@@ -282,6 +284,12 @@ def test_http_malformed_reply_is_per_request_error(reply, message):
     assert all(r.status == "error" and r.error_detail.startswith(message) for r in out)
 
 
+def test_http_reply_nested_too_deep_is_per_request_error():
+    with http_server(lambda body: (200, DEEP_JSON.encode())) as (endpoint, _):
+        out = query_batch(REQS, HttpTransport(endpoint), max_inflight=1, attempts=1)
+    assert all(r.status == "error" and "maximum recursion depth exceeded" in r.error_detail for r in out)
+
+
 @pytest.mark.parametrize(
     "endpoint, message",
     [
@@ -516,7 +524,9 @@ def test_file_batch_ignores_reply_to_other_payload(tmp_path):
         assert [r.text for r in out] == [f"new:prompt {i}:0.5" for i in range(3)]
 
 
-@pytest.mark.parametrize("bad_line", ['{"request_id": "r1", "te', "[1, 2]"])
+@pytest.mark.parametrize(
+    "bad_line", ['{"request_id": "r1", "te', "[1, 2]", pytest.param(DEEP_JSON, id="nested too deep")]
+)
 def test_file_batch_malformed_response_line_is_per_request_error(tmp_path, bad_line):
     def answer(row):
         return bad_line if row["request_id"] == "r1" else {"request_id": row["request_id"], "text": "ok"}

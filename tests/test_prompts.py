@@ -14,7 +14,6 @@ from coordtext.prompts import (
     NEGPRED,
     REVLOC,
     SPATIAL_DIRECT,
-    TemplateSet,
     extract_location,
     load_template_overrides,
     parse_response,
@@ -50,7 +49,6 @@ GOLDEN_REVLOC_PROMPTS = (
 def test_template_golden_bytes():
     t = DEFAULT_TEMPLATES
     assert t.locpred_prompts == GOLDEN_LOCATION_PROMPTS
-    assert t.negpred_prompts == GOLDEN_LOCATION_PROMPTS
     assert t.revloc_prompts == GOLDEN_REVLOC_PROMPTS
     assert t.locpred_target == "It is located at {loc}"
     assert t.negpred_target == "There is no such object in the image"
@@ -298,11 +296,6 @@ def test_render_parse_closed_loop():
 # ---------------- overrides ---------------- #
 
 
-def test_template_set_rejects_divergent_pools():
-    with pytest.raises(ValueError, match="identical"):
-        TemplateSet(locpred_prompts=("a {category} {repr}",), negpred_prompts=("b {category} {repr}",))
-
-
 def test_load_template_overrides(tmp_path):
     path = tmp_path / "templates.txt"
     path.write_text(
@@ -315,12 +308,13 @@ def test_load_template_overrides(tmp_path):
     )
     t = load_template_overrides(path)
     assert t.locpred_prompts == ("Find {category} as {repr}?", "Spot {category} as {repr}?")
-    assert t.negpred_prompts == t.locpred_prompts
     assert t.revloc_target == "Here is a {category}."
     assert t.locpred_target == "It is located at {loc}"
     assert t.source == str(path)
     pair = render_locpred("cat", "bbox", BOX_TEXT, seed=1, templates=t)
     assert pair.prompt == "Spot cat as (x1,y1,x2,y2) bbox?"
+    negative = render_negpred("cat", "bbox", seed=1, templates=t)
+    assert negative.prompt == pair.prompt and negative.template_index == pair.template_index == 1
 
 
 def test_load_template_overrides_rejects_unknown_section(tmp_path):

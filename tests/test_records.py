@@ -18,6 +18,7 @@ from coordtext.records import (
     iter_lines,
     iter_rows,
     parse_line,
+    read_json,
     read_records,
     verify_records,
     write_records,
@@ -115,6 +116,22 @@ def test_iter_lines_ends_lines_at_newline_and_names_the_line_that_is_not_utf8(tm
         path.write_bytes(b"ok\n" * 3 + tail)
         with pytest.raises(SchemaError, match=r"lines.txt: line 4: not valid UTF-8: .* position 0"):
             list(iter_lines(path))
+
+
+@pytest.mark.parametrize(
+    "read, where",
+    [(lambda path: list(iter_rows(path)), "line 2: "), (verify_records, "line 2: "), (read_json, "")],
+    ids=["iter_rows", "verify_records", "read_json"],
+)
+def test_json_nested_too_deep_is_a_schema_error_naming_the_file(tmp_path, read, where):
+    """json raises RecursionError, not ValueError, for arrays nested past the
+    recursion limit; 100,000 levels is past any limit a process would set."""
+    path = tmp_path / "deep.json"
+    first = '{"a": 1}\n' if where else ""  # a JSON-lines file, whose second line is the deep one
+    path.write_text(first + '{"a": ' + "[" * 100_000 + "]" * 100_000 + "}\n")
+    with pytest.raises(SchemaError) as raised:
+        read(path)
+    assert str(raised.value).startswith(f"{path}: {where}not valid JSON: maximum recursion depth exceeded")
 
 
 def _peak_bytes(fn, path) -> int:

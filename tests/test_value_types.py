@@ -43,7 +43,6 @@ OBJ = ObjectAnn("o1", "cat", BOX)
 LOC = LocationText("(1, 2, 3, 4)", IVB, "bbox")
 TEMPLATE_FIELDS = {
     "locpred_prompts": LOCATION_PROMPTS,
-    "negpred_prompts": LOCATION_PROMPTS,
     "revloc_prompts": REVLOC_PROMPTS,
     "locpred_target": LOCPRED_TARGET,
     "negpred_target": NEGPRED_TARGET,
@@ -267,10 +266,6 @@ CHECKS = [
     (
         lambda: ConversationSample("s", "img", "negpred", "p", "t", LOC, "cat", "bbox", 0),
         ValueError, "negative samples carry no location",
-    ),
-    (
-        lambda: TemplateSet(locpred_prompts=("Where is {category} in {repr}?",)),
-        ValueError, "location and negative prompt pools must be identical",
     ),
     (lambda: ModelResponse("r", "", status="error"), ValueError, "error responses need error_detail"),
     (lambda: SamplingConfig(temperature=0, max_new_tokens=0), ValueError, "temperature must be a finite number above 0, got 0"),

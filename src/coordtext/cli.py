@@ -9,6 +9,8 @@ Environment defaults: GATEWAY_ENDPOINT, GATEWAY_BATCH_DIR,
 GATEWAY_MAX_INFLIGHT.
 """
 
+from __future__ import annotations
+
 import argparse
 import gc
 import json
@@ -18,49 +20,10 @@ import sys
 from collections import Counter
 from pathlib import Path
 
+# Submodules run on first use (see the package docstring), so a command runs
+# only the layers it calls; every command reads or writes records.
 from . import annotations as ann_io
-from .builders import (
-    MAX_MIX_RATIO,
-    BuildReport,
-    build_hallucination_set,
-    build_ift_dataset,
-    build_spatial_bench,
-    build_video_static_objects,
-    corpus_keyword_stats,
-    dataset_record,
-    ingest_pseudo_captions,
-)
-from .coords import (
-    BBox,
-    CodecError,
-    ImageDims,
-    LocationText,
-    PointLoc,
-    ReprScheme,
-    decode_bbox,
-    decode_point,
-    encode_bbox,
-    encode_point,
-)
-from .evals import (
-    TRUTH_FIELDS,
-    TRUTH_VALUES,
-    score_hallucination,
-    score_keyword_vqa,
-    score_region_description,
-    score_spatial,
-)
-from .gateway import (
-    MAX_RETRY_DELAY_S,
-    MOCKS,
-    FileBatchTransport,
-    HttpTransport,
-    MockTransport,
-    ModelRequest,
-    SamplingConfig,
-    query_batch,
-)
-from .prompts import CAPTION_REQUEST, DEFAULT_TEMPLATES, OBJECTIVES, load_template_overrides, render_caption_request
+from . import builders, coords, evals, gateway, prompts, seeding
 from .records import (
     SchemaError,
     config_digest,
@@ -71,7 +34,6 @@ from .records import (
     write_json,
     write_records,
 )
-from .seeding import derive_seed
 
 EXIT_OK = 0
 EXIT_IO = 1
@@ -81,21 +43,28 @@ EXIT_ALIGNMENT = 4
 
 DEFAULT_PHRASES = "left,right,the left,the right,left side,right side,to the left,to the right"
 
+# Building the parser runs no submodule, so the choices and bounds it names
+# are literals here; tests/test_cli.py holds each equal to its owner's value.
+MOCK_NAMES = ("oracle", "random")  # gateway.MOCKS
+TASK_NAMES = ("hallucination", "region", "spatial", "vqa")  # the tasks of prompts.OBJECTIVES
+MAX_MIX_RATIO = 100.0  # builders.MAX_MIX_RATIO
+MAX_RETRY_DELAY_S = 3600.0  # gateway.MAX_RETRY_DELAY_S
 
-def _parse_dims(text: str) -> ImageDims:
+
+def _parse_dims(text: str) -> coords.ImageDims:
     try:
         w, h = text.lower().split("x")
-        return ImageDims(int(w), int(h))
-    except (ValueError, CodecError) as exc:
+        return coords.ImageDims(int(w), int(h))
+    except ValueError as exc:  # CodecError is a ValueError
         raise ValueError(f"bad --dims {text!r}, expected WxH: {exc}") from exc
 
 
-def _parse_scheme(args) -> ReprScheme:
+def _parse_scheme(args) -> coords.ReprScheme:
     if args.scheme == "nfp":
-        return ReprScheme.nfp(decimals=args.decimals)
+        return coords.ReprScheme.nfp(decimals=args.decimals)
     if args.scheme == "ivb":
-        return ReprScheme.ivb(n_bins=args.nb)
-    return ReprScheme.diga(grid=args.grid, patch=args.patch)
+        return coords.ReprScheme.ivb(n_bins=args.nb)
+    return coords.ReprScheme.diga(grid=args.grid, patch=args.patch)
 
 
 def _parse_mix(text: str) -> dict[str, float]:
@@ -133,8 +102,8 @@ def _add_scheme_flags(parser):
 
 def _load_templates(args):
     if getattr(args, "templates", None):
-        return load_template_overrides(args.templates)
-    return DEFAULT_TEMPLATES
+        return prompts.load_template_overrides(args.templates)
+    return prompts.DEFAULT_TEMPLATES
 
 
 def _effective_config(args, names: list[str]) -> dict:
@@ -153,9 +122,9 @@ def cmd_encode(args) -> int:
     if (args.bbox is None) == (args.point is None):
         raise ValueError("exactly one of --bbox or --point is required")
     if args.bbox is not None:
-        loc = encode_bbox(BBox(*_parse_coordinates("--bbox", args.bbox, 4)), dims, scheme)
+        loc = coords.encode_bbox(coords.BBox(*_parse_coordinates("--bbox", args.bbox, 4)), dims, scheme)
     else:
-        loc = encode_point(PointLoc(*_parse_coordinates("--point", args.point, 2)), dims, scheme)
+        loc = coords.encode_point(coords.PointLoc(*_parse_coordinates("--point", args.point, 2)), dims, scheme)
     print(loc.text)
     return EXIT_OK
 
@@ -163,11 +132,11 @@ def cmd_encode(args) -> int:
 def cmd_decode(args) -> int:
     dims = _parse_dims(args.dims)
     scheme = _parse_scheme(args)
-    loc = LocationText(args.text, scheme, args.form)
+    loc = coords.LocationText(args.text, scheme, args.form)
     if args.form == "point":
-        decoded = decode_point(loc, dims, lenient=args.lenient)
+        decoded = coords.decode_point(loc, dims, lenient=args.lenient)
     else:
-        decoded = decode_bbox(loc, dims, lenient=args.lenient)
+        decoded = coords.decode_bbox(loc, dims, lenient=args.lenient)
     print(" ".join(f"{v:g}" for v in decoded.as_tuple()))
     return EXIT_OK
 
@@ -191,10 +160,10 @@ def cmd_build_ift(args) -> int:
     templates = _load_templates(args)
     if args.captions:
         caption_records = ann_io.load_caption_records(args.captions)
-        images, ingest_report = ingest_pseudo_captions(images, caption_records)
+        images, ingest_report = builders.ingest_pseudo_captions(images, caption_records)
     scheme = _parse_scheme(args)
     mix = _parse_mix(args.mix)
-    samples, report = build_ift_dataset(
+    samples, report = builders.build_ift_dataset(
         images, scheme, args.form, mix, args.seed,
         vocabulary=load.vocabulary, templates=templates,
     )
@@ -209,7 +178,7 @@ def cmd_build_ift(args) -> int:
 def cmd_build_spatial(args) -> int:
     load = ann_io.load_coco_annotations(args.annotations)
     templates = _load_templates(args)
-    items, report = build_spatial_bench(load.images, args.seed, templates=templates)
+    items, report = builders.build_spatial_bench(load.images, args.seed, templates=templates)
     report.exclusions.update(load.skipped)
     config = _effective_config(args, ["annotations", "seed"])
     return _write_build_outputs(args, (it.to_record(templates) for it in items), report, config, "spatial")
@@ -236,7 +205,7 @@ def cmd_build_hallucination(args) -> int:
     disjoint = None
     if args.disjoint_from:
         disjoint = ann_io.load_coco_annotations(args.disjoint_from).vocabulary
-    items, report = build_hallucination_set(
+    items, report = builders.build_hallucination_set(
         media, vocabulary, args.seed, n_present=args.per_media, n_absent=args.per_media, disjoint_from=disjoint
     )
     templates = _load_templates(args)
@@ -246,16 +215,16 @@ def cmd_build_hallucination(args) -> int:
 
 def cmd_build_pseudo_captions(args) -> int:
     load = ann_io.load_coco_annotations(args.annotations)
-    images, report = ingest_pseudo_captions(load.images, [])
+    images, report = builders.ingest_pseudo_captions(load.images, [])
     templates = _load_templates(args)
 
     def records():
         for image in images:
             for obj in sorted(image.objects, key=lambda o: o.instance_id):
                 sample_id = f"{image.image_id}:cap:{obj.instance_id}"
-                prompt = render_caption_request(obj.category, templates)
-                yield dataset_record(sample_id, image.image_id, CAPTION_REQUEST, prompt, "", obj.category,
-                                     derive_seed(args.seed, sample_id))
+                prompt = prompts.render_caption_request(obj.category, templates)
+                yield builders.dataset_record(sample_id, image.image_id, prompts.CAPTION_REQUEST, prompt, "",
+                                              obj.category, seeding.derive_seed(args.seed, sample_id))
 
     report = report._replace(emitted_count=sum(len(image.objects) for image in images))
     report.exclusions.update(load.skipped)
@@ -268,7 +237,7 @@ def cmd_build_video_static(args) -> int:
     tracks = []
     exclusions = Counter()
     for video_id in sorted(detections):
-        video_tracks, tallies = build_video_static_objects(detections[video_id], n_f=args.frames, video_id=video_id)
+        video_tracks, tallies = builders.build_video_static_objects(detections[video_id], n_f=args.frames, video_id=video_id)
         for track in video_tracks:
             if not all(map(math.isfinite, track.averaged_box)):  # finite boxes whose sum overflows
                 problem = f"video {video_id!r}: category {track.category!r}: averaged box is past a float's range"
@@ -286,7 +255,7 @@ def cmd_build_video_static(args) -> int:
         }
         for video_id, track in tracks
     )
-    report = BuildReport(len(detections), len(tracks), exclusions)
+    report = builders.BuildReport(len(detections), len(tracks), exclusions)
     config = _effective_config(args, ["videos", "frames"])
     return _write_build_outputs(args, records, report, config, "video_tracks")
 
@@ -295,7 +264,7 @@ def cmd_stats(args) -> int:
     corpus_path = Path(args.corpus)
     conversations = [line.rstrip("\r\n") for _, line in iter_lines(corpus_path)]
     phrases = [p.strip() for p in args.phrases.split(",") if p.strip()]
-    stats = corpus_keyword_stats(conversations, phrases)
+    stats = builders.corpus_keyword_stats(conversations, phrases)
     payload = {
         "corpus": str(corpus_path),
         "total": len(conversations),
@@ -364,13 +333,13 @@ def _sample_ids(path, *fields: str):
 
 def cmd_query(args) -> int:
     """Each record is kept as its request and, under ``--mock``, the mock's response to it."""
-    mock = MOCKS.get(args.mock)
+    mock = gateway.MOCKS.get(args.mock)
     requests, answers = [], {}
     sample_id_of = _sample_ids(args.records, "prompt")
 
     def keep(n: int, row: dict) -> None:
         sample_id = sample_id_of(n, row)
-        requests.append(ModelRequest(sample_id, str(row.get("image_id", "")), row["prompt"]))
+        requests.append(gateway.ModelRequest(sample_id, str(row.get("image_id", "")), row["prompt"]))
         if mock:
             answers[sample_id] = mock(sample_id, row, args.seed)
 
@@ -379,16 +348,16 @@ def cmd_query(args) -> int:
         raise SchemaError(f"{args.records}: no records")
     if problem:
         raise problem
-    cfg = SamplingConfig(temperature=args.temperature, max_new_tokens=args.max_new_tokens)
+    cfg = gateway.SamplingConfig(temperature=args.temperature, max_new_tokens=args.max_new_tokens)
     if mock:
-        transport = MockTransport(answers)
+        transport = gateway.MockTransport(answers)
     elif args.endpoint:
-        transport = HttpTransport(args.endpoint)
+        transport = gateway.HttpTransport(args.endpoint)
     elif args.batch_dir:
-        transport = FileBatchTransport(args.batch_dir)
+        transport = gateway.FileBatchTransport(args.batch_dir)
     else:
         raise ValueError("need --mock, --endpoint, or --batch-dir (or GATEWAY_ENDPOINT / GATEWAY_BATCH_DIR)")
-    results = query_batch(
+    results = gateway.query_batch(
         requests, transport, cfg,
         max_inflight=args.max_inflight, attempts=args.attempts, backoff=args.backoff,
     )
@@ -410,16 +379,10 @@ def cmd_query(args) -> int:
 
 # ---------------- evaluate ---------------- #
 
-_SCORERS = {
-    "spatial": score_spatial,
-    "vqa": score_keyword_vqa,
-    "hallucination": score_hallucination,
-    "region": score_region_description,
-}
 
-
-def _read_responses(path) -> dict[str, str]:
-    """Response text by item_id, from a responses file that matches its meta line.
+def _read_responses(path) -> tuple[dict, dict[str, str]]:
+    """The meta line (empty without one) and the response text by item_id of
+    a responses file that matches its meta line.
 
     A row that query marked ``status: error`` carries no answer of the model:
     it is left out, so that its item is tallied as missing, not scored."""
@@ -437,12 +400,41 @@ def _read_responses(path) -> dict[str, str]:
             else:
                 responses[item_id] = text
 
-    _, _, problem = _stream_records(path, keep)
+    meta, _, problem = _stream_records(path, keep)
     if problem:
         raise problem
     if errored:
         print(f"{len(errored)} response(s) marked status: error, counted as missing", file=sys.stderr)
-    return responses
+    return meta, responses
+
+
+def _check_pairing(records_path, records_digest, responses_path, responses_meta: dict) -> None:
+    """A SchemaError when the responses answer other records than those scored.
+
+    A query output's meta config names the records file it read, as typed.
+    Where that path, taken from the current directory, holds a record file,
+    the records digest on its meta line must be ``records_digest``. Where it
+    holds none, or the config names none (as for responses made by other
+    tools), stderr says that the pairing is unchecked."""
+    config = responses_meta.get("config")
+    source = config.get("records") if isinstance(config, dict) else None
+    digest = None
+    if isinstance(source, str):
+        try:
+            line_no, row = next(iter_rows(source))
+        except (OSError, SchemaError, StopIteration):
+            pass
+        else:
+            if is_meta_row(line_no, row):
+                digest = row.get("records_digest")
+    if digest is None or records_digest is None:
+        print(f"{responses_path}: pairing with {records_path} unchecked: no records digests to compare"
+              f" (its config's records: {source!r})", file=sys.stderr)
+    elif digest != records_digest:
+        raise SchemaError(
+            f"{responses_path} answers {source}, records digest {digest},"
+            f" not {records_path}, records digest {records_digest}"
+        )
 
 
 def cmd_evaluate(args) -> int:
@@ -457,7 +449,7 @@ def cmd_evaluate(args) -> int:
     def keep(n: int, row: dict) -> None:
         sample_id = sample_id_of(n, row)
         name = _text_field(path, n, row, "objective") if "objective" in row else ""
-        objective = OBJECTIVES.get(name)
+        objective = prompts.OBJECTIVES.get(name)
         row_task = objective.task if objective else None
         if task is not None and row_task != task:
             raise SchemaError(f"{path}: record {n}: objective {name!r} is not a {task} objective")
@@ -465,17 +457,18 @@ def cmd_evaluate(args) -> int:
         tasks.add(row_task)
         if row_task is not None:
             truth = _text_field(path, n, row, objective.truth)
-            allowed = TRUTH_VALUES.get(row_task)
+            allowed = evals.TRUTH_VALUES.get(row_task)
             if allowed and truth not in allowed:
                 raise SchemaError(f"{path}: record {n}: {objective.truth} {truth!r} is not one of {', '.join(allowed)}")
             truths.append((sample_id, truth))
 
     record_meta, count, problem = _stream_records(path, keep)
-    responses = _read_responses(args.responses)
+    responses_meta, responses = _read_responses(args.responses)
     if not count:
         raise SchemaError(f"{path}: no records")
     if problem:
         raise problem
+    _check_pairing(path, record_meta.get("records_digest"), args.responses, responses_meta)
     if task is None:
         if None in tasks or len(tasks) != 1:
             raise ValueError(f"cannot infer a single task from objectives {sorted(objectives)}; pass --task")
@@ -490,9 +483,17 @@ def cmd_evaluate(args) -> int:
         print(f"{len(missing)}/{count} records lack responses", file=sys.stderr)
         return EXIT_ALIGNMENT
     options = {"strict": not args.containment_only} if task == "spatial" else {}
-    field = TRUTH_FIELDS[task]
+    field = evals.TRUTH_FIELDS[task]
     records = ({"sample_id": sample_id, field: truth} for sample_id, truth in truths)
-    report, items = _SCORERS[task](records, responses, **options)
+    # evals' attributes, looked up now: a table built at import would run evals
+    # for every command, and names looked up by string would hide the callers
+    scorers = {
+        "spatial": evals.score_spatial,
+        "vqa": evals.score_keyword_vqa,
+        "hallucination": evals.score_hallucination,
+        "region": evals.score_region_description,
+    }
+    report, items = scorers[task](records, responses, **options)
     config = _effective_config(args, ["records", "responses", "task", "containment_only"])
     report = report._replace(config_digest=config_digest(config), dataset_digest=record_meta.get("records_digest"))
     if task == "region":
@@ -630,7 +631,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("query", help="answer dataset prompts via a model or mock")
     p.add_argument("--records", required=True)
-    p.add_argument("--mock", choices=list(MOCKS))
+    p.add_argument("--mock", choices=MOCK_NAMES)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--endpoint", default=os.environ.get("GATEWAY_ENDPOINT"))
     p.add_argument("--batch-dir", dest="batch_dir", default=os.environ.get("GATEWAY_BATCH_DIR"))
@@ -647,7 +648,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("evaluate", help="score responses against dataset records")
     p.add_argument("--records", required=True)
     p.add_argument("--responses", required=True)
-    p.add_argument("--task", choices=sorted({objective.task for objective in OBJECTIVES.values()} - {None}))
+    p.add_argument("--task", choices=TASK_NAMES)
     p.add_argument("--containment-only", dest="containment_only", action="store_true",
                    help="spatial: bare keyword containment, opposing keyword allowed")
     p.add_argument("--report")
@@ -684,7 +685,7 @@ def main(argv=None) -> int:
     except SchemaError as exc:
         print(f"schema error: {exc}", file=sys.stderr)
         return EXIT_SCHEMA
-    except (CodecError, ValueError) as exc:
+    except ValueError as exc:  # CodecError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ARGS
     except OSError as exc:

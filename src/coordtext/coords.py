@@ -195,24 +195,6 @@ def _axis_anchor(num: int, den: int, grid: int, patch: int) -> int:
     return min(max(cell, 0), grid - 1)
 
 
-def nearest_anchor(p: PointLoc, dims: ImageDims, scheme: ReprScheme) -> tuple[int, int]:
-    """Grid indices (column, row) of the anchor nearest to p after rescaling.
-
-    Equivalent to the argmin of Euclidean distance over all grid x grid anchor
-    centers; ties resolve to the lower column index first, then the lower row.
-    """
-    if scheme.kind != "diga":
-        raise CodecError(f"nearest_anchor needs a diga scheme, got {scheme.kind}")
-    p.validate_within(dims)
-    side = scheme.square_side
-    xn, xd = p.cx.as_integer_ratio()
-    yn, yd = p.cy.as_integer_ratio()
-    return (
-        _axis_anchor(xn * side, xd * dims.width, scheme.grid, scheme.patch),
-        _axis_anchor(yn * side, yd * dims.height, scheme.grid, scheme.patch),
-    )
-
-
 def _round_half_up(num: int, den: int) -> int:
     """Round num/den (den > 0) to the nearest integer, halves away from zero."""
     if num >= 0:

@@ -29,7 +29,6 @@ from coordtext.coords import (
     decode_point,
     encode_bbox,
     encode_point,
-    nearest_anchor,
     numeric_token_cost,
     quantization_error_bound,
 )
@@ -39,6 +38,7 @@ from coordtext.gateway import ModelRequest, random_mock
 from coordtext.meteor import score_meteor
 from coordtext.records import read_records
 from test_builders import bruteforce_bench_keys, _item_key, media_fixture
+from test_coords import encoded_anchor
 from test_meteor import HAND_PAIRS, oracle_meteor
 
 DIMS_512 = ImageDims(512, 512)
@@ -78,11 +78,10 @@ def test_criterion_1_golden_vectors():
         assert encode_bbox(box, DIMS_512, ReprScheme.nfp()).text == "(0.0195, 0.2344, 0.0586, 0.2832)"
         assert encode_bbox(box, DIMS_512, ReprScheme.ivb(224)).text == "(4, 52, 13, 63)"
         assert encode_bbox(box, DIMS_512, ReprScheme.diga(16)).text == "(0, 4, 3, 11, 6, 0)"
-        assert nearest_anchor(point, DIMS_512, ReprScheme.diga(16)) == (0, 4)
         assert encode_point(point, DIMS_512, ReprScheme.nfp()).text == "(0.0391, 0.2588)"
         assert encode_point(point, DIMS_512, ReprScheme.ivb(224)).text == "(8, 57)"
         diga_point = encode_point(point, DIMS_512, ReprScheme.diga(16))
-        assert diga_point.text.startswith("(0, 4, ")
+        assert encoded_anchor(point, DIMS_512, ReprScheme.diga(16)) == (0, 4)
         decoded = decode_point(diga_point, DIMS_512)
         bound = quantization_error_bound(ReprScheme.diga(16), DIMS_512)
         assert abs(decoded.cx - point.cx) <= bound[0] + 1e-9
@@ -135,19 +134,19 @@ def _bruteforce_anchor(p: PointLoc, dims: ImageDims, grid=16, patch=14):
 
 
 def test_criterion_4_anchor_bruteforce_oracle():
-    with criterion(4, "nearest anchor equals brute-force argmin on 10k points plus ties", 10.0):
+    with criterion(4, "encoded anchor equals brute-force argmin on 10k points plus ties", 10.0):
         scheme = ReprScheme.diga(16)
         rng = random.Random(40)
         mismatches = 0
         for _ in range(10_000):
             dims = rng.choice(SWEEP_DIMS)
             p = PointLoc(rng.uniform(0, dims.width), rng.uniform(0, dims.height))
-            if nearest_anchor(p, dims, scheme) != _bruteforce_anchor(p, dims):
+            if encoded_anchor(p, dims, scheme) != _bruteforce_anchor(p, dims):
                 mismatches += 1
         tie_dims = ImageDims(224, 224)
         for k in range(1, 16):
             for p in (PointLoc(14 * k, 7), PointLoc(7, 14 * k), PointLoc(14 * k, 14 * k)):
-                if nearest_anchor(p, tie_dims, scheme) != _bruteforce_anchor(p, tie_dims):
+                if encoded_anchor(p, tie_dims, scheme) != _bruteforce_anchor(p, tie_dims):
                     mismatches += 1
         assert mismatches == 0
 

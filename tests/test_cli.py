@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from coordtext import cli, records
+from coordtext import builders, cli, coords, evals, gateway, records
 from coordtext.cli import main
 from coordtext.gateway import answer_space_for_record
 from coordtext.prompts import OBJECTIVES, REGION_DESCRIPTION
@@ -354,6 +354,41 @@ def test_evaluate_dump_recount(fx, tmp_path, capsys):
     assert math.isclose(recount, report["accuracy"], rel_tol=0, abs_tol=1e-12)
 
 
+def test_evaluate_refuses_responses_to_other_records(fx, tmp_path, capsys):
+    """Seeds 0 and 1 give the same sample ids and ground truth, but other
+    questions; the oracle's answers to seed 0 used to score "All 100.0" as
+    answers to seed 1. The responses' meta config names the records that
+    query read, and their records digests differ."""
+    bench0, bench1, resp = tmp_path / "h0.jsonl", tmp_path / "h1.jsonl", tmp_path / "resp.jsonl"
+    for seed, bench in enumerate((bench0, bench1)):
+        args = ["build", "hallucination", "--annotations", str(fx / "coco_50.json"), "--seed", str(seed)]
+        assert run([*args, "--out", str(bench)], capsys)[0] == 0
+    assert run(["query", "--records", str(bench0), "--mock", "oracle", "--out", str(resp)], capsys)[0] == 0
+    digests = [read_records(bench)[0]["records_digest"] for bench in (bench0, bench1)]
+    assert digests[0] != digests[1]
+    report = tmp_path / "report.json"
+    code, out, err = run(["evaluate", "--records", str(bench1), "--responses", str(resp), "--report", str(report)], capsys)
+    assert code == 3 and not out and not report.exists()
+    assert err == (f"schema error: {resp} answers {bench0}, records digest {digests[0]},"
+                   f" not {bench1}, records digest {digests[1]}\n")
+    code, out, err = run(["evaluate", "--records", str(bench0), "--responses", str(resp)], capsys)
+    assert (code, out, err) == (0, "All 100.0\n", "")
+
+
+@pytest.mark.parametrize("config", [{"records": "moved-away.jsonl"}, {"paraphrase_of": "oracle.jsonl"}])
+def test_evaluate_says_when_it_cannot_check_the_pairing(fx, tmp_path, capsys, config):
+    """Responses whose config names no record file that can be read here
+    are scored, with one stderr line saying the pairing is unchecked."""
+    bench, resp = tmp_path / "bench.jsonl", tmp_path / "resp.jsonl"
+    assert run(["build", "hallucination", "--annotations", str(fx / "coco_50.json"), "--out", str(bench)], capsys)[0] == 0
+    assert run(["query", "--records", str(bench), "--mock", "oracle", "--out", str(resp)], capsys)[0] == 0
+    write_records(resp, read_records(resp)[1], config, "responses")
+    code, out, err = run(["evaluate", "--records", str(bench), "--responses", str(resp)], capsys)
+    assert code == 0 and out.startswith("All 100.0")
+    source = config.get("records")
+    assert err == f"{resp}: pairing with {bench} unchecked: no records digests to compare (its config's records: {source!r})\n"
+
+
 # ---------------- stats, verify, config ---------------- #
 
 
@@ -655,7 +690,7 @@ def test_build_ift_mix_ratio_above_the_maximum_exits_2(fx, tmp_path, capsys, mon
     """A huge finite ratio used to build total * ratio task tuples before
     anything else; it is refused while the flags are parsed, so the builder
     never runs."""
-    monkeypatch.setattr(cli, "build_ift_dataset", lambda *a, **k: pytest.fail("builder ran"))
+    monkeypatch.setattr(builders, "build_ift_dataset", lambda *a, **k: pytest.fail("builder ran"))
     out = tmp_path / "ift.jsonl"
     code, _, err = run(["build", "ift", "--annotations", str(fx / "coco_50.json"), "--mix", "locpred=1e9", "--out", str(out)], capsys)
     assert code == 2 and "error: bad --mix entry 'locpred=1e9', ratio must be at most 100" in err
@@ -692,8 +727,8 @@ def test_main_turns_the_collector_off_for_the_command_only(spatial_run, tmp_path
     off; main gives it back on every exit path, as the caller had it."""
     bench, resp = spatial_run
     during = []
-    encode = cli.encode_bbox
-    monkeypatch.setattr(cli, "encode_bbox", lambda *a: during.append(gc.isenabled()) or encode(*a))
+    encode = coords.encode_bbox
+    monkeypatch.setattr(coords, "encode_bbox", lambda *a: during.append(gc.isenabled()) or encode(*a))
     assert gc.isenabled()
     assert run(["encode", "--bbox", "10,120,30,145", "--dims", "512x512"], capsys)[0] == 0
     assert during == [False] and gc.isenabled()
@@ -701,7 +736,7 @@ def test_main_turns_the_collector_off_for_the_command_only(spatial_run, tmp_path
     assert gc.isenabled()
     assert run(["evaluate", "--records", str(bench), "--responses", str(resp), "--task", "region"], capsys)[0] == 3
     assert gc.isenabled()
-    monkeypatch.setattr(cli, "encode_bbox", lambda *a: 1 / 0)
+    monkeypatch.setattr(coords, "encode_bbox", lambda *a: 1 / 0)
     with pytest.raises(ZeroDivisionError):
         main(["encode", "--bbox", "10,120,30,145", "--dims", "512x512"])
     assert gc.isenabled()
@@ -903,24 +938,30 @@ def test_verify_checks_files_after_one_it_cannot_read(tmp_path, capsys):
 
 
 LAZY_IMPORT_CHILD = """
+import json
 import sys
+import types
 
 from coordtext.cli import main
 
-fx, out = sys.argv[1], sys.argv[2]
+fx, out, (args, idle) = sys.argv[1], sys.argv[2], json.loads(sys.argv[3])
 heavy = {"numpy", "requests", "http.client", "socket"}
 deferred = {"coordtext.fixtures"}
 class_machinery = {"dataclasses", "inspect"}
 unloaded = heavy | deferred | class_machinery
+layers = {"annotations", "builders", "coords", "evals", "gateway", "meteor", "prompts", "records", "seeding"}
+
+
+def not_run():
+    # a layer is registered at import and becomes a plain module when it first runs
+    return {name for name in layers if type(sys.modules["coordtext." + name]) is not types.ModuleType}
+
+
 assert not unloaded & set(sys.modules), "import coordtext.cli"
-for args in (
-    ["build", "spatial-bench", "--annotations", fx + "/coco_50.json", "--out", out + "/bench.jsonl"],
-    ["query", "--records", out + "/bench.jsonl", "--mock", "oracle", "--out", out + "/resp.jsonl"],
-    ["evaluate", "--records", out + "/bench.jsonl", "--responses", out + "/resp.jsonl"],
-    ["verify", out + "/bench.jsonl", out + "/resp.jsonl"],
-):
-    assert main(args) == 0, args
-    assert not unloaded & set(sys.modules), args
+assert not_run() == layers - {"records"}, ("import coordtext.cli", sorted(layers - not_run()))
+assert main(args) == 0, args
+assert not unloaded & set(sys.modules), args
+assert set(idle) <= not_run(), (args, sorted(layers - not_run()))
 
 from coordtext.gateway import HttpTransport
 
@@ -931,18 +972,64 @@ assert main(["build", "video-static", "--videos", fx + "/videos.jsonl", "--out",
 assert "numpy" not in sys.modules, "build video-static"
 """
 
+# Each stage of a pipeline, in order, with the layers it must leave unrun.
+LAZY_STAGES = (
+    (["build", "spatial-bench", "--annotations", "{fx}/coco_50.json", "--out", "{out}/bench.jsonl"],
+     ["evals", "gateway", "meteor"]),
+    (["query", "--records", "{out}/bench.jsonl", "--mock", "oracle", "--out", "{out}/resp.jsonl"],
+     ["annotations", "builders", "evals", "meteor"]),
+    (["evaluate", "--records", "{out}/bench.jsonl", "--responses", "{out}/resp.jsonl"],
+     ["annotations", "builders", "gateway"]),
+    (["verify", "{out}/bench.jsonl", "{out}/resp.jsonl"],
+     ["annotations", "builders", "coords", "evals", "gateway", "meteor", "prompts", "seeding"]),
+)
+
 
 def test_pipeline_stages_load_neither_numpy_nor_requests(fx, tmp_path):
-    """build, query --mock, evaluate and verify load neither socket nor the
-    fixtures module, which the paths that need them load on first use. No
-    path loads numpy, requests or http.client. The value types are named
-    tuples, so no stage loads dataclasses or inspect."""
-    proc = subprocess.run(
-        [sys.executable, "-c", LAZY_IMPORT_CHILD, str(fx), str(tmp_path)],
-        capture_output=True,
-        text=True,
-    )
-    assert proc.returncode == 0, proc.stderr
+    """Each stage, in a fresh interpreter, runs only the layers it calls:
+    verify runs records alone. build, query --mock, evaluate and verify load
+    neither socket nor the fixtures module, which the paths that need them
+    load on first use. No path loads numpy, requests or http.client. The
+    value types are named tuples, so no stage loads dataclasses or inspect."""
+    for args, idle in LAZY_STAGES:
+        args = [arg.format(fx=fx, out=tmp_path) for arg in args]
+        proc = subprocess.run(
+            [sys.executable, "-c", LAZY_IMPORT_CHILD, str(fx), str(tmp_path), json.dumps([args, idle])],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+
+
+def test_package_names_resolve_from_their_layers():
+    """Each public name of the package resolves, on first access, to that
+    name's object in a layer; any other name is an AttributeError."""
+    import coordtext
+
+    layers = [coordtext.annotations, builders, coords, evals, gateway, coordtext.meteor, coordtext.prompts]
+    for name in coordtext.__all__:
+        value = getattr(coordtext, name)
+        assert any(getattr(layer, name, None) is value for layer in layers), name
+    with pytest.raises(AttributeError, match="has no attribute 'nearest_anchor'"):
+        coordtext.nearest_anchor
+    with pytest.raises(ImportError):
+        from coordtext import no_such_name  # noqa: F401
+
+
+def test_parser_literals_equal_the_values_their_layers_own():
+    """Building the parser runs no layer, so its choices and bounds are
+    literals in cli; each equals the value of the layer that owns it."""
+    assert cli.MOCK_NAMES == tuple(gateway.MOCKS)
+    assert cli.TASK_NAMES == tuple(sorted({row.task for row in OBJECTIVES.values()} - {None}))
+    assert cli.MAX_MIX_RATIO == builders.MAX_MIX_RATIO
+    assert cli.MAX_RETRY_DELAY_S == gateway.MAX_RETRY_DELAY_S
+    commands = next(a for a in cli.build_parser()._actions if a.dest == "command").choices
+    query = {a.dest: a for a in commands["query"]._actions}
+    assert tuple(query["mock"].choices) == cli.MOCK_NAMES
+    assert query["backoff"].help.endswith(f"at most {gateway.MAX_RETRY_DELAY_S:g} s")
+    ift = next(a for a in commands["build"]._actions if a.dest == "build_command").choices["ift"]
+    assert next(a for a in ift._actions if a.dest == "mix").help.endswith(f"at most {builders.MAX_MIX_RATIO:g}")
+    assert tuple(next(a for a in commands["evaluate"]._actions if a.dest == "task").choices) == cli.TASK_NAMES
 
 
 NUMPY_BLOCKED_CHILD = """
@@ -988,16 +1075,17 @@ UNCALLED_DEFINITIONS = {
     "records.read_records": "perfbench's runner and tracer read whole record files with it",
     "coords.ReprScheme.from_dict": "scoring localization answers (ROADMAP item 1) will decode their schemes with it",
     "coords.token_cost": "the localization report (ROADMAP item 1) will give its answers' mean token cost",
-    "coords.nearest_anchor": "acceptance criterion 4 holds the diga anchor rule against a brute-force argmin",
     "coords.quantization_error_bound": "acceptance criterion 3 holds every scheme's round trip to this bound",
+    "__init__.__getattr__": "the import system calls this PEP 562 hook for the package's public names",
 }
 
 
 def test_every_definition_in_src_is_named_elsewhere_in_src():
     """No code exists only for tests to call: each top-level function and
     class of src/coordtext, and each method but the dunders, is named
-    somewhere in src/coordtext outside its own definition. A re-export by the
-    package ``__init__`` names nothing, so it is no caller."""
+    somewhere in src/coordtext outside its own definition. The package
+    ``__init__`` lists its public names as strings, so a listing is no
+    caller."""
     src = Path(cli.__file__).parent
     definitions, names = [], []
     for path in sorted(src.glob("*.py")):
@@ -1108,7 +1196,15 @@ def test_objective_table_covers_every_emitted_objective(fx, tmp_path, capsys):
         "caption_request": (None, None, "lr"),
     }
     tasks = {row.task for row in OBJECTIVES.values()} - {None}
-    assert _evaluate_task_choices() == set(cli._SCORERS) == tasks
+    assert _evaluate_task_choices() == tasks
+    for task in sorted(tasks):  # each with a scorer: evaluate scores a record of the task
+        objective = next(name for name, row in OBJECTIVES.items() if row.task == task)
+        truth = (evals.TRUTH_VALUES.get(task) or ("a red chair",))[0]
+        bench, resp = tmp_path / f"{task}.jsonl", tmp_path / f"{task}-responses.jsonl"
+        row = {"sample_id": "s", "prompt": "p", "objective": objective, OBJECTIVES[objective].truth: truth}
+        write_records(bench, [row], {"seed": 0}, task)
+        write_records(resp, [{"item_id": "s", "text": truth}], {"records": str(bench)}, "responses")
+        assert run(["evaluate", "--records", str(bench), "--responses", str(resp), "--task", task], capsys)[0] == 0, task
     for task in tasks:
         assert len({row.truth for row in OBJECTIVES.values() if row.task == task}) == 1, task
 

@@ -21,7 +21,6 @@ from coordtext.coords import (
     decode_point,
     encode_bbox,
     encode_point,
-    nearest_anchor,
     numeric_token_cost,
     quantization_error_bound,
     token_cost,
@@ -59,6 +58,11 @@ def oracle_anchor(p: PointLoc, dims: ImageDims, grid=16, patch=14) -> tuple[int,
     )
     return (ranked[0][1], ranked[0][2])
 
+def encoded_anchor(p: PointLoc, dims: ImageDims, scheme: ReprScheme) -> tuple[int, int]:
+    """Grid indices (column, row) of the anchor that ``encode_point``'s diga text names."""
+    column, row, _, _ = encode_point(p, dims, scheme).text.strip("()").split(", ")
+    return (int(column), int(row))
+
 
 # ---------------- golden vectors ---------------- #
 
@@ -95,16 +99,16 @@ def test_point_ivb_matches_rational_oracle():
 
 
 def test_golden_anchor():
-    assert nearest_anchor(GOLDEN_POINT, DIMS_512, ReprScheme.diga(16)) == (0, 4)
+    assert encoded_anchor(GOLDEN_POINT, DIMS_512, ReprScheme.diga(16)) == (0, 4)
 
 def test_anchor_exact_center():
-    assert nearest_anchor(PointLoc(7, 63), ImageDims(224, 224), ReprScheme.diga(16)) == (0, 4)
+    assert encoded_anchor(PointLoc(7, 63), ImageDims(224, 224), ReprScheme.diga(16)) == (0, 4)
 
 def test_anchor_four_way_tie():
     # (14, 14) is equidistant to four anchors; the brute-force oracle agrees
     p = PointLoc(14, 14)
     d = ImageDims(224, 224)
-    assert nearest_anchor(p, d, ReprScheme.diga(16)) == (0, 0)
+    assert encoded_anchor(p, d, ReprScheme.diga(16)) == (0, 0)
     assert oracle_anchor(p, d) == (0, 0)
 
 def test_anchor_matches_bruteforce_randomized():
@@ -113,26 +117,21 @@ def test_anchor_matches_bruteforce_randomized():
     for _ in range(400):
         dims = rng.choice(SWEEP_DIMS)
         p = PointLoc(rng.uniform(0, dims.width), rng.uniform(0, dims.height))
-        assert nearest_anchor(p, dims, scheme) == oracle_anchor(p, dims)
+        assert encoded_anchor(p, dims, scheme) == oracle_anchor(p, dims)
 
 def test_anchor_matches_bruteforce_on_manufactured_ties():
     scheme = ReprScheme.diga(16)
     d = ImageDims(224, 224)
     for k in range(1, 16):
         for p in (PointLoc(14 * k, 7), PointLoc(7, 14 * k), PointLoc(14 * k, 14 * k)):
-            assert nearest_anchor(p, d, scheme) == oracle_anchor(p, d)
+            assert encoded_anchor(p, d, scheme) == oracle_anchor(p, d)
 
 def test_anchor_grid24():
     scheme = ReprScheme.diga(24)
     d = ImageDims(336, 336)
     assert scheme.square_side == 336
     for p in (PointLoc(7, 7), PointLoc(335, 335), PointLoc(168, 168)):
-        assert nearest_anchor(p, d, scheme) == oracle_anchor(p, d, grid=24)
-
-def test_anchor_rejects_non_diga():
-    with pytest.raises(CodecError, match="diga"):
-        nearest_anchor(GOLDEN_POINT, DIMS_512, ReprScheme.ivb(224))
-
+        assert encoded_anchor(p, d, scheme) == oracle_anchor(p, d, grid=24)
 
 # ---------------- decode ---------------- #
 

@@ -82,17 +82,10 @@ def _is_number(value) -> bool:
     return type(value) is int or (type(value) is float and math.isfinite(value))
 
 
-class _CocoLoad(NamedTuple):
+class CocoLoad(NamedTuple):
     images: list[AnnotatedImage]
     vocabulary: list[str]  # category names in file order
     skipped: Counter
-
-
-class CocoLoad(_CocoLoad):
-    __slots__ = ()
-
-    def __new__(cls, images: list[AnnotatedImage], vocabulary: list[str], skipped: Counter | None = None):
-        return tuple.__new__(cls, (images, vocabulary, Counter() if skipped is None else skipped))
 
 
 def _is_id(value) -> bool:

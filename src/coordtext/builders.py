@@ -45,19 +45,12 @@ CENTER_BAND = (0.4, 0.6)
 STATIC_CENTER_RANGE_PX = 5.0
 
 
-class _BuildReport(NamedTuple):
+class BuildReport(NamedTuple):
+    """Counts of what went in, what came out, and what each filter dropped."""
+
     input_count: int
     emitted_count: int
     exclusions: Counter
-
-
-class BuildReport(_BuildReport):
-    """Counts of what went in, what came out, and what each filter dropped."""
-
-    __slots__ = ()
-
-    def __new__(cls, input_count: int = 0, emitted_count: int = 0, exclusions: Counter | None = None):
-        return tuple.__new__(cls, (input_count, emitted_count, Counter() if exclusions is None else exclusions))
 
     def merge(self, other: "BuildReport") -> "BuildReport":
         return BuildReport(
@@ -397,6 +390,9 @@ def build_hallucination_set(
     """
     if not vocabulary:
         raise ValueError("vocabulary must be non-empty")
+    for name, count in (("n_present", n_present), ("n_absent", n_absent)):
+        if count < 0:
+            raise ValueError(f"{name} must be non-negative, got {count}")
     if disjoint_from is not None:
         overlap = sorted(set(vocabulary) & set(disjoint_from))
         if overlap:

@@ -11,11 +11,10 @@ Three interchangeable representation schemes are supported:
   nearest the object center is named by its (column, row) index and the
   remaining values are integer pixel deviations from that anchor center.
 
-Encoding quantizes. ``quantization_error_bound`` gives the worst-case
-per-coordinate pixel error of an encode/decode round trip; decoding maps
-bins and anchors back to their centers to attain it. All quantization is
-done in exact rational arithmetic so the emitted text never depends on
-platform float behaviour.
+Encoding quantizes, and decoding maps bins and anchors back to their
+centers, so a round trip moves each coordinate by at most half a
+quantization step. All quantization is done in exact rational arithmetic so
+the emitted text never depends on platform float behaviour.
 """
 
 import re
@@ -103,6 +102,9 @@ class PointLoc(_PointLoc):
 
 
 VALID_KINDS = ("nfp", "ivb", "diga")
+# most nfp decimals: the lowest that Python's int/str conversion limit can be
+# set to (sys.int_info.str_digits_check_threshold), so any setting admits them
+MAX_DECIMALS = 640
 
 
 class _ReprScheme(NamedTuple):
@@ -116,9 +118,9 @@ class _ReprScheme(NamedTuple):
 class ReprScheme(_ReprScheme):
     """Parameters of one textual coordinate representation.
 
-    Only the fields matching ``kind`` are meaningful: ``decimals`` for nfp,
-    ``n_bins`` for ivb, ``grid``/``patch`` for diga. The diga square side
-    ``grid * patch`` must be 224 or 336.
+    Only the fields matching ``kind`` are meaningful: ``decimals`` (1 to
+    ``MAX_DECIMALS``) for nfp, ``n_bins`` for ivb, positive ``grid``/``patch``
+    for diga, whose square side ``grid * patch`` must be 224 or 336.
     """
 
     __slots__ = ()
@@ -128,8 +130,12 @@ class ReprScheme(_ReprScheme):
             raise CodecError(f"unknown scheme kind {kind!r}")
         if kind == "nfp" and decimals < 1:
             raise CodecError("nfp needs at least 1 decimal place")
+        if kind == "nfp" and decimals > MAX_DECIMALS:
+            raise CodecError(f"nfp takes at most {MAX_DECIMALS} decimal places, got {decimals}")
         if kind == "ivb" and n_bins < 2:
             raise CodecError("ivb needs at least 2 bins")
+        if kind == "diga" and (grid < 1 or patch < 1):
+            raise CodecError(f"diga grid and patch must be positive, got grid {grid}, patch {patch}")
         if kind == "diga" and grid * patch not in (224, 336):
             raise CodecError(f"diga square side must be 224 or 336, got {grid * patch}")
         return tuple.__new__(cls, (kind, decimals, n_bins, grid, patch))
@@ -398,19 +404,6 @@ def decode_bbox(t: LocationText, dims: ImageDims, lenient: bool = False) -> BBox
     if x1 > x2 or y1 > y2:
         raise CodecError(f"degenerate decode ({x1}, {y1}, {x2}, {y2}) from {t.text!r}")
     return BBox(x1, y1, x2, y2)
-
-
-def quantization_error_bound(scheme: ReprScheme, dims: ImageDims) -> tuple[float, float]:
-    """Worst-case absolute round-trip error in pixels, per axis (x, y)."""
-
-    def per_dim(dim: int) -> float:
-        if scheme.kind == "nfp":
-            return 0.5 * 10**-scheme.decimals * dim
-        if scheme.kind == "ivb":
-            return dim / scheme.n_bins
-        return 0.5 * dim / scheme.square_side
-
-    return (per_dim(dims.width), per_dim(dims.height))
 
 
 class TokenCost(NamedTuple):

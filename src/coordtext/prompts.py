@@ -81,7 +81,6 @@ CAPTION_PROMPT = (
     "referring to its visual features and spatial position relative to other objects in image."
 )
 
-SIDE_KEYWORDS = ("left", "right", "above", "below")
 OPPOSITE_KEYWORD = {"left": "right", "right": "left", "above": "below", "below": "above"}
 NEGATION_PHRASES = ("no such object", "there is no", "not present", "does not appear")
 
@@ -98,7 +97,6 @@ class TemplateSet(NamedTuple):
     spatial_icl_answer: str = SPATIAL_ICL_ANSWER
     hallucination: str = HALLUCINATION_QUESTION
     caption_request: str = CAPTION_PROMPT
-    source: str = "builtin"
 
 
 DEFAULT_TEMPLATES = TemplateSet()
@@ -191,24 +189,21 @@ def load_template_overrides(path) -> TemplateSet:
         if not lines:
             raise SchemaError(f"{path}: line {header_lines[name]}: section {name!r} holds no template")
         fields[name] = tuple(lines) if _OVERRIDE_SECTIONS[name][0] is tuple else lines[0]
-    return TemplateSet(source=str(path), **fields)
+    return TemplateSet(**fields)
 
 
 class RenderedPair(NamedTuple):
     prompt: str
     target: str
-    objective: str
     template_index: int
-    seed: int
 
 
 class ParsedResponse(NamedTuple):
     """Structured view of free-form model text; raw is always preserved."""
 
-    kind: str  # location | negative | side_answer | yes_no | free_text
+    kind: str  # location | negative | yes_no | free_text
     raw: str
     location: LocationText | None = None
-    side: str | None = None
     polarity: str | None = None
 
 
@@ -232,7 +227,7 @@ def render_locpred(
     idx = template_index(seed, len(templates.locpred_prompts))
     prompt = templates.locpred_prompts[idx].format(category=descriptor, repr=REPR_PLACEHOLDER[form])
     target = templates.locpred_target.format(loc=loc.text)
-    return RenderedPair(prompt, target, LOCPRED, idx, seed)
+    return RenderedPair(prompt, target, idx)
 
 
 def render_negpred(
@@ -242,7 +237,7 @@ def render_negpred(
     _require(descriptor, "descriptor")
     idx = template_index(seed, len(templates.locpred_prompts))
     prompt = templates.locpred_prompts[idx].format(category=descriptor, repr=REPR_PLACEHOLDER[form])
-    return RenderedPair(prompt, templates.negpred_target, NEGPRED, idx, seed)
+    return RenderedPair(prompt, templates.negpred_target, idx)
 
 
 def render_revloc(
@@ -253,7 +248,7 @@ def render_revloc(
     idx = template_index(seed, len(templates.revloc_prompts))
     prompt = templates.revloc_prompts[idx].format(loc=loc.text)
     target = templates.revloc_target.format(category=descriptor)
-    return RenderedPair(prompt, target, REVLOC, idx, seed)
+    return RenderedPair(prompt, target, idx)
 
 
 def render_spatial_query(
@@ -341,9 +336,9 @@ def parse_response(
     """Classify model text for the expected objective. Total: never raises.
 
     Location objectives yield the first well-formed coordinate tuple, else a
-    negation if one of the stock denial phrases appears. Side questions need
-    exactly one of the four side keywords (substring match); yes/no questions
-    need exactly one of yes/no as a whole word. Anything else is free text.
+    negation if one of the stock denial phrases appears. Yes/no questions need
+    exactly one of yes/no as a whole word. Anything else is free text: a side
+    answer too, which ``evals.score_spatial`` judges on its own.
     """
     lowered = raw.lower()
     if expect in (LOCPRED, NEGPRED, REVLOC):
@@ -354,15 +349,9 @@ def parse_response(
         if any(phrase in lowered for phrase in NEGATION_PHRASES):
             return ParsedResponse(kind="negative", raw=raw, polarity="no")
         return ParsedResponse(kind="free_text", raw=raw)
-    if expect in (SPATIAL_DIRECT, SPATIAL_ICL):
-        present = [kw for kw in SIDE_KEYWORDS if kw in lowered]
-        if len(present) == 1:
-            return ParsedResponse(kind="side_answer", raw=raw, side=present[0])
-        return ParsedResponse(kind="free_text", raw=raw)
     if expect == HALLUCINATION:
         yes = _word_present("yes", lowered)
         no = _word_present("no", lowered)
         if yes != no:
             return ParsedResponse(kind="yes_no", raw=raw, polarity="yes" if yes else "no")
-        return ParsedResponse(kind="free_text", raw=raw)
     return ParsedResponse(kind="free_text", raw=raw)

@@ -30,7 +30,6 @@ from coordtext.coords import (
     encode_bbox,
     encode_point,
     numeric_token_cost,
-    quantization_error_bound,
 )
 from coordtext.evals import score_hallucination
 from coordtext.fixtures import CATEGORIES, annotation_fixture, keyword_corpus, spatial_fixture
@@ -38,7 +37,7 @@ from coordtext.gateway import ModelRequest, random_mock
 from coordtext.meteor import score_meteor
 from coordtext.records import read_records
 from test_builders import bruteforce_bench_keys, _item_key, media_fixture
-from test_coords import encoded_anchor
+from test_coords import encoded_anchor, quantization_error_bound
 from test_meteor import HAND_PAIRS, oracle_meteor
 
 DIMS_512 = ImageDims(512, 512)

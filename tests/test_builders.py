@@ -506,6 +506,18 @@ def test_hallucination_novel_vocab_disjointness():
     assert all(it.gt == "no" for it in items)  # novel categories never in fixture media
 
 
+@pytest.mark.parametrize(
+    "n_present, n_absent, message",
+    [(-1, 2, "n_present must be non-negative, got -1"), (2, -3, "n_absent must be non-negative, got -3")],
+)
+def test_hallucination_refuses_a_negative_count(n_present, n_absent, message):
+    media = media_fixture(3, seed=3)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        build_hallucination_set(media, list(CATEGORIES), seed=0, n_present=n_present, n_absent=n_absent)
+    items, _ = build_hallucination_set(media, list(CATEGORIES), seed=0, n_present=0, n_absent=0)
+    assert items == []
+
+
 def test_hallucination_deterministic():
     media = media_fixture(30, seed=3)
     a, _ = build_hallucination_set(media, list(CATEGORIES), seed=5)

@@ -85,7 +85,52 @@ def test_decode_diga_deviation_outside_square_exits_2(capsys):
     assert code == 2 and not out and "diga deviation too large" in err
 
 
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["encode", "--bbox", "10,120,30,145", "--decimals", "641"], "nfp takes at most 640 decimal places, got 641"),
+        (["encode", "--bbox", "10,120,30,145", "--decimals", "4301"], "nfp takes at most 640 decimal places, got 4301"),
+        (
+            ["decode", "--text", "(0.5, 0.5)", "--form", "point", "--decimals", "5000000000"],
+            "nfp takes at most 640 decimal places, got 5000000000",
+        ),
+    ],
+    ids=["encode 641", "encode 4301", "decode 5e9"],
+)
+def test_nfp_decimals_above_the_maximum_exit_2(capsys, args, message):
+    """Decimals past the maximum used to fail in Python's int-to-text
+    conversion (exit 2 naming no flag) or as an OverflowError traceback from
+    re (exit 1)."""
+    code, out, err = run([*args, "--scheme", "nfp", "--dims", "512x512"], capsys)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 # ---------------- build ---------------- #
+
+
+@pytest.mark.parametrize("grid, patch", [(-16, -14), (-24, -14), (0, 14)])
+def test_build_ift_diga_grid_or_patch_below_one_exits_2(fx, tmp_path, capsys, grid, patch):
+    """A negative grid and patch whose product is 224 or 336 used to pass the
+    square check and write records whose diga text decode refuses."""
+    out = tmp_path / "ift.jsonl"
+    code, _, err = run(
+        ["build", "ift", "--annotations", str(fx / "coco_50.json"), "--scheme", "diga",
+         "--grid", str(grid), "--patch", str(patch), "--out", str(out)],
+        capsys,
+    )
+    assert code == 2 and err == f"error: diga grid and patch must be positive, got grid {grid}, patch {patch}\n"
+    assert not out.exists()
+
+
+def test_build_hallucination_negative_per_media_exits_2(fx, tmp_path, capsys):
+    """A negative count used to reach random.sample, whose message named no count."""
+    out = tmp_path / "hal.jsonl"
+    code, _, err = run(
+        ["build", "hallucination", "--annotations", str(fx / "coco_50.json"), "--per-media", "-1", "--out", str(out)],
+        capsys,
+    )
+    assert code == 2 and err == "error: n_present must be non-negative, got -1\n"
+    assert not out.exists()
 
 
 def test_build_ift_counts_match_oracle(fx, tmp_path, capsys):
@@ -1001,19 +1046,40 @@ def test_pipeline_stages_load_neither_numpy_nor_requests(fx, tmp_path):
         assert proc.returncode == 0, proc.stderr
 
 
-def test_package_names_resolve_from_their_layers():
-    """Each public name of the package resolves, on first access, to that
-    name's object in a layer; any other name is an AttributeError."""
+PACKAGE_LAYERS = ("annotations", "builders", "coords", "evals", "gateway", "meteor", "prompts", "records", "seeding")
+# In a fresh interpreter, the names that ``import coordtext`` defines in the
+# package: not private, not set by the import system, not a module of the
+# standard library that the package imports.
+PACKAGE_NAMES_CHILD = """
+import json, types, coordtext
+IMPORT_SYSTEM = {"__builtins__", "__cached__", "__doc__", "__file__", "__loader__", "__name__", "__package__",
+                 "__path__", "__spec__"}
+print(json.dumps(sorted(
+    name for name, value in vars(coordtext).items()
+    if not (name.startswith("_") and not name.startswith("__")) and name not in IMPORT_SYSTEM
+    and not (isinstance(value, types.ModuleType) and not value.__name__.startswith("coordtext."))
+)))
+"""
+
+
+def test_the_package_holds_its_layers_and_version_only():
+    """The package is its layers: its public attributes are the nine
+    registered layers and ``__version__``, so each public name is imported
+    from the layer that defines it. fixtures, which no stage uses, is a
+    plain submodule import; another name is an ImportError."""
+    proc = subprocess.run([sys.executable, "-c", PACKAGE_NAMES_CHILD], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == sorted([*PACKAGE_LAYERS, "__version__"])
     import coordtext
 
-    layers = [coordtext.annotations, builders, coords, evals, gateway, coordtext.meteor, coordtext.prompts]
-    for name in coordtext.__all__:
-        value = getattr(coordtext, name)
-        assert any(getattr(layer, name, None) is value for layer in layers), name
-    with pytest.raises(AttributeError, match="has no attribute 'nearest_anchor'"):
-        coordtext.nearest_anchor
+    assert isinstance(coordtext.__version__, str)
+    for name in PACKAGE_LAYERS:
+        assert getattr(coordtext, name) is sys.modules[f"coordtext.{name}"]
+    from coordtext import fixtures
+
+    assert fixtures is sys.modules["coordtext.fixtures"] and callable(fixtures.annotation_fixture)
     with pytest.raises(ImportError):
-        from coordtext import no_such_name  # noqa: F401
+        from coordtext import encode_bbox  # noqa: F401
 
 
 def test_parser_literals_equal_the_values_their_layers_own():
@@ -1075,17 +1141,13 @@ UNCALLED_DEFINITIONS = {
     "records.read_records": "perfbench's runner and tracer read whole record files with it",
     "coords.ReprScheme.from_dict": "scoring localization answers (ROADMAP item 1) will decode their schemes with it",
     "coords.token_cost": "the localization report (ROADMAP item 1) will give its answers' mean token cost",
-    "coords.quantization_error_bound": "acceptance criterion 3 holds every scheme's round trip to this bound",
-    "__init__.__getattr__": "the import system calls this PEP 562 hook for the package's public names",
 }
 
 
 def test_every_definition_in_src_is_named_elsewhere_in_src():
     """No code exists only for tests to call: each top-level function and
     class of src/coordtext, and each method but the dunders, is named
-    somewhere in src/coordtext outside its own definition. The package
-    ``__init__`` lists its public names as strings, so a listing is no
-    caller."""
+    somewhere in src/coordtext outside its own definition."""
     src = Path(cli.__file__).parent
     definitions, names = [], []
     for path in sorted(src.glob("*.py")):

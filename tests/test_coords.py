@@ -2,6 +2,7 @@
 
 import math
 import random
+import sys
 from decimal import ROUND_HALF_UP, Decimal
 from fractions import Fraction
 
@@ -10,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coordtext.coords import (
+    MAX_DECIMALS,
     BBox,
     CodecError,
     ImageDims,
@@ -22,7 +24,6 @@ from coordtext.coords import (
     encode_bbox,
     encode_point,
     numeric_token_cost,
-    quantization_error_bound,
     token_cost,
 )
 
@@ -62,6 +63,21 @@ def encoded_anchor(p: PointLoc, dims: ImageDims, scheme: ReprScheme) -> tuple[in
     """Grid indices (column, row) of the anchor that ``encode_point``'s diga text names."""
     column, row, _, _ = encode_point(p, dims, scheme).text.strip("()").split(", ")
     return (int(column), int(row))
+
+
+def quantization_error_bound(scheme: ReprScheme, dims: ImageDims) -> tuple[float, float]:
+    """Worst-case absolute round-trip error in pixels, per axis (x, y): the
+    bound that the round-trip tests and acceptance criterion 3 hold each
+    scheme to."""
+
+    def per_dim(dim: int) -> float:
+        if scheme.kind == "nfp":
+            return 0.5 * 10**-scheme.decimals * dim
+        if scheme.kind == "ivb":
+            return dim / scheme.n_bins
+        return 0.5 * dim / scheme.square_side
+
+    return (per_dim(dims.width), per_dim(dims.height))
 
 
 # ---------------- golden vectors ---------------- #
@@ -344,6 +360,21 @@ def test_scheme_validation():
         ReprScheme(kind="diga", grid=10, patch=10)
     with pytest.raises(CodecError):
         ReprScheme(kind="other")
+
+def test_most_decimals_round_trip_at_the_lowest_int_text_limit():
+    """MAX_DECIMALS decimals encode and decode even when Python's int/str
+    conversion limit is set as low as it goes."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(sys.int_info.str_digits_check_threshold)
+    try:
+        scheme = ReprScheme.nfp(MAX_DECIMALS)
+        for dims in SWEEP_DIMS:
+            box = BBox(1, 2, dims.width / 3, dims.height - 0.5)
+            decoded = decode_bbox(encode_bbox(box, dims, scheme), dims)
+            assert all(abs(a - b) <= 1e-9 for a, b in zip(decoded, box))
+    finally:
+        sys.set_int_max_str_digits(limit)
+
 
 def test_scheme_dict_roundtrip():
     for scheme in (ReprScheme.nfp(6), ReprScheme.ivb(336), ReprScheme.diga(24)):

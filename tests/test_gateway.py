@@ -30,6 +30,7 @@ from coordtext.gateway import (
     random_response,
 )
 from coordtext.prompts import parse_response
+from test_coords import quantization_error_bound
 
 REQS = [ModelRequest(f"r{i}", f"im{i}.jpg", f"prompt {i}") for i in range(3)]
 # nested past any recursion limit: json raises RecursionError, not ValueError
@@ -652,7 +653,6 @@ def test_oracle_mock_spatial_keywords():
 
 def test_oracle_mock_location_roundtrip():
     from coordtext.builders import build_ift_dataset
-    from coordtext.coords import quantization_error_bound
     from coordtext.fixtures import annotation_fixture
 
     scheme = ReprScheme.ivb(224)

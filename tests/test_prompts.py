@@ -188,16 +188,6 @@ def test_parse_negation():
     assert parse_response("the thing is not present here", LOCPRED, IVB, "bbox").kind == "negative"
 
 
-def test_parse_side_answer():
-    parsed = parse_response("The dog is located to the left of the table.", SPATIAL_DIRECT)
-    assert parsed.kind == "side_answer" and parsed.side == "left"
-
-
-def test_parse_side_both_keywords_unparseable():
-    parsed = parse_response("The dog is left of the cat but right of the car.", SPATIAL_DIRECT)
-    assert parsed.kind == "free_text"
-
-
 def test_parse_yes_no():
     assert parse_response("Yes", HALLUCINATION).polarity == "yes"
     assert parse_response("No, I cannot see one.", HALLUCINATION).polarity == "no"
@@ -207,8 +197,10 @@ def test_parse_yes_no():
 
 
 def test_parse_free_text_fallback():
-    parsed = parse_response("I am not sure.", SPATIAL_DIRECT)
-    assert parsed.kind == "free_text" and parsed.raw == "I am not sure."
+    """A side answer is free text to the parser: score_spatial judges it on its own."""
+    for raw in ("I am not sure.", "The dog is located to the left of the table.", "Left of the cat, right of the car."):
+        parsed = parse_response(raw, SPATIAL_DIRECT)
+        assert parsed == ("free_text", raw, None, None)
 
 
 SCHEMES = (ReprScheme.nfp(), IVB, ReprScheme.diga(16))
@@ -251,7 +243,7 @@ def test_parse_response_total(data, expect, scheme, form):
     raw = data.draw(st.text(max_size=200) | coordinate_like | located_text(scheme, form), label="raw")
     parsed = parse_response(raw, expect, scheme, form)
     assert parsed.raw == raw
-    assert parsed.kind in ("location", "negative", "side_answer", "yes_no", "free_text")
+    assert parsed.kind in ("location", "negative", "yes_no", "free_text")
     if parsed.kind == "location":
         assert (parsed.location.scheme, parsed.location.form) == (scheme, form)
         assert extract_location(parsed.location.text, scheme, form) == parsed.location
@@ -310,7 +302,6 @@ def test_load_template_overrides(tmp_path):
     assert t.locpred_prompts == ("Find {category} as {repr}?", "Spot {category} as {repr}?")
     assert t.revloc_target == "Here is a {category}."
     assert t.locpred_target == "It is located at {loc}"
-    assert t.source == str(path)
     pair = render_locpred("cat", "bbox", BOX_TEXT, seed=1, templates=t)
     assert pair.prompt == "Spot cat as (x1,y1,x2,y2) bbox?"
     negative = render_negpred("cat", "bbox", seed=1, templates=t)

@@ -1,6 +1,6 @@
 """The value-type contract: every record-like type of the package is an
-immutable named tuple with the fields, defaults, equality, hash, repr and
-argument checks it had as a frozen dataclass."""
+immutable named tuple with its fields, defaults, equality, hash, repr and
+argument checks."""
 
 import importlib
 import math
@@ -51,7 +51,6 @@ TEMPLATE_FIELDS = {
     "spatial_icl_answer": SPATIAL_ICL_ANSWER,
     "hallucination": HALLUCINATION_QUESTION,
     "caption_request": CAPTION_PROMPT,
-    "source": "builtin",
 }
 
 # Every field of every type, in field order, with a value that passes its checks.
@@ -88,10 +87,10 @@ SAMPLES = [
         VideoObjectTrack,
         {"video_id": "v1", "category": "cat", "per_frame_boxes": {0: BOX}, "averaged_box": BOX, "is_static": True},
     ),
-    (TemplateSet, {**TEMPLATE_FIELDS, "source": "overrides.txt"}),
+    (TemplateSet, {**TEMPLATE_FIELDS, "caption_request": "Describe the {category}."}),
     (Objective, {"task": "spatial", "truth": "gt_keyword", "answers": "axis"}),
-    (RenderedPair, {"prompt": "Where?", "target": "There", "objective": "locpred", "template_index": 1, "seed": 9}),
-    (ParsedResponse, {"kind": "location", "raw": "at (1, 2)", "location": LOC, "side": None, "polarity": None}),
+    (RenderedPair, {"prompt": "Where?", "target": "There", "template_index": 1}),
+    (ParsedResponse, {"kind": "location", "raw": "at (1, 2)", "location": LOC, "polarity": None}),
     (ModelRequest, {"request_id": "r1", "media_ref": "img", "prompt": "Where?"}),
     (ModelResponse, {"request_id": "r1", "text": "", "status": "error", "error_detail": "refused"}),
     (SamplingConfig, {"temperature": 0.5, "max_new_tokens": 16}),
@@ -187,14 +186,12 @@ def test_repr_text():
         "LocationText(text='(1, 2, 3, 4)', scheme=ReprScheme(kind='ivb', decimals=4, n_bins=224, grid=16, patch=14), "
         "form='bbox')"
     )
-    assert repr(BuildReport()) == "BuildReport(input_count=0, emitted_count=0, exclusions=Counter())"
+    assert repr(BuildReport(0, 0, Counter())) == "BuildReport(input_count=0, emitted_count=0, exclusions=Counter())"
 
 
 DEFAULTS = [
     (ReprScheme, {"kind": "ivb"}, {"decimals": 4, "n_bins": 224, "grid": 16, "patch": 14}),
     (AnnotatedImage, {"image_id": "img", "dims": DIMS, "objects": ()}, {"captions": None}),
-    (CocoLoad, {"images": [], "vocabulary": []}, {"skipped": Counter()}),
-    (BuildReport, {}, {"input_count": 0, "emitted_count": 0, "exclusions": Counter()}),
     (
         SpatialBenchItem,
         {"item_id": "i", "image_id": "img", "axis": "ab", "obj_query": ("cat", BOX), "obj_ref": ("dog", BOX), "gt_keyword": "above"},
@@ -202,7 +199,7 @@ DEFAULTS = [
     ),
     (HallucinationItem, {"item_id": "i", "media_id": "img", "medium": "image", "obj": "cat", "gt": "no"}, {"seed": 0}),
     (TemplateSet, {}, TEMPLATE_FIELDS),
-    (ParsedResponse, {"kind": "free_text", "raw": "?"}, {"location": None, "side": None, "polarity": None}),
+    (ParsedResponse, {"kind": "free_text", "raw": "?"}, {"location": None, "polarity": None}),
     (ModelResponse, {"request_id": "r", "text": "Yes"}, {"status": "ok", "error_detail": None}),
     (SamplingConfig, {}, {"temperature": 0.2, "max_new_tokens": 128}),
     (
@@ -245,6 +242,10 @@ CHECKS = [
     (lambda: ReprScheme.nfp(decimals=0), CodecError, "nfp needs at least 1 decimal place"),
     (lambda: ReprScheme.ivb(n_bins=1), CodecError, "ivb needs at least 2 bins"),
     (lambda: ReprScheme.diga(grid=10), CodecError, "diga square side must be 224 or 336, got 140"),
+    (lambda: ReprScheme.nfp(decimals=641), CodecError, "nfp takes at most 640 decimal places, got 641"),
+    (lambda: ReprScheme.diga(-16, -14), CodecError, "diga grid and patch must be positive, got grid -16, patch -14"),
+    (lambda: ReprScheme.diga(-1, -224), CodecError, "diga grid and patch must be positive, got grid -1, patch -224"),
+    (lambda: ReprScheme.diga(16, 0), CodecError, "diga grid and patch must be positive, got grid 16, patch 0"),
     (lambda: ReprScheme.from_dict({"kind": "ivb", "n_bins": 0}), CodecError, "ivb needs at least 2 bins"),
     (lambda: LocationText("(1, 2)", IVB, "circle"), CodecError, "unknown location form 'circle'"),
     (

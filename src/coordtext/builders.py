@@ -236,8 +236,8 @@ class SpatialBenchItem(NamedTuple):
     obj_query: tuple[str, BBox]
     obj_ref: tuple[str, BBox]
     gt_keyword: str
-    icl_context: tuple[tuple[str, str], tuple[str, str]] | None = None
-    seed: int = 0
+    icl_context: tuple[tuple[str, str], tuple[str, str]] | None
+    seed: int
 
     @property
     def objective(self) -> str:
@@ -315,6 +315,7 @@ def build_spatial_bench(
                             obj_query=(query.category, query.bbox),
                             obj_ref=(ref.category, ref.bbox),
                             gt_keyword=sides[j],
+                            icl_context=None,
                             seed=derive_seed(seed, item_id),
                         )
                     )
@@ -359,7 +360,7 @@ class HallucinationItem(NamedTuple):
     medium: str  # "image" | "video"
     obj: str
     gt: str  # "yes" | "no"
-    seed: int = 0
+    seed: int
 
     def to_record(self, templates: TemplateSet = DEFAULT_TEMPLATES) -> dict:
         return dataset_record(
@@ -505,6 +506,8 @@ def build_video_static_objects(
     sits within STATIC_CENTER_RANGE_PX of the mean center. The averaged box
     is the coordinate-wise mean over frames where the object appears.
     """
+    if n_f < 1:
+        raise ValueError(f"frame count must be at least 1, got {n_f} (--frames)")
     tallies: Counter = Counter()
     by_category: dict[str, dict[int, BBox]] = {}
     ambiguous: set[str] = set()

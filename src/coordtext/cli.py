@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import gc
-import json
 import math
 import os
 import sys
@@ -523,9 +522,7 @@ def cmd_fixtures(args) -> int:
     images_200 = fixtures.spatial_fixture(200, seed=args.seed)
     fixtures.write_coco_json(images_200, out / "coco_200.json")
     captions = fixtures.caption_fixture(images_50, seed=args.seed + 2)
-    with open(out / "captions_50.jsonl", "w", encoding="utf-8") as fh:
-        for rec in captions:
-            fh.write(json.dumps(rec, sort_keys=True) + "\n")
+    fixtures.write_jsonl(captions, out / "captions_50.jsonl")
     with open(out / "corpus_80k.txt", "w", encoding="utf-8") as fh:
         fh.write("\n".join(fixtures.keyword_corpus(seed=7)) + "\n")
     fixtures.write_video_detections(fixtures.video_detection_fixture(seed=args.seed + 4), out / "videos.jsonl")

@@ -200,34 +200,67 @@ def keyword_corpus(seed: int = 7) -> list[str]:
 # ---------------- serialization helpers ---------------- #
 
 
-def write_coco_json(images: list[AnnotatedImage], path, vocabulary=CATEGORIES) -> None:
-    """Write images in the COCO-style input format (boxes as xywh)."""
-    cat_ids = {name: idx + 1 for idx, name in enumerate(vocabulary)}
-    data = {
-        "images": [
-            {"id": im.image_id, "width": im.dims.width, "height": im.dims.height, "file_name": f"{im.image_id}.jpg"}
-            for im in images
-        ],
-        "annotations": [],
-        "categories": [{"id": idx, "name": name} for name, idx in cat_ids.items()],
-    }
+def _json_encoder():
+    """``json.dump(value, fh, sort_keys=True)``'s encoder, run in json's C code,
+    which ``json.dump`` never uses. Build one per file: a failed call can leave
+    its circular-reference markers behind."""
+    return json.encoder.c_make_encoder(
+        {}, json.JSONEncoder().default, json.encoder.encode_basestring_ascii, None, ": ", ", ", True, False, True
+    )
+
+
+def _write_array(fh, encode, entries) -> None:
+    separator = ""
+    for entry in entries:
+        fh.write(separator)
+        fh.writelines(encode(entry, 0))
+        separator = ", "
+
+
+def _coco_annotations(images: list[AnnotatedImage], cat_ids: dict[str, int]):
     for im in images:
         for obj in im.objects:
-            b = obj.bbox
-            data["annotations"].append(
-                {
-                    "id": obj.instance_id,
-                    "image_id": im.image_id,
-                    "category_id": cat_ids[obj.category],
-                    "bbox": [b.x1, b.y1, b.x2 - b.x1, b.y2 - b.y1],
-                }
-            )
+            x1, y1, x2, y2 = obj.bbox
+            yield {"id": obj.instance_id, "image_id": im.image_id, "category_id": cat_ids[obj.category],
+                   "bbox": [x1, y1, x2 - x1, y2 - y1]}
+
+
+def write_coco_json(images: list[AnnotatedImage], path, vocabulary=CATEGORIES) -> None:
+    """Write images in the COCO-style input format (boxes as xywh).
+
+    The bytes are ``json.dump(data, fh, sort_keys=True)``'s for the whole
+    document, but each entry is encoded as it is reached, so the document is
+    never held: its three keys are written by hand, in sorted order.
+    """
+    cat_ids = {name: idx + 1 for idx, name in enumerate(vocabulary)}
+    encode = _json_encoder()
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(data, fh, sort_keys=True)
+        fh.write('{"annotations": [')
+        _write_array(fh, encode, _coco_annotations(images, cat_ids))
+        fh.write('], "categories": [')
+        _write_array(fh, encode, ({"id": idx, "name": name} for name, idx in cat_ids.items()))
+        fh.write('], "images": [')
+        _write_array(fh, encode, (
+            {"id": im.image_id, "width": im.dims.width, "height": im.dims.height, "file_name": f"{im.image_id}.jpg"}
+            for im in images
+        ))
+        fh.write("]}")
+
+
+def write_jsonl(rows, path) -> None:
+    """One ``json.dumps(row, sort_keys=True)`` line per row."""
+    encode = _json_encoder()
+    with open(path, "w", encoding="utf-8") as fh:
+        for row in rows:
+            fh.writelines(encode(row, 0))
+            fh.write("\n")
 
 
 def write_video_detections(videos: dict, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for video_id in sorted(videos):
-            frames = {str(f): dets for f, dets in sorted(videos[video_id].items())}
-            fh.write(json.dumps({"video_id": video_id, "frames": frames}, sort_keys=True) + "\n")
+    write_jsonl(
+        (
+            {"video_id": video_id, "frames": {str(f): dets for f, dets in sorted(videos[video_id].items())}}
+            for video_id in sorted(videos)
+        ),
+        path,
+    )

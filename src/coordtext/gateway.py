@@ -69,7 +69,7 @@ class _SamplingConfig(NamedTuple):
 class SamplingConfig(_SamplingConfig):
     __slots__ = ()
 
-    def __new__(cls, temperature: float = 0.2, max_new_tokens: int = 128):
+    def __new__(cls, temperature: float, max_new_tokens: int):
         if not (temperature > 0 and math.isfinite(temperature)):
             raise ValueError(f"temperature must be a finite number above 0, got {temperature}")
         if max_new_tokens <= 0:
@@ -406,7 +406,7 @@ class FileBatchTransport:
 def query_batch(
     requests_: list[ModelRequest],
     transport,
-    cfg: SamplingConfig = SamplingConfig(),
+    cfg: SamplingConfig,
     max_inflight: int = 4,
     attempts: int = 3,
     backoff: float = 0.1,

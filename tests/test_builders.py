@@ -644,6 +644,13 @@ def test_video_frame_index_validation():
         build_video_static_objects({9: []}, n_f=8)
 
 
+@pytest.mark.parametrize("n_f", [0, -3])
+@pytest.mark.parametrize("frames", [{}, {0: [("lamp", BBox(0, 0, 10, 10))]}])
+def test_video_static_refuses_a_frame_count_below_one(n_f, frames):
+    with pytest.raises(ValueError, match=f"^frame count must be at least 1, got {n_f} \\(--frames\\)$"):
+        build_video_static_objects(frames, n_f=n_f)
+
+
 # ---------------- corpus stats ---------------- #
 
 

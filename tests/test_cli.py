@@ -133,6 +133,20 @@ def test_build_hallucination_negative_per_media_exits_2(fx, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("frames", ["0", "-3"])
+def test_build_video_static_frames_below_one_exits_2(fx, tmp_path, capsys, frames):
+    """A frame count below 1 used to exit 2 blaming the first detection's frame
+    (``frame index 0 outside [0, 0)``), and a file whose videos hold no
+    detections was accepted with exit 0."""
+    no_detections = tmp_path / "no_detections.jsonl"
+    no_detections.write_text('{"video_id": "v1", "frames": {}}\n', encoding="utf-8")
+    for videos in (fx / "videos.jsonl", no_detections):
+        out = tmp_path / "tracks.jsonl"
+        code, _, err = run(["build", "video-static", "--videos", str(videos), "--frames", frames, "--out", str(out)], capsys)
+        assert code == 2 and err == f"error: frame count must be at least 1, got {frames} (--frames)\n"
+        assert not out.exists()
+
+
 def test_build_ift_counts_match_oracle(fx, tmp_path, capsys):
     out = tmp_path / "ift.jsonl"
     code, _, _ = run(

@@ -33,6 +33,7 @@ from coordtext.prompts import parse_response
 from test_coords import quantization_error_bound
 
 REQS = [ModelRequest(f"r{i}", f"im{i}.jpg", f"prompt {i}") for i in range(3)]
+CFG = SamplingConfig(temperature=0.2, max_new_tokens=128)
 # nested past any recursion limit: json raises RecursionError, not ValueError
 DEEP_JSON = "[" * 100_000 + "]" * 100_000
 
@@ -55,14 +56,14 @@ def echo_transport(request, cfg):
 
 
 def test_sampling_config_validation():
-    assert SamplingConfig().temperature == 0.2
+    assert CFG.temperature == 0.2
     with pytest.raises(ValueError, match="temperature"):
-        SamplingConfig(temperature=0)
+        SamplingConfig(temperature=0, max_new_tokens=128)
     for value in (math.nan, math.inf):  # NaN would reach the meta line as a bare NaN
         with pytest.raises(ValueError, match="temperature must be a finite number above 0"):
-            SamplingConfig(temperature=value)
+            SamplingConfig(temperature=value, max_new_tokens=128)
     with pytest.raises(ValueError, match="max_new_tokens"):
-        SamplingConfig(max_new_tokens=0)
+        SamplingConfig(temperature=0.2, max_new_tokens=0)
 
 
 def test_error_response_needs_detail():
@@ -71,7 +72,7 @@ def test_error_response_needs_detail():
 
 
 def test_batch_alignment():
-    out = query_batch(REQS, CallableTransport(echo_transport))
+    out = query_batch(REQS, CallableTransport(echo_transport), CFG)
     assert [r.request_id for r in out] == ["r0", "r1", "r2"]
     assert all(r.status == "ok" for r in out)
     assert out[1].text == "echo:prompt 1"
@@ -83,7 +84,7 @@ def test_partial_failure_completes_batch():
             raise ValueError("rejected payload")
         return echo_transport(request, cfg)
 
-    out = query_batch(REQS, CallableTransport(flaky))
+    out = query_batch(REQS, CallableTransport(flaky), CFG)
     assert [r.status for r in out] == ["ok", "error", "ok"]
     assert "rejected payload" in out[1].error_detail
 
@@ -91,12 +92,12 @@ def test_partial_failure_completes_batch():
 def test_duplicate_request_ids_rejected():
     dupes = [REQS[0], REQS[0]]
     with pytest.raises(ValueError, match="duplicate request ids"):
-        query_batch(dupes, CallableTransport(echo_transport))
+        query_batch(dupes, CallableTransport(echo_transport), CFG)
 
 
 def test_empty_batch_rejected():
     with pytest.raises(ValueError, match="empty batch"):
-        query_batch([], CallableTransport(echo_transport))
+        query_batch([], CallableTransport(echo_transport), CFG)
 
 
 def test_transient_failures_retried_with_backoff():
@@ -109,7 +110,7 @@ def test_transient_failures_retried_with_backoff():
             raise TransientTransportError("connection reset")
         return echo_transport(request, cfg)
 
-    out = query_batch([REQS[0]], CallableTransport(flaky), backoff=0.05, sleep=sleeps.append)
+    out = query_batch([REQS[0]], CallableTransport(flaky), CFG, backoff=0.05, sleep=sleeps.append)
     assert out[0].status == "ok"
     assert calls["n"] == 3
     assert sleeps == [0.05, 0.1]
@@ -120,7 +121,7 @@ def test_retries_exhausted_become_error():
         raise TransientTransportError("still down")
 
     sleeps = []
-    out = query_batch(REQS, CallableTransport(always_down), attempts=3, sleep=sleeps.append)
+    out = query_batch(REQS, CallableTransport(always_down), CFG, attempts=3, sleep=sleeps.append)
     assert all(r.status == "error" for r in out)
     assert "gave up after 3 attempts" in out[0].error_detail
     assert len(sleeps) == 2 * len(REQS)
@@ -143,7 +144,7 @@ def test_retries_exhausted_become_error():
 def test_invalid_retry_settings_raise_before_sending(settings, message):
     sent = []
     with pytest.raises(ValueError, match=message):
-        query_batch(REQS, CallableTransport(lambda request, cfg: sent.append(request)), **settings)
+        query_batch(REQS, CallableTransport(lambda request, cfg: sent.append(request)), CFG, **settings)
     assert sent == []
 
 
@@ -157,11 +158,11 @@ def test_largest_retry_delay_up_to_the_maximum_is_accepted():
 
     for attempts, backoff in ((2, MAX_RETRY_DELAY_S), (13, MAX_RETRY_DELAY_S / 2**11), (1, 1e300)):
         sleeps = []
-        out = query_batch(REQS[:1], CallableTransport(always_down), attempts=attempts, backoff=backoff, sleep=sleeps.append)
+        out = query_batch(REQS[:1], CallableTransport(always_down), CFG, attempts=attempts, backoff=backoff, sleep=sleeps.append)
         assert out[0].status == "error" and len(sleeps) == attempts - 1
         assert sleeps[-1:] in ([], [MAX_RETRY_DELAY_S])
     # any number of attempts with no backoff: the sends end on a permanent error
-    out = query_batch(REQS[:1], CallableTransport(lambda request, cfg: 1 / 0), attempts=10**100, backoff=0.0)
+    out = query_batch(REQS[:1], CallableTransport(lambda request, cfg: 1 / 0), CFG, attempts=10**100, backoff=0.0)
     assert out[0].status == "error"
 
 
@@ -235,7 +236,7 @@ def http_endpoint():
 
 
 def test_http_transport_roundtrip(http_endpoint):
-    out = query_batch(REQS, HttpTransport(http_endpoint), SamplingConfig())
+    out = query_batch(REQS, HttpTransport(http_endpoint), CFG)
     assert [r.status for r in out] == ["ok", "error", "ok"]
     assert out[0].text == "http:prompt 0"
     assert out[1].error_detail == "model refused"
@@ -243,7 +244,7 @@ def test_http_transport_roundtrip(http_endpoint):
 
 def test_http_transport_unreachable_endpoint():
     transport = HttpTransport("http://127.0.0.1:9/", timeout=0.2)
-    out = query_batch([REQS[0]], transport, attempts=2, sleep=lambda s: None)
+    out = query_batch([REQS[0]], transport, CFG, attempts=2, sleep=lambda s: None)
     assert out[0].status == "error"
 
 
@@ -258,7 +259,7 @@ def test_http_retry_after_503_reuses_pooled_connection():
         return 200, {"request_id": rid, "text": "ok"}
 
     with http_server(answer) as (endpoint, server):
-        out = query_batch(REQS, HttpTransport(endpoint), max_inflight=1, sleep=lambda s: None)
+        out = query_batch(REQS, HttpTransport(endpoint), CFG, max_inflight=1, sleep=lambda s: None)
     assert [r.status for r in out] == ["ok", "ok", "ok"]
     assert attempts == {"r0": 2, "r1": 1, "r2": 1}
     assert server.connections == 1
@@ -270,7 +271,7 @@ def test_http_server_closing_idle_connections_costs_no_attempt():
         return 200, {"request_id": body["request_id"], "text": "ok"}
 
     with http_server(answer, close_after_reply=True) as (endpoint, server):
-        out = query_batch(REQS, HttpTransport(endpoint), max_inflight=1, attempts=1)
+        out = query_batch(REQS, HttpTransport(endpoint), CFG, max_inflight=1, attempts=1)
     assert [r.status for r in out] == ["ok", "ok", "ok"]
     assert server.connections == 3
 
@@ -281,13 +282,13 @@ def test_http_server_closing_idle_connections_costs_no_attempt():
 )
 def test_http_malformed_reply_is_per_request_error(reply, message):
     with http_server(lambda body: (200, reply)) as (endpoint, _):
-        out = query_batch(REQS, HttpTransport(endpoint), max_inflight=1)
+        out = query_batch(REQS, HttpTransport(endpoint), CFG, max_inflight=1)
     assert all(r.status == "error" and r.error_detail.startswith(message) for r in out)
 
 
 def test_http_reply_nested_too_deep_is_per_request_error():
     with http_server(lambda body: (200, DEEP_JSON.encode())) as (endpoint, _):
-        out = query_batch(REQS, HttpTransport(endpoint), max_inflight=1, attempts=1)
+        out = query_batch(REQS, HttpTransport(endpoint), CFG, max_inflight=1, attempts=1)
     assert all(r.status == "error" and "maximum recursion depth exceeded" in r.error_detail for r in out)
 
 
@@ -307,7 +308,7 @@ def test_http_transport_rejects_unsupported_endpoints(endpoint, message):
 def test_query_batch_closes_http_connections():
     with http_server(echo_or_refuse) as (endpoint, server):
         transport = HttpTransport(endpoint)  # kept alive, so that only query_batch can close its connections
-        query_batch(REQS, transport, max_inflight=2)
+        query_batch(REQS, transport, CFG, max_inflight=2)
         deadline = time.monotonic() + 5  # the server sees the close when its handler reads EOF
         while server.open and time.monotonic() < deadline:
             time.sleep(0.01)
@@ -394,7 +395,7 @@ def _http10_to_close(body):
 def test_http_wire_framings(reply, close, connections):
     """Each framing yields the reply; a connection is reused unless the reply ends it."""
     with raw_http_server(lambda body: (reply(body), close)) as (endpoint, server):
-        out = query_batch(REQS, HttpTransport(endpoint, timeout=5), max_inflight=1, attempts=1)
+        out = query_batch(REQS, HttpTransport(endpoint, timeout=5), CFG, max_inflight=1, attempts=1)
     assert [r.text for r in out] == [f"wire:prompt {i}" for i in range(3)]
     assert server.connections == connections and server.attempts == ["r0", "r1", "r2"]
 
@@ -402,7 +403,7 @@ def test_http_wire_framings(reply, close, connections):
 def test_http_204_reply_is_per_request_error():
     """A 204 carries no body, so the client does not wait for one."""
     with raw_http_server(lambda body: (b"HTTP/1.1 204 No Content\r\n\r\n", False)) as (endpoint, server):
-        out = query_batch(REQS, HttpTransport(endpoint, timeout=5), max_inflight=1)
+        out = query_batch(REQS, HttpTransport(endpoint, timeout=5), CFG, max_inflight=1)
     assert all(r.status == "error" and r.error_detail == "request rejected with status 204" for r in out)
     assert server.connections == 1 and server.attempts == ["r0", "r1", "r2"]
 
@@ -418,7 +419,7 @@ def test_http_204_reply_is_per_request_error():
 )
 def test_http_broken_reply_is_transient(reply, close):
     with raw_http_server(lambda body: (reply, close)) as (endpoint, server):
-        out = query_batch(REQS, HttpTransport(endpoint, timeout=5), max_inflight=1, attempts=2, sleep=lambda s: None)
+        out = query_batch(REQS, HttpTransport(endpoint, timeout=5), CFG, max_inflight=1, attempts=2, sleep=lambda s: None)
     assert all(r.status == "error" and r.error_detail.startswith("gave up after 2 attempts") for r in out)
     assert sorted(server.attempts) == ["r0", "r0", "r1", "r1", "r2", "r2"]
 
@@ -426,7 +427,7 @@ def test_http_broken_reply_is_transient(reply, close):
 def test_https_against_plain_http_port_is_per_request_error():
     with raw_http_server(lambda body: (_connection_close(body), True)) as (endpoint, server):
         tls = endpoint.replace("http://", "https://")
-        out = query_batch(REQS, HttpTransport(tls, timeout=5), max_inflight=2, attempts=2, sleep=lambda s: None)
+        out = query_batch(REQS, HttpTransport(tls, timeout=5), CFG, max_inflight=2, attempts=2, sleep=lambda s: None)
     assert all(r.status == "error" and r.error_detail.startswith("gave up after 2 attempts") for r in out)
     assert server.attempts == [] and server.connections == 6
 
@@ -445,7 +446,7 @@ def test_query_batch_workers_send_each_request_once_in_order():
     old_interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        runner = threading.Thread(target=lambda: result.append(query_batch(requests, CallableTransport(answer), max_inflight=8)))
+        runner = threading.Thread(target=lambda: result.append(query_batch(requests, CallableTransport(answer), CFG, max_inflight=8)))
         runner.start()
         runner.join(timeout=60)
     finally:
@@ -494,7 +495,7 @@ def batch_runner(directory, answer):
 
 def test_file_batch_transport(tmp_path):
     with batch_runner(tmp_path, lambda row: {"request_id": row["request_id"], "text": "file:" + row["prompt"]}):
-        out = query_batch(REQS, FileBatchTransport(tmp_path, timeout=10))
+        out = query_batch(REQS, FileBatchTransport(tmp_path, timeout=10), CFG)
     assert [r.text for r in out] == ["file:prompt 0", "file:prompt 1", "file:prompt 2"]
 
 
@@ -505,7 +506,7 @@ def test_file_batch_missing_response_ids(tmp_path):
         return {"request_id": row["request_id"], "text": "ok"}
 
     with batch_runner(tmp_path, drop_last):
-        out = query_batch(REQS, FileBatchTransport(tmp_path, timeout=10))
+        out = query_batch(REQS, FileBatchTransport(tmp_path, timeout=10), CFG)
     assert [r.status for r in out] == ["ok", "ok", "error"]
     assert "missing from response file" in out[2].error_detail
 
@@ -516,12 +517,12 @@ def test_file_batch_ignores_reply_to_other_payload(tmp_path):
         return lambda row: {"request_id": row["request_id"], "text": f"{tag}:{row['prompt']}:{row['sampling']['temperature']}"}
 
     with batch_runner(tmp_path, answer("old")):
-        query_batch(REQS, FileBatchTransport(tmp_path, timeout=10))
+        query_batch(REQS, FileBatchTransport(tmp_path, timeout=10), CFG)
     reworded = [ModelRequest(r.request_id, r.media_ref, r.prompt + "?") for r in REQS]
     with batch_runner(tmp_path, answer("new")):
-        out = query_batch(reworded, FileBatchTransport(tmp_path, timeout=10))
+        out = query_batch(reworded, FileBatchTransport(tmp_path, timeout=10), CFG)
         assert [r.text for r in out] == [f"new:prompt {i}?:0.2" for i in range(3)]
-        out = query_batch(REQS, FileBatchTransport(tmp_path, timeout=10), SamplingConfig(temperature=0.5))
+        out = query_batch(REQS, FileBatchTransport(tmp_path, timeout=10), SamplingConfig(temperature=0.5, max_new_tokens=128))
         assert [r.text for r in out] == [f"new:prompt {i}:0.5" for i in range(3)]
 
 
@@ -533,7 +534,7 @@ def test_file_batch_malformed_response_line_is_per_request_error(tmp_path, bad_l
         return bad_line if row["request_id"] == "r1" else {"request_id": row["request_id"], "text": "ok"}
 
     with batch_runner(tmp_path, answer):
-        out = query_batch(REQS, FileBatchTransport(tmp_path, timeout=10))
+        out = query_batch(REQS, FileBatchTransport(tmp_path, timeout=10), CFG)
     assert [r.status for r in out] == ["ok", "error", "ok"]
     assert out[1].error_detail == "missing from response file, whose line 2 is not a JSON object"
 
@@ -551,7 +552,7 @@ BAD_REPLIES = [
 def test_http_reply_without_string_text_is_per_request_error(reply, detail):
     """HTTP used to pass a non-string text through as an ok response."""
     with http_server(lambda body: (200, {"request_id": body["request_id"], **reply})) as (endpoint, _):
-        out = query_batch(REQS, HttpTransport(endpoint), max_inflight=1)
+        out = query_batch(REQS, HttpTransport(endpoint), CFG, max_inflight=1)
     assert [(r.status, r.text, r.error_detail) for r in out] == [("error", "", detail)] * 3
 
 
@@ -560,7 +561,7 @@ def test_file_batch_reply_without_string_text_is_per_request_error(tmp_path, rep
     """The file-batch wire used to pass a non-string text through, read a
     missing one as "", and raise out of the batch on an empty error."""
     with batch_runner(tmp_path, lambda row: {"request_id": row["request_id"], **reply}):
-        out = query_batch(REQS, FileBatchTransport(tmp_path, timeout=10))
+        out = query_batch(REQS, FileBatchTransport(tmp_path, timeout=10), CFG)
     assert [(r.status, r.text, r.error_detail) for r in out] == [("error", "", detail)] * 3
 
 
@@ -575,7 +576,7 @@ NULL_ERROR_REPLIES = [
 def test_http_reply_with_null_error_is_no_error(reply, made):
     """A null error used to make an error response reading "None", losing the text beside it."""
     with http_server(lambda body: (200, {"request_id": body["request_id"], **reply})) as (endpoint, _):
-        out = query_batch(REQS, HttpTransport(endpoint), max_inflight=1)
+        out = query_batch(REQS, HttpTransport(endpoint), CFG, max_inflight=1)
     assert [(r.status, r.text, r.error_detail) for r in out] == [made] * 3
 
 
@@ -583,7 +584,7 @@ def test_http_reply_with_null_error_is_no_error(reply, made):
 def test_file_batch_reply_with_null_error_is_no_error(tmp_path, reply, made):
     """A null error used to make an error response reading "None", losing the text beside it."""
     with batch_runner(tmp_path, lambda row: {"request_id": row["request_id"], **reply}):
-        out = query_batch(REQS, FileBatchTransport(tmp_path, timeout=10))
+        out = query_batch(REQS, FileBatchTransport(tmp_path, timeout=10), CFG)
     assert [(r.status, r.text, r.error_detail) for r in out] == [made] * 3
 
 
@@ -593,7 +594,7 @@ def test_file_batch_reply_with_unhashable_id_answers_no_request(tmp_path):
         return {"request_id": [row["request_id"]] if row["request_id"] == "r1" else row["request_id"], "text": "ok"}
 
     with batch_runner(tmp_path, answer):
-        out = query_batch(REQS, FileBatchTransport(tmp_path, timeout=10))
+        out = query_batch(REQS, FileBatchTransport(tmp_path, timeout=10), CFG)
     assert [r.status for r in out] == ["ok", "error", "ok"]
     assert out[1].error_detail == "missing from response file"
 
@@ -623,7 +624,7 @@ def test_query_batch_dir_reply_without_string_text_is_never_scored(tmp_path, cap
 
 def test_file_batch_done_without_response_file_is_per_request_error(tmp_path):
     with batch_runner(tmp_path, None):
-        out = query_batch(REQS, FileBatchTransport(tmp_path, timeout=10))
+        out = query_batch(REQS, FileBatchTransport(tmp_path, timeout=10), CFG)
     assert all(r.status == "error" for r in out)
     (req_file,) = tmp_path.glob("*.req.jsonl")
     missing = tmp_path / req_file.name.replace(".req.jsonl", ".resp.jsonl")
@@ -631,7 +632,7 @@ def test_file_batch_done_without_response_file_is_per_request_error(tmp_path):
 
 
 def test_file_batch_timeout(tmp_path):
-    out = query_batch([REQS[0]], FileBatchTransport(tmp_path, timeout=0.1, poll_interval=0.02))
+    out = query_batch([REQS[0]], FileBatchTransport(tmp_path, timeout=0.1, poll_interval=0.02), CFG)
     assert out[0].status == "error" and "no response file" in out[0].error_detail
 
 
@@ -644,7 +645,7 @@ def test_oracle_mock_spatial_keywords():
     items = items[:20]
     transport = MockTransport({item.item_id: oracle_response(item.item_id, item.to_record(), 0) for item in items})
     reqs = [ModelRequest(item.item_id, item.image_id, item.prompt()) for item in items]
-    for item, resp in zip(items, query_batch(reqs, transport)):
+    for item, resp in zip(items, query_batch(reqs, transport, CFG)):
         assert resp.status == "ok"
         assert item.gt_keyword in resp.text
         opposite = {"left": "right", "right": "left", "above": "below", "below": "above"}[item.gt_keyword]
@@ -663,7 +664,7 @@ def test_oracle_mock_location_roundtrip():
     samples = samples[:25]
     transport = MockTransport({s.sample_id: oracle_response(s.sample_id, s.to_record(scheme), 0) for s in samples})
     reqs = [ModelRequest(s.sample_id, s.image_id, s.prompt) for s in samples]
-    for sample, resp in zip(samples, query_batch(reqs, transport)):
+    for sample, resp in zip(samples, query_batch(reqs, transport, CFG)):
         parsed = parse_response(resp.text, "locpred", scheme, "bbox")
         assert parsed.kind == "location"
         image = by_id[sample.image_id]
@@ -677,9 +678,9 @@ def test_oracle_mock_location_roundtrip():
 def test_oracle_mock_hallucination_and_mismatch():
     from coordtext.builders import HallucinationItem
 
-    item = HallucinationItem("m1:hal:00", "m1", "image", "lamp", "no")
+    item = HallucinationItem("m1:hal:00", "m1", "image", "lamp", "no", 0)
     transport = MockTransport({item.item_id: oracle_response(item.item_id, item.to_record(), 0)})
-    resp, bad = query_batch([ModelRequest("m1:hal:00", "m1", "q"), ModelRequest("other", "m1", "q")], transport)
+    resp, bad = query_batch([ModelRequest("m1:hal:00", "m1", "q"), ModelRequest("other", "m1", "q")], transport, CFG)
     assert resp.text == "No"
     assert bad.status == "error"
 
@@ -688,16 +689,16 @@ def test_random_transport_draws_from_each_record_space():
     items, _ = build_spatial_bench(spatial_fixture(40, seed=0), seed=1)
     records = {item.item_id: item.to_record() for item in items}
     reqs = [ModelRequest(item_id, "m", "p") for item_id in records]
-    out = query_batch(reqs, MockTransport({i: random_response(i, r, 7) for i, r in records.items()}))
+    out = query_batch(reqs, MockTransport({i: random_response(i, r, 7) for i, r in records.items()}), CFG)
     assert [r.text for r in out] == [random_mock(q, 7, records[q.request_id]["axis"]).text for q in reqs]
     bad_record = {"objective": "spatial_direct", "axis": "xy"}
-    bad = query_batch(reqs[:1], MockTransport({reqs[0].request_id: random_response(reqs[0].request_id, bad_record, 7)}))
+    bad = query_batch(reqs[:1], MockTransport({reqs[0].request_id: random_response(reqs[0].request_id, bad_record, 7)}), CFG)
     assert bad[0].status == "error" and "unknown answer space" in bad[0].error_detail
 
 
 def test_mock_transport_answers_an_unknown_id_with_an_error():
     transport = MockTransport({"r0": ModelResponse("r0", "Yes")})
-    assert query_batch(REQS[:2], transport) == [
+    assert query_batch(REQS[:2], transport, CFG) == [
         ModelResponse("r0", "Yes"),
         ModelResponse("r1", "", status="error", error_detail="no dataset record with this id"),
     ]

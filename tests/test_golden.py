@@ -190,6 +190,19 @@ ROWS = [
 ]
 
 
+# SHA-256 of every file that ``coordtext fixtures --seed 0`` writes. Builds read
+# the parsed values, so without this a changed byte in a fixture file would go
+# unseen. Generated by running the command, not checked by hand.
+FIXTURE_FILES = {
+    "captions_50.jsonl": "5afe5581949784702c4032731fb197c8de53298c6734fa162b97f8c7dceb016a",
+    "coco_200.json": "418fdb74a934ef4efd9c85e4fe0129313a6c4d27b43e0555bff254461624f37d",
+    "coco_50.json": "d0808f0d98c56ecebdcda87108aca0047f983620b036c0a4141cbd17461c5133",
+    "corpus_80k.txt": "9b4bdca06d6ed143dc278ba1c1d66cdb69aa20750ed3473e26a9facad8e7c83f",
+    "videos.jsonl": "f85f3fad7909f15b583621c76678e90bb9d4e1c38b9a79d670e57bee7e0311fa",
+    "vqa.jsonl": "a9d5c6c4c6da4032d53d30ae4b6937b493e14354a28e684ed14188abf2342cd3",
+}
+
+
 def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
@@ -214,3 +227,8 @@ def run_rows(root, capsys) -> list[dict[str, str]]:
 def test_cli_golden_table(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     assert run_rows(tmp_path, capsys) == [digests for _, digests in ROWS]
+
+
+def test_fixture_files_golden(tmp_path, capsys):
+    assert main(["fixtures", "--out", str(tmp_path), "--seed", "0"]) == 0
+    assert {p.name: _sha(p.read_bytes()) for p in tmp_path.iterdir()} == FIXTURE_FILES

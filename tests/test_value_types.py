@@ -192,16 +192,9 @@ def test_repr_text():
 DEFAULTS = [
     (ReprScheme, {"kind": "ivb"}, {"decimals": 4, "n_bins": 224, "grid": 16, "patch": 14}),
     (AnnotatedImage, {"image_id": "img", "dims": DIMS, "objects": ()}, {"captions": None}),
-    (
-        SpatialBenchItem,
-        {"item_id": "i", "image_id": "img", "axis": "ab", "obj_query": ("cat", BOX), "obj_ref": ("dog", BOX), "gt_keyword": "above"},
-        {"icl_context": None, "seed": 0},
-    ),
-    (HallucinationItem, {"item_id": "i", "media_id": "img", "medium": "image", "obj": "cat", "gt": "no"}, {"seed": 0}),
     (TemplateSet, {}, TEMPLATE_FIELDS),
     (ParsedResponse, {"kind": "free_text", "raw": "?"}, {"location": None, "polarity": None}),
     (ModelResponse, {"request_id": "r", "text": "Yes"}, {"status": "ok", "error_detail": None}),
-    (SamplingConfig, {}, {"temperature": 0.2, "max_new_tokens": 128}),
     (
         EvalRecord,
         {"item_id": "i", "task": "region_description", "gt": "a cat", "response": "", "score": 0.0},
@@ -270,8 +263,8 @@ CHECKS = [
     ),
     (lambda: ModelResponse("r", "", status="error"), ValueError, "error responses need error_detail"),
     (lambda: SamplingConfig(temperature=0, max_new_tokens=0), ValueError, "temperature must be a finite number above 0, got 0"),
-    (lambda: SamplingConfig(temperature=math.nan), ValueError, "temperature must be a finite number above 0, got nan"),
-    (lambda: SamplingConfig(max_new_tokens=0), ValueError, "max_new_tokens must be positive"),
+    (lambda: SamplingConfig(temperature=math.nan, max_new_tokens=128), ValueError, "temperature must be a finite number above 0, got nan"),
+    (lambda: SamplingConfig(temperature=0.2, max_new_tokens=0), ValueError, "max_new_tokens must be positive"),
     (lambda: EvalRecord("i", "spatial", "left", "left"), ValueError, "exactly one of correct/score must be set"),
     (
         lambda: EvalRecord("i", "spatial", "left", "left", correct=True, score=1.0),

@@ -32,25 +32,14 @@ class ObjectAnn(NamedTuple):
     bbox: BBox
 
 
-class _AnnotatedImage(NamedTuple):
+class AnnotatedImage(NamedTuple):
+    """One image and its objects, whose instance ids differ and whose boxes
+    fit ``dims``: the COCO loader checks both."""
+
     image_id: str
     dims: ImageDims
     objects: tuple[ObjectAnn, ...]
-    captions: dict[str, str] | None
-
-
-class AnnotatedImage(_AnnotatedImage):
-    __slots__ = ()
-
-    def __new__(
-        cls, image_id: str, dims: ImageDims, objects: tuple[ObjectAnn, ...], captions: dict[str, str] | None = None
-    ):
-        ids = [o.instance_id for o in objects]
-        if len(set(ids)) != len(ids):
-            raise ValueError(f"duplicate instance ids in image {image_id}")
-        for obj in objects:
-            obj.bbox.validate_within(dims)
-        return tuple.__new__(cls, (image_id, dims, objects, captions))
+    captions: dict[str, str] | None = None
 
     def category_counts(self) -> Counter:
         return Counter(o.category for o in self.objects)
@@ -152,8 +141,8 @@ def load_coco_annotations(path) -> CocoLoad:
         dims_by_image[img["id"]] = ImageDims._make((img["width"], img["height"]))
 
     # Each check is written out here, once: the values that pass are built with
-    # _make, which skips the ImageDims, BBox and AnnotatedImage constructors'
-    # second check of the same invariants.
+    # _make, which skips the ImageDims and BBox constructors' second check of
+    # the same invariants.
     skipped: Counter = Counter()
     objects_by_image: dict = {img_id: [] for img_id in dims_by_image}
     for n, ann in enumerate(_coco_array(path, data, "annotations")):
@@ -205,7 +194,7 @@ def load_coco_annotations(path) -> CocoLoad:
         if len({obj.instance_id for obj in objects}) != len(objects):
             skipped["duplicate_instance_ids"] += 1
             continue
-        images.append(AnnotatedImage._make((str(image_id), dims_by_image[image_id], objects, None)))
+        images.append(AnnotatedImage(str(image_id), dims_by_image[image_id], objects))
     return CocoLoad(images=images, vocabulary=list(first_by_name), skipped=skipped)
 
 
@@ -285,18 +274,28 @@ def _detection(path, line_no: int, det) -> tuple[str, BBox]:
 def load_video_detections(path) -> dict[str, dict[int, list[tuple[str, BBox]]]]:
     """Read per-video detections: one {video_id, frames: {idx: [{category, bbox}]}} per line.
 
-    Boxes are xyxy in pixel space.
+    Boxes are xyxy in pixel space. A ``video_id`` that is neither a string
+    nor an integer, or that repeats an earlier line's after ``str()``, and a
+    frame index that repeats another of its line after ``int()`` are
+    SchemaErrors naming the file and line.
     """
     videos: dict[str, dict[int, list[tuple[str, BBox]]]] = {}
+    first_line = {}
     for line_no, row in iter_records(path):
         try:
             _require(isinstance(row["frames"], dict), path, line_no, "frames is not a JSON object")
-            frames = {}
+            frames, keys = {}, {}
             for idx, dets in row["frames"].items():
                 _require(idx.isascii() and idx.isdigit(), path, line_no, f"frame index {idx!r} is not a number")
                 _require(isinstance(dets, list), path, line_no, f"frame {idx} is not a JSON array")
-                frames[int(idx)] = [_detection(path, line_no, d) for d in dets]
-            videos[str(row["video_id"])] = frames
+                frame = int(idx)
+                key = keys.setdefault(frame, idx)
+                _require(key == idx, path, line_no, f"frame index {idx!r} repeats frame index {key!r}")
+                frames[frame] = [_detection(path, line_no, d) for d in dets]
+            video_id = _row_id(path, line_no, "video_id", row["video_id"])
+            first = first_line.setdefault(video_id, line_no)
+            _require(first == line_no, path, line_no, f"video_id {video_id!r} repeats line {first}")
+            videos[video_id] = frames
         except KeyError as exc:
             raise line_error(path, line_no, exc) from exc
     return videos

@@ -111,7 +111,10 @@ def discover_negative_categories(image: AnnotatedImage, vocabulary: Sequence[str
 # ---------------- conversation dataset ---------------- #
 
 
-class _ConversationSample(NamedTuple):
+class ConversationSample(NamedTuple):
+    """One instruction-tuning sample; ``location`` is set exactly for locpred
+    and revloc samples."""
+
     sample_id: str
     image_id: str
     objective: str
@@ -121,22 +124,6 @@ class _ConversationSample(NamedTuple):
     descriptor: str
     form: str
     seed: int
-
-
-class ConversationSample(_ConversationSample):
-    __slots__ = ()
-
-    def __new__(
-        cls, sample_id: str, image_id: str, objective: str, prompt: str, target: str,
-        location: LocationText | None, descriptor: str, form: str, seed: int,
-    ):
-        if not descriptor:
-            raise ValueError("descriptor must be non-empty")
-        if objective in (LOCPRED, REVLOC) and location is None:
-            raise ValueError(f"{objective} sample needs a location")
-        if objective == NEGPRED and location is not None:
-            raise ValueError("negative samples carry no location")
-        return tuple.__new__(cls, (sample_id, image_id, objective, prompt, target, location, descriptor, form, seed))
 
     def to_record(self, scheme: ReprScheme) -> dict:
         return dataset_record(
@@ -208,10 +195,8 @@ def build_ift_dataset(
                 pair = render_locpred(descriptor, form, location, sample_seed, templates)
             else:
                 pair = render_revloc(location, descriptor, sample_seed, templates)
-        # _make skips ConversationSample's checks: the renderer refused an empty
-        # descriptor, and the location is set exactly for locpred and revloc
-        return ConversationSample._make(
-            (sample_id, image.image_id, objective, pair.prompt, pair.target, location, descriptor, form, sample_seed)
+        return ConversationSample(
+            sample_id, image.image_id, objective, pair.prompt, pair.target, location, descriptor, form, sample_seed
         )
 
     samples = []
@@ -469,8 +454,7 @@ def ingest_pseudo_captions(
         if image_id in captions:
             merged = dict(image.captions or {})
             merged.update(captions[image_id])
-            # _make skips AnnotatedImage's checks, which the unchanged objects passed
-            image = AnnotatedImage._make((image.image_id, image.dims, image.objects, merged))
+            image = image._replace(captions=merged)
         out.append(image)
     return out, BuildReport(len(images), len(out), exclusions)
 
@@ -494,6 +478,11 @@ def _mean(values) -> float:
     return total / len(values)
 
 
+def require_frame_count(n_f: int) -> None:
+    if n_f < 1:
+        raise ValueError(f"frame count must be at least 1, got {n_f} (--frames)")
+
+
 def build_video_static_objects(
     per_frame_detections: dict[int, list[tuple[str, BBox]]],
     n_f: int = 8,
@@ -506,8 +495,7 @@ def build_video_static_objects(
     sits within STATIC_CENTER_RANGE_PX of the mean center. The averaged box
     is the coordinate-wise mean over frames where the object appears.
     """
-    if n_f < 1:
-        raise ValueError(f"frame count must be at least 1, got {n_f} (--frames)")
+    require_frame_count(n_f)
     tallies: Counter = Counter()
     by_category: dict[str, dict[int, BBox]] = {}
     ambiguous: set[str] = set()

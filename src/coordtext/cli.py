@@ -232,6 +232,7 @@ def cmd_build_pseudo_captions(args) -> int:
 
 
 def cmd_build_video_static(args) -> int:
+    builders.require_frame_count(args.frames)  # a file with no videos would never reach the builder's check
     detections = ann_io.load_video_detections(args.videos)
     tracks = []
     exclusions = Counter()

@@ -163,26 +163,13 @@ class ReprScheme(_ReprScheme):
             return {"kind": "ivb", "n_bins": self.n_bins}
         return {"kind": "diga", "grid": self.grid, "patch": self.patch}
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "ReprScheme":
-        return cls(kind=d["kind"], **{k: v for k, v in d.items() if k != "kind"})
 
+class LocationText(NamedTuple):
+    """A location serialized under one scheme, plus enough context to parse it back."""
 
-class _LocationText(NamedTuple):
     text: str
     scheme: ReprScheme
     form: str  # "point" | "bbox"
-
-
-class LocationText(_LocationText):
-    """A location serialized under one scheme, plus enough context to parse it back."""
-
-    __slots__ = ()
-
-    def __new__(cls, text: str, scheme: ReprScheme, form: str):
-        if form not in ("point", "bbox"):
-            raise CodecError(f"unknown location form {form!r}")
-        return tuple.__new__(cls, (text, scheme, form))
 
 
 # Quantization works on exact (numerator, denominator) views of the input
@@ -238,7 +225,7 @@ def encode_point(p: PointLoc, dims: ImageDims, scheme: ReprScheme) -> LocationTe
         d1 = _round_half_up(2 * xn - (2 * pi + 1) * patch * xd, 2 * xd)
         d2 = _round_half_up(2 * yn - (2 * qi + 1) * patch * yd, 2 * yd)
         text = f"({pi}, {qi}, {d1}, {d2})"
-    return LocationText._make((text, scheme, "point"))  # a known form: skip the check
+    return LocationText(text, scheme, "point")
 
 
 def encode_bbox(b: BBox, dims: ImageDims, scheme: ReprScheme) -> LocationText:
@@ -285,7 +272,7 @@ def encode_bbox(b: BBox, dims: ImageDims, scheme: ReprScheme) -> LocationText:
         d3 = _round_half_up(2 * x2n - cx * x2d, 2 * x2d)
         d4 = _round_half_up(2 * y2n - cy * y2d, 2 * y2d)
         text = f"({pi}, {qi}, {d1}, {d2}, {d3}, {d4})"
-    return LocationText._make((text, scheme, "bbox"))  # a known form: skip the check
+    return LocationText(text, scheme, "bbox")
 
 
 _INT_RE = re.compile(r"-?\d+")

@@ -15,7 +15,7 @@ from operator import itemgetter
 from typing import NamedTuple
 
 from .meteor import score_meteor
-from .prompts import HALLUCINATION, OBJECTIVES, OPPOSITE_KEYWORD, parse_response
+from .prompts import OBJECTIVES, OPPOSITE_KEYWORD, parse_response
 
 # the record field that holds each evaluate task's ground truth, and the
 # values it may take where the task's judgement knows only those
@@ -23,31 +23,20 @@ TRUTH_FIELDS = {objective.task: objective.truth for objective in OBJECTIVES.valu
 TRUTH_VALUES = {"spatial": tuple(OPPOSITE_KEYWORD), "hallucination": ("yes", "no")}
 
 
-class _EvalRecord(NamedTuple):
+class EvalRecord(NamedTuple):
+    """One judged item, with exactly one of ``correct`` and ``score`` set.
+    ``prediction`` is the parsed presence answer ("yes", "no" or None) of a
+    hallucination item; it is kept in memory for the aggregation and is not
+    part of ``to_dict``."""
+
     item_id: str
     task: str
     gt: str
     response: str
-    correct: bool | None
-    score: float | None
-    missing: bool
-    prediction: str | None
-
-
-class EvalRecord(_EvalRecord):
-    """One judged item. ``prediction`` is the parsed presence answer ("yes",
-    "no" or None) of a hallucination item; it is kept in memory for the
-    aggregation and is not part of ``to_dict``."""
-
-    __slots__ = ()
-
-    def __new__(
-        cls, item_id: str, task: str, gt: str, response: str, correct: bool | None = None,
-        score: float | None = None, missing: bool = False, prediction: str | None = None,
-    ):
-        if (correct is None) == (score is None):
-            raise ValueError("exactly one of correct/score must be set")
-        return tuple.__new__(cls, (item_id, task, gt, response, correct, score, missing, prediction))
+    correct: bool | None = None
+    score: float | None = None
+    missing: bool = False
+    prediction: str | None = None
 
     def to_dict(self) -> dict:
         return {
@@ -164,8 +153,7 @@ def score_hallucination(records, responses: dict) -> tuple[MetricsReport, list[E
     """
 
     def judge(gt, response):
-        parsed = parse_response(response, HALLUCINATION)
-        prediction = parsed.polarity if parsed.kind == "yes_no" else None
+        prediction = parse_response(response)
         return {"correct": prediction == gt, "prediction": prediction}
 
     return _score("hallucination", records, responses, TRUTH_FIELDS["hallucination"], judge, {"positive_class": "yes"})

@@ -35,7 +35,6 @@ from typing import NamedTuple
 from urllib.parse import urlsplit
 
 from . import prompts
-from .coords import BBox, ImageDims, PointLoc, ReprScheme, encode_bbox, encode_point
 from .seeding import derive_seed
 
 
@@ -45,20 +44,11 @@ class ModelRequest(NamedTuple):
     prompt: str
 
 
-class _ModelResponse(NamedTuple):
+class ModelResponse(NamedTuple):
     request_id: str
     text: str
-    status: str  # "ok" | "error"
-    error_detail: str | None
-
-
-class ModelResponse(_ModelResponse):
-    __slots__ = ()
-
-    def __new__(cls, request_id: str, text: str, status: str = "ok", error_detail: str | None = None):
-        if status == "error" and not error_detail:
-            raise ValueError("error responses need error_detail")
-        return tuple.__new__(cls, (request_id, text, status, error_detail))
+    status: str = "ok"  # "ok" | "error"
+    error_detail: str | None = None
 
 
 class _SamplingConfig(NamedTuple):
@@ -540,35 +530,15 @@ RANDOM_SPACES = {
 }
 
 
-def random_mock(
-    request: ModelRequest,
-    seed: int,
-    space: str,
-    scheme: ReprScheme | None = None,
-    form: str | None = None,
-    dims: ImageDims | None = None,
-) -> ModelResponse:
-    """Chance-level baseline: seeded uniform draw over the answer space.
-
-    ``space`` is one of lr / ab / yes_no / location; the location space
-    emits a uniform random box or point encoded under ``scheme``.
-    """
+def random_mock(request: ModelRequest, seed: int, space: str) -> ModelResponse:
+    """Chance-level baseline: seeded uniform draw over the answer space, one
+    of lr / ab / yes_no."""
     rng = random_module.Random(derive_seed(seed, request.request_id))
     if space in RANDOM_SPACES:
         choice = rng.choice(RANDOM_SPACES[space])
         if space == "yes_no":
             return ModelResponse(request.request_id, choice)
         return ModelResponse(request.request_id, f"It is to the {choice}.")
-    if space == "location":
-        if scheme is None or form is None or dims is None:
-            raise ValueError("location space needs scheme, form, and dims")
-        if form == "point":
-            loc = encode_point(PointLoc(rng.uniform(0, dims.width), rng.uniform(0, dims.height)), dims, scheme)
-        else:
-            x1, x2 = sorted(rng.uniform(0, dims.width) for _ in range(2))
-            y1, y2 = sorted(rng.uniform(0, dims.height) for _ in range(2))
-            loc = encode_bbox(BBox(x1, y1, x2, y2), dims, scheme)
-        return ModelResponse(request.request_id, f"It is located at {loc.text}.")
     raise ValueError(f"unknown answer space {space!r}")
 
 

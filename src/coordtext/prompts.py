@@ -1,4 +1,4 @@
-"""Instruction templates, seeded prompt/target rendering, and response parsing.
+"""Instruction templates, seeded prompt/target rendering, and yes/no answer parsing.
 
 Rendering is pure: a (descriptor, form, location, seed) tuple always produces
 the same bytes, so datasets can be regenerated from their metadata alone.
@@ -6,20 +6,16 @@ Location-query and negative-query prompts are drawn from the same template
 pool so nothing in the input distinguishes the two objectives.
 """
 
+from __future__ import annotations
+
 import re
 import string
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
-from .coords import (
-    CodecError,
-    ImageDims,
-    LocationText,
-    ReprScheme,
-    decode_bbox,
-    decode_point,
-    split_coordinate_text,
-)
 from .records import SchemaError, iter_lines
+
+if TYPE_CHECKING:  # annotations only: query and evaluate do not run the codec
+    from .coords import LocationText
 
 # objective tags used across records and reports
 LOCPRED = "locpred"
@@ -82,7 +78,6 @@ CAPTION_PROMPT = (
 )
 
 OPPOSITE_KEYWORD = {"left": "right", "right": "left", "above": "below", "below": "above"}
-NEGATION_PHRASES = ("no such object", "there is no", "not present", "does not appear")
 
 
 class TemplateSet(NamedTuple):
@@ -198,15 +193,6 @@ class RenderedPair(NamedTuple):
     template_index: int
 
 
-class ParsedResponse(NamedTuple):
-    """Structured view of free-form model text; raw is always preserved."""
-
-    kind: str  # location | negative | yes_no | free_text
-    raw: str
-    location: LocationText | None = None
-    polarity: str | None = None
-
-
 def template_index(seed: int, n_templates: int) -> int:
     """Seed-to-template mapping: small seeds enumerate templates, any seed is uniform."""
     return seed % n_templates
@@ -299,59 +285,17 @@ def render_caption_request(category: str, templates: TemplateSet = DEFAULT_TEMPL
     return templates.caption_request.format(category=category)
 
 
-_PAREN_TUPLE_RE = re.compile(r"\(([^()]*)\)")
-_BARE_TUPLE_RE = re.compile(r"-?\d+(?:\.\d+)?(?:\s*,\s*-?\d+(?:\.\d+)?)+")
-
-
-def extract_location(raw: str, scheme: ReprScheme, form: str) -> LocationText | None:
-    """First coordinate tuple in raw that is valid for scheme/form, canonicalized.
-
-    Validity means correct arity, token syntax, in-range bin/anchor indices,
-    and a non-degenerate box; candidates failing any check are skipped.
-    """
-    candidates = [m.group(1) for m in _PAREN_TUPLE_RE.finditer(raw)]
-    candidates += [m.group(0) for m in _BARE_TUPLE_RE.finditer(raw)]
-    unit = ImageDims(1, 1)  # scale-free decode probe: range and degeneracy checks only
-    for cand in candidates:
-        try:
-            tokens = split_coordinate_text(cand, scheme, form, lenient=True)
-            loc = LocationText("(" + ", ".join(tokens) + ")", scheme, form)
-            if form == "point":
-                decode_point(loc, unit)
-            else:
-                decode_bbox(loc, unit)
-        except CodecError:
-            continue
-        return loc
-    return None
-
-
 def _word_present(word: str, text: str) -> bool:
     return re.search(rf"\b{word}\b", text) is not None
 
 
-def parse_response(
-    raw: str, expect: str, scheme: ReprScheme | None = None, form: str | None = None
-) -> ParsedResponse:
-    """Classify model text for the expected objective. Total: never raises.
-
-    Location objectives yield the first well-formed coordinate tuple, else a
-    negation if one of the stock denial phrases appears. Yes/no questions need
-    exactly one of yes/no as a whole word. Anything else is free text: a side
-    answer too, which ``evals.score_spatial`` judges on its own.
-    """
+def parse_response(raw: str) -> str | None:
+    """The answer to a presence question: "yes" or "no" when exactly one of
+    them appears in ``raw`` as a whole word, any case; otherwise None. Total:
+    never raises."""
     lowered = raw.lower()
-    if expect in (LOCPRED, NEGPRED, REVLOC):
-        if scheme is not None and form is not None:
-            loc = extract_location(raw, scheme, form)
-            if loc is not None:
-                return ParsedResponse(kind="location", raw=raw, location=loc)
-        if any(phrase in lowered for phrase in NEGATION_PHRASES):
-            return ParsedResponse(kind="negative", raw=raw, polarity="no")
-        return ParsedResponse(kind="free_text", raw=raw)
-    if expect == HALLUCINATION:
-        yes = _word_present("yes", lowered)
-        no = _word_present("no", lowered)
-        if yes != no:
-            return ParsedResponse(kind="yes_no", raw=raw, polarity="yes" if yes else "no")
-    return ParsedResponse(kind="free_text", raw=raw)
+    yes = _word_present("yes", lowered)
+    no = _word_present("no", lowered)
+    if yes == no:
+        return None
+    return "yes" if yes else "no"

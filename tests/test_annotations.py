@@ -114,10 +114,26 @@ def test_coco_loader_skips_annotation_that_is_not_an_object_or_has_a_bad_id(tmp_
     assert load.skipped == {tally: 1}
 
 
-def test_annotated_image_rejects_duplicate_instance_ids():
-    box = BBox(0, 0, 10, 10)
-    with pytest.raises(ValueError, match="duplicate instance ids"):
-        AnnotatedImage("a", ImageDims(20, 20), (ObjectAnn("x", "lamp", box), ObjectAnn("x", "mug", box)))
+@pytest.mark.parametrize("ids", [("x", "x"), (1, "1")], ids=["same string", "int and its string"])
+def test_coco_loader_skips_an_image_whose_instance_ids_repeat(tmp_path, ids):
+    """The loader is where instance ids are checked (AnnotatedImage takes its
+    objects as given): an image naming one instance twice is skipped and
+    tallied, and an integer id stands for its digits."""
+    data = {
+        "images": [{"id": "a", "width": 100, "height": 100}, {"id": "b", "width": 100, "height": 100}],
+        "categories": [{"id": 1, "name": "lamp"}, {"id": 2, "name": "mug"}],
+        "annotations": [
+            {"id": ids[0], "image_id": "a", "category_id": 1, "bbox": [0, 0, 10, 10]},
+            {"id": ids[1], "image_id": "a", "category_id": 2, "bbox": [20, 20, 10, 10]},
+            {"id": ids[0], "image_id": "b", "category_id": 1, "bbox": [0, 0, 10, 10]},
+        ],
+    }
+    path = tmp_path / "coco.json"
+    path.write_text(json.dumps(data))
+    load = load_coco_annotations(path)
+    assert [image.image_id for image in load.images] == ["b"]
+    assert [o.instance_id for o in load.images[0].objects] == [str(ids[0])]
+    assert load.skipped == {"duplicate_instance_ids": 1}
 
 
 def test_load_caption_records_both_formats(tmp_path):
@@ -329,6 +345,24 @@ def test_video_detections_line_missing_a_field_is_a_schema_error_naming_it(tmp_p
     assert str(info.value) == f"{path}: line 2: missing field {field!r}"
 
 
+@pytest.mark.parametrize(
+    "lines, problem",
+    [
+        (['{"video_id": 1, "frames": {}}', '{"video_id": "1", "frames": {}}'], "line 2: video_id '1' repeats line 1"),
+        (['{"video_id": true, "frames": {}}'], "line 1: video_id is not a string or an integer"),
+    ],
+    ids=["int and str id", "bool id"],
+)
+def test_video_id_is_a_string_or_an_integer_named_once(tmp_path, lines, problem):
+    """An integer id stands for its digits, so it repeats the same string; a
+    bool is no id. (The CLI tests cover a null, list and repeated id.)"""
+    path = tmp_path / "videos.jsonl"
+    path.write_text("".join(line + "\n" for line in lines))
+    with pytest.raises(SchemaError) as info:
+        load_video_detections(path)
+    assert str(info.value) == f"{path}: {problem}"
+
+
 # ---------------- vocabulary ---------------- #
 
 
@@ -454,16 +488,11 @@ def _reference_parse_coco(path, data: dict) -> CocoLoad:
 
     images = []
     for image_id in sorted(dims_by_image, key=str):
-        try:
-            images.append(
-                AnnotatedImage(
-                    image_id=str(image_id),
-                    dims=dims_by_image[image_id],
-                    objects=tuple(objects_by_image[image_id]),
-                )
-            )
-        except ValueError:
+        objects = tuple(objects_by_image[image_id])
+        if max(Counter(obj.instance_id for obj in objects).values(), default=1) > 1:
             skipped["duplicate_instance_ids"] += 1
+            continue
+        images.append(AnnotatedImage(image_id=str(image_id), dims=dims_by_image[image_id], objects=objects))
     return CocoLoad(images=images, vocabulary=vocabulary, skipped=skipped)
 
 

@@ -25,7 +25,7 @@ from coordtext.builders import (
     ingest_pseudo_captions,
     unique_instance_objects,
 )
-from coordtext.coords import BBox, ImageDims, ReprScheme, encode_bbox, encode_point
+from coordtext.coords import BBox, ImageDims, ReprScheme, decode_bbox, decode_point, encode_bbox, encode_point
 from coordtext.fixtures import (
     CATEGORIES,
     annotation_fixture,
@@ -140,6 +140,31 @@ def test_ift_descriptor_prefers_caption():
     samples, _ = build_ift_dataset([captioned], IVB, "bbox", {"locpred": 1, "revloc": 1}, seed=0)
     assert all(s.descriptor == "a tall lamp" for s in samples)
     assert samples[1].target == "There is a a tall lamp."  # revloc target wraps the caption verbatim
+
+
+@pytest.mark.parametrize("form", ["point", "bbox"])
+@pytest.mark.parametrize("scheme", [ReprScheme.nfp(), IVB, ReprScheme.diga(16)], ids=["nfp", "ivb", "diga"])
+def test_ift_samples_carry_a_location_exactly_for_locpred_and_revloc(scheme, form):
+    """ConversationSample takes its fields as given, so the builder keeps
+    them whole: a non-empty descriptor (an empty pseudo-caption falls back to
+    the category), and a location of the requested scheme and form on exactly
+    the locpred and revloc samples, which decodes on its image."""
+    images = annotation_fixture(40, seed=5)
+    blank = _image("blank", ["lamp"])
+    images.append(AnnotatedImage(blank.image_id, blank.dims, blank.objects, captions={"blank.o0": ""}))
+    by_id = {im.image_id: im for im in images}
+    mix = {"locpred": 1, "negpred": 1, "revloc": 1}
+    samples, _ = build_ift_dataset(images, scheme, form, mix, seed=11, vocabulary=list(CATEGORIES))
+    assert {s.objective for s in samples} == {LOCPRED, NEGPRED, REVLOC}
+    decode = decode_point if form == "point" else decode_bbox
+    for s in samples:
+        assert s.descriptor and s.form == form
+        if s.objective == NEGPRED:
+            assert s.location is None
+        else:
+            assert (s.location.scheme, s.location.form) == (scheme, form)
+            decode(s.location, by_id[s.image_id].dims)
+    assert {s.descriptor for s in samples if s.image_id == "blank" and s.objective != NEGPRED} == {"lamp"}
 
 
 def test_ift_samples_rerender_from_metadata():

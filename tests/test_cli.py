@@ -137,10 +137,13 @@ def test_build_hallucination_negative_per_media_exits_2(fx, tmp_path, capsys):
 def test_build_video_static_frames_below_one_exits_2(fx, tmp_path, capsys, frames):
     """A frame count below 1 used to exit 2 blaming the first detection's frame
     (``frame index 0 outside [0, 0)``), and a file whose videos hold no
-    detections was accepted with exit 0."""
+    detections, or that holds no video, was accepted with exit 0. The count
+    is checked before the file is read."""
     no_detections = tmp_path / "no_detections.jsonl"
     no_detections.write_text('{"video_id": "v1", "frames": {}}\n', encoding="utf-8")
-    for videos in (fx / "videos.jsonl", no_detections):
+    no_videos = tmp_path / "no_videos.jsonl"
+    no_videos.write_text("", encoding="utf-8")
+    for videos in (fx / "videos.jsonl", no_detections, no_videos):
         out = tmp_path / "tracks.jsonl"
         code, _, err = run(["build", "video-static", "--videos", str(videos), "--frames", frames, "--out", str(out)], capsys)
         assert code == 2 and err == f"error: frame count must be at least 1, got {frames} (--frames)\n"
@@ -235,7 +238,7 @@ def test_ift_records_rerender_from_file_metadata(fx, tmp_path, capsys):
     _, rows = read_records(out)
     assert rows
     for row in rows:
-        scheme = ReprScheme.from_dict(row["scheme"])
+        scheme = ReprScheme(**row["scheme"])
         loc = LocationText(row["location_text"], scheme, row["form"]) if row["location_text"] else None
         if row["objective"] == "locpred":
             pair = render_locpred(row["descriptor"], row["form"], loc, row["seed"])
@@ -889,6 +892,10 @@ BAD_VIDEO_LINES = [
     ('{"video_id": "v1", "frames": {"0": [{"category": "cup", "bbox": [5, 0, 1, 9]}]}}', "bad bbox: x1 > x2 in (5, 0, 1, 9)"),
     ('{"video_id": "v1", "frames": {"0": [{"category": "cup", "bbox": [0, 0, 1%s, 1]}]}}' % ("0" * 400),
      "bad bbox: int too large to convert to float"),
+    ('{"video_id": null, "frames": {}}', "video_id is not a string or an integer"),
+    ('{"video_id": ["a"], "frames": {}}', "video_id is not a string or an integer"),
+    ('{"video_id": "v1", "frames": {"1": [{"category": "cup", "bbox": [0, 0, 9, 9]}], '
+     '"01": [{"category": "pen", "bbox": [0, 0, 9, 9]}]}}', "frame index '01' repeats frame index '1'"),
 ]
 
 
@@ -900,6 +907,17 @@ def test_video_detections_wrong_type_is_schema_error(fx, tmp_path, capsys, args)
         bad.write_bytes(first.encode() + b"\n" + (fx / "videos.jsonl").read_bytes())
         code, _, err = run(argv, capsys)
         assert code == 3 and f"{bad}: line 1: {message}" in err, first
+
+
+@pytest.mark.parametrize("args", [["build", "video-static"], ["build", "hallucination", "--annotations", "{fx}/coco_50.json"]])
+def test_video_detections_repeated_video_id_exits_3(fx, tmp_path, capsys, args):
+    """A second line with a video's id used to replace the first line's
+    detections without a word."""
+    videos, out = tmp_path / "videos.jsonl", tmp_path / "out.jsonl"
+    videos.write_bytes(b'{"video_id": "vid00000", "frames": {}}\n' + (fx / "videos.jsonl").read_bytes())
+    code, _, err = run([a.format(fx=fx) for a in args] + ["--videos", str(videos), "--out", str(out)], capsys)
+    assert (code, err) == (3, f"schema error: {videos}: line 2: video_id 'vid00000' repeats line 1\n")
+    assert not out.exists()
 
 
 def test_video_static_averaged_box_past_a_float_s_range_exits_3(tmp_path, capsys):
@@ -1036,9 +1054,9 @@ LAZY_STAGES = (
     (["build", "spatial-bench", "--annotations", "{fx}/coco_50.json", "--out", "{out}/bench.jsonl"],
      ["evals", "gateway", "meteor"]),
     (["query", "--records", "{out}/bench.jsonl", "--mock", "oracle", "--out", "{out}/resp.jsonl"],
-     ["annotations", "builders", "evals", "meteor"]),
+     ["annotations", "builders", "coords", "evals", "meteor"]),
     (["evaluate", "--records", "{out}/bench.jsonl", "--responses", "{out}/resp.jsonl"],
-     ["annotations", "builders", "gateway"]),
+     ["annotations", "builders", "coords", "gateway"]),
     (["verify", "{out}/bench.jsonl", "{out}/resp.jsonl"],
      ["annotations", "builders", "coords", "evals", "gateway", "meteor", "prompts", "seeding"]),
 )
@@ -1046,7 +1064,8 @@ LAZY_STAGES = (
 
 def test_pipeline_stages_load_neither_numpy_nor_requests(fx, tmp_path):
     """Each stage, in a fresh interpreter, runs only the layers it calls:
-    verify runs records alone. build, query --mock, evaluate and verify load
+    verify runs records alone, and query --mock and evaluate leave the codec
+    (coords) unrun. build, query --mock, evaluate and verify load
     neither socket nor the fixtures module, which the paths that need them
     load on first use. No path loads numpy, requests or http.client. The
     value types are named tuples, so no stage loads dataclasses or inspect."""
@@ -1153,8 +1172,18 @@ def test_src_imports_only_the_standard_library():
 # Definitions in src that nothing else in src names, each with the reason it stays
 UNCALLED_DEFINITIONS = {
     "records.read_records": "perfbench's runner and tracer read whole record files with it",
-    "coords.ReprScheme.from_dict": "scoring localization answers (ROADMAP item 1) will decode their schemes with it",
-    "coords.token_cost": "the localization report (ROADMAP item 1) will give its answers' mean token cost",
+    "coords.token_cost": "acceptance criterion 2: the token-cost rule of the paper's cost comparison",
+}
+
+# Types whose ``__new__`` checks its arguments, each with the flag or input
+# file that reaches the check; a check that only tests can trip does not stay.
+CHECKED_TYPES = {
+    "coords.ImageDims": "encode and decode --dims",
+    "coords.BBox": "encode --bbox, and each bbox of a --videos file",
+    "coords.PointLoc": "encode --point",
+    "coords.ReprScheme": "--scheme with --decimals, --nb, --grid and --patch",
+    "gateway.SamplingConfig": "query --temperature and --max-new-tokens",
+    "evals.MetricsReport": "none: it checks nothing, and gives each report a new per_split and flags dict",
 }
 
 
@@ -1187,6 +1216,20 @@ def test_every_definition_in_src_is_named_elsewhere_in_src():
         )
     }
     assert uncalled == set(UNCALLED_DEFINITIONS)
+
+
+def test_only_the_listed_types_define_new():
+    """A class of src/coordtext defines ``__new__`` only where CHECKED_TYPES
+    lists it: every other value type is a plain named tuple."""
+    src = Path(cli.__file__).parent
+    defined = set()
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            if isinstance(node, ast.ClassDef) and any(
+                isinstance(item, ast.FunctionDef) and item.name == "__new__" for item in node.body
+            ):
+                defined.add(f"{path.stem}.{node.name}")
+    assert defined == set(CHECKED_TYPES)
 
 
 def test_console_script_smoke():

@@ -192,6 +192,20 @@ def test_decode_rejects_non_numeric():
     with pytest.raises(CodecError, match="cat"):
         decode_point(t, DIMS_512)
 
+@pytest.mark.parametrize(
+    "decode, form",
+    [(decode_point, "bbox"), (decode_point, "circle"), (decode_bbox, "point"), (decode_bbox, "circle")],
+    ids=["point from bbox", "point from circle", "bbox from point", "bbox from circle"],
+)
+def test_decode_rejects_text_of_another_form(decode, form):
+    """LocationText takes its form as given, so each decoder checks it before
+    it reads a token, and names the form it found."""
+    expected = "point" if decode is decode_point else "bbox"
+    text = LocationText("(4, 52)" if form == "point" else "(4, 52, 13, 63)", ReprScheme.ivb(224), form)
+    with pytest.raises(CodecError, match=f"^expected {expected} text, got form {form!r}$"):
+        decode(text, DIMS_512)
+
+
 def test_decode_reports_degenerate_box():
     t = LocationText("(0.6000, 0.1000, 0.2000, 0.4000)", ReprScheme.nfp(), "bbox")
     with pytest.raises(CodecError, match="degenerate decode"):
@@ -378,7 +392,7 @@ def test_most_decimals_round_trip_at_the_lowest_int_text_limit():
 
 def test_scheme_dict_roundtrip():
     for scheme in (ReprScheme.nfp(6), ReprScheme.ivb(336), ReprScheme.diga(24)):
-        assert ReprScheme.from_dict(scheme.to_dict()) == scheme
+        assert ReprScheme(**scheme.to_dict()) == scheme
 
 
 # ---------------- token costs ---------------- #

@@ -227,11 +227,29 @@ def test_aggregate_rejects_empty_and_mixed():
         aggregate_report(mixed, {})
 
 
-def test_eval_record_exactly_one_outcome():
-    with pytest.raises(ValueError):
-        EvalRecord("a", "spatial", "left", "x")
-    with pytest.raises(ValueError):
-        EvalRecord("a", "spatial", "left", "x", correct=True, score=1.0)
+@pytest.mark.parametrize(
+    "scorer, make_record, gt",
+    [
+        (score_spatial, spatial_record, "left"),
+        (score_hallucination, hal_record, "yes"),
+        (score_keyword_vqa, vqa_record, "a red cup"),
+        (score_region_description, region_record, "a red cup on the table"),
+    ],
+    ids=["spatial", "hallucination", "vqa", "region_description"],
+)
+def test_every_item_has_exactly_one_outcome(scorer, make_record, gt):
+    """EvalRecord takes its outcome as given, so each scorer sets exactly one
+    of correct and score, on answered and missing items alike: a score for
+    region descriptions, a correctness for every other task."""
+    records = [make_record(f"i{k}", gt) for k in range(4)]
+    _, items = scorer(records, {"i0": gt, "i1": "", "i2": "no idea"})
+    assert [item.missing for item in items] == [False, False, False, True]
+    for item in items:
+        if scorer is score_region_description:
+            assert item.correct is None and type(item.score) is float
+        else:
+            assert item.score is None and type(item.correct) is bool
+    assert items[3].correct is not True and not items[3].score
 
 
 def test_accuracy_times_n_is_integral():

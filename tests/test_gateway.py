@@ -12,7 +12,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 import pytest
 
 from coordtext.builders import build_spatial_bench
-from coordtext.coords import BBox, ImageDims, LocationText, ReprScheme, decode_bbox
+from coordtext.coords import LocationText, ReprScheme, decode_bbox
 from coordtext.fixtures import spatial_fixture
 from coordtext.gateway import (
     MAX_RETRY_DELAY_S,
@@ -29,7 +29,6 @@ from coordtext.gateway import (
     random_mock,
     random_response,
 )
-from coordtext.prompts import parse_response
 from test_coords import quantization_error_bound
 
 REQS = [ModelRequest(f"r{i}", f"im{i}.jpg", f"prompt {i}") for i in range(3)]
@@ -66,11 +65,6 @@ def test_sampling_config_validation():
         SamplingConfig(temperature=0.2, max_new_tokens=0)
 
 
-def test_error_response_needs_detail():
-    with pytest.raises(ValueError, match="error_detail"):
-        ModelResponse("r", "", status="error")
-
-
 def test_batch_alignment():
     out = query_batch(REQS, CallableTransport(echo_transport), CFG)
     assert [r.request_id for r in out] == ["r0", "r1", "r2"]
@@ -79,14 +73,18 @@ def test_batch_alignment():
 
 
 def test_partial_failure_completes_batch():
-    def flaky(request, cfg):
-        if request.request_id == "r1":
-            raise ValueError("rejected payload")
-        return echo_transport(request, cfg)
+    """A permanent failure becomes that request's error response, also when
+    its message is empty."""
+    for message in ("rejected payload", ""):
 
-    out = query_batch(REQS, CallableTransport(flaky), CFG)
-    assert [r.status for r in out] == ["ok", "error", "ok"]
-    assert "rejected payload" in out[1].error_detail
+        def flaky(request, cfg):
+            if request.request_id == "r1":
+                raise ValueError(message)
+            return echo_transport(request, cfg)
+
+        out = query_batch(REQS, CallableTransport(flaky), CFG)
+        assert [r.status for r in out] == ["ok", "error", "ok"]
+        assert out[1].error_detail == message
 
 
 def test_duplicate_request_ids_rejected():
@@ -662,13 +660,14 @@ def test_oracle_mock_location_roundtrip():
     samples, _ = build_ift_dataset(images, scheme, "bbox", {"locpred": 1}, seed=2)
     assert samples
     samples = samples[:25]
-    transport = MockTransport({s.sample_id: oracle_response(s.sample_id, s.to_record(scheme), 0) for s in samples})
+    records = {s.sample_id: s.to_record(scheme) for s in samples}
+    transport = MockTransport({sample_id: oracle_response(sample_id, r, 0) for sample_id, r in records.items()})
     reqs = [ModelRequest(s.sample_id, s.image_id, s.prompt) for s in samples]
     for sample, resp in zip(samples, query_batch(reqs, transport, CFG)):
-        parsed = parse_response(resp.text, "locpred", scheme, "bbox")
-        assert parsed.kind == "location"
+        location_text = records[sample.sample_id]["location_text"]
+        assert resp.text == f"It is located at {location_text}."
         image = by_id[sample.image_id]
-        decoded = decode_bbox(parsed.location, image.dims)
+        decoded = decode_bbox(LocationText(location_text, scheme, "bbox"), image.dims)
         gt = next(o.bbox for o in image.objects if sample.sample_id.split(":")[1] == o.instance_id)
         bound = quantization_error_bound(scheme, image.dims)
         for i, (a, b) in enumerate(zip(gt.as_tuple(), decoded.as_tuple())):
@@ -709,6 +708,15 @@ def test_oracle_answer_unknown_objective():
         oracle_answer({"objective": "mystery"})
 
 
+@pytest.mark.parametrize("space", ["location", "axis", ""])
+def test_random_mock_refuses_a_space_it_does_not_know(space):
+    """The chance baseline answers in the lr, ab and yes_no spaces only: no
+    objective asks it for a location, and a record resolves ``axis`` to lr
+    or ab before the mock is asked."""
+    with pytest.raises(ValueError, match=f"^unknown answer space {space!r}$"):
+        random_mock(ModelRequest("q", "m", "p"), seed=3, space=space)
+
+
 def test_random_mock_balance_and_determinism():
     n = 10_000
     answers = [random_mock(ModelRequest(f"q{i}", "m", "p"), seed=7, space="lr").text for i in range(n)]
@@ -718,14 +726,3 @@ def test_random_mock_balance_and_determinism():
     assert answers == again
     yn = {random_mock(ModelRequest(f"q{i}", "m", "p"), seed=1, space="yes_no").text for i in range(200)}
     assert yn == {"Yes", "No"}
-
-
-def test_random_mock_location_space():
-    dims = ImageDims(512, 512)
-    scheme = ReprScheme.nfp()
-    resp = random_mock(
-        ModelRequest("q", "m", "p"), seed=3, space="location", scheme=scheme, form="bbox", dims=dims
-    )
-    parsed = parse_response(resp.text, "locpred", scheme, "bbox")
-    assert parsed.kind == "location"
-    decode_bbox(parsed.location, dims)

@@ -6,15 +6,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coordtext.coords import BBox, ImageDims, LocationText, PointLoc, ReprScheme, decode_bbox, encode_bbox, encode_point
+from coordtext.coords import (
+    BBox,
+    ImageDims,
+    LocationText,
+    PointLoc,
+    ReprScheme,
+    decode_bbox,
+    decode_point,
+    encode_bbox,
+    encode_point,
+)
 from coordtext.prompts import (
     DEFAULT_TEMPLATES,
-    HALLUCINATION,
-    LOCPRED,
-    NEGPRED,
-    REVLOC,
-    SPATIAL_DIRECT,
-    extract_location,
     load_template_overrides,
     parse_response,
     render_caption_request,
@@ -163,126 +167,58 @@ def test_caption_request_preserves_surroundings():
 # ---------------- parsing ---------------- #
 
 
-def test_parse_canonical_location_roundtrip():
-    parsed = parse_response("It is located at (4, 52, 13, 63).", LOCPRED, IVB, "bbox")
-    assert parsed.kind == "location"
-    assert parsed.location.text == "(4, 52, 13, 63)"
-    decode_bbox(parsed.location, ImageDims(512, 512))
-
-
-def test_parse_location_skips_wrong_arity():
-    parsed = parse_response("Box (1, 2) no wait (4, 52, 13, 63)!", LOCPRED, IVB, "bbox")
-    assert parsed.kind == "location"
-    assert parsed.location.text == "(4, 52, 13, 63)"
-
-
-def test_parse_bare_tuple():
-    parsed = parse_response("coords: 4, 52", LOCPRED, IVB, "point")
-    assert parsed.kind == "location"
-    assert parsed.location.text == "(4, 52)"
-
-
-def test_parse_negation():
-    parsed = parse_response("There is no such object in the image", NEGPRED, IVB, "bbox")
-    assert parsed.kind == "negative"
-    assert parse_response("the thing is not present here", LOCPRED, IVB, "bbox").kind == "negative"
-
-
 def test_parse_yes_no():
-    assert parse_response("Yes", HALLUCINATION).polarity == "yes"
-    assert parse_response("No, I cannot see one.", HALLUCINATION).polarity == "no"
+    assert parse_response("Yes") == "yes"
+    assert parse_response("No, I cannot see one.") == "no"
     # "no" inside a word must not count
-    assert parse_response("A normal canoe.", HALLUCINATION).kind == "free_text"
-    assert parse_response("yes and no", HALLUCINATION).kind == "free_text"
+    assert parse_response("A normal canoe.") is None
+    assert parse_response("yes and no") is None
 
 
 def test_parse_free_text_fallback():
-    """A side answer is free text to the parser: score_spatial judges it on its own."""
+    """An answer with neither yes nor no as a whole word has no presence answer."""
     for raw in ("I am not sure.", "The dog is located to the left of the table.", "Left of the cat, right of the car."):
-        parsed = parse_response(raw, SPATIAL_DIRECT)
-        assert parsed == ("free_text", raw, None, None)
-
-
-SCHEMES = (ReprScheme.nfp(), IVB, ReprScheme.diga(16))
-# coordinate-like tokens of every scheme, in and out of range, and junk
-coordinate_tokens = st.one_of(
-    st.integers(-5, 300).map(str),
-    st.floats(0, 1.2).map(lambda f: f"{f:.3f}"),
-    st.sampled_from(["", "x", "1.5", "0.1234", " 7 "]),
-)
-coordinate_like = st.builds(
-    lambda before, tokens, sep, parens, after: before + ("({})" if parens else "{}").format(sep.join(tokens)) + after,
-    st.text(max_size=20), st.lists(coordinate_tokens, min_size=1, max_size=7), st.sampled_from([", ", ",", " , "]),
-    st.booleans(), st.text(max_size=20),
-)
-
-
-def located_text(scheme, form):
-    """Text around a well-formed location of ``scheme`` and ``form`` on a 512x512 image."""
-    dims = ImageDims(512, 512)
-
-    def render(before, x, y, w, h, after):
-        if form == "point":
-            loc = encode_point(PointLoc(x, y), dims, scheme)
-        else:
-            loc = encode_bbox(BBox(x, y, x + w, y + h), dims, scheme)
-        return before + loc.text + after
-
-    corner, extent = st.integers(0, 255), st.integers(1, 256)
-    return st.builds(render, st.text(max_size=20), corner, corner, extent, extent, st.text(max_size=20))
-
-
-@given(
-    st.data(),
-    st.sampled_from([LOCPRED, NEGPRED, SPATIAL_DIRECT, HALLUCINATION, REVLOC]),
-    st.sampled_from(SCHEMES),
-    st.sampled_from(["point", "bbox"]),
-)
-@settings(max_examples=600, deadline=None)
-def test_parse_response_total(data, expect, scheme, form):
-    raw = data.draw(st.text(max_size=200) | coordinate_like | located_text(scheme, form), label="raw")
-    parsed = parse_response(raw, expect, scheme, form)
-    assert parsed.raw == raw
-    assert parsed.kind in ("location", "negative", "yes_no", "free_text")
-    if parsed.kind == "location":
-        assert (parsed.location.scheme, parsed.location.form) == (scheme, form)
-        assert extract_location(parsed.location.text, scheme, form) == parsed.location
-
-
-def test_extract_location_rejects_out_of_range_bins():
-    assert extract_location("at (999, 999)", IVB, "point") is None
-
-
-def test_parse_response_rejects_diga_deviation_outside_square():
-    parsed = parse_response("It is at (0, 0, 99999, 0)", LOCPRED, ReprScheme.diga(16), "point")
-    assert parsed.kind != "location"
+        assert parse_response(raw) is None
 
 
 @pytest.mark.parametrize(
-    "scheme, huge, valid",
-    [(IVB, "(" + "1" * 5000 + ", 2)", "(4, 5)"), (ReprScheme.diga(16), "(0, 0, " + "9" * 400 + ", 0)", "(4, 5, 1, 2)")],
-    ids=["5000-digit bin", "1e400 deviation"],
+    "raw, answer",
+    [
+        ("It is located at (4, 52, 13, 63).", None),
+        ("coords: 4, 52", None),
+        (DEFAULT_TEMPLATES.negpred_target, "no"),
+        ("the thing is not present here", None),
+        ("Yes, at (4, 52, 13, 63).", "yes"),
+        ("NO. Box (1, 2)", "no"),
+    ],
+    ids=["location", "bare tuple", "negpred target", "not", "yes with a location", "no with a tuple"],
 )
-def test_parse_response_skips_unconvertible_tuple(scheme, huge, valid):
-    """A tuple whose numbers int() or a float cannot hold is skipped like any invalid one."""
-    parsed = parse_response(f"first {huge}, then {valid}", LOCPRED, scheme, "point")
-    assert parsed.kind == "location" and parsed.location.text == valid
+def test_parse_response_reads_only_the_presence_words(raw, answer):
+    """A location in an answer is no presence answer, and a denial counts as
+    "no" only where "no" is a word of it."""
+    assert parse_response(raw) == answer
 
 
-def test_render_parse_closed_loop():
+@given(st.text(max_size=200) | st.lists(st.sampled_from(["yes", "No", "noyes", ", ", " ", "YES.", "x"])).map("".join))
+@settings(max_examples=600, deadline=None)
+def test_parse_response_total(raw):
+    assert parse_response(raw) in ("yes", "no", None)
+
+
+@pytest.mark.parametrize("scheme", [ReprScheme.nfp(), ReprScheme.ivb(224), ReprScheme.diga(16)], ids=["nfp", "ivb", "diga"])
+def test_locpred_target_holds_a_location_text_that_decodes(scheme):
+    """A locpred target is its template around the encoded text, so the text
+    cut out of the target decodes to what the location itself decodes to."""
     dims = ImageDims(512, 512)
-    from coordtext.coords import BBox, decode_point, encode_bbox, encode_point, PointLoc
-
-    for scheme in (ReprScheme.nfp(), ReprScheme.ivb(224), ReprScheme.diga(16)):
-        box = encode_bbox(BBox(10, 120, 30, 145), dims, scheme)
-        pair = render_locpred("cat", "bbox", box, seed=3)
-        parsed = parse_response(pair.target, LOCPRED, scheme, "bbox")
-        assert parsed.kind == "location" and parsed.location.text == box.text
-        pt = encode_point(PointLoc(20, 132.5), dims, scheme)
-        pair = render_locpred("cat", "point", pt, seed=3)
-        parsed = parse_response(pair.target, LOCPRED, scheme, "point")
-        assert parsed.kind == "location" and parsed.location.text == pt.text
-        decode_point(parsed.location, dims)
+    prefix, suffix = DEFAULT_TEMPLATES.locpred_target.split("{loc}")
+    for loc, decode in (
+        (encode_bbox(BBox(10, 120, 30, 145), dims, scheme), decode_bbox),
+        (encode_point(PointLoc(20, 132.5), dims, scheme), decode_point),
+    ):
+        target = render_locpred("cat", loc.form, loc, seed=3).target
+        assert target.startswith(prefix) and target.endswith(suffix)
+        text = target[len(prefix): len(target) - len(suffix)]
+        assert decode(LocationText(text, scheme, loc.form), dims) == decode(loc, dims)
 
 
 # ---------------- overrides ---------------- #

@@ -52,13 +52,6 @@ class BuildReport(NamedTuple):
     emitted_count: int
     exclusions: Counter
 
-    def merge(self, other: "BuildReport") -> "BuildReport":
-        return BuildReport(
-            input_count=self.input_count + other.input_count,
-            emitted_count=self.emitted_count + other.emitted_count,
-            exclusions=self.exclusions + other.exclusions,
-        )
-
     def to_dict(self) -> dict:
         return {
             "input_count": self.input_count,
@@ -102,8 +95,6 @@ def unique_instance_objects(image: AnnotatedImage):
 
 def discover_negative_categories(image: AnnotatedImage, vocabulary: Sequence[str]) -> list[str]:
     """Vocabulary entries absent from the image, preserving vocabulary order."""
-    if not vocabulary:
-        raise ValueError("vocabulary must be non-empty")
     present = image.present_categories()
     return [cat for cat in vocabulary if cat not in present]
 
@@ -138,7 +129,7 @@ def build_ift_dataset(
     form: str,
     mix: dict[str, float],
     seed: int,
-    vocabulary: Sequence[str] | None = None,
+    vocabulary: Sequence[str],
     templates: TemplateSet = DEFAULT_TEMPLATES,
 ) -> tuple[list[ConversationSample], BuildReport]:
     """Location/negative/reverse conversation samples from unique-instance objects.
@@ -146,8 +137,8 @@ def build_ift_dataset(
     ``mix`` maps objective name to a ratio of the eligible (image, object)
     pair count; ratio 1.0 visits every pair once, larger ratios cycle, up to
     ``MAX_MIX_RATIO``. The descriptor is the instance's pseudo-caption when
-    present, else its category; negatives draw a seeded-uniform absent
-    category.
+    present, else its category; negatives draw a seeded-uniform category of
+    ``vocabulary`` that the image lacks.
     """
     bad = set(mix) - set(IFT_OBJECTIVES)
     if bad:
@@ -165,9 +156,6 @@ def build_ift_dataset(
         eligible.extend((image, obj) for obj in objs)
     if not eligible:
         return [], BuildReport(len(images), 0, exclusions)
-
-    if vocabulary is None:
-        vocabulary = sorted({c for image in images for c in image.present_categories()})
 
     total = len(eligible)
 
@@ -229,9 +217,7 @@ class SpatialBenchItem(NamedTuple):
         return SPATIAL_ICL if self.icl_context else SPATIAL_DIRECT
 
     def prompt(self, templates: TemplateSet = DEFAULT_TEMPLATES) -> str:
-        return render_spatial_query(
-            self.obj_ref[0], self.obj_query[0], self.axis, icl=self.icl_context, templates=templates
-        )
+        return render_spatial_query(self.obj_ref[0], self.obj_query[0], icl=self.icl_context, templates=templates)
 
     def to_record(self, templates: TemplateSet = DEFAULT_TEMPLATES) -> dict:
         return dataset_record(
@@ -365,20 +351,19 @@ def build_hallucination_set(
     media: Iterable[AnnotatedImage | MediaCategories],
     vocabulary: Sequence[str],
     seed: int,
-    n_present: int = 2,
-    n_absent: int = 2,
+    per_media: int,
     disjoint_from: Sequence[str] | None = None,
 ) -> tuple[list[HallucinationItem], BuildReport]:
-    """Presence questions: per media unit, sample present and absent categories.
+    """Presence questions: per media unit, up to ``per_media`` present and as
+    many absent categories.
 
     With ``disjoint_from`` the vocabulary is a novel-category list and must
     not overlap the given base classes.
     """
     if not vocabulary:
         raise ValueError("vocabulary must be non-empty")
-    for name, count in (("n_present", n_present), ("n_absent", n_absent)):
-        if count < 0:
-            raise ValueError(f"{name} must be non-negative, got {count}")
+    if per_media < 0:
+        raise ValueError(f"per_media must be non-negative, got {per_media}")
     if disjoint_from is not None:
         overlap = sorted(set(vocabulary) & set(disjoint_from))
         if overlap:
@@ -394,8 +379,8 @@ def build_hallucination_set(
         if not present:
             exclusions["media_without_present_categories"] += 1
         rng = random.Random(derive_seed(seed, unit.media_id))
-        chosen_present = sorted(rng.sample(present, min(n_present, len(present))))
-        chosen_absent = sorted(rng.sample(absent, min(n_absent, len(absent))))
+        chosen_present = sorted(rng.sample(present, min(per_media, len(present))))
+        chosen_absent = sorted(rng.sample(absent, min(per_media, len(absent))))
         ordinal = 0
         for obj, gt in [(c, "yes") for c in chosen_present] + [(c, "no") for c in chosen_absent]:
             item_id = f"{unit.media_id}:hal:{ordinal:02d}"

@@ -1,7 +1,8 @@
 """Command-line entry point: every pipeline stage behind one binary.
 
 Exit codes are stable: 0 success, 1 I/O failure, 2 argument or value error,
-3 schema or digest violation, 4 evaluation alignment failure. Every output
+3 schema or digest violation, 4 evaluation alignment failure, 130 stopped by
+SIGINT, 143 stopped by SIGTERM. Every output
 file embeds the effective config and its digest (see records.py), and rerun
 with identical inputs and flags reproduces identical bytes.
 
@@ -15,6 +16,7 @@ import argparse
 import gc
 import math
 import os
+import signal
 import sys
 from collections import Counter
 from pathlib import Path
@@ -39,6 +41,9 @@ EXIT_IO = 1
 EXIT_ARGS = 2
 EXIT_SCHEMA = 3
 EXIT_ALIGNMENT = 4
+# 128 + the signal's number, as a shell reports a process that the signal ended
+EXIT_SIGINT = 130
+EXIT_SIGTERM = 143
 
 DEFAULT_PHRASES = "left,right,the left,the right,left side,right side,to the left,to the right"
 
@@ -163,12 +168,12 @@ def cmd_build_ift(args) -> int:
     scheme = _parse_scheme(args)
     mix = _parse_mix(args.mix)
     samples, report = builders.build_ift_dataset(
-        images, scheme, args.form, mix, args.seed,
-        vocabulary=load.vocabulary, templates=templates,
+        images, scheme, args.form, mix, args.seed, load.vocabulary, templates=templates,
     )
-    if args.captions:
-        report = ingest_report.merge(report)
     report.exclusions.update(load.skipped)
+    if args.captions:  # the images loaded go in, and the caption step's exclusions join the builder's
+        report = report._replace(input_count=ingest_report.input_count)
+        report.exclusions.update(ingest_report.exclusions)
     config = _effective_config(args, ["annotations", "captions", "scheme", "form", "mix", "seed"])
     config["scheme_params"] = scheme.to_dict()
     return _write_build_outputs(args, (s.to_record(scheme) for s in samples), report, config, "ift")
@@ -204,9 +209,9 @@ def cmd_build_hallucination(args) -> int:
     disjoint = None
     if args.disjoint_from:
         disjoint = ann_io.load_coco_annotations(args.disjoint_from).vocabulary
-    items, report = builders.build_hallucination_set(
-        media, vocabulary, args.seed, n_present=args.per_media, n_absent=args.per_media, disjoint_from=disjoint
-    )
+    items, report = builders.build_hallucination_set(media, vocabulary, args.seed, args.per_media, disjoint_from=disjoint)
+    if args.annotations:
+        report.exclusions.update(load.skipped)
     templates = _load_templates(args)
     config = _effective_config(args, ["annotations", "videos", "vocab_file", "disjoint_from", "seed", "per_media"])
     return _write_build_outputs(args, (it.to_record(templates) for it in items), report, config, "hallucination")
@@ -671,8 +676,21 @@ def _os_error_text(exc: OSError) -> str:
     return f"i/o error: {exc}"
 
 
+class _Terminated(BaseException):
+    """SIGTERM, raised in the main thread; not an Exception, so that no
+    handler for one catches it."""
+
+
+def _raise_terminated(signum, frame):
+    raise _Terminated
+
+
 def main(argv=None) -> int:
+    """Run one command and return its exit code. Call it from the main thread:
+    it installs a SIGTERM handler for the command, and restores the previous
+    one as it returns."""
     parser = build_parser()
+    previous_sigterm = signal.signal(signal.SIGTERM, _raise_terminated)
     # Records are trees of dicts, lists and scalars, freed by reference
     # counting; the cyclic collector would only rescan every live record.
     gc_was_enabled = gc.isenabled()
@@ -689,7 +707,16 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(_os_error_text(exc), file=sys.stderr)
         return EXIT_IO
+    # An output is written aside and renamed into place, so a command stopped
+    # before the rename leaves neither the output nor its temporary file.
+    except KeyboardInterrupt:
+        print("interrupted by SIGINT", file=sys.stderr)
+        return EXIT_SIGINT
+    except _Terminated:
+        print("terminated by SIGTERM", file=sys.stderr)
+        return EXIT_SIGTERM
     finally:
+        signal.signal(signal.SIGTERM, previous_sigterm)
         if gc_was_enabled:
             gc.enable()
 

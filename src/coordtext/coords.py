@@ -372,10 +372,7 @@ def decode_point(t: LocationText, dims: ImageDims, lenient: bool = False) -> Poi
     if t.form != "point":
         raise CodecError(f"expected point text, got form {t.form!r}")
     tokens = split_coordinate_text(t.text, t.scheme, "point", lenient=lenient)
-    cx, cy = _decode_values(tokens, t.scheme, dims, "point")
-    if cx < 0 or cy < 0:
-        raise CodecError(f"decoded point ({cx}, {cy}) outside image")
-    return PointLoc(cx, cy)
+    return PointLoc(*_decode_values(tokens, t.scheme, dims, "point"))
 
 
 def decode_bbox(t: LocationText, dims: ImageDims, lenient: bool = False) -> BBox:
@@ -392,36 +389,3 @@ def decode_bbox(t: LocationText, dims: ImageDims, lenient: bool = False) -> BBox
         raise CodecError(f"degenerate decode ({x1}, {y1}, {x2}, {y2}) from {t.text!r}")
     return BBox(x1, y1, x2, y2)
 
-
-class TokenCost(NamedTuple):
-    """Token count of a location string under the character-level numeric rule."""
-
-    coordinates: int
-    overhead: int
-
-    @property
-    def total(self) -> int:
-        return self.coordinates + self.overhead
-
-
-def numeric_token_cost(token: str) -> int:
-    """Tokens needed for one numeric string: every digit, decimal point, and sign is one."""
-    return sum(1 for ch in token if ch.isdigit() or ch in ".+-")
-
-
-def coordinate_token_costs(t: LocationText) -> list[int]:
-    """Per-coordinate token costs of a location string."""
-    tokens = split_coordinate_text(t.text, t.scheme, t.form, lenient=True)
-    return [numeric_token_cost(tok) for tok in tokens]
-
-
-def token_cost(t: LocationText) -> TokenCost:
-    """Token cost of a location string.
-
-    Coordinate tokens follow the numeric rule; the enclosing parentheses and
-    each comma separator count one token apiece and are reported as overhead.
-    """
-    costs = coordinate_token_costs(t)
-    stripped = t.text.strip()
-    parens = 2 if stripped.startswith("(") and stripped.endswith(")") else 0
-    return TokenCost(coordinates=sum(costs), overhead=parens + stripped.count(","))

@@ -50,37 +50,22 @@ class EvalRecord(NamedTuple):
         }
 
 
-class _MetricsReport(NamedTuple):
+class MetricsReport(NamedTuple):
+    """One task's scores; a score that its task does not report is None."""
+
     task: str
     n: int
-    accuracy: float | None
     per_split: dict
-    precision: float | None
-    recall: float | None
-    f1: float | None
-    yes_ratio: float | None
-    meteor_mean: float | None
     missing: int
     flags: dict
-    config_digest: str | None
-    dataset_digest: str | None
-
-
-class MetricsReport(_MetricsReport):
-    """One task's scores; ``per_split`` and ``flags`` default to a new empty dict."""
-
-    __slots__ = ()
-
-    def __new__(
-        cls, task: str, n: int, accuracy: float | None = None, per_split: dict | None = None,
-        precision: float | None = None, recall: float | None = None, f1: float | None = None,
-        yes_ratio: float | None = None, meteor_mean: float | None = None, missing: int = 0,
-        flags: dict | None = None, config_digest: str | None = None, dataset_digest: str | None = None,
-    ):
-        return tuple.__new__(cls, (
-            task, n, accuracy, {} if per_split is None else per_split, precision, recall, f1, yes_ratio,
-            meteor_mean, missing, {} if flags is None else flags, config_digest, dataset_digest,
-        ))
+    accuracy: float | None = None
+    precision: float | None = None
+    recall: float | None = None
+    f1: float | None = None
+    yes_ratio: float | None = None
+    meteor_mean: float | None = None
+    config_digest: str | None = None
+    dataset_digest: str | None = None
 
     def to_dict(self) -> dict:
         out = {
@@ -115,8 +100,7 @@ def _score(task, records, responses, gt_field, judge, flags) -> tuple[MetricsRep
             items.append(EvalRecord(sample_id, task, gt, "", missing=True, **unanswered))
         else:
             items.append(EvalRecord(sample_id, task, gt, response, **judge(gt, response)))
-    report = aggregate_report(items, flags) if items else MetricsReport(task, 0, flags=flags)
-    return report, items
+    return aggregate_report(items, flags), items
 
 
 def score_spatial(records, responses: dict, strict: bool = True) -> tuple[MetricsReport, list[EvalRecord]]:
@@ -170,24 +154,19 @@ def score_region_description(records, responses: dict) -> tuple[MetricsReport, l
 
 
 def aggregate_report(eval_records: list[EvalRecord], flags: dict) -> MetricsReport:
-    """The MetricsReport of one task's per-item records, whatever their order.
+    """The MetricsReport of one task's per-item records, at least one, whatever
+    their order.
 
     Accuracy and its per-keyword splits for spatial; precision, recall, F1
     and yes-ratio over the parsed predictions for hallucination, an
     unparseable answer counting against recall; mean METEOR for region
     descriptions.
     """
-    if not eval_records:
-        raise ValueError("empty evaluation")
-    tasks = {r.task for r in eval_records}
-    if len(tasks) > 1:
-        raise ValueError(f"mixed task families: {sorted(tasks)}")
-    task = tasks.pop()
     records = sorted(eval_records, key=lambda r: r.item_id)
-    n = len(records)
+    task, n = records[0].task, len(records)
     common = {"task": task, "n": n, "missing": sum(r.missing for r in records), "flags": dict(flags)}
     if task == "region_description":
-        return MetricsReport(meteor_mean=sum(r.score for r in records) / n, **common)
+        return MetricsReport(per_split={}, meteor_mean=sum(r.score for r in records) / n, **common)
     accuracy = sum(r.correct for r in records) / n
     if task == "spatial":
         split_total, split_hit = Counter(), Counter()
@@ -205,6 +184,7 @@ def aggregate_report(eval_records: list[EvalRecord], flags: dict) -> MetricsRepo
         # precision and recall are both set and positive when tp is
         f1 = 2 * precision * recall / (precision + recall) if tp else None
         return MetricsReport(
-            accuracy=accuracy, precision=precision, recall=recall, f1=f1, yes_ratio=(tp + fp) / n, **common
+            per_split={}, accuracy=accuracy, precision=precision, recall=recall, f1=f1, yes_ratio=(tp + fp) / n,
+            **common,
         )
-    return MetricsReport(accuracy=accuracy, **common)
+    return MetricsReport(per_split={}, accuracy=accuracy, **common)

@@ -230,6 +230,12 @@ class HttpTransport:
     each request in flight holds one connection. Proxy settings in the
     environment are not read, redirects are not followed and the URL may
     hold no credentials.
+
+    ``http.client`` is not used because it is slower: with it in place of
+    this wire code and every reply check kept, the median ``query_s`` of
+    ``presence-http`` rose from 0.291 to 0.514 reference seconds
+    (``perfbench/run.py --seconds 8``, seeds 3101-3110, slower in 10 of 10
+    pairs; Python 3.11.7, the pipeline pinned to one of 2 shared CPUs).
     """
 
     def __init__(self, endpoint: str, timeout: float = 30.0):

@@ -24,12 +24,10 @@ from coordtext.coords import (
     ImageDims,
     PointLoc,
     ReprScheme,
-    coordinate_token_costs,
     decode_bbox,
     decode_point,
     encode_bbox,
     encode_point,
-    numeric_token_cost,
 )
 from coordtext.evals import score_hallucination
 from coordtext.fixtures import CATEGORIES, annotation_fixture, keyword_corpus, spatial_fixture
@@ -37,7 +35,7 @@ from coordtext.gateway import ModelRequest, random_mock
 from coordtext.meteor import score_meteor
 from coordtext.records import read_records
 from test_builders import bruteforce_bench_keys, _item_key, media_fixture
-from test_coords import encoded_anchor, quantization_error_bound
+from test_coords import coordinate_token_costs, encoded_anchor, numeric_token_cost, quantization_error_bound
 from test_meteor import HAND_PAIRS, oracle_meteor
 
 DIMS_512 = ImageDims(512, 512)
@@ -169,7 +167,8 @@ def test_criterion_5_builder_oracle_equivalence():
             1 for im in ift_images for _, n in Counter(o.category for o in im.objects).items() if n == 1
         )
         samples, _ = build_ift_dataset(
-            ift_images, ReprScheme.ivb(224), "bbox", {"locpred": 1, "negpred": 1, "revloc": 1}, seed=3
+            ift_images, ReprScheme.ivb(224), "bbox", {"locpred": 1, "negpred": 1, "revloc": 1}, seed=3,
+            vocabulary=list(CATEGORIES),
         )
         counts = Counter(s.objective for s in samples)
         assert counts["locpred"] == counts["revloc"] == counts["negpred"] == eligible
@@ -231,7 +230,7 @@ def test_criterion_6_end_to_end_oracle_identity(pipeline_dir):
 def test_criterion_7_chance_calibration():
     with criterion(7, "random baseline within the 99% binomial band on 10k balanced items", 30.0):
         media = media_fixture(2500, seed=13)
-        items, _ = build_hallucination_set(media, list(CATEGORIES), seed=4)
+        items, _ = build_hallucination_set(media, list(CATEGORIES), seed=4, per_media=2)
         records = [it.to_record() for it in items]
         assert len(records) == 10_000
         assert sum(1 for r in records if r["gt"] == "yes") == 5_000
@@ -247,7 +246,7 @@ def test_criterion_7_chance_calibration():
 def test_criterion_8_presence_metric_identities():
     with criterion(8, "precision/recall/F1/yes-ratio identities", 5.0):
         media = media_fixture(50, seed=3)
-        items, _ = build_hallucination_set(media, list(CATEGORIES), seed=4)
+        items, _ = build_hallucination_set(media, list(CATEGORIES), seed=4, per_media=2)
         records = [it.to_record() for it in items]
         always_yes, _ = score_hallucination(records, {r["sample_id"]: "Yes" for r in records})
         assert always_yes.precision == 0.5

@@ -6,8 +6,11 @@ import gc
 import hashlib
 import json
 import math
+import signal
+import socket
 import subprocess
 import sys
+import time
 from collections import Counter
 from pathlib import Path
 
@@ -129,8 +132,35 @@ def test_build_hallucination_negative_per_media_exits_2(fx, tmp_path, capsys):
         ["build", "hallucination", "--annotations", str(fx / "coco_50.json"), "--per-media", "-1", "--out", str(out)],
         capsys,
     )
-    assert code == 2 and err == "error: n_present must be non-negative, got -1\n"
+    assert code == 2 and err == "error: per_media must be non-negative, got -1\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "field, value, tally",
+    [("bbox", "not a box", "invalid_bbox"), ("image_id", "no such image", "unknown_image"),
+     ("category_id", 10**6, "unknown_category")],
+)
+def test_build_hallucination_report_tallies_skipped_annotations(fx, tmp_path, capsys, field, value, tally):
+    """The report of build hallucination --annotations tallies the annotations
+    that the COCO loader skipped, as every other build from annotations does;
+    those of --disjoint-from, which only names base classes, are not tallied."""
+    data = json.loads((fx / "coco_50.json").read_text())
+    data["annotations"][0][field] = value
+    bad = tmp_path / "coco.json"
+    bad.write_text(json.dumps(data))
+    vocab = tmp_path / "vocab.txt"
+    vocab.write_text("pylon\nawning\n")
+    out = tmp_path / "hal.jsonl"
+    report = out.with_suffix(".report.json")
+    code, _, err = run(["build", "hallucination", "--annotations", str(bad), "--out", str(out)], capsys)
+    assert code == 0, err
+    assert json.loads(report.read_text())["exclusions"][tally] == 1
+    argv = ["build", "hallucination", "--annotations", str(fx / "coco_50.json"), "--vocab-file", str(vocab),
+            "--disjoint-from", str(bad), "--out", str(out)]
+    code, _, err = run(argv, capsys)
+    assert code == 0, err
+    assert tally not in json.loads(report.read_text())["exclusions"]
 
 
 @pytest.mark.parametrize("frames", ["0", "-3"])
@@ -150,11 +180,14 @@ def test_build_video_static_frames_below_one_exits_2(fx, tmp_path, capsys, frame
         assert not out.exists()
 
 
-def test_build_ift_counts_match_oracle(fx, tmp_path, capsys):
+@pytest.mark.parametrize("captions", [False, True], ids=["annotations", "captions"])
+def test_build_ift_counts_match_oracle(fx, tmp_path, capsys, captions):
+    """The report counts the images loaded and the records written. With
+    --captions, the caption step drops every image that repeats a category
+    and tallies it; its counts used to be added to the build's."""
     out = tmp_path / "ift.jsonl"
-    code, _, _ = run(
-        ["build", "ift", "--annotations", str(fx / "coco_50.json"), "--seed", "3", "--out", str(out)], capsys
-    )
+    argv = ["build", "ift", "--annotations", str(fx / "coco_50.json"), "--seed", "3", "--out", str(out)]
+    code, _, _ = run(argv + (["--captions", str(fx / "captions_50.jsonl")] if captions else []), capsys)
     assert code == 0
     meta, rows = read_records(out)
     data = json.loads((fx / "coco_50.json").read_text())
@@ -162,14 +195,19 @@ def test_build_ift_counts_match_oracle(fx, tmp_path, capsys):
     per_image = Counter()
     for a in data["annotations"]:
         per_image[(a["image_id"], cats[a["category_id"]])] += 1
-    eligible = sum(1 for count in per_image.values() if count == 1)
+    repeating = {image_id for (image_id, _), count in per_image.items() if count > 1}
+    eligible = sum(
+        1 for (image_id, _), count in per_image.items() if count == 1 and not (captions and image_id in repeating)
+    )
     by_objective = Counter(r["objective"] for r in rows)
     assert by_objective["locpred"] == eligible
     assert by_objective["revloc"] == eligible
     assert by_objective["negpred"] == eligible
     assert meta["count"] == len(rows)
     report = json.loads(out.with_suffix(".report.json").read_text())
+    assert report["input_count"] == len(data["images"])
     assert report["emitted_count"] == len(rows)
+    assert report["exclusions"].get("images_with_duplicate_category", 0) == (len(repeating) if captions else 0)
 
 
 def test_build_ift_rerun_byte_identical(fx, tmp_path, capsys):
@@ -738,6 +776,71 @@ def test_query_non_finite_temperature_exits_2(spatial_run, tmp_path, capsys, val
     assert not out.exists()
 
 
+# each signal that main handles, with its exit code and stderr line
+SIGNALS = pytest.mark.parametrize(
+    "signum, code, line",
+    [(signal.SIGINT, 130, "interrupted by SIGINT"), (signal.SIGTERM, 143, "terminated by SIGTERM")],
+    ids=["SIGINT", "SIGTERM"],
+)
+
+
+@SIGNALS
+def test_query_stopped_by_a_signal_exits_with_its_code(spatial_run, tmp_path, signum, code, line):
+    """A query waiting on a server that accepts its connection and never
+    replies is signalled: it exits 128 + the signal's number with one stderr
+    line, and leaves neither its output nor a temporary file. SIGINT used to
+    end in a KeyboardInterrupt traceback, and neither code was documented."""
+    bench, _ = spatial_run
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    with socket.create_server(("127.0.0.1", 0)) as server:
+        server.settimeout(30)
+        endpoint = f"http://127.0.0.1:{server.getsockname()[1]}/"
+        argv = ["query", "--records", str(bench), "--endpoint", endpoint, "--max-inflight", "1",
+                "--attempts", "1", "--out", str(out_dir / "r.jsonl")]
+        with subprocess.Popen([sys.executable, "-m", "coordtext.cli", *argv], stdout=subprocess.PIPE,
+                              stderr=subprocess.PIPE, text=True) as child:
+            try:
+                connection, _ = server.accept()  # the child has sent its first request
+                with connection:
+                    child.send_signal(signum)
+                    stdout, stderr = child.communicate(timeout=30)
+            finally:
+                child.kill()  # does nothing once the child has exited
+    assert (child.returncode, stdout, stderr) == (code, "", line + "\n")
+    assert list(out_dir.iterdir()) == []
+
+
+@SIGNALS
+def test_file_batch_query_stopped_by_a_signal_keeps_its_request_file(spatial_run, tmp_path, signum, code, line):
+    """In file-batch mode query waits for the runner's reply in the main
+    thread; stopped there, it exits the same way, writes no output, and
+    leaves its request file for the runner and for a rerun."""
+    bench, _ = spatial_run
+    out, batch = tmp_path / "r.jsonl", tmp_path / "batch"
+    argv = ["query", "--records", str(bench), "--batch-dir", str(batch), "--out", str(out)]
+    with subprocess.Popen([sys.executable, "-m", "coordtext.cli", *argv], stdout=subprocess.PIPE,
+                          stderr=subprocess.PIPE, text=True) as child:
+        try:
+            deadline = time.monotonic() + 30
+            while not any(batch.glob("*.req.jsonl")) and time.monotonic() < deadline:
+                time.sleep(0.01)
+            child.send_signal(signum)
+            stdout, stderr = child.communicate(timeout=30)
+        finally:
+            child.kill()  # does nothing once the child has exited
+    assert (child.returncode, stdout, stderr) == (code, "", line + "\n")
+    assert not out.exists()
+    assert [path.name.endswith(".req.jsonl") for path in batch.iterdir()] == [True]
+
+
+def test_main_restores_the_sigterm_handler(capsys):
+    before = signal.getsignal(signal.SIGTERM)
+    assert run(["encode", "--point", "1,2", "--dims", "8x8"], capsys)[0] == 0
+    assert run(["encode", "--point", "1,2", "--dims", "0x8"], capsys)[0] == 2
+    assert signal.getsignal(signal.SIGTERM) is before
+
+
 @pytest.mark.parametrize("mix", ["locpred=nan", "locpred=inf,negpred=1"])
 def test_build_ift_non_finite_mix_exits_2(fx, tmp_path, capsys, mix):
     """NaN or infinite ratios used to get past the ratio check and fail later,
@@ -1172,7 +1275,6 @@ def test_src_imports_only_the_standard_library():
 # Definitions in src that nothing else in src names, each with the reason it stays
 UNCALLED_DEFINITIONS = {
     "records.read_records": "perfbench's runner and tracer read whole record files with it",
-    "coords.token_cost": "acceptance criterion 2: the token-cost rule of the paper's cost comparison",
 }
 
 # Types whose ``__new__`` checks its arguments, each with the flag or input
@@ -1183,7 +1285,6 @@ CHECKED_TYPES = {
     "coords.PointLoc": "encode --point",
     "coords.ReprScheme": "--scheme with --decimals, --nb, --grid and --patch",
     "gateway.SamplingConfig": "query --temperature and --max-new-tokens",
-    "evals.MetricsReport": "none: it checks nothing, and gives each report a new per_split and flags dict",
 }
 
 

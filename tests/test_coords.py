@@ -5,6 +5,7 @@ import random
 import sys
 from decimal import ROUND_HALF_UP, Decimal
 from fractions import Fraction
+from typing import NamedTuple
 
 import pytest
 from hypothesis import given, settings
@@ -18,13 +19,11 @@ from coordtext.coords import (
     LocationText,
     PointLoc,
     ReprScheme,
-    coordinate_token_costs,
     decode_bbox,
     decode_point,
     encode_bbox,
     encode_point,
-    numeric_token_cost,
-    token_cost,
+    split_coordinate_text,
 )
 
 DIMS_512 = ImageDims(512, 512)
@@ -78,6 +77,41 @@ def quantization_error_bound(scheme: ReprScheme, dims: ImageDims) -> tuple[float
         return 0.5 * dim / scheme.square_side
 
     return (per_dim(dims.width), per_dim(dims.height))
+
+
+class TokenCost(NamedTuple):
+    """Token count of a location string under the character-level numeric rule."""
+
+    coordinates: int
+    overhead: int
+
+    @property
+    def total(self) -> int:
+        return self.coordinates + self.overhead
+
+
+def numeric_token_cost(token: str) -> int:
+    """Tokens needed for one numeric string: every digit, decimal point, and sign is one."""
+    return sum(1 for ch in token if ch.isdigit() or ch in ".+-")
+
+
+def coordinate_token_costs(t: LocationText) -> list[int]:
+    """Per-coordinate token costs of a location string: the rule that the
+    token-cost tests and acceptance criterion 2 hold each scheme to."""
+    tokens = split_coordinate_text(t.text, t.scheme, t.form, lenient=True)
+    return [numeric_token_cost(tok) for tok in tokens]
+
+
+def token_cost(t: LocationText) -> TokenCost:
+    """Token cost of a location string.
+
+    Coordinate tokens follow the numeric rule; the enclosing parentheses and
+    each comma separator count one token apiece and are reported as overhead.
+    """
+    costs = coordinate_token_costs(t)
+    stripped = t.text.strip()
+    parens = 2 if stripped.startswith("(") and stripped.endswith(")") else 0
+    return TokenCost(coordinates=sum(costs), overhead=parens + stripped.count(","))
 
 
 # ---------------- golden vectors ---------------- #

@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coordtext.evals import (
-    EvalRecord,
     aggregate_report,
     score_hallucination,
     score_keyword_vqa,
@@ -214,17 +213,6 @@ def test_aggregate_recount_equals_report_in_any_order(task, picks, order):
     shuffled = items[:]
     order.shuffle(shuffled)
     assert aggregate_report(shuffled, report.flags).to_dict() == report.to_dict()
-
-
-def test_aggregate_rejects_empty_and_mixed():
-    with pytest.raises(ValueError, match="empty evaluation"):
-        aggregate_report([], {})
-    mixed = [
-        EvalRecord("a", "spatial", "left", "left", correct=True),
-        EvalRecord("b", "vqa", "2", "2", correct=True),
-    ]
-    with pytest.raises(ValueError, match="mixed task families"):
-        aggregate_report(mixed, {})
 
 
 @pytest.mark.parametrize(

@@ -634,6 +634,24 @@ def test_file_batch_timeout(tmp_path):
     assert out[0].status == "error" and "no response file" in out[0].error_detail
 
 
+def test_file_batch_rerun_collects_a_reply_that_came_after_the_timeout(tmp_path):
+    """A runner slower than the wait: the batch times out, the reply lands
+    under the request file's stem, and the same requests sent again hash to
+    that stem and collect it."""
+    transport = FileBatchTransport(tmp_path, timeout=0.1, poll_interval=0.02)
+    timed_out = query_batch(REQS, transport, CFG)
+    assert all(r.status == "error" and "no response file" in r.error_detail for r in timed_out)
+    (req_file,) = tmp_path.glob("*.req.jsonl")
+    stem = req_file.name[: -len(".req.jsonl")]
+    rows = [json.loads(line) for line in req_file.read_text().splitlines()]
+    replies = (json.dumps({"request_id": row["request_id"], "text": "late:" + row["prompt"]}) + "\n" for row in rows)
+    (tmp_path / f"{stem}.resp.jsonl").write_text("".join(replies))
+    (tmp_path / f"{stem}.done").touch()
+    out = query_batch(REQS, transport, CFG)
+    assert [(r.status, r.text) for r in out] == [("ok", "late:prompt 0"), ("ok", "late:prompt 1"), ("ok", "late:prompt 2")]
+    assert list(tmp_path.glob("*.req.jsonl")) == [req_file]
+
+
 # ---------------- mocks ---------------- #
 
 
@@ -652,12 +670,12 @@ def test_oracle_mock_spatial_keywords():
 
 def test_oracle_mock_location_roundtrip():
     from coordtext.builders import build_ift_dataset
-    from coordtext.fixtures import annotation_fixture
+    from coordtext.fixtures import CATEGORIES, annotation_fixture
 
     scheme = ReprScheme.ivb(224)
     images = annotation_fixture(20, seed=4)
     by_id = {im.image_id: im for im in images}
-    samples, _ = build_ift_dataset(images, scheme, "bbox", {"locpred": 1}, seed=2)
+    samples, _ = build_ift_dataset(images, scheme, "bbox", {"locpred": 1}, seed=2, vocabulary=list(CATEGORIES))
     assert samples
     samples = samples[:25]
     records = {s.sample_id: s.to_record(scheme) for s in samples}

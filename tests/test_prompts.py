@@ -19,6 +19,7 @@ from coordtext.coords import (
 )
 from coordtext.prompts import (
     DEFAULT_TEMPLATES,
+    REPR_PLACEHOLDER,
     load_template_overrides,
     parse_response,
     render_caption_request,
@@ -69,18 +70,12 @@ def test_locpred_render():
     pair = render_locpred("cat", "bbox", BOX_TEXT, seed=0)
     assert pair.prompt == "Where is the object described cat located in image in terms of (x1,y1,x2,y2) bbox?"
     assert pair.target == "It is located at (4, 52, 13, 63)"
-    assert pair.template_index == 0
     assert pair == render_locpred("cat", "bbox", BOX_TEXT, seed=0)
 
 
 def test_point_placeholder():
     pair = render_locpred("cat", "point", POINT_TEXT, seed=2)
     assert "(cx,cy) point" in pair.prompt
-
-
-def test_locpred_form_mismatch():
-    with pytest.raises(ValueError, match="form"):
-        render_locpred("cat", "point", BOX_TEXT, seed=0)
 
 
 def test_negpred_target_and_indistinguishability():
@@ -110,26 +105,26 @@ def test_revloc_render():
     assert pair.target == "There is a black cat on a sofa."
 
 
+def _location_prompts(category: str, form: str) -> list[str]:
+    return [p.format(category=category, repr=REPR_PLACEHOLDER[form]) for p in DEFAULT_TEMPLATES.locpred_prompts]
+
+
 def test_small_seed_bijection():
     # seeds 0..2 reach each revloc template exactly once, 0..4 each location template
-    assert sorted(render_revloc(POINT_TEXT, "cat", s).template_index for s in range(3)) == [0, 1, 2]
-    assert sorted(render_locpred("cat", "bbox", BOX_TEXT, s).template_index for s in range(5)) == list(range(5))
+    revloc = [p.format(loc=POINT_TEXT.text) for p in DEFAULT_TEMPLATES.revloc_prompts]
+    assert sorted(render_revloc(POINT_TEXT, "cat", s).prompt for s in range(3)) == sorted(revloc)
+    located = sorted(render_locpred("cat", "bbox", BOX_TEXT, s).prompt for s in range(5))
+    assert located == sorted(_location_prompts("cat", "bbox")) and len(set(located)) == 5
 
 
 def test_template_selection_uniform_over_seed_sweep():
-    counts = Counter(render_locpred("cat", "bbox", BOX_TEXT, s).template_index for s in range(5000))
-    for idx in range(5):
-        assert abs(counts[idx] - 1000) <= 150
+    counts = Counter(render_locpred("cat", "bbox", BOX_TEXT, s).prompt for s in range(5000))
+    for prompt in _location_prompts("cat", "bbox"):
+        assert abs(counts[prompt] - 1000) <= 150
 
 
 def test_spatial_direct():
-    assert render_spatial_query("dog", "table", "lr") == "Which side of dog is table located?"
-    assert render_spatial_query("dog", "table", "ab") == "Which side of dog is table located?"
-
-
-def test_spatial_identical_objects_rejected():
-    with pytest.raises(ValueError, match="distinct"):
-        render_spatial_query("dog", "dog", "lr")
+    assert render_spatial_query("dog", "table") == "Which side of dog is table located?"
 
 
 def test_spatial_icl_layout():
@@ -139,7 +134,7 @@ def test_spatial_icl_layout():
         "Which side of dog is table located?",
         "The dog is located to the left of table.",
     )
-    prompt = render_spatial_query("lamp", "dog", "lr", icl=(ex1, ex2))
+    prompt = render_spatial_query("lamp", "dog", icl=(ex1, ex2))
     assert prompt.count("Q:") == 3
     assert prompt.count("A:") == 2
     assert prompt.endswith("Q: Which side of lamp is dog located?")
@@ -241,7 +236,7 @@ def test_load_template_overrides(tmp_path):
     pair = render_locpred("cat", "bbox", BOX_TEXT, seed=1, templates=t)
     assert pair.prompt == "Spot cat as (x1,y1,x2,y2) bbox?"
     negative = render_negpred("cat", "bbox", seed=1, templates=t)
-    assert negative.prompt == pair.prompt and negative.template_index == pair.template_index == 1
+    assert negative.prompt == pair.prompt
 
 
 def test_load_template_overrides_rejects_unknown_section(tmp_path):

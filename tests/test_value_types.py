@@ -17,7 +17,7 @@ from coordtext.builders import (
     SpatialBenchItem,
     VideoObjectTrack,
 )
-from coordtext.coords import BBox, CodecError, ImageDims, LocationText, PointLoc, ReprScheme, TokenCost
+from coordtext.coords import BBox, CodecError, ImageDims, LocationText, PointLoc, ReprScheme
 from coordtext.evals import EvalRecord, MetricsReport
 from coordtext.gateway import ModelRequest, ModelResponse, SamplingConfig
 from coordtext.prompts import (
@@ -59,7 +59,6 @@ SAMPLES = [
     (PointLoc, {"cx": 1.5, "cy": 2}),
     (ReprScheme, {"kind": "diga", "decimals": 4, "n_bins": 224, "grid": 24, "patch": 14}),
     (LocationText, {"text": "(1, 2)", "scheme": IVB, "form": "point"}),
-    (TokenCost, {"coordinates": 7, "overhead": 3}),
     (ObjectAnn, {"instance_id": "o1", "category": "cat", "bbox": BOX}),
     (AnnotatedImage, {"image_id": "img", "dims": DIMS, "objects": (OBJ,), "captions": None}),
     (MediaCategories, {"media_id": "v1", "medium": "video", "categories": ("cat", "dog")}),
@@ -88,7 +87,7 @@ SAMPLES = [
     ),
     (TemplateSet, {**TEMPLATE_FIELDS, "caption_request": "Describe the {category}."}),
     (Objective, {"task": "spatial", "truth": "gt_keyword", "answers": "axis"}),
-    (RenderedPair, {"prompt": "Where?", "target": "There", "template_index": 1}),
+    (RenderedPair, {"prompt": "Where?", "target": "There"}),
     (ModelRequest, {"request_id": "r1", "media_ref": "img", "prompt": "Where?"}),
     (ModelResponse, {"request_id": "r1", "text": "", "status": "error", "error_detail": "refused"}),
     (SamplingConfig, {"temperature": 0.5, "max_new_tokens": 16}),
@@ -102,9 +101,9 @@ SAMPLES = [
     (
         MetricsReport,
         {
-            "task": "spatial", "n": 2, "accuracy": 0.5, "per_split": {"left": 1.0, "right": 0.0}, "precision": None,
-            "recall": None, "f1": None, "yes_ratio": None, "meteor_mean": None, "missing": 1,
-            "flags": {"mode": "strict"}, "config_digest": "c" * 64, "dataset_digest": None,
+            "task": "spatial", "n": 2, "per_split": {"left": 1.0, "right": 0.0}, "missing": 1,
+            "flags": {"mode": "strict"}, "accuracy": 0.5, "precision": None, "recall": None, "f1": None,
+            "yes_ratio": None, "meteor_mean": None, "config_digest": "c" * 64, "dataset_digest": None,
         },
     ),
 ]
@@ -120,7 +119,7 @@ def _samples():
 
 
 def test_every_value_type_is_covered():
-    """SAMPLES holds every public tuple type the package defines, 24 in all."""
+    """SAMPLES holds every public tuple type the package defines, 23 in all."""
     defined = set()
     for name in MODULES:
         module = importlib.import_module(f"coordtext.{name}")
@@ -129,7 +128,7 @@ def test_every_value_type_is_covered():
             if isinstance(obj, type) and issubclass(obj, tuple) and obj.__module__ == module.__name__
             and not obj.__name__.startswith("_")
         )
-    assert defined == {cls for cls, _ in SAMPLES} and len(SAMPLES) == 24
+    assert defined == {cls for cls, _ in SAMPLES} and len(SAMPLES) == 23
 
 
 @pytest.mark.parametrize("cls, fields", _samples())
@@ -199,10 +198,10 @@ DEFAULTS = [
     ),
     (
         MetricsReport,
-        {"task": "vqa", "n": 0},
+        {"task": "vqa", "n": 0, "per_split": {}, "missing": 0, "flags": {}},
         {
-            "accuracy": None, "per_split": {}, "precision": None, "recall": None, "f1": None, "yes_ratio": None,
-            "meteor_mean": None, "missing": 0, "flags": {}, "config_digest": None, "dataset_digest": None,
+            "accuracy": None, "precision": None, "recall": None, "f1": None, "yes_ratio": None,
+            "meteor_mean": None, "config_digest": None, "dataset_digest": None,
         },
     ),
 ]

@@ -114,12 +114,12 @@ def load_coco_annotations(path) -> CocoLoad:
     A file that is not a JSON object, an image or category that is not an
     object or lacks a field, an id that is neither a string nor an integer or
     that repeats an earlier one's after ``str()``, a category name that is not
-    a string or repeats an earlier one's, an image width or height that is not
-    a positive integer, or an annotation that passes its checks but has no
-    ``id`` is a SchemaError naming the file and the entry. Annotations that
-    are not objects, that name unknown images or categories, with a ``bbox``
-    that is not four finite numbers, with non-positive extents, or outside
-    their image are skipped and tallied.
+    a string, is empty or repeats an earlier one's, an image width or height
+    that is not a positive integer, or an annotation that passes its checks
+    but has no ``id`` is a SchemaError naming the file and the entry.
+    Annotations that are not objects, that name unknown images or categories,
+    with a ``bbox`` that is not four finite numbers, with non-positive
+    extents, or outside their image are skipped and tallied.
     """
     data = read_json(path)
     if not isinstance(data, dict):
@@ -129,6 +129,8 @@ def load_coco_annotations(path) -> CocoLoad:
         name = cat["name"]
         if not isinstance(name, str):
             raise SchemaError(f"{path}: categories[{n}]: name is not a string")
+        if not name:  # the prompts would ask about nothing
+            raise SchemaError(f"{path}: categories[{n}]: name is empty")
         first = first_by_name.setdefault(name, n)
         if first != n:  # a repeated name would ask one question twice, or draw it twice as a negative
             raise SchemaError(f"{path}: categories[{n}]: name {name!r} repeats the name of categories[{first}]")

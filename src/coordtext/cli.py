@@ -6,8 +6,7 @@ SIGINT, 143 stopped by SIGTERM. Every output
 file embeds the effective config and its digest (see records.py), and rerun
 with identical inputs and flags reproduces identical bytes.
 
-Environment defaults: GATEWAY_ENDPOINT, GATEWAY_BATCH_DIR,
-GATEWAY_MAX_INFLIGHT.
+Environment defaults: GATEWAY_ENDPOINT, GATEWAY_BATCH_DIR.
 """
 
 from __future__ import annotations
@@ -24,7 +23,7 @@ from pathlib import Path
 # Submodules run on first use (see the package docstring), so a command runs
 # only the layers it calls; every command reads or writes records.
 from . import annotations as ann_io
-from . import builders, coords, evals, gateway, prompts, seeding
+from . import builders, coords, evals, gateway, meteor, prompts, seeding
 from .records import (
     SchemaError,
     config_digest,
@@ -51,8 +50,9 @@ DEFAULT_PHRASES = "left,right,the left,the right,left side,right side,to the lef
 # are literals here; tests/test_cli.py holds each equal to its owner's value.
 MOCK_NAMES = ("oracle", "random")  # gateway.MOCKS
 TASK_NAMES = ("hallucination", "region", "spatial", "vqa")  # the tasks of prompts.OBJECTIVES
-MAX_MIX_RATIO = 100.0  # builders.MAX_MIX_RATIO
 MAX_RETRY_DELAY_S = 3600.0  # gateway.MAX_RETRY_DELAY_S
+# largest --mix ratio: an objective cycles over the eligible pairs at most this many times
+MAX_MIX_RATIO = 100.0
 
 
 def _parse_dims(text: str) -> coords.ImageDims:
@@ -77,12 +77,18 @@ def _parse_mix(text: str) -> dict[str, float]:
         name, _, value = part.partition("=")
         if not value:
             raise ValueError(f"bad --mix entry {part!r}, expected name=ratio")
+        if name.strip() not in builders.IFT_OBJECTIVES:
+            raise ValueError(f"bad --mix entry {part!r}, objective must be one of {', '.join(builders.IFT_OBJECTIVES)}")
         ratio = float(value)
         if not math.isfinite(ratio):
             raise ValueError(f"bad --mix entry {part!r}, ratio must be finite")
+        if ratio < 0:
+            raise ValueError(f"bad --mix entry {part!r}, ratio must not be negative")
         if ratio > MAX_MIX_RATIO:
             raise ValueError(f"bad --mix entry {part!r}, ratio must be at most {MAX_MIX_RATIO:g}")
         mix[name.strip()] = ratio
+    if not sum(mix.values()):
+        raise ValueError(f"bad --mix {text!r}, ratios must add up to more than 0")
     return mix
 
 
@@ -237,7 +243,8 @@ def cmd_build_pseudo_captions(args) -> int:
 
 
 def cmd_build_video_static(args) -> int:
-    builders.require_frame_count(args.frames)  # a file with no videos would never reach the builder's check
+    if args.frames < 1:  # checked before the file is read, whether or not it holds a video
+        raise ValueError(f"frame count must be at least 1, got {args.frames} (--frames)")
     detections = ann_io.load_video_detections(args.videos)
     tracks = []
     exclusions = Counter()
@@ -465,6 +472,8 @@ def cmd_evaluate(args) -> int:
             allowed = evals.TRUTH_VALUES.get(row_task)
             if allowed and truth not in allowed:
                 raise SchemaError(f"{path}: record {n}: {objective.truth} {truth!r} is not one of {', '.join(allowed)}")
+            if row_task == "region" and not meteor.TOKEN_RE.search(truth.lower()):
+                raise SchemaError(f"{path}: record {n}: {objective.truth} {truth!r} holds no word METEOR scores ([a-z0-9])")
             truths.append((sample_id, truth))
 
     record_meta, count, problem = _stream_records(path, keep)
@@ -478,9 +487,6 @@ def cmd_evaluate(args) -> int:
         if None in tasks or len(tasks) != 1:
             raise ValueError(f"cannot infer a single task from objectives {sorted(objectives)}; pass --task")
         task = tasks.pop()
-    if not responses:
-        print("no responses to evaluate", file=sys.stderr)
-        return EXIT_ALIGNMENT
     missing = [sample_id for sample_id, _ in truths if sample_id not in responses]
     for sample_id in missing[:10]:
         print(f"missing response for {sample_id}", file=sys.stderr)
@@ -638,8 +644,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--endpoint", default=os.environ.get("GATEWAY_ENDPOINT"))
     p.add_argument("--batch-dir", dest="batch_dir", default=os.environ.get("GATEWAY_BATCH_DIR"))
-    # a string default, so that argparse converts it only when query runs
-    p.add_argument("--max-inflight", dest="max_inflight", type=int, default=os.environ.get("GATEWAY_MAX_INFLIGHT", "4"))
+    p.add_argument("--max-inflight", dest="max_inflight", type=int, default=4)
     p.add_argument("--attempts", type=int, default=3, help="tries per request before giving up")
     p.add_argument("--backoff", type=float, default=0.1,
                    help=f"initial retry delay, doubled per attempt; the last at most {MAX_RETRY_DELAY_S:g} s")

@@ -101,14 +101,13 @@ class PointLoc(_PointLoc):
             raise CodecError(f"point ({self.cx}, {self.cy}) exceeds image {dims.width}x{dims.height}")
 
 
-VALID_KINDS = ("nfp", "ivb", "diga")
 # most nfp decimals: the lowest that Python's int/str conversion limit can be
 # set to (sys.int_info.str_digits_check_threshold), so any setting admits them
 MAX_DECIMALS = 640
 
 
 class _ReprScheme(NamedTuple):
-    kind: str
+    kind: str  # "nfp" | "ivb" | "diga", the choices of --scheme
     decimals: int
     n_bins: int
     grid: int
@@ -126,8 +125,6 @@ class ReprScheme(_ReprScheme):
     __slots__ = ()
 
     def __new__(cls, kind: str, decimals: int = 4, n_bins: int = 224, grid: int = 16, patch: int = 14):
-        if kind not in VALID_KINDS:
-            raise CodecError(f"unknown scheme kind {kind!r}")
         if kind == "nfp" and decimals < 1:
             raise CodecError("nfp needs at least 1 decimal place")
         if kind == "nfp" and decimals > MAX_DECIMALS:

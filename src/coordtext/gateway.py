@@ -29,7 +29,6 @@ import random as random_module
 import re
 import threading
 import time
-from collections import Counter
 from pathlib import Path
 from typing import NamedTuple
 from urllib.parse import urlsplit
@@ -410,7 +409,9 @@ def query_batch(
 ) -> list[ModelResponse]:
     """One response per request, order-aligned, retrying transient failures.
 
-    A transport with ``send_batch`` answers the whole batch itself. Otherwise
+    Each request has its own id: ``cli`` refuses a records file with no
+    records or a repeated ``sample_id`` before it calls this. A transport with
+    ``send_batch`` answers the whole batch itself, in request order. Otherwise
     ``min(max_inflight, len(requests_))`` worker threads each send one request
     at a time, and each request is attempted up to ``attempts`` times with
     exponential backoff; failures become per-request error responses, never
@@ -437,18 +438,9 @@ def query_batch(
             )
     if max_inflight < 1:
         raise ValueError(f"max_inflight must be at least 1, got {max_inflight}")
-    if not requests_:
-        raise ValueError("empty batch")
-    ids = [r.request_id for r in requests_]
-    if len(set(ids)) != len(ids):
-        dupes = sorted(i for i, n in Counter(ids).items() if n > 1)
-        raise ValueError(f"duplicate request ids in batch: {dupes}")
 
     if hasattr(transport, "send_batch"):
-        responses = transport.send_batch(requests_, cfg)
-        if [r.request_id for r in responses] != ids:
-            raise ValueError("batch transport broke response alignment")
-        return responses
+        return transport.send_batch(requests_, cfg)
 
     def send_one(request: ModelRequest) -> ModelResponse:
         delay = backoff
@@ -589,11 +581,10 @@ MOCKS = {"oracle": oracle_response, "random": random_response}
 class MockTransport:
     """In-process model on the ``query_batch`` path: ``responses`` maps each
     request id to a mock's response, made from its dataset record when the
-    records were read, and ``send_batch`` hands them out in request order. A
-    request with no response gets an error response."""
+    records were read, and ``send_batch`` hands them out in request order."""
 
     def __init__(self, responses: dict[str, ModelResponse]):
         self.responses = responses
 
     def send_batch(self, requests_: list[ModelRequest], cfg: SamplingConfig) -> list[ModelResponse]:
-        return [self.responses.get(r.request_id) or _error(r, "no dataset record with this id") for r in requests_]
+        return [self.responses[r.request_id] for r in requests_]

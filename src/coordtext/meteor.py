@@ -154,11 +154,11 @@ def porter_stem(word: str) -> str:
     return w
 
 
-_TOKEN_RE = re.compile(r"[a-z0-9]+")
+TOKEN_RE = re.compile(r"[a-z0-9]+")  # of lowercased text
 
 
 def tokenize(text: str) -> list[str]:
-    return _TOKEN_RE.findall(text.lower())
+    return TOKEN_RE.findall(text.lower())
 
 
 def align(reference_tokens: list[str], hypothesis_tokens: list[str]) -> list[tuple[int, int]]:
@@ -207,10 +207,8 @@ def count_chunks(pairs: list[tuple[int, int]]) -> int:
 
 
 def score_meteor(reference: str, hypothesis: str) -> float:
-    """Similarity of hypothesis against one reference, in [0, 1]."""
+    """Similarity of hypothesis against one reference, in [0, 1]; 0 where either has no token."""
     ref_tokens = tokenize(reference)
-    if not ref_tokens:
-        raise ValueError("reference must contain at least one token")
     hyp_tokens = tokenize(hypothesis)
     if not hyp_tokens:
         return 0.0

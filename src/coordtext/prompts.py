@@ -3,7 +3,8 @@
 Rendering is pure: a (descriptor, form, location, seed) tuple always produces
 the same bytes, so datasets can be regenerated from their metadata alone.
 Location-query and negative-query prompts are drawn from the same template
-pool so nothing in the input distinguishes the two objectives.
+pool so nothing in the input distinguishes the two objectives. No name
+formatted here is empty: the readers that supply the names see to it.
 """
 
 from __future__ import annotations
@@ -192,11 +193,6 @@ class RenderedPair(NamedTuple):
     target: str
 
 
-def _require(value: str, what: str) -> None:
-    if not value:
-        raise ValueError(f"{what} must be non-empty")
-
-
 # A seed picks its template as seed % pool size: small seeds enumerate the
 # pool, and any seed is uniform over it.
 
@@ -205,7 +201,6 @@ def render_locpred(
     descriptor: str, form: str, loc: LocationText, seed: int, templates: TemplateSet = DEFAULT_TEMPLATES
 ) -> RenderedPair:
     """Prompt asking for the location of descriptor; target states loc canonically."""
-    _require(descriptor, "descriptor")
     pool = templates.locpred_prompts
     prompt = pool[seed % len(pool)].format(category=descriptor, repr=REPR_PLACEHOLDER[form])
     return RenderedPair(prompt, templates.locpred_target.format(loc=loc.text))
@@ -215,7 +210,6 @@ def render_negpred(
     descriptor: str, form: str, seed: int, templates: TemplateSet = DEFAULT_TEMPLATES
 ) -> RenderedPair:
     """Same prompt pool as render_locpred; target denies the object exists."""
-    _require(descriptor, "descriptor")
     pool = templates.locpred_prompts
     prompt = pool[seed % len(pool)].format(category=descriptor, repr=REPR_PLACEHOLDER[form])
     return RenderedPair(prompt, templates.negpred_target)
@@ -225,7 +219,6 @@ def render_revloc(
     loc: LocationText, descriptor: str, seed: int, templates: TemplateSet = DEFAULT_TEMPLATES
 ) -> RenderedPair:
     """Prompt asking what is at loc; target names the descriptor."""
-    _require(descriptor, "descriptor")
     pool = templates.revloc_prompts
     prompt = pool[seed % len(pool)].format(loc=loc.text)
     return RenderedPair(prompt, templates.revloc_target.format(category=descriptor))
@@ -242,8 +235,6 @@ def render_spatial_query(
     With icl, the two worked question/answer pairs precede the final question
     in a single "Q: ... A: ..." sequence.
     """
-    _require(obj1, "obj1")
-    _require(obj2, "obj2")
     question = templates.spatial_direct.format(obj1=obj1, obj2=obj2)
     if icl is None:
         return question
@@ -261,12 +252,10 @@ def spatial_icl_example(
 
 
 def render_hallucination_query(obj: str, medium: str, templates: TemplateSet = DEFAULT_TEMPLATES) -> str:
-    _require(obj, "obj")
     return templates.hallucination.format(obj=obj, medium=medium)
 
 
 def render_caption_request(category: str, templates: TemplateSet = DEFAULT_TEMPLATES) -> str:
-    _require(category, "category")
     return templates.caption_request.format(category=category)
 
 

@@ -443,6 +443,8 @@ def _reference_parse_coco(path, data: dict) -> CocoLoad:
     for n, cat in _coco_entries(path, data, "categories", ("id", "name")):
         if not isinstance(cat["name"], str):
             raise SchemaError(f"{path}: categories[{n}]: name is not a string")
+        if cat["name"] == "":
+            raise SchemaError(f"{path}: categories[{n}]: name is empty")
         if cat["name"] in vocabulary:
             first = vocabulary.index(cat["name"])
             raise SchemaError(f"{path}: categories[{n}]: name {cat['name']!r} repeats the name of categories[{first}]")
@@ -569,7 +571,7 @@ _image = st.one_of(
     st.sampled_from([[1], "img"]),
 )
 _category = st.one_of(
-    st.fixed_dictionaries({"id": _ids}, optional={"name": st.sampled_from(["lamp", "mug", 3, None])}),
+    st.fixed_dictionaries({"id": _ids}, optional={"name": st.sampled_from(["lamp", "mug", "", 3, None])}),
     st.sampled_from([["cat"], 1]),
 )
 _coco = st.one_of(

@@ -369,7 +369,8 @@ def test_evaluate_empty_responses_exits_4(fx, tmp_path, capsys):
     empty = tmp_path / "empty.jsonl"
     empty.write_text("")
     code, _, err = run(["evaluate", "--records", str(bench), "--responses", str(empty)], capsys)
-    assert code == 4
+    first = read_records(bench)[1][0]["sample_id"]
+    assert code == 4 and f"missing response for {first}\n" in err and "records lack responses" in err
 
 
 def test_evaluate_majority_missing_exits_4(fx, tmp_path, capsys):
@@ -871,6 +872,29 @@ def test_build_ift_mix_ratio_at_the_maximum_builds(fx, tmp_path, capsys):
     assert len(read_records(out)[1]) == 100 * once
 
 
+@pytest.mark.parametrize(
+    "mix, problem",
+    [
+        ("bogus=1", "entry 'bogus=1', objective must be one of locpred, negpred, revloc"),
+        ("locpred=1,mystery=2", "entry 'mystery=2', objective must be one of locpred, negpred, revloc"),
+        ("locpred=-1", "entry 'locpred=-1', ratio must not be negative"),
+        ("locpred=101", "entry 'locpred=101', ratio must be at most 100"),
+        ("locpred=0", "'locpred=0', ratios must add up to more than 0"),
+        ("locpred=0,negpred=0,revloc=0", "'locpred=0,negpred=0,revloc=0', ratios must add up to more than 0"),
+    ],
+)
+def test_build_ift_mix_refusal_names_the_flag(fx, tmp_path, capsys, monkeypatch, mix, problem):
+    """An unknown objective, a negative ratio and ratios adding up to 0 used
+    to pass the flag's parsing and exit 2 with the builder's messages
+    (``unknown objectives in mix``, ``mix ratios must lie in [0, 100] with a
+    positive sum``), which named no flag. ``--mix`` alone checks them now."""
+    monkeypatch.setattr(builders, "build_ift_dataset", lambda *a, **k: pytest.fail("builder ran"))
+    out = tmp_path / "ift.jsonl"
+    code, printed, err = run(["build", "ift", "--annotations", str(fx / "coco_50.json"), "--mix", mix, "--out", str(out)], capsys)
+    assert (code, printed, err) == (2, "", f"error: bad --mix {problem}\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("task", ["hallucination", "region"])
 def test_evaluate_task_that_does_not_fit_the_records_exits_3(spatial_run, tmp_path, capsys, task):
     """A spatial bench scored as hallucination used to end in a bare
@@ -1223,14 +1247,13 @@ def test_parser_literals_equal_the_values_their_layers_own():
     literals in cli; each equals the value of the layer that owns it."""
     assert cli.MOCK_NAMES == tuple(gateway.MOCKS)
     assert cli.TASK_NAMES == tuple(sorted({row.task for row in OBJECTIVES.values()} - {None}))
-    assert cli.MAX_MIX_RATIO == builders.MAX_MIX_RATIO
     assert cli.MAX_RETRY_DELAY_S == gateway.MAX_RETRY_DELAY_S
     commands = next(a for a in cli.build_parser()._actions if a.dest == "command").choices
     query = {a.dest: a for a in commands["query"]._actions}
     assert tuple(query["mock"].choices) == cli.MOCK_NAMES
     assert query["backoff"].help.endswith(f"at most {gateway.MAX_RETRY_DELAY_S:g} s")
     ift = next(a for a in commands["build"]._actions if a.dest == "build_command").choices["ift"]
-    assert next(a for a in ift._actions if a.dest == "mix").help.endswith(f"at most {builders.MAX_MIX_RATIO:g}")
+    assert next(a for a in ift._actions if a.dest == "mix").help.endswith(f"at most {cli.MAX_MIX_RATIO:g}")
     assert tuple(next(a for a in commands["evaluate"]._actions if a.dest == "task").choices) == cli.TASK_NAMES
 
 
@@ -1277,14 +1300,20 @@ UNCALLED_DEFINITIONS = {
     "records.read_records": "perfbench's runner and tracer read whole record files with it",
 }
 
-# Types whose ``__new__`` checks its arguments, each with the flag or input
-# file that reaches the check; a check that only tests can trip does not stay.
+# Types whose ``__new__`` checks its arguments, each with a command that trips
+# the check and the message the type raises; a check that only tests can trip
+# does not stay. ``{records}`` is a built record file, ``{out}`` an output path.
 CHECKED_TYPES = {
-    "coords.ImageDims": "encode and decode --dims",
-    "coords.BBox": "encode --bbox, and each bbox of a --videos file",
-    "coords.PointLoc": "encode --point",
-    "coords.ReprScheme": "--scheme with --decimals, --nb, --grid and --patch",
-    "gateway.SamplingConfig": "query --temperature and --max-new-tokens",
+    "coords.ImageDims": (["encode", "--point", "1,2", "--dims", "0x10"], "image dims must be positive, got 0x10"),
+    "coords.BBox": (["encode", "--bbox", "5,0,1,1", "--dims", "10x10"], "x1 > x2 in (5.0, 0.0, 1.0, 1.0)"),
+    "coords.PointLoc": (["encode", "--point=-1,2", "--dims", "10x10"], "negative coordinate in (-1.0, 2.0)"),
+    "coords.ReprScheme": (
+        ["encode", "--bbox", "0,0,1,1", "--dims", "10x10", "--scheme", "ivb", "--nb", "1"], "ivb needs at least 2 bins"
+    ),
+    "gateway.SamplingConfig": (
+        ["query", "--records", "{records}", "--mock", "oracle", "--temperature", "0", "--out", "{out}"],
+        "temperature must be a finite number above 0, got 0.0",
+    ),
 }
 
 
@@ -1331,6 +1360,18 @@ def test_only_the_listed_types_define_new():
             ):
                 defined.add(f"{path.stem}.{node.name}")
     assert defined == set(CHECKED_TYPES)
+
+
+@pytest.mark.parametrize("name", sorted(CHECKED_TYPES))
+def test_each_checked_type_is_reached_by_its_command(spatial_run, tmp_path, capsys, name):
+    """The command exits 2 with the type's own message, so a type check that
+    no command can reach fails here."""
+    argv, message = CHECKED_TYPES[name]
+    out = tmp_path / "out.jsonl"
+    code, printed, err = run([arg.format(records=spatial_run[0], out=out) for arg in argv], capsys)
+    assert (code, printed) == (2, "")
+    assert err.startswith("error: ") and err.endswith(f"{message}\n") and err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_console_script_smoke():
@@ -1541,12 +1582,16 @@ def test_evaluate_ground_truth_that_is_not_a_string_exits_3(scored_runs, tmp_pat
         ("spatial", "Left", "gt_keyword 'Left' is not one of left, right, above, below"),
         ("hallucination", "maybe", "gt 'maybe' is not one of yes, no"),
         ("hallucination", "Yes", "gt 'Yes' is not one of yes, no"),
+        ("region", "日本", "descriptor '日本' holds no word METEOR scores ([a-z0-9])"),
+        ("region", "", "descriptor '' holds no word METEOR scores ([a-z0-9])"),
+        ("region", "¿ — !", "descriptor '¿ — !' holds no word METEOR scores ([a-z0-9])"),
     ],
 )
 def test_evaluate_ground_truth_outside_the_scorers_values_exits_3(scored_runs, tmp_path, capsys, task, value, message):
     """A side keyword such as "front" used to end in ``KeyError: 'front'``,
     and a presence gt of "maybe" was scored as a wrong answer, with a report
-    written and exit 0."""
+    written and exit 0. A region truth without a word METEOR tokenizes ended
+    in exit 2, ``reference must contain at least one token``, naming no file."""
     copies = _evaluate_copies(scored_runs, task, tmp_path)
     _set_field(copies[0], 2, SCORED_BUILDS[task][1], value)
     code, err = _evaluate(copies, tmp_path, capsys)
@@ -1591,25 +1636,6 @@ def test_query_id_or_prompt_that_is_not_a_string_exits_3(tmp_path, capsys, mock,
     code, _, err = run(["query", "--records", str(path), "--mock", mock, "--out", str(out)], capsys)
     assert code == 3 and f"schema error: {path}: record 2: {field} is not a string" in err
     assert not out.exists()
-
-
-def test_gateway_max_inflight_is_read_by_query_only(spatial_run, tmp_path, capsys, monkeypatch):
-    """GATEWAY_MAX_INFLIGHT=abc used to stop every command, verify included,
-    with a ValueError traceback while the parser was built. Now only query
-    converts it, and a bad value is a usage error."""
-    bench, resp = spatial_run
-    out = tmp_path / "r.jsonl"
-    query = ["query", "--records", str(bench), "--mock", "oracle", "--out", str(out)]
-    monkeypatch.setenv("GATEWAY_MAX_INFLIGHT", "abc")
-    assert run(["verify", str(bench), str(resp)], capsys)[0] == 0
-    with pytest.raises(SystemExit) as exit_info:
-        main(query)
-    assert exit_info.value.code == 2
-    assert "argument --max-inflight: invalid int value: 'abc'" in capsys.readouterr().err
-    assert not out.exists()
-    monkeypatch.setenv("GATEWAY_MAX_INFLIGHT", "3")
-    assert run(query, capsys)[0] == 0
-    assert read_records(out)[0]["config"]["max_inflight"] == 3
 
 
 # ---------------- record files: one check ---------------- #
@@ -1917,6 +1943,7 @@ BAD_COCO_FILES = [
     (_coco_case(lambda d: d["categories"][0].update(id=True)), "categories[0]: id is not a string or an integer"),
     (_coco_case(lambda d: d["categories"][0].update(id={"a": 1})), "categories[0]: id is not a string or an integer"),
     (_coco_case(lambda d: d["categories"][0].update(name=5)), "categories[0]: name is not a string"),
+    (_coco_case(lambda d: d["categories"][0].update(name="")), "categories[0]: name is empty"),
     (_coco_case(lambda d: d["images"][0].update(width="abc")), "images[0]: width is not a positive integer"),
     (_coco_case(lambda d: d["images"][0].update(width=0)), "images[0]: width is not a positive integer"),
     (_coco_case(lambda d: d["images"][0].update(width=5.7)), "images[0]: width is not a positive integer"),
@@ -1949,6 +1976,31 @@ def test_coco_file_of_the_wrong_shape_exits_3(tmp_path, capsys, make, problem):
     code, printed, err = run(["build", "spatial-bench", "--annotations", str(bad), "--out", str(out)], capsys)
     assert (code, printed, err) == (3, "", f"schema error: {bad}: {problem}\n")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["ift", "hallucination", "pseudo-captions"])
+def test_empty_category_name_exits_3_in_every_build(tmp_path, capsys, command):
+    """An empty category name used to pass the loader, and these builds
+    stopped in a renderer with exit 2 and ``... must be non-empty``, naming no
+    file; spatial-bench, which BAD_COCO_FILES runs, built the file."""
+    bad, out = tmp_path / "coco.json", tmp_path / "out.jsonl"
+    bad.write_text(json.dumps(_coco_case(lambda d: d["categories"][0].update(name=""))()))
+    code, printed, err = run(["build", command, "--annotations", str(bad), "--out", str(out)], capsys)
+    assert (code, printed, err) == (3, "", f"schema error: {bad}: categories[0]: name is empty\n")
+    assert not out.exists()
+
+
+def test_region_truth_without_a_word_exits_3_naming_the_record(tmp_path, capsys):
+    """A category named 日本 builds region records whose descriptor holds no
+    token METEOR finds; evaluate used to stop while scoring, with exit 2 and
+    ``reference must contain at least one token``, naming no file."""
+    coco, records, responses = tmp_path / "coco.json", tmp_path / "region.jsonl", tmp_path / "resp.jsonl"
+    coco.write_text(json.dumps(_coco_case(lambda d: d["categories"][0].update(name="日本"))()))
+    assert run(["build", "ift", "--annotations", str(coco), "--mix", "revloc=1", "--out", str(records)], capsys)[0] == 0
+    assert run(["query", "--records", str(records), "--mock", "oracle", "--out", str(responses)], capsys)[0] == 0
+    code, printed, err = run(["evaluate", "--records", str(records), "--responses", str(responses)], capsys)
+    assert (code, printed) == (3, "")
+    assert err == f"schema error: {records}: record 1: descriptor '日本' holds no word METEOR scores ([a-z0-9])\n"
 
 
 # template files that are refused, and the line and problem each is refused for

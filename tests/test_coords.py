@@ -406,8 +406,6 @@ def test_scheme_validation():
         ReprScheme(kind="ivb", n_bins=1)
     with pytest.raises(CodecError):
         ReprScheme(kind="diga", grid=10, patch=10)
-    with pytest.raises(CodecError):
-        ReprScheme(kind="other")
 
 def test_most_decimals_round_trip_at_the_lowest_int_text_limit():
     """MAX_DECIMALS decimals encode and decode even when Python's int/str

@@ -87,17 +87,6 @@ def test_partial_failure_completes_batch():
         assert out[1].error_detail == message
 
 
-def test_duplicate_request_ids_rejected():
-    dupes = [REQS[0], REQS[0]]
-    with pytest.raises(ValueError, match="duplicate request ids"):
-        query_batch(dupes, CallableTransport(echo_transport), CFG)
-
-
-def test_empty_batch_rejected():
-    with pytest.raises(ValueError, match="empty batch"):
-        query_batch([], CallableTransport(echo_transport), CFG)
-
-
 def test_transient_failures_retried_with_backoff():
     calls = {"n": 0}
     sleeps = []
@@ -692,14 +681,12 @@ def test_oracle_mock_location_roundtrip():
             assert abs(a - b) <= bound[i % 2] + 1e-9
 
 
-def test_oracle_mock_hallucination_and_mismatch():
+def test_oracle_mock_hallucination():
     from coordtext.builders import HallucinationItem
 
     item = HallucinationItem("m1:hal:00", "m1", "image", "lamp", "no", 0)
     transport = MockTransport({item.item_id: oracle_response(item.item_id, item.to_record(), 0)})
-    resp, bad = query_batch([ModelRequest("m1:hal:00", "m1", "q"), ModelRequest("other", "m1", "q")], transport, CFG)
-    assert resp.text == "No"
-    assert bad.status == "error"
+    assert query_batch([ModelRequest("m1:hal:00", "m1", "q")], transport, CFG) == [ModelResponse("m1:hal:00", "No")]
 
 
 def test_random_transport_draws_from_each_record_space():
@@ -711,14 +698,6 @@ def test_random_transport_draws_from_each_record_space():
     bad_record = {"objective": "spatial_direct", "axis": "xy"}
     bad = query_batch(reqs[:1], MockTransport({reqs[0].request_id: random_response(reqs[0].request_id, bad_record, 7)}), CFG)
     assert bad[0].status == "error" and "unknown answer space" in bad[0].error_detail
-
-
-def test_mock_transport_answers_an_unknown_id_with_an_error():
-    transport = MockTransport({"r0": ModelResponse("r0", "Yes")})
-    assert query_batch(REQS[:2], transport, CFG) == [
-        ModelResponse("r0", "Yes"),
-        ModelResponse("r1", "", status="error", error_detail="no dataset record with this id"),
-    ]
 
 
 def test_oracle_answer_unknown_objective():

@@ -41,7 +41,7 @@ ROWS = [
       "--captions", "fx/captions_50.jsonl", "--seed", "4", "--out", "ift_mix.jsonl"], {
         "stdout": "29c38ac42ab7fc5853ebcb6b6dd435b0e8ff3f073e3d219115af0f9d2a2e6e08",
         "ift_mix.jsonl": "7aa23b3bca0a182ff8aabcb8e6a998744d632c1b3c744ff8d6abe0ddd871bf24",
-        "ift_mix.report.json": "78bee6efc371f2fe97f8c95f5873a6d6d44ad4575f0295508cdc17f26beb2911",
+        "ift_mix.report.json": "00ffc6d686ebb88d7b4ab78964cc5dfce438520563b0a9f8e54034a4ffc50a33",
     }),
     (["build", "ift", "--annotations", "fx/coco_50.json", "--templates", "templates.txt", "--out", "ift_tpl.jsonl"], {
         "stdout": "be8f7f14f5080f710770ed33b72b6b6bdd7fbbbffb1a41081ada25acaa618fe4",
@@ -173,19 +173,19 @@ ROWS = [
       "--scheme", "nfp", "--out", "ift_revloc_nfp.jsonl"], {
         "stdout": "ca864a9b28f6add6169c4e7aa64c8abfba6fbe909f51a5c46467a03f321f012c",
         "ift_revloc_nfp.jsonl": "12f4bc678bc3cdab0894f8da5cb6716d3575eb63b97836e606149e2ab03065b1",
-        "ift_revloc_nfp.report.json": "e6f21ef2c9c534806f3bf9567fb329cd2553e659952eba91e835a59ad3e07b60",
+        "ift_revloc_nfp.report.json": "4a719484299c4dfa7201941dcc6137a2c038d2e85549cd004adaf11ac61a1eab",
     }),
     (["build", "ift", "--annotations", "fx/coco_50.json", "--captions", "fx/captions_50.jsonl", "--mix", "revloc=1",
       "--scheme", "ivb", "--out", "ift_revloc_ivb.jsonl"], {
         "stdout": "af85cf22d9f83b84e1f03657415cd03d496c938464e1f1656c389c9f1584807f",
         "ift_revloc_ivb.jsonl": "018b69692eb24216fe490e979c4538aed268eb64c2acadab607710b7a9f07eb7",
-        "ift_revloc_ivb.report.json": "baf8abd3f6e771ec2610eae28737068c743a3a2ef2112fc2a5408cb8eddc6227",
+        "ift_revloc_ivb.report.json": "62ef63267b0db4f3af1f2164ef72ea8af0cc61137913900d13cf91f68bc535d0",
     }),
     (["build", "ift", "--annotations", "fx/coco_50.json", "--captions", "fx/captions_50.jsonl", "--mix", "revloc=1",
       "--scheme", "diga", "--out", "ift_revloc_diga.jsonl"], {
         "stdout": "5d6ce15ea9a47b23f2ab8e66f735da83522a26315735b1fb88ab89d9a8103833",
         "ift_revloc_diga.jsonl": "c065213af0cc87616be69324eca6c3df71463f1ba0894e5d5b59b9276f68d592",
-        "ift_revloc_diga.report.json": "8ad1724875ac9b8df04cb05e9a5b8f9a8d03e4acb2a959e209e452a1398a574f",
+        "ift_revloc_diga.report.json": "eeac1a05cb096d4529a00c86bfb77f83d1efcc478affcf720b03cf65bb4c9ded",
     }),
 ]
 

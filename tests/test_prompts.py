@@ -86,19 +86,6 @@ def test_negpred_target_and_indistinguishability():
         assert neg.target == "There is no such object in the image"
 
 
-def test_empty_descriptor_rejected():
-    with pytest.raises(ValueError, match="non-empty"):
-        render_negpred("", "bbox", 0)
-    with pytest.raises(ValueError, match="non-empty"):
-        render_locpred("", "bbox", BOX_TEXT, 0)
-    with pytest.raises(ValueError, match="non-empty"):
-        render_revloc(POINT_TEXT, "", 1)
-    with pytest.raises(ValueError, match="non-empty"):
-        render_caption_request("")
-    with pytest.raises(ValueError, match="non-empty"):
-        render_hallucination_query("", "image")
-
-
 def test_revloc_render():
     pair = render_revloc(POINT_TEXT, "black cat on a sofa", seed=1)
     assert pair.prompt == "Provide a caption for object at (8, 57)?"

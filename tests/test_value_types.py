@@ -227,7 +227,6 @@ CHECKS = [
     (lambda: BBox(0, 3, 1, 1), CodecError, "y1 > y2 in (0, 3, 1, 1)"),
     (lambda: PointLoc(-1, 2), CodecError, "negative coordinate in (-1, 2)"),
     (lambda: PointLoc(cx=2, cy=-0.5), CodecError, "negative coordinate in (2, -0.5)"),
-    (lambda: ReprScheme("xyz"), CodecError, "unknown scheme kind 'xyz'"),
     (lambda: ReprScheme.nfp(decimals=0), CodecError, "nfp needs at least 1 decimal place"),
     (lambda: ReprScheme.ivb(n_bins=1), CodecError, "ivb needs at least 2 bins"),
     (lambda: ReprScheme(**{"kind": "ivb", "n_bins": 0}), CodecError, "ivb needs at least 2 bins"),

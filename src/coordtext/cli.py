@@ -77,16 +77,22 @@ def _parse_mix(text: str) -> dict[str, float]:
         name, _, value = part.partition("=")
         if not value:
             raise ValueError(f"bad --mix entry {part!r}, expected name=ratio")
-        if name.strip() not in builders.IFT_OBJECTIVES:
+        name = name.strip()
+        if name not in builders.IFT_OBJECTIVES:
             raise ValueError(f"bad --mix entry {part!r}, objective must be one of {', '.join(builders.IFT_OBJECTIVES)}")
-        ratio = float(value)
+        if name in mix:
+            raise ValueError(f"bad --mix entry {part!r}, objective {name} is already given")
+        try:
+            ratio = float(value)
+        except ValueError:
+            raise ValueError(f"bad --mix entry {part!r}, ratio must be a number") from None
         if not math.isfinite(ratio):
             raise ValueError(f"bad --mix entry {part!r}, ratio must be finite")
         if ratio < 0:
             raise ValueError(f"bad --mix entry {part!r}, ratio must not be negative")
         if ratio > MAX_MIX_RATIO:
             raise ValueError(f"bad --mix entry {part!r}, ratio must be at most {MAX_MIX_RATIO:g}")
-        mix[name.strip()] = ratio
+        mix[name] = ratio
     if not sum(mix.values()):
         raise ValueError(f"bad --mix {text!r}, ratios must add up to more than 0")
     return mix

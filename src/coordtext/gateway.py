@@ -19,7 +19,9 @@ path as real models. The sampling configuration is transmitted with
 every request but never applied locally; generation happens inside the
 external model. ``HttpTransport`` speaks HTTP/1.1 itself over pooled
 ``socket`` connections, importing ``socket`` (and ``ssl`` for ``https``) on
-construction, so the mock and file-batch paths never load them.
+construction, so the mock and file-batch paths never load them. A
+request body holds ``json.dumps``' bytes, and both wires decode a reply as
+``json.loads`` does; each step calls json's C code directly.
 """
 
 import hashlib
@@ -91,6 +93,34 @@ def _payload(request: ModelRequest, cfg: SamplingConfig) -> dict:
     }
 
 
+# json.dumps' encoder with its default settings (ASCII output, ", " and ": "
+# separators, NaN allowed), built once; its arguments are markers (None: a
+# payload is a fresh tree, so no cycle check), default, string encoder,
+# indent, key and item separators, sort_keys, skipkeys and allow_nan.
+_encode = json.encoder.c_make_encoder(
+    None, json.JSONEncoder().default, json.encoder.encode_basestring_ascii, None, ": ", ", ", False, False, True
+)
+_scan_once = json.JSONDecoder().scan_once
+
+
+def _loads(data: bytes):
+    """``json.loads(data)``: the same value, or the same exception. A reply
+    that is UTF-8 text holding one JSON value and nothing else is parsed by
+    json's C scanner alone; anything else (a BOM, UTF-16 or UTF-32, lone
+    surrogates, surrounding whitespace, trailing data, an error) goes
+    through ``json.loads`` itself. The nesting limit is the interpreter's
+    recursion limit counted from the caller, so this reads two levels
+    deeper than ``json.loads`` called in its place."""
+    try:
+        text = data.decode("utf-8")
+        value, end = _scan_once(text, 0)
+        if end == len(text):
+            return value
+    except (ValueError, StopIteration, RecursionError):
+        pass
+    return json.loads(data)
+
+
 def _reply_response(request: ModelRequest, reply: dict) -> ModelResponse:
     """The response a reply object makes on either wire: its ``error``, or
     its ``text``, which must be a string; anything else is an error response.
@@ -112,6 +142,7 @@ _MAX_HEADERS = 100
 _STATUS_RE = re.compile(rb"HTTP/1\.(\d) +(\d{3})(?: [^\r\n]*)?\r?\n")
 _CHUNK_SIZE_RE = re.compile(rb"[0-9A-Fa-f]+")
 _READ_PIECE = 1 << 20  # a huge Content-Length is read piece by piece, never preallocated
+_FRAMING_HEADERS = (b"connection", b"content-length", b"transfer-encoding")
 
 
 class _WireError(Exception):
@@ -131,38 +162,46 @@ def _read_line(reader, what: str) -> bytes:
     return line
 
 
-def _read_headers(reader) -> dict[str, str]:
+def _read_headers(reader) -> dict[bytes, str]:
     """Header (or chunked trailer) lines up to the blank line; returns the
-    lower-cased names of the ones framing depends on, repeats joined by ", "."""
-    headers: dict[str, str] = {}
+    ones framing depends on by lower-cased name, repeats joined by ", "."""
+    readline = reader.readline
+    headers: dict[bytes, str] = {}
     name = None
     for _ in range(_MAX_HEADERS + 1):
-        line = _read_line(reader, "header line")
+        line = readline(_MAX_LINE + 1)  # _read_line's checks, inline: this runs for every header line
+        if len(line) > _MAX_LINE:
+            raise _WireError(f"header line longer than {_MAX_LINE} bytes")
+        if not line.endswith(b"\n"):
+            raise _WireError("reply cut short in its header line")
         if line in (b"\r\n", b"\n"):
             return headers
-        if line[:1] in (b" ", b"\t"):  # obsolete folding continues the previous header
+        if line[0] in b" \t":  # obsolete folding continues the previous header
             if name in headers:
                 headers[name] = f"{headers[name]} {line.strip().decode('latin-1')}".strip()
             continue
         raw_name, sep, value = line.partition(b":")
-        if not sep or not raw_name.strip():
+        name = raw_name.strip().lower()
+        if not sep or not name:
             raise _WireError(f"malformed header line {line[:80]!r}")
-        name = raw_name.strip().decode("latin-1").lower()
-        if name in ("connection", "content-length", "transfer-encoding"):
+        if name in _FRAMING_HEADERS:
             value_text = value.strip().decode("latin-1")
             headers[name] = f"{headers[name]}, {value_text}" if name in headers else value_text
     raise _WireError(f"more than {_MAX_HEADERS} header lines")
 
 
 def _read_exact(reader, size: int) -> bytes:
+    piece = reader.read(min(size, _READ_PIECE))
+    if len(piece) == size:  # the whole body in one read, as almost every reply comes
+        return piece
     pieces = []
-    while size > 0:
-        piece = reader.read(min(size, _READ_PIECE))
-        if not piece:
-            raise _WireError(f"reply body cut short, {size} bytes missing")
+    while piece:
         pieces.append(piece)
         size -= len(piece)
-    return b"".join(pieces)
+        if not size:
+            return b"".join(pieces)
+        piece = reader.read(min(size, _READ_PIECE))
+    raise _WireError(f"reply body cut short, {size} bytes missing")
 
 
 def _read_chunked(reader) -> bytes:
@@ -192,16 +231,16 @@ def _read_reply(reader, status_line: bytes) -> tuple[int, bytes, bool]:
         if status >= 200:
             break
         status_line = _read_line(reader, "status line")  # after an interim 1xx reply
-    connection = headers.get("connection", "").lower()
+    connection = headers.get(b"connection", "").lower()
     keep = "close" not in connection and (match[1] != b"0" or "keep-alive" in connection)
-    if "transfer-encoding" in headers:
-        if headers["transfer-encoding"].lower() != "chunked":
-            raise _WireError(f"unsupported transfer-encoding {headers['transfer-encoding']!r}")
+    if b"transfer-encoding" in headers:
+        if headers[b"transfer-encoding"].lower() != "chunked":
+            raise _WireError(f"unsupported transfer-encoding {headers[b'transfer-encoding']!r}")
         body = _read_chunked(reader)
     elif status in (204, 304):
         body = b""
-    elif "content-length" in headers:
-        length = headers["content-length"]
+    elif b"content-length" in headers:
+        length = headers[b"content-length"]
         if not length.isdigit() or not length.isascii():
             raise _WireError(f"malformed content-length {length!r}")
         body = _read_exact(reader, int(length))
@@ -224,16 +263,17 @@ class HttpTransport:
     context. Each request is one write; each reply is framed by chunked
     transfer coding, then by Content-Length, and otherwise runs to the end of
     the connection (a 204 or 304 has no body). Idle keep-alive connections
-    wait in a lock-guarded list: ``send`` takes one, or opens one, and puts it
-    back after a complete reply unless the server said it will close it, so
-    each request in flight holds one connection. Proxy settings in the
-    environment are not read, redirects are not followed and the URL may
+    wait in a list that threads share without a lock, as ``list.pop`` and
+    ``list.append`` are each atomic: ``send`` takes one, or opens one, and
+    puts it back after a complete reply unless the server said it will close
+    it, so each request in flight holds one connection. Proxy settings in
+    the environment are not read, redirects are not followed and the URL may
     hold no credentials.
 
     ``http.client`` is not used because it is slower: with it in place of
     this wire code and every reply check kept, the median ``query_s`` of
-    ``presence-http`` rose from 0.291 to 0.514 reference seconds
-    (``perfbench/run.py --seconds 8``, seeds 3101-3110, slower in 10 of 10
+    ``presence-http`` rose from 0.262 to 0.471 reference seconds
+    (``perfbench/run.py --seconds 8``, seeds 8101-8110, slower in 10 of 10
     pairs; Python 3.11.7, the pipeline pinned to one of 2 shared CPUs).
     """
 
@@ -263,13 +303,14 @@ class HttpTransport:
             "Content-Type: application/json\r\nContent-Length: "
         ).encode("ascii")
         self._idle = []
-        self._lock = threading.Lock()
 
     def close(self) -> None:
         """Close every idle connection; a later ``send`` opens new ones."""
-        with self._lock:
-            idle, self._idle = self._idle, []
-        for connection in idle:
+        while True:
+            try:
+                connection = self._idle.pop()
+            except IndexError:
+                return
             _close(connection)
 
     def _connect(self):
@@ -295,10 +336,12 @@ class HttpTransport:
         return _read_reply(reader, status_line)
 
     def send(self, request: ModelRequest, cfg: SamplingConfig) -> ModelResponse:
-        body = json.dumps(_payload(request, cfg)).encode("utf-8")
+        body = "".join(_encode(_payload(request, cfg), 0)).encode("ascii")
         message = b"%s%d\r\n\r\n%s" % (self._head, len(body), body)
-        with self._lock:
-            connection = self._idle.pop() if self._idle else None
+        try:
+            connection = self._idle.pop()
+        except IndexError:
+            connection = None
         reused = connection is not None
         while True:
             try:
@@ -319,8 +362,7 @@ class HttpTransport:
                     _close(connection)
                 raise TransientTransportError(f"{type(exc).__name__}: {exc}") from exc
         if keep:
-            with self._lock:
-                self._idle.append(connection)
+            self._idle.append(connection)
         else:
             _close(connection)
         if status >= 500:
@@ -328,7 +370,7 @@ class HttpTransport:
         if status != 200:
             raise ValueError(f"request rejected with status {status}")
         try:
-            answer = json.loads(data)
+            answer = _loads(data)
         except ValueError as exc:  # not JSON, or not UTF-8
             raise ValueError(f"malformed server reply: {exc}") from exc
         if not isinstance(answer, dict):
@@ -381,7 +423,7 @@ class FileBatchTransport:
             if not line.strip():
                 continue
             try:
-                row = json.loads(line)
+                row = _loads(line)
             except (ValueError, RecursionError):  # not JSON, not UTF-8, or nested too deep
                 row = None
             if isinstance(row, dict):
@@ -459,18 +501,16 @@ def query_batch(
 
     # Workers take the next request from one shared iterator until none is left,
     # so a batch costs a thread per slot in flight, not a future per request.
+    # Each step of an enumerate over a list runs in C without releasing the
+    # interpreter lock, so two workers never take the same request and need
+    # no lock of their own.
     results: list[ModelResponse | None] = [None] * len(requests_)
     pending = enumerate(requests_)
-    pending_lock = threading.Lock()
     failures = []
 
     def worker() -> None:
         try:
-            while True:
-                with pending_lock:
-                    index, request = next(pending, (None, None))
-                if request is None:
-                    return
+            for index, request in pending:
                 results[index] = send_one(request)
         except BaseException as exc:  # re-raised by the caller's thread below
             failures.append(exc)

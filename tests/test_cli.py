@@ -881,13 +881,20 @@ def test_build_ift_mix_ratio_at_the_maximum_builds(fx, tmp_path, capsys):
         ("locpred=101", "entry 'locpred=101', ratio must be at most 100"),
         ("locpred=0", "'locpred=0', ratios must add up to more than 0"),
         ("locpred=0,negpred=0,revloc=0", "'locpred=0,negpred=0,revloc=0', ratios must add up to more than 0"),
+        ("locpred=1,locpred=2", "entry 'locpred=2', objective locpred is already given"),
+        ("locpred=1,negpred=1, locpred =0", "entry ' locpred =0', objective locpred is already given"),
+        ("locpred=abc", "entry 'locpred=abc', ratio must be a number"),
+        ("negpred=1,revloc=1e", "entry 'revloc=1e', ratio must be a number"),
     ],
 )
 def test_build_ift_mix_refusal_names_the_flag(fx, tmp_path, capsys, monkeypatch, mix, problem):
     """An unknown objective, a negative ratio and ratios adding up to 0 used
     to pass the flag's parsing and exit 2 with the builder's messages
     (``unknown objectives in mix``, ``mix ratios must lie in [0, 100] with a
-    positive sum``), which named no flag. ``--mix`` alone checks them now."""
+    positive sum``), which named no flag. ``--mix`` alone checks them now.
+    A repeated objective used to build with its last ratio, and a ratio that
+    is no number exited 2 with float's message, which named neither the
+    flag nor the entry."""
     monkeypatch.setattr(builders, "build_ift_dataset", lambda *a, **k: pytest.fail("builder ran"))
     out = tmp_path / "ift.jsonl"
     code, printed, err = run(["build", "ift", "--annotations", str(fx / "coco_50.json"), "--mix", mix, "--out", str(out)], capsys)

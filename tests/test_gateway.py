@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 import socketserver
 import sys
 import threading
@@ -10,7 +11,10 @@ from contextlib import contextmanager
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from coordtext import gateway
 from coordtext.builders import build_spatial_bench
 from coordtext.coords import LocationText, ReprScheme, decode_bbox
 from coordtext.fixtures import spatial_fixture
@@ -310,18 +314,31 @@ class _RawHandler(socketserver.StreamRequestHandler):
     verbatim; bytes that do not open a POST (a TLS handshake, say) get a bare
     400 and a close."""
 
-    def handle(self):
+    def setup(self):
+        super().setup()
         with self.server.lock:
             self.server.connections += 1
+            self.server.open += 1
+
+    def finish(self):
+        super().finish()
+        with self.server.lock:
+            self.server.open -= 1
+
+    def handle(self):
         while (start := self.rfile.read(5)) == b"POST ":
+            message = [start]
             length = 0
             while (line := self.rfile.readline(65537)) not in (b"\r\n", b"\n", b""):
+                message.append(line)
                 name, _, value = line.partition(b":")
                 if name.strip().lower() == b"content-length":
                     length = int(value)
-            body = json.loads(self.rfile.read(length))
+            message += [line, self.rfile.read(length)]
+            body = json.loads(message[-1])
             with self.server.lock:
                 self.server.attempts.append(body["request_id"])
+                self.server.messages.append(b"".join(message))
             reply, close = self.server.reply(body)
             self.wfile.write(reply)
             if close:
@@ -334,11 +351,12 @@ class _RawHandler(socketserver.StreamRequestHandler):
 def raw_http_server(reply):
     """A server on 127.0.0.1 answering each POST with ``reply(body)``: (raw
     reply bytes, whether to close the connection after them). Yields
-    (endpoint, server); the server counts connections and lists the request
-    id of every attempt."""
+    (endpoint, server); the server counts connections, accepted and still
+    open, and lists the request id and the bytes of every attempt."""
     server = socketserver.ThreadingTCPServer(("127.0.0.1", 0), _RawHandler)
     server.daemon_threads = True
-    server.reply, server.lock, server.connections, server.attempts = reply, threading.Lock(), 0, []
+    server.reply, server.lock, server.connections, server.open = reply, threading.Lock(), 0, 0
+    server.attempts, server.messages = [], []
     thread = threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.01}, daemon=True)
     thread.start()
     try:
@@ -442,6 +460,143 @@ def test_query_batch_workers_send_each_request_once_in_order():
     (out,) = result
     assert [(r.request_id, r.text) for r in out] == [(q.request_id, "echo:" + q.prompt) for q in requests]
     assert sorted(sent) == sorted(q.request_id for q in requests)
+
+
+# A prompt and ids that json escapes: non-ASCII text inside and beyond the
+# BMP, a quote, a backslash and control characters.
+WIRE_REQS = [
+    ModelRequest("r-\u00e9", "im/0 \u2713", 'Is there a "caf\u00e9" \\ here?\x07\n\u2603 \U0001f600'),
+    ModelRequest("r2", "", ""),
+]
+
+
+def _keep_alive(body) -> bytes:
+    data = _answer(body)
+    return b"HTTP/1.1 200 OK\r\nContent-Length: %d\r\n\r\n%s" % (len(data), data)
+
+
+def test_http_request_bytes_on_the_wire():
+    """Each request is its head and ``json.dumps`` of its payload, byte for byte."""
+    with raw_http_server(lambda body: (_keep_alive(body), False)) as (endpoint, server):
+        transport = HttpTransport(endpoint + "v1/generate?x=1", timeout=5)
+        out = query_batch(WIRE_REQS, transport, CFG, max_inflight=1, attempts=1)
+    assert [r.text for r in out] == ["wire:" + q.prompt for q in WIRE_REQS]
+    host = endpoint[len("http://"):-1].encode()
+    for request, message in zip(WIRE_REQS, server.messages, strict=True):
+        payload = {
+            "request_id": request.request_id,
+            "media_ref": request.media_ref,
+            "prompt": request.prompt,
+            "sampling": {"temperature": 0.2, "max_new_tokens": 128},
+        }
+        body = json.dumps(payload).encode("utf-8")
+        head = (
+            b"POST /v1/generate?x=1 HTTP/1.1\r\nHost: %s\r\nAccept-Encoding: identity\r\n"
+            b"Content-Type: application/json\r\nContent-Length: %d\r\n\r\n" % (host, len(body))
+        )
+        assert message == head + body
+    assert server.messages[0].endswith(
+        b'{"request_id": "r-\\u00e9", "media_ref": "im/0 \\u2713", "prompt": "Is there a \\"caf\\u00e9\\" \\\\ here?'
+        b'\\u0007\\n\\u2603 \\ud83d\\ude00", "sampling": {"temperature": 0.2, "max_new_tokens": 128}}'
+    )
+
+
+def test_file_batch_request_file_bytes(tmp_path):
+    """The request file's name and bytes, pinned: its stem hashes those bytes."""
+    out = query_batch(WIRE_REQS, FileBatchTransport(tmp_path, poll_interval=0.001, timeout=0.01), CFG)
+    assert [r.error_detail for r in out] == ["no response file within 0.01s"] * 2
+    assert [p.name for p in tmp_path.iterdir()] == ["batch-06bbf3fa266d5fbc.req.jsonl"]
+    assert (tmp_path / "batch-06bbf3fa266d5fbc.req.jsonl").read_bytes() == (
+        b'{"media_ref": "im/0 \\u2713", "prompt": "Is there a \\"caf\\u00e9\\" \\\\ here?\\u0007\\n\\u2603 \\ud83d\\ude00",'
+        b' "request_id": "r-\\u00e9", "sampling": {"max_new_tokens": 128, "temperature": 0.2}}\n'
+        b'{"media_ref": "", "prompt": "", "request_id": "r2", "sampling": {"max_new_tokens": 128, "temperature": 0.2}}\n'
+    )
+
+
+def test_http_pool_under_contention_sends_each_request_once():
+    """More workers than cores share one connection pool and one request
+    iterator under a tiny switch interval, and every seventh reply closes its
+    connection: each request is sent once, its response lands in its slot,
+    and every connection the pool kept is closed at the end."""
+    def reply(body):
+        close = body["request_id"].endswith("7")
+        return (_connection_close(body) if close else _keep_alive(body)), close
+
+    requests = [ModelRequest(f"q{i}", "m", f"p{i}") for i in range(600)]
+    workers = 2 * len(os.sched_getaffinity(0)) + 1
+    result = []
+    with raw_http_server(reply) as (endpoint, server):
+        old_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            transport = HttpTransport(endpoint, timeout=10)
+            runner = threading.Thread(
+                target=lambda: result.append(query_batch(requests, transport, CFG, max_inflight=workers, attempts=1))
+            )
+            runner.start()
+            runner.join(timeout=120)
+        finally:
+            sys.setswitchinterval(old_interval)
+        assert not runner.is_alive()
+        deadline = time.monotonic() + 10  # the server sees a close when its handler reads EOF
+        while server.open and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert server.open == 0
+    (out,) = result
+    assert [(r.request_id, r.text) for r in out] == [(q.request_id, "wire:" + q.prompt) for q in requests]
+    assert sorted(server.attempts) == sorted(q.request_id for q in requests)
+
+
+# ---------------- reply decoding ---------------- #
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    max_leaves=12,
+)
+_ENCODINGS = ["utf-8", "utf-8-sig", "utf-16", "utf-16-le", "utf-16-be", "utf-32", "utf-32-le", "utf-32-be"]
+
+
+@st.composite
+def _reply_bodies(draw):
+    """JSON text (NaN and infinities too), or any text, with whitespace or
+    trailing data around it, in any encoding json reads, sometimes cut or
+    spliced with stray bytes."""
+    text = draw(st.one_of(st.builds(json.dumps, _JSON_VALUES, ensure_ascii=st.booleans()), st.text(max_size=8)))
+    text = draw(st.sampled_from(["", " ", "\r\n\t "])) + text + draw(st.sampled_from(["", " \n", " 1", "}", "x", "[]"]))
+    data = text.encode(draw(st.sampled_from(_ENCODINGS)), "surrogatepass")
+    if draw(st.booleans()):
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + draw(st.binary(max_size=3)) + data[at + draw(st.integers(0, 2)):]
+    return data
+
+
+def _decoded(decode, data):
+    try:
+        return "value", repr(decode(data))
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(st.binary() | _reply_bodies())
+@example(b"")
+@example(b'\xef\xbb\xbf{"request_id": "r0", "text": "Yes"}')  # UTF-8 BOM
+@example('{"request_id": "r0", "text": "Yes"}'.encode("utf-16"))
+@example('{"text": "\u00e9"}'.encode("utf-32-be"))
+@example(b'  {"request_id": "r0", "text": "Yes"}\r\n')
+@example(b"[NaN, Infinity, -Infinity, -0.0, 1e400]")
+@example(b'{"request_id": "r0"} {"text": "x"}')  # trailing data
+@example(b"1 2")
+@example(b'{"text": "\xff"}')  # not UTF-8
+@example(b'"\xed\xa0\x80"')  # a lone surrogate, which json.loads lets through
+@example(b'"\x00"')
+@example(DEEP_JSON.encode())
+@example(b"[" * 100_000)
+def test_reply_decoder_matches_json_loads(data):
+    """Every reply on either wire is decoded to json.loads's value, or raises
+    json.loads's exception with its message."""
+    assert _decoded(gateway._loads, data) == _decoded(json.loads, data)
 
 
 # ---------------- file-batch transport ---------------- #

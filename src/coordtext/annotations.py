@@ -23,7 +23,7 @@ from collections import Counter
 from typing import NamedTuple
 
 from .coords import BBox, CodecError, ImageDims
-from .records import SchemaError, iter_lines, iter_records, line_error, read_json
+from .records import SchemaError, iter_lines, iter_rows, line_error, read_json
 
 
 class ObjectAnn(NamedTuple):
@@ -213,7 +213,7 @@ def load_caption_records(path) -> list[CaptionRecord]:
     ``image_id`` or ``instance_id`` that is neither a string nor an integer, is
     a SchemaError naming the file and line."""
     records = []
-    for line_no, row in iter_records(path):
+    for line_no, row in iter_rows(path):
         caption, item_id, text = row.get("caption", ""), row.get("item_id", ""), row.get("text", "")
         if type(caption) is not str or type(item_id) is not str or type(text) is not str:
             for field, value in (("caption", caption), ("item_id", item_id), ("text", text)):
@@ -283,7 +283,7 @@ def load_video_detections(path) -> dict[str, dict[int, list[tuple[str, BBox]]]]:
     """
     videos: dict[str, dict[int, list[tuple[str, BBox]]]] = {}
     first_line = {}
-    for line_no, row in iter_records(path):
+    for line_no, row in iter_rows(path):
         try:
             _require(isinstance(row["frames"], dict), path, line_no, "frames is not a JSON object")
             frames, keys = {}, {}

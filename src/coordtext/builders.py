@@ -17,7 +17,7 @@ from operator import attrgetter
 from typing import NamedTuple
 
 from .annotations import AnnotatedImage, MediaCategories
-from .coords import BBox, LocationText, ReprScheme, encode_bbox, encode_point
+from .coords import BBox, ReprScheme, encode_bbox, encode_point
 from .prompts import (
     DEFAULT_TEMPLATES,
     HALLUCINATION,
@@ -101,15 +101,15 @@ def discover_negative_categories(image: AnnotatedImage, vocabulary: Sequence[str
 
 
 class ConversationSample(NamedTuple):
-    """One instruction-tuning sample; ``location`` is set exactly for locpred
-    and revloc samples."""
+    """One instruction-tuning sample; ``location``, the text of the object's
+    location, is set exactly for locpred and revloc samples."""
 
     sample_id: str
     image_id: str
     objective: str
     prompt: str
     target: str
-    location: LocationText | None
+    location: str | None
     descriptor: str
     form: str
     seed: int
@@ -117,7 +117,7 @@ class ConversationSample(NamedTuple):
     def to_record(self, scheme: ReprScheme) -> dict:
         return dataset_record(
             self.sample_id, self.image_id, self.objective, self.prompt, self.target, self.descriptor, self.seed,
-            location_text=self.location.text if self.location else None, scheme=scheme.to_dict(), form=self.form,
+            location_text=self.location, scheme=scheme.to_dict(), form=self.form,
         )
 
 
@@ -155,8 +155,8 @@ def build_ift_dataset(
         image, obj = eligible[index % total]
         cycle = index // total
         sample_id = f"{image.image_id}:{obj.instance_id}:{objective}:{cycle}"
-        # derive_seed joins its parts with ":", so this is the seed of
-        # (seed, image id, instance id, objective, cycle)
+        # derive_seed hashes f"{seed}:{sample_id}", so this is the seed of
+        # the ":"-joined (seed, image id, instance id, objective, cycle)
         sample_seed = derive_seed(seed, sample_id)
         if objective == NEGPRED:
             negatives = discover_negative_categories(image, vocabulary)

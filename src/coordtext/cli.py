@@ -27,9 +27,9 @@ from . import builders, coords, evals, gateway, meteor, prompts, seeding
 from .records import (
     SchemaError,
     config_digest,
-    is_meta_row,
     iter_lines,
     iter_rows,
+    read_meta,
     verify_records,
     write_json,
     write_records,
@@ -138,21 +138,18 @@ def cmd_encode(args) -> int:
     if (args.bbox is None) == (args.point is None):
         raise ValueError("exactly one of --bbox or --point is required")
     if args.bbox is not None:
-        loc = coords.encode_bbox(coords.BBox(*_parse_coordinates("--bbox", args.bbox, 4)), dims, scheme)
+        text = coords.encode_bbox(coords.BBox(*_parse_coordinates("--bbox", args.bbox, 4)), dims, scheme)
     else:
-        loc = coords.encode_point(coords.PointLoc(*_parse_coordinates("--point", args.point, 2)), dims, scheme)
-    print(loc.text)
+        text = coords.encode_point(coords.PointLoc(*_parse_coordinates("--point", args.point, 2)), dims, scheme)
+    print(text)
     return EXIT_OK
 
 
 def cmd_decode(args) -> int:
     dims = _parse_dims(args.dims)
     scheme = _parse_scheme(args)
-    loc = coords.LocationText(args.text, scheme, args.form)
-    if args.form == "point":
-        decoded = coords.decode_point(loc, dims, lenient=args.lenient)
-    else:
-        decoded = coords.decode_bbox(loc, dims, lenient=args.lenient)
+    decode = coords.decode_point if args.form == "point" else coords.decode_bbox
+    decoded = decode(args.text, scheme, dims, lenient=args.lenient)
     print(" ".join(f"{v:g}" for v in decoded.as_tuple()))
     return EXIT_OK
 
@@ -309,26 +306,23 @@ def _text_field(path, n: int, row: dict, field: str) -> str:
     raise SchemaError(f"{path}: record {n}: {field} is not a string")
 
 
-def _stream_records(path, keep) -> tuple[dict, int, SchemaError | None]:
+def _stream_records(path, keep) -> tuple[int, SchemaError | None]:
     """Pass each record of a record file to ``keep(n, row)``, numbered from 1,
-    until ``keep`` raises SchemaError; returns the meta line (empty without
-    one), the number of records, and that error or None.
+    until ``keep`` raises SchemaError; returns the number of records and that
+    error or None.
 
     The error is returned, not raised, after every line has been read: a
     problem of the whole file, which ``iter_rows`` raises after its last row,
     is the one to report first."""
-    meta, count, problem = {}, 0, None
-    for line_no, row in iter_rows(path):
-        if is_meta_row(line_no, row):
-            meta = row
-            continue
+    count, problem = 0, None
+    for _, row in iter_rows(path):
         count += 1
         if problem is None:
             try:
                 keep(count, row)
             except SchemaError as exc:
                 problem = exc
-    return meta, count, problem
+    return count, problem
 
 
 def _sample_ids(path, *fields: str):
@@ -361,7 +355,7 @@ def cmd_query(args) -> int:
         if mock:
             answers[sample_id] = mock(sample_id, row, args.seed)
 
-    _, count, problem = _stream_records(args.records, keep)
+    count, problem = _stream_records(args.records, keep)
     if not count:
         raise SchemaError(f"{args.records}: no records")
     if problem:
@@ -398,9 +392,9 @@ def cmd_query(args) -> int:
 # ---------------- evaluate ---------------- #
 
 
-def _read_responses(path) -> tuple[dict, dict[str, str]]:
-    """The meta line (empty without one) and the response text by item_id of
-    a responses file that matches its meta line.
+def _read_responses(path) -> dict[str, str]:
+    """The response text by item_id of a responses file that matches its meta
+    line.
 
     A row that query marked ``status: error`` carries no answer of the model:
     it is left out, so that its item is tallied as missing, not scored."""
@@ -418,33 +412,31 @@ def _read_responses(path) -> tuple[dict, dict[str, str]]:
             else:
                 responses[item_id] = text
 
-    meta, _, problem = _stream_records(path, keep)
+    _, problem = _stream_records(path, keep)
     if problem:
         raise problem
     if errored:
         print(f"{len(errored)} response(s) marked status: error, counted as missing", file=sys.stderr)
-    return meta, responses
+    return responses
 
 
-def _check_pairing(records_path, records_digest, responses_path, responses_meta: dict) -> None:
+def _check_pairing(records_path, records_digest, responses_path) -> None:
     """A SchemaError when the responses answer other records than those scored.
 
     A query output's meta config names the records file it read, as typed.
-    Where that path, taken from the current directory, holds a record file,
-    the records digest on its meta line must be ``records_digest``. Where it
-    holds none, or the config names none (as for responses made by other
-    tools), stderr says that the pairing is unchecked."""
-    config = responses_meta.get("config")
+    Where that path, taken from the current directory, is a regular file
+    whose line 1 is a meta line, its records digest must be
+    ``records_digest``. Where it is not, or the config names no path (as for
+    responses made by other tools), stderr says that the pairing is
+    unchecked."""
+    config = read_meta(responses_path).get("config")
     source = config.get("records") if isinstance(config, dict) else None
     digest = None
     if isinstance(source, str):
         try:
-            line_no, row = next(iter_rows(source))
-        except (OSError, SchemaError, StopIteration):
+            digest = read_meta(source).get("records_digest")
+        except OSError:
             pass
-        else:
-            if is_meta_row(line_no, row):
-                digest = row.get("records_digest")
     if digest is None or records_digest is None:
         print(f"{responses_path}: pairing with {records_path} unchecked: no records digests to compare"
               f" (its config's records: {source!r})", file=sys.stderr)
@@ -482,13 +474,14 @@ def cmd_evaluate(args) -> int:
                 raise SchemaError(f"{path}: record {n}: {objective.truth} {truth!r} holds no word METEOR scores ([a-z0-9])")
             truths.append((sample_id, truth))
 
-    record_meta, count, problem = _stream_records(path, keep)
-    responses_meta, responses = _read_responses(args.responses)
+    count, problem = _stream_records(path, keep)
+    responses = _read_responses(args.responses)
     if not count:
         raise SchemaError(f"{path}: no records")
     if problem:
         raise problem
-    _check_pairing(path, record_meta.get("records_digest"), args.responses, responses_meta)
+    records_digest = read_meta(path).get("records_digest")
+    _check_pairing(path, records_digest, args.responses)
     if task is None:
         if None in tasks or len(tasks) != 1:
             raise ValueError(f"cannot infer a single task from objectives {sorted(objectives)}; pass --task")
@@ -500,8 +493,6 @@ def cmd_evaluate(args) -> int:
         print(f"{len(missing)}/{count} records lack responses", file=sys.stderr)
         return EXIT_ALIGNMENT
     options = {"strict": not args.containment_only} if task == "spatial" else {}
-    field = evals.TRUTH_FIELDS[task]
-    records = ({"sample_id": sample_id, field: truth} for sample_id, truth in truths)
     # evals' attributes, looked up now: a table built at import would run evals
     # for every command, and names looked up by string would hide the callers
     scorers = {
@@ -510,9 +501,9 @@ def cmd_evaluate(args) -> int:
         "hallucination": evals.score_hallucination,
         "region": evals.score_region_description,
     }
-    report, items = scorers[task](records, responses, **options)
+    report, items = scorers[task](truths, responses, **options)
     config = _effective_config(args, ["records", "responses", "task", "containment_only"])
-    report = report._replace(config_digest=config_digest(config), dataset_digest=record_meta.get("records_digest"))
+    report = report._replace(config_digest=config_digest(config), dataset_digest=records_digest)
     if task == "region":
         print(f"meteor_mean {100 * report.meteor_mean:.2f}")
     else:

@@ -11,6 +11,8 @@ Three interchangeable representation schemes are supported:
   nearest the object center is named by its (column, row) index and the
   remaining values are integer pixel deviations from that anchor center.
 
+A location's text is a plain string: ``encode_point`` and ``encode_bbox``
+return it, and ``decode_point`` and ``decode_bbox`` take it with its scheme.
 Encoding quantizes, and decoding maps bins and anchors back to their
 centers, so a round trip moves each coordinate by at most half a
 quantization step. All quantization is done in exact rational arithmetic so
@@ -161,14 +163,6 @@ class ReprScheme(_ReprScheme):
         return {"kind": "diga", "grid": self.grid, "patch": self.patch}
 
 
-class LocationText(NamedTuple):
-    """A location serialized under one scheme, plus enough context to parse it back."""
-
-    text: str
-    scheme: ReprScheme
-    form: str  # "point" | "bbox"
-
-
 # Quantization works on exact (numerator, denominator) views of the input
 # numbers (``as_integer_ratio``, which ints and floats both have), so bin and
 # anchor decisions never wobble at cell boundaries. The encoders write each
@@ -192,8 +186,8 @@ def _round_half_up(num: int, den: int) -> int:
     return -((-2 * num + den) // (2 * den))
 
 
-def encode_point(p: PointLoc, dims: ImageDims, scheme: ReprScheme) -> LocationText:
-    """Serialize a point location under the given scheme."""
+def encode_point(p: PointLoc, dims: ImageDims, scheme: ReprScheme) -> str:
+    """The text of a point location under the given scheme."""
     p.validate_within(dims)
     width, height = dims
     xn, xd = p.cx.as_integer_ratio()
@@ -206,12 +200,12 @@ def encode_point(p: PointLoc, dims: ImageDims, scheme: ReprScheme) -> LocationTe
         xd, yd = xd * width, yd * height
         x = (2 * scale * xn + xd) // (2 * xd)
         y = (2 * scale * yn + yd) // (2 * yd)
-        text = f"({x // scale}.{x % scale:0{places}d}, {y // scale}.{y % scale:0{places}d})"
+        return f"({x // scale}.{x % scale:0{places}d}, {y // scale}.{y % scale:0{places}d})"
     elif kind == "ivb":
         # the bin holding value / dim; a coordinate on the far edge belongs to the last bin
         n = scheme.n_bins
         x, y = n * xn // (xd * width), n * yn // (yd * height)
-        text = f"({x if x < n else n - 1}, {y if y < n else n - 1})"
+        return f"({x if x < n else n - 1}, {y if y < n else n - 1})"
     else:
         side, grid, patch = scheme.square_side, scheme.grid, scheme.patch
         xn, xd = xn * side, xd * width
@@ -221,12 +215,11 @@ def encode_point(p: PointLoc, dims: ImageDims, scheme: ReprScheme) -> LocationTe
         # deviations from the anchor center (2 * idx + 1) * patch / 2
         d1 = _round_half_up(2 * xn - (2 * pi + 1) * patch * xd, 2 * xd)
         d2 = _round_half_up(2 * yn - (2 * qi + 1) * patch * yd, 2 * yd)
-        text = f"({pi}, {qi}, {d1}, {d2})"
-    return LocationText(text, scheme, "point")
+        return f"({pi}, {qi}, {d1}, {d2})"
 
 
-def encode_bbox(b: BBox, dims: ImageDims, scheme: ReprScheme) -> LocationText:
-    """Serialize a box location under the given scheme."""
+def encode_bbox(b: BBox, dims: ImageDims, scheme: ReprScheme) -> str:
+    """The text of a box location under the given scheme."""
     b.validate_within(dims)
     width, height = dims
     x1n, x1d = b.x1.as_integer_ratio()
@@ -242,7 +235,7 @@ def encode_bbox(b: BBox, dims: ImageDims, scheme: ReprScheme) -> LocationText:
         y1 = (2 * scale * y1n + y1d) // (2 * y1d)
         x2 = (2 * scale * x2n + x2d) // (2 * x2d)
         y2 = (2 * scale * y2n + y2d) // (2 * y2d)
-        text = (
+        return (
             f"({x1 // scale}.{x1 % scale:0{places}d}, {y1 // scale}.{y1 % scale:0{places}d}, "
             f"{x2 // scale}.{x2 % scale:0{places}d}, {y2 // scale}.{y2 % scale:0{places}d})"
         )
@@ -250,7 +243,7 @@ def encode_bbox(b: BBox, dims: ImageDims, scheme: ReprScheme) -> LocationText:
         n = scheme.n_bins
         x1, y1 = n * x1n // (x1d * width), n * y1n // (y1d * height)
         x2, y2 = n * x2n // (x2d * width), n * y2n // (y2d * height)
-        text = (
+        return (
             f"({x1 if x1 < n else n - 1}, {y1 if y1 < n else n - 1}, "
             f"{x2 if x2 < n else n - 1}, {y2 if y2 < n else n - 1})"
         )
@@ -268,8 +261,7 @@ def encode_bbox(b: BBox, dims: ImageDims, scheme: ReprScheme) -> LocationText:
         d2 = _round_half_up(cy * y1d - 2 * y1n, 2 * y1d)
         d3 = _round_half_up(2 * x2n - cx * x2d, 2 * x2d)
         d4 = _round_half_up(2 * y2n - cy * y2d, 2 * y2d)
-        text = f"({pi}, {qi}, {d1}, {d2}, {d3}, {d4})"
-    return LocationText(text, scheme, "bbox")
+        return f"({pi}, {qi}, {d1}, {d2}, {d3}, {d4})"
 
 
 _INT_RE = re.compile(r"-?\d+")
@@ -364,25 +356,21 @@ def _decode_values(tokens: list[str], scheme: ReprScheme, dims: ImageDims, form:
     return out
 
 
-def decode_point(t: LocationText, dims: ImageDims, lenient: bool = False) -> PointLoc:
-    """Reconstruct the pixel-space point encoded in t."""
-    if t.form != "point":
-        raise CodecError(f"expected point text, got form {t.form!r}")
-    tokens = split_coordinate_text(t.text, t.scheme, "point", lenient=lenient)
-    return PointLoc(*_decode_values(tokens, t.scheme, dims, "point"))
+def decode_point(text: str, scheme: ReprScheme, dims: ImageDims, lenient: bool = False) -> PointLoc:
+    """Reconstruct the pixel-space point that ``text`` encodes under ``scheme``."""
+    tokens = split_coordinate_text(text, scheme, "point", lenient=lenient)
+    return PointLoc(*_decode_values(tokens, scheme, dims, "point"))
 
 
-def decode_bbox(t: LocationText, dims: ImageDims, lenient: bool = False) -> BBox:
-    """Reconstruct the pixel-space box encoded in t.
+def decode_bbox(text: str, scheme: ReprScheme, dims: ImageDims, lenient: bool = False) -> BBox:
+    """Reconstruct the pixel-space box that ``text`` encodes under ``scheme``.
 
     A decoded box with x1 > x2 or y1 > y2 is reported as a degenerate decode,
     never silently repaired.
     """
-    if t.form != "bbox":
-        raise CodecError(f"expected bbox text, got form {t.form!r}")
-    tokens = split_coordinate_text(t.text, t.scheme, "bbox", lenient=lenient)
-    x1, y1, x2, y2 = _decode_values(tokens, t.scheme, dims, "bbox")
+    tokens = split_coordinate_text(text, scheme, "bbox", lenient=lenient)
+    x1, y1, x2, y2 = _decode_values(tokens, scheme, dims, "bbox")
     if x1 > x2 or y1 > y2:
-        raise CodecError(f"degenerate decode ({x1}, {y1}, {x2}, {y2}) from {t.text!r}")
+        raise CodecError(f"degenerate decode ({x1}, {y1}, {x2}, {y2}) from {text!r}")
     return BBox(x1, y1, x2, y2)
 

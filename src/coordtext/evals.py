@@ -1,12 +1,14 @@
 """Scoring of model responses against ground truth, one pipeline for every task.
 
-Scoring is pair → judge → aggregate. One loop pairs each dataset record with
-its response in sample_id order. A missing response scores incorrect (0.0 for
-a region description) and is tallied, never dropped; every other response goes
-to the task's judgement. One aggregation, ``aggregate_report``, builds each
-MetricsReport from the per-item records. It sums in item-id order, so it does
-not depend on the order of its input, and recounting a scorer's items gives
-that scorer's report bit for bit.
+Scoring is pair → judge → aggregate. Each scorer takes the ``(sample_id,
+truth)`` pairs of the records it scores and the response text by sample_id.
+One loop pairs each truth with its response in sample_id order. A missing
+response scores incorrect (0.0 for a region description) and is tallied,
+never dropped; every other response goes to the task's judgement. One
+aggregation, ``aggregate_report``, builds each MetricsReport from the
+per-item records. It sums in item-id order, so it does not depend on the
+order of its input, and recounting a scorer's items gives that scorer's
+report bit for bit.
 """
 
 import string
@@ -15,11 +17,9 @@ from operator import itemgetter
 from typing import NamedTuple
 
 from .meteor import score_meteor
-from .prompts import OBJECTIVES, OPPOSITE_KEYWORD, parse_response
+from .prompts import OPPOSITE_KEYWORD, parse_response
 
-# the record field that holds each evaluate task's ground truth, and the
-# values it may take where the task's judgement knows only those
-TRUTH_FIELDS = {objective.task: objective.truth for objective in OBJECTIVES.values() if objective.task}
+# the values a task's ground truth may take, where its judgement knows only those
 TRUTH_VALUES = {"spatial": tuple(OPPOSITE_KEYWORD), "hallucination": ("yes", "no")}
 
 
@@ -87,14 +87,13 @@ def _normalize(text: str) -> str:
     return text.lower().strip().rstrip(string.punctuation + " ")
 
 
-def _score(task, records, responses, gt_field, judge, flags) -> tuple[MetricsReport, list[EvalRecord]]:
-    """Pair, judge and aggregate. Of each record only its sample_id and
-    ``gt_field`` are kept, so ``records`` may be a generator of small dicts.
-    ``judge(gt, response)`` returns the outcome fields of one answered item's
-    EvalRecord."""
+def _score(task, truths, responses, judge, flags) -> tuple[MetricsReport, list[EvalRecord]]:
+    """Pair, judge and aggregate ``truths``, the ``(sample_id, truth)`` pairs
+    of the records scored. ``judge(gt, response)`` returns the outcome fields
+    of one answered item's EvalRecord."""
     unanswered = {"score": 0.0} if task == "region_description" else {"correct": False}
     items = []
-    for sample_id, gt in sorted(((rec["sample_id"], rec[gt_field]) for rec in records), key=itemgetter(0)):
+    for sample_id, gt in sorted(truths, key=itemgetter(0)):
         response = responses.get(sample_id)
         if response is None:
             items.append(EvalRecord(sample_id, task, gt, "", missing=True, **unanswered))
@@ -103,7 +102,7 @@ def _score(task, records, responses, gt_field, judge, flags) -> tuple[MetricsRep
     return aggregate_report(items, flags), items
 
 
-def score_spatial(records, responses: dict, strict: bool = True) -> tuple[MetricsReport, list[EvalRecord]]:
+def score_spatial(truths, responses: dict, strict: bool = True) -> tuple[MetricsReport, list[EvalRecord]]:
     """Side-question accuracy: the ground-truth keyword must appear in the response.
 
     In strict mode (default) the opposing keyword must also be absent; with
@@ -116,20 +115,20 @@ def score_spatial(records, responses: dict, strict: bool = True) -> tuple[Metric
         return {"correct": gt in lowered and not (strict and OPPOSITE_KEYWORD[gt] in lowered)}
 
     flags = {"mode": "strict" if strict else "containment"}
-    return _score("spatial", records, responses, TRUTH_FIELDS["spatial"], judge, flags)
+    return _score("spatial", truths, responses, judge, flags)
 
 
-def score_keyword_vqa(records, responses: dict) -> tuple[MetricsReport, list[EvalRecord]]:
+def score_keyword_vqa(truths, responses: dict) -> tuple[MetricsReport, list[EvalRecord]]:
     """Top-1 accuracy by containment of the normalized answer in the response."""
 
     def judge(gt, response):
         return {"correct": _normalize(gt) in _normalize(response)}
 
     flags = {"normalization": "lowercase, strip terminal punctuation"}
-    return _score("vqa", records, responses, TRUTH_FIELDS["vqa"], judge, flags)
+    return _score("vqa", truths, responses, judge, flags)
 
 
-def score_hallucination(records, responses: dict) -> tuple[MetricsReport, list[EvalRecord]]:
+def score_hallucination(truths, responses: dict) -> tuple[MetricsReport, list[EvalRecord]]:
     """Presence-question metrics, treating gt=yes as the positive class.
 
     Unparseable or missing responses score incorrect; they stay in the
@@ -140,17 +139,17 @@ def score_hallucination(records, responses: dict) -> tuple[MetricsReport, list[E
         prediction = parse_response(response)
         return {"correct": prediction == gt, "prediction": prediction}
 
-    return _score("hallucination", records, responses, TRUTH_FIELDS["hallucination"], judge, {"positive_class": "yes"})
+    return _score("hallucination", truths, responses, judge, {"positive_class": "yes"})
 
 
-def score_region_description(records, responses: dict) -> tuple[MetricsReport, list[EvalRecord]]:
+def score_region_description(truths, responses: dict) -> tuple[MetricsReport, list[EvalRecord]]:
     """Per-item text similarity of the response against the stored description."""
 
     def judge(gt, response):
         return {"score": score_meteor(gt, response)}
 
     flags = {"metric": "meteor exact+stem, fmean weight 9, penalty 0.5*(ch/m)^3"}
-    return _score("region_description", records, responses, TRUTH_FIELDS["region"], judge, flags)
+    return _score("region_description", truths, responses, judge, flags)
 
 
 def aggregate_report(eval_records: list[EvalRecord], flags: dict) -> MetricsReport:

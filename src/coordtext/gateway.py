@@ -568,15 +568,13 @@ RANDOM_SPACES = {
 }
 
 
-def random_mock(request: ModelRequest, seed: int, space: str) -> ModelResponse:
-    """Chance-level baseline: seeded uniform draw over the answer space, one
-    of lr / ab / yes_no."""
-    rng = random_module.Random(derive_seed(seed, request.request_id))
+def random_mock(sample_id: str, seed: int, space: str) -> str:
+    """Chance-level baseline: the answer to ``sample_id``, a seeded uniform
+    draw over the answer space, one of lr / ab / yes_no."""
+    rng = random_module.Random(derive_seed(seed, sample_id))
     if space in RANDOM_SPACES:
         choice = rng.choice(RANDOM_SPACES[space])
-        if space == "yes_no":
-            return ModelResponse(request.request_id, choice)
-        return ModelResponse(request.request_id, f"It is to the {choice}.")
+        return choice if space == "yes_no" else f"It is to the {choice}."
     raise ValueError(f"unknown answer space {space!r}")
 
 
@@ -608,7 +606,7 @@ def random_response(sample_id: str, record: dict, seed: int) -> ModelResponse:
     record's ``answer_space_for_record``, or an error response for a space
     ``random_mock`` cannot draw from."""
     try:
-        return random_mock(ModelRequest(sample_id, "", ""), seed, answer_space_for_record(record))
+        return ModelResponse(sample_id, random_mock(sample_id, seed, answer_space_for_record(record)))
     except ValueError as exc:
         return ModelResponse(sample_id, "", status="error", error_detail=str(exc))
 

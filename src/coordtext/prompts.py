@@ -1,22 +1,18 @@
 """Instruction templates, seeded prompt/target rendering, and yes/no answer parsing.
 
 Rendering is pure: a (descriptor, form, location, seed) tuple always produces
-the same bytes, so datasets can be regenerated from their metadata alone.
+the same bytes, so datasets can be regenerated from their metadata alone. A
+location is its text, the string a record stores as ``location_text``.
 Location-query and negative-query prompts are drawn from the same template
 pool so nothing in the input distinguishes the two objectives. No name
 formatted here is empty: the readers that supply the names see to it.
 """
 
-from __future__ import annotations
-
 import re
 import string
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
 from .records import SchemaError, iter_lines
-
-if TYPE_CHECKING:  # annotations only: query and evaluate do not run the codec
-    from .coords import LocationText
 
 # objective tags used across records and reports
 LOCPRED = "locpred"
@@ -198,12 +194,12 @@ class RenderedPair(NamedTuple):
 
 
 def render_locpred(
-    descriptor: str, form: str, loc: LocationText, seed: int, templates: TemplateSet = DEFAULT_TEMPLATES
+    descriptor: str, form: str, loc: str, seed: int, templates: TemplateSet = DEFAULT_TEMPLATES
 ) -> RenderedPair:
-    """Prompt asking for the location of descriptor; target states loc canonically."""
+    """Prompt asking for the location of descriptor; target states loc, a location's text."""
     pool = templates.locpred_prompts
     prompt = pool[seed % len(pool)].format(category=descriptor, repr=REPR_PLACEHOLDER[form])
-    return RenderedPair(prompt, templates.locpred_target.format(loc=loc.text))
+    return RenderedPair(prompt, templates.locpred_target.format(loc=loc))
 
 
 def render_negpred(
@@ -216,11 +212,11 @@ def render_negpred(
 
 
 def render_revloc(
-    loc: LocationText, descriptor: str, seed: int, templates: TemplateSet = DEFAULT_TEMPLATES
+    loc: str, descriptor: str, seed: int, templates: TemplateSet = DEFAULT_TEMPLATES
 ) -> RenderedPair:
-    """Prompt asking what is at loc; target names the descriptor."""
+    """Prompt asking what is at loc, a location's text; target names the descriptor."""
     pool = templates.revloc_prompts
-    prompt = pool[seed % len(pool)].format(loc=loc.text)
+    prompt = pool[seed % len(pool)].format(loc=loc)
     return RenderedPair(prompt, templates.revloc_target.format(category=descriptor))
 
 

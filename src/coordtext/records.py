@@ -9,9 +9,11 @@ leaves the previous file as it was.
 
 Every text or JSON input file is decoded here too, by ``iter_lines``,
 ``iter_rows`` or ``read_json``: a line that is not UTF-8, or text that is not
-JSON, is a SchemaError naming the file, and the line where there is one. Each
-reader checks a file whose line 1 is a meta line against it: ``iter_rows``, which
-the others call, raises the first problem, and ``verify_records`` lists them all.
+JSON, is a SchemaError naming the file, and the line where there is one.
+``iter_rows`` yields a JSON-lines file's records, never its meta line, and
+checks a file whose line 1 is a meta line against it, raising the first
+problem; ``verify_records`` lists them all. ``read_meta`` reads line 1 alone
+and checks nothing.
 """
 
 import hashlib
@@ -168,10 +170,11 @@ class _MetaMismatch(SchemaError):
 
 
 def iter_rows(path) -> Iterator[tuple[int, dict]]:
-    """Yield ``(line_no, row)`` for each non-blank line of a JSON-lines file,
-    one at a time, with lines as ``iter_lines`` gives them. A line that is not
-    a JSON object, as left by a truncated or corrupt file, raises SchemaError
-    naming the file and line; after the last row, so does the first claim of a meta line that fails."""
+    """Yield ``(line_no, row)`` for each record of a JSON-lines file: each
+    non-blank line but a meta line 1, one at a time, with lines as
+    ``iter_lines`` gives them. A line that is not a JSON object, as left by a
+    truncated or corrupt file, raises SchemaError naming the file and line;
+    after the last record, so does the first claim of a meta line that fails."""
     # iter_lines' loop, written out: reading through iter_lines made query
     # and evaluate about 3% slower on the spatial-oracle benchmark.
     meta, count = None, 0
@@ -189,10 +192,10 @@ def iter_rows(path) -> Iterator[tuple[int, dict]]:
                 raise line_error(path, line_no, exc) from exc
             if not isinstance(row, dict):
                 raise SchemaError(f"{path}: line {line_no}: not a JSON object")
-            if is_meta_row(line_no, row):
+            if line_no == 1 and row.get("record_type") == "meta":
                 meta = row
-            else:
-                count += 1
+                continue
+            count += 1
             yield line_no, row
     if meta is None:
         return
@@ -210,27 +213,27 @@ def iter_rows(path) -> Iterator[tuple[int, dict]]:
         raise _MetaMismatch(*problems)
 
 
-def is_meta_row(line_no: int, row: dict) -> bool:
-    """Whether a row that ``iter_rows`` yields is the file's meta line."""
-    return line_no == 1 and row.get("record_type") == "meta"
-
-
-def iter_records(path) -> Iterator[tuple[int, dict]]:
-    """``iter_rows`` without the meta line."""
-    return ((line_no, row) for line_no, row in iter_rows(path) if not is_meta_row(line_no, row))
+def read_meta(path) -> dict:
+    """The meta line of a record file: line 1, if it is one, else ``{}``.
+    Nothing is checked; ``iter_rows`` checks the meta line against the file.
+    Only a regular file is opened: a FIFO's or a pipe's lines can be read only
+    once, by the reader of its records, and opening a FIFO with no writer
+    would block."""
+    if not os.path.isfile(path):
+        return {}
+    with open(path, "rb") as fh:
+        first = fh.readline()
+    try:
+        row = parse_line(first.decode("utf-8").strip())
+    except (ValueError, RecursionError):  # a blank, corrupt or non-UTF-8 line 1
+        return {}
+    return row if isinstance(row, dict) and row.get("record_type") == "meta" else {}
 
 
 def read_records(path) -> tuple[dict, list[dict]]:
     """Read a record file; returns (meta, records). Files without a meta line
     get an empty meta dict. Raises SchemaError as ``iter_rows`` does."""
-    meta: dict = {}
-    records: list[dict] = []
-    for line_no, row in iter_rows(path):
-        if is_meta_row(line_no, row):
-            meta = row
-        else:
-            records.append(row)
-    return meta, records
+    return read_meta(path), [row for _, row in iter_rows(path)]
 
 
 def verify_records(path) -> list[str]:
@@ -238,13 +241,12 @@ def verify_records(path) -> list[str]:
     digest, and the records digest over the stored bytes after the meta line,
     so that any re-serialisation fails. Records are counted as they are parsed
     and none is kept. Returns a list of problems (empty = ok)."""
-    has_meta = False
     try:
-        for line_no, row in iter_rows(path):
-            has_meta = has_meta or is_meta_row(line_no, row)
+        for _ in iter_rows(path):
+            pass
     except _MetaMismatch as exc:
         return list(exc.args)
-    return [] if has_meta else [f"{path}: no meta line"]
+    return [] if read_meta(path) else [f"{path}: no meta line"]
 
 
 def write_json(path, value: dict) -> None:

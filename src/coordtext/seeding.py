@@ -1,14 +1,14 @@
 """Stable per-sample seed derivation.
 
-Seeds are split from a global seed plus string parts via SHA-256, so any
-sample's randomness is reproducible across runs, machines, and worker counts
-without sharing generator state.
+A sample's seed is split from the global seed and a stable key, a sample's
+or a media item's id, via SHA-256 of ``f"{seed}:{key}"``, so any sample's
+randomness is reproducible across runs, machines, and worker counts without
+sharing generator state.
 """
 
 import hashlib
 
 
-def derive_seed(*parts) -> int:
-    key = ":".join(map(str, parts))
-    digest = hashlib.sha256(key.encode("utf-8")).digest()
+def derive_seed(seed: int, key: str) -> int:
+    digest = hashlib.sha256(f"{seed}:{key}".encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "big")

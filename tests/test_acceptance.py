@@ -31,7 +31,7 @@ from coordtext.coords import (
 )
 from coordtext.evals import score_hallucination
 from coordtext.fixtures import CATEGORIES, annotation_fixture, keyword_corpus, spatial_fixture
-from coordtext.gateway import ModelRequest, random_mock
+from coordtext.gateway import random_mock
 from coordtext.meteor import score_meteor
 from coordtext.records import read_records
 from test_builders import bruteforce_bench_keys, _item_key, media_fixture
@@ -72,14 +72,14 @@ def test_criterion_1_golden_vectors():
     with criterion(1, "worked-example encodings reproduce byte-exactly", 1.0):
         box = BBox(10, 120, 30, 145)
         point = PointLoc(20, 132.5)
-        assert encode_bbox(box, DIMS_512, ReprScheme.nfp()).text == "(0.0195, 0.2344, 0.0586, 0.2832)"
-        assert encode_bbox(box, DIMS_512, ReprScheme.ivb(224)).text == "(4, 52, 13, 63)"
-        assert encode_bbox(box, DIMS_512, ReprScheme.diga(16)).text == "(0, 4, 3, 11, 6, 0)"
-        assert encode_point(point, DIMS_512, ReprScheme.nfp()).text == "(0.0391, 0.2588)"
-        assert encode_point(point, DIMS_512, ReprScheme.ivb(224)).text == "(8, 57)"
+        assert encode_bbox(box, DIMS_512, ReprScheme.nfp()) == "(0.0195, 0.2344, 0.0586, 0.2832)"
+        assert encode_bbox(box, DIMS_512, ReprScheme.ivb(224)) == "(4, 52, 13, 63)"
+        assert encode_bbox(box, DIMS_512, ReprScheme.diga(16)) == "(0, 4, 3, 11, 6, 0)"
+        assert encode_point(point, DIMS_512, ReprScheme.nfp()) == "(0.0391, 0.2588)"
+        assert encode_point(point, DIMS_512, ReprScheme.ivb(224)) == "(8, 57)"
         diga_point = encode_point(point, DIMS_512, ReprScheme.diga(16))
         assert encoded_anchor(point, DIMS_512, ReprScheme.diga(16)) == (0, 4)
-        decoded = decode_point(diga_point, DIMS_512)
+        decoded = decode_point(diga_point, ReprScheme.diga(16), DIMS_512)
         bound = quantization_error_bound(ReprScheme.diga(16), DIMS_512)
         assert abs(decoded.cx - point.cx) <= bound[0] + 1e-9
         assert abs(decoded.cy - point.cy) <= bound[1] + 1e-9
@@ -92,9 +92,9 @@ def test_criterion_2_token_cost_golden_and_bounds():
         nfp, ivb = ReprScheme.nfp(), ReprScheme.ivb(224)
         for dims in SWEEP_DIMS:
             for loc in _random_locations(rng, dims, 2500):
-                enc = encode_bbox if isinstance(loc, BBox) else encode_point
-                assert all(c <= 6 for c in coordinate_token_costs(enc(loc, dims, nfp)))
-                assert all(c <= 3 for c in coordinate_token_costs(enc(loc, dims, ivb)))
+                enc, form = (encode_bbox, "bbox") if isinstance(loc, BBox) else (encode_point, "point")
+                assert all(c <= 6 for c in coordinate_token_costs(enc(loc, dims, nfp), nfp, form))
+                assert all(c <= 3 for c in coordinate_token_costs(enc(loc, dims, ivb), ivb, form))
 
 
 def test_criterion_3_roundtrip_error_bound():
@@ -106,9 +106,9 @@ def test_criterion_3_roundtrip_error_bound():
                 for scheme in SCHEMES:
                     bound = quantization_error_bound(scheme, dims)
                     if isinstance(loc, PointLoc):
-                        decoded = decode_point(encode_point(loc, dims, scheme), dims)
+                        decoded = decode_point(encode_point(loc, dims, scheme), scheme, dims)
                     else:
-                        decoded = decode_bbox(encode_bbox(loc, dims, scheme), dims)
+                        decoded = decode_bbox(encode_bbox(loc, dims, scheme), scheme, dims)
                     for i, (a, b) in enumerate(zip(loc.as_tuple(), decoded.as_tuple())):
                         if abs(a - b) > bound[i % 2] + 1e-9:
                             violations += 1
@@ -234,12 +234,10 @@ def test_criterion_7_chance_calibration():
         records = [it.to_record() for it in items]
         assert len(records) == 10_000
         assert sum(1 for r in records if r["gt"] == "yes") == 5_000
+        truths = [(r["sample_id"], r["gt"]) for r in records]
         for seed in (0, 1, 2, 3, 4):
-            responses = {
-                r["sample_id"]: random_mock(ModelRequest(r["sample_id"], "m", "p"), seed, "yes_no").text
-                for r in records
-            }
-            report, _ = score_hallucination(records, responses)
+            responses = {sample_id: random_mock(sample_id, seed, "yes_no") for sample_id, _ in truths}
+            report, _ = score_hallucination(truths, responses)
             assert 0.487 <= report.accuracy <= 0.513, f"seed {seed}: {report.accuracy}"
 
 
@@ -247,16 +245,16 @@ def test_criterion_8_presence_metric_identities():
     with criterion(8, "precision/recall/F1/yes-ratio identities", 5.0):
         media = media_fixture(50, seed=3)
         items, _ = build_hallucination_set(media, list(CATEGORIES), seed=4, per_media=2)
-        records = [it.to_record() for it in items]
-        always_yes, _ = score_hallucination(records, {r["sample_id"]: "Yes" for r in records})
+        truths = [(it.item_id, it.gt) for it in items]
+        always_yes, _ = score_hallucination(truths, {sample_id: "Yes" for sample_id, _ in truths})
         assert always_yes.precision == 0.5
         assert always_yes.recall == 1.0
         assert always_yes.f1 == pytest.approx(2 / 3, abs=0)
         assert always_yes.yes_ratio == 1.0
         rng = random.Random(8)
         for trial in range(5):
-            responses = {r["sample_id"]: rng.choice(["Yes", "No", "unclear"]) for r in records}
-            report, _ = score_hallucination(records, responses)
+            responses = {sample_id: rng.choice(["Yes", "No", "unclear"]) for sample_id, _ in truths}
+            report, _ = score_hallucination(truths, responses)
             if report.precision is not None and report.recall is not None and report.f1 is not None:
                 assert report.f1 == pytest.approx(
                     2 * report.precision * report.recall / (report.precision + report.recall), abs=1e-12

@@ -26,7 +26,7 @@ from coordtext.annotations import (
     load_vocabulary,
 )
 from coordtext.coords import BBox, CodecError, ImageDims
-from coordtext.records import SchemaError, config_digest, iter_records, line_error, read_json, write_records
+from coordtext.records import SchemaError, config_digest, iter_rows, line_error, read_json, write_records
 from coordtext.fixtures import annotation_fixture, write_coco_json
 
 
@@ -500,7 +500,7 @@ def _reference_parse_coco(path, data: dict) -> CocoLoad:
 
 def reference_load_caption_records(path) -> list[CaptionRecord]:
     records = []
-    for line_no, row in iter_records(path):
+    for line_no, row in iter_rows(path):
         for field in ("caption", "item_id", "text"):
             _require(isinstance(row.get(field, ""), str), path, line_no, f"{field} is not a string")
         if "caption" in row:

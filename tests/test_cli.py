@@ -6,6 +6,7 @@ import gc
 import hashlib
 import json
 import math
+import os
 import signal
 import socket
 import subprocess
@@ -264,7 +265,6 @@ def test_build_record_field_sets(fx, tmp_path, capsys):
 
 def test_ift_records_rerender_from_file_metadata(fx, tmp_path, capsys):
     """Prompts and targets reconstruct byte-exactly from record fields alone."""
-    from coordtext.coords import LocationText, ReprScheme
     from coordtext.prompts import render_locpred, render_negpred, render_revloc
 
     out = tmp_path / "ift.jsonl"
@@ -276,12 +276,10 @@ def test_ift_records_rerender_from_file_metadata(fx, tmp_path, capsys):
     _, rows = read_records(out)
     assert rows
     for row in rows:
-        scheme = ReprScheme(**row["scheme"])
-        loc = LocationText(row["location_text"], scheme, row["form"]) if row["location_text"] else None
         if row["objective"] == "locpred":
-            pair = render_locpred(row["descriptor"], row["form"], loc, row["seed"])
+            pair = render_locpred(row["descriptor"], row["form"], row["location_text"], row["seed"])
         elif row["objective"] == "revloc":
-            pair = render_revloc(loc, row["descriptor"], row["seed"])
+            pair = render_revloc(row["location_text"], row["descriptor"], row["seed"])
         else:
             pair = render_negpred(row["descriptor"], row["form"], row["seed"])
         assert pair.prompt == row["prompt"] and pair.target == row["target"]
@@ -476,10 +474,13 @@ def test_evaluate_refuses_responses_to_other_records(fx, tmp_path, capsys):
     assert (code, out, err) == (0, "All 100.0\n", "")
 
 
-@pytest.mark.parametrize("config", [{"records": "moved-away.jsonl"}, {"paraphrase_of": "oracle.jsonl"}])
+@pytest.mark.parametrize(
+    "config", [{"records": "moved-away.jsonl"}, {"paraphrase_of": "oracle.jsonl"}, {"records": "nul\x00.jsonl"}]
+)
 def test_evaluate_says_when_it_cannot_check_the_pairing(fx, tmp_path, capsys, config):
     """Responses whose config names no record file that can be read here
-    are scored, with one stderr line saying the pairing is unchecked."""
+    are scored, with one stderr line saying the pairing is unchecked. A path
+    with a NUL byte names no file."""
     bench, resp = tmp_path / "bench.jsonl", tmp_path / "resp.jsonl"
     assert run(["build", "hallucination", "--annotations", str(fx / "coco_50.json"), "--out", str(bench)], capsys)[0] == 0
     assert run(["query", "--records", str(bench), "--mock", "oracle", "--out", str(resp)], capsys)[0] == 0
@@ -488,6 +489,24 @@ def test_evaluate_says_when_it_cannot_check_the_pairing(fx, tmp_path, capsys, co
     assert code == 0 and out.startswith("All 100.0")
     source = config.get("records")
     assert err == f"{resp}: pairing with {bench} unchecked: no records digests to compare (its config's records: {source!r})\n"
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs os.mkfifo")
+def test_evaluate_does_not_read_a_fifo_named_as_the_records(fx, tmp_path, capsys):
+    """Only a regular file is read for the pairing check: opening a FIFO that
+    no process writes to would block evaluate for good."""
+    bench, resp, fifo = tmp_path / "bench.jsonl", tmp_path / "resp.jsonl", tmp_path / "fifo.jsonl"
+    assert run(["build", "hallucination", "--annotations", str(fx / "coco_50.json"), "--out", str(bench)], capsys)[0] == 0
+    assert run(["query", "--records", str(bench), "--mock", "oracle", "--out", str(resp)], capsys)[0] == 0
+    write_records(resp, read_records(resp)[1], {"records": str(fifo)}, "responses")
+    os.mkfifo(fifo)
+    proc = subprocess.run(
+        [sys.executable, "-m", "coordtext.cli", "evaluate", "--records", str(bench), "--responses", str(resp)],
+        capture_output=True, text=True, timeout=30,
+    )
+    assert proc.returncode == 0 and proc.stdout.startswith("All 100.0")
+    assert proc.stderr == (f"{resp}: pairing with {bench} unchecked: no records digests to compare"
+                           f" (its config's records: {str(fifo)!r})\n")
 
 
 # ---------------- stats, verify, config ---------------- #

@@ -16,7 +16,6 @@ from coordtext.coords import (
     BBox,
     CodecError,
     ImageDims,
-    LocationText,
     PointLoc,
     ReprScheme,
     decode_bbox,
@@ -60,7 +59,7 @@ def oracle_anchor(p: PointLoc, dims: ImageDims, grid=16, patch=14) -> tuple[int,
 
 def encoded_anchor(p: PointLoc, dims: ImageDims, scheme: ReprScheme) -> tuple[int, int]:
     """Grid indices (column, row) of the anchor that ``encode_point``'s diga text names."""
-    column, row, _, _ = encode_point(p, dims, scheme).text.strip("()").split(", ")
+    column, row, _, _ = encode_point(p, dims, scheme).strip("()").split(", ")
     return (int(column), int(row))
 
 
@@ -95,21 +94,21 @@ def numeric_token_cost(token: str) -> int:
     return sum(1 for ch in token if ch.isdigit() or ch in ".+-")
 
 
-def coordinate_token_costs(t: LocationText) -> list[int]:
+def coordinate_token_costs(text: str, scheme: ReprScheme, form: str) -> list[int]:
     """Per-coordinate token costs of a location string: the rule that the
     token-cost tests and acceptance criterion 2 hold each scheme to."""
-    tokens = split_coordinate_text(t.text, t.scheme, t.form, lenient=True)
+    tokens = split_coordinate_text(text, scheme, form, lenient=True)
     return [numeric_token_cost(tok) for tok in tokens]
 
 
-def token_cost(t: LocationText) -> TokenCost:
+def token_cost(text: str, scheme: ReprScheme, form: str) -> TokenCost:
     """Token cost of a location string.
 
     Coordinate tokens follow the numeric rule; the enclosing parentheses and
     each comma separator count one token apiece and are reported as overhead.
     """
-    costs = coordinate_token_costs(t)
-    stripped = t.text.strip()
+    costs = coordinate_token_costs(text, scheme, form)
+    stripped = text.strip()
     parens = 2 if stripped.startswith("(") and stripped.endswith(")") else 0
     return TokenCost(coordinates=sum(costs), overhead=parens + stripped.count(","))
 
@@ -118,23 +117,23 @@ def token_cost(t: LocationText) -> TokenCost:
 
 
 def test_golden_bbox_nfp():
-    assert encode_bbox(GOLDEN_BOX, DIMS_512, ReprScheme.nfp()).text == "(0.0195, 0.2344, 0.0586, 0.2832)"
+    assert encode_bbox(GOLDEN_BOX, DIMS_512, ReprScheme.nfp()) == "(0.0195, 0.2344, 0.0586, 0.2832)"
 
 def test_golden_bbox_ivb():
-    assert encode_bbox(GOLDEN_BOX, DIMS_512, ReprScheme.ivb(224)).text == "(4, 52, 13, 63)"
+    assert encode_bbox(GOLDEN_BOX, DIMS_512, ReprScheme.ivb(224)) == "(4, 52, 13, 63)"
 
 def test_golden_bbox_diga():
-    assert encode_bbox(GOLDEN_BOX, DIMS_512, ReprScheme.diga(16)).text == "(0, 4, 3, 11, 6, 0)"
+    assert encode_bbox(GOLDEN_BOX, DIMS_512, ReprScheme.diga(16)) == "(0, 4, 3, 11, 6, 0)"
 
 def test_golden_point_forms():
-    assert encode_point(GOLDEN_POINT, DIMS_512, ReprScheme.nfp()).text == "(0.0391, 0.2588)"
-    assert encode_point(GOLDEN_POINT, DIMS_512, ReprScheme.ivb(224)).text == "(8, 57)"
+    assert encode_point(GOLDEN_POINT, DIMS_512, ReprScheme.nfp()) == "(0.0391, 0.2588)"
+    assert encode_point(GOLDEN_POINT, DIMS_512, ReprScheme.ivb(224)) == "(8, 57)"
 
 def test_full_image_box_nfp():
-    assert encode_bbox(BBox(0, 0, 512, 512), DIMS_512, ReprScheme.nfp()).text == "(0.0000, 0.0000, 1.0000, 1.0000)"
+    assert encode_bbox(BBox(0, 0, 512, 512), DIMS_512, ReprScheme.nfp()) == "(0.0000, 0.0000, 1.0000, 1.0000)"
 
 def test_midpoint_nfp():
-    assert encode_point(PointLoc(256, 256), DIMS_512, ReprScheme.nfp()).text == "(0.5000, 0.5000)"
+    assert encode_point(PointLoc(256, 256), DIMS_512, ReprScheme.nfp()) == "(0.5000, 0.5000)"
 
 def test_point_nfp_matches_decimal_oracle():
     assert oracle_nfp(20, 512) == "0.0391"
@@ -187,12 +186,10 @@ def test_anchor_grid24():
 
 
 def test_decode_midpoint_nfp():
-    t = LocationText("(0.5000, 0.5000)", ReprScheme.nfp(), "point")
-    assert decode_point(t, DIMS_512).as_tuple() == (256.0, 256.0)
+    assert decode_point("(0.5000, 0.5000)", ReprScheme.nfp(), DIMS_512).as_tuple() == (256.0, 256.0)
 
 def test_decode_ivb_bin_centers():
-    t = LocationText("(4, 52, 13, 63)", ReprScheme.ivb(224), "bbox")
-    got = decode_bbox(t, DIMS_512)
+    got = decode_bbox("(4, 52, 13, 63)", ReprScheme.ivb(224), DIMS_512)
     expected = [float((k + Fraction(1, 2)) * 512 / 224) for k in (4, 52, 13, 63)]
     assert list(got.as_tuple()) == expected
     bx, _ = quantization_error_bound(ReprScheme.ivb(224), DIMS_512)
@@ -200,62 +197,41 @@ def test_decode_ivb_bin_centers():
         assert abs(orig - dec) <= bx
 
 def test_decode_diga_within_bound():
-    t = LocationText("(0, 4, 3, 11, 6, 0)", ReprScheme.diga(16), "bbox")
-    got = decode_bbox(t, DIMS_512)
+    got = decode_bbox("(0, 4, 3, 11, 6, 0)", ReprScheme.diga(16), DIMS_512)
     bx, _ = quantization_error_bound(ReprScheme.diga(16), DIMS_512)
     for orig, dec in zip(GOLDEN_BOX.as_tuple(), got.as_tuple()):
         assert abs(orig - dec) <= bx + 1e-9
 
 def test_decode_rejects_wrong_arity():
-    t = LocationText("(4, 52, 13)", ReprScheme.ivb(224), "bbox")
     with pytest.raises(CodecError, match="expected 4"):
-        decode_bbox(t, DIMS_512)
+        decode_bbox("(4, 52, 13)", ReprScheme.ivb(224), DIMS_512)
 
 def test_decode_rejects_bin_overflow():
-    t = LocationText("(4, 224)", ReprScheme.ivb(224), "point")
     with pytest.raises(CodecError, match="224"):
-        decode_point(t, DIMS_512)
+        decode_point("(4, 224)", ReprScheme.ivb(224), DIMS_512)
 
 def test_decode_rejects_bad_anchor():
-    t = LocationText("(16, 4, 0, 0)", ReprScheme.diga(16), "point")
     with pytest.raises(CodecError, match="anchor column index 16"):
-        decode_point(t, DIMS_512)
+        decode_point("(16, 4, 0, 0)", ReprScheme.diga(16), DIMS_512)
 
 def test_decode_rejects_non_numeric():
-    t = LocationText("(4, cat)", ReprScheme.ivb(224), "point")
     with pytest.raises(CodecError, match="cat"):
-        decode_point(t, DIMS_512)
-
-@pytest.mark.parametrize(
-    "decode, form",
-    [(decode_point, "bbox"), (decode_point, "circle"), (decode_bbox, "point"), (decode_bbox, "circle")],
-    ids=["point from bbox", "point from circle", "bbox from point", "bbox from circle"],
-)
-def test_decode_rejects_text_of_another_form(decode, form):
-    """LocationText takes its form as given, so each decoder checks it before
-    it reads a token, and names the form it found."""
-    expected = "point" if decode is decode_point else "bbox"
-    text = LocationText("(4, 52)" if form == "point" else "(4, 52, 13, 63)", ReprScheme.ivb(224), form)
-    with pytest.raises(CodecError, match=f"^expected {expected} text, got form {form!r}$"):
-        decode(text, DIMS_512)
+        decode_point("(4, cat)", ReprScheme.ivb(224), DIMS_512)
 
 
 def test_decode_reports_degenerate_box():
-    t = LocationText("(0.6000, 0.1000, 0.2000, 0.4000)", ReprScheme.nfp(), "bbox")
     with pytest.raises(CodecError, match="degenerate decode"):
-        decode_bbox(t, DIMS_512)
+        decode_bbox("(0.6000, 0.1000, 0.2000, 0.4000)", ReprScheme.nfp(), DIMS_512)
 
 def test_decode_nfp_rejects_above_one():
-    t = LocationText("(1.2000, 0.1000)", ReprScheme.nfp(), "point")
     with pytest.raises(CodecError, match="exceeds 1"):
-        decode_point(t, DIMS_512)
+        decode_point("(1.2000, 0.1000)", ReprScheme.nfp(), DIMS_512)
 
 def test_lenient_decode_accepts_bare_tuples():
-    t = LocationText("4 ,52", ReprScheme.ivb(224), "point")
     with pytest.raises(CodecError, match="parentheses"):
-        decode_point(t, DIMS_512)
-    got = decode_point(t, DIMS_512, lenient=True)
-    strict = decode_point(LocationText("(4, 52)", ReprScheme.ivb(224), "point"), DIMS_512)
+        decode_point("4 ,52", ReprScheme.ivb(224), DIMS_512)
+    got = decode_point("4 ,52", ReprScheme.ivb(224), DIMS_512, lenient=True)
+    strict = decode_point("(4, 52)", ReprScheme.ivb(224), DIMS_512)
     assert got == strict
 
 
@@ -298,10 +274,10 @@ def encoded_text(scheme, form):
     def render(dims, fx, fy, fw, fh, bare):
         x, y = fx * dims.width, fy * dims.height
         if form == "point":
-            text = encode_point(PointLoc(x, y), dims, scheme).text
+            text = encode_point(PointLoc(x, y), dims, scheme)
         else:
             box = BBox(x, y, min(dims.width, x + fw * dims.width), min(dims.height, y + fh * dims.height))
-            text = encode_bbox(box, dims, scheme).text
+            text = encode_bbox(box, dims, scheme)
         return text[1:-1] if bare else text
 
     unit = st.floats(0, 1)
@@ -314,7 +290,7 @@ def test_lenient_decode_returns_location_or_codec_error(data, scheme, form, dims
     text = data.draw(st.one_of(st.text(max_size=40), coordinate_like(scheme, form), encoded_text(scheme, form)))
     decode, kind = (decode_point, PointLoc) if form == "point" else (decode_bbox, BBox)
     try:
-        loc = decode(LocationText(text, scheme, form), dims, lenient=True)
+        loc = decode(text, scheme, dims, lenient=True)
     except CodecError:
         return
     assert isinstance(loc, kind)
@@ -331,7 +307,7 @@ def test_lenient_decode_returns_location_or_codec_error(data, scheme, form, dims
 )
 def test_decode_rejects_unconvertible_numbers(scheme, text):
     with pytest.raises(CodecError, match="too long|too large"):
-        decode_point(LocationText(text, scheme, "point"), DIMS_512)
+        decode_point(text, scheme, DIMS_512)
 
 
 # ---------------- invariants ---------------- #
@@ -346,9 +322,9 @@ def _random_location(rng, dims):
 
 def _roundtrip_error(loc, dims, scheme):
     if isinstance(loc, PointLoc):
-        dec = decode_point(encode_point(loc, dims, scheme), dims)
+        dec = decode_point(encode_point(loc, dims, scheme), scheme, dims)
     else:
-        dec = decode_bbox(encode_bbox(loc, dims, scheme), dims)
+        dec = decode_bbox(encode_bbox(loc, dims, scheme), scheme, dims)
     return [
         (abs(o - d), axis)
         for axis, (o, d) in enumerate(zip(loc.as_tuple(), dec.as_tuple()))
@@ -373,8 +349,8 @@ def test_edge_touching_boxes_roundtrip():
                 assert err <= bound[axis % 2] + 1e-9
 
 def test_encode_deterministic():
-    a = encode_bbox(GOLDEN_BOX, DIMS_512, ReprScheme.diga(16)).text
-    b = encode_bbox(BBox(10, 120, 30, 145), ImageDims(512, 512), ReprScheme.diga(16)).text
+    a = encode_bbox(GOLDEN_BOX, DIMS_512, ReprScheme.diga(16))
+    b = encode_bbox(BBox(10, 120, 30, 145), ImageDims(512, 512), ReprScheme.diga(16))
     assert a == b
 
 
@@ -416,7 +392,7 @@ def test_most_decimals_round_trip_at_the_lowest_int_text_limit():
         scheme = ReprScheme.nfp(MAX_DECIMALS)
         for dims in SWEEP_DIMS:
             box = BBox(1, 2, dims.width / 3, dims.height - 0.5)
-            decoded = decode_bbox(encode_bbox(box, dims, scheme), dims)
+            decoded = decode_bbox(encode_bbox(box, dims, scheme), scheme, dims)
             assert all(abs(a - b) <= 1e-9 for a, b in zip(decoded, box))
     finally:
         sys.set_int_max_str_digits(limit)
@@ -437,9 +413,9 @@ def test_numeric_token_cost_rule():
     assert numeric_token_cost("-5") == 2
 
 def test_token_cost_split():
-    nfp = token_cost(encode_bbox(GOLDEN_BOX, DIMS_512, ReprScheme.nfp()))
+    nfp = token_cost(encode_bbox(GOLDEN_BOX, DIMS_512, ReprScheme.nfp()), ReprScheme.nfp(), "bbox")
     assert nfp.coordinates == 24 and nfp.overhead == 5 and nfp.total == 29
-    ivb = token_cost(encode_point(GOLDEN_POINT, DIMS_512, ReprScheme.ivb(224)))
+    ivb = token_cost(encode_point(GOLDEN_POINT, DIMS_512, ReprScheme.ivb(224)), ReprScheme.ivb(224), "point")
     assert ivb.coordinates == 3 and ivb.overhead == 3
 
 def test_token_cost_bounds_randomized():
@@ -447,10 +423,10 @@ def test_token_cost_bounds_randomized():
     for _ in range(800):
         dims = rng.choice(SWEEP_DIMS)
         loc = _random_location(rng, dims)
-        enc = encode_bbox if isinstance(loc, BBox) else encode_point
-        for cost in coordinate_token_costs(enc(loc, dims, ReprScheme.nfp())):
+        enc, form = (encode_bbox, "bbox") if isinstance(loc, BBox) else (encode_point, "point")
+        for cost in coordinate_token_costs(enc(loc, dims, ReprScheme.nfp()), ReprScheme.nfp(), form):
             assert cost <= 2 + 4
-        for cost in coordinate_token_costs(enc(loc, dims, ReprScheme.ivb(224))):
+        for cost in coordinate_token_costs(enc(loc, dims, ReprScheme.ivb(224)), ReprScheme.ivb(224), form):
             assert cost <= 3
 
 def test_error_bound_values():
@@ -592,6 +568,6 @@ def test_encoders_match_reference(data, scheme, dims):
     x1, x2 = sorted(data.draw(ordinate(scheme, dims.width)) for _ in range(2))
     y1, y2 = sorted(data.draw(ordinate(scheme, dims.height)) for _ in range(2))
     box, point = BBox(x1, y1, x2, y2), PointLoc(x1, y2)
-    assert encode_bbox(box, dims, scheme) == (reference_encode_bbox(box, dims, scheme), scheme, "bbox")
-    assert encode_point(point, dims, scheme) == (reference_encode_point(point, dims, scheme), scheme, "point")
-    assert encode_point(box.center(), dims, scheme).text == reference_encode_point(box.center(), dims, scheme)
+    assert encode_bbox(box, dims, scheme) == reference_encode_bbox(box, dims, scheme)
+    assert encode_point(point, dims, scheme) == reference_encode_point(point, dims, scheme)
+    assert encode_point(box.center(), dims, scheme) == reference_encode_point(box.center(), dims, scheme)

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from coordtext import gateway
 from coordtext.builders import build_spatial_bench
-from coordtext.coords import LocationText, ReprScheme, decode_bbox
+from coordtext.coords import ReprScheme, decode_bbox
 from coordtext.fixtures import spatial_fixture
 from coordtext.gateway import (
     MAX_RETRY_DELAY_S,
@@ -829,7 +829,7 @@ def test_oracle_mock_location_roundtrip():
         location_text = records[sample.sample_id]["location_text"]
         assert resp.text == f"It is located at {location_text}."
         image = by_id[sample.image_id]
-        decoded = decode_bbox(LocationText(location_text, scheme, "bbox"), image.dims)
+        decoded = decode_bbox(location_text, scheme, image.dims)
         gt = next(o.bbox for o in image.objects if sample.sample_id.split(":")[1] == o.instance_id)
         bound = quantization_error_bound(scheme, image.dims)
         for i, (a, b) in enumerate(zip(gt.as_tuple(), decoded.as_tuple())):
@@ -849,7 +849,7 @@ def test_random_transport_draws_from_each_record_space():
     records = {item.item_id: item.to_record() for item in items}
     reqs = [ModelRequest(item_id, "m", "p") for item_id in records]
     out = query_batch(reqs, MockTransport({i: random_response(i, r, 7) for i, r in records.items()}), CFG)
-    assert [r.text for r in out] == [random_mock(q, 7, records[q.request_id]["axis"]).text for q in reqs]
+    assert [r.text for r in out] == [random_mock(q.request_id, 7, records[q.request_id]["axis"]) for q in reqs]
     bad_record = {"objective": "spatial_direct", "axis": "xy"}
     bad = query_batch(reqs[:1], MockTransport({reqs[0].request_id: random_response(reqs[0].request_id, bad_record, 7)}), CFG)
     assert bad[0].status == "error" and "unknown answer space" in bad[0].error_detail
@@ -866,15 +866,15 @@ def test_random_mock_refuses_a_space_it_does_not_know(space):
     objective asks it for a location, and a record resolves ``axis`` to lr
     or ab before the mock is asked."""
     with pytest.raises(ValueError, match=f"^unknown answer space {space!r}$"):
-        random_mock(ModelRequest("q", "m", "p"), seed=3, space=space)
+        random_mock("q", seed=3, space=space)
 
 
 def test_random_mock_balance_and_determinism():
     n = 10_000
-    answers = [random_mock(ModelRequest(f"q{i}", "m", "p"), seed=7, space="lr").text for i in range(n)]
+    answers = [random_mock(f"q{i}", seed=7, space="lr") for i in range(n)]
     lefts = sum("left" in a for a in answers)
     assert abs(lefts / n - 0.5) <= 0.02
-    again = [random_mock(ModelRequest(f"q{i}", "m", "p"), seed=7, space="lr").text for i in range(n)]
+    again = [random_mock(f"q{i}", seed=7, space="lr") for i in range(n)]
     assert answers == again
-    yn = {random_mock(ModelRequest(f"q{i}", "m", "p"), seed=1, space="yes_no").text for i in range(200)}
+    yn = {random_mock(f"q{i}", seed=1, space="yes_no") for i in range(200)}
     assert yn == {"Yes", "No"}

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from coordtext.coords import (
     BBox,
     ImageDims,
-    LocationText,
     PointLoc,
     ReprScheme,
     decode_bbox,
@@ -31,9 +30,9 @@ from coordtext.prompts import (
     spatial_icl_example,
 )
 
-IVB = ReprScheme.ivb(224)
-BOX_TEXT = LocationText("(4, 52, 13, 63)", IVB, "bbox")
-POINT_TEXT = LocationText("(8, 57)", IVB, "point")
+# a box's and a point's text under ivb with 224 bins
+BOX_TEXT = "(4, 52, 13, 63)"
+POINT_TEXT = "(8, 57)"
 
 # frozen copies of the expected template bytes; any drift in the embedded
 # constants is a regression
@@ -98,7 +97,7 @@ def _location_prompts(category: str, form: str) -> list[str]:
 
 def test_small_seed_bijection():
     # seeds 0..2 reach each revloc template exactly once, 0..4 each location template
-    revloc = [p.format(loc=POINT_TEXT.text) for p in DEFAULT_TEMPLATES.revloc_prompts]
+    revloc = [p.format(loc=POINT_TEXT) for p in DEFAULT_TEMPLATES.revloc_prompts]
     assert sorted(render_revloc(POINT_TEXT, "cat", s).prompt for s in range(3)) == sorted(revloc)
     located = sorted(render_locpred("cat", "bbox", BOX_TEXT, s).prompt for s in range(5))
     assert located == sorted(_location_prompts("cat", "bbox")) and len(set(located)) == 5
@@ -193,14 +192,14 @@ def test_locpred_target_holds_a_location_text_that_decodes(scheme):
     cut out of the target decodes to what the location itself decodes to."""
     dims = ImageDims(512, 512)
     prefix, suffix = DEFAULT_TEMPLATES.locpred_target.split("{loc}")
-    for loc, decode in (
-        (encode_bbox(BBox(10, 120, 30, 145), dims, scheme), decode_bbox),
-        (encode_point(PointLoc(20, 132.5), dims, scheme), decode_point),
+    for loc, form, decode in (
+        (encode_bbox(BBox(10, 120, 30, 145), dims, scheme), "bbox", decode_bbox),
+        (encode_point(PointLoc(20, 132.5), dims, scheme), "point", decode_point),
     ):
-        target = render_locpred("cat", loc.form, loc, seed=3).target
+        target = render_locpred("cat", form, loc, seed=3).target
         assert target.startswith(prefix) and target.endswith(suffix)
         text = target[len(prefix): len(target) - len(suffix)]
-        assert decode(LocationText(text, scheme, loc.form), dims) == decode(loc, dims)
+        assert decode(text, scheme, dims) == decode(loc, scheme, dims)
 
 
 # ---------------- overrides ---------------- #

@@ -5,6 +5,7 @@ bytes and failures, and the memory that verify_records holds."""
 import hashlib
 import json
 import math
+import os
 import tracemalloc
 
 import pytest
@@ -19,6 +20,7 @@ from coordtext.records import (
     iter_rows,
     parse_line,
     read_json,
+    read_meta,
     read_records,
     verify_records,
     write_records,
@@ -104,8 +106,60 @@ def test_iter_rows_numbers_lines_and_skips_blanks(tmp_path):
             "records_digest": hashlib.sha256(body).hexdigest()}
     path.write_bytes(json.dumps(meta).encode() + b"\n" + body)
     rows = list(iter_rows(path))
-    assert [n for n, _ in rows] == [1, 3, 4]
-    assert repr(rows[1][1]) == "{'a': nan}" and rows[2][1] == {"b": [1, 2]}
+    assert [n for n, _ in rows] == [3, 4]
+    assert repr(rows[0][1]) == "{'a': nan}" and rows[1][1] == {"b": [1, 2]}
+
+
+def test_iter_rows_yields_records_only(tmp_path):
+    """Line 1's meta line is never yielded; a meta-shaped line anywhere else
+    is a record, counted by the meta line and yielded."""
+    path = tmp_path / "rows.jsonl"
+    shaped = {"record_type": "meta", "count": 0}
+    write_records(path, [shaped, {"b": 1}], {}, "demo")
+    assert list(iter_rows(path)) == [(2, shaped), (3, {"b": 1})]
+    path.write_text("\n" + json.dumps(shaped) + "\n")  # no meta line: line 1 is blank
+    assert list(iter_rows(path)) == [(2, shaped)]
+
+
+META_LINE = '{"record_type": "meta", "count": 5, "config": {}}'
+
+
+@pytest.mark.parametrize(
+    "data, expected",
+    [
+        (META_LINE + '\n{"a": 1}\n', json.loads(META_LINE)),
+        (META_LINE + "\nnot json\n[1]\n", json.loads(META_LINE)),  # line 1 alone is read, and not checked
+        (META_LINE, json.loads(META_LINE)),
+        ('{"a": 1}\n' + META_LINE + "\n", {}),
+        ("\n" + META_LINE + "\n", {}),
+        ('{"record_type": "meta", "count": \n', {}),
+        ("[1, 2]\n", {}),
+        ('{"record_type": "data"}\n', {}),
+        (b"\xff" + META_LINE.encode(), {}),
+        ("", {}),
+    ],
+    ids=["meta", "meta-then-corrupt", "meta-without-newline", "no-meta", "blank-line-1", "corrupt-line-1",
+         "not-an-object", "other-record-type", "not-utf8", "empty"],
+)
+def test_read_meta_reads_line_1_only(tmp_path, data, expected):
+    path = tmp_path / "rows.jsonl"
+    path.write_bytes(data if isinstance(data, bytes) else data.encode())
+    assert read_meta(path) == expected
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs os.mkfifo")
+def test_read_meta_does_not_read_a_fifo(tmp_path):
+    """A FIFO's lines can be read only once, by the reader of its records, so
+    read_meta leaves it alone: the meta line written to it stays unread."""
+    fifo = tmp_path / "rows.jsonl"
+    os.mkfifo(fifo)
+    fd = os.open(fifo, os.O_RDWR)  # a writer, so that no open of the FIFO blocks
+    try:
+        os.write(fd, META_LINE.encode() + b"\n")
+        assert read_meta(fifo) == {}
+        assert os.read(fd, 1 << 10) == META_LINE.encode() + b"\n"
+    finally:
+        os.close(fd)
 
 
 def test_iter_lines_ends_lines_at_newline_and_names_the_line_that_is_not_utf8(tmp_path):

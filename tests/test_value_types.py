@@ -17,7 +17,7 @@ from coordtext.builders import (
     SpatialBenchItem,
     VideoObjectTrack,
 )
-from coordtext.coords import BBox, CodecError, ImageDims, LocationText, PointLoc, ReprScheme
+from coordtext.coords import BBox, CodecError, ImageDims, PointLoc, ReprScheme
 from coordtext.evals import EvalRecord, MetricsReport
 from coordtext.gateway import ModelRequest, ModelResponse, SamplingConfig
 from coordtext.prompts import (
@@ -35,11 +35,9 @@ from coordtext.prompts import (
     TemplateSet,
 )
 
-IVB = ReprScheme.ivb()
 BOX = BBox(1, 2, 3, 4)
 DIMS = ImageDims(10, 10)
 OBJ = ObjectAnn("o1", "cat", BOX)
-LOC = LocationText("(1, 2, 3, 4)", IVB, "bbox")
 TEMPLATE_FIELDS = {
     "locpred_prompts": LOCATION_PROMPTS,
     "revloc_prompts": REVLOC_PROMPTS,
@@ -58,7 +56,6 @@ SAMPLES = [
     (BBox, {"x1": 1, "y1": 2.5, "x2": 3, "y2": 4}),
     (PointLoc, {"cx": 1.5, "cy": 2}),
     (ReprScheme, {"kind": "diga", "decimals": 4, "n_bins": 224, "grid": 24, "patch": 14}),
-    (LocationText, {"text": "(1, 2)", "scheme": IVB, "form": "point"}),
     (ObjectAnn, {"instance_id": "o1", "category": "cat", "bbox": BOX}),
     (AnnotatedImage, {"image_id": "img", "dims": DIMS, "objects": (OBJ,), "captions": None}),
     (MediaCategories, {"media_id": "v1", "medium": "video", "categories": ("cat", "dog")}),
@@ -69,7 +66,7 @@ SAMPLES = [
         ConversationSample,
         {
             "sample_id": "img:o1:locpred:0", "image_id": "img", "objective": "locpred", "prompt": "Where?",
-            "target": "It is located at (1, 2, 3, 4)", "location": LOC, "descriptor": "cat", "form": "bbox",
+            "target": "It is located at (1, 2, 3, 4)", "location": "(1, 2, 3, 4)", "descriptor": "cat", "form": "bbox",
             "seed": 5,
         },
     ),
@@ -119,7 +116,7 @@ def _samples():
 
 
 def test_every_value_type_is_covered():
-    """SAMPLES holds every public tuple type the package defines, 23 in all."""
+    """SAMPLES holds every public tuple type the package defines, 22 in all."""
     defined = set()
     for name in MODULES:
         module = importlib.import_module(f"coordtext.{name}")
@@ -128,7 +125,7 @@ def test_every_value_type_is_covered():
             if isinstance(obj, type) and issubclass(obj, tuple) and obj.__module__ == module.__name__
             and not obj.__name__.startswith("_")
         )
-    assert defined == {cls for cls, _ in SAMPLES} and len(SAMPLES) == 23
+    assert defined == {cls for cls, _ in SAMPLES} and len(SAMPLES) == 22
 
 
 @pytest.mark.parametrize("cls, fields", _samples())
@@ -179,10 +176,6 @@ def test_repr_names_every_field_in_order(cls, fields):
 
 def test_repr_text():
     assert repr(BBox(1, 2.5, 3, 4)) == "BBox(x1=1, y1=2.5, x2=3, y2=4)"
-    assert repr(LOC) == (
-        "LocationText(text='(1, 2, 3, 4)', scheme=ReprScheme(kind='ivb', decimals=4, n_bins=224, grid=16, patch=14), "
-        "form='bbox')"
-    )
     assert repr(BuildReport(0, 0, Counter())) == "BuildReport(input_count=0, emitted_count=0, exclusions=Counter())"
 
 

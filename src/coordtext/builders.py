@@ -204,31 +204,17 @@ class SpatialBenchItem(NamedTuple):
     icl_context: tuple[tuple[str, str], tuple[str, str]] | None
     seed: int
 
-    @property
-    def objective(self) -> str:
-        return SPATIAL_ICL if self.icl_context else SPATIAL_DIRECT
-
-    def prompt(self, templates: TemplateSet = DEFAULT_TEMPLATES) -> str:
-        return render_spatial_query(self.obj_ref[0], self.obj_query[0], icl=self.icl_context, templates=templates)
-
     def to_record(self, templates: TemplateSet = DEFAULT_TEMPLATES) -> dict:
+        item_id, image_id, axis, (query, _), (ref, _), keyword, icl, seed = self
         return dataset_record(
-            self.item_id, self.image_id, self.objective, self.prompt(templates), self.gt_keyword,
-            self.obj_query[0], self.seed,
-            axis=self.axis,
-            gt_keyword=self.gt_keyword,
-            icl_context=[list(pair) for pair in self.icl_context] if self.icl_context else None,
+            item_id, image_id, SPATIAL_ICL if icl else SPATIAL_DIRECT, render_spatial_query(ref, query, icl, templates),
+            keyword, query, seed,
+            axis=axis, gt_keyword=keyword, icl_context=[list(icl[0]), list(icl[1])] if icl else None,
         )
 
 
-def _axis_accessors(axis: str):
-    if axis == "lr":
-        return (lambda b: (b.x1 + b.x2) / 2), (lambda dims: dims.width), ("left", "right")
-    return (lambda b: (b.y1 + b.y2) / 2), (lambda dims: dims.height), ("above", "below")
-
-
-def _side_keyword(center: float, dim: float, keywords: tuple[str, str]) -> str:
-    return keywords[0] if center < dim / 2 else keywords[1]
+# (ref, query) index pairs of a triplet, in the order their direct items are numbered
+_ORDERED_PAIRS = ((0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1))
 
 
 def build_spatial_bench(
@@ -244,73 +230,63 @@ def build_spatial_bench(
     occupied. Every opposite-side ordered pair becomes a direct item; each
     lone-side object paired against each same-side pair becomes an
     in-context item whose two worked examples use the remaining object.
+
+    So a qualifying axis gives four direct items and two in-context items.
+    Each image's objects are sorted by instance id once, and both axes'
+    centers and sides are computed from them in place; each item then costs
+    one ``derive_seed`` call, and an in-context item two
+    ``spatial_icl_example`` renders. The prompt is rendered by ``to_record``.
     """
-    images = sorted(images, key=lambda im: im.image_id)
+    low_band, high_band = CENTER_BAND
+    images = sorted(images, key=attrgetter("image_id"))
     exclusions = Counter()
     items: list[SpatialBenchItem] = []
     for image in images:
-        objs = sorted(image.objects, key=lambda o: o.instance_id)
-        if len(objs) != 3 or len({o.category for o in objs}) != 3:
+        if len(image.objects) != 3:
             exclusions["not_triplet"] += 1
             continue
-        for axis in ("lr", "ab"):
-            center_of, dim_of, keywords = _axis_accessors(axis)
-            dim = dim_of(image.dims)
-            centers = [center_of(o.bbox) for o in objs]
-            if any(CENTER_BAND[0] * dim <= c <= CENTER_BAND[1] * dim for c in centers):
+        (_, cat0, box0), (_, cat1, box1), (_, cat2, box2) = sorted(image.objects, key=attrgetter("instance_id"))
+        if cat0 == cat1 or cat0 == cat2 or cat1 == cat2:
+            exclusions["not_triplet"] += 1
+            continue
+        image_id = image.image_id
+        objs = ((cat0, box0), (cat1, box1), (cat2, box2))
+        width, height = image.dims
+        for axis, dim, low, high, c0, c1, c2 in (
+            ("lr", width, "left", "right", (box0.x1 + box0.x2) / 2, (box1.x1 + box1.x2) / 2, (box2.x1 + box2.x2) / 2),
+            ("ab", height, "above", "below", (box0.y1 + box0.y2) / 2, (box1.y1 + box1.y2) / 2, (box2.y1 + box2.y2) / 2),
+        ):
+            band_from, band_to = low_band * dim, high_band * dim
+            if band_from <= c0 <= band_to or band_from <= c1 <= band_to or band_from <= c2 <= band_to:
                 exclusions[f"{axis}_center_band"] += 1
                 continue
-            sides = [_side_keyword(c, dim, keywords) for c in centers]
-            if len(set(sides)) < 2:
+            half = dim / 2
+            sides = (low if c0 < half else high, low if c1 < half else high, low if c2 < half else high)
+            s0, s1, s2 = sides
+            if s0 == s1 == s2:
                 exclusions[f"{axis}_same_side"] += 1
                 continue
             ordinal = 0
-            for i, ref in enumerate(objs):
-                for j, query in enumerate(objs):
-                    if i == j or sides[i] == sides[j]:
-                        continue
-                    item_id = f"{image.image_id}:{axis}:direct:{ordinal:02d}"
-                    items.append(
-                        SpatialBenchItem(
-                            item_id=item_id,
-                            image_id=image.image_id,
-                            axis=axis,
-                            obj_query=(query.category, query.bbox),
-                            obj_ref=(ref.category, ref.bbox),
-                            gt_keyword=sides[j],
-                            icl_context=None,
-                            seed=derive_seed(seed, item_id),
-                        )
-                    )
+            for i, j in _ORDERED_PAIRS:
+                if sides[i] != sides[j]:
+                    item_id = f"{image_id}:{axis}:direct:{ordinal:02d}"
+                    items.append(SpatialBenchItem(
+                        item_id, image_id, axis, objs[j], objs[i], sides[j], None, derive_seed(seed, item_id)
+                    ))
                     ordinal += 1
             # in-context items: the lone-side object is queried against each
             # object on the crowded side; the remaining one feeds the examples
-            ordinal = 0
-            for a, lone in enumerate(objs):
-                if sum(1 for s in sides if s == sides[a]) != 1:
-                    continue
-                others = [k for k in range(3) if k != a]
-                for b in others:
-                    c = next(k for k in others if k != b)
-                    example_pair = (
-                        spatial_icl_example(objs[a].category, objs[b].category, sides[a], templates),
-                        spatial_icl_example(objs[b].category, objs[a].category, sides[b], templates),
-                    )
-                    item_id = f"{image.image_id}:{axis}:icl:{ordinal:02d}"
-                    items.append(
-                        SpatialBenchItem(
-                            item_id=item_id,
-                            image_id=image.image_id,
-                            axis=axis,
-                            obj_query=(objs[a].category, objs[a].bbox),
-                            obj_ref=(objs[c].category, objs[c].bbox),
-                            gt_keyword=sides[a],
-                            icl_context=example_pair,
-                            seed=derive_seed(seed, item_id),
-                        )
-                    )
-                    ordinal += 1
-    items.sort(key=lambda it: it.item_id)
+            a, crowded = (0, (1, 2)) if s1 == s2 else (1, (0, 2)) if s0 == s2 else (2, (0, 1))
+            for ordinal, (b, c) in enumerate((crowded, crowded[::-1])):
+                example_pair = (
+                    spatial_icl_example(objs[a][0], objs[b][0], sides[a], templates),
+                    spatial_icl_example(objs[b][0], objs[a][0], sides[b], templates),
+                )
+                item_id = f"{image_id}:{axis}:icl:{ordinal:02d}"
+                items.append(SpatialBenchItem(
+                    item_id, image_id, axis, objs[a], objs[c], sides[a], example_pair, derive_seed(seed, item_id)
+                ))
+    items.sort()  # item ids are unique, so this orders by item id
     return items, BuildReport(len(images), len(items), exclusions)
 
 
@@ -365,27 +341,19 @@ def build_hallucination_set(
     exclusions = Counter()
     items: list[HallucinationItem] = []
     vocab_set = set(vocabulary)
-    for unit in units:
-        present = sorted(set(unit.categories) & vocab_set)
-        absent = [c for c in vocabulary if c not in set(unit.categories)]
+    for media_id, medium, categories in units:
+        categories = set(categories)
+        present = sorted(categories & vocab_set)
+        absent = [c for c in vocabulary if c not in categories]
         if not present:
             exclusions["media_without_present_categories"] += 1
-        rng = random.Random(derive_seed(seed, unit.media_id))
+        rng = random.Random(derive_seed(seed, media_id))
         chosen_present = sorted(rng.sample(present, min(per_media, len(present))))
         chosen_absent = sorted(rng.sample(absent, min(per_media, len(absent))))
         ordinal = 0
         for obj, gt in [(c, "yes") for c in chosen_present] + [(c, "no") for c in chosen_absent]:
-            item_id = f"{unit.media_id}:hal:{ordinal:02d}"
-            items.append(
-                HallucinationItem(
-                    item_id=item_id,
-                    media_id=unit.media_id,
-                    medium=unit.medium,
-                    obj=obj,
-                    gt=gt,
-                    seed=derive_seed(seed, item_id),
-                )
-            )
+            item_id = f"{media_id}:hal:{ordinal:02d}"
+            items.append(HallucinationItem(item_id, media_id, medium, obj, gt, derive_seed(seed, item_id)))
             ordinal += 1
     items.sort(key=lambda it: it.item_id)
     return items, BuildReport(len(units), len(items), exclusions)

@@ -306,16 +306,16 @@ def _text_field(path, n: int, row: dict, field: str) -> str:
     raise SchemaError(f"{path}: record {n}: {field} is not a string")
 
 
-def _stream_records(path, keep) -> tuple[int, SchemaError | None]:
+def _stream_records(path, keep, meta: dict | None = None) -> tuple[int, SchemaError | None]:
     """Pass each record of a record file to ``keep(n, row)``, numbered from 1,
     until ``keep`` raises SchemaError; returns the number of records and that
-    error or None.
+    error or None. A meta line 1 is copied into ``meta``, as by ``iter_rows``.
 
     The error is returned, not raised, after every line has been read: a
     problem of the whole file, which ``iter_rows`` raises after its last row,
     is the one to report first."""
     count, problem = 0, None
-    for _, row in iter_rows(path):
+    for _, row in iter_rows(path, meta):
         count += 1
         if problem is None:
             try:
@@ -392,9 +392,9 @@ def cmd_query(args) -> int:
 # ---------------- evaluate ---------------- #
 
 
-def _read_responses(path) -> dict[str, str]:
+def _read_responses(path, meta: dict) -> dict[str, str]:
     """The response text by item_id of a responses file that matches its meta
-    line.
+    line, which is copied into ``meta``.
 
     A row that query marked ``status: error`` carries no answer of the model:
     it is left out, so that its item is tallied as missing, not scored."""
@@ -412,7 +412,7 @@ def _read_responses(path) -> dict[str, str]:
             else:
                 responses[item_id] = text
 
-    _, problem = _stream_records(path, keep)
+    _, problem = _stream_records(path, keep, meta)
     if problem:
         raise problem
     if errored:
@@ -420,16 +420,15 @@ def _read_responses(path) -> dict[str, str]:
     return responses
 
 
-def _check_pairing(records_path, records_digest, responses_path) -> None:
+def _check_pairing(records_path, records_digest, responses_path, config) -> None:
     """A SchemaError when the responses answer other records than those scored.
 
-    A query output's meta config names the records file it read, as typed.
-    Where that path, taken from the current directory, is a regular file
-    whose line 1 is a meta line, its records digest must be
+    A query output's meta config, ``config``, names the records file it
+    read, as typed. Where that path, taken from the current directory, is a
+    regular file whose line 1 is a meta line, its records digest must be
     ``records_digest``. Where it is not, or the config names no path (as for
     responses made by other tools), stderr says that the pairing is
     unchecked."""
-    config = read_meta(responses_path).get("config")
     source = config.get("records") if isinstance(config, dict) else None
     digest = None
     if isinstance(source, str):
@@ -474,14 +473,15 @@ def cmd_evaluate(args) -> int:
                 raise SchemaError(f"{path}: record {n}: {objective.truth} {truth!r} holds no word METEOR scores ([a-z0-9])")
             truths.append((sample_id, truth))
 
-    count, problem = _stream_records(path, keep)
-    responses = _read_responses(args.responses)
+    meta, responses_meta = {}, {}
+    count, problem = _stream_records(path, keep, meta)
+    responses = _read_responses(args.responses, responses_meta)
     if not count:
         raise SchemaError(f"{path}: no records")
     if problem:
         raise problem
-    records_digest = read_meta(path).get("records_digest")
-    _check_pairing(path, records_digest, args.responses)
+    records_digest = meta.get("records_digest")
+    _check_pairing(path, records_digest, args.responses, responses_meta.get("config"))
     if task is None:
         if None in tasks or len(tasks) != 1:
             raise ValueError(f"cannot infer a single task from objectives {sorted(objectives)}; pass --task")

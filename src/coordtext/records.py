@@ -12,8 +12,9 @@ Every text or JSON input file is decoded here too, by ``iter_lines``,
 JSON, is a SchemaError naming the file, and the line where there is one.
 ``iter_rows`` yields a JSON-lines file's records, never its meta line, and
 checks a file whose line 1 is a meta line against it, raising the first
-problem; ``verify_records`` lists them all. ``read_meta`` reads line 1 alone
-and checks nothing.
+problem; ``verify_records`` lists them all. Both read the file once, so a
+pipe or a FIFO can be read too. ``read_meta`` reads line 1 alone and checks
+nothing.
 """
 
 import hashlib
@@ -49,16 +50,6 @@ def canonical_json(value) -> str:
 
 def config_digest(config: dict) -> str:
     return hashlib.sha256(canonical_json(config).encode("utf-8")).hexdigest()
-
-
-def stored_records_digest(path) -> str:
-    """SHA-256 of a record file's bytes after its first (meta) line, as stored."""
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        fh.readline()
-        while chunk := fh.read(1 << 16):
-            h.update(chunk)
-    return h.hexdigest()
 
 
 @contextmanager
@@ -169,17 +160,22 @@ class _MetaMismatch(SchemaError):
         return self.args[0]
 
 
-def iter_rows(path) -> Iterator[tuple[int, dict]]:
+def iter_rows(path, meta: dict | None = None) -> Iterator[tuple[int, dict]]:
     """Yield ``(line_no, row)`` for each record of a JSON-lines file: each
     non-blank line but a meta line 1, one at a time, with lines as
     ``iter_lines`` gives them. A line that is not a JSON object, as left by a
     truncated or corrupt file, raises SchemaError naming the file and line;
-    after the last record, so does the first claim of a meta line that fails."""
+    after the last record, so does the first claim of a meta line that fails.
+
+    The file is read once, in this pass: the records digest is taken over
+    the bytes as they are parsed. Where line 1 is a meta line, it is copied
+    into ``meta``, if given, before the first record is yielded."""
     # iter_lines' loop, written out: reading through iter_lines made query
     # and evaluate about 3% slower on the spatial-oracle benchmark.
-    meta, count = None, 0
+    found, count, body_digest = None, 0, hashlib.sha256()
     with open(path, "rb") as fh:
         for line_no, raw in enumerate(fh, 1):
+            body_digest.update(raw)
             try:
                 line = raw.decode("utf-8").strip()
             except UnicodeDecodeError as exc:
@@ -193,19 +189,22 @@ def iter_rows(path) -> Iterator[tuple[int, dict]]:
             if not isinstance(row, dict):
                 raise SchemaError(f"{path}: line {line_no}: not a JSON object")
             if line_no == 1 and row.get("record_type") == "meta":
-                meta = row
+                found = row
+                body_digest = hashlib.sha256()  # the records digest covers the bytes after the meta line
+                if meta is not None:
+                    meta.update(row)
                 continue
             count += 1
             yield line_no, row
-    if meta is None:
+    if found is None:
         return
     problems = []
-    if meta.get("count") != count:
-        problems.append(f"{path}: meta count {meta.get('count')} != {count} records")
-    if stored_records_digest(path) != meta.get("records_digest"):
+    if found.get("count") != count:
+        problems.append(f"{path}: meta count {found.get('count')} != {count} records")
+    if body_digest.hexdigest() != found.get("records_digest"):
         problems.append(f"{path}: records digest mismatch")
     try:
-        if config_digest(meta.get("config", {})) != meta.get("config_digest"):
+        if config_digest(found.get("config", {})) != found.get("config_digest"):
             problems.append(f"{path}: config digest mismatch")
     except ValueError as exc:  # NaN or Infinity, which parse_line accepts and no digest covers
         problems.append(f"{path}: meta config is not JSON: {exc}")
@@ -233,7 +232,9 @@ def read_meta(path) -> dict:
 def read_records(path) -> tuple[dict, list[dict]]:
     """Read a record file; returns (meta, records). Files without a meta line
     get an empty meta dict. Raises SchemaError as ``iter_rows`` does."""
-    return read_meta(path), [row for _, row in iter_rows(path)]
+    meta = {}
+    records = [row for _, row in iter_rows(path, meta)]
+    return meta, records
 
 
 def verify_records(path) -> list[str]:
@@ -241,12 +242,13 @@ def verify_records(path) -> list[str]:
     digest, and the records digest over the stored bytes after the meta line,
     so that any re-serialisation fails. Records are counted as they are parsed
     and none is kept. Returns a list of problems (empty = ok)."""
+    meta = {}
     try:
-        for _ in iter_rows(path):
+        for _ in iter_rows(path, meta):
             pass
     except _MetaMismatch as exc:
         return list(exc.args)
-    return [] if read_meta(path) else [f"{path}: no meta line"]
+    return [] if meta else [f"{path}: no meta line"]
 
 
 def write_json(path, value: dict) -> None:

@@ -13,8 +13,10 @@ from hypothesis import strategies as st
 
 from coordtext.annotations import AnnotatedImage, CaptionRecord, MediaCategories, ObjectAnn
 from coordtext.builders import (
+    CENTER_BAND,
     BuildReport,
     ConversationSample,
+    SpatialBenchItem,
     build_hallucination_set,
     build_ift_dataset,
     build_spatial_bench,
@@ -32,7 +34,19 @@ from coordtext.fixtures import (
     keyword_corpus,
     spatial_fixture,
 )
-from coordtext.prompts import DEFAULT_TEMPLATES, LOCPRED, NEGPRED, REVLOC, render_locpred, render_negpred, render_revloc
+from coordtext.prompts import (
+    DEFAULT_TEMPLATES,
+    LOCPRED,
+    NEGPRED,
+    REVLOC,
+    SPATIAL_DIRECT,
+    SPATIAL_ICL,
+    render_locpred,
+    render_negpred,
+    render_revloc,
+    render_spatial_query,
+    spatial_icl_example,
+)
 from coordtext.seeding import derive_seed
 
 IVB = ReprScheme.ivb(224)
@@ -458,7 +472,7 @@ def test_spatial_icl_prompt_layout():
     icl_items = [it for it in items if it.icl_context]
     assert icl_items
     for item in icl_items[:10]:
-        prompt = item.prompt()
+        prompt = item.to_record()["prompt"]
         assert prompt.count("Q:") == 3 and prompt.count("A:") == 2
         # the first worked answer states the queried object's own side keyword
         assert item.gt_keyword in item.icl_context[0][1]
@@ -469,6 +483,147 @@ def test_spatial_bench_deterministic():
     a, _ = build_spatial_bench(images, seed=7)
     b, _ = build_spatial_bench(list(reversed(images)), seed=7)
     assert a == b
+
+
+def reference_spatial_bench(images, seed, templates=DEFAULT_TEMPLATES):
+    """The spatial builder as written before it computed its axes inline: one
+    keyword-built item per qualifying pair, axes through accessor lambdas."""
+
+    def axis_accessors(axis):
+        if axis == "lr":
+            return (lambda b: (b.x1 + b.x2) / 2), (lambda dims: dims.width), ("left", "right")
+        return (lambda b: (b.y1 + b.y2) / 2), (lambda dims: dims.height), ("above", "below")
+
+    images = sorted(images, key=lambda im: im.image_id)
+    exclusions = Counter()
+    items = []
+    for image in images:
+        objs = sorted(image.objects, key=lambda o: o.instance_id)
+        if len(objs) != 3 or len({o.category for o in objs}) != 3:
+            exclusions["not_triplet"] += 1
+            continue
+        for axis in ("lr", "ab"):
+            center_of, dim_of, keywords = axis_accessors(axis)
+            dim = dim_of(image.dims)
+            centers = [center_of(o.bbox) for o in objs]
+            if any(CENTER_BAND[0] * dim <= c <= CENTER_BAND[1] * dim for c in centers):
+                exclusions[f"{axis}_center_band"] += 1
+                continue
+            sides = [keywords[0] if c < dim / 2 else keywords[1] for c in centers]
+            if len(set(sides)) < 2:
+                exclusions[f"{axis}_same_side"] += 1
+                continue
+            ordinal = 0
+            for i, ref in enumerate(objs):
+                for j, query in enumerate(objs):
+                    if i == j or sides[i] == sides[j]:
+                        continue
+                    item_id = f"{image.image_id}:{axis}:direct:{ordinal:02d}"
+                    items.append(SpatialBenchItem(
+                        item_id=item_id, image_id=image.image_id, axis=axis,
+                        obj_query=(query.category, query.bbox), obj_ref=(ref.category, ref.bbox),
+                        gt_keyword=sides[j], icl_context=None, seed=derive_seed(seed, item_id),
+                    ))
+                    ordinal += 1
+            ordinal = 0
+            for a, lone in enumerate(objs):
+                if sum(1 for s in sides if s == sides[a]) != 1:
+                    continue
+                others = [k for k in range(3) if k != a]
+                for b in others:
+                    c = next(k for k in others if k != b)
+                    example_pair = (
+                        spatial_icl_example(objs[a].category, objs[b].category, sides[a], templates),
+                        spatial_icl_example(objs[b].category, objs[a].category, sides[b], templates),
+                    )
+                    item_id = f"{image.image_id}:{axis}:icl:{ordinal:02d}"
+                    items.append(SpatialBenchItem(
+                        item_id=item_id, image_id=image.image_id, axis=axis,
+                        obj_query=(objs[a].category, objs[a].bbox), obj_ref=(objs[c].category, objs[c].bbox),
+                        gt_keyword=sides[a], icl_context=example_pair, seed=derive_seed(seed, item_id),
+                    ))
+                    ordinal += 1
+    items.sort(key=lambda it: it.item_id)
+    return items, BuildReport(len(images), len(items), exclusions)
+
+
+def reference_spatial_record(item, templates=DEFAULT_TEMPLATES) -> dict:
+    return {
+        "sample_id": item.item_id,
+        "image_id": item.image_id,
+        "objective": SPATIAL_ICL if item.icl_context else SPATIAL_DIRECT,
+        "prompt": render_spatial_query(item.obj_ref[0], item.obj_query[0], icl=item.icl_context, templates=templates),
+        "target": item.gt_keyword,
+        "location_text": None,
+        "scheme": None,
+        "form": None,
+        "descriptor": item.obj_query[0],
+        "seed": item.seed,
+        "axis": item.axis,
+        "gt_keyword": item.gt_keyword,
+        "icl_context": [list(pair) for pair in item.icl_context] if item.icl_context else None,
+    }
+
+
+@st.composite
+def _axis_span(draw, dim: int):
+    """An (x1, x2) span of an axis of length ``dim``, of integers or floats:
+    below, above or across the central band, or centered exactly on a band
+    edge or on the axis middle. Most lie off the band, so that most axes
+    qualify and an edge case meets two qualifying objects."""
+    kind = draw(st.sampled_from(["below", "above"] * 3 + ["across", "band-low", "band-high", "middle"]))
+    low_edge, high_edge = CENTER_BAND[0] * dim, CENTER_BAND[1] * dim
+    if draw(st.booleans()):  # integers
+        ends = {"below": st.integers(0, math.ceil(low_edge) - 1), "above": st.integers(math.floor(high_edge) + 1, dim),
+                "across": st.integers(0, dim)}.get(kind)
+    else:
+        ends = {"below": st.floats(0, low_edge, exclude_max=True), "above": st.floats(high_edge, dim, exclude_min=True),
+                "across": st.floats(0, dim)}.get(kind)
+    if ends is not None:
+        return tuple(sorted(draw(st.lists(ends, min_size=2, max_size=2))))
+    center = {"band-low": CENTER_BAND[0] * dim, "band-high": CENTER_BAND[1] * dim, "middle": dim / 2}[kind]
+    if center == int(center) and draw(st.booleans()):
+        half = draw(st.integers(0, min(int(center), dim - int(center))))
+        return int(center) - half, int(center) + half
+    return center, center
+
+
+@st.composite
+def spatial_images(draw, image_id: str):
+    width, height = draw(st.integers(1, 40)), draw(st.integers(1, 40))
+    n = draw(st.sampled_from([2, 3, 3, 3, 4]))
+    categories = draw(st.permutations(["cat", "dog", "cup", "car"]))[:n]
+    if draw(st.booleans()):
+        categories[-1] = categories[0]
+    order = draw(st.permutations(range(n)))  # instance order differs from listing order
+    objects = []
+    for k in order:
+        (x1, x2), (y1, y2) = draw(_axis_span(width)), draw(_axis_span(height))
+        objects.append(ObjectAnn(f"o{k}", categories[k], BBox(x1, y1, x2, y2)))
+    return AnnotatedImage(image_id, ImageDims(width, height), tuple(objects))
+
+
+SPATIAL_OVERRIDE = DEFAULT_TEMPLATES._replace(
+    spatial_direct="Is the {obj2} left, right, above or below the {obj1}?",
+    spatial_icl_answer="{keyword}: the {obj1} to the {obj2}",
+)
+
+
+@given(
+    st.lists(st.sampled_from(["im1", "im10", "im2", "a", "a:b"]), unique=True, max_size=5).flatmap(
+        lambda ids: st.tuples(*(spatial_images(image_id) for image_id in ids))
+    ),
+    st.integers(0, 2**64),
+    st.sampled_from([DEFAULT_TEMPLATES, SPATIAL_OVERRIDE]),
+)
+@settings(max_examples=400, deadline=None, derandomize=True)
+def test_spatial_bench_matches_reference(images, seed, templates):
+    """Equal items, report and records, band edges and the axis middle included."""
+    items, report = build_spatial_bench(list(images), seed, templates)
+    expected_items, expected_report = reference_spatial_bench(images, seed, templates)
+    assert items == expected_items
+    assert report == expected_report
+    assert [it.to_record(templates) for it in items] == [reference_spatial_record(it, templates) for it in expected_items]
 
 
 # ---------------- hallucination ---------------- #

@@ -11,8 +11,10 @@ import signal
 import socket
 import subprocess
 import sys
+import threading
 import time
 from collections import Counter
+from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
@@ -507,6 +509,84 @@ def test_evaluate_does_not_read_a_fifo_named_as_the_records(fx, tmp_path, capsys
     assert proc.returncode == 0 and proc.stdout.startswith("All 100.0")
     assert proc.stderr == (f"{resp}: pairing with {bench} unchecked: no records digests to compare"
                            f" (its config's records: {str(fifo)!r})\n")
+
+
+def _cli_in(cwd, *argv, timeout=30):
+    """Run the CLI in a child process whose working directory is ``cwd``."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-m", "coordtext.cli", *argv], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=timeout)
+
+
+@contextmanager
+def _fed_fifo(path, data: bytes):
+    """A FIFO at ``path`` that a thread fills with ``data`` once a reader opens it."""
+    os.mkfifo(path)
+
+    def feed():
+        try:
+            with open(path, "wb") as fh:
+                fh.write(data)
+        except BrokenPipeError:  # the reader stopped early
+            pass
+
+    writer = threading.Thread(target=feed)
+    writer.start()
+    try:
+        yield
+    finally:
+        if writer.is_alive():  # a writer no one read to the end: open and drop a reader to release it
+            os.close(os.open(path, os.O_RDONLY | os.O_NONBLOCK))
+        writer.join(timeout=10)
+
+
+FIFO_RUNS = {
+    "verify records": (["verify", "s.jsonl"], "s.jsonl", None),
+    "verify responses": (["verify", "r.jsonl"], "r.jsonl", None),
+    "query records": (["query", "--records", "s.jsonl", "--mock", "oracle", "--out", "out.jsonl"], "s.jsonl", "out.jsonl"),
+    "evaluate records": (["evaluate", "--records", "s.jsonl", "--responses", "r.jsonl", "--report", "out.json"],
+                         "s.jsonl", "out.json"),
+    "evaluate responses": (["evaluate", "--records", "s.jsonl", "--responses", "r.jsonl", "--report", "out.json"],
+                           "r.jsonl", "out.json"),
+}
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs os.mkfifo")
+@pytest.mark.parametrize("name", FIFO_RUNS)
+def test_a_record_file_may_be_a_fifo(fx, tmp_path, capsys, name):
+    """Each record file is read once, so a FIFO (or a pipe, as from a shell's
+    ``<(cat s.jsonl)``) serves as well as the regular file it carries: the
+    same exit code, stdout and output bytes. Reading a record file a second
+    time for its digest made verify block on a FIFO and report a digest
+    mismatch on a pipe."""
+    argv, piped, out = FIFO_RUNS[name]
+    regular, fifo_dir = tmp_path / "regular", tmp_path / "fifo"
+    regular.mkdir()
+    fifo_dir.mkdir()
+    assert run(["build", "spatial-bench", "--annotations", str(fx / "coco_50.json"), "--out", str(regular / "s.jsonl")],
+               capsys)[0] == 0
+    assert run(["query", "--records", str(regular / "s.jsonl"), "--mock", "oracle", "--out", str(regular / "r.jsonl")],
+               capsys)[0] == 0
+    for kept in {"s.jsonl", "r.jsonl"} - {piped}:
+        (fifo_dir / kept).write_bytes((regular / kept).read_bytes())
+    expected = _cli_in(regular, *argv)
+    with _fed_fifo(fifo_dir / piped, (regular / piped).read_bytes()):
+        proc = _cli_in(fifo_dir, *argv)
+    assert expected.returncode == proc.returncode == 0, proc.stderr
+    assert proc.stdout == expected.stdout
+    if out:
+        assert (fifo_dir / out).read_bytes() == (regular / out).read_bytes()
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs os.mkfifo")
+def test_a_fifo_fed_a_tampered_body_fails_verify(fx, tmp_path, capsys):
+    bench = tmp_path / "s.jsonl"
+    assert run(["build", "spatial-bench", "--annotations", str(fx / "coco_50.json"), "--out", str(bench)], capsys)[0] == 0
+    meta, first, *rest = bench.read_bytes().splitlines(keepends=True)
+    with _fed_fifo(tmp_path / "fifo.jsonl", b"".join([meta, first.replace(b'"seed":', b'"seed": '), *rest])):
+        proc = _cli_in(tmp_path, "verify", "fifo.jsonl")
+    assert proc.returncode == 3 and proc.stderr == "fifo.jsonl: records digest mismatch\n"
 
 
 # ---------------- stats, verify, config ---------------- #

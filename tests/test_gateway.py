@@ -804,7 +804,7 @@ def test_oracle_mock_spatial_keywords():
     assert items
     items = items[:20]
     transport = MockTransport({item.item_id: oracle_response(item.item_id, item.to_record(), 0) for item in items})
-    reqs = [ModelRequest(item.item_id, item.image_id, item.prompt()) for item in items]
+    reqs = [ModelRequest(item.item_id, item.image_id, item.to_record()["prompt"]) for item in items]
     for item, resp in zip(items, query_batch(reqs, transport, CFG)):
         assert resp.status == "ok"
         assert item.gt_keyword in resp.text

@@ -121,6 +121,34 @@ def test_iter_rows_yields_records_only(tmp_path):
     assert list(iter_rows(path)) == [(2, shaped)]
 
 
+def test_iter_rows_copies_the_meta_line_into_meta(tmp_path):
+    """From the one pass that yields the records, before the first of them."""
+    path = tmp_path / "rows.jsonl"
+    write_records(path, [{"b": 1}], {"seed": 0}, "demo")
+    meta = {}
+    rows = iter_rows(path, meta)
+    assert next(rows) == (2, {"b": 1}) and meta == read_meta(path) != {}
+    path.write_text('{"b": 1}\n')
+    meta = {}
+    assert list(iter_rows(path, meta)) == [(1, {"b": 1})] and meta == {}
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+@pytest.mark.parametrize("read", [read_records, verify_records], ids=["read_records", "verify_records"])
+def test_a_pipe_reads_as_its_file_does(tmp_path, read):
+    """A pipe can be read only once, so the records digest is taken in the
+    pass that parses the records: a second read would see nothing."""
+    path = tmp_path / "rows.jsonl"
+    write_records(path, [{"b": 1}, {"c": 2}], {"seed": 0}, "demo")
+    r, w = os.pipe()
+    try:
+        os.write(w, path.read_bytes())  # fits the pipe's buffer
+        os.close(w)
+        assert read(f"/dev/fd/{r}") == read(path)
+    finally:
+        os.close(r)
+
+
 META_LINE = '{"record_type": "meta", "count": 5, "config": {}}'
 
 

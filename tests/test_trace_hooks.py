@@ -122,3 +122,24 @@ def test_traced_ift_build_counts_every_encode_render_and_seed(tmp_path):
     assert count > 0
     for name in ("coords.encode", "prompts.render", "seeding.derive_seed"):
         assert payload["counters"][name][0] == count, name
+
+
+def test_traced_spatial_build_counts_every_seed_render_and_record(tmp_path):
+    """The tracer counts builders' module globals and SpatialBenchItem.to_record,
+    and takes the item count from build_spatial_bench's (list, report): each
+    item takes one derive_seed and one to_record call, its prompt one render,
+    and an in-context item's worked examples two more."""
+    from coordtext.cli import main
+    from coordtext.records import read_records
+
+    assert main(["fixtures", "--out", str(tmp_path / "fx"), "--seed", "0"]) == 0
+    out = tmp_path / "spatial.jsonl"
+    payload = _traced(tmp_path, "build", "spatial-bench", "--annotations", tmp_path / "fx" / "coco_200.json",
+                      "--out", out)
+    meta, rows = read_records(out)
+    icl = sum(1 for row in rows if row["icl_context"])
+    assert 0 < icl < meta["count"] == len(rows)
+    assert payload["counters"]["seeding.derive_seed"][0] == meta["count"]
+    assert payload["counters"]["builders.to_record"][0] == meta["count"]
+    assert payload["counters"]["prompts.render"][0] == meta["count"] + 2 * icl
+    assert payload["totals"]["builders.items_out"] == meta["count"]

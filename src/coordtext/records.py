@@ -12,11 +12,13 @@ Every text or JSON input file is decoded here too, by ``iter_lines``,
 JSON, is a SchemaError naming the file, and the line where there is one.
 ``iter_rows`` yields a JSON-lines file's records, never its meta line, and
 checks a file whose line 1 is a meta line against it, raising the first
-problem; ``verify_records`` lists them all. Both read the file once, so a
-pipe or a FIFO can be read too. ``read_meta`` reads line 1 alone and checks
-nothing.
+problem; it reads the file once, so a pipe or a FIFO can be read too.
+``verify_records`` checks a regular file from its bytes and parses its lines
+only when that check fails, to list every problem as ``iter_rows`` finds
+them. ``read_meta`` reads line 1 alone and checks nothing.
 """
 
+import codecs
 import hashlib
 import json
 import os
@@ -196,20 +198,33 @@ def iter_rows(path, meta: dict | None = None) -> Iterator[tuple[int, dict]]:
                 continue
             count += 1
             yield line_no, row
-    if found is None:
-        return
+    if found is not None and (problems := _meta_problems(path, found, count, body_digest.hexdigest())):
+        raise _MetaMismatch(*problems)
+
+
+def _meta_problems(path, meta: dict, count: int, records_digest: str) -> list[str]:
+    """What a meta line claims that the file does not bear out, given the
+    file's record count and the SHA-256 of its bytes after the meta line."""
     problems = []
-    if found.get("count") != count:
-        problems.append(f"{path}: meta count {found.get('count')} != {count} records")
-    if body_digest.hexdigest() != found.get("records_digest"):
+    if meta.get("count") != count:
+        problems.append(f"{path}: meta count {meta.get('count')} != {count} records")
+    if records_digest != meta.get("records_digest"):
         problems.append(f"{path}: records digest mismatch")
     try:
-        if config_digest(found.get("config", {})) != found.get("config_digest"):
+        if config_digest(meta.get("config", {})) != meta.get("config_digest"):
             problems.append(f"{path}: config digest mismatch")
     except ValueError as exc:  # NaN or Infinity, which parse_line accepts and no digest covers
         problems.append(f"{path}: meta config is not JSON: {exc}")
-    if problems:
-        raise _MetaMismatch(*problems)
+    return problems
+
+
+def _meta_line(first: bytes) -> dict:
+    """``first``, a file's line 1, parsed if it is a meta line, else ``{}``."""
+    try:
+        row = parse_line(first.decode("utf-8").strip())
+    except (ValueError, RecursionError):  # a blank, corrupt or non-UTF-8 line 1
+        return {}
+    return row if isinstance(row, dict) and row.get("record_type") == "meta" else {}
 
 
 def read_meta(path) -> dict:
@@ -221,12 +236,7 @@ def read_meta(path) -> dict:
     if not os.path.isfile(path):
         return {}
     with open(path, "rb") as fh:
-        first = fh.readline()
-    try:
-        row = parse_line(first.decode("utf-8").strip())
-    except (ValueError, RecursionError):  # a blank, corrupt or non-UTF-8 line 1
-        return {}
-    return row if isinstance(row, dict) and row.get("record_type") == "meta" else {}
+        return _meta_line(fh.readline())
 
 
 def read_records(path) -> tuple[dict, list[dict]]:
@@ -237,11 +247,44 @@ def read_records(path) -> tuple[dict, list[dict]]:
     return meta, records
 
 
+def _bytes_bear_out_meta(path) -> bool:
+    """Whether a file's line 1 is a meta line whose claims its bytes bear out,
+    read without parsing them: UTF-8 that ends with a newline, one record per
+    line, and the records and config digests."""
+    with open(path, "rb") as fh:
+        meta = _meta_line(fh.readline())
+        if not meta:
+            return False
+        body_digest, newlines, last = hashlib.sha256(), 0, b"\n"
+        utf8 = codecs.getincrementaldecoder("utf-8")()
+        # 64 KiB at a time: verifying a 20,000-row file in 1 MiB blocks took
+        # 2.1 MB at peak, against 0.2 MB
+        while block := fh.read(1 << 16):
+            body_digest.update(block)
+            newlines += block.count(b"\n")
+            try:
+                utf8.decode(block)  # a character cut short at the end fails the newline test
+            except UnicodeDecodeError:
+                return False
+            last = block
+    return last.endswith(b"\n") and not _meta_problems(path, meta, newlines, body_digest.hexdigest())
+
+
 def verify_records(path) -> list[str]:
     """Check a record file against its meta line: the record count, the config
     digest, and the records digest over the stored bytes after the meta line,
-    so that any re-serialisation fails. Records are counted as they are parsed
-    and none is kept. Returns a list of problems (empty = ok)."""
+    so that any re-serialisation fails. Returns a list of problems (empty =
+    ok); a line that is not UTF-8 or not a JSON object raises SchemaError.
+
+    A regular file is checked from its bytes first, and passes if they bear
+    out its meta line. So a body that matches its digest passes without being
+    parsed, even with a line that is blank or not a JSON object, which only a
+    foreign writer can make and every reader still refuses. Any other file is
+    read by ``iter_rows``, which words each problem: its records are counted
+    as they are parsed and none is kept. A pipe or a FIFO is read that way
+    alone, since it cannot be read twice."""
+    if os.path.isfile(path) and _bytes_bear_out_meta(path):
+        return []
     meta = {}
     try:
         for _ in iter_rows(path, meta):

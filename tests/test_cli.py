@@ -24,6 +24,7 @@ from coordtext.cli import main
 from coordtext.gateway import answer_space_for_record
 from coordtext.prompts import OBJECTIVES, REGION_DESCRIPTION
 from coordtext.records import read_records, write_json, write_records
+from test_gateway import http_server
 
 
 @pytest.fixture(scope="module")
@@ -863,6 +864,40 @@ def test_query_invalid_retry_settings_exit_2(spatial_run, tmp_path, capsys, sett
     code, _, err = run(["query", "--records", str(bench), "--endpoint", "http://127.0.0.1:9/", *settings, "--out", str(out)], capsys)
     assert code == 2 and f"error: {message}" in err
     assert not out.exists()
+
+
+def test_scheduling_flags_keep_the_answers_bytes(fx, tmp_path, capsys):
+    """How many requests are in flight and how often one is tried change the
+    meta line's config, never the answers: each setting writes the same
+    records digest, also when some requests are answered only on a retry."""
+    bench = tmp_path / "bench.jsonl"
+    assert run(["build", "spatial-bench", "--annotations", str(fx / "coco_200.json"), "--out", str(bench)], capsys)[0] == 0
+    flaky = {row["sample_id"] for row in read_records(bench)[1][::100]}
+    digests, configs = set(), []
+    for inflight in ("1", "4"):
+        for attempts in ("2", "3"):
+            tries, lock = Counter(), threading.Lock()
+
+            def answer(body):
+                rid = body["request_id"]
+                with lock:
+                    tries[rid] += 1
+                    first = tries[rid] == 1
+                if rid in flaky and first:
+                    return 503, {"request_id": rid, "error": "busy"}
+                return 200, {"request_id": rid, "text": f"{rid}: {body['prompt'][-24:]}"}
+
+            out = tmp_path / f"r-{inflight}-{attempts}.jsonl"
+            with http_server(answer) as (endpoint, _):
+                code, _, err = run(["query", "--records", str(bench), "--endpoint", endpoint, "--max-inflight", inflight,
+                                    "--attempts", attempts, "--backoff", "0.001", "--out", str(out)], capsys)
+            assert (code, err) == (0, "")
+            assert {rid for rid, n in tries.items() if n > 1} == flaky and max(tries.values()) == 2
+            meta = records.read_meta(out)
+            digests.add(meta["records_digest"])
+            configs.append((meta["config"]["max_inflight"], meta["config"]["attempts"]))
+    assert len(digests) == 1
+    assert configs == [(1, 2), (1, 3), (4, 2), (4, 3)]
 
 
 @pytest.mark.parametrize("value", ["nan", "inf"])

@@ -1,6 +1,7 @@
 """The shared JSON-lines reader and writer: the line parser against
 json.loads, the canonical encoder against json.dumps, the streaming writer's
-bytes and failures, and the memory that verify_records holds."""
+bytes and failures, and verify_records against the parse pass and the
+memory that it holds."""
 
 import hashlib
 import json
@@ -214,6 +215,96 @@ def test_json_nested_too_deep_is_a_schema_error_naming_the_file(tmp_path, read, 
     with pytest.raises(SchemaError) as raised:
         read(path)
     assert str(raised.value).startswith(f"{path}: {where}not valid JSON: maximum recursion depth exceeded")
+
+
+def verify_outcome(path) -> tuple:
+    """verify_records' problems, or the words of the SchemaError it raises."""
+    try:
+        return tuple(verify_records(path))
+    except SchemaError as exc:
+        return (str(exc),)
+
+
+def parse_pass_outcome(path) -> tuple:
+    """The same, from a pass of iter_rows: the problems it raises at once (one
+    for a bad line), and no meta line as verify_records words it."""
+    meta = {}
+    try:
+        list(iter_rows(path, meta))
+    except SchemaError as exc:
+        return exc.args
+    return () if meta else (f"{path}: no meta line",)
+
+
+def _forged(body: bytes) -> bytes:
+    """``body`` under a meta line that a foreign writer made to match its bytes
+    and its newline count."""
+    meta = {"record_type": "meta", "kind": "demo", "count": body.count(b"\n"), "config": {},
+            "config_digest": config_digest({}), "records_digest": hashlib.sha256(body).hexdigest()}
+    return json.dumps(meta).encode() + b"\n" + body
+
+
+ROWS = [{"sample_id": "a", "text": "café à gauche"}, {"sample_id": "b", "n": [1, 2.5, None]}]
+# Each makes the meta line of a file that write_records wrote wrong, or removes it.
+WRONG_META = {
+    "count": lambda data: data.replace(b'"count":', b'"count":9', 1),  # 92 records, or 90
+    "records digest": lambda data: data.replace(b'"records_digest":"', b'"records_digest":"0', 1),
+    "config digest": lambda data: data.replace(b'"config_digest":"', b'"config_digest":"0', 1),
+    "NaN config": lambda data: data.replace(b'"config":{"seed":0}', b'"config":{"seed":NaN}', 1),
+    "corrupt line 1": lambda data: b"{" + data,
+    "no meta line": lambda data: data.split(b"\n", 1)[1],
+    "CRLF endings": lambda data: data.replace(b"\n", b"\r\n"),
+}
+FORGED_BODIES = {
+    "records": b'{"a":1}\n{"b":2}\n',
+    "empty": b"",
+    "non-UTF-8 byte": b'{"a":1}\n{"text":"\xff"}\n',
+    "no final newline": b'{"a":1}\n{"b":2}',
+    "non-UTF-8 without final newline": b'{"a":1}\n{"text":"\xc3',
+    "non-UTF-8 byte at the end of a block": b'"' + b"a" * 65534 + b'\xc3"\n',
+}
+# Bodies whose bytes match the forged digest, but which hold a line that no
+# reader takes: verify passes them, and the parse pass refuses them.
+UNREAD_BODIES = {
+    "blank line": b'{"a":1}\n\n{"b":2}\n',
+    "whitespace-only line": b'{"a":1}\n \t\n',
+    "array": b"[1]\n",
+    "string": b'"x"\n',
+    "not JSON": b'{"a":1}\nnot json\n',
+    "after a character split across two blocks": b'"' + b"a" * 65534 + "é".encode() + b'"\n[1]\n',
+}
+
+
+@pytest.mark.parametrize("rows", [ROWS, []], ids=["rows", "no rows"])
+@pytest.mark.parametrize("change", [None, *WRONG_META], ids=["as written", *WRONG_META])
+def test_verify_agrees_with_the_parse_pass(tmp_path, rows, change):
+    """verify_records checks a file from its bytes and parses it only when that
+    check fails: its outcome is the parse pass's, with every problem in order."""
+    path = tmp_path / "rows.jsonl"
+    write_records(path, rows, {"seed": 0}, "demo")
+    if change:
+        path.write_bytes(WRONG_META[change](path.read_bytes()))
+    assert verify_outcome(path) == parse_pass_outcome(path)
+    # a lone meta line may end in CRLF: no body byte changed
+    assert (verify_outcome(path) == ()) == (change is None or (change == "CRLF endings" and not rows))
+
+
+@pytest.mark.parametrize("body", FORGED_BODIES.values(), ids=FORGED_BODIES)
+def test_verify_agrees_with_the_parse_pass_on_forged_files(tmp_path, body):
+    path = tmp_path / "rows.jsonl"
+    path.write_bytes(_forged(body))
+    assert verify_outcome(path) == parse_pass_outcome(path)
+    assert (verify_outcome(path) == ()) == (body in (FORGED_BODIES["records"], b""))
+
+
+@pytest.mark.parametrize("body", UNREAD_BODIES.values(), ids=UNREAD_BODIES)
+def test_verify_passes_a_forged_body_that_no_reader_takes(tmp_path, body):
+    """The one class where the two differ: under a digest that matches, a line
+    that is blank or not a JSON object is not parsed by verify_records."""
+    path = tmp_path / "rows.jsonl"
+    path.write_bytes(_forged(body))
+    assert verify_outcome(path) == ()
+    assert parse_pass_outcome(path) != ()
 
 
 def _peak_bytes(fn, path) -> int:

@@ -407,7 +407,6 @@ def ingest_pseudo_captions(
 
 
 class VideoObjectTrack(NamedTuple):
-    video_id: str
     category: str
     per_frame_boxes: dict[int, BBox]
     averaged_box: BBox
@@ -425,7 +424,6 @@ def _mean(values) -> float:
 def build_video_static_objects(
     per_frame_detections: dict[int, list[tuple[str, BBox]]],
     n_f: int = 8,
-    video_id: str = "",
 ) -> tuple[list[VideoObjectTrack], Counter]:
     """Per-category tracks over n_f uniformly sampled frames.
 
@@ -454,9 +452,8 @@ def build_video_static_objects(
             continue
         frames = by_category[category]
         boxes = [frames[f] for f in sorted(frames)]
-        coords = [b.as_tuple() for b in boxes]
-        avg = [_mean(column) for column in zip(*coords)]
-        centers = [((x1 + x2) / 2, (y1 + y2) / 2) for x1, y1, x2, y2 in coords]
+        avg = [_mean(column) for column in zip(*boxes)]
+        centers = [((x1 + x2) / 2, (y1 + y2) / 2) for x1, y1, x2, y2 in boxes]
         cx, cy = (_mean(column) for column in zip(*centers))
         # sqrt(dx*dx + dy*dy), not math.hypot, rounds as the numpy norm the pinned digests came from
         is_static = len(boxes) == 1 or all(
@@ -464,7 +461,6 @@ def build_video_static_objects(
         )
         tracks.append(
             VideoObjectTrack(
-                video_id=video_id,
                 category=category,
                 per_frame_boxes=dict(sorted(frames.items())),
                 averaged_box=BBox(*avg),

@@ -150,7 +150,7 @@ def cmd_decode(args) -> int:
     scheme = _parse_scheme(args)
     decode = coords.decode_point if args.form == "point" else coords.decode_bbox
     decoded = decode(args.text, scheme, dims, lenient=args.lenient)
-    print(" ".join(f"{v:g}" for v in decoded.as_tuple()))
+    print(" ".join(f"{v:g}" for v in decoded))
     return EXIT_OK
 
 
@@ -252,7 +252,7 @@ def cmd_build_video_static(args) -> int:
     tracks = []
     exclusions = Counter()
     for video_id in sorted(detections):
-        video_tracks, tallies = builders.build_video_static_objects(detections[video_id], n_f=args.frames, video_id=video_id)
+        video_tracks, tallies = builders.build_video_static_objects(detections[video_id], n_f=args.frames)
         for track in video_tracks:
             if not all(map(math.isfinite, track.averaged_box)):  # finite boxes whose sum overflows
                 problem = f"video {video_id!r}: category {track.category!r}: averaged box is past a float's range"
@@ -264,8 +264,8 @@ def cmd_build_video_static(args) -> int:
             "sample_id": f"{video_id}:track:{track.category}",
             "video_id": video_id,
             "category": track.category,
-            "frames": {str(f): list(b.as_tuple()) for f, b in track.per_frame_boxes.items()},
-            "averaged_box": list(track.averaged_box.as_tuple()),
+            "frames": {str(f): list(b) for f, b in track.per_frame_boxes.items()},
+            "averaged_box": list(track.averaged_box),
             "is_static": track.is_static,
         }
         for video_id, track in tracks

@@ -69,15 +69,12 @@ class BBox(_BBox):
             raise CodecError(f"y1 > y2 in {(x1, y1, x2, y2)}")
         return tuple.__new__(cls, (x1, y1, x2, y2))
 
-    def as_tuple(self) -> tuple[float, float, float, float]:
-        return (self.x1, self.y1, self.x2, self.y2)
-
     def center(self) -> "PointLoc":
         return PointLoc((self.x1 + self.x2) / 2, (self.y1 + self.y2) / 2)
 
     def validate_within(self, dims: ImageDims) -> None:
         if self.x2 > dims.width or self.y2 > dims.height:
-            raise CodecError(f"box {self.as_tuple()} exceeds image {dims.width}x{dims.height}")
+            raise CodecError(f"box {tuple(self)} exceeds image {dims.width}x{dims.height}")
 
 
 class _PointLoc(NamedTuple):
@@ -94,9 +91,6 @@ class PointLoc(_PointLoc):
         if cx < 0 or cy < 0:
             raise CodecError(f"negative coordinate in ({cx}, {cy})")
         return tuple.__new__(cls, (cx, cy))
-
-    def as_tuple(self) -> tuple[float, float]:
-        return (self.cx, self.cy)
 
     def validate_within(self, dims: ImageDims) -> None:
         if self.cx > dims.width or self.cy > dims.height:

@@ -8,7 +8,8 @@ gets exactly one response, in request order.
 
 Both wires send the same request object, and check each reply object the
 same way: an ``error`` makes an error response, and otherwise its ``text``
-must be a string.
+must be a string. Every error response, a wire's, a retry's or a mock's,
+comes from ``_error``.
 
 Two mock models support offline pipelines: an oracle that answers from
 ground truth in canonical phrasing, and a seeded uniform-random baseline.
@@ -20,8 +21,10 @@ every request but never applied locally; generation happens inside the
 external model. ``HttpTransport`` speaks HTTP/1.1 itself over pooled
 ``socket`` connections, importing ``socket`` (and ``ssl`` for ``https``) on
 construction, so the mock and file-batch paths never load them. A
-request body holds ``json.dumps``' bytes, and both wires decode a reply as
-``json.loads`` does; each step calls json's C code directly.
+request body holds ``json.dumps``' bytes, encoded by json's C encoder
+directly, and both wires decode a reply as ``json.loads`` does, with
+``records.parse_line``. The request file of a file batch is written aside
+and renamed by ``records.replacing``, as every record file is.
 """
 
 import hashlib
@@ -36,6 +39,7 @@ from typing import NamedTuple
 from urllib.parse import urlsplit
 
 from . import prompts
+from .records import parse_line, replacing
 from .seeding import derive_seed
 
 
@@ -79,8 +83,8 @@ class TransientTransportError(RuntimeError):
     """Failure worth retrying: connection refused, timeout, 5xx."""
 
 
-def _error(request: ModelRequest, detail: str) -> ModelResponse:
-    return ModelResponse(request.request_id, "", status="error", error_detail=detail)
+def _error(request_id: str, detail: str) -> ModelResponse:
+    return ModelResponse(request_id, "", status="error", error_detail=detail)
 
 
 def _payload(request: ModelRequest, cfg: SamplingConfig) -> dict:
@@ -100,25 +104,19 @@ def _payload(request: ModelRequest, cfg: SamplingConfig) -> dict:
 _encode = json.encoder.c_make_encoder(
     None, json.JSONEncoder().default, json.encoder.encode_basestring_ascii, None, ": ", ", ", False, False, True
 )
-_scan_once = json.JSONDecoder().scan_once
 
 
 def _loads(data: bytes):
     """``json.loads(data)``: the same value, or the same exception. A reply
-    that is UTF-8 text holding one JSON value and nothing else is parsed by
-    json's C scanner alone; anything else (a BOM, UTF-16 or UTF-32, lone
-    surrogates, surrounding whitespace, trailing data, an error) goes
-    through ``json.loads`` itself. The nesting limit is the interpreter's
-    recursion limit counted from the caller, so this reads two levels
-    deeper than ``json.loads`` called in its place."""
+    that is UTF-8 text is parsed by ``records.parse_line``, as a record line
+    is; anything else (a BOM, UTF-16 or UTF-32, lone surrogates, an error)
+    goes through ``json.loads`` itself. The nesting limit is the
+    interpreter's recursion limit counted from the caller, so this reads one
+    level deeper than ``json.loads`` called in its place."""
     try:
-        text = data.decode("utf-8")
-        value, end = _scan_once(text, 0)
-        if end == len(text):
-            return value
-    except (ValueError, StopIteration, RecursionError):
-        pass
-    return json.loads(data)
+        return parse_line(data.decode("utf-8"))
+    except (ValueError, RecursionError):
+        return json.loads(data)
 
 
 def _reply_response(request: ModelRequest, reply: dict) -> ModelResponse:
@@ -127,12 +125,12 @@ def _reply_response(request: ModelRequest, reply: dict) -> ModelResponse:
     An ``"error": null`` is no error, as batch runners that write every field
     send it beside the text of a success."""
     if reply.get("error") is not None:
-        return _error(request, str(reply["error"]) or "reply carries an empty error")
+        return _error(request.request_id, str(reply["error"]) or "reply carries an empty error")
     text = reply.get("text")
     if text is None:
-        return _error(request, "reply carries neither text nor error")
+        return _error(request.request_id, "reply carries neither text nor error")
     if not isinstance(text, str):
-        return _error(request, f"reply text is not a string: {text!r:.80}")
+        return _error(request.request_id, f"reply text is not a string: {text!r:.80}")
     return ModelResponse(request.request_id, text)
 
 
@@ -288,7 +286,6 @@ class HttpTransport:
         target = (parts.path or "/") + (f"?{parts.query}" if parts.query else "")
         if re.search(r"[^\x21-\x7e]", parts.netloc + target):  # not printable ASCII
             raise ValueError(f"endpoint {endpoint!r} holds characters a request line cannot carry")
-        self.endpoint = endpoint
         self.timeout = timeout
         self._socket = socket
         self._ssl_context = None
@@ -398,25 +395,22 @@ class FileBatchTransport:
         self.timeout = timeout
 
     def send_batch(self, requests_: list[ModelRequest], cfg: SamplingConfig) -> list[ModelResponse]:
-        self.directory.mkdir(parents=True, exist_ok=True)
-        payload = "".join(json.dumps(_payload(r, cfg), sort_keys=True) + "\n" for r in requests_)
-        stem = "batch-" + hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
-        req_path = self.directory / f"{stem}.req.jsonl"
+        payload = "".join(json.dumps(_payload(r, cfg), sort_keys=True) + "\n" for r in requests_).encode("utf-8")
+        stem = "batch-" + hashlib.sha256(payload).hexdigest()[:16]
         resp_path = self.directory / f"{stem}.resp.jsonl"
         done_path = self.directory / f"{stem}.done"
         # written aside and renamed, so that a runner never reads half a request file
-        tmp_path = self.directory / f"{stem}.req.jsonl.tmp"
-        tmp_path.write_text(payload, encoding="utf-8")
-        tmp_path.replace(req_path)
+        with replacing(self.directory / f"{stem}.req.jsonl") as fh:
+            fh.write(payload)
         deadline = time.monotonic() + self.timeout
         while not done_path.exists():
             if time.monotonic() > deadline:
-                return [_error(r, f"no response file within {self.timeout}s") for r in requests_]
+                return [_error(r.request_id, f"no response file within {self.timeout}s") for r in requests_]
             time.sleep(self.poll_interval)
         try:
             lines = resp_path.read_bytes().splitlines()
         except FileNotFoundError:
-            return [_error(r, f"{done_path.name} is present but {resp_path} is missing") for r in requests_]
+            return [_error(r.request_id, f"{done_path.name} is present but {resp_path} is missing") for r in requests_]
         by_id = {}
         first_bad = None
         for line_no, line in enumerate(lines, 1):
@@ -436,7 +430,8 @@ class FileBatchTransport:
         if first_bad is not None:
             missing += f", whose line {first_bad} is not a JSON object"
         return [
-            _reply_response(r, by_id[r.request_id]) if r.request_id in by_id else _error(r, missing) for r in requests_
+            _reply_response(r, by_id[r.request_id]) if r.request_id in by_id else _error(r.request_id, missing)
+            for r in requests_
         ]
 
 
@@ -496,8 +491,8 @@ def query_batch(
                     sleep(delay)
                     delay *= 2
             except Exception as exc:  # permanent: malformed reply, rejection
-                return _error(request, str(exc))
-        return _error(request, f"gave up after {attempts} attempts: {last}")
+                return _error(request.request_id, str(exc))
+        return _error(request.request_id, f"gave up after {attempts} attempts: {last}")
 
     # Workers take the next request from one shared iterator until none is left,
     # so a batch costs a thread per slot in flight, not a future per request.
@@ -534,10 +529,6 @@ def query_batch(
 _SPATIAL_QUESTION_RE = re.compile(r"Which side of (.+) is (.+) located\?$")
 
 
-def spatial_answer(query_name: str, keyword: str, ref_name: str) -> str:
-    return f"The {query_name} is located to the {keyword} of {ref_name}."
-
-
 def oracle_answer(record: dict) -> str:
     """Canonical correct answer for one dataset record."""
     objective = record["objective"]
@@ -551,7 +542,7 @@ def oracle_answer(record: dict) -> str:
         final_question = record["prompt"].rsplit("Q: ", 1)[-1].strip()
         match = _SPATIAL_QUESTION_RE.fullmatch(final_question)
         ref = match.group(1) if match else "it"
-        return spatial_answer(record["descriptor"], record["gt_keyword"], ref)
+        return f"The {record['descriptor']} is located to the {record['gt_keyword']} of {ref}."
     if objective == prompts.HALLUCINATION:
         return "Yes" if record["gt"] == "yes" else "No"
     if objective == prompts.VQA:
@@ -596,9 +587,9 @@ def oracle_response(sample_id: str, record: dict, seed: int) -> ModelResponse:
     try:
         return ModelResponse(sample_id, oracle_answer(record))
     except KeyError as exc:
-        return ModelResponse(sample_id, "", status="error", error_detail=f"record lacks {exc}")
+        return _error(sample_id, f"record lacks {exc}")
     except ValueError as exc:
-        return ModelResponse(sample_id, "", status="error", error_detail=str(exc))
+        return _error(sample_id, str(exc))
 
 
 def random_response(sample_id: str, record: dict, seed: int) -> ModelResponse:
@@ -608,7 +599,7 @@ def random_response(sample_id: str, record: dict, seed: int) -> ModelResponse:
     try:
         return ModelResponse(sample_id, random_mock(sample_id, seed, answer_space_for_record(record)))
     except ValueError as exc:
-        return ModelResponse(sample_id, "", status="error", error_detail=str(exc))
+        return _error(sample_id, str(exc))
 
 
 # Each mock model: its response to a request from the request's dataset

@@ -55,7 +55,7 @@ def config_digest(config: dict) -> str:
 
 
 @contextmanager
-def _replacing(path):
+def replacing(path):
     """Open a binary file to write that replaces ``path`` only once it is complete."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -78,7 +78,7 @@ def write_records(path, records: Iterable[dict], config: dict, kind: str) -> int
     by a copy of the body. If ``records`` raises, nothing is left of either
     file."""
     records = iter(records)
-    with _replacing(path) as fh, tempfile.TemporaryFile(dir=Path(path).parent) as body:
+    with replacing(path) as fh, tempfile.TemporaryFile(dir=Path(path).parent) as body:
         body_digest, count = hashlib.sha256(), 0
         # a thousand lines at a time: one encode, hash update and write per
         # line took 84 ms for the 20,766 lines of the spatial-oracle
@@ -295,5 +295,5 @@ def verify_records(path) -> list[str]:
 
 
 def write_json(path, value: dict) -> None:
-    with _replacing(path) as fh:
+    with replacing(path) as fh:
         fh.write((json.dumps(value, sort_keys=True, indent=2, ensure_ascii=False) + "\n").encode("utf-8"))

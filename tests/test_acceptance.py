@@ -109,7 +109,7 @@ def test_criterion_3_roundtrip_error_bound():
                         decoded = decode_point(encode_point(loc, dims, scheme), scheme, dims)
                     else:
                         decoded = decode_bbox(encode_bbox(loc, dims, scheme), scheme, dims)
-                    for i, (a, b) in enumerate(zip(loc.as_tuple(), decoded.as_tuple())):
+                    for i, (a, b) in enumerate(zip(loc, decoded)):
                         if abs(a - b) > bound[i % 2] + 1e-9:
                             violations += 1
         assert violations == 0

@@ -56,8 +56,8 @@ def test_coco_roundtrip_preserves_geometry(tmp_path):
     for original in images:
         loaded = by_id[original.image_id]
         assert loaded.dims == original.dims
-        got = {o.instance_id: (o.category, o.bbox.as_tuple()) for o in loaded.objects}
-        expected = {o.instance_id: (o.category, o.bbox.as_tuple()) for o in original.objects}
+        got = {o.instance_id: (o.category, o.bbox) for o in loaded.objects}
+        expected = {o.instance_id: (o.category, o.bbox) for o in original.objects}
         assert got.keys() == expected.keys()
         for key in expected:
             assert got[key][0] == expected[key][0]

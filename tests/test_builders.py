@@ -738,7 +738,7 @@ def _frames_from_centers(centers, w=20, h=10, cat="lamp"):
 
 def test_single_frame_object_is_static():
     frames = {3: [("lamp", BBox(10, 10, 30, 20))]}
-    tracks, _ = build_video_static_objects(frames, video_id="v")
+    tracks, _ = build_video_static_objects(frames)
     assert tracks[0].is_static and tracks[0].averaged_box == BBox(10, 10, 30, 20)
 
 
@@ -788,7 +788,7 @@ def test_video_track_maths_equals_numpy_reference():
         coords = np.array(boxes, dtype=float)
         centers = np.stack([(coords[:, 0] + coords[:, 2]) / 2, (coords[:, 1] + coords[:, 3]) / 2], axis=1)
         dists = np.linalg.norm(centers - centers.mean(axis=0), axis=1)
-        assert track.averaged_box.as_tuple() == tuple(coords.mean(axis=0).tolist())
+        assert track.averaged_box == tuple(coords.mean(axis=0).tolist())
         assert track.is_static == (len(boxes) == 1 or bool(np.all(dists <= 5.0)))
 
 

@@ -25,6 +25,8 @@ from coordtext.gateway import answer_space_for_record
 from coordtext.prompts import OBJECTIVES, REGION_DESCRIPTION
 from coordtext.records import read_records, write_json, write_records
 from test_gateway import http_server
+from test_golden import BASE_CLASSES, ROWS, TEMPLATES, VOCABULARY
+from test_trace_hooks import _child_env
 
 
 @pytest.fixture(scope="module")
@@ -505,7 +507,7 @@ def test_evaluate_does_not_read_a_fifo_named_as_the_records(fx, tmp_path, capsys
     os.mkfifo(fifo)
     proc = subprocess.run(
         [sys.executable, "-m", "coordtext.cli", "evaluate", "--records", str(bench), "--responses", str(resp)],
-        capture_output=True, text=True, timeout=30,
+        env=_child_env(), capture_output=True, text=True, timeout=30,
     )
     assert proc.returncode == 0 and proc.stdout.startswith("All 100.0")
     assert proc.stderr == (f"{resp}: pairing with {bench} unchecked: no records digests to compare"
@@ -514,9 +516,7 @@ def test_evaluate_does_not_read_a_fifo_named_as_the_records(fx, tmp_path, capsys
 
 def _cli_in(cwd, *argv, timeout=30):
     """Run the CLI in a child process whose working directory is ``cwd``."""
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    return subprocess.run([sys.executable, "-m", "coordtext.cli", *argv], cwd=cwd, env=env,
+    return subprocess.run([sys.executable, "-m", "coordtext.cli", *argv], cwd=cwd, env=_child_env(),
                           capture_output=True, text=True, timeout=timeout)
 
 
@@ -900,6 +900,41 @@ def test_scheduling_flags_keep_the_answers_bytes(fx, tmp_path, capsys):
     assert configs == [(1, 2), (1, 3), (4, 2), (4, 3)]
 
 
+# Golden rows, named by a file each writes: every builder, query --mock random and evaluate --dump
+HASH_SEED_ROWS = {
+    "ift_mix.jsonl", "ift_tpl.jsonl", "hal_disjoint.jsonl", "hal_videos.jsonl", "tracks.jsonl", "spatial.jsonl",
+    "hal_random.jsonl", "hal_dump.jsonl", "spatial_random.jsonl", "spatial_dump.jsonl",
+}
+
+
+def test_hash_seed_and_working_directory_move_no_byte(tmp_path):
+    """Golden rows run in child processes, from the inputs ``run_rows``
+    writes, under PYTHONHASHSEED 0 in one working directory and 1 in another,
+    at the same relative paths: each prints the same text, and every file
+    written holds the same bytes."""
+    commands = [["fixtures", "--out", "fx", "--seed", "0"]]
+    commands += [argv for argv, digests in ROWS if HASH_SEED_ROWS & digests.keys()]
+    runs = []
+    for seed in ("0", "1"):
+        root = tmp_path / f"hash-seed-{seed}"
+        root.mkdir()
+        (root / "vocab.txt").write_text(VOCABULARY, encoding="utf-8")
+        (root / "templates.txt").write_text(TEMPLATES, encoding="utf-8")
+        (root / "base.json").write_text(BASE_CLASSES, encoding="utf-8")
+        env = dict(_child_env(), PYTHONHASHSEED=seed)
+        printed = []
+        for argv in commands:
+            proc = subprocess.run([sys.executable, "-m", "coordtext.cli", *argv], cwd=root, env=env,
+                                  capture_output=True, text=True, timeout=30)
+            assert (proc.returncode, proc.stderr) == (0, ""), argv
+            printed.append(proc.stdout)
+        files = {p.relative_to(root).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
+                 for p in root.rglob("*") if p.is_file()}
+        assert HASH_SEED_ROWS <= set(files)
+        runs.append((printed, files))
+    assert runs[0] == runs[1]
+
+
 @pytest.mark.parametrize("value", ["nan", "inf"])
 def test_query_non_finite_temperature_exits_2(spatial_run, tmp_path, capsys, value):
     """A NaN temperature used to reach the meta line as a bare ``NaN``, which
@@ -933,8 +968,8 @@ def test_query_stopped_by_a_signal_exits_with_its_code(spatial_run, tmp_path, si
         endpoint = f"http://127.0.0.1:{server.getsockname()[1]}/"
         argv = ["query", "--records", str(bench), "--endpoint", endpoint, "--max-inflight", "1",
                 "--attempts", "1", "--out", str(out_dir / "r.jsonl")]
-        with subprocess.Popen([sys.executable, "-m", "coordtext.cli", *argv], stdout=subprocess.PIPE,
-                              stderr=subprocess.PIPE, text=True) as child:
+        with subprocess.Popen([sys.executable, "-m", "coordtext.cli", *argv], env=_child_env(),
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True) as child:
             try:
                 connection, _ = server.accept()  # the child has sent its first request
                 with connection:
@@ -954,8 +989,8 @@ def test_file_batch_query_stopped_by_a_signal_keeps_its_request_file(spatial_run
     bench, _ = spatial_run
     out, batch = tmp_path / "r.jsonl", tmp_path / "batch"
     argv = ["query", "--records", str(bench), "--batch-dir", str(batch), "--out", str(out)]
-    with subprocess.Popen([sys.executable, "-m", "coordtext.cli", *argv], stdout=subprocess.PIPE,
-                          stderr=subprocess.PIPE, text=True) as child:
+    with subprocess.Popen([sys.executable, "-m", "coordtext.cli", *argv], env=_child_env(),
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True) as child:
         try:
             deadline = time.monotonic() + 30
             while not any(batch.glob("*.req.jsonl")) and time.monotonic() < deadline:
@@ -1341,6 +1376,7 @@ def test_pipeline_stages_load_neither_numpy_nor_requests(fx, tmp_path):
         args = [arg.format(fx=fx, out=tmp_path) for arg in args]
         proc = subprocess.run(
             [sys.executable, "-c", LAZY_IMPORT_CHILD, str(fx), str(tmp_path), json.dumps([args, idle])],
+            env=_child_env(),
             capture_output=True,
             text=True,
         )
@@ -1368,7 +1404,7 @@ def test_the_package_holds_its_layers_and_version_only():
     registered layers and ``__version__``, so each public name is imported
     from the layer that defines it. fixtures, which no stage uses, is a
     plain submodule import; another name is an ImportError."""
-    proc = subprocess.run([sys.executable, "-c", PACKAGE_NAMES_CHILD], capture_output=True, text=True)
+    proc = subprocess.run([sys.executable, "-c", PACKAGE_NAMES_CHILD], env=_child_env(), capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == sorted([*PACKAGE_LAYERS, "__version__"])
     import coordtext
@@ -1411,7 +1447,8 @@ assert main(["fixtures", "--out", sys.argv[1]]) == 0
 
 def test_fixtures_run_without_numpy(tmp_path):
     proc = subprocess.run(
-        [sys.executable, "-c", NUMPY_BLOCKED_CHILD, str(tmp_path / "fx")], capture_output=True, text=True
+        [sys.executable, "-c", NUMPY_BLOCKED_CHILD, str(tmp_path / "fx")],
+        env=_child_env(), capture_output=True, text=True,
     )
     assert proc.returncode == 0, proc.stderr
 
@@ -1518,6 +1555,7 @@ def test_each_checked_type_is_reached_by_its_command(spatial_run, tmp_path, caps
 def test_console_script_smoke():
     proc = subprocess.run(
         [sys.executable, "-m", "coordtext.cli", "encode", "--bbox", "10,120,30,145", "--dims", "512x512", "--scheme", "diga"],
+        env=_child_env(),
         capture_output=True,
         text=True,
     )

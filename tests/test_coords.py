@@ -186,20 +186,20 @@ def test_anchor_grid24():
 
 
 def test_decode_midpoint_nfp():
-    assert decode_point("(0.5000, 0.5000)", ReprScheme.nfp(), DIMS_512).as_tuple() == (256.0, 256.0)
+    assert decode_point("(0.5000, 0.5000)", ReprScheme.nfp(), DIMS_512) == (256.0, 256.0)
 
 def test_decode_ivb_bin_centers():
     got = decode_bbox("(4, 52, 13, 63)", ReprScheme.ivb(224), DIMS_512)
     expected = [float((k + Fraction(1, 2)) * 512 / 224) for k in (4, 52, 13, 63)]
-    assert list(got.as_tuple()) == expected
+    assert list(got) == expected
     bx, _ = quantization_error_bound(ReprScheme.ivb(224), DIMS_512)
-    for orig, dec in zip(GOLDEN_BOX.as_tuple(), got.as_tuple()):
+    for orig, dec in zip(GOLDEN_BOX, got):
         assert abs(orig - dec) <= bx
 
 def test_decode_diga_within_bound():
     got = decode_bbox("(0, 4, 3, 11, 6, 0)", ReprScheme.diga(16), DIMS_512)
     bx, _ = quantization_error_bound(ReprScheme.diga(16), DIMS_512)
-    for orig, dec in zip(GOLDEN_BOX.as_tuple(), got.as_tuple()):
+    for orig, dec in zip(GOLDEN_BOX, got):
         assert abs(orig - dec) <= bx + 1e-9
 
 def test_decode_rejects_wrong_arity():
@@ -327,7 +327,7 @@ def _roundtrip_error(loc, dims, scheme):
         dec = decode_bbox(encode_bbox(loc, dims, scheme), scheme, dims)
     return [
         (abs(o - d), axis)
-        for axis, (o, d) in enumerate(zip(loc.as_tuple(), dec.as_tuple()))
+        for axis, (o, d) in enumerate(zip(loc, dec))
     ]
 
 def test_roundtrip_error_within_bound():

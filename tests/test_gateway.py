@@ -513,6 +513,21 @@ def test_file_batch_request_file_bytes(tmp_path):
     )
 
 
+def test_file_batch_failed_rename_leaves_no_request_file(tmp_path, monkeypatch):
+    """The request file is written aside and renamed into a directory made
+    for it; a rename that fails raises and leaves neither the file nor its
+    ``.tmp`` behind."""
+
+    def refuse(src, dst):
+        raise OSError("rename refused")
+
+    monkeypatch.setattr(os, "replace", refuse)
+    directory = tmp_path / "batches"
+    with pytest.raises(OSError, match="rename refused"):
+        query_batch(REQS, FileBatchTransport(directory, poll_interval=0.001, timeout=0.01), CFG)
+    assert directory.is_dir() and list(directory.iterdir()) == []
+
+
 def test_http_pool_under_contention_sends_each_request_once():
     """More workers than cores share one connection pool and one request
     iterator under a tiny switch interval, and every seventh reply closes its
@@ -832,7 +847,7 @@ def test_oracle_mock_location_roundtrip():
         decoded = decode_bbox(location_text, scheme, image.dims)
         gt = next(o.bbox for o in image.objects if sample.sample_id.split(":")[1] == o.instance_id)
         bound = quantization_error_bound(scheme, image.dims)
-        for i, (a, b) in enumerate(zip(gt.as_tuple(), decoded.as_tuple())):
+        for i, (a, b) in enumerate(zip(gt, decoded)):
             assert abs(a - b) <= bound[i % 2] + 1e-9
 
 

@@ -80,7 +80,7 @@ SAMPLES = [
     (HallucinationItem, {"item_id": "v1:hal:00", "media_id": "v1", "medium": "video", "obj": "cat", "gt": "yes", "seed": 3}),
     (
         VideoObjectTrack,
-        {"video_id": "v1", "category": "cat", "per_frame_boxes": {0: BOX}, "averaged_box": BOX, "is_static": True},
+        {"category": "cat", "per_frame_boxes": {0: BOX}, "averaged_box": BOX, "is_static": True},
     ),
     (TemplateSet, {**TEMPLATE_FIELDS, "caption_request": "Describe the {category}."}),
     (Objective, {"task": "spatial", "truth": "gt_keyword", "answers": "axis"}),
@@ -246,7 +246,7 @@ def test_an_instance_is_a_tuple_of_its_fields():
     plain tuple of the same fields."""
     assert tuple(BBox(1, 2, 3, 4)) == (1, 2, 3, 4) == BBox(1, 2, 3, 4)
     x1, y1, x2, y2 = BBox(1, 2, 3, 4)
-    assert (x1, y1, x2, y2) == BBox(1, 2, 3, 4).as_tuple()
+    assert (x1, y1, x2, y2) == BBox(1, 2, 3, 4)
     assert ImageDims(3, 4) == PointLoc(3, 4)
 
 
